@@ -203,21 +203,37 @@ def _box_doc(rng, boxes, m):
 
 def box_kd(rng, m, n_cells, lattice):
     """A guillotine partition: repeatedly split a random cell along a random
-    axis at a point of the 1/lattice grid."""
-    unit = Fraction(1, lattice)
-    boxes = [tuple((Fraction(0), Fraction(1)) for _ in range(m))]
+    axis at a point of the 1/lattice grid.
+
+    Until every point of the grid is a cut on every axis, each split makes
+    a new cut. With ``n_cells - 1 >= m * (lattice - 1)`` splits the cuts
+    fill the grid, so the partition check, whose cost grows with the
+    distinct cuts per axis, costs the same on every seed."""
+    boxes = [((0, lattice),) * m]  # in units of 1/lattice
+    fresh = [set(range(1, lattice)) for _ in range(m)]
     while len(boxes) < n_cells:
-        k = rng.randrange(len(boxes))
+        splits = [(k, j, sorted(c for c in fresh[j] if lo < c < hi))
+                  for k, box in enumerate(boxes) for j, (lo, hi) in enumerate(box)
+                  if fresh[j]]
+        splits = [split for split in splits if split[2]]
+        if splits:
+            k, j, cuts = rng.choice(splits)
+            cut = rng.choice(cuts)
+            fresh[j].discard(cut)
+        else:
+            k = rng.randrange(len(boxes))
+            axes = [j for j, (lo, hi) in enumerate(boxes[k]) if hi - lo > 1]
+            if not axes:
+                continue
+            j = rng.choice(axes)
+            lo, hi = boxes[k][j]
+            cut = rng.randrange(lo + 1, hi)
         box = boxes[k]
-        axes = [j for j in range(m) if box[j][1] - box[j][0] > unit]
-        if not axes:
-            continue
-        j = rng.choice(axes)
         lo, hi = box[j]
-        cut = lo + unit * rng.randrange(1, int((hi - lo) / unit))
         boxes[k:k + 1] = [box[:j] + ((lo, cut),) + box[j + 1:],
                           box[:j] + ((cut, hi),) + box[j + 1:]]
-    return _box_doc(rng, boxes, m)
+    return _box_doc(rng, [tuple((Fraction(lo, lattice), Fraction(hi, lattice)) for lo, hi in box)
+                          for box in boxes], m)
 
 
 def box_grid(rng, per_axis, lattice):

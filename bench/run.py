@@ -15,10 +15,18 @@ output is one JSON object with ``correct``, ``attempted``, ``failed`` and
 
 A run repeats the workload's round of invocations a fixed number of times,
 derived from ``--seconds`` and the round's nominal duration, so the same
-seed and seconds measure the same work; only a host much slower than
-nominal drops rounds to keep the run near ``--seconds``. Times are rescaled
-to the nominal machine speed by a calibration kernel timed before every
-invocation (see calibration_ms); the context line gives the factors.
+seed and seconds measure the same work; a host slower than nominal drops
+the rounds (down to MIN_ROUNDS) that would end after ``--seconds``.
+
+Each invocation is timed by the CPU time of this thread. The CLI is single
+threaded and reads only small files, so on an idle core that is its wall
+time; on a shared core it leaves out the time other processes held it.
+The shared host also slows the core itself, in bursts of up to 2x that
+come and go within a second, and drifts by as much over minutes. So each
+round's times are rescaled to the nominal machine speed by the median time
+of a calibration kernel timed between its invocations (see
+calibration_ms), and an invocation's latency is its median over the
+rounds. The context line gives each round's speed factor.
 """
 
 from __future__ import annotations
@@ -43,21 +51,25 @@ import tracing
 import workloads
 
 ROOT = Path(__file__).resolve().parent.parent
-SETUP_REPEATS = 5
-# Wall time of one round at the nominal machine speed (see calibration_ms);
-# sets how many rounds fill --seconds.
+SETUP_REPEATS = 9
+# Wall time of one round on the machine the benchmark was tuned on (2
+# cores, Python 3.11.7, shared); sets how many rounds fill --seconds.
 NOMINAL_ROUND_S = {
-    "exact_discrete": 3.5,
-    "cgt_sampling": 7.0,
-    "box_piecewise": 4.5,
+    "exact_discrete": 5.0,
+    "cgt_sampling": 6.0,
+    "box_piecewise": 5.0,
     "explain_lattice": 5.5,
 }
-# A slow host may stretch a run by this factor before rounds are dropped.
-OVERRUN = 1.25
+# Rounds a run makes however slow the host; with --trace 1 every other
+# round is traced.
+MIN_ROUNDS = 3
 TAIL_BEYOND = 10  # samples the tail percentile must leave above it
-# Time of one calibration pass on the machine the benchmark was tuned on
-# (2 cores, Python 3.11, unloaded); see calibration_ms.
-CALIBRATION_NOMINAL_MS = 2.0
+# Time of one calibration pass on the nominal machine, about its time on the
+# 2-core host the benchmark was tuned on (Python 3.11.7); see
+# calibration_ms. It sets the machine that reported times refer to.
+CALIBRATION_NOMINAL_MS = 12.0
+# CPU time of invocations after which the kernel is timed again.
+CALIBRATION_EVERY_MS = 150.0
 # What a malformed or wrong report can raise inside a check.
 CHECK_ERRORS = (ValueError, KeyError, TypeError, AttributeError, IndexError,
                 workloads.CheckFailed)
@@ -103,53 +115,58 @@ def git_sha():
 
 
 def calibration_ms():
-    """Wall time of a fixed pure-Python kernel like shapxp's inner loops
-    (tuples from itertools.product, dict lookups, Fraction arithmetic),
-    with the cyclic collector off so that shapxp's heap does not slow it.
+    """CPU time of a fixed pure-Python kernel like shapxp's inner loops
+    (tuples from itertools.product, dict lookups, Fraction arithmetic) over
+    a table of 4096 entries, about shapxp's working set, with the cyclic
+    collector off so that shapxp's heap does not slow it.
 
     The host's speed drifts by up to 2x over minutes, as other tenants load
-    it, and shapxp slows in step with this kernel. Timing it before every
-    invocation gives the factor that rescales a round's times to the
-    nominal machine speed."""
+    it, and shapxp slows in step with this kernel. Its median time over a
+    round gives the factor that rescales the round's times to the nominal
+    machine speed."""
     gc.disable()
     try:
-        start = time.perf_counter()
+        start = time.thread_time()
         table = {}
-        for k, point in enumerate(product((0, 1), repeat=10)):
+        for k, point in enumerate(product((0, 1), repeat=12)):
             table[point] = Fraction(k % 7, 3)
         total = Fraction(0)
-        for point in product((0, 1), repeat=10):
+        for point in product((0, 1), repeat=12):
             if point[0]:
                 total += table[point] * 2
-        return (time.perf_counter() - start) * 1000.0
+        return (time.thread_time() - start) * 1000.0
     finally:
         gc.enable()
 
 
 def run_round(cli, plan, tracer=None):
-    """Run every invocation of the plan once. Returns the latencies (ms) in
-    plan order, rescaled to the nominal machine speed, the speed factor
+    """Run every invocation of the plan once. Returns the latencies (CPU ms)
+    in plan order, rescaled to the nominal machine speed, the speed factor
     they were rescaled by, a message for each invocation that failed, and
     the report text of each one that passed."""
     call = cli.run_cli if tracer is None else tracer.wrap("cli.run_cli", cli.run_cli, True)
     outputs = {}
     latencies = []
     failures = {}
-    calibration = []
+    calibration = [calibration_ms()]
+    since = 0.0
     for inv in plan.invocations:
-        calibration.append(calibration_ms())
+        if since >= CALIBRATION_EVERY_MS:
+            calibration.append(calibration_ms())
+            since = 0.0
         out, err = io.StringIO(), io.StringIO()
         if tracer is not None:
             tracer.invocation += 1
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            start = time.perf_counter()
+            start = time.thread_time()
             try:
                 code = call(inv.argv)
             except SystemExit as exc:  # argparse rejected the arguments
                 code = exc.code
             except Exception:  # a crash is one failed invocation, not a dead run
                 code = "exception:\n" + traceback.format_exc()
-            latencies.append((time.perf_counter() - start) * 1000.0)
+            latencies.append((time.thread_time() - start) * 1000.0)
+            since += latencies[-1]
         if code != 0:
             failures[inv.name] = f"exit {code}: {err.getvalue().strip()[:500]}"
             continue
@@ -170,14 +187,24 @@ def run_round(cli, plan, tracer=None):
                 for n in names:
                     failures.setdefault(n, f"group check: {exc!r}")
     texts = {name: text for name, (_, text) in outputs.items() if name not in failures}
+    calibration.append(calibration_ms())
     speed = CALIBRATION_NOMINAL_MS / statistics.median(calibration)
     return [ms * speed for ms in latencies], speed, failures, texts
 
 
-def tail(latencies):
+def per_invocation(rounds):
+    """Each invocation's median time over the rounds."""
+    return [statistics.median(times) for times in zip(*rounds)]
+
+
+def tail(samples):
     """The highest percentile with at least TAIL_BEYOND samples above it:
-    (value, percentile, sample count)."""
-    ordered = sorted(latencies)
+    (value, percentile, sample count).
+
+    The samples are the invocations of one round, each timed by its median
+    over the rounds, so the rank the percentile picks does not depend on
+    how many rounds the host had time for."""
+    ordered = sorted(samples)
     n = len(ordered)
     k = max(0, n - TAIL_BEYOND - 1)
     return ordered[k], 100.0 * (k + 1) / n, n
@@ -247,21 +274,21 @@ def main(argv=None):
 
     setup = []
     for _ in range(SETUP_REPEATS):
-        start = time.perf_counter()
+        start = time.thread_time()
         cli = import_shapxp()
         plan = workloads.build(args.workload, args.seed, workdir)
-        seconds = time.perf_counter() - start
-        speed = CALIBRATION_NOMINAL_MS / statistics.median(calibration_ms() for _ in range(9))
+        seconds = time.thread_time() - start
+        speed = CALIBRATION_NOMINAL_MS / statistics.median(calibration_ms() for _ in range(3))
         setup.append(seconds * speed)
 
-    planned = max(2, round(args.seconds / NOMINAL_ROUND_S[args.workload]))
+    planned = max(MIN_ROUNDS, round(args.seconds / NOMINAL_ROUND_S[args.workload]))
     tracer = tracing.Tracer() if args.trace else None
     untraced, traced, speeds, failures, first_texts = [], [], [], [], {}
     started = last = time.perf_counter()
     rounds = 0
     while rounds < planned:
         now = time.perf_counter()
-        if rounds >= 2 and now - started + (now - last) > OVERRUN * args.seconds:
+        if rounds >= MIN_ROUNDS and now - started + (now - last) > args.seconds:
             break
         last = now
         if tracer is not None and rounds % 2:
@@ -281,12 +308,9 @@ def main(argv=None):
 
     attempted = rounds * len(plan.invocations)
     failed = len(failures)
-    # Latency figures pool every invocation of every untraced round; each
-    # round was rescaled by its own calibration factor.
-    samples = [ms for lat in untraced for ms in lat]
+    samples = per_invocation(untraced)
     if tracer is not None:
-        overhead = (statistics.median(ms for lat in traced for ms in lat)
-                    / statistics.median(samples))
+        overhead = statistics.median(per_invocation(traced)) / statistics.median(samples)
         metrics = per_layer_metrics(tracer, len(traced) * len(plan.invocations), overhead)
         spans_path = workdir / "spans.json"
         spans_path.write_text(json.dumps(tracer.spans) + "\n", encoding="utf-8")
@@ -296,7 +320,8 @@ def main(argv=None):
             "setup_s": (statistics.median(setup), "s"),
             "latency_p50_ms": (statistics.median(samples), "ms"),
             "latency_tail_ms": (value, "ms"),
-            # Per second spent in run_cli, so the checks do not count.
+            # Per CPU second spent in run_cli, so the checks do not count.
+            # One round at each invocation's median time.
             "invocations_per_s": (len(samples) / (sum(samples) / 1000.0), "1/s"),
             "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB"),
         }
@@ -317,7 +342,7 @@ def main(argv=None):
     for name, (value, unit) in metrics.items():
         extra = ""
         if name == "latency_tail_ms":
-            extra = f"  (p{percentile:.2f} of {n} samples)"
+            extra = f"  (p{percentile:.2f} of {n} invocation medians)"
         print(f"{name:<{width}}  {value:>14.4f}  {unit}{extra}")
     print(json.dumps({
         "correct": failed == 0,

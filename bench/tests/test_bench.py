@@ -21,8 +21,8 @@ import workloads  # noqa: E402
 SLICES = {
     "exact_discrete": ("cls3.", "cls3_tree.", "tab8.", "ternary5.", "tree8.", "tree8_twin."),
     "cgt_sampling": ("pw2.", "tree0_m4."),
-    "box_piecewise": ("pw2.", "kd2_32.", "kd3_16.", "grid2_32."),
-    "explain_lattice": ("reg2.", "reg2_tree.", "tree10.", "tab10."),
+    "box_piecewise": ("pw2.", "kd2_32.", "kd3_16.", "grid2_8x8."),
+    "explain_lattice": ("reg2.", "tree10.", "tab10."),
 }
 
 

@@ -244,6 +244,7 @@ def fixture(name):
 
 ALL_DISCRETE = ("expected", "waxp", "relevancy", "compare")
 NO_COMPARE = ("expected", "waxp", "relevancy")
+NO_EXPECTED = ("waxp", "relevancy")
 
 
 def _discrete_commands(plan, tag, path, oracle, points, commands=ALL_DISCRETE,
@@ -280,13 +281,28 @@ def exact_discrete(rng, files):
     for name in ("cls3", "cls3_tree"):
         path, oracle = fixture(f"{name}.json")
         _discrete_commands(plan, name, path, oracle, [(1, 1, 2), (0, 1, 1)], digest=True)
-    for m, arity, commands in ((8, 2, ALL_DISCRETE), (9, 2, NO_COMPARE), (10, 2, NO_COMPARE),
-                               (5, 3, ALL_DISCRETE), (6, 3, ALL_DISCRETE)):
-        tag = f"tab{m}" if arity == 2 else f"ternary{m}"
+    # The expected game on a table costs the same at every instance, so
+    # extra instances on the ternary tables make bands of like invocations
+    # that latency_p50_ms (m=5) and latency_tail_ms (m=6) fall in, and
+    # neither varies much from seed to seed. The expected game at m=10, on
+    # m=9 trees and compare on trees took 0.3-2 s each and left room for
+    # too few rounds.
+    for tag, m, arity, commands, extra in (("tab8", 8, 2, ALL_DISCRETE, 0),
+                                           ("tab9", 9, 2, NO_COMPARE, 0),
+                                           ("tab10", 10, 2, NO_EXPECTED, 0),
+                                           ("ternary5", 5, 3, ALL_DISCRETE, 13),
+                                           ("ternary6", 6, 3, NO_COMPARE, 6)):
         doc, oracle = gen.tabular(rng, m, arity, 1)
         points = [gen.discrete_instance(rng, oracle) for _ in range(2)]
-        _discrete_commands(plan, tag, files.model(tag, doc), oracle, points, commands)
-    for m, commands in ((8, ALL_DISCRETE), (9, NO_COMPARE)):
+        path = files.model(tag, doc)
+        _discrete_commands(plan, tag, path, oracle, points, commands)
+        for k in range(extra):
+            point = gen.discrete_instance(rng, oracle)
+            plan.add(f"{tag}.expected_{k + 2}",
+                     ["shap", "--model", path, "--instance", _point_text(point),
+                      "--game", "expected"],
+                     check_shap(oracle, point, "expected"))
+    for m, commands in ((8, NO_COMPARE), (9, NO_EXPECTED)):
         doc, oracle = gen.tree(rng, m, 5, 2, full=True)
         twin_doc, twin_oracle = gen.tabulated(oracle)
         points = [gen.discrete_instance(rng, oracle) for _ in range(2)]
@@ -319,8 +335,21 @@ def check_cgt(oracle, point, game, epsilon, delta=None):
     return check
 
 
-CGT_SETTINGS = (("waxp", Fraction(1, 100)), ("waxp", Fraction(1, 200)),
-                ("expected", Fraction(1, 20)), ("expected", Fraction(1, 50)))
+WAXP_100, WAXP_200 = ("waxp", Fraction(1, 100)), ("waxp", Fraction(1, 200))
+EXPECTED_20, EXPECTED_50 = ("expected", Fraction(1, 20)), ("expected", Fraction(1, 50))
+# (game, epsilon) settings per target. The expected game at 1/50 on the
+# fixtures and waxp at 1/200 on cls3 and the trees took 0.5-2 s each and
+# left room for too few rounds.
+CGT_SETTINGS = {
+    "cls3": (WAXP_100, EXPECTED_20),
+    "pw2": (WAXP_100, WAXP_200, EXPECTED_20),
+    "tree": (WAXP_100, EXPECTED_20, EXPECTED_50),
+}
+# Repeats at fresh seeds of the waxp game at 1/100 on each fixture: CGT's
+# cost is set by its permutation count and the model, not by its seed, so
+# the repeats make bands of like invocations that latency_p50_ms (pw2) and
+# latency_tail_ms (cls3) fall in, and neither varies much from seed to seed.
+CGT_REPEATS = {"cls3": 5, "pw2": 16}
 
 
 def cgt_sampling(rng, files):
@@ -329,39 +358,50 @@ def cgt_sampling(rng, files):
     pw2, pw2_oracle = fixture("pw2.json")
     targets = [("cls3", cls3, cls3_oracle, (1, 1, 2), None),
                ("pw2", pw2, pw2_oracle, (1, 1), Fraction(1, 5))]
-    for k, m in enumerate((4, 5, 6, 7, 8)):
+    for k, m in enumerate((4, 6, 8)):
         doc, oracle = gen.tree(rng, m, 4, 1, leaf_pool=(0, 1))
         targets.append((f"tree{k}_m{m}", files.model(f"cgt_tree{k}", doc), oracle,
                         gen.discrete_instance(rng, oracle), None))
-    for tag, path, oracle, point, delta in targets:
+    settings = [CGT_SETTINGS["cls3"], CGT_SETTINGS["pw2"]] + [CGT_SETTINGS["tree"]] * 3
+
+    def add(name, target, game, eps, seed, extra_check=None):
+        tag, path, oracle, point, delta = target
         inst = ["--model", path, "--instance", _point_text(point)]
         if delta is not None:
             inst += ["--delta", str(delta)]
-        for game, eps in CGT_SETTINGS:
-            argv = ["shap", *inst, "--game", game, "--method", "cgt",
-                    "--epsilon", str(eps), "--alpha", str(CGT_ALPHA),
-                    "--seed", str(rng.randrange(2 ** 32))]
-            check = check_cgt(oracle, point, game, eps, delta)
-            plan.add(f"{tag}.cgt_{game}_{eps.denominator}", argv, check)
-    for tag, path, oracle, point, delta in targets[:2]:
-        inst = ["--model", path, "--instance", _point_text(point)]
-        if delta is not None:
-            inst += ["--delta", str(delta)]
-        name = f"{tag}.cgt_fixed_seed"
-        plan.add(name, ["shap", *inst, "--game", "waxp", "--method", "cgt",
-                        "--epsilon", "1/100", "--seed", "7"],
-                 both(check_cgt(oracle, point, "waxp", Fraction(1, 100), delta),
-                      check_digest(name)))
+        argv = ["shap", *inst, "--game", game, "--method", "cgt", "--epsilon", str(eps)]
+        if seed is not None:
+            argv += ["--alpha", str(CGT_ALPHA), "--seed", str(seed)]
+        else:  # the CLI's default alpha and seed
+            argv += ["--seed", "7"]
+        check = check_cgt(oracle, point, game, eps, delta)
+        plan.add(name, argv, check if extra_check is None else both(check, extra_check))
+
+    for target, pairs in zip(targets, settings):
+        for game, eps in pairs:
+            add(f"{target[0]}.cgt_{game}_{eps.denominator}", target, game, eps,
+                rng.randrange(2 ** 32))
+    for target in targets[:2]:
+        name = f"{target[0]}.cgt_fixed_seed"
+        add(name, target, *WAXP_100, None, check_digest(name))
+    for target in targets[:2]:
+        for k in range(CGT_REPEATS[target[0]]):
+            add(f"{target[0]}.cgt_waxp_100_{k + 2}", target, *WAXP_100, rng.randrange(2 ** 32))
     return plan
 
 
-def _box_commands(plan, tag, path, oracle, point, delta, digest=False):
+def _box_commands(plan, tag, path, oracle, point, delta, digest=False, full=True):
+    """validate and relevancy on one model and instance; with ``full``, also
+    both shap games and AXP enumeration."""
     inst = ["--model", path, "--instance", _point_text(point)]
     with_delta = [*inst, "--delta", str(delta)]
     start = len(plan.invocations)
     validate = plan.add(f"{tag}.validate", ["validate", "--model", path],
                         lambda r, t: expect(r["results"] == {"ok": True, "cells": len(oracle.cells)},
                                             f"validate says {r['results']}"))
+    if not full:
+        plan.add(f"{tag}.relevancy", ["relevancy", *with_delta], check_relevancy(oracle, point))
+        return validate
     plan.add(f"{tag}.shap_expected", ["shap", *inst, "--game", "expected"],
              check_shap(oracle, point, "expected"))
     waxp = plan.add(f"{tag}.shap_waxp", ["shap", *with_delta, "--game", "waxp"],
@@ -377,14 +417,20 @@ def _box_commands(plan, tag, path, oracle, point, delta, digest=False):
     return validate
 
 
-# (kind, m, cells or slabs per axis, lattice). A kd lattice coarse enough
-# for the cuts to fill it keeps the partition check's cost, which grows
-# with the distinct cuts per axis, the same from seed to seed.
+# (kind, m, cells or slabs per axis, lattice, all five commands?). Every kd
+# model has enough cells for its cuts to fill the lattice (see gen.box_kd),
+# so the partition check's work, the product of the distinct cuts per axis
+# times the cells, is the same on every seed. The models fall in bands of
+# like cost: 25 cheap invocations (pw2, kd3_16, kd2_32 and the grids), 20
+# middle ones (two kd2_64, two kd3_32) that latency_p50_ms falls in, 15
+# dear ones (two kd2_128, kd3_64) that latency_tail_ms falls in, and
+# validate and relevancy on kd2_256 above.
 BOX_MODELS = (
-    [("kd", 2, n, lattice) for n, lattice in ((32, 8), (64, 16), (128, 16), (256, 32))]
-    + [("kd", 3, n, lattice) for n, lattice in ((16, 4), (32, 8), (64, 8))]
-    + [("grid", 2, per, 32) for per in ((4, 8), (8, 8), (8, 16), (16, 16))]
-    + [("grid", 3, per, 16) for per in ((2, 2, 4), (2, 4, 4), (4, 4, 4))]
+    [("kd", 2, n, lattice, True) for n, lattice in ((32, 8), (64, 16), (64, 16), (128, 16),
+                                                    (128, 16))]
+    + [("kd", 2, 256, 32, False)]
+    + [("kd", 3, n, lattice, True) for n, lattice in ((16, 4), (32, 8), (32, 8), (64, 8))]
+    + [("grid", 2, (8, 8), 32, True), ("grid", 3, (4, 4, 4), 16, True)]
 )
 
 
@@ -392,24 +438,28 @@ def box_piecewise(rng, files):
     plan = Plan()
     pw2, pw2_oracle = fixture("pw2.json")
     _box_commands(plan, "pw2", pw2, pw2_oracle, (1, 1), Fraction(1, 5), digest=True)
-    for kind, m, size, lattice in BOX_MODELS:
+    for kind, m, size, lattice, full in BOX_MODELS:
         if kind == "kd":
             doc, oracle = gen.box_kd(rng, m, size, lattice)
             tag = f"kd{m}_{size}"
         else:
             doc, oracle = gen.box_grid(rng, size, lattice)
-            tag = f"grid{m}_{len(oracle.cells)}"
+            tag = f"grid{m}_{'x'.join(map(str, size))}"
+        while any(inv.name.startswith(tag + ".") for inv in plan.invocations):
+            tag += "b"
         lo, hi = oracle.output_range()
         while True:  # the output must leave the delta band somewhere
             point = gen.box_instance(rng, m, lattice)
             pred = oracle.predict(point)
             if lo < pred - BOX_DELTA or hi > pred + BOX_DELTA:
                 break
-        _box_commands(plan, tag, files.model(tag, doc), oracle, point, BOX_DELTA)
+        _box_commands(plan, tag, files.model(tag, doc), oracle, point, BOX_DELTA, full=full)
     return plan
 
 
-def _lattice_commands(plan, tag, path, oracle, point, sample=None, digest=False):
+def _lattice_commands(plan, tag, path, oracle, point, sample=None, digest=False, full=True):
+    """relevancy on one model and instance; with ``full``, also axp, cxp
+    and both enumerations."""
     inst = ["--model", path, "--instance", _point_text(point)]
     if sample is not None:
         inst += ["--agnostic", "--sample", sample]
@@ -417,6 +467,8 @@ def _lattice_commands(plan, tag, path, oracle, point, sample=None, digest=False)
     aware = sample is None
     rel = plan.add(f"{tag}.relevancy", ["relevancy", *inst],
                    check_relevancy(oracle, point, model_aware=aware))
+    if not full:
+        return
     axp = plan.add(f"{tag}.axp", ["axp", *inst], lambda r, t: check_prediction(r, oracle, point))
     cxp = plan.add(f"{tag}.cxp", ["cxp", *inst], lambda r, t: check_prediction(r, oracle, point))
     enum_axp = plan.add(f"{tag}.enumerate_axp", ["enumerate", *inst, "--kind", "axp"],
@@ -430,38 +482,43 @@ def _lattice_commands(plan, tag, path, oracle, point, sample=None, digest=False)
             inv.check = both(inv.check, check_digest(inv.name))
 
 
-# (kind, m, sample rows)
-LATTICE_MODELS = (("tree", 10, 3000), ("tree", 12, 500), ("tree", 14, None),
-                  ("tab", 10, 1000), ("tab", 12, None))
+# (kind, m, instances, sample rows, all five commands?); each instance is
+# explained model-aware and, given sample rows, agnostic. The counts put
+# about as many invocations below the band of 45-75 ms ones (tab10 and the
+# m=12 tree's enumerations) as above it, so that latency_p50_ms falls
+# inside the band, and seven above the band of agnostic relevancy and
+# enumerations on tab10 and the m=10 tree that latency_tail_ms falls in.
+# The m=12 table, the m=14 tree's enumerations and samples of 1000-3000
+# rows took 0.3-0.7 s a call and left room for too few rounds.
+LATTICE_MODELS = (("tree", 10, 1, 500, True), ("tree", 12, 2, 500, True),
+                  ("tree", 14, 1, None, False), ("tab", 10, 1, 500, True))
 
 
 def explain_lattice(rng, files):
     plan = Plan()
     reg2, reg2_oracle = fixture("reg2.json")
-    sample = str(FIXTURES / "reg2_sample.csv")
     _lattice_commands(plan, "reg2", reg2, reg2_oracle, (1, 1), digest=True)
-    _lattice_commands(plan, "reg2.agnostic", reg2, reg2_oracle, (1, 1), sample, digest=True)
-    reg2_tree, reg2_tree_oracle = fixture("reg2_tree.json")
-    _lattice_commands(plan, "reg2_tree", reg2_tree, reg2_tree_oracle, (1, 1), digest=True)
-    for kind, m, rows in LATTICE_MODELS:
+    for kind, m, instances, rows, full in LATTICE_MODELS:
         tag = f"{kind}{m}"
         if kind == "tree":
             doc, oracle = gen.tree(rng, m, 5, 2, full=True)
         else:
             doc, oracle = gen.tabular(rng, m, 2, 2)
         path = files.model(tag, doc)
-        point = gen.discrete_instance(rng, oracle)
-        _lattice_commands(plan, tag, path, oracle, point)
-        if rows is None:  # the agnostic scan would take seconds per call
-            continue
-        pred = oracle.predict(point)
-        while True:  # the sample must hold a row the instance can be contrasted with
-            text = gen.sample_csv(rng, oracle, rows, point)
-            if any(Fraction(line.rsplit(",", 1)[1]) != pred
-                   for line in text.splitlines()[1:]):
-                break
-        _lattice_commands(plan, f"{tag}.agnostic", path, oracle, point,
-                          files.text(f"{tag}.csv", text))
+        for k in range(instances):
+            name = f"{tag}_{k + 1}" if k else tag
+            point = gen.discrete_instance(rng, oracle)
+            _lattice_commands(plan, name, path, oracle, point, full=full)
+            if rows is None:  # the agnostic scan would take seconds per call
+                continue
+            pred = oracle.predict(point)
+            while True:  # the sample must hold a row the instance can be contrasted with
+                text = gen.sample_csv(rng, oracle, rows, point)
+                if any(Fraction(line.rsplit(",", 1)[1]) != pred
+                       for line in text.splitlines()[1:]):
+                    break
+            _lattice_commands(plan, f"{name}.agnostic", path, oracle, point,
+                              files.text(f"{name}.csv", text))
     return plan
 
 
