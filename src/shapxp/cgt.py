@@ -23,11 +23,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .errors import PreconditionError, ValidationError
+from .errors import PreconditionError, SizeLimitError, ValidationError
 from .games import Game, ScoreVector
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# Permutation draws times players: each player step costs about a
+# microsecond or two, so the guard stops runs of more than a few minutes.
+DRAW_GUARD = 10 ** 8
 
 
 @dataclass(frozen=True)
@@ -64,8 +67,18 @@ class CgtDiagnostics:
 def sample_count(epsilon, alpha, m: int, bound) -> int:
     """Number of permutations needed for the (epsilon, alpha) guarantee
     given a marginal bound."""
-    eps = float(epsilon)
-    return math.ceil(float(bound) ** 2 * math.log(2 * m / float(alpha)) / (2 * eps * eps))
+    try:
+        eps = float(epsilon)
+        count = float(bound) ** 2 * math.log(2 * m / float(alpha)) / (2 * eps * eps)
+    except (ZeroDivisionError, OverflowError):
+        count = 0.0
+    if 0 < count < math.inf:
+        return math.ceil(count)
+    # Parameters too small or too large for a float: the logarithm of
+    # integers, and the rest in exact rationals.
+    alpha = Fraction(alpha)
+    log_ratio = math.log(2 * m * alpha.denominator) - math.log(alpha.numerator)
+    return math.ceil(Fraction(bound) ** 2 / (2 * Fraction(epsilon) ** 2) * Fraction(log_ratio))
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +145,10 @@ def cgt_estimate(game: Game, config: CgtConfig) -> tuple[ScoreVector, CgtDiagnos
             raise PreconditionError(
                 "game has no marginal bound; pass one or override the sample count")
         total = sample_count(config.epsilon, config.alpha, m, bound)
+    if total * m > DRAW_GUARD:
+        raise SizeLimitError(
+            f"sampling guarded at {DRAW_GUARD} player draws: {m} players allow at most "
+            f"{DRAW_GUARD // m} permutations, fewer than these parameters need")
 
     # Marginals repeat heavily on small games, so tally (prefix, player)
     # occurrence counts and weight them by the memoized marginals at the

@@ -121,10 +121,6 @@ def main() -> None:
     sys.exit(run_cli(sys.argv[1:]))
 
 
-if __name__ == "__main__":
-    main()
-
-
 # ---------------------------------------------------------------------------
 # Dispatch
 # ---------------------------------------------------------------------------
@@ -452,3 +448,7 @@ def _print_table(report: RunReport) -> None:
                       f"mean {_decimal(row['mean'])}", file=out)
     if report.timing_ms is not None:
         print(f"time: {report.timing_ms:.1f} ms", file=out)
+
+
+if __name__ == "__main__":
+    main()

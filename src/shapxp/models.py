@@ -15,7 +15,7 @@ All arithmetic on numeric values is exact (``fractions.Fraction``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Union
@@ -32,6 +32,7 @@ Point = tuple
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
+_MISSING = object()  # a point the table has no entry for
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +141,17 @@ class TabularModel:
     space: FeatureSpace
     table: Mapping[Point, Value]
     value_kind: str = NUMERIC
+    # The table's values in lexicographic point order, read while checking
+    # that the table is total.
+    outputs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.space.all_discrete():
             raise ValidationError("tabular models need all-discrete domains")
-        expected = set(_space_points(self.space))
-        got = set(self.table)
-        if got != expected:
+        outputs = tuple(self.table.get(pt, _MISSING) for pt in _space_points(self.space))
+        if len(outputs) != len(self.table) or any(y is _MISSING for y in outputs):
+            expected = set(_space_points(self.space))
+            got = set(self.table)
             missing = expected - got
             extra = got - expected
             parts = []
@@ -155,6 +160,7 @@ class TabularModel:
             if extra:
                 parts.append(f"{len(extra)} points outside the space, e.g. {sorted(extra)[0]}")
             raise ValidationError("table is not total: " + "; ".join(parts))
+        object.__setattr__(self, "outputs", outputs)
         _check_values(self.table.values(), self.value_kind)
         if len(set(self.table.values())) < 2:
             raise ValidationError("model is constant; a non-constant prediction function is required")
@@ -340,20 +346,37 @@ def predict(model: Model, point: Point) -> Value:
     if isinstance(model, TabularModel):
         return model.table[point]
     if isinstance(model, TreeModel):
-        node = model.nodes[model.root]
-        while isinstance(node, TreeNode):
-            x = point[node.feature - 1]
-            for values, child in node.edges:
-                if x in values:
-                    node = model.nodes[child]
-                    break
-            else:
-                raise ValidationError(f"no edge for value {x!r} at a node testing feature {node.feature}")
-        return node.value
+        return _tree_output(model, point)
     if isinstance(model, BoxPiecewiseModel):
         cell = model.cell_at(point)
         return _affine_at(cell, point)
     raise TypeError(f"unknown model type {type(model)!r}")
+
+
+def _tree_output(model: TreeModel, point: Point) -> Value:
+    """Walk the tree from the root to the leaf that ``point`` reaches."""
+    node = model.nodes[model.root]
+    while isinstance(node, TreeNode):
+        x = point[node.feature - 1]
+        for values, child in node.edges:
+            if x in values:
+                node = model.nodes[child]
+                break
+        else:
+            raise ValidationError(f"no edge for value {x!r} at a node testing feature {node.feature}")
+    return node.value
+
+
+def labelled_points(model: Model) -> Iterator[tuple[Point, Value]]:
+    """Yield every point of a discrete model's space with the model's
+    output there, in lexicographic domain order: the table's outputs for
+    tabular models, one root-to-leaf walk per point for trees."""
+    if not model.space.all_discrete():
+        raise UnsupportedOperationError("point enumeration needs a discrete feature space")
+    points = _space_points(model.space)
+    if isinstance(model, TabularModel):
+        return zip(points, model.outputs)
+    return ((pt, _tree_output(model, pt)) for pt in points)
 
 
 def _affine_at(cell: Cell, point: Point) -> Fraction:
@@ -495,8 +518,7 @@ def _affine_extremes(cell: Cell) -> tuple[Fraction, Fraction]:
 
 def tabulate(model: TreeModel) -> TabularModel:
     """Exhaustively expand a tree into the equivalent tabular model."""
-    table = {pt: predict(model, pt) for pt in _space_points(model.space)}
-    return TabularModel(model.space, table, model.value_kind)
+    return TabularModel(model.space, dict(labelled_points(model)), model.value_kind)
 
 
 def _check_values(values, value_kind: str) -> None:

@@ -9,6 +9,7 @@ from shapxp import (
     CgtConfig,
     Game,
     PreconditionError,
+    SizeLimitError,
     ValidationError,
     cgt_estimate,
     expected_game,
@@ -16,6 +17,7 @@ from shapxp import (
     shapley_exact,
     waxp_game,
 )
+from shapxp import cgt as cgt_module
 from shapxp.cgt import permutation_at, sample_count
 
 
@@ -56,6 +58,16 @@ class TestSampleCount:
             math.ceil(math.log(120) / 0.005) == 958
         assert sample_count(F(1, 20), F(1, 20), 2, F(5)) == \
             math.ceil(25 * math.log(80) / 0.005) == 21911
+
+    def test_parameters_beyond_float_range_are_counted_exactly(self):
+        tiny, huge = F(1, 10 ** 400), F(10 ** 200)
+        # ln(2m / alpha) = ln 6 + 400 ln 10 from logarithms of integers
+        assert sample_count(F(1, 2), tiny, 3, F(1)) == 1846
+        assert sample_count(F(1, 20), F(1, 20), 3, tiny) == 1
+        assert sample_count(tiny, F(1, 20), 3, F(1)) == \
+            math.ceil(F(10 ** 800, 2) * F(math.log(120)))
+        assert sample_count(F(1, 20), F(1, 20), 3, huge) == \
+            math.ceil(huge ** 2 * 200 * F(math.log(120)))
 
     def test_tighter_parameters_need_more_samples(self):
         base = sample_count(F(1, 20), F(1, 20), 3, F(1))
@@ -112,6 +124,18 @@ class TestEstimator:
             config = CgtConfig(F(1, 10), F(1, 10), seed=5, workers=workers)
             par, _ = cgt_estimate(expected_game(pw2_problem), config)
             assert par.scores == seq.scores
+
+    def test_draw_guard_stops_before_any_draw(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew a permutation")
+
+        monkeypatch.setattr(cgt_module, "permutation_at", no_draws)
+        game = Game((1, 2, 3), lambda s: F(len(s)), marginal_bound=F(1))
+        for config in (CgtConfig(F(1, 10 ** 400), F(1, 20)),
+                       CgtConfig(F(1, 100000), F(1, 20)),
+                       CgtConfig(F(1, 20), F(1, 20), sample_count=cgt_module.DRAW_GUARD)):
+            with pytest.raises(SizeLimitError):
+                cgt_estimate(game, config)
 
     def test_unbounded_game_needs_override(self):
         game = Game((1, 2), lambda s: F(len(s)))

@@ -1,4 +1,8 @@
 import json
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -317,6 +321,22 @@ class TestCli:
                         "--game", "expected"]) == 3
         capsys.readouterr()
 
+    def test_tiny_epsilon_hits_the_draw_guard(self, capsys):
+        for epsilon in ("1/1" + "0" * 400, "1/100000"):
+            assert run_cli(["shap", "--model", CLS3, "--instance", "1,1,2",
+                            "--game", "waxp", "--method", "cgt",
+                            "--epsilon", epsilon]) == 3
+            assert "guarded" in capsys.readouterr().err
+
+    def test_tiny_alpha_is_counted_exactly(self, capsys):
+        alpha = F(1, 10 ** 400)
+        doc = run_json(capsys, ["shap", "--model", CLS3, "--instance", "1,1,2",
+                                "--game", "waxp", "--method", "cgt",
+                                "--epsilon", "1/2", "--alpha", str(alpha)])
+        # ceil(ln(2m / alpha) / (2 epsilon^2)) with m = 3 and bound 1
+        want = math.ceil(2 * (math.log(6) + 400 * math.log(10)))
+        assert doc["diagnostics"]["permutations"] == want == 1846
+
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(["shap", "--model", CLS3, "--frobnicate"])
@@ -327,6 +347,28 @@ class TestCli:
                         "--game", "expected"]) == 0
         out = capsys.readouterr().out
         assert "0.250000" in out and "1/4" in out
+
+
+class TestEntryPoint:
+    """``python -m shapxp.cli`` in a fresh interpreter."""
+
+    def run_module(self, *argv):
+        env = dict(os.environ)
+        src = str(FIXTURES.parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        return subprocess.run([sys.executable, "-m", "shapxp.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    def test_validate_exits_0(self):
+        done = self.run_module("validate", "--model", CLS3)
+        assert done.returncode == 0, done.stderr
+        assert "ok: model valid" in done.stdout
+
+    def test_missing_model_exits_2_without_a_traceback(self):
+        done = self.run_module("validate", "--model", "no/such/file.json")
+        assert done.returncode == 2
+        assert done.stderr.startswith("error:")
+        assert "Traceback" not in done.stderr
 
 
 class TestReportStability:
