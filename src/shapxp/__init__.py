@@ -3,7 +3,7 @@ models: classical expected-value Shapley scores, sufficiency-game
 corrected scores, abductive/contrastive explanations with hitting-set
 duality, a permutation-sampling estimator, and ranking comparison."""
 
-from .cgt import CgtConfig, CgtDiagnostics, cgt_estimate, permutation_stream
+from .cgt import CgtConfig, CgtDiagnostics, cgt_estimate
 from .errors import (
     DomainError,
     NumericOutputError,

@@ -10,8 +10,8 @@ epsilon of the exact Shapley value with probability at least 1 - alpha
 (Hoeffding bound plus a union bound over the features).
 
 Permutations come from a counter-based generator: permutation k depends
-only on (seed, k), so any partition of the counter range across workers
-reproduces the sequential result bit for bit. All accumulation is exact
+only on (seed, k), so any single draw can be reproduced on its own. The
+estimator walks k = 0..T-1 in one loop, and all accumulation is exact
 (marginals are rationals and occurrence counts are integers), so the
 returned estimates are deterministic in the strongest sense.
 """
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import PreconditionError, SizeLimitError, ValidationError
 from .games import Game, ScoreVector
@@ -42,7 +42,6 @@ class CgtConfig:
     alpha: Fraction
     seed: int = 0
     sample_count: Optional[int] = None
-    workers: int = 1
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -51,8 +50,6 @@ class CgtConfig:
             raise ValidationError("alpha must lie in (0, 1)")
         if self.sample_count is not None and self.sample_count < 1:
             raise ValidationError("sample count override must be >= 1")
-        if self.workers < 1:
-            raise ValidationError("worker count must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -66,7 +63,7 @@ class CgtDiagnostics:
 
 def sample_count(epsilon, alpha, m: int, bound) -> int:
     """Number of permutations needed for the (epsilon, alpha) guarantee
-    given a marginal bound."""
+    given a marginal bound; at least one, so a zero bound still draws."""
     try:
         eps = float(epsilon)
         count = float(bound) ** 2 * math.log(2 * m / float(alpha)) / (2 * eps * eps)
@@ -78,7 +75,8 @@ def sample_count(epsilon, alpha, m: int, bound) -> int:
     # integers, and the rest in exact rationals.
     alpha = Fraction(alpha)
     log_ratio = math.log(2 * m * alpha.denominator) - math.log(alpha.numerator)
-    return math.ceil(Fraction(bound) ** 2 / (2 * Fraction(epsilon) ** 2) * Fraction(log_ratio))
+    return max(1, math.ceil(
+        Fraction(bound) ** 2 / (2 * Fraction(epsilon) ** 2) * Fraction(log_ratio)))
 
 
 # ---------------------------------------------------------------------------
@@ -116,15 +114,6 @@ def permutation_at(seed: int, m: int, index: int) -> tuple[int, ...]:
     return tuple(order)
 
 
-def permutation_stream(seed: int, m: int) -> Iterator[tuple[int, ...]]:
-    """Endless stream of uniform random permutations of {1..m},
-    reproducible from the seed."""
-    index = 0
-    while True:
-        yield permutation_at(seed, m, index)
-        index += 1
-
-
 # ---------------------------------------------------------------------------
 # Estimator
 # ---------------------------------------------------------------------------
@@ -150,50 +139,24 @@ def cgt_estimate(game: Game, config: CgtConfig) -> tuple[ScoreVector, CgtDiagnos
             f"sampling guarded at {DRAW_GUARD} player draws: {m} players allow at most "
             f"{DRAW_GUARD // m} permutations, fewer than these parameters need")
 
-    # Marginals repeat heavily on small games, so tally (prefix, player)
-    # occurrence counts and weight them by the memoized marginals at the
-    # end. Counts are order-independent, hence worker-partition invariant.
-    counts = _tally_marginals(game, config, total)
-    sums = {i: Fraction(0) for i in game.players}
-    for (mask, player), n in counts.items():
-        prefix = frozenset(p for k, p in enumerate(game.players) if mask >> k & 1)
-        marginal = game.value(prefix | {player}) - game.value(prefix)
-        sums[player] += n * marginal
-    scores = tuple(sums[i] / total for i in game.players)
+    # Marginals repeat heavily on small games, so tally (prefix mask,
+    # position) occurrence counts and weight them by the memoized marginals
+    # at the end. Position p of a permutation is player players[p - 1] and
+    # mask bit p - 1.
+    counts: dict = {}
+    for k in range(total):
+        mask = 0
+        for p in permutation_at(config.seed, m, k):
+            key = (mask, p)
+            counts[key] = counts.get(key, 0) + 1
+            mask |= 1 << (p - 1)
+    players = game.players
+    sums = {i: Fraction(0) for i in players}
+    for (mask, p), n in counts.items():
+        prefix = frozenset(i for b, i in enumerate(players) if mask >> b & 1)
+        player = players[p - 1]
+        sums[player] += n * (game.value(prefix | {player}) - game.value(prefix))
+    scores = tuple(sums[i] / total for i in players)
     diag = CgtDiagnostics(total, bound, Fraction(config.epsilon),
                           Fraction(config.alpha), config.seed)
     return ScoreVector(scores, game.tag, "cgt"), diag
-
-
-def _tally_marginals(game: Game, config: CgtConfig, total: int) -> dict:
-    chunks = _chunk_ranges(total, config.workers)
-    if len(chunks) == 1:
-        return _tally_chunk(game, config.seed, *chunks[0])
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        partials = list(pool.map(
-            lambda c: _tally_chunk(game, config.seed, *c), chunks))
-    merged: dict = {}
-    for part in partials:  # integer merges commute; order is irrelevant
-        for key, n in part.items():
-            merged[key] = merged.get(key, 0) + n
-    return merged
-
-
-def _chunk_ranges(total: int, workers: int) -> list[tuple[int, int]]:
-    size = max(1, -(-total // workers))
-    return [(start, min(start + size, total)) for start in range(0, total, size)]
-
-
-def _tally_chunk(game: Game, seed: int, start: int, stop: int) -> dict:
-    index = {player: k for k, player in enumerate(game.players)}
-    counts: dict = {}
-    m = game.m
-    for k in range(start, stop):
-        order = permutation_at(seed, m, k)
-        mask = 0
-        for player in order:
-            key = (mask, player)
-            counts[key] = counts.get(key, 0) + 1
-            mask |= 1 << index[player]
-    return counts

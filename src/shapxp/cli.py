@@ -10,7 +10,6 @@ requirements, failed preconditions).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from fractions import Fraction
@@ -228,7 +227,6 @@ def _run_shap(args, problem, universe):
             epsilon=parse_rational(args.epsilon, "--epsilon"),
             alpha=parse_rational(args.alpha, "--alpha"),
             seed=args.seed,
-            workers=_default_workers(),
         )
         vector, diag = cgt_mod.cgt_estimate(game, config)
         diagnostics = {
@@ -349,14 +347,6 @@ def _parse_feature_ids(text, model):
             raise ValidationError(f"--from: {token!r} is not a feature id")
         ids.append(int(token))
     return ids
-
-
-def _default_workers() -> int:
-    raw = os.environ.get("SHAPXP_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _finish(report: RunReport, started: float) -> RunReport:

@@ -485,12 +485,14 @@ def output_range(model: Model) -> tuple[Fraction, Fraction]:
     """Exact (min, max) of the prediction function over the whole space."""
     if model.value_kind != NUMERIC:
         raise NumericOutputError("output range needs numeric model outputs")
+    # Numeric outputs are ints or Fractions, which compare exactly, so
+    # only the two extremes are converted.
     if isinstance(model, TabularModel):
-        values = [Fraction(x) for x in model.table.values()]
-        return min(values), max(values)
+        values = model.table.values()
+        return Fraction(min(values)), Fraction(max(values))
     if isinstance(model, TreeModel):
-        values = [Fraction(n.value) for n in model.nodes.values() if isinstance(n, TreeLeaf)]
-        return min(values), max(values)
+        values = [n.value for n in model.nodes.values() if isinstance(n, TreeLeaf)]
+        return Fraction(min(values)), Fraction(max(values))
     lo = hi = None
     for cell in model.cells:
         c_lo, c_hi = _affine_extremes(cell)

@@ -1,7 +1,7 @@
 import math
 from collections import Counter
 from fractions import Fraction as F
-from itertools import islice, permutations
+from itertools import permutations
 
 import pytest
 
@@ -13,7 +13,6 @@ from shapxp import (
     ValidationError,
     cgt_estimate,
     expected_game,
-    permutation_stream,
     shapley_exact,
     waxp_game,
 )
@@ -21,27 +20,27 @@ from shapxp import cgt as cgt_module
 from shapxp.cgt import permutation_at, sample_count
 
 
+def draws(seed, m, n):
+    return [permutation_at(seed, m, k) for k in range(n)]
+
+
 class TestPermutationStream:
+    """The draws k = 0, 1, ... of one seed, as the estimator walks them."""
+
     def test_single_element(self):
-        perms = list(islice(permutation_stream(123, 1), 50))
-        assert perms == [(1,)] * 50
+        assert draws(123, 1, 50) == [(1,)] * 50
 
     def test_deterministic_for_a_seed(self):
-        a = list(islice(permutation_stream(99, 5), 100))
-        b = list(islice(permutation_stream(99, 5), 100))
-        assert a == b
-        assert a != list(islice(permutation_stream(100, 5), 100))
-
-    def test_indexed_access_matches_stream(self):
-        stream = list(islice(permutation_stream(7, 4), 20))
-        assert stream == [permutation_at(7, 4, k) for k in range(20)]
+        a = draws(99, 5, 100)
+        assert a == draws(99, 5, 100)
+        assert a != draws(100, 5, 100)
 
     def test_outputs_are_permutations(self):
-        for perm in islice(permutation_stream(5, 6), 200):
+        for perm in draws(5, 6, 200):
             assert sorted(perm) == [1, 2, 3, 4, 5, 6]
 
     def test_uniformity_chi_square_bound(self):
-        counts = Counter(islice(permutation_stream(2024, 3), 60_000))
+        counts = Counter(draws(2024, 3, 60_000))
         assert set(counts) == set(permutations((1, 2, 3)))
         for perm, n in counts.items():
             assert abs(n - 10_000) <= 500, f"{perm} drawn {n} times"
@@ -83,8 +82,6 @@ class TestConfig:
             CgtConfig(F(1, 20), F(1))
         with pytest.raises(ValidationError):
             CgtConfig(F(1, 20), F(1, 20), sample_count=0)
-        with pytest.raises(ValidationError):
-            CgtConfig(F(1, 20), F(1, 20), workers=0)
 
 
 class TestEstimator:
@@ -117,13 +114,20 @@ class TestEstimator:
         second, _ = cgt_estimate(expected_game(pw2_problem), config)
         assert first.scores == second.scores
 
-    def test_worker_count_does_not_change_results(self, pw2_problem):
-        base = CgtConfig(F(1, 10), F(1, 10), seed=5)
-        seq, _ = cgt_estimate(expected_game(pw2_problem), base)
-        for workers in (2, 3, 7):
-            config = CgtConfig(F(1, 10), F(1, 10), seed=5, workers=workers)
-            par, _ = cgt_estimate(expected_game(pw2_problem), config)
-            assert par.scores == seq.scores
+    def test_players_other_than_one_to_m(self):
+        config = CgtConfig(F(1, 10), F(1, 10), seed=4, sample_count=50)
+        for weights in ({3: 1, 7: 1}, {3: 2, 7: 5}):
+            game = Game((3, 7), lambda s, w=weights: F(sum(w[i] for i in s)),
+                        marginal_bound=F(5))
+            vector, _ = cgt_estimate(game, config)
+            # additive game: exact from any order
+            assert vector.scores == shapley_exact(game).scores == (weights[3], weights[7])
+
+    def test_zero_marginal_bound_draws_one_permutation(self):
+        game = Game((1, 2), lambda s: F(3), marginal_bound=F(0))
+        vector, diag = cgt_estimate(game, CgtConfig(F(1, 20), F(1, 20)))
+        assert vector.scores == (F(0), F(0))
+        assert diag.permutations == 1
 
     def test_draw_guard_stops_before_any_draw(self, monkeypatch):
         def no_draws(*args):
