@@ -34,7 +34,7 @@ from .games import (
     shapley_exact,
     waxp_game,
 )
-from .models import BoxPiecewiseModel, make_instance, space_size
+from .models import make_instance, space_size
 from .modelio import (
     RunReport,
     format_value,
@@ -210,8 +210,7 @@ def _run_shap(args, problem, universe):
         vector = shapley_exact(game)
         # Zero-vs-nonzero compliance is only meaningful for exact scores,
         # and needs a usable similarity predicate (delta on box models).
-        if not (isinstance(problem.model, BoxPiecewiseModel)
-                and problem.similarity.delta is None):
+        if problem.model.space.all_discrete() or problem.similarity.delta is not None:
             report = check_compliance(problem, vector, universe)
             compliance = {
                 "violations": list(report.violations),
@@ -323,7 +322,7 @@ def _similarity_for(args, model) -> SimilarityConfig:
         return SimilarityConfig.threshold(parse_rational(args.delta, "--delta"))
     needs_sigma = args.command in SIGMA_COMMANDS or (
         args.command == "shap" and args.game == WAXP_BASED)
-    if needs_sigma and isinstance(model, BoxPiecewiseModel):
+    if needs_sigma and not model.space.all_discrete():
         raise ValidationError(
             "regression problems over interval domains need --delta")
     return SimilarityConfig.class_equality()
@@ -343,7 +342,7 @@ def _parse_feature_ids(text, model):
     ids = []
     for token in text.split(","):
         token = token.strip()
-        if not token.isdigit() or int(token) not in model.space.ids:
+        if not token.isdecimal() or int(token) not in model.space.ids:
             raise ValidationError(f"--from: {token!r} is not a feature id")
         ids.append(int(token))
     return ids

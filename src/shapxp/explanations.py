@@ -13,24 +13,19 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import PreconditionError, ValidationError
 from .models import (
-    BoxPiecewiseModel,
     Point,
     Value,
-    _affine_extremes,
-    enumerate_points,
     labelled_points,
     predict,  # noqa: F401  (looked up here by the benchmark's tracer)
 )
 from .similarity import (
-    CLASS_EQUALITY,
     ExplanationProblem,
-    similar,
+    similar,  # noqa: F401  (looked up here by the benchmark's tracer)
     similar_value,
 )
 
@@ -86,23 +81,15 @@ def is_waxp(problem: ExplanationProblem, features: Iterable[int],
             universe: Universe = MODEL_AWARE) -> bool:
     """Does fixing ``features`` at the instance values force an output
     indistinguishable from the instance prediction, everywhere in the
-    universe?"""
+    universe? Vacuously true when no sample row matches."""
     fixed = frozenset(features)
     _check_feature_ids(problem, fixed)
+    v = problem.instance.point
     if isinstance(universe, ModelAgnostic):
-        v = problem.instance.point
-        for row, pred in zip(universe.sample.rows, universe.sample.predictions):
-            if all(row[i - 1] == v[i - 1] for i in fixed):
-                if not similar_value(problem, pred):
-                    return False
-        return True  # vacuously true when no row matches
-    if isinstance(problem.model, BoxPiecewiseModel):
-        return _box_waxp(problem, fixed)
-    constraint = {i: problem.instance.point[i - 1] for i in fixed}
-    for point in enumerate_points(problem.model, constraint):
-        if not similar(problem, point):
-            return False
-    return True
+        outputs = _slice_predictions(universe.sample, v, fixed)
+    else:
+        outputs = problem.model.slice_outputs(v, fixed)
+    return all(similar_value(problem, y) for y in outputs)
 
 
 def is_wcxp(problem: ExplanationProblem, features: Iterable[int],
@@ -116,44 +103,6 @@ def is_wcxp(problem: ExplanationProblem, features: Iterable[int],
     return not is_waxp(problem, rest, universe)
 
 
-def _box_waxp(problem: ExplanationProblem, fixed: frozenset[int]) -> bool:
-    """Box-piecewise quantifier: on every cell slice compatible with the
-    fixed coordinates, the affine's closure extremes must stay inside the
-    similarity band. Extremes on open faces are approached by interior
-    points, so using the closure is exact for both quantifiers."""
-    model = problem.model
-    v = problem.instance.point
-    p = Fraction(problem.instance.prediction)
-    if problem.similarity.mode == CLASS_EQUALITY:
-        band_lo, band_hi = p, p
-    else:
-        band_lo, band_hi = p - problem.similarity.delta, p + problem.similarity.delta
-    for cell in model.cells:
-        pinned = _pin_cell(model, cell, v, fixed)
-        if pinned is None:
-            continue
-        lo, hi = _affine_extremes(pinned)
-        if lo < band_lo or hi > band_hi:
-            return False
-    return True
-
-
-def _pin_cell(model: BoxPiecewiseModel, cell, v: Point, fixed: frozenset[int]):
-    """Restrict a cell to x_S = v_S; returns a degenerate-box cell whose
-    pinned axes collapse to the instance value, or None if the slice is
-    empty under the half-open membership rule."""
-    box = list(cell.box)
-    for fid in fixed:
-        j = fid - 1
-        lo, hi = cell.box[j]
-        top = model.space.domain(fid).hi
-        x = Fraction(v[j])
-        if x < lo or x > hi or (x == hi and hi != top):
-            return None
-        box[j] = (x, x)
-    return type(cell)(tuple(box), cell.intercept, cell.coeffs)
-
-
 def _check_feature_ids(problem: ExplanationProblem, features: frozenset[int]) -> None:
     unknown = features - set(problem.feature_ids)
     if unknown:
@@ -163,10 +112,14 @@ def _check_feature_ids(problem: ExplanationProblem, features: frozenset[int]) ->
 def agnostic_support(problem: ExplanationProblem, sample: Sample,
                      features: Iterable[int]) -> int:
     """How many sample rows match x_S = v_S; zero means a vacuous check."""
-    fixed = frozenset(features)
-    v = problem.instance.point
-    return sum(1 for row in sample.rows
-               if all(row[i - 1] == v[i - 1] for i in fixed))
+    return sum(1 for _ in _slice_predictions(sample, problem.instance.point, features))
+
+
+def _slice_predictions(sample: Sample, v: Point, fixed: Iterable[int]) -> Iterator[Value]:
+    """The prediction of every sample row with x_S = v_S."""
+    axes = [i - 1 for i in fixed]
+    return (y for row, y in zip(sample.rows, sample.predictions)
+            if all(row[j] == v[j] for j in axes))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from math import factorial, lcm
 from operator import add, eq, or_
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
-from .errors import PreconditionError, SizeLimitError, ValidationError
+from .errors import PreconditionError, SizeLimitError
 from .explanations import (
     MODEL_AWARE,
     ModelAgnostic,
@@ -29,9 +29,6 @@ from .explanations import (
 )
 from .models import (
     Instance,
-    TabularModel,
-    TreeLeaf,
-    TreeModel,
     Value,
     conditional_expectation,
     labelled_points,
@@ -362,34 +359,8 @@ def check_value_independence(problem: ExplanationProblem,
 def relabel_problem(problem: ExplanationProblem, relabel: Mapping) -> ExplanationProblem:
     """Apply an injective output-value map to a discrete model and its
     instance, preserving the feature space."""
-    model = problem.model
-    if isinstance(model, TabularModel):
-        values = set(model.table.values())
-    elif isinstance(model, TreeModel):
-        values = {n.value for n in model.nodes.values() if isinstance(n, TreeLeaf)}
-    else:
+    if not problem.model.space.all_discrete():
         raise PreconditionError("output relabeling needs a discrete-output model")
-    missing = [v for v in values if v not in relabel]
-    if missing:
-        raise ValidationError(f"relabeling map misses output value {missing[0]!r}")
-    images = [relabel[v] for v in values]
-    if len(set(images)) != len(images):
-        raise ValidationError("relabeling map is not injective on the model's outputs")
-    kind = _kind_of(set(images))
-    if isinstance(model, TabularModel):
-        new_model = TabularModel(
-            model.space, {pt: relabel[v] for pt, v in model.table.items()}, kind)
-    else:
-        new_nodes = {
-            nid: TreeLeaf(relabel[n.value]) if isinstance(n, TreeLeaf) else n
-            for nid, n in model.nodes.items()
-        }
-        new_model = TreeModel(model.space, new_nodes, model.root, kind)
-    instance = Instance(problem.instance.point,
-                        relabel[problem.instance.prediction])
-    return ExplanationProblem(new_model, instance, problem.similarity)
-
-
-def _kind_of(values: set) -> str:
-    from .models import CATEGORICAL, NUMERIC
-    return NUMERIC if all(isinstance(v, (int, Fraction)) for v in values) else CATEGORICAL
+    model = problem.model.relabel(relabel)
+    instance = Instance(problem.instance.point, relabel[problem.instance.prediction])
+    return ExplanationProblem(model, instance, problem.similarity)

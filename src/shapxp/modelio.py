@@ -86,8 +86,10 @@ def load_model(path) -> Model:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh, parse_float=Fraction)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON ({exc})") from None
+        except (ValueError, RecursionError) as exc:
+            # Bad JSON, bytes that are not UTF-8 and integer literals past
+            # Python's digit limit raise ValueError; deep nesting recurses.
+            raise ValidationError(f"{path}: not valid UTF-8 JSON ({exc})") from None
     return model_from_dict(doc, where=str(path))
 
 
@@ -116,13 +118,22 @@ def _space_from(entries, where: str) -> FeatureSpace:
         raise ValidationError(f"{where}: 'features' must be a non-empty list")
     features = []
     for entry in entries:
+        if not isinstance(entry, dict):
+            raise ValidationError(f"{where}: each feature must be a JSON object")
         fid = entry.get("id")
         name = entry.get("name", f"x{fid}")
         dom = entry.get("domain", {})
+        if not isinstance(name, str):
+            raise ValidationError(f"{where}: feature {fid}: 'name' must be a string")
+        if not isinstance(dom, dict):
+            raise ValidationError(f"{where}: feature {fid}: 'domain' must be a JSON object")
         dtype = dom.get("type")
         if dtype == "discrete":
+            raw_values = dom.get("values", [])
+            if not isinstance(raw_values, list):
+                raise ValidationError(f"{where}: feature {fid}: 'values' must be a list")
             values = tuple(parse_value(v, f"{where}: feature {fid} domain")
-                           for v in dom.get("values", []))
+                           for v in raw_values)
             domain = DiscreteDomain(values)
         elif dtype == "interval":
             domain = IntervalDomain(
@@ -174,21 +185,36 @@ def _tree_from(doc, space, value_kind, where) -> TreeModel:
     for entry in raw_nodes:
         if not isinstance(entry, dict):
             raise ValidationError(f"{where}: tree nodes must be JSON objects")
-        nid = entry.get("id")
+        nid = _node_id(entry.get("id"), f"{where}: node id")
         loc = f"{where}: node {nid}"
         if nid in nodes:
             raise ValidationError(f"{loc}: duplicate node id")
         if "value" in entry:
             nodes[nid] = TreeLeaf(_model_value(entry["value"], value_kind, loc))
         elif "feature" in entry:
+            feature = entry["feature"]
+            if isinstance(feature, bool) or not isinstance(feature, int):
+                raise ValidationError(f"{loc}: 'feature' must be a feature id, got {feature!r}")
+            raw_edges = entry.get("edges", [])
+            if not isinstance(raw_edges, list):
+                raise ValidationError(f"{loc}: 'edges' must be a list")
             edges = []
-            for edge in entry.get("edges", []):
+            for edge in raw_edges:
+                if not isinstance(edge, dict) or not isinstance(edge.get("values", []), list):
+                    raise ValidationError(f"{loc}: each edge must be an object with a 'values' list")
                 values = tuple(parse_value(v, loc) for v in edge.get("values", []))
-                edges.append((values, edge.get("child")))
-            nodes[nid] = TreeNode(entry["feature"], tuple(edges))
+                edges.append((values, _node_id(edge.get("child"), f"{loc}: child")))
+            nodes[nid] = TreeNode(feature, tuple(edges))
         else:
             raise ValidationError(f"{loc}: needs either 'value' or 'feature'")
-    return TreeModel(space, nodes, doc["root"], value_kind)
+    return TreeModel(space, nodes, _node_id(doc["root"], f"{where}: root"), value_kind)
+
+
+def _node_id(raw, where: str):
+    # Node ids key a dict, so a JSON list or object cannot be one.
+    if isinstance(raw, (list, dict)):
+        raise ValidationError(f"{where}: a node id must be a number or a string, got {raw!r}")
+    return raw
 
 
 def _box_from(doc, space, where) -> BoxPiecewiseModel:
@@ -202,7 +228,8 @@ def _box_from(doc, space, where) -> BoxPiecewiseModel:
             raise ValidationError(f"{loc}: expected a JSON object")
         box = entry.get("box")
         affine = entry.get("affine")
-        if not isinstance(box, list) or len(box) != space.m:
+        if not isinstance(box, list) or len(box) != space.m or not all(
+                isinstance(pair, list) and len(pair) == 2 for pair in box):
             raise ValidationError(f"{loc}: 'box' must list {space.m} [lo, hi] pairs")
         if not isinstance(affine, list) or len(affine) != space.m + 1:
             raise ValidationError(f"{loc}: 'affine' must list {space.m + 1} coefficients")
@@ -221,7 +248,10 @@ def load_sample(path, model: Model) -> Sample:
     """Read a delimiter-separated sample; the trailing 'prediction'
     column, when present, is checked against the model."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
+        try:
+            lines = [line.rstrip("\n") for line in fh if line.strip()]
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
     if len(lines) < 2:
         raise ValidationError(f"{path}: sample needs a header line and at least one row")
     names = [f.name for f in model.space.features]

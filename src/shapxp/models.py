@@ -7,9 +7,21 @@ Three model kinds are supported, all immutable after validation:
 * ``BoxPiecewiseModel`` - an axis-aligned piecewise-affine function over a
   product of real intervals.
 
-Every model exposes a total prediction function through :func:`predict`,
-and numeric-output models additionally support exact conditional
-expectations under the uniform, feature-independent product distribution.
+Each kind owns its semantics through one method set; the operations at the
+end of this module check their inputs and then call it:
+
+* ``output(point)`` - the prediction at an in-domain point, unchecked;
+* ``slice_outputs(v, fixed)`` - outputs that decide a universal quantifier
+  over the slice {x | x_S = v_S}: the output at every point of the slice
+  for the discrete kinds, the closure extremes of the affine on each cell
+  the slice meets for box models;
+* ``slice_expectation(v, fixed)`` - the mean output over the slice under
+  the uniform, feature-independent product distribution;
+* ``output_range()`` - the exact (min, max) output over the whole space;
+* ``labelled_points()`` and ``relabel(mapping)`` - the discrete kinds only:
+  every point with its output, and the model under an output relabeling.
+
+Tabular and tree models share the slice, expectation and range methods.
 All arithmetic on numeric values is exact (``fractions.Fraction``).
 """
 
@@ -134,8 +146,46 @@ class FeatureSpace:
 # Model kinds
 # ---------------------------------------------------------------------------
 
+class _EnumerableModel:
+    """Semantics shared by the discrete kinds, which enumerate a slice point
+    by point. Subclasses define ``output``, ``_values`` (every output the
+    model can produce, with repeats) and ``_relabelled``."""
+
+    def slice_outputs(self, v: Point, fixed: frozenset[int]) -> Iterator[Value]:
+        """The output at every point x of the slice x_S = v_S."""
+        axes = [(v[f.id - 1],) if f.id in fixed else f.domain.values
+                for f in self.space.features]
+        return map(self.output, product(*axes))
+
+    def slice_expectation(self, v: Point, fixed: frozenset[int]) -> Fraction:
+        outputs = list(self.slice_outputs(v, fixed))
+        return sum(outputs, Fraction(0)) / len(outputs)
+
+    def output_range(self) -> tuple[Fraction, Fraction]:
+        # Numeric outputs are ints or Fractions, which compare exactly, so
+        # only the two extremes are converted.
+        values = self._values()
+        return Fraction(min(values)), Fraction(max(values))
+
+    def labelled_points(self) -> Iterator[tuple[Point, Value]]:
+        return ((pt, self.output(pt)) for pt in _space_points(self.space))
+
+    def relabel(self, mapping: Mapping):
+        """The same model with each output y replaced by mapping[y]; the map
+        must be injective on the model's outputs."""
+        values = set(self._values())
+        missing = [y for y in values if y not in mapping]
+        if missing:
+            raise ValidationError(f"relabeling map misses output value {missing[0]!r}")
+        images = [mapping[y] for y in values]
+        if len(set(images)) != len(images):
+            raise ValidationError("relabeling map is not injective on the model's outputs")
+        numeric = all(isinstance(y, (int, Fraction)) for y in images)
+        return self._relabelled(mapping, NUMERIC if numeric else CATEGORICAL)
+
+
 @dataclass(frozen=True)
-class TabularModel:
+class TabularModel(_EnumerableModel):
     """Total lookup table over a fully discrete feature space."""
 
     space: FeatureSpace
@@ -165,6 +215,19 @@ class TabularModel:
         if len(set(self.table.values())) < 2:
             raise ValidationError("model is constant; a non-constant prediction function is required")
 
+    def output(self, point: Point) -> Value:
+        return self.table[point]
+
+    def labelled_points(self) -> Iterator[tuple[Point, Value]]:
+        return zip(_space_points(self.space), self.outputs)
+
+    def _values(self):
+        return self.table.values()
+
+    def _relabelled(self, mapping: Mapping, value_kind: str) -> "TabularModel":
+        return TabularModel(
+            self.space, {pt: mapping[y] for pt, y in self.table.items()}, value_kind)
+
 
 @dataclass(frozen=True)
 class TreeLeaf:
@@ -180,7 +243,7 @@ class TreeNode:
 
 
 @dataclass(frozen=True)
-class TreeModel:
+class TreeModel(_EnumerableModel):
     """Decision/regression tree over discrete features.
 
     Each root-to-leaf path tests a feature at most once and every node's
@@ -229,10 +292,32 @@ class TreeModel:
         unreachable = set(self.nodes) - seen
         if unreachable:
             raise ValidationError(f"unreachable tree nodes: {sorted(unreachable)}")
-        leaf_values = [n.value for n in self.nodes.values() if isinstance(n, TreeLeaf)]
+        leaf_values = self._values()
         _check_values(leaf_values, self.value_kind)
         if len(set(leaf_values)) < 2:
             raise ValidationError("model is constant; a non-constant prediction function is required")
+
+    def output(self, point: Point) -> Value:
+        """Walk the tree from the root to the leaf that ``point`` reaches."""
+        node = self.nodes[self.root]
+        while isinstance(node, TreeNode):
+            x = point[node.feature - 1]
+            for values, child in node.edges:
+                if x in values:
+                    node = self.nodes[child]
+                    break
+            else:
+                raise ValidationError(
+                    f"no edge for value {x!r} at a node testing feature {node.feature}")
+        return node.value
+
+    def _values(self) -> list:
+        return [n.value for n in self.nodes.values() if isinstance(n, TreeLeaf)]
+
+    def _relabelled(self, mapping: Mapping, value_kind: str) -> "TreeModel":
+        nodes = {nid: TreeLeaf(mapping[n.value]) if isinstance(n, TreeLeaf) else n
+                 for nid, n in self.nodes.items()}
+        return TreeModel(self.space, nodes, self.root, value_kind)
 
 
 @dataclass(frozen=True)
@@ -258,6 +343,8 @@ class BoxPiecewiseModel:
     space: FeatureSpace
     cells: tuple[Cell, ...]
     value_kind: str = NUMERIC
+    # Each feature's domain upper endpoint, where cell intervals close.
+    tops: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.space.all_interval():
@@ -266,6 +353,7 @@ class BoxPiecewiseModel:
             raise ValidationError("box-piecewise models are numeric-valued")
         if not self.cells:
             raise ValidationError("box-piecewise model has no cells")
+        object.__setattr__(self, "tops", tuple(f.domain.hi for f in self.space.features))
         self._validate()
 
     def _validate(self) -> None:
@@ -289,9 +377,10 @@ class BoxPiecewiseModel:
                 cuts.update(cell.box[j])
             cuts = sorted(cuts)
             axes_mids.append([(a + b) / 2 for a, b in zip(cuts, cuts[1:])])
+        axes = range(m)
         for mid_point in product(*axes_mids):
             owners = [k for k, cell in enumerate(self.cells)
-                      if self._cell_contains(cell, mid_point)]
+                      if self._holds(cell, mid_point, axes)]
             if len(owners) != 1:
                 kind = "no cell" if not owners else f"cells {owners}"
                 raise ValidationError(
@@ -302,20 +391,89 @@ class BoxPiecewiseModel:
             raise ValidationError(
                 "model is constant; a non-constant prediction function is required")
 
-    def _cell_contains(self, cell: Cell, point: Point) -> bool:
-        for j, ((lo, hi), x) in enumerate(zip(cell.box, point)):
-            top = self.space.domain(j + 1).hi
-            if x < lo:
-                return False
-            if x > hi or (x == hi and hi != top):
+    def _holds(self, cell: Cell, point: Point, axes: Iterable[int]) -> bool:
+        """Does the cell's box hold ``point`` on the given 0-based axes?
+        This is the one definition of the half-open membership rule."""
+        box, tops = cell.box, self.tops
+        for j in axes:
+            lo, hi = box[j]
+            x = point[j]
+            if x < lo or x > hi or (x == hi and hi != tops[j]):
                 return False
         return True
 
+    def slice_cells(self, v: Point, fixed: Iterable[int]) -> list[Cell]:
+        """The cells meeting the slice x_S = v_S. Only the fixed axes are
+        tested: cell boxes are non-degenerate, so free axes always meet."""
+        axes = [fid - 1 for fid in fixed]
+        return [cell for cell in self.cells if self._holds(cell, v, axes)]
+
     def cell_at(self, point: Point) -> Cell:
-        owners = [c for c in self.cells if self._cell_contains(c, point)]
+        owners = self.slice_cells(point, self.space.ids)
         if len(owners) != 1:
             raise ValidationError(f"partition violated at {point}: {len(owners)} cells")
         return owners[0]
+
+    def output(self, point: Point) -> Fraction:
+        cell = self.cell_at(point)
+        total = Fraction(cell.intercept)
+        for a, x in zip(cell.coeffs, point):
+            if a:
+                total += a * Fraction(x)
+        return total
+
+    def slice_outputs(self, v: Point, fixed: frozenset[int]) -> Iterator[Fraction]:
+        """The closure extremes of the affine on each cell pinned to
+        x_S = v_S. Values on open faces are approached by interior points,
+        so both quantifiers over the slice are decided by the extremes."""
+        for cell in self.slice_cells(v, fixed):
+            yield from _affine_extremes(cell, v, fixed)
+
+    def slice_expectation(self, v: Point, fixed: frozenset[int]) -> Fraction:
+        total = Fraction(0)
+        for cell in self.slice_cells(v, fixed):
+            # The integral of the affine over the free sub-box is its volume
+            # times the value at the sub-box midpoint.
+            vol = Fraction(1)
+            value = Fraction(cell.intercept)
+            for j, (a, (lo, hi)) in enumerate(zip(cell.coeffs, cell.box)):
+                if j + 1 in fixed:
+                    value += a * Fraction(v[j])
+                else:
+                    vol *= hi - lo
+                    value += a * (lo + hi) / 2
+            total += vol * value
+        width = Fraction(1)
+        for f in self.space.features:
+            if f.id not in fixed:
+                width *= f.domain.width
+        return total / width
+
+    def output_range(self) -> tuple[Fraction, Fraction]:
+        lows, highs = zip(*(_affine_extremes(cell, (), ()) for cell in self.cells))
+        return min(lows), max(highs)
+
+
+def _affine_extremes(cell: Cell, v: Point, fixed) -> tuple[Fraction, Fraction]:
+    """Min/max of the cell's affine over the closure of its box, with the
+    fixed features pinned at v.
+
+    The affine is separable, so extremes are reached coordinate-wise at the
+    interval endpoints."""
+    lo = hi = Fraction(cell.intercept)
+    for j, (a, (b_lo, b_hi)) in enumerate(zip(cell.coeffs, cell.box)):
+        if not a:
+            continue
+        if j + 1 in fixed:
+            lo += a * v[j]
+            hi += a * v[j]
+        elif a > 0:
+            lo += a * b_lo
+            hi += a * b_hi
+        else:
+            lo += a * b_hi
+            hi += a * b_lo
+    return lo, hi
 
 
 Model = Union[TabularModel, TreeModel, BoxPiecewiseModel]
@@ -343,28 +501,7 @@ def predict(model: Model, point: Point) -> Value:
     """Evaluate the model's prediction function at ``point``."""
     point = tuple(point)
     model.space.check_point(point)
-    if isinstance(model, TabularModel):
-        return model.table[point]
-    if isinstance(model, TreeModel):
-        return _tree_output(model, point)
-    if isinstance(model, BoxPiecewiseModel):
-        cell = model.cell_at(point)
-        return _affine_at(cell, point)
-    raise TypeError(f"unknown model type {type(model)!r}")
-
-
-def _tree_output(model: TreeModel, point: Point) -> Value:
-    """Walk the tree from the root to the leaf that ``point`` reaches."""
-    node = model.nodes[model.root]
-    while isinstance(node, TreeNode):
-        x = point[node.feature - 1]
-        for values, child in node.edges:
-            if x in values:
-                node = model.nodes[child]
-                break
-        else:
-            raise ValidationError(f"no edge for value {x!r} at a node testing feature {node.feature}")
-    return node.value
+    return model.output(point)
 
 
 def labelled_points(model: Model) -> Iterator[tuple[Point, Value]]:
@@ -373,18 +510,7 @@ def labelled_points(model: Model) -> Iterator[tuple[Point, Value]]:
     tabular models, one root-to-leaf walk per point for trees."""
     if not model.space.all_discrete():
         raise UnsupportedOperationError("point enumeration needs a discrete feature space")
-    points = _space_points(model.space)
-    if isinstance(model, TabularModel):
-        return zip(points, model.outputs)
-    return ((pt, _tree_output(model, pt)) for pt in points)
-
-
-def _affine_at(cell: Cell, point: Point) -> Fraction:
-    total = Fraction(cell.intercept)
-    for a, x in zip(cell.coeffs, point):
-        if a:
-            total += a * Fraction(x)
-    return total
+    return model.labelled_points()
 
 
 def enumerate_points(model_or_space, constraint: Mapping[int, Value] | None = None) -> Iterator[Point]:
@@ -425,97 +551,20 @@ def conditional_expectation(model: Model, instance: Instance, fixed: Iterable[in
     if model.value_kind != NUMERIC:
         raise NumericOutputError("conditional expectation needs numeric model outputs")
     fixed = frozenset(fixed)
+    v = instance.point
     for fid in fixed:
         if fid not in model.space.ids:
             raise DomainError(f"unknown feature id {fid}")
-    if isinstance(model, BoxPiecewiseModel):
-        return _box_conditional_expectation(model, instance.point, fixed)
-    constraint = {fid: instance.point[fid - 1] for fid in fixed}
-    total = Fraction(0)
-    count = 0
-    for point in enumerate_points(model, constraint):
-        total += Fraction(predict(model, point))
-        count += 1
-    return total / count
-
-
-def _box_conditional_expectation(model: BoxPiecewiseModel, v: Point,
-                                 fixed: frozenset[int]) -> Fraction:
-    m = model.space.m
-    free = [j for j in range(m) if (j + 1) not in fixed]
-    denom = Fraction(1)
-    for j in free:
-        denom *= model.space.domain(j + 1).width
-    total = Fraction(0)
-    for cell in model.cells:
-        if not _cell_slice_nonempty(model, cell, v, fixed):
-            continue
-        # Integral of the affine over the free sub-box equals volume times
-        # the value at the box midpoint.
-        vol = Fraction(1)
-        value = Fraction(cell.intercept)
-        for j in range(m):
-            lo, hi = cell.box[j]
-            if (j + 1) in fixed:
-                value += cell.coeffs[j] * Fraction(v[j])
-            else:
-                vol *= hi - lo
-                value += cell.coeffs[j] * (lo + hi) / 2
-        total += vol * value
-    if not free:
-        return total  # all features fixed: the sole contribution is pi(v)
-    return total / denom
-
-
-def _cell_slice_nonempty(model: BoxPiecewiseModel, cell: Cell, v: Point,
-                         fixed: frozenset[int]) -> bool:
-    """Does the cell intersect {x | x_S = v_S}? Fixed axes use half-open
-    membership; free axes always intersect (cell boxes are non-degenerate)."""
-    for fid in fixed:
-        j = fid - 1
-        lo, hi = cell.box[j]
-        top = model.space.domain(fid).hi
-        x = v[j]
-        if x < lo or x > hi or (x == hi and hi != top):
-            return False
-    return True
+        if v[fid - 1] not in model.space.domain(fid):
+            raise DomainError(f"value {v[fid - 1]!r} outside domain of feature {fid}")
+    return model.slice_expectation(v, fixed)
 
 
 def output_range(model: Model) -> tuple[Fraction, Fraction]:
     """Exact (min, max) of the prediction function over the whole space."""
     if model.value_kind != NUMERIC:
         raise NumericOutputError("output range needs numeric model outputs")
-    # Numeric outputs are ints or Fractions, which compare exactly, so
-    # only the two extremes are converted.
-    if isinstance(model, TabularModel):
-        values = model.table.values()
-        return Fraction(min(values)), Fraction(max(values))
-    if isinstance(model, TreeModel):
-        values = [n.value for n in model.nodes.values() if isinstance(n, TreeLeaf)]
-        return Fraction(min(values)), Fraction(max(values))
-    lo = hi = None
-    for cell in model.cells:
-        c_lo, c_hi = _affine_extremes(cell)
-        lo = c_lo if lo is None else min(lo, c_lo)
-        hi = c_hi if hi is None else max(hi, c_hi)
-    return lo, hi
-
-
-def _affine_extremes(cell: Cell) -> tuple[Fraction, Fraction]:
-    """Min/max of the cell's affine over the closure of its box.
-
-    The affine is separable, so extremes are reached coordinate-wise at the
-    interval endpoints; values on the open faces are approached arbitrarily
-    closely, which is what the quantifier checks need."""
-    lo = hi = Fraction(cell.intercept)
-    for a, (b_lo, b_hi) in zip(cell.coeffs, cell.box):
-        if a > 0:
-            lo += a * b_lo
-            hi += a * b_hi
-        elif a < 0:
-            lo += a * b_hi
-            hi += a * b_lo
-    return lo, hi
+    return model.output_range()
 
 
 def tabulate(model: TreeModel) -> TabularModel:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import ValidationError
+from .errors import SizeLimitError, ValidationError
 from .games import ScoreVector
 
 SIGNED = "signed"
@@ -22,6 +22,9 @@ ABSOLUTE = "absolute"
 
 DEFAULT_PERSISTENCE = Fraction(1, 2)
 DEFAULT_DEPTH = 5
+# p^depth has a denominator of depth * bits(denominator of p) bits; 10,000
+# bits are about 3,000 decimal digits, under Python's int-to-str limit.
+RBO_BITS_GUARD = 10_000
 
 
 @dataclass(frozen=True)
@@ -70,6 +73,10 @@ def rbo(a, b, persistence=DEFAULT_PERSISTENCE, depth: int = DEFAULT_DEPTH) -> Fr
         raise ValidationError("persistence must lie strictly between 0 and 1")
     if depth < 1:
         raise ValidationError("depth must be >= 1")
+    bits = p.denominator.bit_length()
+    if depth * bits > RBO_BITS_GUARD:
+        raise SizeLimitError(f"rbo guarded at depth * bits(denominator of persistence) "
+                             f"<= {RBO_BITS_GUARD}, got {depth} * {bits}")
     m = len(order_a)
     seen_a: set = set()
     seen_b: set = set()

@@ -286,7 +286,6 @@ class TestBoxPredicatesAgainstWitnessOracle:
         # A false quantifier must be witnessed by an achievable point near
         # some slice corner; a true one must survive a fine grid scan.
         from boxmodels import inset_corner_points, random_grid_model
-        from shapxp.models import _cell_slice_nonempty
         rng = random.Random(246)
         for _ in range(25):
             model = random_grid_model(rng, m=2)
@@ -297,8 +296,7 @@ class TestBoxPredicatesAgainstWitnessOracle:
             for fixed in subsets((1, 2)):
                 witnesses = [
                     x
-                    for cell in model.cells
-                    if _cell_slice_nonempty(model, cell, v, frozenset(fixed))
+                    for cell in model.slice_cells(v, fixed)
                     for x in inset_corner_points(model, cell, v, frozenset(fixed))
                     if not similar(problem, x)
                 ]

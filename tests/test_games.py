@@ -16,6 +16,7 @@ from shapxp import (
     SimilarityConfig,
     SizeLimitError,
     TabularModel,
+    TreeModel,
     ValidationError,
     cf_expected,
     cf_waxp,
@@ -27,6 +28,7 @@ from shapxp import (
     relevant_features,
     shapley_exact,
     shapley_via_permutations,
+    tabulate,
     waxp_game,
 )
 from randmodels import random_tabular_problem, subsets
@@ -232,6 +234,37 @@ class TestValueIndependence:
     def test_threshold_similarity_rejected(self, pw2_problem):
         with pytest.raises(PreconditionError):
             check_value_independence(pw2_problem, {})
+
+    @pytest.mark.parametrize("image", [lambda y: 3 * y - 2, lambda y: f"class {y}",
+                                       lambda y: y or "zero"],
+                             ids=["affine", "labels", "mixed"])
+    def test_relabeled_tree_scores_equal_its_tabulated_twins(self, cls3_tree_model, image):
+        tree_problem = ExplanationProblem(cls3_tree_model,
+                                          make_instance(cls3_tree_model, (1, 1, 2)),
+                                          SimilarityConfig.class_equality())
+        twin = tabulate(cls3_tree_model)
+        twin_problem = ExplanationProblem(twin, make_instance(twin, (1, 1, 2)),
+                                          SimilarityConfig.class_equality())
+        relabel = {y: image(y) for y in set(twin.table.values())}
+        tree_after = relabel_problem(tree_problem, relabel)
+        twin_after = relabel_problem(twin_problem, relabel)
+        assert isinstance(tree_after.model, TreeModel)
+        numeric = all(isinstance(y, F) for y in relabel.values())
+        assert tree_after.model.value_kind == ("numeric" if numeric else "categorical")
+        assert twin_after.model.value_kind == tree_after.model.value_kind
+        assert tabulate(tree_after.model) == twin_after.model
+        games = [waxp_game]
+        if twin_after.model.value_kind == "numeric":
+            games.append(expected_game)
+        for game in games:
+            assert (shapley_exact(game(tree_after)).scores
+                    == shapley_exact(game(twin_after)).scores)
+
+    def test_box_model_cannot_be_relabeled(self, pw2_model):
+        problem = ExplanationProblem(pw2_model, make_instance(pw2_model, (F(1), F(1))),
+                                     SimilarityConfig.class_equality())
+        with pytest.raises(PreconditionError, match="discrete"):
+            relabel_problem(problem, {})
 
 
 class TestNumericalNeutrality:

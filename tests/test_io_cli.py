@@ -337,6 +337,12 @@ class TestCli:
         want = math.ceil(2 * (math.log(6) + 400 * math.log(10)))
         assert doc["diagnostics"]["permutations"] == want == 1846
 
+    @pytest.mark.parametrize("depth", ["20000", str(10 ** 9)])
+    def test_compare_depth_beyond_the_guard_exits_3(self, capsys, depth):
+        assert run_cli(["compare", "--model", CLS3, "--instance", "1,1,2",
+                        "--depth", depth]) == 3
+        assert "guarded" in capsys.readouterr().err
+
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(["shap", "--model", CLS3, "--frobnicate"])
@@ -347,6 +353,79 @@ class TestCli:
                         "--game", "expected"]) == 0
         out = capsys.readouterr().out
         assert "0.250000" in out and "1/4" in out
+
+
+def mutated(fixture, path, value):
+    """The fixture's JSON bytes with the entry at ``path`` set to ``value``."""
+    doc = json.loads((FIXTURES / fixture).read_text())
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return json.dumps(doc).encode()
+
+
+def not_utf8(fixture):
+    return b"\xff" + (FIXTURES / fixture).read_bytes()
+
+
+VALIDATE = ["validate", "--model", "model.json"]
+HOSTILE_INPUTS = [
+    pytest.param({"model.json": mutated("reg2.json", ("features", 0), 3)}, VALIDATE,
+                 id="feature-not-an-object"),
+    pytest.param({"model.json": mutated("reg2.json", ("features", 0, "domain"), [0, 1])},
+                 VALIDATE, id="domain-not-an-object"),
+    pytest.param({"model.json": mutated("reg2.json", ("features", 0, "domain", "values"), 5)},
+                 VALIDATE, id="values-not-a-list"),
+    pytest.param({"model.json": mutated("reg2.json", ("features", 0, "domain", "values"), "01")},
+                 VALIDATE, id="values-a-string"),
+    pytest.param({"model.json": mutated("reg2.json", ("features", 0, "name"), ["x1"])},
+                 VALIDATE, id="name-not-a-string"),
+    pytest.param({"model.json": mutated("cls3_tree.json", ("nodes", 0, "edges"), 3)},
+                 VALIDATE, id="edges-not-a-list"),
+    pytest.param({"model.json": mutated("cls3_tree.json", ("nodes", 0, "edges", 0), 3)},
+                 VALIDATE, id="edge-not-an-object"),
+    pytest.param({"model.json": mutated("cls3_tree.json",
+                                        ("nodes", 0, "edges", 0, "values"), 1)},
+                 VALIDATE, id="edge-values-not-a-list"),
+    pytest.param({"model.json": mutated("cls3_tree.json",
+                                        ("nodes", 0, "edges", 0, "child"), [1])},
+                 VALIDATE, id="edge-child-a-list"),
+    pytest.param({"model.json": mutated("cls3_tree.json", ("nodes", 1, "id"), [1])},
+                 VALIDATE, id="node-id-a-list"),
+    pytest.param({"model.json": mutated("cls3_tree.json", ("root",), [0])},
+                 VALIDATE, id="root-a-list"),
+    pytest.param({"model.json": mutated("cls3_tree.json", ("nodes", 0, "feature"), [1])},
+                 VALIDATE, id="feature-a-list"),
+    pytest.param({"model.json": mutated("cls3_tree.json", ("nodes", 0, "feature"), 1.0)},
+                 VALIDATE, id="feature-a-decimal"),
+    pytest.param({"model.json": mutated("pw2.json", ("cells", 0, "box", 0), 1)},
+                 VALIDATE, id="box-bound-not-a-pair"),
+    pytest.param({"model.json": mutated("pw2.json", ("cells", 0, "box", 0), [0, 1, 2])},
+                 VALIDATE, id="box-bound-a-triple"),
+    pytest.param({"model.json": not_utf8("reg2.json")}, VALIDATE, id="model-not-utf8"),
+    pytest.param({"model.json": b'{"version": 1' + b"0" * 5000 + b"}"}, VALIDATE,
+                 id="integer-past-the-digit-limit"),
+    pytest.param({"model.json": b"[" * 100000 + b"]" * 100000}, VALIDATE,
+                 id="nesting-past-the-recursion-limit"),
+    pytest.param({"sample.csv": not_utf8("reg2_sample.csv")},
+                 ["validate", "--model", REG2, "--sample", "sample.csv"],
+                 id="sample-not-utf8"),
+    pytest.param({}, ["axp", "--model", REG2, "--instance", "1,1", "--from", "\u00b2"],
+                 id="superscript-feature-id"),
+]
+
+
+@pytest.mark.parametrize("files,argv", HOSTILE_INPUTS)
+def test_malformed_input_exits_2_without_a_traceback(files, argv, tmp_path, capsys):
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 class TestEntryPoint:

@@ -6,6 +6,7 @@ import pytest
 from shapxp import (
     Ranking,
     ScoreVector,
+    SizeLimitError,
     ValidationError,
     compare_scores,
     expected_game,
@@ -110,6 +111,15 @@ class TestRbo:
             rbo((1, 2), (1, 2), F(1))
         with pytest.raises(ValidationError):
             rbo((1, 2), (1, 2), F(1, 2), 0)
+
+    def test_depth_guard_bounds_the_size_of_the_result(self):
+        # bits(2) = 2, so depth 5000 reaches the 10,000-bit guard exactly.
+        value = rbo((1, 2), (1, 2), F(1, 2), 5000)
+        assert value == 1 - F(1, 2) ** 5000
+        assert len(str(value)) < 4300
+        for p, depth in ((F(1, 2), 5001), (F(1, 2), 10 ** 9), (F(999, 1000), 1001)):
+            with pytest.raises(SizeLimitError, match="guarded"):
+                rbo((1, 2), (1, 2), p, depth)
 
 
 class TestCompareScores:
