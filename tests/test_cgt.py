@@ -1,4 +1,6 @@
 import math
+import random
+import time
 from collections import Counter
 from fractions import Fraction as F
 from itertools import permutations
@@ -17,11 +19,62 @@ from shapxp import (
     waxp_game,
 )
 from shapxp import cgt as cgt_module
-from shapxp.cgt import permutation_at, sample_count
+from shapxp.cgt import _orders, permutation_at, sample_count
+from randmodels import random_tabular_problem
+
+# Reference stream: a verbatim copy of permutation_at as it was written
+# before the draw loop was inlined, one call per SplitMix step and per
+# bounded draw. The inlined stream must reproduce it for every seed.
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _splitmix_next(state: int) -> tuple[int, int]:
+    state = (state + _GOLDEN) & _MASK64
+    z = state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return state, z ^ (z >> 31)
+
+
+def _randbelow(state: int, n: int) -> tuple[int, int]:
+    # Rejection sampling keeps bounded draws exactly uniform.
+    threshold = (1 << 64) % n
+    while True:
+        state, value = _splitmix_next(state)
+        if value >= threshold:
+            return state, value % n
+
+
+def reference_permutation_at(seed: int, m: int, index: int) -> tuple[int, ...]:
+    """The index-th permutation of {1..m} for this seed; a pure function
+    of (seed, m, index)."""
+    if m < 1:
+        raise ValidationError("permutations need m >= 1")
+    _, mixed = _splitmix_next(seed & _MASK64)
+    state = (mixed + (index + 1) * _GOLDEN) & _MASK64
+    order = list(range(1, m + 1))
+    for i in range(m - 1, 0, -1):  # Fisher-Yates
+        state, j = _randbelow(state, i + 1)
+        order[i], order[j] = order[j], order[i]
+    return tuple(order)
 
 
 def draws(seed, m, n):
     return [permutation_at(seed, m, k) for k in range(n)]
+
+
+def naive_estimate(game, seed, n):
+    """Mean marginal of each player over permutations 0..n-1, walked one
+    by one; position p of a permutation is player players[p - 1]."""
+    sums = dict.fromkeys(game.players, F(0))
+    for k in range(n):
+        prefix = frozenset()
+        for p in permutation_at(seed, game.m, k):
+            player = game.players[p - 1]
+            sums[player] += game.value(prefix | {player}) - game.value(prefix)
+            prefix |= {player}
+    return tuple(sums[i] / n for i in game.players)
 
 
 class TestPermutationStream:
@@ -48,6 +101,27 @@ class TestPermutationStream:
     def test_m_must_be_positive(self):
         with pytest.raises(ValidationError):
             permutation_at(0, 0, 0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 11, 2024, 2 ** 64 + 5, -3])
+    def test_matches_the_reference_stream(self, seed):
+        for m in range(1, 10):
+            want = [reference_permutation_at(seed, m, k) for k in range(300)]
+            assert draws(seed, m, 300) == want
+            assert [tuple(o) for o in _orders(seed, m, 0, 300)] == want
+            assert [tuple(o) for o in _orders(seed, m, 120, 300)] == want[120:]
+
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    def test_rejected_draw_matches_the_reference_stream(self, seed):
+        # Pick k so that the first draw of permutation k advances SplitMix
+        # to state 0, whose output is 0: below 2^64 mod 3 = 1, so the draw
+        # from {0, 1, 2} rejects it and takes the next output.
+        _, mixed = _splitmix_next(seed & _MASK64)
+        k = (-mixed * pow(_GOLDEN, -1, 2 ** 64) - 2) % 2 ** 64
+        state = (mixed + (k + 2) * _GOLDEN) & _MASK64
+        assert state == 0 and _splitmix_next((state - _GOLDEN) & _MASK64)[1] == 0
+        assert permutation_at(seed, 3, k) == reference_permutation_at(seed, 3, k)
+        assert [tuple(o) for o in _orders(seed, 3, k - 1, k + 2)] == \
+            [reference_permutation_at(seed, 3, i) for i in (k - 1, k, k + 1)]
 
 
 class TestSampleCount:
@@ -123,6 +197,31 @@ class TestEstimator:
             # additive game: exact from any order
             assert vector.scores == shapley_exact(game).scores == (weights[3], weights[7])
 
+    def test_tally_equals_a_walk_over_each_permutation(self):
+        rng = random.Random(5)
+        games = [expected_game(random_tabular_problem(rng, max_m=5)) for _ in range(4)]
+        # Players other than 1..m, in no sorted order, with interactions.
+        weights = {9: F(3), 2: F(-1), 5: F(1, 2), 4: F(2)}
+        games.append(Game((9, 2, 5, 4), lambda s: sum(weights[i] for i in s) ** 2
+                          + (F(7) if {2, 9} <= s else F(0)), marginal_bound=F(200)))
+        for game in games:
+            for seed, n in ((3, 1), (3, 40), (17, 250)):
+                config = CgtConfig(F(1, 20), F(1, 20), seed=seed, sample_count=n)
+                vector, diag = cgt_estimate(game, config)
+                assert diag.permutations == n
+                assert vector.scores == naive_estimate(game, seed, n)
+
+    def test_wide_game_needs_no_table_over_coalitions(self):
+        # 40 players: any table indexed by coalition mask would need 2^40
+        # entries; the tally holds at most 50 * 40.
+        players = tuple(range(1, 41))
+        game = Game(players, lambda s: F(sum(s), 7), marginal_bound=F(40, 7))
+        started = time.perf_counter()
+        vector, _ = cgt_estimate(
+            game, CgtConfig(F(1, 20), F(1, 20), seed=8, sample_count=50))
+        assert vector.scores == tuple(F(i, 7) for i in players)
+        assert time.perf_counter() - started < 10.0
+
     def test_zero_marginal_bound_draws_one_permutation(self):
         game = Game((1, 2), lambda s: F(3), marginal_bound=F(0))
         vector, diag = cgt_estimate(game, CgtConfig(F(1, 20), F(1, 20)))
@@ -133,7 +232,7 @@ class TestEstimator:
         def no_draws(*args):
             raise AssertionError("drew a permutation")
 
-        monkeypatch.setattr(cgt_module, "permutation_at", no_draws)
+        monkeypatch.setattr(cgt_module, "_orders", no_draws)
         game = Game((1, 2, 3), lambda s: F(len(s)), marginal_bound=F(1))
         for config in (CgtConfig(F(1, 10 ** 400), F(1, 20)),
                        CgtConfig(F(1, 100000), F(1, 20)),

@@ -180,6 +180,14 @@ class TestLoadSample:
         with pytest.raises(ValidationError, match="outside domain"):
             load_sample(path, reg2_model)
 
+    @pytest.mark.parametrize("model", ["reg2_model", "reg2_tree_model", "pw2_model"])
+    def test_out_of_domain_row_is_named_by_line_for_every_kind(self, tmp_path, request,
+                                                                model):
+        path = write(tmp_path, "s.csv", "x1,x2\n0,0\n0,5\n")
+        with pytest.raises(ValidationError,
+                           match=r"s\.csv:3: value .+ outside domain of feature 2 \(x2\)$"):
+            load_sample(path, request.getfixturevalue(model))
+
     def test_wrong_header_rejected(self, tmp_path, reg2_model):
         path = write(tmp_path, "s.csv", "a,b\n0,0\n")
         with pytest.raises(ValidationError, match="header"):
