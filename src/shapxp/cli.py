@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 from . import cgt as cgt_mod
@@ -148,10 +149,14 @@ def _dispatch(args) -> RunReport:
     instances = _parse_instances(args, model)
     similarity = _similarity_for(args, model)
     universe, universe_info = _universe_for(args, model)
+    sim_info = {"mode": similarity.mode}
+    if similarity.delta is not None:
+        sim_info["delta"] = rational_str(similarity.delta)
 
     if args.command == "compare":
-        return _finish(_run_compare(args, model, model_info, instances, similarity,
-                                    universe, universe_info), started)
+        results = _run_compare(args, model, instances, similarity, universe)
+        return _finish(RunReport("compare", model_info, None, sim_info, universe_info,
+                                 results), started)
 
     if len(instances) != 1:
         raise ValidationError(f"'{args.command}' takes exactly one --instance")
@@ -160,9 +165,6 @@ def _dispatch(args) -> RunReport:
         "point": [format_value(x) for x in problem.instance.point],
         "prediction": format_value(problem.instance.prediction),
     }
-    sim_info = {"mode": similarity.mode}
-    if similarity.delta is not None:
-        sim_info["delta"] = rational_str(similarity.delta)
 
     if args.command == "relevancy":
         relevant = relevant_features(problem, universe)
@@ -252,8 +254,7 @@ def _run_shap(args, problem, universe):
     return results, diagnostics
 
 
-def _run_compare(args, model, model_info, instances, similarity,
-                 universe, universe_info) -> RunReport:
+def _run_compare(args, model, instances, similarity, universe):
     persistence = parse_rational(args.persistence, "--persistence")
     reports = []
     per_instance = []
@@ -280,10 +281,7 @@ def _run_compare(args, model, model_info, instances, similarity,
             ],
         })
     summary = summarize_comparisons(reports)
-    sim_info = {"mode": similarity.mode}
-    if similarity.delta is not None:
-        sim_info["delta"] = rational_str(similarity.delta)
-    results = {
+    return {
         "persistence": rational_str(persistence),
         "depth": args.depth,
         "max_rbo": rational_str(1 - Fraction(persistence) ** args.depth),
@@ -296,7 +294,6 @@ def _run_compare(args, model, model_info, instances, similarity,
         ],
         "absolute_only": bool(args.abs),
     }
-    return RunReport("compare", model_info, None, sim_info, universe_info, results)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +346,6 @@ def _parse_feature_ids(text, model):
 
 
 def _finish(report: RunReport, started: float) -> RunReport:
-    from dataclasses import replace
     return replace(report, timing_ms=round((time.perf_counter() - started) * 1000.0, 3))
 
 

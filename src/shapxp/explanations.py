@@ -14,7 +14,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from .errors import PreconditionError, ValidationError
 from .models import (
@@ -130,25 +130,25 @@ def extract_axp(problem: ExplanationProblem, seed: Iterable[int] | None = None,
                 universe: Universe = MODEL_AWARE) -> FeatureSet:
     """Shrink a sufficient feature set to a subset-minimal one by deletion,
     attempting removals in ascending feature id order."""
-    seed_set = canonical(problem.feature_ids if seed is None else seed)
-    if not is_waxp(problem, seed_set, universe):
-        raise PreconditionError(f"seed {seed_set} is not a weak abductive explanation")
-    current = set(seed_set)
-    for i in seed_set:
-        if is_waxp(problem, current - {i}, universe):
-            current.remove(i)
-    return canonical(current)
+    return _shrink(problem, seed, universe, is_waxp, "abductive")
 
 
 def extract_cxp(problem: ExplanationProblem, seed: Iterable[int] | None = None,
                 universe: Universe = MODEL_AWARE) -> FeatureSet:
     """Dual of extract_axp: shrink a set whose freeing changes the output."""
+    return _shrink(problem, seed, universe, is_wcxp, "contrastive")
+
+
+def _shrink(problem: ExplanationProblem, seed: Iterable[int] | None,
+            universe: Universe, holds: Callable, kind: str) -> FeatureSet:
+    """Deletion loop of both extractions: drop each seed feature in
+    ascending id order while ``holds`` stays true of the rest."""
     seed_set = canonical(problem.feature_ids if seed is None else seed)
-    if not is_wcxp(problem, seed_set, universe):
-        raise PreconditionError(f"seed {seed_set} is not a weak contrastive explanation")
+    if not holds(problem, seed_set, universe):
+        raise PreconditionError(f"seed {seed_set} is not a weak {kind} explanation")
     current = set(seed_set)
     for i in seed_set:
-        if is_wcxp(problem, current - {i}, universe):
+        if holds(problem, current - {i}, universe):
             current.remove(i)
     return canonical(current)
 

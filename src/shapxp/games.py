@@ -19,7 +19,7 @@ from math import factorial, lcm
 from operator import add, eq, or_
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
-from .errors import PreconditionError, SizeLimitError
+from .errors import PreconditionError, SizeLimitError, ValidationError
 from .explanations import (
     MODEL_AWARE,
     ModelAgnostic,
@@ -53,16 +53,18 @@ CoalitionTable = tuple[list[int], int]
 class Game:
     """A set of players and a characteristic function on coalitions.
 
-    ``value`` evaluates one coalition and memoizes it per game instance;
-    the sampling estimator and the all-permutations oracle read values this
-    way. The function must be pure. Under concurrent use the worst case is
-    a duplicate evaluation of the same coalition, never an inconsistent
-    result (dict updates are atomic).
+    ``at(mask)`` evaluates one coalition, given by its player bitmask (bit
+    k stands for ``players[k]``, as in the coalition table), and memoizes
+    it per game instance under that mask; ``charfn`` still receives a
+    frozenset of players. ``value`` reads the same memo by player ids, as
+    the all-permutations oracle does. The function must be pure. Under
+    concurrent use the worst case is a duplicate evaluation of the same
+    coalition, never an inconsistent result (dict updates are atomic).
 
     ``table`` returns the whole coalition table, which is what exact
     Shapley values need. A game with a ``kernel`` builds it in one pass
     over its labelled points, only when asked; any other game evaluates
-    ``value`` on each of the 2^m coalitions.
+    ``at`` on each of the 2^m coalitions.
 
     ``marginal_bound`` is an upper bound on |nu(S+i) - nu(S)| used by the
     sampling estimator; pass one explicitly for custom games.
@@ -74,24 +76,29 @@ class Game:
     marginal_bound: Optional[Fraction] = None
     kernel: Optional[Callable[[], CoalitionTable]] = field(
         default=None, repr=False, compare=False)
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict[int, Fraction] = field(default_factory=dict, repr=False, compare=False)
+
+    def at(self, mask: int) -> Fraction:
+        """nu of the coalition {players[k] : bit k of mask is set}."""
+        cached = self._cache.get(mask)
+        if cached is None:
+            coalition = frozenset(p for k, p in enumerate(self.players) if mask >> k & 1)
+            cached = self._cache[mask] = Fraction(self.charfn(coalition))
+        return cached
 
     def value(self, coalition: Iterable[int]) -> Fraction:
-        key = frozenset(coalition)
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = Fraction(self.charfn(key))
-            self._cache[key] = cached
-        return cached
+        """nu of a coalition given by player ids; repeats count once."""
+        ids = set(coalition)
+        unknown = ids.difference(self.players)
+        if unknown:
+            raise ValidationError(f"unknown player ids {sorted(unknown)}")
+        return self.at(sum(1 << k for k, p in enumerate(self.players) if p in ids))
 
     def table(self) -> CoalitionTable:
         """nu(S) for every coalition mask S, as (numerators, denominator)."""
         if self.kernel is not None:
             return self.kernel()
-        values = [
-            self.value(p for k, p in enumerate(self.players) if mask >> k & 1)
-            for mask in range(1 << self.m)
-        ]
+        values = [self.at(mask) for mask in range(1 << self.m)]
         denominator = lcm(*(v.denominator for v in values))
         return [v.numerator * (denominator // v.denominator) for v in values], denominator
 

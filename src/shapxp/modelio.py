@@ -68,8 +68,6 @@ def format_value(v):
     "p/q" strings, labels as themselves."""
     if isinstance(v, Fraction):
         return int(v) if v.denominator == 1 else str(v)
-    if isinstance(v, int) and not isinstance(v, bool):
-        return v
     return v
 
 

@@ -129,11 +129,6 @@ class FeatureSpace:
     def all_interval(self) -> bool:
         return all(isinstance(f.domain, IntervalDomain) for f in self.features)
 
-    def contains(self, point: Point) -> bool:
-        return len(point) == self.m and all(
-            x in f.domain for x, f in zip(point, self.features)
-        )
-
     def check_point(self, point: Point) -> None:
         if len(point) != self.m:
             raise DomainError(f"point has {len(point)} coordinates, expected {self.m}")

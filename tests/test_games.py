@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from shapxp import (
+    CgtConfig,
     DiscreteDomain,
     ExplanationProblem,
     Feature,
@@ -20,6 +21,7 @@ from shapxp import (
     ValidationError,
     cf_expected,
     cf_waxp,
+    cgt_estimate,
     check_compliance,
     check_value_independence,
     expected_game,
@@ -283,17 +285,30 @@ class TestNumericalNeutrality:
 
 
 class TestMemoization:
-    def test_charfn_evaluated_once_per_coalition(self):
+    @pytest.mark.parametrize("players", [(1, 2, 3), (9, 2, 5)], ids=["1-2-3", "9-2-5"])
+    def test_charfn_evaluated_once_per_coalition(self, players):
         calls = []
 
         def charfn(s):
             calls.append(s)
             return F(len(s))
 
-        game = Game((1, 2, 3), charfn)
+        game = Game(players, charfn)
         shapley_exact(game)
         shapley_via_permutations(game)
+        cgt_estimate(game, CgtConfig(F(1, 10), F(1, 10), seed=3, sample_count=50))
         assert len(calls) == len(set(calls)) == 8
+        assert all(isinstance(s, frozenset) and s <= set(players) for s in calls)
+
+    def test_coalitions_name_only_players(self):
+        calls = []
+        game = Game((1, 2), lambda s: calls.append(s) or F(len(s)))
+        with pytest.raises(ValidationError, match="7"):
+            game.value({7})
+        with pytest.raises(ValidationError, match="7"):
+            game.value([1, 7])
+        assert calls == []
+        assert game.value([2, 1, 2]) == game.value({1, 2}) == 2
 
     def test_concurrent_evaluation_is_consistent(self, cls3_problem):
         game = waxp_game(cls3_problem)
