@@ -4,19 +4,20 @@ An abductive explanation answers "which features, held at their instance
 values, force this prediction"; a contrastive one answers "which features,
 if freed, allow the prediction to change". Predicates can quantify over
 the model's whole feature space (model-aware) or over a finite sample of
-its behavior (model-agnostic). The two explanation families are each
-other's minimal hitting sets, which is how the abductive side is
-enumerated here.
+its behavior (model-agnostic). The sufficiency game, the contrastive
+explanations and relevancy all read one table, :func:`sufficiency_table`;
+the abductive explanations are the contrastive ones' minimal hitting sets.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import compress, product
+from operator import eq, or_
 from typing import Callable, Iterable, Iterator, Union
 
-from .errors import PreconditionError, ValidationError
+from .errors import PreconditionError, SizeLimitError, ValidationError
 from .models import (
     Point,
     Value,
@@ -30,6 +31,7 @@ from .similarity import (
 )
 
 FeatureSet = tuple  # canonical: sorted tuple of 1-based feature ids
+EXACT_GUARD = 24  # 2^m subset evaluations
 
 
 class ConstantOnUniverseWarning(UserWarning):
@@ -123,6 +125,74 @@ def _slice_predictions(sample: Sample, v: Point, fixed: Iterable[int]) -> Iterat
 
 
 # ---------------------------------------------------------------------------
+# Coalition tables
+# ---------------------------------------------------------------------------
+#
+# A labelled point p agrees with the instance v on the features of its
+# agreement mask A(p) = {j : p_j = v_j}, and it satisfies x_S = v_S exactly
+# when S is a subset of A(p). So a histogram of the points by agreement
+# mask, folded over supersets, holds for every coalition S an aggregate of
+# exactly the points with x_S = v_S: O(|points| * m + m * 2^m) work for all
+# 2^m coalitions at once.
+
+def _masked_outputs(problem: ExplanationProblem,
+                    universe: Universe) -> Iterator[tuple[int, Value]]:
+    """(agreement mask, output) of every labelled point: each row of the
+    sample under a model-agnostic universe, else each point of the model's
+    discrete space."""
+    v = problem.instance.point
+    if isinstance(universe, ModelAgnostic):
+        bits = [1 << j for j in range(len(v))]
+        sample = universe.sample
+        return ((sum(compress(bits, map(eq, row, v))), y)
+                for row, y in zip(sample.rows, sample.predictions))
+    # labelled_points runs in lexicographic order, and so does this product
+    # of per-feature agreement bits.
+    axes = [[1 << j if x == v[j] else 0 for x in f.domain.values]
+            for j, f in enumerate(problem.model.space.features)]
+    return zip(map(sum, product(*axes)), (y for _, y in labelled_points(problem.model)))
+
+
+def _fold_supersets(table: list, op: Callable) -> None:
+    """In place, table[S] becomes the op-fold of table[T] over every
+    superset T of S (the zeta transform): m passes over 2^m entries."""
+    size = len(table)
+    half = 1
+    while half < size:
+        for lo in range(0, size, 2 * half):
+            # masks lo..lo+half-1 lack this bit; the next half are them with it
+            table[lo:lo + half] = map(op, table[lo:lo + half],
+                                      table[lo + half:lo + 2 * half])
+        half *= 2
+
+
+def sufficiency_table(problem: ExplanationProblem, universe: Universe = MODEL_AWARE) -> list[int]:
+    """The sufficiency game for every coalition mask S (bit k is feature
+    k+1): nu(S) = 1 exactly when S is a weak abductive explanation.
+
+    Over the whole discrete space or the rows of a sample, f[S] tells
+    whether some labelled point with x_S = v_S has an output
+    distinguishable from the instance's, so nu(S) = 1 - f[S]; a coalition
+    that no sample row matches is vacuously sufficient. A box model takes
+    one is_waxp call per coalition."""
+    m = problem.model.space.m
+    if m > EXACT_GUARD:
+        raise SizeLimitError(f"exact computation guarded at m <= {EXACT_GUARD}, got {m}")
+    if not (isinstance(universe, ModelAgnostic) or problem.model.space.all_discrete()):
+        return [int(is_waxp(problem, [i for i in problem.feature_ids if mask >> i - 1 & 1],
+                            universe)) for mask in range(1 << m)]
+    dissimilar: dict = {}  # output -> not similar_value, one call per output
+    found = [False] * (1 << m)
+    for mask, y in _masked_outputs(problem, universe):
+        hit = dissimilar.get(y)
+        if hit is None:
+            hit = dissimilar[y] = not similar_value(problem, y)
+        found[mask] |= hit
+    _fold_supersets(found, or_)
+    return [0 if hit else 1 for hit in found]
+
+
+# ---------------------------------------------------------------------------
 # Minimality extraction and enumeration
 # ---------------------------------------------------------------------------
 
@@ -155,24 +225,26 @@ def _shrink(problem: ExplanationProblem, seed: Iterable[int] | None,
 
 def enumerate_cxps(problem: ExplanationProblem,
                    universe: Universe = MODEL_AWARE) -> tuple[FeatureSet, ...]:
-    """All subset-minimal contrastive explanations.
+    """All subset-minimal contrastive explanations, by size, then ids.
 
-    Exhaustive lattice scan in order of increasing cardinality; since the
-    weak predicate is monotone, a set passing the predicate with no
-    previously found explanation inside it is itself minimal.
+    Read off the sufficiency table: freeing C allows a distinguishable
+    output exactly when its complement R is not sufficient, and since nu
+    is monotone, C is minimal when R plus any one feature of C is.
     """
+    table = sufficiency_table(problem, universe)
+    table[-1] = 1  # freeing nothing is never a contrastive explanation
     ids = problem.feature_ids
-    found: list[FeatureSet] = []
-    for size in range(1, len(ids) + 1):
-        for combo in combinations(ids, size):
-            if any(set(c) <= set(combo) for c in found):
-                continue
-            if is_wcxp(problem, combo, universe):
-                found.append(combo)
+    found = []
+    for rest, sufficient in enumerate(table):
+        if sufficient:
+            continue
+        freed = [i for i in ids if not rest >> i - 1 & 1]
+        if all(table[rest | 1 << i - 1] for i in freed):
+            found.append(tuple(freed))
     if not found:
         warnings.warn("model output is constant on the universe: no contrastive "
                       "explanations exist", ConstantOnUniverseWarning, stacklevel=2)
-    return tuple(found)
+    return tuple(sorted(found, key=lambda c: (len(c), c)))
 
 
 def axps_from_cxps(cxps: Iterable[FeatureSet]) -> tuple[FeatureSet, ...]:
@@ -220,13 +292,9 @@ def enumerate_axps(problem: ExplanationProblem,
 def relevant_features(problem: ExplanationProblem,
                       universe: Universe = MODEL_AWARE) -> FeatureSet:
     """Features occurring in some abductive explanation; these are exactly
-    the features occurring in some contrastive explanation, so the cheaper
-    contrastive union is used."""
-    cxps = enumerate_cxps(problem, universe)
-    out: set[int] = set()
-    for c in cxps:
-        out.update(c)
-    return canonical(out)
+    the features occurring in some contrastive explanation, so the union
+    of :func:`enumerate_cxps` is used and no hitting sets are needed."""
+    return canonical(i for c in enumerate_cxps(problem, universe) for i in c)
 
 
 def full_space_sample(model) -> Sample:

@@ -14,29 +14,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import compress, permutations, product
+from itertools import permutations
 from math import factorial, lcm
-from operator import add, eq, or_
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from operator import add
+from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import PreconditionError, SizeLimitError, ValidationError
 from .explanations import (
+    EXACT_GUARD,
     MODEL_AWARE,
-    ModelAgnostic,
     Universe,
+    _fold_supersets,
+    _masked_outputs,
     is_waxp,
     relevant_features,
+    sufficiency_table,
 )
-from .models import (
-    Instance,
-    Value,
-    conditional_expectation,
-    labelled_points,
-    output_range,
-)
-from .similarity import CLASS_EQUALITY, ExplanationProblem, similar_value
+from .models import Instance, conditional_expectation, output_range
+from .similarity import CLASS_EQUALITY, ExplanationProblem
 
-EXACT_GUARD = 24      # 2^m subset evaluations
 PERMUTATION_GUARD = 10  # m! permutation evaluations
 
 EXPECTED_VALUE = "expected"
@@ -62,9 +58,9 @@ class Game:
     coalition, never an inconsistent result (dict updates are atomic).
 
     ``table`` returns the whole coalition table, which is what exact
-    Shapley values need. A game with a ``kernel`` builds it in one pass
-    over its labelled points, only when asked; any other game evaluates
-    ``at`` on each of the 2^m coalitions.
+    Shapley values need. A game with a ``kernel`` builds it at once, only
+    when asked (see :func:`~shapxp.explanations.sufficiency_table`); any
+    other game evaluates ``at`` on each of the 2^m coalitions.
 
     ``marginal_bound`` is an upper bound on |nu(S+i) - nu(S)| used by the
     sampling estimator; pass one explicitly for custom games.
@@ -155,56 +151,13 @@ def expected_game(problem: ExplanationProblem) -> Game:
 
 
 def waxp_game(problem: ExplanationProblem, universe: Universe = MODEL_AWARE) -> Game:
-    has_points = isinstance(universe, ModelAgnostic) or problem.model.space.all_discrete()
     return Game(
         players=problem.feature_ids,
         charfn=lambda s: Fraction(cf_waxp(problem, s, universe)),
         tag=WAXP_BASED,
         marginal_bound=Fraction(1),
-        kernel=partial(_waxp_table, problem, universe) if has_points else None,
+        kernel=lambda: (sufficiency_table(problem, universe), 1),
     )
-
-
-# ---------------------------------------------------------------------------
-# Coalition tables
-# ---------------------------------------------------------------------------
-#
-# A labelled point p agrees with the instance v on the features of its
-# agreement mask A(p) = {j : p_j = v_j}, and it satisfies x_S = v_S exactly
-# when S is a subset of A(p). So a histogram of the points by agreement
-# mask, folded over supersets, holds for every coalition S an aggregate of
-# exactly the points with x_S = v_S: O(|points| * m + m * 2^m) work for all
-# 2^m coalitions at once.
-
-def _masked_outputs(problem: ExplanationProblem,
-                    universe: Universe) -> Iterator[tuple[int, Value]]:
-    """(agreement mask, output) of every labelled point: each row of the
-    sample under a model-agnostic universe, else each point of the model's
-    discrete space."""
-    v = problem.instance.point
-    if isinstance(universe, ModelAgnostic):
-        bits = [1 << j for j in range(len(v))]
-        sample = universe.sample
-        return ((sum(compress(bits, map(eq, row, v))), y)
-                for row, y in zip(sample.rows, sample.predictions))
-    # labelled_points runs in lexicographic order, and so does this product
-    # of per-feature agreement bits.
-    axes = [[1 << j if x == v[j] else 0 for x in f.domain.values]
-            for j, f in enumerate(problem.model.space.features)]
-    return zip(map(sum, product(*axes)), (y for _, y in labelled_points(problem.model)))
-
-
-def _fold_supersets(table: list, op: Callable) -> None:
-    """In place, table[S] becomes the op-fold of table[T] over every
-    superset T of S (the zeta transform): m passes over 2^m entries."""
-    size = len(table)
-    half = 1
-    while half < size:
-        for lo in range(0, size, 2 * half):
-            # masks lo..lo+half-1 lack this bit; the next half are them with it
-            table[lo:lo + half] = map(op, table[lo:lo + half],
-                                      table[lo + half:lo + 2 * half])
-        half *= 2
 
 
 def _expected_table(problem: ExplanationProblem) -> CoalitionTable:
@@ -226,24 +179,6 @@ def _expected_table(problem: ExplanationProblem) -> CoalitionTable:
         size = len(feature.domain.values)
         inside += [n * size for n in inside]
     return [f * n for f, n in zip(sums, inside)], scale * inside[-1]
-
-
-def _waxp_table(problem: ExplanationProblem, universe: Universe) -> CoalitionTable:
-    """The sufficiency game for every coalition, over the whole discrete
-    space or the rows of a sample.
-
-    f[S] tells whether some labelled point with x_S = v_S has an output
-    distinguishable from the instance's, so nu(S) = 1 - f[S]; a coalition
-    that no sample row matches is vacuously sufficient."""
-    dissimilar: dict = {}  # output -> not similar_value, one call per output
-    found = [False] * (1 << problem.model.space.m)
-    for mask, y in _masked_outputs(problem, universe):
-        hit = dissimilar.get(y)
-        if hit is None:
-            hit = dissimilar[y] = not similar_value(problem, y)
-        found[mask] |= hit
-    _fold_supersets(found, or_)
-    return [0 if hit else 1 for hit in found], 1
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,8 @@ def _space_from(entries, where: str) -> FeatureSpace:
         if not isinstance(entry, dict):
             raise ValidationError(f"{where}: each feature must be a JSON object")
         fid = entry.get("id")
+        if isinstance(fid, bool) or not isinstance(fid, int):
+            raise ValidationError(f"{where}: feature 'id' must be an integer, got {fid!r}")
         name = entry.get("name", f"x{fid}")
         dom = entry.get("domain", {})
         if not isinstance(name, str):

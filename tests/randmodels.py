@@ -10,15 +10,21 @@ from shapxp import (
     ExplanationProblem,
     Feature,
     FeatureSpace,
+    Sample,
     SimilarityConfig,
     TabularModel,
+    TreeLeaf,
+    TreeModel,
+    TreeNode,
     is_waxp,
     is_wcxp,
     make_instance,
 )
 from shapxp.explanations import MODEL_AWARE
+from shapxp.models import labelled_points
 
 VALUE_POOL = [Fraction(n, d) for n in range(-4, 5) for d in (1, 2, 3)]
+LABELS = ("no", "yes", "maybe")
 
 
 def random_tabular_problem(rng, max_m=5, max_domain=3):
@@ -35,6 +41,55 @@ def random_tabular_problem(rng, max_m=5, max_domain=3):
     point = tuple(rng.choice(dom) for dom in domains)
     return ExplanationProblem(model, make_instance(model, point),
                               SimilarityConfig.class_equality())
+
+
+def random_tree_model(rng, m, max_depth=4, max_domain=3, categorical=False):
+    """A random tree over m discrete features; each node splits its
+    feature's domain into two or more groups."""
+    domains = [tuple(range(rng.randint(2, max_domain))) for _ in range(m)]
+    space = FeatureSpace(tuple(
+        Feature(i + 1, f"f{i + 1}", DiscreteDomain(domains[i])) for i in range(m)))
+    pool = LABELS if categorical else VALUE_POOL
+    while True:
+        nodes = {}
+
+        def build(free, depth):
+            nid = len(nodes)
+            nodes[nid] = None
+            if depth == 0 or not free or rng.random() < 0.2:
+                nodes[nid] = TreeLeaf(rng.choice(pool))
+                return nid
+            feature = rng.choice(sorted(free))
+            values = list(domains[feature - 1])
+            rng.shuffle(values)
+            cuts = sorted(rng.sample(range(1, len(values)), rng.randint(1, len(values) - 1)))
+            groups = [tuple(values[a:b]) for a, b in zip([0] + cuts, cuts + [len(values)])]
+            nodes[nid] = TreeNode(feature, tuple(
+                (group, build(free - {feature}, depth - 1)) for group in groups))
+            return nid
+
+        root = build(frozenset(range(1, m + 1)), max_depth)
+        leaves = {n.value for n in nodes.values() if isinstance(n, TreeLeaf)}
+        if len(leaves) >= 2:
+            return TreeModel(space, nodes, root, "categorical" if categorical else "numeric")
+
+
+def random_instance(rng, model):
+    return make_instance(model, tuple(rng.choice(f.domain.values)
+                                      for f in model.space.features))
+
+
+def random_sample(rng, model):
+    """Rows drawn from a discrete model's labelled points, with duplicates
+    and partial coverage; small samples leave many coalitions with no
+    matching row, which are vacuously sufficient."""
+    points = list(labelled_points(model))
+    rows = [rng.choice(points) for _ in range(rng.randint(1, 2 * len(points)))]
+    return Sample(tuple(p for p, _ in rows), tuple(y for _, y in rows))
+
+
+def with_similarity(problem, similarity):
+    return ExplanationProblem(problem.model, problem.instance, similarity)
 
 
 def subsets(ids):

@@ -1,4 +1,5 @@
 import random
+import warnings
 from fractions import Fraction as F
 from itertools import product
 
@@ -14,7 +15,11 @@ from shapxp import (
     PreconditionError,
     Sample,
     SimilarityConfig,
+    SizeLimitError,
     TabularModel,
+    TreeLeaf,
+    TreeModel,
+    TreeNode,
     axps_from_cxps,
     enumerate_axps,
     enumerate_cxps,
@@ -28,14 +33,40 @@ from shapxp import (
     relevant_features,
     similar,
 )
-from shapxp.explanations import agnostic_support
+from shapxp.explanations import MODEL_AWARE, agnostic_support
+from boxmodels import random_grid_model
 from randmodels import (
     brute_force_axps,
     brute_force_cxps,
     brute_force_hitting_sets,
+    random_instance,
+    random_sample,
     random_tabular_problem,
+    random_tree_model,
     subsets,
+    with_similarity,
 )
+
+
+def assert_enumeration_matches_oracle(problem, universe=MODEL_AWARE):
+    """enumerate_cxps equals the per-set lattice oracle, in (size, ids)
+    order, and warns exactly when the family is empty."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        found = enumerate_cxps(problem, universe)
+    oracle = sorted((tuple(sorted(c)) for c in brute_force_cxps(problem, universe)),
+                    key=lambda c: (len(c), c))
+    assert found == tuple(oracle)
+    warned = any(issubclass(w.category, ConstantOnUniverseWarning) for w in caught)
+    assert warned == (not found)
+
+
+def wide_tree_model(m):
+    """One split on feature 1 over m ternary features."""
+    space = FeatureSpace(tuple(
+        Feature(i + 1, f"x{i + 1}", DiscreteDomain((0, 1, 2))) for i in range(m)))
+    nodes = {0: TreeNode(1, (((0,), 1), ((1, 2), 2))), 1: TreeLeaf(0), 2: TreeLeaf(1)}
+    return TreeModel(space, nodes, 0, "numeric")
 
 
 def parity_problem(m=3):
@@ -169,9 +200,50 @@ class TestEnumeration:
     def test_matches_brute_force(self):
         rng = random.Random(962)
         for _ in range(25):
+            assert_enumeration_matches_oracle(random_tabular_problem(rng, max_m=4))
+        for _ in range(15):
             problem = random_tabular_problem(rng, max_m=4)
-            assert set(map(frozenset, enumerate_cxps(problem))) == \
-                brute_force_cxps(problem)
+            delta = rng.choice((F(0), F(1, 3), F(1, 2), F(2)))
+            assert_enumeration_matches_oracle(
+                with_similarity(problem, SimilarityConfig.threshold(delta)))
+        for categorical in (False, True):
+            for _ in range(15):
+                model = random_tree_model(rng, rng.randint(1, 5), categorical=categorical)
+                problem = ExplanationProblem(model, random_instance(rng, model),
+                                             SimilarityConfig.class_equality())
+                assert_enumeration_matches_oracle(problem)
+                if not categorical:
+                    assert_enumeration_matches_oracle(
+                        with_similarity(problem, SimilarityConfig.threshold(F(1, 2))))
+        for _ in range(20):
+            problem = random_tabular_problem(rng, max_m=4)
+            universe = ModelAgnostic(random_sample(rng, problem.model))
+            for similarity in (SimilarityConfig.class_equality(),
+                               SimilarityConfig.threshold(F(1, 2))):
+                assert_enumeration_matches_oracle(with_similarity(problem, similarity),
+                                                  universe)
+        for _ in range(10):
+            model = random_grid_model(rng, m=2)
+            v = (F(rng.randrange(-4, 5), 4), F(rng.randrange(-4, 5), 4))
+            delta = F(rng.randrange(0, 9), 8)
+            assert_enumeration_matches_oracle(ExplanationProblem(
+                model, make_instance(model, v), SimilarityConfig.threshold(delta)))
+
+    def test_inconsistent_sample_row_frees_single_features(self, cls3_problem):
+        # A row equal to the instance but labelled otherwise makes even the
+        # full feature set insufficient; the minimal non-empty freed sets
+        # are then the singletons.
+        rows = ((0, 0, 0), (1, 1, 2))
+        universe = ModelAgnostic(Sample(rows, (F(0), F(7))))
+        assert enumerate_cxps(cls3_problem, universe) == ((1,), (2,), (3,))
+
+    def test_guarded_past_24_features(self):
+        model = wide_tree_model(25)
+        problem = ExplanationProblem(model, make_instance(model, (0,) * 25),
+                                     SimilarityConfig.class_equality())
+        for enumerate_ in (enumerate_cxps, relevant_features):
+            with pytest.raises(SizeLimitError):
+                enumerate_(problem)
 
 
 class TestHittingSetDuality:

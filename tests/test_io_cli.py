@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -351,6 +352,23 @@ class TestCli:
                         "--depth", depth]) == 3
         assert "guarded" in capsys.readouterr().err
 
+    def test_relevancy_past_24_features_exits_3(self, capsys, tmp_path):
+        # One split on feature 1 of 25 ternary features: the table guard
+        # stops the run before any of the 3^24 points of a slice is visited.
+        features = [{"id": i, "name": f"x{i}", "domain": {"type": "discrete",
+                                                          "values": [0, 1, 2]}}
+                    for i in range(1, 26)]
+        nodes = [{"id": 0, "feature": 1, "edges": [{"values": [0], "child": 1},
+                                                   {"values": [1, 2], "child": 2}]},
+                 {"id": 1, "value": 0}, {"id": 2, "value": 1}]
+        path = write(tmp_path, "wide.json", json.dumps(
+            {"version": 1, "kind": "tree", "features": features, "root": 0,
+             "nodes": nodes}))
+        started = time.process_time()
+        assert run_cli(["relevancy", "--model", path, "--instance", ",".join("0" * 25)]) == 3
+        assert time.process_time() - started < 1
+        assert "guarded" in capsys.readouterr().err
+
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(["shap", "--model", CLS3, "--frobnicate"])
@@ -408,6 +426,10 @@ HOSTILE_INPUTS = [
                  VALIDATE, id="feature-a-list"),
     pytest.param({"model.json": mutated("cls3_tree.json", ("nodes", 0, "feature"), 1.0)},
                  VALIDATE, id="feature-a-decimal"),
+    pytest.param({"model.json": mutated("cls3.json", ("features", 0, "id"), 1.0)},
+                 VALIDATE, id="feature-id-a-decimal"),
+    pytest.param({"model.json": mutated("cls3.json", ("features", 0, "id"), True)},
+                 VALIDATE, id="feature-id-a-boolean"),
     pytest.param({"model.json": mutated("pw2.json", ("cells", 0, "box", 0), 1)},
                  VALIDATE, id="box-bound-not-a-pair"),
     pytest.param({"model.json": mutated("pw2.json", ("cells", 0, "box", 0), [0, 1, 2])},

@@ -24,24 +24,28 @@ from shapxp import (
     Sample,
     SimilarityConfig,
     TabularModel,
-    TreeLeaf,
-    TreeModel,
-    TreeNode,
     UnsupportedOperationError,
+    enumerate_cxps,
     expected_game,
     make_instance,
     predict,
+    relevant_features,
     shapley_exact,
     shapley_via_permutations,
     tabulate,
     waxp_game,
 )
+from shapxp.explanations import MODEL_AWARE
 from shapxp.models import labelled_points
 from boxmodels import random_grid_model
-from randmodels import VALUE_POOL, random_tabular_problem
-
-LABELS = ("no", "yes", "maybe")
-
+from randmodels import (
+    VALUE_POOL,
+    random_instance,
+    random_sample,
+    random_tabular_problem,
+    random_tree_model,
+    with_similarity,
+)
 
 def coalition(game, mask):
     return frozenset(p for k, p in enumerate(game.players) if mask >> k & 1)
@@ -53,46 +57,6 @@ def assert_kernel_matches_oracle(game):
     for mask, n in enumerate(numerators):
         assert F(n, denominator) == game.value(coalition(game, mask)), mask
     assert shapley_exact(game).scores == shapley_via_permutations(game).scores
-
-
-def with_similarity(problem, similarity):
-    return ExplanationProblem(problem.model, problem.instance, similarity)
-
-
-def random_tree_model(rng, m, max_depth=4, max_domain=3, categorical=False):
-    """A random tree over m discrete features; each node splits its
-    feature's domain into two or more groups."""
-    domains = [tuple(range(rng.randint(2, max_domain))) for _ in range(m)]
-    space = FeatureSpace(tuple(
-        Feature(i + 1, f"f{i + 1}", DiscreteDomain(domains[i])) for i in range(m)))
-    pool = LABELS if categorical else VALUE_POOL
-    while True:
-        nodes = {}
-
-        def build(free, depth):
-            nid = len(nodes)
-            nodes[nid] = None
-            if depth == 0 or not free or rng.random() < 0.2:
-                nodes[nid] = TreeLeaf(rng.choice(pool))
-                return nid
-            feature = rng.choice(sorted(free))
-            values = list(domains[feature - 1])
-            rng.shuffle(values)
-            cuts = sorted(rng.sample(range(1, len(values)), rng.randint(1, len(values) - 1)))
-            groups = [tuple(values[a:b]) for a, b in zip([0] + cuts, cuts + [len(values)])]
-            nodes[nid] = TreeNode(feature, tuple(
-                (group, build(free - {feature}, depth - 1)) for group in groups))
-            return nid
-
-        root = build(frozenset(range(1, m + 1)), max_depth)
-        leaves = {n.value for n in nodes.values() if isinstance(n, TreeLeaf)}
-        if len(leaves) >= 2:
-            return TreeModel(space, nodes, root, "categorical" if categorical else "numeric")
-
-
-def random_instance(rng, model):
-    return make_instance(model, tuple(rng.choice(f.domain.values)
-                                      for f in model.space.features))
 
 
 class TestTabular:
@@ -156,11 +120,7 @@ class TestAgnostic:
         rng = random.Random(8128)
         for _ in range(30):
             problem = random_tabular_problem(rng, max_m=5)
-            points = list(labelled_points(problem.model))
-            # duplicates and partial coverage; small samples leave many
-            # coalitions with no matching row, which are vacuously sufficient
-            rows = [rng.choice(points) for _ in range(rng.randint(1, 2 * len(points)))]
-            sample = Sample(tuple(p for p, _ in rows), tuple(y for _, y in rows))
+            sample = random_sample(rng, problem.model)
             for similarity in (SimilarityConfig.class_equality(),
                                SimilarityConfig.threshold(F(1, 2))):
                 game = waxp_game(with_similarity(problem, similarity), ModelAgnostic(sample))
@@ -196,8 +156,10 @@ class TestGamesWithoutKernel:
             model = random_grid_model(rng)
             problem = ExplanationProblem(model, make_instance(model, (F(1, 3), F(-1, 5))),
                                          SimilarityConfig.threshold(F(1, 2)))
+            # The sufficiency game is built by sufficiency_table, one is_waxp
+            # call per coalition; the expected game evaluates each coalition.
+            assert expected_game(problem).kernel is None
             for game in (expected_game(problem), waxp_game(problem)):
-                assert game.kernel is None
                 assert_kernel_matches_oracle(game)
         with pytest.raises(UnsupportedOperationError):
             list(labelled_points(model))
@@ -211,7 +173,8 @@ class TestGamesWithoutKernel:
 
 
 class TestNoPerCoalitionFallback:
-    """Exact Shapley values on discrete models come from the kernel alone."""
+    """Exact Shapley values, enumeration and relevancy on discrete models
+    come from the coalition tables alone."""
 
     @pytest.fixture
     def no_slow_path(self, monkeypatch):
@@ -221,14 +184,26 @@ class TestNoPerCoalitionFallback:
         monkeypatch.setattr(shapxp.games, "conditional_expectation", forbidden)
         monkeypatch.setattr(shapxp.games, "is_waxp", forbidden)
         monkeypatch.setattr(shapxp.explanations, "is_waxp", forbidden)
+        monkeypatch.setattr(shapxp.explanations, "is_wcxp", forbidden)
 
-    def test_tabular_and_tree(self, no_slow_path, cls3_problem, reg2_problem):
+    @pytest.fixture
+    def tree_problem(self):
         rng = random.Random(7)
         tree = random_tree_model(rng, 4)
-        tree_problem = ExplanationProblem(tree, random_instance(rng, tree),
-                                          SimilarityConfig.class_equality())
+        return ExplanationProblem(tree, random_instance(rng, tree),
+                                  SimilarityConfig.class_equality())
+
+    def test_tabular_and_tree(self, no_slow_path, cls3_problem, reg2_problem, tree_problem):
         sample = Sample(((0, 0, 0), (1, 1, 2)), (F(0), F(7)))
         for problem in (cls3_problem, reg2_problem, tree_problem):
             shapley_exact(expected_game(problem))
             shapley_exact(waxp_game(problem))
         shapley_exact(waxp_game(cls3_problem, ModelAgnostic(sample)))
+
+    def test_enumeration_and_relevancy(self, no_slow_path, cls3_problem, reg2_problem,
+                                       tree_problem):
+        universe = ModelAgnostic(Sample(((0, 0, 0), (1, 1, 2)), (F(0), F(1))))
+        for problem, universe in ((cls3_problem, MODEL_AWARE), (reg2_problem, MODEL_AWARE),
+                                  (tree_problem, MODEL_AWARE), (cls3_problem, universe)):
+            enumerate_cxps(problem, universe)
+            relevant_features(problem, universe)
