@@ -14,10 +14,7 @@ from .errors import (
     ValidationError,
 )
 from .explanations import (
-    MODEL_AWARE,
     ConstantOnUniverseWarning,
-    ModelAgnostic,
-    ModelAware,
     Sample,
     axps_from_cxps,
     enumerate_axps,

@@ -18,8 +18,6 @@ from fractions import Fraction
 from . import cgt as cgt_mod
 from .errors import DomainError, ShapxpError, ValidationError
 from .explanations import (
-    MODEL_AWARE,
-    ModelAgnostic,
     agnostic_support,
     axps_from_cxps,
     enumerate_cxps,
@@ -181,8 +179,8 @@ def _dispatch(args) -> RunReport:
         else:
             found = extract_cxp(problem, seed, universe)
         results = {args.command: list(found)}
-        if isinstance(universe, ModelAgnostic) and args.command == "axp":
-            support = agnostic_support(problem, universe.sample, found)
+        if universe is not None and args.command == "axp":
+            support = agnostic_support(problem, universe, found)
             results["sample_support"] = support
             results["vacuous"] = support == 0
     elif args.command == "enumerate":
@@ -327,12 +325,12 @@ def _similarity_for(args, model) -> SimilarityConfig:
 
 def _universe_for(args, model):
     if not getattr(args, "agnostic", False):
-        return MODEL_AWARE, {"kind": "model_aware"}
+        return None, {"kind": "model_aware"}
     if not args.sample:
         raise ValidationError("--agnostic needs --sample")
     sample = load_sample(args.sample, model)
     info = {"kind": "model_agnostic", "sample": str(args.sample), "rows": len(sample)}
-    return ModelAgnostic(sample), info
+    return sample, info
 
 
 def _parse_feature_ids(text, model):

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import compress, product
+from itertools import compress
 from operator import eq, or_
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import PreconditionError, SizeLimitError, ValidationError
 from .models import (
@@ -40,7 +40,10 @@ class ConstantOnUniverseWarning(UserWarning):
 
 @dataclass(frozen=True)
 class Sample:
-    """Observed model behavior: points d_j with their predictions p_j."""
+    """Observed model behavior: points d_j with their predictions p_j.
+
+    A sample is a universe of its own: it answers the quantifiers that
+    the model answers over its whole space, over its rows only."""
 
     rows: tuple[Point, ...]
     predictions: tuple[Value, ...]
@@ -54,21 +57,24 @@ class Sample:
     def __len__(self) -> int:
         return len(self.rows)
 
+    def slice_outputs(self, v: Point, fixed: Iterable[int]) -> Iterator[Value]:
+        """The prediction of every row with x_S = v_S."""
+        axes = [i - 1 for i in fixed]
+        return (y for row, y in zip(self.rows, self.predictions)
+                if all(row[j] == v[j] for j in axes))
 
-@dataclass(frozen=True)
-class ModelAware:
-    """Quantify over the model's entire feature space."""
+    def masked_outputs(self, v: Point) -> Iterator[tuple[int, Value]]:
+        """(agreement mask with v, prediction) of every row."""
+        bits = [1 << j for j in range(len(v))]
+        return ((sum(compress(bits, map(eq, row, v))), y)
+                for row, y in zip(self.rows, self.predictions))
 
-
-@dataclass(frozen=True)
-class ModelAgnostic:
-    """Quantify over the rows of a sample only."""
-
-    sample: Sample
-
-
-Universe = Union[ModelAware, ModelAgnostic]
-MODEL_AWARE = ModelAware()
+    def relabel(self, mapping: Mapping) -> "Sample":
+        """The same rows with each prediction y replaced by mapping[y]."""
+        missing = [y for y in self.predictions if y not in mapping]
+        if missing:
+            raise ValidationError(f"relabeling map misses output value {missing[0]!r}")
+        return Sample(self.rows, tuple(mapping[y] for y in self.predictions))
 
 
 def canonical(features: Iterable[int]) -> FeatureSet:
@@ -80,22 +86,20 @@ def canonical(features: Iterable[int]) -> FeatureSet:
 # ---------------------------------------------------------------------------
 
 def is_waxp(problem: ExplanationProblem, features: Iterable[int],
-            universe: Universe = MODEL_AWARE) -> bool:
+            universe: Sample | None = None) -> bool:
     """Does fixing ``features`` at the instance values force an output
     indistinguishable from the instance prediction, everywhere in the
-    universe? Vacuously true when no sample row matches."""
+    universe: the model's whole space when ``universe`` is None, else the
+    sample's rows? Vacuously true when no sample row matches."""
     fixed = frozenset(features)
     _check_feature_ids(problem, fixed)
-    v = problem.instance.point
-    if isinstance(universe, ModelAgnostic):
-        outputs = _slice_predictions(universe.sample, v, fixed)
-    else:
-        outputs = problem.model.slice_outputs(v, fixed)
-    return all(similar_value(problem, y) for y in outputs)
+    owner = problem.model if universe is None else universe
+    return all(similar_value(problem, y)
+               for y in owner.slice_outputs(problem.instance.point, fixed))
 
 
 def is_wcxp(problem: ExplanationProblem, features: Iterable[int],
-            universe: Universe = MODEL_AWARE) -> bool:
+            universe: Sample | None = None) -> bool:
     """Can the output be made distinguishable by changing only
     ``features``? Exactly the complement of is_waxp on the remaining
     (fixed) features."""
@@ -114,14 +118,7 @@ def _check_feature_ids(problem: ExplanationProblem, features: frozenset[int]) ->
 def agnostic_support(problem: ExplanationProblem, sample: Sample,
                      features: Iterable[int]) -> int:
     """How many sample rows match x_S = v_S; zero means a vacuous check."""
-    return sum(1 for _ in _slice_predictions(sample, problem.instance.point, features))
-
-
-def _slice_predictions(sample: Sample, v: Point, fixed: Iterable[int]) -> Iterator[Value]:
-    """The prediction of every sample row with x_S = v_S."""
-    axes = [i - 1 for i in fixed]
-    return (y for row, y in zip(sample.rows, sample.predictions)
-            if all(row[j] == v[j] for j in axes))
+    return sum(1 for _ in sample.slice_outputs(problem.instance.point, features))
 
 
 # ---------------------------------------------------------------------------
@@ -133,24 +130,8 @@ def _slice_predictions(sample: Sample, v: Point, fixed: Iterable[int]) -> Iterat
 # when S is a subset of A(p). So a histogram of the points by agreement
 # mask, folded over supersets, holds for every coalition S an aggregate of
 # exactly the points with x_S = v_S: O(|points| * m + m * 2^m) work for all
-# 2^m coalitions at once.
-
-def _masked_outputs(problem: ExplanationProblem,
-                    universe: Universe) -> Iterator[tuple[int, Value]]:
-    """(agreement mask, output) of every labelled point: each row of the
-    sample under a model-agnostic universe, else each point of the model's
-    discrete space."""
-    v = problem.instance.point
-    if isinstance(universe, ModelAgnostic):
-        bits = [1 << j for j in range(len(v))]
-        sample = universe.sample
-        return ((sum(compress(bits, map(eq, row, v))), y)
-                for row, y in zip(sample.rows, sample.predictions))
-    # labelled_points runs in lexicographic order, and so does this product
-    # of per-feature agreement bits.
-    axes = [[1 << j if x == v[j] else 0 for x in f.domain.values]
-            for j, f in enumerate(problem.model.space.features)]
-    return zip(map(sum, product(*axes)), (y for _, y in labelled_points(problem.model)))
+# 2^m coalitions at once. The points come from ``masked_outputs(v)`` of
+# the universe: a sample's rows, or every point of a discrete model.
 
 
 def _fold_supersets(table: list, op: Callable) -> None:
@@ -166,24 +147,26 @@ def _fold_supersets(table: list, op: Callable) -> None:
         half *= 2
 
 
-def sufficiency_table(problem: ExplanationProblem, universe: Universe = MODEL_AWARE) -> list[int]:
+def sufficiency_table(problem: ExplanationProblem, universe: Sample | None = None) -> list[int]:
     """The sufficiency game for every coalition mask S (bit k is feature
     k+1): nu(S) = 1 exactly when S is a weak abductive explanation.
 
-    Over the whole discrete space or the rows of a sample, f[S] tells
-    whether some labelled point with x_S = v_S has an output
-    distinguishable from the instance's, so nu(S) = 1 - f[S]; a coalition
-    that no sample row matches is vacuously sufficient. A box model takes
-    one is_waxp call per coalition."""
+    Over the rows of a sample ``universe``, or over the whole space of a
+    discrete model when ``universe`` is None, f[S] tells whether some
+    labelled point with x_S = v_S has an output distinguishable from the
+    instance's, so nu(S) = 1 - f[S]; a coalition that no sample row
+    matches is vacuously sufficient. A box model takes one is_waxp call
+    per coalition."""
     m = problem.model.space.m
     if m > EXACT_GUARD:
         raise SizeLimitError(f"exact computation guarded at m <= {EXACT_GUARD}, got {m}")
-    if not (isinstance(universe, ModelAgnostic) or problem.model.space.all_discrete()):
-        return [int(is_waxp(problem, [i for i in problem.feature_ids if mask >> i - 1 & 1],
-                            universe)) for mask in range(1 << m)]
+    if universe is None and not problem.model.space.all_discrete():
+        return [int(is_waxp(problem, [i for i in problem.feature_ids if mask >> i - 1 & 1]))
+                for mask in range(1 << m)]
     dissimilar: dict = {}  # output -> not similar_value, one call per output
     found = [False] * (1 << m)
-    for mask, y in _masked_outputs(problem, universe):
+    owner = problem.model if universe is None else universe
+    for mask, y in owner.masked_outputs(problem.instance.point):
         hit = dissimilar.get(y)
         if hit is None:
             hit = dissimilar[y] = not similar_value(problem, y)
@@ -197,20 +180,20 @@ def sufficiency_table(problem: ExplanationProblem, universe: Universe = MODEL_AW
 # ---------------------------------------------------------------------------
 
 def extract_axp(problem: ExplanationProblem, seed: Iterable[int] | None = None,
-                universe: Universe = MODEL_AWARE) -> FeatureSet:
+                universe: Sample | None = None) -> FeatureSet:
     """Shrink a sufficient feature set to a subset-minimal one by deletion,
     attempting removals in ascending feature id order."""
     return _shrink(problem, seed, universe, is_waxp, "abductive")
 
 
 def extract_cxp(problem: ExplanationProblem, seed: Iterable[int] | None = None,
-                universe: Universe = MODEL_AWARE) -> FeatureSet:
+                universe: Sample | None = None) -> FeatureSet:
     """Dual of extract_axp: shrink a set whose freeing changes the output."""
     return _shrink(problem, seed, universe, is_wcxp, "contrastive")
 
 
 def _shrink(problem: ExplanationProblem, seed: Iterable[int] | None,
-            universe: Universe, holds: Callable, kind: str) -> FeatureSet:
+            universe: Sample | None, holds: Callable, kind: str) -> FeatureSet:
     """Deletion loop of both extractions: drop each seed feature in
     ascending id order while ``holds`` stays true of the rest."""
     seed_set = canonical(problem.feature_ids if seed is None else seed)
@@ -224,7 +207,7 @@ def _shrink(problem: ExplanationProblem, seed: Iterable[int] | None,
 
 
 def enumerate_cxps(problem: ExplanationProblem,
-                   universe: Universe = MODEL_AWARE) -> tuple[FeatureSet, ...]:
+                   universe: Sample | None = None) -> tuple[FeatureSet, ...]:
     """All subset-minimal contrastive explanations, by size, then ids.
 
     Read off the sufficiency table: freeing C allows a distinguishable
@@ -283,14 +266,14 @@ def minimal_hitting_sets(family: Iterable[frozenset]) -> set[frozenset]:
 
 
 def enumerate_axps(problem: ExplanationProblem,
-                   universe: Universe = MODEL_AWARE) -> tuple[FeatureSet, ...]:
+                   universe: Sample | None = None) -> tuple[FeatureSet, ...]:
     """All abductive explanations, obtained by dualizing the contrastive
     family."""
     return axps_from_cxps(enumerate_cxps(problem, universe))
 
 
 def relevant_features(problem: ExplanationProblem,
-                      universe: Universe = MODEL_AWARE) -> FeatureSet:
+                      universe: Sample | None = None) -> FeatureSet:
     """Features occurring in some abductive explanation; these are exactly
     the features occurring in some contrastive explanation, so the union
     of :func:`enumerate_cxps` is used and no hitting sets are needed."""

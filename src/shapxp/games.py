@@ -22,10 +22,8 @@ from typing import Callable, Iterable, Mapping, Optional
 from .errors import PreconditionError, SizeLimitError, ValidationError
 from .explanations import (
     EXACT_GUARD,
-    MODEL_AWARE,
-    Universe,
+    Sample,
     _fold_supersets,
-    _masked_outputs,
     is_waxp,
     relevant_features,
     sufficiency_table,
@@ -133,7 +131,7 @@ def cf_expected(problem: ExplanationProblem, features: Iterable[int]) -> Fractio
 
 
 def cf_waxp(problem: ExplanationProblem, features: Iterable[int],
-            universe: Universe = MODEL_AWARE) -> int:
+            universe: Sample | None = None) -> int:
     """1 if fixing the coalition forces an indistinguishable output, else 0."""
     return 1 if is_waxp(problem, features, universe) else 0
 
@@ -150,7 +148,7 @@ def expected_game(problem: ExplanationProblem) -> Game:
     )
 
 
-def waxp_game(problem: ExplanationProblem, universe: Universe = MODEL_AWARE) -> Game:
+def waxp_game(problem: ExplanationProblem, universe: Sample | None = None) -> Game:
     return Game(
         players=problem.feature_ids,
         charfn=lambda s: Fraction(cf_waxp(problem, s, universe)),
@@ -168,7 +166,7 @@ def _expected_table(problem: ExplanationProblem) -> CoalitionTable:
     which over the common denominator L * |space| has the numerator
     f[S] * prod_{j in S} |D_j|."""
     space = problem.model.space
-    outputs = list(_masked_outputs(problem, MODEL_AWARE))
+    outputs = list(problem.model.masked_outputs(problem.instance.point))
     scale = lcm(*{y.denominator for _, y in outputs})  # outputs are int or Fraction
     sums = [0] * (1 << space.m)
     for mask, y in outputs:
@@ -267,7 +265,7 @@ class ComplianceReport:
 
 
 def check_compliance(problem: ExplanationProblem, scores: ScoreVector,
-                     universe: Universe = MODEL_AWARE) -> ComplianceReport:
+                     universe: Sample | None = None) -> ComplianceReport:
     """Compare zero/nonzero scores against feature (ir)relevancy.
 
     A fully compliant vector is zero exactly on the features that occur in
@@ -282,19 +280,21 @@ def check_compliance(problem: ExplanationProblem, scores: ScoreVector,
 
 def check_value_independence(problem: ExplanationProblem,
                              relabel: Mapping,
-                             universe: Universe = MODEL_AWARE) -> bool:
+                             universe: Sample | None = None) -> bool:
     """Do sufficiency-game scores survive an injective relabeling of the
     model's output values?
 
     The relabeled problem keeps the same instance point; its prediction is
-    the relabeled original. True means the score vector is unchanged
+    the relabeled original, and a sample universe has its predictions
+    relabeled by the same map. True means the score vector is unchanged
     feature-by-feature (exact equality).
     """
     if problem.similarity.mode != CLASS_EQUALITY:
         raise PreconditionError("value independence is defined for class-equality similarity")
     relabeled = relabel_problem(problem, relabel)
+    relabeled_universe = None if universe is None else universe.relabel(relabel)
     before = shapley_exact(waxp_game(problem, universe))
-    after = shapley_exact(waxp_game(relabeled, universe))
+    after = shapley_exact(waxp_game(relabeled, relabeled_universe))
     return before.scores == after.scores
 
 

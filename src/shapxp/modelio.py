@@ -270,7 +270,7 @@ def load_sample(path, model: Model) -> Sample:
             raise ValidationError(f"{path}:{lineno}: {exc}") from None
         actual = model.output(point)  # the point was checked just above
         if has_prediction:
-            given = parse_value(fields[-1], f"{path}:{lineno}")
+            given = _model_value(fields[-1], model.value_kind, f"{path}:{lineno}")
             if given != actual:
                 raise ValidationError(
                     f"{path}:{lineno}: prediction {given!r} disagrees with the "

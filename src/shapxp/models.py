@@ -18,8 +18,10 @@ end of this module check their inputs and then call it:
 * ``slice_expectation(v, fixed)`` - the mean output over the slice under
   the uniform, feature-independent product distribution;
 * ``output_range()`` - the exact (min, max) output over the whole space;
-* ``labelled_points()`` and ``relabel(mapping)`` - the discrete kinds only:
-  every point with its output, and the model under an output relabeling.
+* ``labelled_points()``, ``masked_outputs(v)`` and ``relabel(mapping)`` -
+  the discrete kinds only: every point with its output, every point's
+  agreement mask with v with its output, and the model under an output
+  relabeling.
 
 Tabular and tree models share the slice, expectation and range methods.
 All arithmetic on numeric values is exact (``fractions.Fraction``).
@@ -30,11 +32,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import prod
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import (
     DomainError,
     NumericOutputError,
+    SizeLimitError,
     UnsupportedOperationError,
     ValidationError,
 )
@@ -45,6 +49,7 @@ Point = tuple
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
 _MISSING = object()  # a point the table has no entry for
+POINT_GUARD = 2 ** 20  # points one enumeration of a discrete space may visit
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +155,7 @@ class _EnumerableModel:
         """The output at every point x of the slice x_S = v_S."""
         axes = [(v[f.id - 1],) if f.id in fixed else f.domain.values
                 for f in self.space.features]
-        return map(self.output, product(*axes))
+        return map(self.output, _product(axes))
 
     def slice_expectation(self, v: Point, fixed: frozenset[int]) -> Fraction:
         outputs = list(self.slice_outputs(v, fixed))
@@ -162,8 +167,16 @@ class _EnumerableModel:
         values = self._values()
         return Fraction(min(values)), Fraction(max(values))
 
+    # Every point with its output, in lexicographic point order; the product
+    # of per-feature agreement bits in masked_outputs runs in the same order.
     def labelled_points(self) -> Iterator[tuple[Point, Value]]:
         return ((pt, self.output(pt)) for pt in _space_points(self.space))
+
+    def masked_outputs(self, v: Point) -> Iterator[tuple[int, Value]]:
+        """(agreement mask with v, output) of every point of the space."""
+        axes = [[1 << j if x == v[j] else 0 for x in f.domain.values]
+                for j, f in enumerate(self.space.features)]
+        return zip(map(sum, _product(axes)), (y for _, y in self.labelled_points()))
 
     def relabel(self, mapping: Mapping):
         """The same model with each output y replaced by mapping[y]; the map
@@ -195,15 +208,16 @@ class TabularModel(_EnumerableModel):
             raise ValidationError("tabular models need all-discrete domains")
         outputs = tuple(self.table.get(pt, _MISSING) for pt in _space_points(self.space))
         if len(outputs) != len(self.table) or any(y is _MISSING for y in outputs):
+            # Examples are the first in space and table order: points may
+            # mix labels and rationals, which do not sort.
+            missing = [pt for pt, y in zip(_space_points(self.space), outputs) if y is _MISSING]
             expected = set(_space_points(self.space))
-            got = set(self.table)
-            missing = expected - got
-            extra = got - expected
+            extra = [pt for pt in self.table if pt not in expected]
             parts = []
             if missing:
-                parts.append(f"missing {len(missing)} points, e.g. {sorted(missing)[0]}")
+                parts.append(f"missing {len(missing)} points, e.g. {missing[0]}")
             if extra:
-                parts.append(f"{len(extra)} points outside the space, e.g. {sorted(extra)[0]}")
+                parts.append(f"{len(extra)} points outside the space, e.g. {extra[0]}")
             raise ValidationError("table is not total: " + "; ".join(parts))
         object.__setattr__(self, "outputs", outputs)
         _check_values(self.table.values(), self.value_kind)
@@ -284,9 +298,9 @@ class TreeModel(_EnumerableModel):
                 raise ValidationError(f"node {node_id}: edges do not cover the domain")
 
         walk(self.root, frozenset())
-        unreachable = set(self.nodes) - seen
+        unreachable = [nid for nid in self.nodes if nid not in seen]  # ids may not sort
         if unreachable:
-            raise ValidationError(f"unreachable tree nodes: {sorted(unreachable)}")
+            raise ValidationError(f"unreachable tree nodes: {unreachable}")
         leaf_values = self._values()
         _check_values(leaf_values, self.value_kind)
         if len(set(leaf_values)) < 2:
@@ -520,24 +534,25 @@ def enumerate_points(model_or_space, constraint: Mapping[int, Value] | None = No
             raise DomainError(f"constraint on unknown feature {fid}")
         if value not in space.domain(fid):
             raise DomainError(f"constraint value {value!r} outside domain of feature {fid}")
-    axes = []
-    for f in space.features:
-        if f.id in constraint:
-            axes.append((constraint[f.id],))
-        else:
-            axes.append(f.domain.values)
-    return product(*axes)
+    return _product([(constraint[f.id],) if f.id in constraint else f.domain.values
+                     for f in space.features])
 
 
 def _space_points(space: FeatureSpace) -> Iterator[Point]:
-    return product(*(f.domain.values for f in space.features))
+    return _product([f.domain.values for f in space.features])
+
+
+def _product(axes: list) -> Iterator[tuple]:
+    """The points of a product of axes in lexicographic order, refused
+    above POINT_GUARD points so that no enumeration runs unbounded."""
+    size = prod(map(len, axes))
+    if size > POINT_GUARD:
+        raise SizeLimitError(f"enumeration guarded at {POINT_GUARD} points, got {size}")
+    return product(*axes)
 
 
 def space_size(space: FeatureSpace) -> int:
-    n = 1
-    for f in space.features:
-        n *= len(f.domain.values)
-    return n
+    return prod(len(f.domain.values) for f in space.features)
 
 
 def conditional_expectation(model: Model, instance: Instance, fixed: Iterable[int]) -> Fraction:

@@ -20,7 +20,6 @@ from shapxp import (
     is_wcxp,
     make_instance,
 )
-from shapxp.explanations import MODEL_AWARE
 from shapxp.models import labelled_points
 
 VALUE_POOL = [Fraction(n, d) for n in range(-4, 5) for d in (1, 2, 3)]
@@ -96,7 +95,7 @@ def subsets(ids):
     return chain.from_iterable(combinations(ids, k) for k in range(len(ids) + 1))
 
 
-def brute_force_axps(problem, universe=MODEL_AWARE):
+def brute_force_axps(problem, universe=None):
     """All subset-minimal sufficient sets, by scanning the whole lattice."""
     waxps = [frozenset(s) for s in subsets(problem.feature_ids)
              if is_waxp(problem, s, universe)]
@@ -104,7 +103,7 @@ def brute_force_axps(problem, universe=MODEL_AWARE):
     return set(minimal)
 
 
-def brute_force_cxps(problem, universe=MODEL_AWARE):
+def brute_force_cxps(problem, universe=None):
     wcxps = [frozenset(s) for s in subsets(problem.feature_ids)
              if is_wcxp(problem, s, universe)]
     minimal = [s for s in wcxps if not any(o < s for o in wcxps)]

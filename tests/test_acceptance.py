@@ -13,7 +13,6 @@ import pytest
 
 from shapxp import (
     CgtConfig,
-    ModelAgnostic,
     cgt_estimate,
     check_compliance,
     conditional_expectation,
@@ -209,7 +208,7 @@ def test_c09_ranking_divergence(cls3_problem):
 def test_c10_model_agnostic_equivalence(cls3_problem, reg2_problem):
     ok = True
     for problem in (cls3_problem, reg2_problem):
-        universe = ModelAgnostic(full_space_sample(problem.model))
+        universe = full_space_sample(problem.model)
         for s in subsets(problem.feature_ids):
             ok &= is_waxp(problem, s, universe) == is_waxp(problem, s)
             ok &= is_wcxp(problem, s, universe) == is_wcxp(problem, s)

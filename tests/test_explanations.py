@@ -11,7 +11,6 @@ from shapxp import (
     ExplanationProblem,
     Feature,
     FeatureSpace,
-    ModelAgnostic,
     PreconditionError,
     Sample,
     SimilarityConfig,
@@ -33,7 +32,7 @@ from shapxp import (
     relevant_features,
     similar,
 )
-from shapxp.explanations import MODEL_AWARE, agnostic_support
+from shapxp.explanations import agnostic_support
 from boxmodels import random_grid_model
 from randmodels import (
     brute_force_axps,
@@ -48,7 +47,7 @@ from randmodels import (
 )
 
 
-def assert_enumeration_matches_oracle(problem, universe=MODEL_AWARE):
+def assert_enumeration_matches_oracle(problem, universe=None):
     """enumerate_cxps equals the per-set lattice oracle, in (size, ids)
     order, and warns exactly when the family is empty."""
     with warnings.catch_warnings(record=True) as caught:
@@ -193,7 +192,7 @@ class TestEnumeration:
 
     def test_constant_universe_warns_and_returns_empty(self, cls3_problem):
         rows = ((1, 0, 0), (1, 1, 2))  # every row predicts 1
-        universe = ModelAgnostic(Sample(rows, (F(1), F(1))))
+        universe = Sample(rows, (F(1), F(1)))
         with pytest.warns(ConstantOnUniverseWarning):
             assert enumerate_cxps(cls3_problem, universe) == ()
 
@@ -217,7 +216,7 @@ class TestEnumeration:
                         with_similarity(problem, SimilarityConfig.threshold(F(1, 2))))
         for _ in range(20):
             problem = random_tabular_problem(rng, max_m=4)
-            universe = ModelAgnostic(random_sample(rng, problem.model))
+            universe = random_sample(rng, problem.model)
             for similarity in (SimilarityConfig.class_equality(),
                                SimilarityConfig.threshold(F(1, 2))):
                 assert_enumeration_matches_oracle(with_similarity(problem, similarity),
@@ -234,7 +233,7 @@ class TestEnumeration:
         # full feature set insufficient; the minimal non-empty freed sets
         # are then the singletons.
         rows = ((0, 0, 0), (1, 1, 2))
-        universe = ModelAgnostic(Sample(rows, (F(0), F(7))))
+        universe = Sample(rows, (F(0), F(7)))
         assert enumerate_cxps(cls3_problem, universe) == ((1,), (2,), (3,))
 
     def test_guarded_past_24_features(self):
@@ -311,7 +310,7 @@ class TestRelevancy:
 class TestModelAgnostic:
     def test_full_space_sample_matches_model_aware(self, cls3_problem, reg2_problem):
         for problem in (cls3_problem, reg2_problem):
-            universe = ModelAgnostic(full_space_sample(problem.model))
+            universe = full_space_sample(problem.model)
             for s in subsets(problem.feature_ids):
                 assert is_waxp(problem, s, universe) == is_waxp(problem, s)
                 assert is_wcxp(problem, s, universe) == is_wcxp(problem, s)
@@ -322,7 +321,7 @@ class TestModelAgnostic:
     def test_vacuous_match_is_true(self, cls3_problem):
         rows = ((0, 0, 0), (0, 1, 1))  # nothing matches x1 = 1
         sample = Sample(rows, (F(0), F(7)))
-        universe = ModelAgnostic(sample)
+        universe = sample
         assert agnostic_support(cls3_problem, sample, (1,)) == 0
         assert is_waxp(cls3_problem, (1,), universe)
 
@@ -330,7 +329,7 @@ class TestModelAgnostic:
         # With only similar rows beyond the instance, even the empty set
         # becomes sufficient on the sample.
         rows = ((1, 1, 2), (1, 0, 0))
-        universe = ModelAgnostic(Sample(rows, (F(1), F(1))))
+        universe = Sample(rows, (F(1), F(1)))
         assert is_waxp(cls3_problem, (), universe)
 
 

@@ -1,0 +1,191 @@
+"""Seeded fuzzing of the command line.
+
+Hostile models, samples and flags must end in a documented exit code (0
+for success, 2 for a validation error, 3 for a computation error), never
+in an escaped exception, and within a bounded time. The examples are
+drawn by hypothesis with ``derandomize=True``, so every run draws the
+same ones.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import time
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from shapxp.cli import run_cli
+from conftest import FIXTURES
+
+MODELS = ("cls3.json", "cls3_tree.json", "reg2.json", "reg2_tree.json", "pw2.json")
+SAMPLE_MODELS = ("reg2.json", "reg2_tree.json", "pw2.json")  # features x1, x2
+HOSTILE_LEAVES = (None, True, False, 0, -1, 2, 10 ** 30, -10 ** 30, 0.5, 1e308,
+                  float("nan"), float("inf"), "", "x", "1/0", "0/0", "-1/2", "NaN",
+                  "²", [], [0], [[0, 1]], {}, {"type": "discrete"})
+HOSTILE_TOKENS = ("0", "1", "-1", "2", "1/2", "3/2", "-1/2", "1/0", "x", "", "1e-400",
+                  "10" * 20, ",", "1,1", "²", "nan")
+COMMANDS = (
+    ["validate"], ["relevancy"], ["axp"], ["cxp"],
+    ["enumerate", "--kind", "axp"], ["enumerate", "--kind", "cxp"],
+    ["shap", "--game", "expected"], ["shap", "--game", "waxp"],
+    ["shap", "--game", "expected", "--method", "cgt", "--epsilon", "1/4"],
+    ["shap", "--game", "waxp", "--method", "cgt", "--epsilon", "1/4"],
+    ["compare"],
+)
+FLAGS = {  # some flags each command takes, beyond --model and --sample
+    "validate": ("--output", "--with-timing"),
+    "relevancy": ("--instance", "--delta", "--agnostic", "--output"),
+    "axp": ("--instance", "--delta", "--agnostic", "--from"),
+    "cxp": ("--instance", "--delta", "--agnostic", "--from"),
+    "enumerate": ("--instance", "--delta", "--agnostic", "--kind"),
+    "shap": ("--instance", "--delta", "--agnostic", "--game", "--method", "--epsilon",
+             "--alpha", "--seed"),
+    "compare": ("--instance", "--delta", "--agnostic", "--persistence", "--depth", "--abs"),
+}
+SWITCHES = ("--agnostic", "--abs", "--with-timing")
+FLAG_VALUES = HOSTILE_TOKENS + ("1,1,2", "axp", "cxp", "waxp", "expected", "exact", "cgt",
+                                "json", "table")
+FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=150,
+                suppress_health_check=list(HealthCheck))
+EXAMPLE_SECONDS = 5
+
+
+def run(argv):
+    """run_cli's exit code, with argparse's exits counted as codes."""
+    out, err = io.StringIO(), io.StringIO()
+    started = time.process_time()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run_cli(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert time.process_time() - started < EXAMPLE_SECONDS, argv
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+def leaves(node, path=()):
+    """Paths to every scalar or empty container of a JSON document."""
+    if isinstance(node, dict) and node:
+        for key, child in node.items():
+            yield from leaves(child, path + (key,))
+    elif isinstance(node, list) and node:
+        for k, child in enumerate(node):
+            yield from leaves(child, path + (k,))
+    else:
+        yield path
+
+
+def replaced(doc, path, value):
+    if not path:
+        return value
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+def widened(doc, k, copies):
+    """The document with feature k copied ``copies`` times; the copies are
+    untested by trees, carried along on the table's points, and free over
+    their whole domain in every box cell."""
+    doc = copy.deepcopy(doc)
+    features = doc["features"]
+    source = features[k]
+    for _ in range(copies):
+        dup = dict(source, id=len(features) + 1, name=f"dup{len(features) + 1}")
+        features.append(dup)
+        for entry in doc.get("table", ()):
+            entry["point"].append(entry["point"][k])
+        for cell in doc.get("cells", ()):
+            cell["box"].append([source["domain"]["lo"], source["domain"]["hi"]])
+            cell["affine"].append(0)
+    return doc
+
+
+def instance_for(doc, draw):
+    """One comma-separated point: each coordinate a domain value (an
+    interval's end) or -1, which most domains lack."""
+    tokens = []
+    for feature in doc["features"]:
+        domain = feature["domain"]
+        values = domain.get("values") or [domain.get("lo"), domain.get("hi")]
+        tokens.append(str(draw(st.sampled_from(values + ["-1"]))))
+    return ",".join(tokens)
+
+
+@FUZZ
+@given(st.data())
+def test_mutated_models(tmp_path_factory, data):
+    name = data.draw(st.sampled_from(MODELS))
+    doc = json.loads((FIXTURES / name).read_text())
+    k = data.draw(st.integers(0, len(doc["features"]) - 1))
+    doc = widened(doc, k, data.draw(st.sampled_from((0, 1, 2, 4))))
+    instance = instance_for(doc, data.draw)
+    paths = list(leaves(doc))
+    for _ in range(data.draw(st.integers(0, 2))):
+        path = data.draw(st.sampled_from(paths))
+        value = copy.deepcopy(data.draw(st.sampled_from(HOSTILE_LEAVES)))
+        doc = replaced(doc, path, value)
+        paths = list(leaves(doc))
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    path.write_text(json.dumps(doc))
+    command = data.draw(st.sampled_from(COMMANDS))
+    argv = command + ["--model", str(path)]
+    if command != ["validate"]:
+        argv.append(f"--instance={instance}")
+        if name == "pw2.json":
+            argv += ["--delta", "1/5"]
+    run(argv)
+
+
+@FUZZ
+@given(st.data())
+def test_mutated_samples(tmp_path_factory, data):
+    lines = (FIXTURES / "reg2_sample.csv").read_text().splitlines()
+    for _ in range(data.draw(st.integers(1, 3))):
+        k = data.draw(st.integers(0, len(lines) - 1))
+        fields = lines[k].split(",")
+        edit = data.draw(st.sampled_from(("field", "drop", "extra", "copy", "blank", "tab")))
+        if edit == "field":
+            j = data.draw(st.integers(0, len(fields) - 1))
+            fields[j] = data.draw(st.sampled_from(HOSTILE_TOKENS))
+            lines[k] = ",".join(fields)
+        elif edit == "drop":
+            lines[k] = ",".join(fields[:-1])
+        elif edit == "extra":
+            lines[k] = ",".join(fields + ["1"])
+        elif edit == "copy":
+            lines.insert(k, lines[k])
+        elif edit == "blank":
+            lines[k] = ""
+        else:
+            lines[k] = "\t".join(fields)
+    path = tmp_path_factory.mktemp("sample") / "sample.csv"
+    path.write_text("\n".join(lines) + "\n")
+    model = str(FIXTURES / data.draw(st.sampled_from(SAMPLE_MODELS)))
+    command = data.draw(st.sampled_from(COMMANDS))
+    argv = command + ["--model", model, "--sample", str(path)]
+    if command != ["validate"]:
+        argv += ["--instance", "1,1", "--agnostic", "--delta", "1/5"]
+    run(argv)
+
+
+@FUZZ
+@given(st.data())
+def test_mutated_flags(data):
+    model = FIXTURES / data.draw(st.sampled_from(MODELS))
+    argv = data.draw(st.sampled_from(COMMANDS)) + ["--model", str(model)]
+    if argv[0] != "validate":
+        argv.append("--instance=" + ("1,1,2" if "cls3" in model.name else "1,1"))
+    for _ in range(data.draw(st.integers(0, 4))):
+        flag = data.draw(st.sampled_from(FLAGS[argv[0]]))
+        if flag not in SWITCHES:
+            flag += "=" + data.draw(st.sampled_from(FLAG_VALUES))
+        argv.append(flag)
+    if data.draw(st.booleans()):
+        argv += ["--sample", str(FIXTURES / "reg2_sample.csv")]
+    run(argv)

@@ -18,6 +18,7 @@ from shapxp import (
     SizeLimitError,
     TabularModel,
     TreeModel,
+    Sample,
     ValidationError,
     cf_expected,
     cf_waxp,
@@ -25,6 +26,7 @@ from shapxp import (
     check_compliance,
     check_value_independence,
     expected_game,
+    full_space_sample,
     make_instance,
     relabel_problem,
     relevant_features,
@@ -232,6 +234,18 @@ class TestValueIndependence:
     def test_incomplete_map_rejected(self, cls3_problem):
         with pytest.raises(ValidationError, match="misses"):
             check_value_independence(cls3_problem, {F(0): F(1)})
+
+    def test_a_sample_universe_is_relabeled_with_the_model(self, cls3_problem):
+        relabel = {y: f"c{y}" for y in set(cls3_problem.model.table.values())}
+        sample = full_space_sample(cls3_problem.model)
+        assert check_value_independence(cls3_problem, relabel)
+        assert check_value_independence(cls3_problem, relabel, sample)
+
+    def test_a_sample_prediction_the_map_misses_is_rejected(self, cls3_problem):
+        relabel = {y: f"c{y}" for y in set(cls3_problem.model.table.values())}
+        sample = Sample(((1, 1, 2),), (F(99),))
+        with pytest.raises(ValidationError, match="misses output value"):
+            check_value_independence(cls3_problem, relabel, sample)
 
     def test_threshold_similarity_rejected(self, pw2_problem):
         with pytest.raises(PreconditionError):

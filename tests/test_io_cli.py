@@ -149,9 +149,9 @@ class TestLoadSample:
 
     def test_full_enumeration_sample_matches_model_aware(self, reg2_model,
                                                          reg2_problem):
-        from shapxp import ModelAgnostic, enumerate_axps, enumerate_cxps, is_waxp
+        from shapxp import enumerate_axps, enumerate_cxps, is_waxp
         from randmodels import subsets
-        universe = ModelAgnostic(load_sample(REG2_SAMPLE, reg2_model))
+        universe = load_sample(REG2_SAMPLE, reg2_model)
         for s in subsets(reg2_problem.feature_ids):
             assert is_waxp(reg2_problem, s, universe) == is_waxp(reg2_problem, s)
         assert enumerate_cxps(reg2_problem, universe) == enumerate_cxps(reg2_problem)
@@ -193,6 +193,16 @@ class TestLoadSample:
         path = write(tmp_path, "s.csv", "a,b\n0,0\n")
         with pytest.raises(ValidationError, match="header"):
             load_sample(path, reg2_model)
+
+    def test_categorical_predictions_are_labels(self, tmp_path, capsys):
+        # Labels that read as rationals stay labels in the prediction column.
+        model = write(tmp_path, "cat.json", variant(
+            value_kind="categorical",
+            table=[{"point": [0], "value": "0"}, {"point": [1], "value": "1"}]))
+        sample = write(tmp_path, "s.csv", "a,prediction\n0,0\n1,1\n")
+        assert load_sample(sample, load_model(model)).predictions == ("0", "1")
+        assert run_cli(["validate", "--model", model, "--sample", sample]) == 0
+        capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +379,29 @@ class TestCli:
         assert time.process_time() - started < 1
         assert "guarded" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,m", [
+        (["axp"], 25), (["cxp"], 25), (["shap", "--game", "waxp", "--method", "cgt"], 25),
+        (["relevancy"], 20)], ids=["axp", "cxp", "shap-cgt", "relevancy"])
+    def test_slices_past_the_point_guard_exit_3(self, capsys, tmp_path, command, m):
+        path = write(tmp_path, "wide.json", json.dumps(one_split_tree(m)))
+        started = time.process_time()
+        assert run_cli(command + ["--model", path, "--instance", ",".join("0" * m)]) == 3
+        assert time.process_time() - started < 5
+        assert "guarded" in capsys.readouterr().err
+
+    def test_default_past_the_point_guard_exits_3(self, capsys, tmp_path):
+        # 2^40 points to fill from one entry and a default.
+        features = [{"id": i, "name": f"x{i}", "domain": {"type": "discrete",
+                                                          "values": [0, 1]}}
+                    for i in range(1, 41)]
+        path = write(tmp_path, "wide.json", json.dumps(
+            {"version": 1, "kind": "tabular", "features": features,
+             "table": [{"point": [1] * 40, "value": 1}], "default": 0}))
+        started = time.process_time()
+        assert run_cli(["validate", "--model", path]) == 3
+        assert time.process_time() - started < 5
+        assert "guarded" in capsys.readouterr().err
+
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(["shap", "--model", CLS3, "--frobnicate"])
@@ -379,6 +412,17 @@ class TestCli:
                         "--game", "expected"]) == 0
         out = capsys.readouterr().out
         assert "0.250000" in out and "1/4" in out
+
+
+def one_split_tree(m):
+    """A tree over m ternary features that splits on feature 1 only."""
+    features = [{"id": i, "name": f"x{i}", "domain": {"type": "discrete",
+                                                      "values": [0, 1, 2]}}
+                for i in range(1, m + 1)]
+    nodes = [{"id": 0, "feature": 1, "edges": [{"values": [0], "child": 1},
+                                               {"values": [1, 2], "child": 2}]},
+             {"id": 1, "value": 0}, {"id": 2, "value": 1}]
+    return {"version": 1, "kind": "tree", "features": features, "root": 0, "nodes": nodes}
 
 
 def mutated(fixture, path, value):

@@ -93,6 +93,18 @@ class TestValidation:
         with pytest.raises(ValidationError, match="unreachable"):
             TreeModel(space, nodes, 0)
 
+    def test_unreachable_ids_of_mixed_types_are_named(self):
+        space = bool_space(1)
+        nodes = {0: TreeNode(1, (((0,), 1), ((1,), 2))),
+                 1: TreeLeaf(0), 2: TreeLeaf(1), None: TreeLeaf(5), "x": TreeLeaf(6)}
+        with pytest.raises(ValidationError, match=r"unreachable tree nodes: \[None, 'x'\]"):
+            TreeModel(space, nodes, 0)
+
+    def test_missing_points_of_mixed_values_are_named(self):
+        space = FeatureSpace((Feature(1, "a", DiscreteDomain((0, 1, "c"))),))
+        with pytest.raises(ValidationError, match=r"missing 2 points, e\.g\. \(1,\)"):
+            TabularModel(space, {(0,): 1})
+
     def test_box_cells_with_gap_rejected(self):
         space = FeatureSpace((Feature(1, "x", IntervalDomain(F(0), F(2))),))
         cells = (Cell(((F(0), F(1)),), F(0), (F(1),)),

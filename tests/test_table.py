@@ -20,7 +20,6 @@ from shapxp import (
     Feature,
     FeatureSpace,
     Game,
-    ModelAgnostic,
     Sample,
     SimilarityConfig,
     TabularModel,
@@ -35,7 +34,6 @@ from shapxp import (
     tabulate,
     waxp_game,
 )
-from shapxp.explanations import MODEL_AWARE
 from shapxp.models import labelled_points
 from boxmodels import random_grid_model
 from randmodels import (
@@ -123,7 +121,7 @@ class TestAgnostic:
             sample = random_sample(rng, problem.model)
             for similarity in (SimilarityConfig.class_equality(),
                                SimilarityConfig.threshold(F(1, 2))):
-                game = waxp_game(with_similarity(problem, similarity), ModelAgnostic(sample))
+                game = waxp_game(with_similarity(problem, similarity), sample)
                 assert_kernel_matches_oracle(game)
 
     def test_vacuous_coalitions_are_sufficient(self, cls3_problem):
@@ -132,7 +130,7 @@ class TestAgnostic:
         row = (1 - v[0], v[1], (v[2] + 1) % 3)
         pred = predict(cls3_problem.model, row)
         assert pred != cls3_problem.instance.prediction
-        game = waxp_game(cls3_problem, ModelAgnostic(Sample((row,), (pred,))))
+        game = waxp_game(cls3_problem, Sample((row,), (pred,)))
         numerators, denominator = game.table()
         assert denominator == 1
         assert numerators == [0, 1, 0, 1, 1, 1, 1, 1]  # masks with bit 0 or bit 2
@@ -146,7 +144,7 @@ class TestAgnostic:
         instance = make_instance(model, rows[0])
         problem = ExplanationProblem(model, instance, SimilarityConfig.threshold(F(1, 4)))
         sample = Sample(rows, tuple(predict(model, r) for r in rows))
-        assert_kernel_matches_oracle(waxp_game(problem, ModelAgnostic(sample)))
+        assert_kernel_matches_oracle(waxp_game(problem, sample))
 
 
 class TestGamesWithoutKernel:
@@ -198,12 +196,12 @@ class TestNoPerCoalitionFallback:
         for problem in (cls3_problem, reg2_problem, tree_problem):
             shapley_exact(expected_game(problem))
             shapley_exact(waxp_game(problem))
-        shapley_exact(waxp_game(cls3_problem, ModelAgnostic(sample)))
+        shapley_exact(waxp_game(cls3_problem, sample))
 
     def test_enumeration_and_relevancy(self, no_slow_path, cls3_problem, reg2_problem,
                                        tree_problem):
-        universe = ModelAgnostic(Sample(((0, 0, 0), (1, 1, 2)), (F(0), F(1))))
-        for problem, universe in ((cls3_problem, MODEL_AWARE), (reg2_problem, MODEL_AWARE),
-                                  (tree_problem, MODEL_AWARE), (cls3_problem, universe)):
+        universe = Sample(((0, 0, 0), (1, 1, 2)), (F(0), F(1)))
+        for problem, universe in ((cls3_problem, None), (reg2_problem, None),
+                                  (tree_problem, None), (cls3_problem, universe)):
             enumerate_cxps(problem, universe)
             relevant_features(problem, universe)
