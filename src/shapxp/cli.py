@@ -12,12 +12,14 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
 from . import cgt as cgt_mod
 from .errors import DomainError, ShapxpError, ValidationError
 from .explanations import (
+    ConstantOnUniverseWarning,
     agnostic_support,
     axps_from_cxps,
     enumerate_cxps,
@@ -100,19 +102,23 @@ def build_parser() -> argparse.ArgumentParser:
 def run_cli(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        report = _dispatch(args)
-    except (ValidationError, DomainError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ShapxpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    if args.output == "json":
-        sys.stdout.write(report.to_json(include_timing=args.with_timing))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ConstantOnUniverseWarning)
+        try:
+            outcome, code = _dispatch(args), 0
+        except (ValidationError, DomainError, OSError) as exc:
+            outcome, code = exc, 2
+        except ShapxpError as exc:
+            outcome, code = exc, 3
+    for message in dict.fromkeys(str(w.message) for w in caught):  # each one once
+        print(f"warning: {message}", file=sys.stderr)
+    if code:
+        print(f"error: {outcome}", file=sys.stderr)
+    elif args.output == "json":
+        sys.stdout.write(outcome.to_json(include_timing=args.with_timing))
     else:
-        _print_table(report)
-    return 0
+        _print_table(outcome)
+    return code
 
 
 def main() -> None:

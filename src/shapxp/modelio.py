@@ -30,7 +30,6 @@ from .models import (
     TreeLeaf,
     TreeModel,
     TreeNode,
-    enumerate_points,
     predict,  # noqa: F401  (looked up here by the benchmark's tracer)
 )
 from .explanations import Sample
@@ -166,13 +165,16 @@ def _tabular_from(doc, space, value_kind, where) -> TabularModel:
         if not isinstance(raw_point, list) or len(raw_point) != space.m:
             raise ValidationError(f"{loc}: 'point' must list {space.m} values")
         point = tuple(parse_value(x, loc) for x in raw_point)
-        space.check_point(point)
+        try:
+            space.check_point(point)
+        except DomainError as exc:
+            raise ValidationError(f"{loc}: {exc}") from None
         if point in table:
             raise ValidationError(f"{loc}: duplicate point {point}")
         table[point] = _model_value(entry.get("value"), value_kind, loc)
     if "default" in doc:
         default = _model_value(doc["default"], value_kind, f"{where}: default")
-        for point in enumerate_points(space):
+        for point in space.points():
             table.setdefault(point, default)
     return TabularModel(space, table, value_kind)
 

@@ -23,7 +23,10 @@ end of this module check their inputs and then call it:
   agreement mask with v with its output, and the model under an output
   relabeling.
 
-Tabular and tree models share the slice, expectation and range methods.
+Each kind derives them from one primitive: box cells ``_affine_extremes``,
+trees the routes that one validating walk builds, discrete spaces the one
+guarded product of axes ``FeatureSpace.points``. Tabular and tree models
+share the slice, expectation and range methods.
 All arithmetic on numeric values is exact (``fractions.Fraction``).
 """
 
@@ -141,6 +144,11 @@ class FeatureSpace:
             if x not in f.domain:
                 raise DomainError(f"value {x!r} outside domain of feature {f.id} ({f.name})")
 
+    def points(self, fixed: Mapping[int, Value] = {}) -> Iterator[Point]:
+        """A discrete space's points, the ``fixed`` features pinned, in lexicographic order."""
+        return _product([(fixed[f.id],) if f.id in fixed else f.domain.values
+                         for f in self.features])
+
 
 # ---------------------------------------------------------------------------
 # Model kinds
@@ -153,9 +161,7 @@ class _EnumerableModel:
 
     def slice_outputs(self, v: Point, fixed: frozenset[int]) -> Iterator[Value]:
         """The output at every point x of the slice x_S = v_S."""
-        axes = [(v[f.id - 1],) if f.id in fixed else f.domain.values
-                for f in self.space.features]
-        return map(self.output, _product(axes))
+        return map(self.output, self.space.points({j: v[j - 1] for j in fixed}))
 
     def slice_expectation(self, v: Point, fixed: frozenset[int]) -> Fraction:
         outputs = list(self.slice_outputs(v, fixed))
@@ -170,7 +176,7 @@ class _EnumerableModel:
     # Every point with its output, in lexicographic point order; the product
     # of per-feature agreement bits in masked_outputs runs in the same order.
     def labelled_points(self) -> Iterator[tuple[Point, Value]]:
-        return ((pt, self.output(pt)) for pt in _space_points(self.space))
+        return ((pt, self.output(pt)) for pt in self.space.points())
 
     def masked_outputs(self, v: Point) -> Iterator[tuple[int, Value]]:
         """(agreement mask with v, output) of every point of the space."""
@@ -206,12 +212,12 @@ class TabularModel(_EnumerableModel):
     def __post_init__(self):
         if not self.space.all_discrete():
             raise ValidationError("tabular models need all-discrete domains")
-        outputs = tuple(self.table.get(pt, _MISSING) for pt in _space_points(self.space))
+        outputs = tuple(self.table.get(pt, _MISSING) for pt in self.space.points())
         if len(outputs) != len(self.table) or any(y is _MISSING for y in outputs):
             # Examples are the first in space and table order: points may
             # mix labels and rationals, which do not sort.
-            missing = [pt for pt, y in zip(_space_points(self.space), outputs) if y is _MISSING]
-            expected = set(_space_points(self.space))
+            missing = [pt for pt, y in zip(self.space.points(), outputs) if y is _MISSING]
+            expected = set(self.space.points())
             extra = [pt for pt in self.table if pt not in expected]
             parts = []
             if missing:
@@ -228,7 +234,7 @@ class TabularModel(_EnumerableModel):
         return self.table[point]
 
     def labelled_points(self) -> Iterator[tuple[Point, Value]]:
-        return zip(_space_points(self.space), self.outputs)
+        return zip(self.space.points(), self.outputs)
 
     def _values(self):
         return self.table.values()
@@ -255,49 +261,58 @@ class TreeNode:
 class TreeModel(_EnumerableModel):
     """Decision/regression tree over discrete features.
 
-    Each root-to-leaf path tests a feature at most once and every node's
-    edges partition its feature's domain, so the induced function is total.
+    Every node but the root has exactly one parent, each root-to-leaf path
+    tests a feature at most once and every node's edges partition its
+    feature's domain, so the induced function is total.
     """
 
     space: FeatureSpace
     nodes: Mapping[int, Union[TreeNode, TreeLeaf]]
     root: int
     value_kind: str = NUMERIC
+    # Each internal node's route {domain value: child id}, from _validate.
+    routes: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.space.all_discrete():
             raise ValidationError("tree models need all-discrete domains")
-        self._validate()
+        object.__setattr__(self, "routes", self._validate())
 
-    def _validate(self) -> None:
-        seen: set[int] = set()
-
-        def walk(node_id: int, tested: frozenset[int]) -> None:
+    def _validate(self) -> dict:
+        """One walk from the root, visiting each node once; returns the routes."""
+        routes, seen, path = {}, set(), []  # path: features tested above the node
+        stack = [(self.root, 0)]
+        while stack:
+            node_id, depth = stack.pop()
             if node_id not in self.nodes:
                 raise ValidationError(f"tree references unknown node id {node_id}")
+            if node_id in seen:
+                raise ValidationError(
+                    f"tree node {node_id} is reached twice; each node needs one parent")
             seen.add(node_id)
             node = self.nodes[node_id]
             if isinstance(node, TreeLeaf):
-                return
-            if node.feature in tested:
+                continue
+            del path[depth:]
+            if node.feature in path:
                 raise ValidationError(f"feature {node.feature} tested twice on one path")
             if node.feature not in self.space.ids:
                 raise ValidationError(f"tree tests unknown feature {node.feature}")
+            path.append(node.feature)
             domain = self.space.domain(node.feature)
-            covered: list = []
-            for values, child in node.edges:
-                for v in values:
-                    if v not in domain:
-                        raise ValidationError(
-                            f"edge value {v!r} outside domain of feature {node.feature}")
-                    covered.append(v)
-                walk(child, tested | {node.feature})
-            if len(covered) != len(set(covered)):
+            route = {v: child for values, child in node.edges for v in values}
+            for v in route:
+                if v not in domain:
+                    raise ValidationError(
+                        f"edge value {v!r} outside domain of feature {node.feature}")
+            if len(route) < sum(len(values) for values, _ in node.edges):
                 raise ValidationError(f"node {node_id}: a domain value maps to two children")
-            if set(covered) != set(domain.values):
+            if len(route) != len(domain.values):
                 raise ValidationError(f"node {node_id}: edges do not cover the domain")
-
-        walk(self.root, frozenset())
+            # Keyed by the domain's own values, which enumerated points hold, a
+            # lookup matches its key by identity and skips Fraction.__eq__.
+            routes[node_id] = {x: route[x] for x in domain.values}
+            stack.extend((child, depth + 1) for _, child in reversed(node.edges))
         unreachable = [nid for nid in self.nodes if nid not in seen]  # ids may not sort
         if unreachable:
             raise ValidationError(f"unreachable tree nodes: {unreachable}")
@@ -305,20 +320,14 @@ class TreeModel(_EnumerableModel):
         _check_values(leaf_values, self.value_kind)
         if len(set(leaf_values)) < 2:
             raise ValidationError("model is constant; a non-constant prediction function is required")
+        return routes
 
     def output(self, point: Point) -> Value:
-        """Walk the tree from the root to the leaf that ``point`` reaches."""
-        node = self.nodes[self.root]
-        while isinstance(node, TreeNode):
-            x = point[node.feature - 1]
-            for values, child in node.edges:
-                if x in values:
-                    node = self.nodes[child]
-                    break
-            else:
-                raise ValidationError(
-                    f"no edge for value {x!r} at a node testing feature {node.feature}")
-        return node.value
+        """Follow the routes from the root to the leaf that ``point`` reaches."""
+        node_id, routes, nodes = self.root, self.routes, self.nodes
+        while node_id in routes:
+            node_id = routes[node_id][point[nodes[node_id].feature - 1]]
+        return nodes[node_id].value
 
     def _values(self) -> list:
         return [n.value for n in self.nodes.values() if isinstance(n, TreeLeaf)]
@@ -424,12 +433,8 @@ class BoxPiecewiseModel:
         return owners[0]
 
     def output(self, point: Point) -> Fraction:
-        cell = self.cell_at(point)
-        total = Fraction(cell.intercept)
-        for a, x in zip(cell.coeffs, point):
-            if a:
-                total += a * Fraction(x)
-        return total
+        # With every feature fixed the two extremes are the affine's value.
+        return _affine_extremes(self.cell_at(point), point, frozenset(self.space.ids))[0]
 
     def slice_outputs(self, v: Point, fixed: frozenset[int]) -> Iterator[Fraction]:
         """The closure extremes of the affine on each cell pinned to
@@ -439,24 +444,14 @@ class BoxPiecewiseModel:
             yield from _affine_extremes(cell, v, fixed)
 
     def slice_expectation(self, v: Point, fixed: frozenset[int]) -> Fraction:
+        # An affine's mean over the free sub-box is its value at the centre,
+        # which is the mean of its two extreme corners.
         total = Fraction(0)
         for cell in self.slice_cells(v, fixed):
-            # The integral of the affine over the free sub-box is its volume
-            # times the value at the sub-box midpoint.
-            vol = Fraction(1)
-            value = Fraction(cell.intercept)
-            for j, (a, (lo, hi)) in enumerate(zip(cell.coeffs, cell.box)):
-                if j + 1 in fixed:
-                    value += a * Fraction(v[j])
-                else:
-                    vol *= hi - lo
-                    value += a * (lo + hi) / 2
-            total += vol * value
-        width = Fraction(1)
-        for f in self.space.features:
-            if f.id not in fixed:
-                width *= f.domain.width
-        return total / width
+            lo, hi = _affine_extremes(cell, v, fixed)
+            total += prod(b_hi - b_lo for j, (b_lo, b_hi) in enumerate(cell.box)
+                          if j + 1 not in fixed) * (lo + hi) / 2
+        return total / prod(f.domain.width for f in self.space.features if f.id not in fixed)
 
     def output_range(self) -> tuple[Fraction, Fraction]:
         lows, highs = zip(*(_affine_extremes(cell, (), ()) for cell in self.cells))
@@ -474,8 +469,9 @@ def _affine_extremes(cell: Cell, v: Point, fixed) -> tuple[Fraction, Fraction]:
         if not a:
             continue
         if j + 1 in fixed:
-            lo += a * v[j]
-            hi += a * v[j]
+            pinned = a * Fraction(v[j])
+            lo += pinned
+            hi += pinned
         elif a > 0:
             lo += a * b_lo
             hi += a * b_hi
@@ -534,12 +530,7 @@ def enumerate_points(model_or_space, constraint: Mapping[int, Value] | None = No
             raise DomainError(f"constraint on unknown feature {fid}")
         if value not in space.domain(fid):
             raise DomainError(f"constraint value {value!r} outside domain of feature {fid}")
-    return _product([(constraint[f.id],) if f.id in constraint else f.domain.values
-                     for f in space.features])
-
-
-def _space_points(space: FeatureSpace) -> Iterator[Point]:
-    return _product([f.domain.values for f in space.features])
+    return space.points(constraint)
 
 
 def _product(axes: list) -> Iterator[tuple]:

@@ -106,6 +106,16 @@ def widened(doc, k, copies):
     return doc
 
 
+def rewired(doc, draw):
+    """The tree with one edge's child pointed at another existing node,
+    which makes a shared child or a cycle."""
+    edges = [edge for node in doc["nodes"] for edge in node.get("edges", ())]
+    edge = draw(st.sampled_from(edges))
+    edge["child"] = draw(st.sampled_from(
+        [node["id"] for node in doc["nodes"] if node["id"] != edge["child"]]))
+    return doc
+
+
 def instance_for(doc, draw):
     """One comma-separated point: each coordinate a domain value (an
     interval's end) or -1, which most domains lack."""
@@ -124,6 +134,8 @@ def test_mutated_models(tmp_path_factory, data):
     doc = json.loads((FIXTURES / name).read_text())
     k = data.draw(st.integers(0, len(doc["features"]) - 1))
     doc = widened(doc, k, data.draw(st.sampled_from((0, 1, 2, 4))))
+    if "nodes" in doc and data.draw(st.booleans()):
+        doc = rewired(doc, data.draw)
     instance = instance_for(doc, data.draw)
     paths = list(leaves(doc))
     for _ in range(data.draw(st.integers(0, 2))):

@@ -1,6 +1,8 @@
+import contextlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -500,6 +502,96 @@ def test_malformed_input_exits_2_without_a_traceback(files, argv, tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# Tree shape, table entries and warnings
+# ---------------------------------------------------------------------------
+
+class CpuLimit(Exception):
+    """Raised into a run that used up its CPU seconds."""
+
+
+@contextlib.contextmanager
+def cpu_limit(seconds):
+    """Stop the block once this process has spent ``seconds`` more seconds
+    of CPU, so that a run which would not end fails instead of hanging."""
+    def stop(signum, frame):
+        raise CpuLimit(f"stopped after {seconds} s of CPU")
+    previous = signal.signal(signal.SIGPROF, stop)
+    signal.setitimer(signal.ITIMER_PROF, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, previous)
+
+
+def binary_tree_doc(m, nodes):
+    features = [{"id": i, "name": f"x{i}", "domain": {"type": "discrete", "values": [0, 1]}}
+                for i in range(1, m + 1)]
+    return json.dumps({"version": 1, "kind": "tree", "features": features, "root": 1,
+                       "nodes": nodes})
+
+
+def chain_tree_doc(m):
+    """Node i tests feature i; value 0 goes to a leaf and value 1 to node
+    i + 1. A root-to-leaf path is m nodes deep."""
+    nodes = [{"id": f"leaf{i}", "value": i % 2} for i in range(1, m + 2)]
+    nodes += [{"id": i, "feature": i,
+               "edges": [{"values": [0], "child": f"leaf{i}"},
+                         {"values": [1], "child": i + 1 if i < m else f"leaf{m + 1}"}]}
+              for i in range(1, m + 1)]
+    return binary_tree_doc(m, nodes)
+
+
+def shared_child_tree_doc(m):
+    """Both edges of node i go to node i + 1: m nodes, 2^m root-to-leaf
+    walks."""
+    nodes = [{"id": i, "feature": i,
+              "edges": [{"values": [0], "child": i + 1}, {"values": [1], "child": i + 1}]}
+             for i in range(1, m)]
+    nodes += [{"id": m, "feature": m, "edges": [{"values": [0], "child": "zero"},
+                                                {"values": [1], "child": "one"}]},
+              {"id": "zero", "value": 0}, {"id": "one", "value": 1}]
+    return binary_tree_doc(m, nodes)
+
+
+class TestTreeShape:
+    def test_a_1200_deep_chain_validates(self, capsys, tmp_path):
+        path = write(tmp_path, "chain.json", chain_tree_doc(1200))
+        with cpu_limit(5):
+            assert run_cli(["validate", "--model", path]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_a_node_reached_twice_exits_2_at_once(self, capsys, tmp_path):
+        path = write(tmp_path, "shared.json", shared_child_tree_doc(40))
+        with cpu_limit(5):
+            assert run_cli(["validate", "--model", path]) == 2
+        assert "reached twice" in capsys.readouterr().err
+
+
+def test_an_out_of_domain_table_point_names_the_file_and_the_entry(capsys, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_bytes(mutated("reg2.json", ("table", 1, "point"), [0, 5]))
+    assert run_cli(["validate", "--model", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: table entry 1: value Fraction(5, 1) outside domain of "
+        "feature 2 (x2)\n")
+
+
+def test_a_constant_universe_warns_once_on_stderr(capsys, tmp_path):
+    sample = write(tmp_path, "ones.csv", "x1,x2\n1,1\n")
+    argv = ["--model", REG2, "--instance", "1,1", "--agnostic", "--sample", sample]
+    warning = ("warning: model output is constant on the universe: no contrastive "
+               "explanations exist\n")
+    assert run_cli(["enumerate", "--kind", "cxp"] + argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == warning
+    assert "minimal cxp sets (0):" in captured.out
+    assert run_cli(["enumerate", "--kind", "axp"] + argv) == 3
+    assert capsys.readouterr().err == (
+        warning + "error: duality is undefined for an empty explanation family\n")
 
 
 class TestEntryPoint:
