@@ -217,7 +217,9 @@ def _run_shap(args, problem, universe):
         # Zero-vs-nonzero compliance is only meaningful for exact scores,
         # and needs a usable similarity predicate (delta on box models).
         if problem.model.space.all_discrete() or problem.similarity.delta is not None:
-            report = check_compliance(problem, vector, universe)
+            # The sufficiency game's table is the one compliance reads.
+            table = game.table()[0] if args.game == WAXP_BASED else None
+            report = check_compliance(problem, vector, universe, table)
             compliance = {
                 "violations": list(report.violations),
                 "compliant": report.compliant,

@@ -21,6 +21,7 @@ from .errors import PreconditionError, SizeLimitError, ValidationError
 from .models import (
     Point,
     Value,
+    guard_cell_table,
     labelled_points,
     predict,  # noqa: F401  (looked up here by the benchmark's tracer)
 )
@@ -156,11 +157,12 @@ def sufficiency_table(problem: ExplanationProblem, universe: Sample | None = Non
     labelled point with x_S = v_S has an output distinguishable from the
     instance's, so nu(S) = 1 - f[S]; a coalition that no sample row
     matches is vacuously sufficient. A box model takes one is_waxp call
-    per coalition."""
+    per coalition, guarded at POINT_GUARD cell visits."""
     m = problem.model.space.m
     if m > EXACT_GUARD:
         raise SizeLimitError(f"exact computation guarded at m <= {EXACT_GUARD}, got {m}")
     if universe is None and not problem.model.space.all_discrete():
+        guard_cell_table(problem.model)
         return [int(is_waxp(problem, [i for i in problem.feature_ids if mask >> i - 1 & 1]))
                 for mask in range(1 << m)]
     dissimilar: dict = {}  # output -> not similar_value, one call per output
@@ -208,15 +210,16 @@ def _shrink(problem: ExplanationProblem, seed: Iterable[int] | None,
 
 def enumerate_cxps(problem: ExplanationProblem,
                    universe: Sample | None = None) -> tuple[FeatureSet, ...]:
-    """All subset-minimal contrastive explanations, by size, then ids.
+    """All subset-minimal contrastive explanations, by size, then ids."""
+    return _cxps_in_table(sufficiency_table(problem, universe), problem.feature_ids)
 
-    Read off the sufficiency table: freeing C allows a distinguishable
-    output exactly when its complement R is not sufficient, and since nu
-    is monotone, C is minimal when R plus any one feature of C is.
-    """
-    table = sufficiency_table(problem, universe)
-    table[-1] = 1  # freeing nothing is never a contrastive explanation
-    ids = problem.feature_ids
+
+def _cxps_in_table(table: list[int], ids: tuple[int, ...]) -> tuple[FeatureSet, ...]:
+    """The minimal contrastive explanations read off a sufficiency table
+    over the players ``ids``: freeing C allows a distinguishable output
+    exactly when its complement R is not sufficient, and since nu is
+    monotone, C is minimal when R plus any one feature of C is."""
+    table = table[:-1] + [1]  # freeing nothing is never a contrastive explanation
     found = []
     for rest, sufficient in enumerate(table):
         if sufficient:
@@ -226,7 +229,7 @@ def enumerate_cxps(problem: ExplanationProblem,
             found.append(tuple(freed))
     if not found:
         warnings.warn("model output is constant on the universe: no contrastive "
-                      "explanations exist", ConstantOnUniverseWarning, stacklevel=2)
+                      "explanations exist", ConstantOnUniverseWarning, stacklevel=3)
     return tuple(sorted(found, key=lambda c: (len(c), c)))
 
 
@@ -272,12 +275,16 @@ def enumerate_axps(problem: ExplanationProblem,
     return axps_from_cxps(enumerate_cxps(problem, universe))
 
 
-def relevant_features(problem: ExplanationProblem,
-                      universe: Sample | None = None) -> FeatureSet:
+def relevant_features(problem: ExplanationProblem, universe: Sample | None = None,
+                      table: list[int] | None = None) -> FeatureSet:
     """Features occurring in some abductive explanation; these are exactly
     the features occurring in some contrastive explanation, so the union
-    of :func:`enumerate_cxps` is used and no hitting sets are needed."""
-    return canonical(i for c in enumerate_cxps(problem, universe) for i in c)
+    of the CXps is used and no hitting sets are needed. They are read off
+    ``table`` when the caller already holds the problem's sufficiency
+    table over the universe, else off one built here."""
+    if table is None:
+        table = sufficiency_table(problem, universe)
+    return canonical(i for c in _cxps_in_table(table, problem.feature_ids) for i in c)
 
 
 def full_space_sample(model) -> Sample:

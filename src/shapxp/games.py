@@ -28,7 +28,7 @@ from .explanations import (
     relevant_features,
     sufficiency_table,
 )
-from .models import Instance, conditional_expectation, output_range
+from .models import Instance, conditional_expectation, guard_cell_table, output_range
 from .similarity import CLASS_EQUALITY, ExplanationProblem
 
 PERMUTATION_GUARD = 10  # m! permutation evaluations
@@ -56,9 +56,10 @@ class Game:
     coalition, never an inconsistent result (dict updates are atomic).
 
     ``table`` returns the whole coalition table, which is what exact
-    Shapley values need. A game with a ``kernel`` builds it at once, only
-    when asked (see :func:`~shapxp.explanations.sufficiency_table`); any
-    other game evaluates ``at`` on each of the 2^m coalitions.
+    Shapley values need, and keeps it. A game with a ``kernel`` builds it
+    at once, only when asked (see
+    :func:`~shapxp.explanations.sufficiency_table`); any other game
+    evaluates ``at`` on each of the 2^m coalitions.
 
     ``marginal_bound`` is an upper bound on |nu(S+i) - nu(S)| used by the
     sampling estimator; pass one explicitly for custom games.
@@ -71,6 +72,7 @@ class Game:
     kernel: Optional[Callable[[], CoalitionTable]] = field(
         default=None, repr=False, compare=False)
     _cache: dict[int, Fraction] = field(default_factory=dict, repr=False, compare=False)
+    _table: Optional[CoalitionTable] = field(default=None, repr=False, compare=False)
 
     def at(self, mask: int) -> Fraction:
         """nu of the coalition {players[k] : bit k of mask is set}."""
@@ -89,12 +91,12 @@ class Game:
         return self.at(sum(1 << k for k, p in enumerate(self.players) if p in ids))
 
     def table(self) -> CoalitionTable:
-        """nu(S) for every coalition mask S, as (numerators, denominator)."""
-        if self.kernel is not None:
-            return self.kernel()
-        values = [self.at(mask) for mask in range(1 << self.m)]
-        denominator = lcm(*(v.denominator for v in values))
-        return [v.numerator * (denominator // v.denominator) for v in values], denominator
+        """nu(S) for every coalition mask S, as (numerators, denominator);
+        built on the first call and kept, so callers must not mutate it."""
+        if self._table is None:
+            self._table = self.kernel() if self.kernel is not None else _over_lcd(
+                map(self.at, range(1 << self.m)))
+        return self._table
 
     @property
     def m(self) -> int:
@@ -144,7 +146,7 @@ def expected_game(problem: ExplanationProblem) -> Game:
         charfn=lambda s: cf_expected(problem, s),
         tag=EXPECTED_VALUE,
         marginal_bound=hi - lo,
-        kernel=partial(_expected_table, problem) if discrete else None,
+        kernel=partial(_expected_table if discrete else _box_expected_table, problem),
     )
 
 
@@ -156,6 +158,22 @@ def waxp_game(problem: ExplanationProblem, universe: Sample | None = None) -> Ga
         marginal_bound=Fraction(1),
         kernel=lambda: (sufficiency_table(problem, universe), 1),
     )
+
+
+def _over_lcd(values: Iterable[Fraction]) -> CoalitionTable:
+    """Rational values as integer numerators over their least common denominator."""
+    values = list(values)
+    denominator = lcm(*(v.denominator for v in values))
+    return [v.numerator * (denominator // v.denominator) for v in values], denominator
+
+
+def _box_expected_table(problem: ExplanationProblem) -> CoalitionTable:
+    """The expected-value game of a box model: one conditional expectation
+    per coalition, guarded at POINT_GUARD cell visits."""
+    guard_cell_table(problem.model)
+    ids = problem.feature_ids
+    return _over_lcd(cf_expected(problem, [i for i in ids if mask >> i - 1 & 1])
+                     for mask in range(1 << len(ids)))
 
 
 def _expected_table(problem: ExplanationProblem) -> CoalitionTable:
@@ -265,12 +283,15 @@ class ComplianceReport:
 
 
 def check_compliance(problem: ExplanationProblem, scores: ScoreVector,
-                     universe: Sample | None = None) -> ComplianceReport:
+                     universe: Sample | None = None,
+                     table: list[int] | None = None) -> ComplianceReport:
     """Compare zero/nonzero scores against feature (ir)relevancy.
 
     A fully compliant vector is zero exactly on the features that occur in
-    no abductive explanation."""
-    relevant = set(relevant_features(problem, universe))
+    no abductive explanation. ``table`` is the problem's sufficiency table
+    over the universe when the caller already holds it, as the sufficiency
+    game does (see :func:`~shapxp.explanations.relevant_features`)."""
+    relevant = set(relevant_features(problem, universe, table))
     entries = tuple(
         FeatureCompliance(i, i in relevant, scores.score(i))
         for i in problem.feature_ids

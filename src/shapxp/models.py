@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import prod
+from operator import le
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import (
@@ -52,7 +53,7 @@ Point = tuple
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
 _MISSING = object()  # a point the table has no entry for
-POINT_GUARD = 2 ** 20  # points one enumeration of a discrete space may visit
+POINT_GUARD = 2 ** 20  # points one enumeration, or cells one box coalition table, may visit
 
 
 # ---------------------------------------------------------------------------
@@ -384,34 +385,76 @@ class BoxPiecewiseModel:
                 if not (dom.lo <= lo < hi <= dom.hi):
                     raise ValidationError(
                         f"cell {k}: interval [{lo}, {hi}) invalid for feature {j + 1}")
-        # Partition check: refine all cell bounds into a grid and require each
-        # grid box's midpoint to lie in exactly one cell.  With the fixed
-        # half-open convention this is equivalent to an exact partition.
-        axes_mids = []
-        for j in range(m):
-            dom = self.space.domain(j + 1)
-            cuts = {dom.lo, dom.hi}
-            for cell in self.cells:
-                cuts.update(cell.box[j])
-            cuts = sorted(cuts)
-            axes_mids.append([(a + b) / 2 for a, b in zip(cuts, cuts[1:])])
-        axes = range(m)
-        for mid_point in product(*axes_mids):
+        witness = self._partition_witness()
+        if witness is not None:
             owners = [k for k, cell in enumerate(self.cells)
-                      if self._holds(cell, mid_point, axes)]
-            if len(owners) != 1:
-                kind = "no cell" if not owners else f"cells {owners}"
-                raise ValidationError(
-                    f"cells do not partition the space: point {mid_point} lies in {kind}")
+                      if self._holds(cell, witness, range(m))]
+            kind = "no cell" if not owners else f"cells {owners}"
+            raise ValidationError(
+                f"cells do not partition the space: point {witness} lies in {kind}")
         # Constant iff every coefficient is zero and all intercepts agree.
         if len({(cell.intercept, cell.coeffs) for cell in self.cells}) == 1 and all(
                 c == 0 for c in self.cells[0].coeffs):
             raise ValidationError(
                 "model is constant; a non-constant prediction function is required")
 
+    def _partition_witness(self) -> Point | None:
+        """None if the cells partition the space, else a point that lies in
+        no cell or in several, in O(k^2 * m + k * m^2) for k cells and m
+        features.
+
+        Under the half-open rule, cells that are pairwise interior-disjoint
+        are disjoint as sets, and what they leave uncovered has positive
+        volume. So the cells partition the space exactly when some axis
+        separates every pair of them and their volumes sum to the space's."""
+        cells, features = self.cells, self.space.features
+        # Each axis's distinct bounds in order; cell bounds become their ranks.
+        cuts = [sorted({f.domain.lo, f.domain.hi}.union(*(c.box[j] for c in cells)))
+                for j, f in enumerate(features)]
+        ranks = [{x: r for r, x in enumerate(axis)} for axis in cuts]
+        los = [tuple(rank[lo] for rank, (lo, _) in zip(ranks, c.box)) for c in cells]
+        his = [tuple(rank[hi] for rank, (_, hi) in zip(ranks, c.box)) for c in cells]
+
+        def midpoint(j, lo, hi):
+            return (cuts[j][lo] + cuts[j][hi]) / 2
+
+        # Sorted by lower rank on axis 0, a cell can overlap only the cells
+        # after it that start before it ends there.
+        order = sorted(range(len(cells)), key=lambda k: los[k][0])
+        for p, a in enumerate(order):
+            lo_a, hi_a = los[a], his[a]
+            for b in order[p + 1:]:
+                lo_b, hi_b = los[b], his[b]
+                if lo_b[0] >= hi_a[0]:
+                    break
+                if not (any(map(le, hi_a, lo_b)) or any(map(le, hi_b, lo_a))):
+                    return tuple(midpoint(j, max(lo_a[j], lo_b[j]), min(hi_a[j], hi_b[j]))
+                                 for j in range(len(features)))
+        volume = sum(prod(hi - lo for lo, hi in c.box) for c in cells)
+        if volume == prod(f.domain.width for f in features):
+            return None
+        # A gap: on each axis in turn, take the first slab between adjacent
+        # cuts whose cross-section the cells spanning it cover short of the
+        # space's, and fix the coordinate at the slab's midpoint. Disjoint
+        # cells with a volume deficit leave such a slab on every axis, and
+        # on the last axis no cell spans it.
+        point, live = [], range(len(cells))
+        for j in range(len(features)):
+            full = prod(f.domain.width for f in features[j + 1:])
+            section = {k: prod(hi - lo for lo, hi in cells[k].box[j + 1:]) for k in live}
+            for t in range(len(cuts[j]) - 1):
+                spanning = [k for k in live if los[k][j] <= t < his[k][j]]
+                if sum(section[k] for k in spanning) < full:
+                    break
+            point.append(midpoint(j, t, t + 1))
+            live = spanning
+        return tuple(point)
+
     def _holds(self, cell: Cell, point: Point, axes: Iterable[int]) -> bool:
         """Does the cell's box hold ``point`` on the given 0-based axes?
-        This is the one definition of the half-open membership rule."""
+        This is the one definition of the half-open membership rule. It
+        decides slice membership and names the owners of a partition
+        witness; the partition check itself compares bound ranks."""
         box, tops = cell.box, self.tops
         for j in axes:
             lo, hi = box[j]
@@ -540,6 +583,15 @@ def _product(axes: list) -> Iterator[tuple]:
     if size > POINT_GUARD:
         raise SizeLimitError(f"enumeration guarded at {POINT_GUARD} points, got {size}")
     return product(*axes)
+
+
+def guard_cell_table(model: BoxPiecewiseModel) -> None:
+    """Refuse a box model's coalition table above POINT_GUARD cell visits:
+    each of its 2^m coalitions scans every cell."""
+    visits = len(model.cells) << model.space.m
+    if visits > POINT_GUARD:
+        raise SizeLimitError(
+            f"coalition table guarded at {POINT_GUARD} cell visits, got {visits}")
 
 
 def space_size(space: FeatureSpace) -> int:

@@ -1,3 +1,5 @@
+import contextlib
+import signal
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,25 @@ from shapxp import (
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "docs" / "fixtures"
+
+
+class CpuLimit(Exception):
+    """Raised into a run that used up its CPU seconds."""
+
+
+@contextlib.contextmanager
+def cpu_limit(seconds):
+    """Stop the block once this process has spent ``seconds`` more seconds
+    of CPU, so that a run which would not end fails instead of hanging."""
+    def stop(signum, frame):
+        raise CpuLimit(f"stopped after {seconds} s of CPU")
+    previous = signal.signal(signal.SIGPROF, stop)
+    signal.setitimer(signal.ITIMER_PROF, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, previous)
 
 
 @pytest.fixture(scope="session")

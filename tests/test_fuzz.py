@@ -23,6 +23,7 @@ SAMPLE_MODELS = ("reg2.json", "reg2_tree.json", "pw2.json")  # features x1, x2
 HOSTILE_LEAVES = (None, True, False, 0, -1, 2, 10 ** 30, -10 ** 30, 0.5, 1e308,
                   float("nan"), float("inf"), "", "x", "1/0", "0/0", "-1/2", "NaN",
                   "²", [], [0], [[0, 1]], {}, {"type": "discrete"})
+BOUNDS = tuple(f"{k}/4" for k in range(-2, 7))  # pw2's domain [-1/2, 3/2] on the quarters
 HOSTILE_TOKENS = ("0", "1", "-1", "2", "1/2", "3/2", "-1/2", "1/0", "x", "", "1e-400",
                   "10" * 20, ",", "1,1", "²", "nan")
 COMMANDS = (
@@ -116,6 +117,15 @@ def rewired(doc, draw):
     return doc
 
 
+def moved_bound(doc, draw):
+    """The box model with one cell bound moved to another rational inside
+    the domain, which leaves a gap, an overlap or an empty interval."""
+    cell = draw(st.sampled_from(doc["cells"]))
+    bounds = draw(st.sampled_from(cell["box"]))
+    bounds[draw(st.integers(0, 1))] = draw(st.sampled_from(BOUNDS))
+    return doc
+
+
 def instance_for(doc, draw):
     """One comma-separated point: each coordinate a domain value (an
     interval's end) or -1, which most domains lack."""
@@ -136,6 +146,8 @@ def test_mutated_models(tmp_path_factory, data):
     doc = widened(doc, k, data.draw(st.sampled_from((0, 1, 2, 4))))
     if "nodes" in doc and data.draw(st.booleans()):
         doc = rewired(doc, data.draw)
+    if "cells" in doc and data.draw(st.booleans()):
+        doc = moved_bound(doc, data.draw)
     instance = instance_for(doc, data.draw)
     paths = list(leaves(doc))
     for _ in range(data.draw(st.integers(0, 2))):

@@ -1,8 +1,6 @@
-import contextlib
 import json
 import math
 import os
-import signal
 import subprocess
 import sys
 import time
@@ -19,7 +17,7 @@ from shapxp import (
 )
 from shapxp.cli import run_cli
 from shapxp.modelio import format_value, parse_rational, parse_value
-from conftest import FIXTURES
+from conftest import FIXTURES, cpu_limit
 
 CLS3 = str(FIXTURES / "cls3.json")
 REG2 = str(FIXTURES / "reg2.json")
@@ -508,25 +506,6 @@ def test_malformed_input_exits_2_without_a_traceback(files, argv, tmp_path, caps
 # Tree shape, table entries and warnings
 # ---------------------------------------------------------------------------
 
-class CpuLimit(Exception):
-    """Raised into a run that used up its CPU seconds."""
-
-
-@contextlib.contextmanager
-def cpu_limit(seconds):
-    """Stop the block once this process has spent ``seconds`` more seconds
-    of CPU, so that a run which would not end fails instead of hanging."""
-    def stop(signum, frame):
-        raise CpuLimit(f"stopped after {seconds} s of CPU")
-    previous = signal.signal(signal.SIGPROF, stop)
-    signal.setitimer(signal.ITIMER_PROF, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_PROF, 0)
-        signal.signal(signal.SIGPROF, previous)
-
-
 def binary_tree_doc(m, nodes):
     features = [{"id": i, "name": f"x{i}", "domain": {"type": "discrete", "values": [0, 1]}}
                 for i in range(1, m + 1)]
@@ -569,6 +548,44 @@ class TestTreeShape:
         with cpu_limit(5):
             assert run_cli(["validate", "--model", path]) == 2
         assert "reached twice" in capsys.readouterr().err
+
+
+def wide_pw2_doc(copies):
+    """pw2 with feature 1 copied; each copy is free over its whole domain
+    in every cell, so the model stays a valid partition."""
+    doc = json.loads((FIXTURES / "pw2.json").read_text())
+    source = doc["features"][0]
+    for _ in range(copies):
+        n = len(doc["features"]) + 1
+        doc["features"].append(dict(source, id=n, name=f"dup{n}"))
+        for cell in doc["cells"]:
+            cell["box"].append([source["domain"]["lo"], source["domain"]["hi"]])
+            cell["affine"].append(0)
+    return json.dumps(doc)
+
+
+class TestBoxTableGuard:
+    """A box model's coalition table visits every cell for each of its 2^m
+    coalitions; past 2^20 visits the run exits 3 before the first one."""
+
+    @pytest.mark.parametrize("command", [
+        ["relevancy"], ["enumerate", "--kind", "cxp"], ["enumerate", "--kind", "axp"],
+        ["shap", "--game", "expected"], ["shap", "--game", "waxp"], ["compare"],
+    ], ids=" ".join)
+    def test_21_features_exit_3_at_once(self, capsys, tmp_path, command):
+        path = write(tmp_path, "wide.json", wide_pw2_doc(19))
+        argv = command + ["--model", path, "--instance", ",".join(["1"] * 21),
+                          "--delta", "1/5"]
+        with cpu_limit(1):
+            assert run_cli(argv) == 3
+        assert "coalition table guarded at 1048576 cell visits, got 6291456" in \
+            capsys.readouterr().err
+
+    def test_sampling_is_not_guarded(self, tmp_path):
+        path = write(tmp_path, "wide.json", wide_pw2_doc(19))
+        argv = ["shap", "--game", "expected", "--method", "cgt", "--epsilon", "1",
+                "--model", path, "--instance", ",".join(["1"] * 21)]
+        assert run_cli(argv) == 0
 
 
 def test_an_out_of_domain_table_point_names_the_file_and_the_entry(capsys, tmp_path):

@@ -34,8 +34,10 @@ from shapxp import (
     tabulate,
     waxp_game,
 )
+from shapxp.cli import run_cli
 from shapxp.models import labelled_points
 from boxmodels import random_grid_model
+from conftest import FIXTURES
 from randmodels import (
     VALUE_POOL,
     random_instance,
@@ -148,15 +150,22 @@ class TestAgnostic:
 
 
 class TestGamesWithoutKernel:
-    def test_box_model(self):
+    def test_box_model(self, monkeypatch):
         rng = random.Random(5)
+        expectations = []
+        cf_expected = shapxp.games.cf_expected
+        monkeypatch.setattr(shapxp.games, "cf_expected",
+                            lambda *args: expectations.append(args) or cf_expected(*args))
         for _ in range(3):
             model = random_grid_model(rng)
             problem = ExplanationProblem(model, make_instance(model, (F(1, 3), F(-1, 5))),
                                          SimilarityConfig.threshold(F(1, 2)))
             # The sufficiency game is built by sufficiency_table, one is_waxp
-            # call per coalition; the expected game evaluates each coalition.
-            assert expected_game(problem).kernel is None
+            # call per coalition; the expected game evaluates each coalition
+            # once.
+            expectations.clear()
+            expected_game(problem).table()
+            assert len(expectations) == 1 << model.space.m
             for game in (expected_game(problem), waxp_game(problem)):
                 assert_kernel_matches_oracle(game)
         with pytest.raises(UnsupportedOperationError):
@@ -205,3 +214,27 @@ class TestNoPerCoalitionFallback:
                                   (tree_problem, None), (cls3_problem, universe)):
             enumerate_cxps(problem, universe)
             relevant_features(problem, universe)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--model", str(FIXTURES / "cls3.json"), "--instance", "1,1,2"],
+    ["--model", str(FIXTURES / "cls3_tree.json"), "--instance", "1,1,2"],
+    ["--model", str(FIXTURES / "reg2.json"), "--instance", "1,1", "--agnostic",
+     "--sample", str(FIXTURES / "reg2_sample.csv")],
+    ["--model", str(FIXTURES / "pw2.json"), "--instance", "1,1", "--delta", "1/5"],
+], ids=["tabular", "tree", "agnostic", "box"])
+def test_exact_waxp_scores_and_compliance_share_one_sufficiency_table(
+        argv, monkeypatch, capsys):
+    built = []
+    sufficiency_table = shapxp.explanations.sufficiency_table
+
+    def counted(*args):
+        built.append(args)
+        return sufficiency_table(*args)
+
+    monkeypatch.setattr(shapxp.explanations, "sufficiency_table", counted)
+    monkeypatch.setattr(shapxp.games, "sufficiency_table", counted)
+    assert run_cli(["shap", "--game", "waxp", "--method", "exact"] + argv) == 0
+    assert "compliance: scores are zero exactly on irrelevant features" in \
+        capsys.readouterr().out
+    assert len(built) == 1
