@@ -37,12 +37,12 @@ from .games import (
 )
 from .models import make_instance, space_size
 from .modelio import (
+    PointReader,
     RunReport,
     format_value,
     load_model,
     load_sample,
     parse_rational,
-    parse_value,
     rational_str,
 )
 from .ranking import compare_scores, rank_features, summarize_comparisons
@@ -309,14 +309,13 @@ def _run_compare(args, model, instances, similarity, universe):
 def _parse_instances(args, model):
     if not args.instance:
         raise ValidationError(f"'{args.command}' needs --instance")
-    instances = []
+    instances, reader = [], PointReader(model.space)
     for text in args.instance:
         tokens = [t.strip() for t in text.split(",")]
         if len(tokens) != model.space.m:
             raise ValidationError(
                 f"--instance {text!r}: expected {model.space.m} values")
-        point = tuple(parse_value(t, "--instance") for t in tokens)
-        instances.append(make_instance(model, point))
+        instances.append(make_instance(model, reader.point(tokens, "--instance")))
     return instances
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from operator import getitem, mul
 from typing import Optional
 
 from .errors import DomainError, ValidationError
@@ -26,11 +27,14 @@ from .models import (
     FeatureSpace,
     IntervalDomain,
     Model,
+    Point,
     TabularModel,
     TreeLeaf,
     TreeModel,
     TreeNode,
+    dense_slots,
     predict,  # noqa: F401  (looked up here by the benchmark's tracer)
+    space_strides,
 )
 from .explanations import Sample
 
@@ -60,6 +64,49 @@ def parse_value(x, where: str = "value"):
         except (ValueError, ZeroDivisionError):
             return x
     return parse_rational(x, where)
+
+
+class PointReader:
+    """Reads raw points (JSON tokens or text fields) as points of a space.
+
+    On a discrete space each feature keeps a cache from a raw token to its
+    value's domain position, keyed by (type(token), token) because
+    True == 1. A point whose tokens all hit is neither parsed nor checked
+    again, and its coordinates are the domain's own objects. A miss parses
+    and checks the whole point, so a bad point raises what parse_value and
+    check_point raise, in their order: ValidationError for a token that is
+    no value, DomainError for a value outside its domain."""
+
+    def __init__(self, space: FeatureSpace):
+        self.space = space
+        self.caches = [{} for _ in space.features]
+        self.discrete = space.all_discrete()
+
+    def indexes(self, raw, where: str) -> list[int]:
+        """The domain positions of a discrete point's raw tokens, one token
+        per feature (callers check the count)."""
+        try:
+            return [cache[type(t), t] for cache, t in zip(self.caches, raw)]
+        except (KeyError, TypeError):  # a new token, or an unhashable one
+            pass
+        point = self._parsed(raw, where)
+        indexes = [f.domain.index[x] for f, x in zip(self.space.features, point)]
+        for cache, t, k in zip(self.caches, raw, indexes):
+            cache[type(t), t] = k
+        return indexes
+
+    def point(self, raw, where: str) -> Point:
+        if not self.discrete:
+            return self._parsed(raw, where)
+        return self.point_at(self.indexes(raw, where))
+
+    def point_at(self, indexes) -> Point:
+        return tuple(map(getitem, (f.domain.values for f in self.space.features), indexes))
+
+    def _parsed(self, raw, where: str) -> Point:
+        point = tuple(parse_value(t, where) for t in raw)
+        self.space.check_point(point)
+        return point
 
 
 def format_value(v):
@@ -152,31 +199,45 @@ def _model_value(raw, value_kind: str, where: str):
     return raw
 
 
+def _memo_value(memo: dict, raw, value_kind: str, where: str):
+    """_model_value through a memo keyed by (type(raw), raw), because
+    True == 1; an unhashable token, which _model_value rejects, skips it."""
+    try:
+        return memo[type(raw), raw]
+    except KeyError:
+        value = memo[type(raw), raw] = _model_value(raw, value_kind, where)
+        return value
+    except TypeError:
+        return _model_value(raw, value_kind, where)
+
+
 def _tabular_from(doc, space, value_kind, where) -> TabularModel:
+    """Each entry fills its point's output slot: a filled slot is a
+    duplicate, and a slot left empty with no default fails totality."""
     entries = doc.get("table")
     if not isinstance(entries, list):
         raise ValidationError(f"{where}: tabular model needs a 'table' list")
-    table = {}
+    outputs = dense_slots(space)
+    m, strides, reader, values = space.m, space_strides(space), PointReader(space), {}
     for k, entry in enumerate(entries):
         loc = f"{where}: table entry {k}"
         if not isinstance(entry, dict):
             raise ValidationError(f"{loc}: expected a JSON object")
         raw_point = entry.get("point")
-        if not isinstance(raw_point, list) or len(raw_point) != space.m:
-            raise ValidationError(f"{loc}: 'point' must list {space.m} values")
-        point = tuple(parse_value(x, loc) for x in raw_point)
+        if not isinstance(raw_point, list) or len(raw_point) != m:
+            raise ValidationError(f"{loc}: 'point' must list {m} values")
         try:
-            space.check_point(point)
+            indexes = reader.indexes(raw_point, loc)
         except DomainError as exc:
             raise ValidationError(f"{loc}: {exc}") from None
-        if point in table:
-            raise ValidationError(f"{loc}: duplicate point {point}")
-        table[point] = _model_value(entry.get("value"), value_kind, loc)
+        slot = sum(map(mul, indexes, strides))
+        if outputs[slot] is not None:
+            raise ValidationError(f"{loc}: duplicate point {reader.point_at(indexes)}")
+        outputs[slot] = _memo_value(values, entry.get("value"), value_kind, loc)
     if "default" in doc:
         default = _model_value(doc["default"], value_kind, f"{where}: default")
-        for point in space.points():
-            table.setdefault(point, default)
-    return TabularModel(space, table, value_kind)
+        outputs = [default if y is None else y for y in outputs]
+    return TabularModel(space, outputs, value_kind)
 
 
 def _tree_from(doc, space, value_kind, where) -> TreeModel:
@@ -259,23 +320,24 @@ def load_sample(path, model: Model) -> Sample:
     names = [f.name for f in model.space.features]
     header, delim = _split_header(lines[0], names, path)
     has_prediction = len(header) == len(names) + 1
+    reader, predictions = PointReader(model.space), {}
     rows, preds = [], []
     for lineno, line in enumerate(lines[1:], start=2):
+        where = f"{path}:{lineno}"
         fields = [f.strip() for f in line.split(delim)]
         if len(fields) != len(header):
-            raise ValidationError(f"{path}:{lineno}: expected {len(header)} fields, "
+            raise ValidationError(f"{where}: expected {len(header)} fields, "
                                   f"got {len(fields)}")
-        point = tuple(parse_value(f, f"{path}:{lineno}") for f in fields[:len(names)])
         try:
-            model.space.check_point(point)
+            point = reader.point(fields[:len(names)], where)
         except DomainError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from None
-        actual = model.output(point)  # the point was checked just above
+            raise ValidationError(f"{where}: {exc}") from None
+        actual = model.output(point)  # the reader checked the point
         if has_prediction:
-            given = _model_value(fields[-1], model.value_kind, f"{path}:{lineno}")
+            given = _memo_value(predictions, fields[-1], model.value_kind, where)
             if given != actual:
                 raise ValidationError(
-                    f"{path}:{lineno}: prediction {given!r} disagrees with the "
+                    f"{where}: prediction {given!r} disagrees with the "
                     f"model output {actual!r}")
         rows.append(point)
         preds.append(actual)

@@ -24,20 +24,23 @@ end of this module check their inputs and then call it:
   relabeling.
 
 Each kind derives them from one primitive: box cells ``_affine_extremes``,
-trees the routes that one validating walk builds, discrete spaces the one
-guarded product of axes ``FeatureSpace.points``. Tabular and tree models
-share the slice, expectation and range methods.
+trees the routes that one validating walk builds, tabular models the
+dense ``outputs`` tuple read by index arithmetic; discrete spaces
+enumerate points through the one guarded product of axes
+``FeatureSpace.points``. Tabular and tree models share the expectation,
+range and relabel methods.
 All arithmetic on numeric values is exact (``fractions.Fraction``).
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import prod
-from operator import le
-from typing import Iterable, Iterator, Mapping, Union
+from operator import getitem, le, mul
+from typing import Iterable, Iterator
 
 from .errors import (
     DomainError,
@@ -47,12 +50,11 @@ from .errors import (
     ValidationError,
 )
 
-Value = Union[Fraction, int, str]
+Value = Fraction | int | str
 Point = tuple
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
-_MISSING = object()  # a point the table has no entry for
 POINT_GUARD = 2 ** 20  # points one enumeration, or cells one box coalition table, may visit
 
 
@@ -65,15 +67,23 @@ class DiscreteDomain:
     """Finite ordered list of admissible values for one feature."""
 
     values: tuple
+    # Each value's position in ``values``: membership, the tabular slot
+    # arithmetic and the loaders' token caches all read this one index.
+    index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.values:
             raise ValidationError("discrete domain must be non-empty")
-        if len(set(self.values)) != len(self.values):
+        index = {x: k for k, x in enumerate(self.values)}
+        if len(index) != len(self.values):
             raise ValidationError("discrete domain has duplicate values")
+        object.__setattr__(self, "index", index)
 
     def __contains__(self, value) -> bool:
-        return value in self.values
+        try:
+            return value in self.index
+        except TypeError:  # an unhashable value is in no domain
+            return False
 
 
 @dataclass(frozen=True)
@@ -98,7 +108,7 @@ class IntervalDomain:
         return self.hi - self.lo
 
 
-Domain = Union[DiscreteDomain, IntervalDomain]
+Domain = DiscreteDomain | IntervalDomain
 
 
 @dataclass(frozen=True)
@@ -156,12 +166,12 @@ class FeatureSpace:
 # ---------------------------------------------------------------------------
 
 class _EnumerableModel:
-    """Semantics shared by the discrete kinds, which enumerate a slice point
-    by point. Subclasses define ``output``, ``_values`` (every output the
-    model can produce, with repeats) and ``_relabelled``."""
+    """Semantics shared by the discrete kinds. Subclasses define ``output``,
+    ``_values`` (every output the model can produce, repeats allowed) and
+    ``_relabelled``."""
 
     def slice_outputs(self, v: Point, fixed: frozenset[int]) -> Iterator[Value]:
-        """The output at every point x of the slice x_S = v_S."""
+        """The output at every point x of the slice x_S = v_S, point by point."""
         return map(self.output, self.space.points({j: v[j - 1] for j in fixed}))
 
     def slice_expectation(self, v: Point, fixed: frozenset[int]) -> Fraction:
@@ -201,48 +211,135 @@ class _EnumerableModel:
 
 @dataclass(frozen=True)
 class TabularModel(_EnumerableModel):
-    """Total lookup table over a fully discrete feature space."""
+    """Total lookup table over a fully discrete feature space, stored dense.
+
+    ``outputs`` holds the output at every point in lexicographic point
+    order, so the point whose coordinates sit at domain positions
+    (k_1, ..., k_m) owns slot sum_j k_j * strides[j], and every read is
+    index arithmetic. ``table`` is a read-only {point: output} view of it;
+    ``from_table`` builds a model from such a mapping.
+    """
 
     space: FeatureSpace
-    table: Mapping[Point, Value]
+    outputs: tuple
     value_kind: str = NUMERIC
-    # The table's values in lexicographic point order, read while checking
-    # that the table is total.
-    outputs: tuple = field(init=False, repr=False, compare=False)
+    # Mixed-radix place values (the last feature varies fastest), each
+    # feature's value -> position index, and the distinct outputs.
+    strides: tuple = field(init=False, repr=False, compare=False)
+    indexes: tuple = field(init=False, repr=False, compare=False)
+    distinct: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.space.all_discrete():
             raise ValidationError("tabular models need all-discrete domains")
-        outputs = tuple(self.table.get(pt, _MISSING) for pt in self.space.points())
-        if len(outputs) != len(self.table) or any(y is _MISSING for y in outputs):
-            # Examples are the first in space and table order: points may
-            # mix labels and rationals, which do not sort.
-            missing = [pt for pt, y in zip(self.space.points(), outputs) if y is _MISSING]
-            expected = set(self.space.points())
-            extra = [pt for pt in self.table if pt not in expected]
-            parts = []
-            if missing:
-                parts.append(f"missing {len(missing)} points, e.g. {missing[0]}")
-            if extra:
-                parts.append(f"{len(extra)} points outside the space, e.g. {extra[0]}")
-            raise ValidationError("table is not total: " + "; ".join(parts))
+        outputs = tuple(self.outputs)
+        if len(outputs) != space_size(self.space):
+            raise ValidationError(
+                f"table lists {len(outputs)} outputs for {space_size(self.space)} points")
         object.__setattr__(self, "outputs", outputs)
-        _check_values(self.table.values(), self.value_kind)
-        if len(set(self.table.values())) < 2:
+        object.__setattr__(self, "strides", space_strides(self.space))
+        object.__setattr__(self, "indexes", tuple(f.domain.index for f in self.space.features))
+        # The outputs repeat a few objects (the loader parses each distinct
+        # token once), so they are told apart by identity before hashing.
+        distinct = frozenset({id(y): y for y in outputs}.values())
+        if None in distinct:
+            raise _not_total(self.space, outputs)
+        _check_values(outputs, self.value_kind)
+        object.__setattr__(self, "distinct", distinct)
+        if len(distinct) < 2:
             raise ValidationError("model is constant; a non-constant prediction function is required")
 
+    @classmethod
+    def from_table(cls, space: FeatureSpace, table: Mapping[Point, Value],
+                   value_kind: str = NUMERIC) -> "TabularModel":
+        """The model of a {point: output} mapping, which must be total."""
+        outputs, extra = dense_slots(space), []
+        strides = space_strides(space)
+        for point, y in table.items():
+            try:
+                space.check_point(point)
+            except (DomainError, TypeError):
+                extra.append(point)
+                continue
+            outputs[sum(f.domain.index[x] * s
+                        for f, x, s in zip(space.features, point, strides))] = y
+        if extra:
+            raise _not_total(space, outputs, extra)
+        return cls(space, outputs, value_kind)
+
+    @property
+    def table(self) -> Mapping[Point, Value]:
+        return _TableView(self)
+
     def output(self, point: Point) -> Value:
-        return self.table[point]
+        return self.outputs[sum(map(mul, map(getitem, self.indexes, point), self.strides))]
+
+    def slice_outputs(self, v: Point, fixed: frozenset[int]) -> Iterator[Value]:
+        """The outputs on the slice x_S = v_S: its slots are the fixed
+        features' offset plus every combination of the free features'
+        offsets, in lexicographic order. The whole table is within the
+        point guard, so no slice needs one."""
+        indexes, strides = self.indexes, self.strides
+        slots = [sum(indexes[j - 1][v[j - 1]] * strides[j - 1] for j in fixed)]
+        for j, (index, stride) in enumerate(zip(indexes, strides), 1):
+            if j not in fixed:
+                steps = range(0, len(index) * stride, stride)
+                slots = [s + step for s in slots for step in steps]
+        return map(self.outputs.__getitem__, slots)
 
     def labelled_points(self) -> Iterator[tuple[Point, Value]]:
         return zip(self.space.points(), self.outputs)
 
     def _values(self):
-        return self.table.values()
+        return self.distinct
 
     def _relabelled(self, mapping: Mapping, value_kind: str) -> "TabularModel":
-        return TabularModel(
-            self.space, {pt: mapping[y] for pt, y in self.table.items()}, value_kind)
+        return TabularModel(self.space, tuple(map(mapping.__getitem__, self.outputs)), value_kind)
+
+
+class _TableView(Mapping):
+    """A tabular model's outputs as a read-only {point: output} mapping."""
+
+    def __init__(self, model: TabularModel):
+        self._model = model
+
+    def __getitem__(self, point):
+        try:
+            self._model.space.check_point(point)
+        except (DomainError, TypeError):
+            raise KeyError(point) from None
+        return self._model.output(point)
+
+    def __iter__(self) -> Iterator[Point]:
+        return self._model.space.points()
+
+    def __len__(self) -> int:
+        return len(self._model.outputs)
+
+
+def dense_slots(space: FeatureSpace) -> list:
+    """One empty (None) output slot per point of a tabular model's space,
+    refused above POINT_GUARD points before any slot is allocated."""
+    if not space.all_discrete():
+        raise ValidationError("tabular models need all-discrete domains")
+    size = space_size(space)
+    _guard(size)
+    return [None] * size
+
+
+def _not_total(space: FeatureSpace, outputs, extra=()) -> ValidationError:
+    """The error for a table with empty (None) slots or with points outside
+    the space. Examples are the first in space and table order: points may
+    mix labels and rationals, which do not sort."""
+    parts = []
+    missing = [slot for slot, y in enumerate(outputs) if y is None]
+    if missing:
+        first = tuple(f.domain.values[missing[0] // s % len(f.domain.values)]
+                      for f, s in zip(space.features, space_strides(space)))
+        parts.append(f"missing {len(missing)} points, e.g. {first}")
+    if extra:
+        parts.append(f"{len(extra)} points outside the space, e.g. {extra[0]}")
+    return ValidationError("table is not total: " + "; ".join(parts))
 
 
 @dataclass(frozen=True)
@@ -268,7 +365,7 @@ class TreeModel(_EnumerableModel):
     """
 
     space: FeatureSpace
-    nodes: Mapping[int, Union[TreeNode, TreeLeaf]]
+    nodes: Mapping[int, TreeNode | TreeLeaf]
     root: int
     value_kind: str = NUMERIC
     # Each internal node's route {domain value: child id}, from _validate.
@@ -524,7 +621,7 @@ def _affine_extremes(cell: Cell, v: Point, fixed) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-Model = Union[TabularModel, TreeModel, BoxPiecewiseModel]
+Model = TabularModel | TreeModel | BoxPiecewiseModel
 
 
 @dataclass(frozen=True)
@@ -579,10 +676,13 @@ def enumerate_points(model_or_space, constraint: Mapping[int, Value] | None = No
 def _product(axes: list) -> Iterator[tuple]:
     """The points of a product of axes in lexicographic order, refused
     above POINT_GUARD points so that no enumeration runs unbounded."""
-    size = prod(map(len, axes))
-    if size > POINT_GUARD:
-        raise SizeLimitError(f"enumeration guarded at {POINT_GUARD} points, got {size}")
+    _guard(prod(map(len, axes)))
     return product(*axes)
+
+
+def _guard(points: int) -> None:
+    if points > POINT_GUARD:
+        raise SizeLimitError(f"enumeration guarded at {POINT_GUARD} points, got {points}")
 
 
 def guard_cell_table(model: BoxPiecewiseModel) -> None:
@@ -596,6 +696,16 @@ def guard_cell_table(model: BoxPiecewiseModel) -> None:
 
 def space_size(space: FeatureSpace) -> int:
     return prod(len(f.domain.values) for f in space.features)
+
+
+def space_strides(space: FeatureSpace) -> tuple[int, ...]:
+    """Each feature's place value in the mixed-radix numbering of a
+    discrete space's points in lexicographic order."""
+    strides, stride = [], 1
+    for f in reversed(space.features):
+        strides.append(stride)
+        stride *= len(f.domain.values)
+    return tuple(reversed(strides))
 
 
 def conditional_expectation(model: Model, instance: Instance, fixed: Iterable[int]) -> Fraction:
@@ -622,7 +732,8 @@ def output_range(model: Model) -> tuple[Fraction, Fraction]:
 
 def tabulate(model: TreeModel) -> TabularModel:
     """Exhaustively expand a tree into the equivalent tabular model."""
-    return TabularModel(model.space, dict(labelled_points(model)), model.value_kind)
+    return TabularModel(model.space, tuple(y for _, y in labelled_points(model)),
+                        model.value_kind)
 
 
 def _check_values(values, value_kind: str) -> None:

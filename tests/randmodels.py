@@ -24,6 +24,7 @@ from shapxp.models import labelled_points
 
 VALUE_POOL = [Fraction(n, d) for n in range(-4, 5) for d in (1, 2, 3)]
 LABELS = ("no", "yes", "maybe")
+MIXED_VALUES = ("a", "b", "c", Fraction(1, 2), Fraction(-3), Fraction(0), Fraction(7, 3))
 
 
 def random_tabular_problem(rng, max_m=5, max_domain=3):
@@ -36,10 +37,25 @@ def random_tabular_problem(rng, max_m=5, max_domain=3):
         table = {pt: rng.choice(VALUE_POOL) for pt in product(*domains)}
         if len(set(table.values())) >= 2:
             break
-    model = TabularModel(space, table, "numeric")
+    model = TabularModel.from_table(space, table, "numeric")
     point = tuple(rng.choice(dom) for dom in domains)
     return ExplanationProblem(model, make_instance(model, point),
                               SimilarityConfig.class_equality())
+
+
+def random_table(rng, max_m=4, max_domain=4, categorical=False):
+    """A random space whose domains mix labels and rationals, with a
+    non-constant output per point in lexicographic order."""
+    m = rng.randint(1, max_m)
+    space = FeatureSpace(tuple(
+        Feature(i + 1, f"f{i + 1}",
+                DiscreteDomain(tuple(rng.sample(MIXED_VALUES, rng.randint(2, max_domain)))))
+        for i in range(m)))
+    pool = LABELS if categorical else VALUE_POOL
+    while True:
+        outputs = [rng.choice(pool) for _ in space.points()]
+        if len(set(outputs)) >= 2:
+            return space, outputs, "categorical" if categorical else "numeric"
 
 
 def random_tree_model(rng, m, max_depth=4, max_domain=3, categorical=False):

@@ -41,7 +41,7 @@ from randmodels import random_tabular_problem, subsets
 def table_problem(rows, v, m=2):
     space = FeatureSpace(tuple(
         Feature(i + 1, f"f{i + 1}", DiscreteDomain((0, 1))) for i in range(m)))
-    model = TabularModel(space, rows, "numeric")
+    model = TabularModel.from_table(space, rows, "numeric")
     return ExplanationProblem(model, make_instance(model, v),
                               SimilarityConfig.class_equality())
 
@@ -64,7 +64,7 @@ class TestCharacteristicFunctions:
 
     def test_expected_needs_numeric(self):
         space = FeatureSpace((Feature(1, "a", DiscreteDomain((0, 1))),))
-        model = TabularModel(space, {(0,): "no", (1,): "yes"}, "categorical")
+        model = TabularModel.from_table(space, {(0,): "no", (1,): "yes"}, "categorical")
         problem = ExplanationProblem(model, make_instance(model, (1,)),
                                      SimilarityConfig.class_equality())
         with pytest.raises(NumericOutputError):
@@ -289,7 +289,7 @@ class TestNumericalNeutrality:
             Feature(i + 1, f"f{i + 1}", DiscreteDomain((0, 1))) for i in range(2)))
         table = {(0, 0): "reject", (0, 1): "review", (1, 0): "accept",
                  (1, 1): "accept"}
-        model = TabularModel(space, table, "categorical")
+        model = TabularModel.from_table(space, table, "categorical")
         problem = ExplanationProblem(model, make_instance(model, (1, 1)),
                                      SimilarityConfig.class_equality())
         assert cf_waxp(problem, (1,)) == 1

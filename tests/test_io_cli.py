@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -401,6 +402,26 @@ class TestCli:
         assert run_cli(["validate", "--model", path]) == 3
         assert time.process_time() - started < 5
         assert "guarded" in capsys.readouterr().err
+
+    def test_a_wide_table_without_default_exits_3_before_allocating(self, capsys, tmp_path):
+        # One entry of 2^40 points: the dense slots are refused before any
+        # is allocated, not filled and then found short.
+        features = [{"id": i, "name": f"x{i}", "domain": {"type": "discrete",
+                                                          "values": [0, 1]}}
+                    for i in range(1, 41)]
+        path = write(tmp_path, "wide.json", json.dumps(
+            {"version": 1, "kind": "tabular", "features": features,
+             "table": [{"point": [1] * 40, "value": 1}]}))
+        tracemalloc.start()
+        try:
+            with cpu_limit(5):
+                assert run_cli(["validate", "--model", path]) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 24
+        assert "enumeration guarded at 1048576 points, got 1099511627776" in \
+            capsys.readouterr().err
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -61,12 +61,12 @@ class TestValidation:
         space = bool_space(2)
         table = {(0, 0): 0, (0, 1): 1, (1, 0): 0}  # (1,1) missing
         with pytest.raises(ValidationError, match="total"):
-            TabularModel(space, table)
+            TabularModel.from_table(space, table)
 
     def test_constant_table_rejected(self):
         space = bool_space(1)
         with pytest.raises(ValidationError, match="constant"):
-            TabularModel(space, {(0,): 1, (1,): 1})
+            TabularModel.from_table(space, {(0,): 1, (1,): 1})
 
     def test_tree_repeats_feature_on_path(self):
         space = bool_space(1)
@@ -103,7 +103,7 @@ class TestValidation:
     def test_missing_points_of_mixed_values_are_named(self):
         space = FeatureSpace((Feature(1, "a", DiscreteDomain((0, 1, "c"))),))
         with pytest.raises(ValidationError, match=r"missing 2 points, e\.g\. \(1,\)"):
-            TabularModel(space, {(0,): 1})
+            TabularModel.from_table(space, {(0,): 1})
 
     def test_box_cells_with_gap_rejected(self):
         space = FeatureSpace((Feature(1, "x", IntervalDomain(F(0), F(2))),))
@@ -232,7 +232,7 @@ class TestConditionalExpectation:
 
     def test_categorical_outputs_rejected(self):
         space = bool_space(1)
-        model = TabularModel(space, {(0,): "no", (1,): "yes"}, "categorical")
+        model = TabularModel.from_table(space, {(0,): "no", (1,): "yes"}, "categorical")
         inst = make_instance(model, (1,))
         with pytest.raises(NumericOutputError):
             conditional_expectation(model, inst, ())

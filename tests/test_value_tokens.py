@@ -1,0 +1,129 @@
+"""Raw value tokens in model files, samples and --instance.
+
+Every spelling of a domain value reads as that value, and its coordinates
+are the domain's own objects; tokens that are no value fail with the same
+message whether or not the same feature has read other tokens before.
+"""
+
+import json
+from fractions import Fraction as F
+
+import pytest
+
+from shapxp import ValidationError, load_model, load_sample
+from shapxp.cli import run_cli
+from conftest import FIXTURES
+
+REG2 = FIXTURES / "reg2.json"
+# Spellings of 0 and 1 in a JSON model file; a JSON decimal parses exactly.
+ZEROS = (0, "0", "0/5", 0.0, "-0")
+ONES = (1, "1", "1/1", 1.0, "2/2", " 1")
+
+
+def spelled(x, k):
+    spellings = ONES if x else ZEROS
+    return spellings[k % len(spellings)]
+
+
+def reg2_spelled(k):
+    """reg2 with its point tokens spelled in turn, from the k-th spelling on."""
+    doc = json.loads(REG2.read_text())
+    for n, entry in enumerate(doc["table"]):
+        entry["point"] = [spelled(x, k + n + j) for j, x in enumerate(entry["point"])]
+    return doc
+
+
+def write_json(tmp_path, doc):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def validate_error(capsys, path):
+    assert run_cli(["validate", "--model", path]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("k", range(len(ONES)))
+def test_every_spelling_of_a_table_point_reads_as_the_same_value(tmp_path, k):
+    model = load_model(write_json(tmp_path, reg2_spelled(k)))
+    assert model == load_model(REG2)
+    assert dict(model.table) == dict(load_model(REG2).table)
+
+
+def test_sample_rows_and_predictions_read_through_the_caches(tmp_path):
+    model = load_model(REG2)
+    path = tmp_path / "s.csv"
+    path.write_text("x1,x2,prediction\n1,1,1\n1/1,1.0,1/1\n2/2, 1 ,1.0\n"
+                    "0,0,-1/2\n0.0,0/3,-0.5\n")
+    sample = load_sample(path, model)
+    ones = model.space.domain(1).values[1], model.space.domain(2).values[1]
+    assert sample.rows[:3] == (ones,) * 3
+    assert all(row[0] is ones[0] and row[1] is ones[1] for row in sample.rows[:3])
+    assert sample.predictions == (1, 1, 1, F(-1, 2), F(-1, 2))
+
+
+def test_instance_spellings_give_byte_identical_reports(capsys):
+    reports = []
+    for text in ("1,1", "1/1,1.0", "2/2,1"):
+        assert run_cli(["shap", "--game", "expected", "--output", "json",
+                        "--model", str(REG2), "--instance", text]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_two_spellings_of_one_point_are_a_duplicate(tmp_path):
+    doc = {"version": 1, "kind": "tabular",
+           "features": [{"id": 1, "name": "a", "domain": {"type": "discrete",
+                                                          "values": [0, 1]}}],
+           "table": [{"point": [1], "value": 1}, {"point": ["1/1"], "value": 0},
+                     {"point": [0], "value": 0}]}
+    with pytest.raises(ValidationError,
+                       match=r"table entry 1: duplicate point \(Fraction\(1, 1\),\)$"):
+        load_model(write_json(tmp_path, doc))
+
+
+# (token, message) for point tokens that are no value; each is tried in
+# the first entry, before the feature has read any token, and in a later
+# one, after it has read a 1.
+NOT_VALUES = [
+    (True, "booleans are not rationals"),
+    (False, "booleans are not rationals"),
+    (None, "None is not a rational literal"),
+    ([0], "[0] is not a rational literal"),
+    ({}, "{} is not a rational literal"),
+]
+
+
+@pytest.mark.parametrize("entry", [0, 2])
+@pytest.mark.parametrize("token,message", NOT_VALUES, ids=lambda t: repr(t)[:12])
+def test_a_point_token_that_is_no_value_exits_2(capsys, tmp_path, token, message, entry):
+    doc = json.loads(REG2.read_text())
+    doc["table"][entry]["point"][0] = token
+    path = write_json(tmp_path, doc)
+    assert validate_error(capsys, path) == f"error: {path}: table entry {entry}: {message}\n"
+
+
+@pytest.mark.parametrize("token", ["true", "null", "[1]", "2"])
+def test_a_sample_field_that_is_no_domain_value_names_its_line(tmp_path, token):
+    path = tmp_path / "s.csv"
+    path.write_text(f"x1,x2\n1,1\n{token},1\n")
+    with pytest.raises(ValidationError,
+                       match=rf"s\.csv:3: value .+ outside domain of feature 1 \(x1\)$"):
+        load_sample(path, load_model(REG2))
+
+
+@pytest.mark.parametrize("token", ["true", "null", "[1]", "2"])
+def test_an_instance_token_that_is_no_domain_value_exits_2(capsys, token):
+    assert run_cli(["relevancy", "--model", str(REG2), "--instance", f"1,{token}"]) == 2
+    assert "outside domain of feature 2 (x2)" in capsys.readouterr().err
+
+
+def test_a_boolean_table_value_after_a_one_is_still_refused(capsys, tmp_path):
+    doc = json.loads(REG2.read_text())
+    doc["table"][2]["value"], doc["table"][3]["value"] = 1, True
+    path = write_json(tmp_path, doc)
+    assert validate_error(capsys, path) == \
+        f"error: {path}: table entry 3: booleans are not rationals\n"
