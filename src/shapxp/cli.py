@@ -14,6 +14,7 @@ import sys
 import time
 import warnings
 from dataclasses import replace
+from functools import cache
 from fractions import Fraction
 
 from . import cgt as cgt_mod
@@ -35,7 +36,7 @@ from .games import (
     shapley_exact,
     waxp_game,
 )
-from .models import make_instance, space_size
+from .models import make_instance
 from .modelio import (
     PointReader,
     RunReport,
@@ -51,7 +52,9 @@ from .similarity import ExplanationProblem, SimilarityConfig
 SIGMA_COMMANDS = {"relevancy", "axp", "cxp", "enumerate", "compare"}
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="shapxp",
         description="Feature attribution scores and formal explanations for small models.")
@@ -142,7 +145,7 @@ def _dispatch(args) -> RunReport:
     if args.command == "validate":
         results = {"ok": True}
         if model.space.all_discrete():
-            results["points"] = space_size(model.space)
+            results["points"] = model.space.size
         else:
             results["cells"] = len(model.cells)
         if args.sample:

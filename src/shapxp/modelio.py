@@ -34,7 +34,6 @@ from .models import (
     TreeNode,
     dense_slots,
     predict,  # noqa: F401  (looked up here by the benchmark's tracer)
-    space_strides,
 )
 from .explanations import Sample
 
@@ -218,7 +217,7 @@ def _tabular_from(doc, space, value_kind, where) -> TabularModel:
     if not isinstance(entries, list):
         raise ValidationError(f"{where}: tabular model needs a 'table' list")
     outputs = dense_slots(space)
-    m, strides, reader, values = space.m, space_strides(space), PointReader(space), {}
+    m, strides, reader, values = space.m, space.strides, PointReader(space), {}
     for k, entry in enumerate(entries):
         loc = f"{where}: table entry {k}"
         if not isinstance(entry, dict):

@@ -24,11 +24,12 @@ end of this module check their inputs and then call it:
   relabeling.
 
 Each kind derives them from one primitive: box cells ``_affine_extremes``,
-trees the routes that one validating walk builds, tabular models the
-dense ``outputs`` tuple read by index arithmetic; discrete spaces
-enumerate points through the one guarded product of axes
-``FeatureSpace.points``. Tabular and tree models share the expectation,
-range and relabel methods.
+the discrete kinds a reader from slots to outputs. A discrete space
+numbers its points by mixed radix (``FeatureSpace.slot``), and every
+enumeration walks those slots lazily through the one guarded product of
+axes; a table reads its dense ``outputs`` at a slot, a tree walks the
+routes that one validating walk builds, reading each tested feature's
+digit of the slot. The discrete kinds share every method but ``output``.
 All arithmetic on numeric values is exact (``fractions.Fraction``).
 """
 
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -67,8 +69,8 @@ class DiscreteDomain:
     """Finite ordered list of admissible values for one feature."""
 
     values: tuple
-    # Each value's position in ``values``: membership, the tabular slot
-    # arithmetic and the loaders' token caches all read this one index.
+    # Each value's position in ``values``: membership, the slot numbering
+    # and the loaders' token caches all read this one index.
     index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -160,19 +162,58 @@ class FeatureSpace:
         return _product([(fixed[f.id],) if f.id in fixed else f.domain.values
                          for f in self.features])
 
+    # The slot numbering of a discrete space: the point at domain positions
+    # (k_1, ..., k_m) owns slot sum_j k_j * strides[j], so slots run in
+    # lexicographic point order (the last feature varies fastest).
+    @cached_property
+    def radices(self) -> tuple[int, ...]:
+        return tuple(len(f.domain.values) for f in self.features)
+
+    @cached_property
+    def size(self) -> int:
+        return prod(self.radices)
+
+    @cached_property
+    def strides(self) -> tuple[int, ...]:
+        strides = [1]
+        for radix in reversed(self.radices[1:]):
+            strides.append(strides[-1] * radix)
+        return tuple(reversed(strides))
+
+    @cached_property
+    def indexes(self) -> tuple[dict, ...]:
+        """Each feature's value -> domain position index."""
+        return tuple(f.domain.index for f in self.features)
+
+    def slot(self, point: Point) -> int:
+        """The slot of an in-domain point."""
+        return sum(map(mul, map(getitem, self.indexes, point), self.strides))
+
+    def slots(self, fixed: Mapping[int, Value] = {}) -> Iterator[int]:
+        """The slots of ``points(fixed)``, in the same order: the fixed
+        features' offsets plus every combination of the free ones'."""
+        if not fixed:  # the whole space: a range, cheaper than a product of sums
+            _guard(self.size)
+            return iter(range(self.size))
+        return map(sum, _product([
+            (self.indexes[j][fixed[j + 1]] * stride,) if j + 1 in fixed
+            else range(0, radix * stride, stride)
+            for j, (radix, stride) in enumerate(zip(self.radices, self.strides))]))
+
 
 # ---------------------------------------------------------------------------
 # Model kinds
 # ---------------------------------------------------------------------------
 
 class _EnumerableModel:
-    """Semantics shared by the discrete kinds. Subclasses define ``output``,
-    ``_values`` (every output the model can produce, repeats allowed) and
-    ``_relabelled``."""
+    """Semantics shared by the discrete kinds, all read by slot of the
+    space's numbering. Subclasses define ``output``, ``_read`` (slot ->
+    output), ``_values`` (every output the model can produce, repeats
+    allowed) and ``_relabelled``."""
 
     def slice_outputs(self, v: Point, fixed: frozenset[int]) -> Iterator[Value]:
-        """The output at every point x of the slice x_S = v_S, point by point."""
-        return map(self.output, self.space.points({j: v[j - 1] for j in fixed}))
+        """The output at every point x of the slice x_S = v_S, lazily."""
+        return map(self._read, self.space.slots({j: v[j - 1] for j in fixed}))
 
     def slice_expectation(self, v: Point, fixed: frozenset[int]) -> Fraction:
         outputs = list(self.slice_outputs(v, fixed))
@@ -184,16 +225,16 @@ class _EnumerableModel:
         values = self._values()
         return Fraction(min(values)), Fraction(max(values))
 
-    # Every point with its output, in lexicographic point order; the product
-    # of per-feature agreement bits in masked_outputs runs in the same order.
+    # Every point with its output, in slot order; the product of per-feature
+    # agreement bits in masked_outputs runs in the same order.
     def labelled_points(self) -> Iterator[tuple[Point, Value]]:
-        return ((pt, self.output(pt)) for pt in self.space.points())
+        return zip(self.space.points(), map(self._read, self.space.slots()))
 
     def masked_outputs(self, v: Point) -> Iterator[tuple[int, Value]]:
         """(agreement mask with v, output) of every point of the space."""
         axes = [[1 << j if x == v[j] else 0 for x in f.domain.values]
                 for j, f in enumerate(self.space.features)]
-        return zip(map(sum, _product(axes)), (y for _, y in self.labelled_points()))
+        return zip(map(sum, _product(axes)), map(self._read, self.space.slots()))
 
     def relabel(self, mapping: Mapping):
         """The same model with each output y replaced by mapping[y]; the map
@@ -211,34 +252,22 @@ class _EnumerableModel:
 
 @dataclass(frozen=True)
 class TabularModel(_EnumerableModel):
-    """Total lookup table over a fully discrete feature space, stored dense.
-
-    ``outputs`` holds the output at every point in lexicographic point
-    order, so the point whose coordinates sit at domain positions
-    (k_1, ..., k_m) owns slot sum_j k_j * strides[j], and every read is
-    index arithmetic. ``table`` is a read-only {point: output} view of it;
-    ``from_table`` builds a model from such a mapping.
-    """
+    """Total lookup table over a fully discrete feature space, stored dense:
+    ``outputs`` holds the output at every slot of the space's numbering."""
 
     space: FeatureSpace
     outputs: tuple
     value_kind: str = NUMERIC
-    # Mixed-radix place values (the last feature varies fastest), each
-    # feature's value -> position index, and the distinct outputs.
-    strides: tuple = field(init=False, repr=False, compare=False)
-    indexes: tuple = field(init=False, repr=False, compare=False)
     distinct: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.space.all_discrete():
             raise ValidationError("tabular models need all-discrete domains")
         outputs = tuple(self.outputs)
-        if len(outputs) != space_size(self.space):
+        if len(outputs) != self.space.size:
             raise ValidationError(
-                f"table lists {len(outputs)} outputs for {space_size(self.space)} points")
+                f"table lists {len(outputs)} outputs for {self.space.size} points")
         object.__setattr__(self, "outputs", outputs)
-        object.__setattr__(self, "strides", space_strides(self.space))
-        object.__setattr__(self, "indexes", tuple(f.domain.index for f in self.space.features))
         # The outputs repeat a few objects (the loader parses each distinct
         # token once), so they are told apart by identity before hashing.
         distinct = frozenset({id(y): y for y in outputs}.values())
@@ -249,46 +278,12 @@ class TabularModel(_EnumerableModel):
         if len(distinct) < 2:
             raise ValidationError("model is constant; a non-constant prediction function is required")
 
-    @classmethod
-    def from_table(cls, space: FeatureSpace, table: Mapping[Point, Value],
-                   value_kind: str = NUMERIC) -> "TabularModel":
-        """The model of a {point: output} mapping, which must be total."""
-        outputs, extra = dense_slots(space), []
-        strides = space_strides(space)
-        for point, y in table.items():
-            try:
-                space.check_point(point)
-            except (DomainError, TypeError):
-                extra.append(point)
-                continue
-            outputs[sum(f.domain.index[x] * s
-                        for f, x, s in zip(space.features, point, strides))] = y
-        if extra:
-            raise _not_total(space, outputs, extra)
-        return cls(space, outputs, value_kind)
+    def output(self, point: Point) -> Value:
+        return self.outputs[self.space.slot(point)]
 
     @property
-    def table(self) -> Mapping[Point, Value]:
-        return _TableView(self)
-
-    def output(self, point: Point) -> Value:
-        return self.outputs[sum(map(mul, map(getitem, self.indexes, point), self.strides))]
-
-    def slice_outputs(self, v: Point, fixed: frozenset[int]) -> Iterator[Value]:
-        """The outputs on the slice x_S = v_S: its slots are the fixed
-        features' offset plus every combination of the free features'
-        offsets, in lexicographic order. The whole table is within the
-        point guard, so no slice needs one."""
-        indexes, strides = self.indexes, self.strides
-        slots = [sum(indexes[j - 1][v[j - 1]] * strides[j - 1] for j in fixed)]
-        for j, (index, stride) in enumerate(zip(indexes, strides), 1):
-            if j not in fixed:
-                steps = range(0, len(index) * stride, stride)
-                slots = [s + step for s in slots for step in steps]
-        return map(self.outputs.__getitem__, slots)
-
-    def labelled_points(self) -> Iterator[tuple[Point, Value]]:
-        return zip(self.space.points(), self.outputs)
+    def _read(self):
+        return self.outputs.__getitem__
 
     def _values(self):
         return self.distinct
@@ -297,49 +292,23 @@ class TabularModel(_EnumerableModel):
         return TabularModel(self.space, tuple(map(mapping.__getitem__, self.outputs)), value_kind)
 
 
-class _TableView(Mapping):
-    """A tabular model's outputs as a read-only {point: output} mapping."""
-
-    def __init__(self, model: TabularModel):
-        self._model = model
-
-    def __getitem__(self, point):
-        try:
-            self._model.space.check_point(point)
-        except (DomainError, TypeError):
-            raise KeyError(point) from None
-        return self._model.output(point)
-
-    def __iter__(self) -> Iterator[Point]:
-        return self._model.space.points()
-
-    def __len__(self) -> int:
-        return len(self._model.outputs)
-
-
 def dense_slots(space: FeatureSpace) -> list:
     """One empty (None) output slot per point of a tabular model's space,
     refused above POINT_GUARD points before any slot is allocated."""
     if not space.all_discrete():
         raise ValidationError("tabular models need all-discrete domains")
-    size = space_size(space)
-    _guard(size)
-    return [None] * size
+    _guard(space.size)
+    return [None] * space.size
 
 
-def _not_total(space: FeatureSpace, outputs, extra=()) -> ValidationError:
-    """The error for a table with empty (None) slots or with points outside
-    the space. Examples are the first in space and table order: points may
-    mix labels and rationals, which do not sort."""
-    parts = []
+def _not_total(space: FeatureSpace, outputs) -> ValidationError:
+    """The error for a table with empty (None) slots; the example is the
+    first in slot order, since points may mix labels and rationals, which
+    do not sort."""
     missing = [slot for slot, y in enumerate(outputs) if y is None]
-    if missing:
-        first = tuple(f.domain.values[missing[0] // s % len(f.domain.values)]
-                      for f, s in zip(space.features, space_strides(space)))
-        parts.append(f"missing {len(missing)} points, e.g. {first}")
-    if extra:
-        parts.append(f"{len(extra)} points outside the space, e.g. {extra[0]}")
-    return ValidationError("table is not total: " + "; ".join(parts))
+    first = tuple(f.domain.values[missing[0] // s % r]
+                  for f, s, r in zip(space.features, space.strides, space.radices))
+    return ValidationError(f"table is not total: missing {len(missing)} points, e.g. {first}")
 
 
 @dataclass(frozen=True)
@@ -368,7 +337,8 @@ class TreeModel(_EnumerableModel):
     nodes: Mapping[int, TreeNode | TreeLeaf]
     root: int
     value_kind: str = NUMERIC
-    # Each internal node's route {domain value: child id}, from _validate.
+    # Each internal node's route (0-based feature axis, child id per domain
+    # position), from _validate.
     routes: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -407,9 +377,7 @@ class TreeModel(_EnumerableModel):
                 raise ValidationError(f"node {node_id}: a domain value maps to two children")
             if len(route) != len(domain.values):
                 raise ValidationError(f"node {node_id}: edges do not cover the domain")
-            # Keyed by the domain's own values, which enumerated points hold, a
-            # lookup matches its key by identity and skips Fraction.__eq__.
-            routes[node_id] = {x: route[x] for x in domain.values}
+            routes[node_id] = (node.feature - 1, tuple(route[x] for x in domain.values))
             stack.extend((child, depth + 1) for _, child in reversed(node.edges))
         unreachable = [nid for nid in self.nodes if nid not in seen]  # ids may not sort
         if unreachable:
@@ -421,11 +389,23 @@ class TreeModel(_EnumerableModel):
         return routes
 
     def output(self, point: Point) -> Value:
-        """Follow the routes from the root to the leaf that ``point`` reaches."""
-        node_id, routes, nodes = self.root, self.routes, self.nodes
+        """Follow the routes from the root to the leaf that ``point``
+        reaches, reading only the features tested on the way."""
+        node_id, routes, indexes = self.root, self.routes, self.space.indexes
         while node_id in routes:
-            node_id = routes[node_id][point[nodes[node_id].feature - 1]]
-        return nodes[node_id].value
+            j, children = routes[node_id]
+            node_id = children[indexes[j][point[j]]]
+        return self.nodes[node_id].value
+
+    def _read(self, slot: int) -> Value:
+        """The output at a slot: each node on the way reads its feature's
+        digit of the slot."""
+        node_id, routes = self.root, self.routes
+        strides, radices = self.space.strides, self.space.radices
+        while node_id in routes:
+            j, children = routes[node_id]
+            node_id = children[slot // strides[j] % radices[j]]
+        return self.nodes[node_id].value
 
     def _values(self) -> list:
         return [n.value for n in self.nodes.values() if isinstance(n, TreeLeaf)]
@@ -651,8 +631,7 @@ def predict(model: Model, point: Point) -> Value:
 
 def labelled_points(model: Model) -> Iterator[tuple[Point, Value]]:
     """Yield every point of a discrete model's space with the model's
-    output there, in lexicographic domain order: the table's outputs for
-    tabular models, one root-to-leaf walk per point for trees."""
+    output there, in lexicographic domain order (slot order)."""
     if not model.space.all_discrete():
         raise UnsupportedOperationError("point enumeration needs a discrete feature space")
     return model.labelled_points()
@@ -692,20 +671,6 @@ def guard_cell_table(model: BoxPiecewiseModel) -> None:
     if visits > POINT_GUARD:
         raise SizeLimitError(
             f"coalition table guarded at {POINT_GUARD} cell visits, got {visits}")
-
-
-def space_size(space: FeatureSpace) -> int:
-    return prod(len(f.domain.values) for f in space.features)
-
-
-def space_strides(space: FeatureSpace) -> tuple[int, ...]:
-    """Each feature's place value in the mixed-radix numbering of a
-    discrete space's points in lexicographic order."""
-    strides, stride = [], 1
-    for f in reversed(space.features):
-        strides.append(stride)
-        stride *= len(f.domain.values)
-    return tuple(reversed(strides))
 
 
 def conditional_expectation(model: Model, instance: Instance, fixed: Iterable[int]) -> Fraction:

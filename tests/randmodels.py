@@ -37,7 +37,7 @@ def random_tabular_problem(rng, max_m=5, max_domain=3):
         table = {pt: rng.choice(VALUE_POOL) for pt in product(*domains)}
         if len(set(table.values())) >= 2:
             break
-    model = TabularModel.from_table(space, table, "numeric")
+    model = TabularModel(space, [table[p] for p in space.points()], "numeric")
     point = tuple(rng.choice(dom) for dom in domains)
     return ExplanationProblem(model, make_instance(model, point),
                               SimilarityConfig.class_equality())
@@ -58,10 +58,12 @@ def random_table(rng, max_m=4, max_domain=4, categorical=False):
             return space, outputs, "categorical" if categorical else "numeric"
 
 
-def random_tree_model(rng, m, max_depth=4, max_domain=3, categorical=False):
+def random_tree_model(rng, m, max_depth=4, max_domain=3, categorical=False, mixed=False):
     """A random tree over m discrete features; each node splits its
-    feature's domain into two or more groups."""
-    domains = [tuple(range(rng.randint(2, max_domain))) for _ in range(m)]
+    feature's domain into two or more groups. Domains are 0..k-1, or with
+    ``mixed`` draws from labels and rationals."""
+    domains = [tuple(rng.sample(MIXED_VALUES, rng.randint(2, max_domain))) if mixed
+               else tuple(range(rng.randint(2, max_domain))) for _ in range(m)]
     space = FeatureSpace(tuple(
         Feature(i + 1, f"f{i + 1}", DiscreteDomain(domains[i])) for i in range(m)))
     pool = LABELS if categorical else VALUE_POOL

@@ -25,29 +25,29 @@ def test_dense_reads_agree_with_the_dict(seed):
     rng = random.Random(seed)
     space, outputs, kind = random_table(rng, categorical=seed % 2 == 1)
     reference = dict(zip(space.points(), outputs))
-    model = TabularModel(space, outputs, kind)
-    assert TabularModel.from_table(space, reference, kind) == model
+    model = TabularModel(space, [reference[p] for p in space.points()], kind)
+    assert model == TabularModel(space, outputs, kind)
     assert list(model.labelled_points()) == list(reference.items())
-    for point, y in reference.items():
+    assert dict(labelled_points(model)) == reference
+    for slot, (point, y) in enumerate(reference.items()):
         assert model.output(point) == model.output(fresh(point)) == y
-    assert model.table == reference
-    assert dict(model.table) == reference
-    assert len(model.table) == len(reference)
-    assert ("zz",) * space.m not in model.table
-    assert ([0],) * space.m not in model.table
+        assert space.slot(point) == space.slot(fresh(point)) == slot
+    assert space.size == len(model.outputs) == len(reference)
     v = fresh(rng.choice(list(reference)))
     for fixed in subsets(space.ids):
         assert list(model.slice_outputs(v, frozenset(fixed))) == [
             y for point, y in reference.items() if all(point[j - 1] == v[j - 1] for j in fixed)]
     images = {y: f"c{k}" for k, y in enumerate(sorted(set(outputs), key=repr))}
-    assert model.relabel(images).table == {pt: images[y] for pt, y in reference.items()}
+    assert dict(labelled_points(model.relabel(images))) == {
+        pt: images[y] for pt, y in reference.items()}
 
 
 @pytest.mark.parametrize("seed", range(30))
 def test_a_tabulated_tree_is_its_twin(seed):
     rng = random.Random(seed)
     tree = random_tree_model(rng, rng.randint(1, 5), categorical=seed % 2 == 1)
-    twin = TabularModel.from_table(tree.space, dict(labelled_points(tree)), tree.value_kind)
+    table = dict(labelled_points(tree))
+    twin = TabularModel(tree.space, [table[p] for p in tree.space.points()], tree.value_kind)
     assert tabulate(tree) == twin
     v = next(tree.space.points())
     for fixed in subsets(tree.space.ids):
@@ -55,16 +55,14 @@ def test_a_tabulated_tree_is_its_twin(seed):
             list(tree.slice_outputs(v, frozenset(fixed)))
 
 
-def test_a_table_must_be_total_and_inside_its_space():
+def test_a_table_must_be_total():
     space, outputs, kind = random_table(random.Random(0))
     reference = dict(zip(space.points(), outputs))
     first = next(iter(reference))
     del reference[first]
-    reference[("zz",) * space.m] = outputs[0]
     with pytest.raises(ValidationError) as exc:
-        TabularModel.from_table(space, reference, kind)
-    assert str(exc.value) == (f"table is not total: missing 1 points, e.g. {first}; "
-                              f"1 points outside the space, e.g. {('zz',) * space.m}")
+        TabularModel(space, [reference.get(p) for p in space.points()], kind)
+    assert str(exc.value) == f"table is not total: missing 1 points, e.g. {first}"
     with pytest.raises(ValidationError, match=r"^table is not total: missing 1 points"):
         TabularModel(space, [None] + outputs[1:], kind)
     with pytest.raises(ValidationError, match="outputs for"):

@@ -74,7 +74,7 @@ def parity_problem(m=3):
     space = FeatureSpace(tuple(
         Feature(i + 1, f"b{i + 1}", DiscreteDomain((0, 1))) for i in range(m)))
     table = {pt: sum(pt) % 2 for pt in product((0, 1), repeat=m)}
-    model = TabularModel.from_table(space, table, "numeric")
+    model = TabularModel(space, [table[p] for p in space.points()], "numeric")
     return ExplanationProblem(model, make_instance(model, (0,) * m),
                               SimilarityConfig.class_equality())
 

@@ -41,7 +41,7 @@ from randmodels import random_tabular_problem, subsets
 def table_problem(rows, v, m=2):
     space = FeatureSpace(tuple(
         Feature(i + 1, f"f{i + 1}", DiscreteDomain((0, 1))) for i in range(m)))
-    model = TabularModel.from_table(space, rows, "numeric")
+    model = TabularModel(space, [rows[p] for p in space.points()], "numeric")
     return ExplanationProblem(model, make_instance(model, v),
                               SimilarityConfig.class_equality())
 
@@ -64,7 +64,7 @@ class TestCharacteristicFunctions:
 
     def test_expected_needs_numeric(self):
         space = FeatureSpace((Feature(1, "a", DiscreteDomain((0, 1))),))
-        model = TabularModel.from_table(space, {(0,): "no", (1,): "yes"}, "categorical")
+        model = TabularModel(space, ["no", "yes"], "categorical")
         problem = ExplanationProblem(model, make_instance(model, (1,)),
                                      SimilarityConfig.class_equality())
         with pytest.raises(NumericOutputError):
@@ -216,7 +216,7 @@ class TestValueIndependence:
         assert check_value_independence(cls3_problem, relabel)
 
     def test_identity_relabeling(self, cls3_problem):
-        identity = {v: v for v in set(cls3_problem.model.table.values())}
+        identity = {v: v for v in set(cls3_problem.model.outputs)}
         assert check_value_independence(cls3_problem, identity)
 
     def test_expected_scores_are_value_dependent(self, cls3_problem):
@@ -236,13 +236,13 @@ class TestValueIndependence:
             check_value_independence(cls3_problem, {F(0): F(1)})
 
     def test_a_sample_universe_is_relabeled_with_the_model(self, cls3_problem):
-        relabel = {y: f"c{y}" for y in set(cls3_problem.model.table.values())}
+        relabel = {y: f"c{y}" for y in set(cls3_problem.model.outputs)}
         sample = full_space_sample(cls3_problem.model)
         assert check_value_independence(cls3_problem, relabel)
         assert check_value_independence(cls3_problem, relabel, sample)
 
     def test_a_sample_prediction_the_map_misses_is_rejected(self, cls3_problem):
-        relabel = {y: f"c{y}" for y in set(cls3_problem.model.table.values())}
+        relabel = {y: f"c{y}" for y in set(cls3_problem.model.outputs)}
         sample = Sample(((1, 1, 2),), (F(99),))
         with pytest.raises(ValidationError, match="misses output value"):
             check_value_independence(cls3_problem, relabel, sample)
@@ -261,7 +261,7 @@ class TestValueIndependence:
         twin = tabulate(cls3_tree_model)
         twin_problem = ExplanationProblem(twin, make_instance(twin, (1, 1, 2)),
                                           SimilarityConfig.class_equality())
-        relabel = {y: image(y) for y in set(twin.table.values())}
+        relabel = {y: image(y) for y in set(twin.outputs)}
         tree_after = relabel_problem(tree_problem, relabel)
         twin_after = relabel_problem(twin_problem, relabel)
         assert isinstance(tree_after.model, TreeModel)
@@ -289,7 +289,7 @@ class TestNumericalNeutrality:
             Feature(i + 1, f"f{i + 1}", DiscreteDomain((0, 1))) for i in range(2)))
         table = {(0, 0): "reject", (0, 1): "review", (1, 0): "accept",
                  (1, 1): "accept"}
-        model = TabularModel.from_table(space, table, "categorical")
+        model = TabularModel(space, [table[p] for p in space.points()], "categorical")
         problem = ExplanationProblem(model, make_instance(model, (1, 1)),
                                      SimilarityConfig.class_equality())
         assert cf_waxp(problem, (1,)) == 1

@@ -390,6 +390,15 @@ class TestCli:
         assert time.process_time() - started < 5
         assert "guarded" in capsys.readouterr().err
 
+    def test_a_small_slice_of_a_wide_space_still_answers(self, capsys, tmp_path):
+        # 3^25 points, but shrinking {1} reads slices of 3 points and 1 point.
+        path = write(tmp_path, "wide.json", json.dumps(one_split_tree(25)))
+        started = time.process_time()
+        doc = run_json(capsys, ["cxp", "--model", path, "--instance", ",".join("0" * 25),
+                                "--from", "1"])
+        assert time.process_time() - started < 1
+        assert doc["results"]["cxp"] == [1]
+
     def test_default_past_the_point_guard_exits_3(self, capsys, tmp_path):
         # 2^40 points to fill from one entry and a default.
         features = [{"id": i, "name": f"x{i}", "domain": {"type": "discrete",
@@ -427,6 +436,19 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             run_cli(["shap", "--model", CLS3, "--frobnicate"])
         assert exc.value.code == 2
+
+    def test_one_process_runs_many_commands(self, capsys):
+        doc = run_json(capsys, ["compare", "--model", REG2,
+                                "--instance", "1,1", "--instance", "0,0", "--delta", "1/4"])
+        assert len(doc["results"]["instances"]) == 2
+        doc = run_json(capsys, ["shap", "--model", REG2, "--instance", "0,1",
+                                "--game", "expected"])
+        assert doc["instance"]["point"] == [0, 1]
+        with pytest.raises(SystemExit):
+            run_cli(["shap", "--model", REG2, "--game", "nosuch"])
+        capsys.readouterr()
+        doc = run_json(capsys, ["relevancy", "--model", CLS3, "--instance", "1,1,2"])
+        assert doc["results"]["relevant"] == [1]
 
     def test_table_output_renders_six_decimals(self, capsys):
         assert run_cli(["shap", "--model", REG2, "--instance", "1,1",

@@ -1,27 +1,37 @@
 """Each model kind reads one primitive: box cells their affine extremes,
-trees the routes built by one validating walk, discrete spaces one point
-product. The methods derived from them must agree exactly with the
-per-method code they replaced, kept below as reference copies."""
+trees the routes built by one validating walk, discrete models their
+outputs by slot of the space's numbering. The methods derived from them
+must agree exactly with the per-method code they replaced, kept below as
+reference copies."""
 
 import random
+import tracemalloc
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 import pytest
 
 from shapxp import (
     DiscreteDomain,
+    ExplanationProblem,
     Feature,
     FeatureSpace,
+    SimilarityConfig,
+    TabularModel,
     TreeLeaf,
     TreeModel,
     TreeNode,
     ValidationError,
     enumerate_points,
+    is_waxp,
+    make_instance,
     predict,
+    tabulate,
 )
+from shapxp.models import labelled_points
 from boxmodels import random_grid_model
-from randmodels import random_tree_model
+from conftest import cpu_limit
+from randmodels import random_table, random_tree_model
 
 
 # Reference semantics: verbatim copies of BoxPiecewiseModel.output,
@@ -137,3 +147,104 @@ def test_a_node_reached_twice_is_rejected(edges):
              "zero": TreeLeaf(0), "one": TreeLeaf(1)}
     with pytest.raises(ValidationError, match="reached twice"):
         TreeModel(space, nodes, "root")
+
+
+# Reference enumeration: the discrete kinds' methods as they were written
+# before every enumeration read outputs by slot, point by point through
+# ``output``, with a tree's output walking routes keyed by domain value.
+def reference_value_routes(self):
+    """TreeModel.routes as {node id: {domain value: child id}}."""
+    return {nid: {x: child for values, child in node.edges for x in values}
+            for nid, node in self.nodes.items() if isinstance(node, TreeNode)}
+
+
+def reference_route_output(self, point, routes):
+    node_id, nodes = self.root, self.nodes
+    while node_id in routes:
+        node_id = routes[node_id][point[nodes[node_id].feature - 1]]
+    return nodes[node_id].value
+
+
+def reference_output(self):
+    """The model's output as a function of a point: the route walk for a
+    tree, a {point: output} lookup for a table."""
+    if isinstance(self, TreeModel):
+        routes = reference_value_routes(self)
+        return lambda point: reference_route_output(self, point, routes)
+    return dict(zip(self.space.points(), self.outputs)).__getitem__
+
+
+def reference_slice_outputs(self, output, v, fixed):
+    """The output at every point x of the slice x_S = v_S, point by point."""
+    return map(output, self.space.points({j: v[j - 1] for j in fixed}))
+
+
+def reference_labelled_points(self, output):
+    return ((pt, output(pt)) for pt in self.space.points())
+
+
+def reference_masked_outputs(self, output, v):
+    axes = [[1 << j if x == v[j] else 0 for x in f.domain.values]
+            for j, f in enumerate(self.space.features)]
+    return zip(map(sum, product(*axes)), (y for _, y in reference_labelled_points(self, output)))
+
+
+def fresh(point):
+    """An equal point whose rational coordinates are other objects."""
+    return tuple(Fraction(x.numerator, x.denominator) if isinstance(x, Fraction) else x
+                 for x in point)
+
+
+def assert_enumerations_equal_the_reference(model, rng):
+    output = reference_output(model)
+    labelled = list(reference_labelled_points(model, output))
+    assert list(labelled_points(model)) == labelled
+    for point, y in labelled:
+        assert model.output(point) == model.output(fresh(point)) == predict(model, point) == y
+    for _ in range(3):
+        v = fresh(rng.choice(labelled)[0])
+        assert list(model.masked_outputs(v)) == list(reference_masked_outputs(model, output, v))
+        for fixed in map(frozenset, subsets(model.space.ids)):
+            outputs = list(reference_slice_outputs(model, output, v, fixed))
+            assert list(model.slice_outputs(v, fixed)) == outputs
+            if model.value_kind == "numeric":
+                assert model.slice_expectation(v, fixed) == sum(outputs, Fraction(0)) / len(outputs)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_tree_enumerations_equal_the_reference(seed):
+    rng = random.Random(seed)
+    tree = random_tree_model(rng, rng.randint(1, 5), max_domain=4,
+                             categorical=seed % 2 == 1, mixed=seed % 4 < 2)
+    assert_enumerations_equal_the_reference(tree, rng)
+    table = dict(labelled_points(tree))
+    twin = TabularModel(tree.space, [table[p] for p in tree.space.points()], tree.value_kind)
+    assert tabulate(tree) == twin
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_table_enumerations_equal_the_reference(seed):
+    rng = random.Random(seed)
+    space, outputs, kind = random_table(rng, categorical=seed % 2 == 1)
+    assert_enumerations_equal_the_reference(TabularModel(space, outputs, kind), rng)
+
+
+def test_a_slice_is_read_lazily():
+    """A 2^20-point slice whose second point already differs is answered
+    from its first two slots, with no list of slots or points."""
+    m = 20
+    space = FeatureSpace(tuple(
+        Feature(i, f"x{i}", DiscreteDomain((0, 1))) for i in range(1, m + 1)))
+    nodes = {"root": TreeNode(m, (((0,), "zero"), ((1,), "one"))),
+             "zero": TreeLeaf(0), "one": TreeLeaf(1)}
+    model = TreeModel(space, nodes, "root")
+    problem = ExplanationProblem(model, make_instance(model, (0,) * m),
+                                 SimilarityConfig.class_equality())
+    tracemalloc.start()
+    try:
+        with cpu_limit(1):
+            assert is_waxp(problem, []) is False
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20

@@ -27,6 +27,7 @@ from shapxp import (
     predict,
     tabulate,
 )
+from shapxp.models import labelled_points
 from randmodels import random_tabular_problem
 
 
@@ -61,12 +62,12 @@ class TestValidation:
         space = bool_space(2)
         table = {(0, 0): 0, (0, 1): 1, (1, 0): 0}  # (1,1) missing
         with pytest.raises(ValidationError, match="total"):
-            TabularModel.from_table(space, table)
+            TabularModel(space, [table.get(p) for p in space.points()])
 
     def test_constant_table_rejected(self):
         space = bool_space(1)
         with pytest.raises(ValidationError, match="constant"):
-            TabularModel.from_table(space, {(0,): 1, (1,): 1})
+            TabularModel(space, [1, 1])
 
     def test_tree_repeats_feature_on_path(self):
         space = bool_space(1)
@@ -103,7 +104,7 @@ class TestValidation:
     def test_missing_points_of_mixed_values_are_named(self):
         space = FeatureSpace((Feature(1, "a", DiscreteDomain((0, 1, "c"))),))
         with pytest.raises(ValidationError, match=r"missing 2 points, e\.g\. \(1,\)"):
-            TabularModel.from_table(space, {(0,): 1})
+            TabularModel(space, [1, None, None])
 
     def test_box_cells_with_gap_rejected(self):
         space = FeatureSpace((Feature(1, "x", IntervalDomain(F(0), F(2))),))
@@ -168,7 +169,7 @@ class TestPredict:
 
     def test_tabulate_tree(self, reg2_model, reg2_tree_model):
         expanded = tabulate(reg2_tree_model)
-        assert expanded.table == reg2_model.table
+        assert dict(labelled_points(expanded)) == dict(labelled_points(reg2_model))
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +233,7 @@ class TestConditionalExpectation:
 
     def test_categorical_outputs_rejected(self):
         space = bool_space(1)
-        model = TabularModel.from_table(space, {(0,): "no", (1,): "yes"}, "categorical")
+        model = TabularModel(space, ["no", "yes"], "categorical")
         inst = make_instance(model, (1,))
         with pytest.raises(NumericOutputError):
             conditional_expectation(model, inst, ())

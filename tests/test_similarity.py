@@ -35,7 +35,7 @@ class TestConfig:
 
     def test_threshold_needs_numeric_outputs(self):
         space = FeatureSpace((Feature(1, "a", DiscreteDomain((0, 1))),))
-        model = TabularModel.from_table(space, {(0,): "no", (1,): "yes"}, "categorical")
+        model = TabularModel(space, ["no", "yes"], "categorical")
         with pytest.raises(NumericOutputError):
             ExplanationProblem(model, make_instance(model, (1,)),
                                SimilarityConfig.threshold(F(1)))
@@ -74,11 +74,11 @@ class TestSimilar:
 
     def test_equality_invariant_under_relabeling(self, cls3_model, cls3_problem):
         relabel = {F(0): "a", F(1): "b", F(4): "c", F(7): "d"}
-        table = {pt: relabel[v] for pt, v in cls3_model.table.items()}
-        relabeled = TabularModel.from_table(cls3_model.space, table, "categorical")
+        relabeled = TabularModel(cls3_model.space, [relabel[v] for v in cls3_model.outputs],
+                                 "categorical")
         problem = ExplanationProblem(relabeled, make_instance(relabeled, (1, 1, 2)),
                                      SimilarityConfig.class_equality())
-        for pt in cls3_model.table:
+        for pt in cls3_model.space.points():
             assert similar(problem, pt) == similar(cls3_problem, pt)
 
     def test_similar_value_direct(self, reg2_problem):

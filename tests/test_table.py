@@ -82,7 +82,7 @@ class TestTabular:
         space = FeatureSpace(tuple(
             Feature(i + 1, f"f{i + 1}", DiscreteDomain(domain)) for i in range(6)))
         table = {pt: rng.choice(VALUE_POOL) for pt in product(domain, repeat=6)}
-        model = TabularModel.from_table(space, table, "numeric")
+        model = TabularModel(space, [table[p] for p in space.points()], "numeric")
         problem = ExplanationProblem(model, random_instance(rng, model),
                                      SimilarityConfig.class_equality())
         for game in (expected_game(problem), waxp_game(problem),

@@ -12,6 +12,7 @@ import pytest
 
 from shapxp import ValidationError, load_model, load_sample
 from shapxp.cli import run_cli
+from shapxp.models import labelled_points
 from conftest import FIXTURES
 
 REG2 = FIXTURES / "reg2.json"
@@ -50,7 +51,7 @@ def validate_error(capsys, path):
 def test_every_spelling_of_a_table_point_reads_as_the_same_value(tmp_path, k):
     model = load_model(write_json(tmp_path, reg2_spelled(k)))
     assert model == load_model(REG2)
-    assert dict(model.table) == dict(load_model(REG2).table)
+    assert dict(labelled_points(model)) == dict(labelled_points(load_model(REG2)))
 
 
 def test_sample_rows_and_predictions_read_through_the_caches(tmp_path):
