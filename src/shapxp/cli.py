@@ -167,14 +167,14 @@ def _dispatch(args) -> RunReport:
 
     if len(instances) != 1:
         raise ValidationError(f"'{args.command}' takes exactly one --instance")
-    problem = ExplanationProblem(model, instances[0], similarity)
+    problem = ExplanationProblem(model, instances[0], similarity, universe)
     instance_info = {
         "point": [format_value(x) for x in problem.instance.point],
         "prediction": format_value(problem.instance.prediction),
     }
 
     if args.command == "relevancy":
-        relevant = relevant_features(problem, universe)
+        relevant = relevant_features(problem)
         results = {
             "relevant": list(relevant),
             "per_feature": [{"feature": i, "relevant": i in relevant}
@@ -184,20 +184,20 @@ def _dispatch(args) -> RunReport:
         seed = _parse_feature_ids(args.seed_features, model) \
             if args.seed_features else None
         if args.command == "axp":
-            found = extract_axp(problem, seed, universe)
+            found = extract_axp(problem, seed)
         else:
-            found = extract_cxp(problem, seed, universe)
+            found = extract_cxp(problem, seed)
         results = {args.command: list(found)}
         if universe is not None and args.command == "axp":
-            support = agnostic_support(problem, universe, found)
+            support = agnostic_support(problem, found)
             results["sample_support"] = support
             results["vacuous"] = support == 0
     elif args.command == "enumerate":
-        cxps = enumerate_cxps(problem, universe)
+        cxps = enumerate_cxps(problem)
         sets = axps_from_cxps(cxps) if args.kind == "axp" else cxps
         results = {"kind": args.kind, "sets": [list(s) for s in sets]}
     elif args.command == "shap":
-        results, diagnostics = _run_shap(args, problem, universe)
+        results, diagnostics = _run_shap(args, problem)
         report = RunReport("shap", model_info, instance_info, sim_info,
                            universe_info, results, diagnostics)
         return _finish(report, started)
@@ -208,11 +208,8 @@ def _dispatch(args) -> RunReport:
                              universe_info, results), started)
 
 
-def _run_shap(args, problem, universe):
-    if args.game == EXPECTED_VALUE:
-        game = expected_game(problem)
-    else:
-        game = waxp_game(problem, universe)
+def _run_shap(args, problem):
+    game = expected_game(problem) if args.game == EXPECTED_VALUE else waxp_game(problem)
     diagnostics = None
     compliance = None
     if args.method == "exact":
@@ -220,9 +217,7 @@ def _run_shap(args, problem, universe):
         # Zero-vs-nonzero compliance is only meaningful for exact scores,
         # and needs a usable similarity predicate (delta on box models).
         if problem.model.space.all_discrete() or problem.similarity.delta is not None:
-            # The sufficiency game's table is the one compliance reads.
-            table = game.table()[0] if args.game == WAXP_BASED else None
-            report = check_compliance(problem, vector, universe, table)
+            report = check_compliance(problem, vector)
             compliance = {
                 "violations": list(report.violations),
                 "compliant": report.compliant,
@@ -268,10 +263,10 @@ def _run_compare(args, model, instances, similarity, universe):
     reports = []
     per_instance = []
     for instance in instances:
-        problem = ExplanationProblem(model, instance, similarity)
+        problem = ExplanationProblem(model, instance, similarity, universe)
         vectors = {
             "expected:exact": shapley_exact(expected_game(problem)),
-            "waxp:exact": shapley_exact(waxp_game(problem, universe)),
+            "waxp:exact": shapley_exact(waxp_game(problem)),
         }
         comparison = compare_scores(vectors, persistence, args.depth)
         reports.append(comparison)
@@ -334,7 +329,9 @@ def _similarity_for(args, model) -> SimilarityConfig:
 
 
 def _universe_for(args, model):
-    if not getattr(args, "agnostic", False):
+    if not args.agnostic:
+        if args.sample:
+            raise ValidationError("--sample takes effect only with --agnostic")
         return None, {"kind": "model_aware"}
     if not args.sample:
         raise ValidationError("--agnostic needs --sample")

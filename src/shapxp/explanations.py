@@ -2,11 +2,12 @@
 
 An abductive explanation answers "which features, held at their instance
 values, force this prediction"; a contrastive one answers "which features,
-if freed, allow the prediction to change". Predicates can quantify over
-the model's whole feature space (model-aware) or over a finite sample of
-its behavior (model-agnostic). The sufficiency game, the contrastive
-explanations and relevancy all read one table, :func:`sufficiency_table`;
-the abductive explanations are the contrastive ones' minimal hitting sets.
+if freed, allow the prediction to change". Predicates quantify over the
+problem's universe: the model's whole feature space (model-aware) or a
+finite sample of its behavior (model-agnostic). The sufficiency game, the
+contrastive explanations and relevancy all read one table per problem,
+:func:`sufficiency_table`, which the problem builds once; the abductive
+explanations are the contrastive ones' minimal hitting sets.
 """
 
 from __future__ import annotations
@@ -86,28 +87,25 @@ def canonical(features: Iterable[int]) -> FeatureSet:
 # Quantifier predicates
 # ---------------------------------------------------------------------------
 
-def is_waxp(problem: ExplanationProblem, features: Iterable[int],
-            universe: Sample | None = None) -> bool:
+def is_waxp(problem: ExplanationProblem, features: Iterable[int]) -> bool:
     """Does fixing ``features`` at the instance values force an output
     indistinguishable from the instance prediction, everywhere in the
-    universe: the model's whole space when ``universe`` is None, else the
-    sample's rows? Vacuously true when no sample row matches."""
+    problem's universe: the model's whole space, or the sample's rows?
+    Vacuously true when no sample row matches."""
     fixed = frozenset(features)
     _check_feature_ids(problem, fixed)
-    owner = problem.model if universe is None else universe
     return all(similar_value(problem, y)
-               for y in owner.slice_outputs(problem.instance.point, fixed))
+               for y in problem.scope.slice_outputs(problem.instance.point, fixed))
 
 
-def is_wcxp(problem: ExplanationProblem, features: Iterable[int],
-            universe: Sample | None = None) -> bool:
+def is_wcxp(problem: ExplanationProblem, features: Iterable[int]) -> bool:
     """Can the output be made distinguishable by changing only
     ``features``? Exactly the complement of is_waxp on the remaining
     (fixed) features."""
     freed = frozenset(features)
     _check_feature_ids(problem, freed)
     rest = frozenset(problem.feature_ids) - freed
-    return not is_waxp(problem, rest, universe)
+    return not is_waxp(problem, rest)
 
 
 def _check_feature_ids(problem: ExplanationProblem, features: frozenset[int]) -> None:
@@ -116,10 +114,11 @@ def _check_feature_ids(problem: ExplanationProblem, features: frozenset[int]) ->
         raise ValidationError(f"unknown feature ids {sorted(unknown)}")
 
 
-def agnostic_support(problem: ExplanationProblem, sample: Sample,
-                     features: Iterable[int]) -> int:
-    """How many sample rows match x_S = v_S; zero means a vacuous check."""
-    return sum(1 for _ in sample.slice_outputs(problem.instance.point, features))
+def agnostic_support(problem: ExplanationProblem, features: Iterable[int]) -> int:
+    """How many rows of the sample match x_S = v_S; zero means a vacuous check."""
+    if problem.universe is None:
+        raise PreconditionError("sample support needs a model-agnostic problem")
+    return sum(1 for _ in problem.universe.slice_outputs(problem.instance.point, features))
 
 
 # ---------------------------------------------------------------------------
@@ -148,27 +147,32 @@ def _fold_supersets(table: list, op: Callable) -> None:
         half *= 2
 
 
-def sufficiency_table(problem: ExplanationProblem, universe: Sample | None = None) -> list[int]:
+def sufficiency_table(problem: ExplanationProblem) -> list[int]:
     """The sufficiency game for every coalition mask S (bit k is feature
-    k+1): nu(S) = 1 exactly when S is a weak abductive explanation.
+    k+1): nu(S) = 1 exactly when S is a weak abductive explanation. Built
+    on the problem's first call and kept, so callers must not mutate it."""
+    if problem._sufficiency is None:
+        object.__setattr__(problem, "_sufficiency", _build_sufficiency_table(problem))
+    return problem._sufficiency
 
-    Over the rows of a sample ``universe``, or over the whole space of a
-    discrete model when ``universe`` is None, f[S] tells whether some
-    labelled point with x_S = v_S has an output distinguishable from the
-    instance's, so nu(S) = 1 - f[S]; a coalition that no sample row
-    matches is vacuously sufficient. A box model takes one is_waxp call
-    per coalition, guarded at POINT_GUARD cell visits."""
+
+def _build_sufficiency_table(problem: ExplanationProblem) -> list[int]:
+    """Over the rows of a sample universe, or over the whole space of a
+    discrete model, f[S] tells whether some labelled point with x_S = v_S
+    has an output distinguishable from the instance's, so nu(S) = 1 - f[S];
+    a coalition that no sample row matches is vacuously sufficient. A box
+    model takes one is_waxp call per coalition, guarded at POINT_GUARD cell
+    visits."""
     m = problem.model.space.m
     if m > EXACT_GUARD:
         raise SizeLimitError(f"exact computation guarded at m <= {EXACT_GUARD}, got {m}")
-    if universe is None and not problem.model.space.all_discrete():
+    if problem.universe is None and not problem.model.space.all_discrete():
         guard_cell_table(problem.model)
         return [int(is_waxp(problem, [i for i in problem.feature_ids if mask >> i - 1 & 1]))
                 for mask in range(1 << m)]
     dissimilar: dict = {}  # output -> not similar_value, one call per output
     found = [False] * (1 << m)
-    owner = problem.model if universe is None else universe
-    for mask, y in owner.masked_outputs(problem.instance.point):
+    for mask, y in problem.scope.masked_outputs(problem.instance.point):
         hit = dissimilar.get(y)
         if hit is None:
             hit = dissimilar[y] = not similar_value(problem, y)
@@ -181,37 +185,34 @@ def sufficiency_table(problem: ExplanationProblem, universe: Sample | None = Non
 # Minimality extraction and enumeration
 # ---------------------------------------------------------------------------
 
-def extract_axp(problem: ExplanationProblem, seed: Iterable[int] | None = None,
-                universe: Sample | None = None) -> FeatureSet:
+def extract_axp(problem: ExplanationProblem, seed: Iterable[int] | None = None) -> FeatureSet:
     """Shrink a sufficient feature set to a subset-minimal one by deletion,
     attempting removals in ascending feature id order."""
-    return _shrink(problem, seed, universe, is_waxp, "abductive")
+    return _shrink(problem, seed, is_waxp, "abductive")
 
 
-def extract_cxp(problem: ExplanationProblem, seed: Iterable[int] | None = None,
-                universe: Sample | None = None) -> FeatureSet:
+def extract_cxp(problem: ExplanationProblem, seed: Iterable[int] | None = None) -> FeatureSet:
     """Dual of extract_axp: shrink a set whose freeing changes the output."""
-    return _shrink(problem, seed, universe, is_wcxp, "contrastive")
+    return _shrink(problem, seed, is_wcxp, "contrastive")
 
 
 def _shrink(problem: ExplanationProblem, seed: Iterable[int] | None,
-            universe: Sample | None, holds: Callable, kind: str) -> FeatureSet:
+            holds: Callable, kind: str) -> FeatureSet:
     """Deletion loop of both extractions: drop each seed feature in
     ascending id order while ``holds`` stays true of the rest."""
     seed_set = canonical(problem.feature_ids if seed is None else seed)
-    if not holds(problem, seed_set, universe):
+    if not holds(problem, seed_set):
         raise PreconditionError(f"seed {seed_set} is not a weak {kind} explanation")
     current = set(seed_set)
     for i in seed_set:
-        if holds(problem, current - {i}, universe):
+        if holds(problem, current - {i}):
             current.remove(i)
     return canonical(current)
 
 
-def enumerate_cxps(problem: ExplanationProblem,
-                   universe: Sample | None = None) -> tuple[FeatureSet, ...]:
+def enumerate_cxps(problem: ExplanationProblem) -> tuple[FeatureSet, ...]:
     """All subset-minimal contrastive explanations, by size, then ids."""
-    return _cxps_in_table(sufficiency_table(problem, universe), problem.feature_ids)
+    return _cxps_in_table(sufficiency_table(problem), problem.feature_ids)
 
 
 def _cxps_in_table(table: list[int], ids: tuple[int, ...]) -> tuple[FeatureSet, ...]:
@@ -268,22 +269,17 @@ def minimal_hitting_sets(family: Iterable[frozenset]) -> set[frozenset]:
     return {r for r in results if not any(o < r for o in results)}
 
 
-def enumerate_axps(problem: ExplanationProblem,
-                   universe: Sample | None = None) -> tuple[FeatureSet, ...]:
+def enumerate_axps(problem: ExplanationProblem) -> tuple[FeatureSet, ...]:
     """All abductive explanations, obtained by dualizing the contrastive
     family."""
-    return axps_from_cxps(enumerate_cxps(problem, universe))
+    return axps_from_cxps(enumerate_cxps(problem))
 
 
-def relevant_features(problem: ExplanationProblem, universe: Sample | None = None,
-                      table: list[int] | None = None) -> FeatureSet:
+def relevant_features(problem: ExplanationProblem) -> FeatureSet:
     """Features occurring in some abductive explanation; these are exactly
     the features occurring in some contrastive explanation, so the union
-    of the CXps is used and no hitting sets are needed. They are read off
-    ``table`` when the caller already holds the problem's sufficiency
-    table over the universe, else off one built here."""
-    if table is None:
-        table = sufficiency_table(problem, universe)
+    of the CXps is used and no hitting sets are needed."""
+    table = sufficiency_table(problem)
     return canonical(i for c in _cxps_in_table(table, problem.feature_ids) for i in c)
 
 

@@ -22,7 +22,6 @@ from typing import Callable, Iterable, Mapping, Optional
 from .errors import PreconditionError, SizeLimitError, ValidationError
 from .explanations import (
     EXACT_GUARD,
-    Sample,
     _fold_supersets,
     is_waxp,
     relevant_features,
@@ -56,10 +55,10 @@ class Game:
     coalition, never an inconsistent result (dict updates are atomic).
 
     ``table`` returns the whole coalition table, which is what exact
-    Shapley values need, and keeps it. A game with a ``kernel`` builds it
-    at once, only when asked (see
-    :func:`~shapxp.explanations.sufficiency_table`); any other game
-    evaluates ``at`` on each of the 2^m coalitions.
+    Shapley values need. A game with a ``kernel`` builds it at once, only
+    when asked; the sufficiency game's kernel reads the table its problem
+    builds once (see :func:`~shapxp.explanations.sufficiency_table`). Any
+    other game evaluates ``at`` on each of the 2^m coalitions.
 
     ``marginal_bound`` is an upper bound on |nu(S+i) - nu(S)| used by the
     sampling estimator; pass one explicitly for custom games.
@@ -72,7 +71,6 @@ class Game:
     kernel: Optional[Callable[[], CoalitionTable]] = field(
         default=None, repr=False, compare=False)
     _cache: dict[int, Fraction] = field(default_factory=dict, repr=False, compare=False)
-    _table: Optional[CoalitionTable] = field(default=None, repr=False, compare=False)
 
     def at(self, mask: int) -> Fraction:
         """nu of the coalition {players[k] : bit k of mask is set}."""
@@ -92,11 +90,9 @@ class Game:
 
     def table(self) -> CoalitionTable:
         """nu(S) for every coalition mask S, as (numerators, denominator);
-        built on the first call and kept, so callers must not mutate it."""
-        if self._table is None:
-            self._table = self.kernel() if self.kernel is not None else _over_lcd(
-                map(self.at, range(1 << self.m)))
-        return self._table
+        callers must not mutate it."""
+        return self.kernel() if self.kernel is not None else _over_lcd(
+            map(self.at, range(1 << self.m)))
 
     @property
     def m(self) -> int:
@@ -132,10 +128,9 @@ def cf_expected(problem: ExplanationProblem, features: Iterable[int]) -> Fractio
     return conditional_expectation(problem.model, problem.instance, features)
 
 
-def cf_waxp(problem: ExplanationProblem, features: Iterable[int],
-            universe: Sample | None = None) -> int:
+def cf_waxp(problem: ExplanationProblem, features: Iterable[int]) -> int:
     """1 if fixing the coalition forces an indistinguishable output, else 0."""
-    return 1 if is_waxp(problem, features, universe) else 0
+    return 1 if is_waxp(problem, features) else 0
 
 
 def expected_game(problem: ExplanationProblem) -> Game:
@@ -150,13 +145,13 @@ def expected_game(problem: ExplanationProblem) -> Game:
     )
 
 
-def waxp_game(problem: ExplanationProblem, universe: Sample | None = None) -> Game:
+def waxp_game(problem: ExplanationProblem) -> Game:
     return Game(
         players=problem.feature_ids,
-        charfn=lambda s: Fraction(cf_waxp(problem, s, universe)),
+        charfn=lambda s: Fraction(cf_waxp(problem, s)),
         tag=WAXP_BASED,
         marginal_bound=Fraction(1),
-        kernel=lambda: (sufficiency_table(problem, universe), 1),
+        kernel=lambda: (sufficiency_table(problem), 1),
     )
 
 
@@ -282,16 +277,12 @@ class ComplianceReport:
         return not self.violations
 
 
-def check_compliance(problem: ExplanationProblem, scores: ScoreVector,
-                     universe: Sample | None = None,
-                     table: list[int] | None = None) -> ComplianceReport:
+def check_compliance(problem: ExplanationProblem, scores: ScoreVector) -> ComplianceReport:
     """Compare zero/nonzero scores against feature (ir)relevancy.
 
     A fully compliant vector is zero exactly on the features that occur in
-    no abductive explanation. ``table`` is the problem's sufficiency table
-    over the universe when the caller already holds it, as the sufficiency
-    game does (see :func:`~shapxp.explanations.relevant_features`)."""
-    relevant = set(relevant_features(problem, universe, table))
+    no abductive explanation."""
+    relevant = set(relevant_features(problem))
     entries = tuple(
         FeatureCompliance(i, i in relevant, scores.score(i))
         for i in problem.feature_ids
@@ -299,31 +290,28 @@ def check_compliance(problem: ExplanationProblem, scores: ScoreVector,
     return ComplianceReport(entries, scores.game)
 
 
-def check_value_independence(problem: ExplanationProblem,
-                             relabel: Mapping,
-                             universe: Sample | None = None) -> bool:
+def check_value_independence(problem: ExplanationProblem, relabel: Mapping) -> bool:
     """Do sufficiency-game scores survive an injective relabeling of the
     model's output values?
 
-    The relabeled problem keeps the same instance point; its prediction is
-    the relabeled original, and a sample universe has its predictions
-    relabeled by the same map. True means the score vector is unchanged
-    feature-by-feature (exact equality).
+    The relabeled problem is :func:`relabel_problem`'s. True means the
+    score vector is unchanged feature-by-feature (exact equality).
     """
     if problem.similarity.mode != CLASS_EQUALITY:
         raise PreconditionError("value independence is defined for class-equality similarity")
     relabeled = relabel_problem(problem, relabel)
-    relabeled_universe = None if universe is None else universe.relabel(relabel)
-    before = shapley_exact(waxp_game(problem, universe))
-    after = shapley_exact(waxp_game(relabeled, relabeled_universe))
+    before = shapley_exact(waxp_game(problem))
+    after = shapley_exact(waxp_game(relabeled))
     return before.scores == after.scores
 
 
 def relabel_problem(problem: ExplanationProblem, relabel: Mapping) -> ExplanationProblem:
-    """Apply an injective output-value map to a discrete model and its
-    instance, preserving the feature space."""
+    """Apply an injective output-value map to a discrete model, its
+    instance and a sample universe, preserving the feature space and the
+    instance point."""
     if not problem.model.space.all_discrete():
         raise PreconditionError("output relabeling needs a discrete-output model")
     model = problem.model.relabel(relabel)
     instance = Instance(problem.instance.point, relabel[problem.instance.prediction])
-    return ExplanationProblem(model, instance, problem.similarity)
+    universe = None if problem.universe is None else problem.universe.relabel(relabel)
+    return ExplanationProblem(model, instance, problem.similarity, universe)

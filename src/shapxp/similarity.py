@@ -7,12 +7,15 @@ compare against a tolerance delta on the absolute output change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .errors import NumericOutputError, ValidationError
 from .models import NUMERIC, Instance, Model, Point, Value, predict
+
+if TYPE_CHECKING:
+    from .explanations import Sample
 
 CLASS_EQUALITY = "class_equality"
 THRESHOLD = "threshold"
@@ -46,11 +49,17 @@ class SimilarityConfig:
 
 @dataclass(frozen=True)
 class ExplanationProblem:
-    """A model, a target instance, and the similarity notion tying them."""
+    """A model, a target instance, the similarity notion tying them, and
+    the universe explanations quantify over: the model's whole space when
+    ``universe`` is None, else a sample's rows. The problem keeps its
+    sufficiency table (see :func:`~shapxp.explanations.sufficiency_table`)."""
 
     model: Model
     instance: Instance
     similarity: SimilarityConfig
+    universe: Sample | None = None
+    _sufficiency: list[int] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         actual = predict(self.model, self.instance.point)
@@ -60,10 +69,19 @@ class ExplanationProblem:
                 f"the model output {actual!r}")
         if self.similarity.mode == THRESHOLD and self.model.value_kind != NUMERIC:
             raise NumericOutputError("threshold similarity needs numeric model outputs")
+        m = self.model.space.m
+        for row in () if self.universe is None else self.universe.rows:
+            if len(row) != m:
+                raise ValidationError(f"sample row {row!r} does not have the model's {m} values")
 
     @property
     def feature_ids(self) -> tuple[int, ...]:
         return self.model.space.ids
+
+    @property
+    def scope(self) -> Model | Sample:
+        """What answers the quantifiers: the sample, else the model."""
+        return self.model if self.universe is None else self.universe
 
 
 def similar_value(problem: ExplanationProblem, value: Value) -> bool:

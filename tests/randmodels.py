@@ -2,6 +2,7 @@
 property suites. The oracles deliberately stay naive: full lattice scans
 and whole-subset filters, independent of the production search strategies."""
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import chain, combinations, product
 
@@ -106,24 +107,25 @@ def random_sample(rng, model):
 
 
 def with_similarity(problem, similarity):
-    return ExplanationProblem(problem.model, problem.instance, similarity)
+    return replace(problem, similarity=similarity)
 
 
 def subsets(ids):
     return chain.from_iterable(combinations(ids, k) for k in range(len(ids) + 1))
 
 
-def brute_force_axps(problem, universe=None):
-    """All subset-minimal sufficient sets, by scanning the whole lattice."""
+def brute_force_axps(problem):
+    """All subset-minimal sufficient sets over the problem's universe, by
+    scanning the whole lattice."""
     waxps = [frozenset(s) for s in subsets(problem.feature_ids)
-             if is_waxp(problem, s, universe)]
+             if is_waxp(problem, s)]
     minimal = [s for s in waxps if not any(o < s for o in waxps)]
     return set(minimal)
 
 
-def brute_force_cxps(problem, universe=None):
+def brute_force_cxps(problem):
     wcxps = [frozenset(s) for s in subsets(problem.feature_ids)
-             if is_wcxp(problem, s, universe)]
+             if is_wcxp(problem, s)]
     minimal = [s for s in wcxps if not any(o < s for o in wcxps)]
     return set(minimal)
 

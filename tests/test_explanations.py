@@ -1,10 +1,13 @@
+import inspect
 import random
 import warnings
+from dataclasses import fields, replace
 from fractions import Fraction as F
 from itertools import product
 
 import pytest
 
+import shapxp
 from shapxp import (
     ConstantOnUniverseWarning,
     DiscreteDomain,
@@ -47,13 +50,13 @@ from randmodels import (
 )
 
 
-def assert_enumeration_matches_oracle(problem, universe=None):
+def assert_enumeration_matches_oracle(problem):
     """enumerate_cxps equals the per-set lattice oracle, in (size, ids)
     order, and warns exactly when the family is empty."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        found = enumerate_cxps(problem, universe)
-    oracle = sorted((tuple(sorted(c)) for c in brute_force_cxps(problem, universe)),
+        found = enumerate_cxps(problem)
+    oracle = sorted((tuple(sorted(c)) for c in brute_force_cxps(problem)),
                     key=lambda c: (len(c), c))
     assert found == tuple(oracle)
     warned = any(issubclass(w.category, ConstantOnUniverseWarning) for w in caught)
@@ -192,9 +195,9 @@ class TestEnumeration:
 
     def test_constant_universe_warns_and_returns_empty(self, cls3_problem):
         rows = ((1, 0, 0), (1, 1, 2))  # every row predicts 1
-        universe = Sample(rows, (F(1), F(1)))
+        problem = replace(cls3_problem, universe=Sample(rows, (F(1), F(1))))
         with pytest.warns(ConstantOnUniverseWarning):
-            assert enumerate_cxps(cls3_problem, universe) == ()
+            assert enumerate_cxps(problem) == ()
 
     def test_matches_brute_force(self):
         rng = random.Random(962)
@@ -219,8 +222,8 @@ class TestEnumeration:
             universe = random_sample(rng, problem.model)
             for similarity in (SimilarityConfig.class_equality(),
                                SimilarityConfig.threshold(F(1, 2))):
-                assert_enumeration_matches_oracle(with_similarity(problem, similarity),
-                                                  universe)
+                assert_enumeration_matches_oracle(
+                    replace(problem, similarity=similarity, universe=universe))
         for _ in range(10):
             model = random_grid_model(rng, m=2)
             v = (F(rng.randrange(-4, 5), 4), F(rng.randrange(-4, 5), 4))
@@ -233,8 +236,8 @@ class TestEnumeration:
         # full feature set insufficient; the minimal non-empty freed sets
         # are then the singletons.
         rows = ((0, 0, 0), (1, 1, 2))
-        universe = Sample(rows, (F(0), F(7)))
-        assert enumerate_cxps(cls3_problem, universe) == ((1,), (2,), (3,))
+        problem = replace(cls3_problem, universe=Sample(rows, (F(0), F(7))))
+        assert enumerate_cxps(problem) == ((1,), (2,), (3,))
 
     def test_guarded_past_24_features(self):
         model = wide_tree_model(25)
@@ -310,27 +313,45 @@ class TestRelevancy:
 class TestModelAgnostic:
     def test_full_space_sample_matches_model_aware(self, cls3_problem, reg2_problem):
         for problem in (cls3_problem, reg2_problem):
-            universe = full_space_sample(problem.model)
+            agnostic = replace(problem, universe=full_space_sample(problem.model))
             for s in subsets(problem.feature_ids):
-                assert is_waxp(problem, s, universe) == is_waxp(problem, s)
-                assert is_wcxp(problem, s, universe) == is_wcxp(problem, s)
-            assert enumerate_cxps(problem, universe) == enumerate_cxps(problem)
-            assert enumerate_axps(problem, universe) == enumerate_axps(problem)
-            assert relevant_features(problem, universe) == relevant_features(problem)
+                assert is_waxp(agnostic, s) == is_waxp(problem, s)
+                assert is_wcxp(agnostic, s) == is_wcxp(problem, s)
+            assert enumerate_cxps(agnostic) == enumerate_cxps(problem)
+            assert enumerate_axps(agnostic) == enumerate_axps(problem)
+            assert relevant_features(agnostic) == relevant_features(problem)
 
     def test_vacuous_match_is_true(self, cls3_problem):
         rows = ((0, 0, 0), (0, 1, 1))  # nothing matches x1 = 1
-        sample = Sample(rows, (F(0), F(7)))
-        universe = sample
-        assert agnostic_support(cls3_problem, sample, (1,)) == 0
-        assert is_waxp(cls3_problem, (1,), universe)
+        problem = replace(cls3_problem, universe=Sample(rows, (F(0), F(7))))
+        assert agnostic_support(problem, (1,)) == 0
+        assert is_waxp(problem, (1,))
+        with pytest.raises(PreconditionError, match="model-agnostic"):
+            agnostic_support(cls3_problem, (1,))
 
     def test_sample_restriction_can_shrink_explanations(self, cls3_problem):
         # With only similar rows beyond the instance, even the empty set
         # becomes sufficient on the sample.
         rows = ((1, 1, 2), (1, 0, 0))
-        universe = Sample(rows, (F(1), F(1)))
-        assert is_waxp(cls3_problem, (), universe)
+        problem = replace(cls3_problem, universe=Sample(rows, (F(1), F(1))))
+        assert is_waxp(problem, ())
+
+
+def test_the_universe_is_read_from_the_problem_only():
+    """No public function or method of shapxp takes a universe, a sample
+    or a sufficiency table beside the problem that owns them."""
+    threaded = []
+    for name in dir(shapxp):
+        obj = getattr(shapxp, name)
+        if name.startswith("_") or not callable(obj):
+            continue
+        members = [(name, obj)] if inspect.isfunction(obj) else [
+            (f"{name}.{attr}", f) for attr, f in inspect.getmembers(obj, inspect.isfunction)
+            if not attr.startswith("_")]
+        threaded += [qualified for qualified, f in members
+                     if {"universe", "sample", "table"} & set(inspect.signature(f).parameters)]
+    assert threaded == []
+    assert "universe" in {f.name for f in fields(ExplanationProblem)}
 
 
 class TestBoxPredicatesAgainstWitnessOracle:

@@ -1,5 +1,6 @@
 import random
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -237,15 +238,15 @@ class TestValueIndependence:
 
     def test_a_sample_universe_is_relabeled_with_the_model(self, cls3_problem):
         relabel = {y: f"c{y}" for y in set(cls3_problem.model.outputs)}
-        sample = full_space_sample(cls3_problem.model)
+        agnostic = replace(cls3_problem, universe=full_space_sample(cls3_problem.model))
         assert check_value_independence(cls3_problem, relabel)
-        assert check_value_independence(cls3_problem, relabel, sample)
+        assert check_value_independence(agnostic, relabel)
 
     def test_a_sample_prediction_the_map_misses_is_rejected(self, cls3_problem):
         relabel = {y: f"c{y}" for y in set(cls3_problem.model.outputs)}
-        sample = Sample(((1, 1, 2),), (F(99),))
+        agnostic = replace(cls3_problem, universe=Sample(((1, 1, 2),), (F(99),)))
         with pytest.raises(ValidationError, match="misses output value"):
-            check_value_independence(cls3_problem, relabel, sample)
+            check_value_independence(agnostic, relabel)
 
     def test_threshold_similarity_rejected(self, pw2_problem):
         with pytest.raises(PreconditionError):

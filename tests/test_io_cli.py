@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -152,11 +153,11 @@ class TestLoadSample:
                                                          reg2_problem):
         from shapxp import enumerate_axps, enumerate_cxps, is_waxp
         from randmodels import subsets
-        universe = load_sample(REG2_SAMPLE, reg2_model)
+        agnostic = replace(reg2_problem, universe=load_sample(REG2_SAMPLE, reg2_model))
         for s in subsets(reg2_problem.feature_ids):
-            assert is_waxp(reg2_problem, s, universe) == is_waxp(reg2_problem, s)
-        assert enumerate_cxps(reg2_problem, universe) == enumerate_cxps(reg2_problem)
-        assert enumerate_axps(reg2_problem, universe) == enumerate_axps(reg2_problem)
+            assert is_waxp(agnostic, s) == is_waxp(reg2_problem, s)
+        assert enumerate_cxps(agnostic) == enumerate_cxps(reg2_problem)
+        assert enumerate_axps(agnostic) == enumerate_axps(reg2_problem)
 
     def test_predictions_computed_when_absent(self, tmp_path, reg2_model):
         path = write(tmp_path, "s.csv", "x1,x2\n0,1\n1,1\n")
@@ -331,6 +332,17 @@ class TestCli:
         assert run_cli(["relevancy", "--model", CLS3, "--instance", "1,1,2",
                         "--agnostic"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", [
+        ["relevancy"], ["axp"], ["cxp"], ["enumerate", "--kind", "axp"],
+        ["shap", "--game", "waxp"], ["compare"],
+    ], ids=" ".join)
+    def test_sample_without_agnostic_exits_2(self, capsys, command):
+        # Without --agnostic the run would quantify over the model's space
+        # and leave the sample unread.
+        assert run_cli(command + ["--model", REG2, "--instance", "1,1",
+                                  "--sample", REG2_SAMPLE]) == 2
+        assert "--agnostic" in capsys.readouterr().err
 
     def test_computation_error_exits_3(self, capsys, tmp_path):
         doc = variant(value_kind="categorical",

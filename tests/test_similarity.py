@@ -9,6 +9,7 @@ from shapxp import (
     Feature,
     FeatureSpace,
     NumericOutputError,
+    Sample,
     SimilarityConfig,
     TabularModel,
     ValidationError,
@@ -40,10 +41,18 @@ class TestConfig:
             ExplanationProblem(model, make_instance(model, (1,)),
                                SimilarityConfig.threshold(F(1)))
 
-    def test_instance_must_match_model(self, reg2_model):
+    def test_instance_must_match_model(self, reg2_model, cls3_model):
         with pytest.raises(ValidationError, match="does not match"):
             ExplanationProblem(reg2_model, Instance((1, 1), F(7)),
                                SimilarityConfig.class_equality())
+        # So must a sample universe's rows, one value per feature: slices
+        # index a row by feature, and the sufficiency table zips it with
+        # the instance, which would drop the values past the shorter one.
+        instance = make_instance(cls3_model, (1, 1, 2))
+        for rows in (((0,), (1,)), ((1, 1, 2), (1, 1, 2, 0))):
+            with pytest.raises(ValidationError, match="model's 3 values"):
+                ExplanationProblem(cls3_model, instance, SimilarityConfig.class_equality(),
+                                   Sample(rows, (F(0), F(1))))
 
 
 class TestSimilar:

@@ -7,6 +7,7 @@ and ``is_waxp``. Every case asserts that the two agree exactly.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
 
@@ -123,7 +124,7 @@ class TestAgnostic:
             sample = random_sample(rng, problem.model)
             for similarity in (SimilarityConfig.class_equality(),
                                SimilarityConfig.threshold(F(1, 2))):
-                game = waxp_game(with_similarity(problem, similarity), sample)
+                game = waxp_game(replace(problem, similarity=similarity, universe=sample))
                 assert_kernel_matches_oracle(game)
 
     def test_vacuous_coalitions_are_sufficient(self, cls3_problem):
@@ -132,7 +133,7 @@ class TestAgnostic:
         row = (1 - v[0], v[1], (v[2] + 1) % 3)
         pred = predict(cls3_problem.model, row)
         assert pred != cls3_problem.instance.prediction
-        game = waxp_game(cls3_problem, Sample((row,), (pred,)))
+        game = waxp_game(replace(cls3_problem, universe=Sample((row,), (pred,))))
         numerators, denominator = game.table()
         assert denominator == 1
         assert numerators == [0, 1, 0, 1, 1, 1, 1, 1]  # masks with bit 0 or bit 2
@@ -144,9 +145,10 @@ class TestAgnostic:
         grid = [F(k, 8) for k in range(-8, 9)]
         rows = tuple((rng.choice(grid), rng.choice(grid)) for _ in range(12))
         instance = make_instance(model, rows[0])
-        problem = ExplanationProblem(model, instance, SimilarityConfig.threshold(F(1, 4)))
         sample = Sample(rows, tuple(predict(model, r) for r in rows))
-        assert_kernel_matches_oracle(waxp_game(problem, sample))
+        problem = ExplanationProblem(model, instance, SimilarityConfig.threshold(F(1, 4)),
+                                     universe=sample)
+        assert_kernel_matches_oracle(waxp_game(problem))
 
 
 class TestGamesWithoutKernel:
@@ -200,41 +202,56 @@ class TestNoPerCoalitionFallback:
         return ExplanationProblem(tree, random_instance(rng, tree),
                                   SimilarityConfig.class_equality())
 
+    # The session fixtures may already hold their sufficiency tables, which
+    # would hide the build; each test builds on fresh copies instead.
     def test_tabular_and_tree(self, no_slow_path, cls3_problem, reg2_problem, tree_problem):
         sample = Sample(((0, 0, 0), (1, 1, 2)), (F(0), F(7)))
-        for problem in (cls3_problem, reg2_problem, tree_problem):
+        for problem in (replace(cls3_problem), replace(reg2_problem), tree_problem):
             shapley_exact(expected_game(problem))
             shapley_exact(waxp_game(problem))
-        shapley_exact(waxp_game(cls3_problem, sample))
+        shapley_exact(waxp_game(replace(cls3_problem, universe=sample)))
 
     def test_enumeration_and_relevancy(self, no_slow_path, cls3_problem, reg2_problem,
                                        tree_problem):
         universe = Sample(((0, 0, 0), (1, 1, 2)), (F(0), F(1)))
-        for problem, universe in ((cls3_problem, None), (reg2_problem, None),
-                                  (tree_problem, None), (cls3_problem, universe)):
-            enumerate_cxps(problem, universe)
-            relevant_features(problem, universe)
+        for problem in (replace(cls3_problem), replace(reg2_problem), tree_problem,
+                        replace(cls3_problem, universe=universe)):
+            enumerate_cxps(problem)
+            relevant_features(replace(problem))
 
 
-@pytest.mark.parametrize("argv", [
-    ["--model", str(FIXTURES / "cls3.json"), "--instance", "1,1,2"],
-    ["--model", str(FIXTURES / "cls3_tree.json"), "--instance", "1,1,2"],
-    ["--model", str(FIXTURES / "reg2.json"), "--instance", "1,1", "--agnostic",
-     "--sample", str(FIXTURES / "reg2_sample.csv")],
-    ["--model", str(FIXTURES / "pw2.json"), "--instance", "1,1", "--delta", "1/5"],
-], ids=["tabular", "tree", "agnostic", "box"])
+EXACT_WAXP = ["shap", "--game", "waxp", "--method", "exact"]
+COMPLIANT = "compliance: scores are zero exactly on irrelevant features"
+CLS3 = ["--model", str(FIXTURES / "cls3.json"), "--instance", "1,1,2"]
+
+
+@pytest.mark.parametrize("argv,shown,builds", [
+    (EXACT_WAXP + CLS3, COMPLIANT, 1),
+    (EXACT_WAXP + ["--model", str(FIXTURES / "cls3_tree.json"), "--instance", "1,1,2"],
+     COMPLIANT, 1),
+    (EXACT_WAXP + ["--model", str(FIXTURES / "reg2.json"), "--instance", "1,1", "--agnostic",
+                   "--sample", str(FIXTURES / "reg2_sample.csv")], COMPLIANT, 1),
+    (EXACT_WAXP + ["--model", str(FIXTURES / "pw2.json"), "--instance", "1,1",
+                   "--delta", "1/5"], COMPLIANT, 1),
+    (["shap", "--game", "expected", "--method", "exact"] + CLS3,
+     "compliance: MISLEADING on features [1, 2, 3]", 1),
+    (["compare"] + CLS3 + ["--instance", "0,0,0"], "instance (0,0,0):", 2),
+], ids=["tabular", "tree", "agnostic", "box", "expected", "compare"])
 def test_exact_waxp_scores_and_compliance_share_one_sufficiency_table(
-        argv, monkeypatch, capsys):
+        argv, shown, builds, monkeypatch, capsys):
+    """Each problem builds its sufficiency table once: the sufficiency
+    game's scores and compliance share it, compliance builds it for the
+    expected game, and compare builds one per instance. The builder is
+    counted, below the problem's memo, so reads of a kept table do not
+    count."""
     built = []
-    sufficiency_table = shapxp.explanations.sufficiency_table
+    build = shapxp.explanations._build_sufficiency_table
 
-    def counted(*args):
-        built.append(args)
-        return sufficiency_table(*args)
+    def counted(problem):
+        built.append(problem)
+        return build(problem)
 
-    monkeypatch.setattr(shapxp.explanations, "sufficiency_table", counted)
-    monkeypatch.setattr(shapxp.games, "sufficiency_table", counted)
-    assert run_cli(["shap", "--game", "waxp", "--method", "exact"] + argv) == 0
-    assert "compliance: scores are zero exactly on irrelevant features" in \
-        capsys.readouterr().out
-    assert len(built) == 1
+    monkeypatch.setattr(shapxp.explanations, "_build_sufficiency_table", counted)
+    assert run_cli(argv) == 0
+    assert shown in capsys.readouterr().out
+    assert len(built) == builds
