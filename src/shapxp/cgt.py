@@ -28,6 +28,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .errors import PreconditionError, SizeLimitError, ValidationError
+from .explanations import BASIS_GUARD
 from .games import Game, ScoreVector
 
 _MASK64 = (1 << 64) - 1
@@ -162,6 +163,12 @@ def cgt_estimate(game: Game, config: CgtConfig) -> tuple[ScoreVector, CgtDiagnos
         raise SizeLimitError(
             f"sampling guarded at {DRAW_GUARD} player draws: {m} players allow at most "
             f"{DRAW_GUARD // m} permutations, fewer than these parameters need")
+    # A permutation's prefixes share only the empty and the full coalition.
+    evaluations = min(total * m + 1, 1 << m)
+    if game.evaluation_cost is not None and evaluations * game.evaluation_cost() > BASIS_GUARD:
+        raise SizeLimitError(
+            f"sampling guarded at {BASIS_GUARD} set comparisons: {total} permutations "
+            f"may evaluate {evaluations} coalitions, each checked against the basis")
 
     # Marginals repeat heavily on small games, so tally (prefix mask,
     # position) occurrence counts under the int key mask * m + (p - 1) and

@@ -4,16 +4,24 @@ An abductive explanation answers "which features, held at their instance
 values, force this prediction"; a contrastive one answers "which features,
 if freed, allow the prediction to change". Predicates quantify over the
 problem's universe: the model's whole feature space (model-aware) or a
-finite sample of its behavior (model-agnostic). The sufficiency game, the
-contrastive explanations and relevancy all read one table per problem,
-:func:`sufficiency_table`, which the problem builds once; the abductive
-explanations are the contrastive ones' minimal hitting sets.
+finite sample of its behavior (model-agnostic).
+
+Each problem keeps its contrastive basis, :func:`contrastive_basis`: the
+inclusion-minimal disagreement masks of the points whose output is
+distinguishable from the instance's, which are exactly the minimal
+contrastive explanations. The sufficiency predicate on a tree or a sample,
+enumeration, relevancy and compliance all read it; the abductive
+explanations are its minimal hitting sets. A tree builds the basis in one
+walk over its leaves and a sample in one pass over its rows; tabular and
+box models read it off the sufficiency table, :func:`sufficiency_table`,
+which also gives the sufficiency game. A problem builds each at most once.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cache, reduce
 from itertools import compress
 from operator import eq, or_
 from typing import Callable, Iterable, Iterator, Mapping
@@ -21,6 +29,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 from .errors import PreconditionError, SizeLimitError, ValidationError
 from .models import (
     Point,
+    TreeModel,
     Value,
     guard_cell_table,
     labelled_points,
@@ -34,6 +43,11 @@ from .similarity import (
 
 FeatureSet = tuple  # canonical: sorted tuple of 1-based feature ids
 EXACT_GUARD = 24  # 2^m subset evaluations
+# Set comparisons one run may make against a contrastive basis: a
+# hitting-set search over more than EXACT_GUARD features (a narrower
+# family is bounded by its width), or CGT's sufficiency checks on a tree.
+# One comparison costs 0.2-0.3 us (Python 3.11, x86-64), so about a second.
+BASIS_GUARD = 2 ** 22
 
 
 class ConstantOnUniverseWarning(UserWarning):
@@ -65,11 +79,16 @@ class Sample:
         return (y for row, y in zip(self.rows, self.predictions)
                 if all(row[j] == v[j] for j in axes))
 
-    def masked_outputs(self, v: Point) -> Iterator[tuple[int, Value]]:
-        """(agreement mask with v, prediction) of every row."""
+    def masked_outputs(self, v: Point, where: Callable[[Value], bool] | None = None
+                       ) -> Iterator[tuple[int, Value]]:
+        """(agreement mask with v, prediction) of every row, or with
+        ``where`` of the rows whose prediction it holds for; their masks
+        alone are computed."""
         bits = [1 << j for j in range(len(v))]
-        return ((sum(compress(bits, map(eq, row, v))), y)
-                for row, y in zip(self.rows, self.predictions))
+        rows = zip(self.rows, self.predictions)
+        if where is not None:
+            rows = ((row, y) for row, y in rows if where(y))
+        return ((sum(compress(bits, map(eq, row, v))), y) for row, y in rows)
 
     def relabel(self, mapping: Mapping) -> "Sample":
         """The same rows with each prediction y replaced by mapping[y]."""
@@ -83,6 +102,11 @@ def canonical(features: Iterable[int]) -> FeatureSet:
     return tuple(sorted(set(features)))
 
 
+def _ids(mask: int) -> FeatureSet:
+    """The feature ids of a coalition bitmask, ascending."""
+    return tuple(k + 1 for k in range(mask.bit_length()) if mask >> k & 1)
+
+
 # ---------------------------------------------------------------------------
 # Quantifier predicates
 # ---------------------------------------------------------------------------
@@ -91,9 +115,14 @@ def is_waxp(problem: ExplanationProblem, features: Iterable[int]) -> bool:
     """Does fixing ``features`` at the instance values force an output
     indistinguishable from the instance prediction, everywhere in the
     problem's universe: the model's whole space, or the sample's rows?
-    Vacuously true when no sample row matches."""
+    Vacuously true when no sample row matches. On a tree or a sample it
+    holds exactly when the features meet every set of the contrastive
+    basis; tabular and box models quantify over the slice."""
     fixed = frozenset(features)
     _check_feature_ids(problem, fixed)
+    if _walks_basis(problem):
+        mask = sum(1 << i - 1 for i in fixed)
+        return all(b & mask for b in contrastive_basis(problem))
     return all(similar_value(problem, y)
                for y in problem.scope.slice_outputs(problem.instance.point, fixed))
 
@@ -119,6 +148,86 @@ def agnostic_support(problem: ExplanationProblem, features: Iterable[int]) -> in
     if problem.universe is None:
         raise PreconditionError("sample support needs a model-agnostic problem")
     return sum(1 for _ in problem.universe.slice_outputs(problem.instance.point, features))
+
+
+# ---------------------------------------------------------------------------
+# The contrastive basis
+# ---------------------------------------------------------------------------
+#
+# A point p disagrees with the instance v on the features of its
+# disagreement mask D(p) = {j : p_j != v_j}, and freeing C lets p be
+# reached from v exactly when D(p) is a subset of C. So C is a weak
+# contrastive explanation exactly when it holds the mask of some point with
+# a distinguishable output, and the minimal contrastive explanations are
+# the inclusion-minimal such masks: the basis. A fixed set S is sufficient
+# exactly when it meets every mask of the basis.
+
+
+def _walks_basis(problem: ExplanationProblem) -> bool:
+    """Does the problem's scope give its disagreement masks in one pass
+    (a sample's rows, a tree's leaves) rather than through the table?"""
+    return problem.universe is not None or isinstance(problem.model, TreeModel)
+
+
+def _dissimilar(problem: ExplanationProblem) -> Callable[[Value], bool]:
+    """Is an output distinguishable from the instance's? One similarity
+    call per distinct output."""
+    return cache(lambda y: not similar_value(problem, y))
+
+
+def contrastive_basis(problem: ExplanationProblem) -> tuple[int, ...]:
+    """The basis as coalition masks (bit k is feature k+1), in (size, ids)
+    order. It is (0,) when a sample labels the instance's own point
+    otherwise, and empty when no point is distinguishable. Built on the
+    problem's first call and kept."""
+    if problem._basis is None:
+        v, dissimilar = problem.instance.point, _dissimilar(problem)
+        if problem.universe is not None:
+            full = (1 << len(v)) - 1
+            basis = _minimal(full ^ mask
+                             for mask, _ in problem.universe.masked_outputs(v, dissimilar))
+        elif isinstance(problem.model, TreeModel):
+            basis = _minimal(problem.model.disagreements(v, dissimilar))
+        else:
+            basis = _cxps_in_table(sufficiency_table(problem), problem.feature_ids)
+        object.__setattr__(problem, "_basis", basis)
+    return problem._basis
+
+
+def sufficiency_check_cost(problem: ExplanationProblem) -> int:
+    """The set comparisons one :func:`is_waxp` call makes on a tree: its
+    feature ids, then the basis. 0 elsewhere: a slice of a tabular or box
+    model is guarded on its own, and a check against a sample's basis
+    costs no more than one scan of its rows."""
+    if problem.universe is not None or not isinstance(problem.model, TreeModel):
+        return 0
+    return problem.model.space.m + len(contrastive_basis(problem))
+
+
+def _minimal(masks: Iterable[int]) -> tuple[int, ...]:
+    """The inclusion-minimal masks, in (size, ids) order."""
+    kept: list[int] = []
+    for mask in _in_order(set(masks)):
+        if all(k & mask != k for k in kept):
+            kept.append(mask)
+    return tuple(kept)
+
+
+def _in_order(masks: Iterable[int]) -> tuple[int, ...]:
+    return tuple(sorted(masks, key=lambda mask: (mask.bit_count(), _ids(mask))))
+
+
+def _minimal_cxps(problem: ExplanationProblem) -> tuple[int, ...]:
+    """The minimal contrastive explanations as masks: the basis, except
+    that freeing nothing is never one, so a basis (0,), where nu is 0
+    everywhere, gives every singleton."""
+    basis = contrastive_basis(problem)
+    if basis == (0,):
+        return tuple(1 << k for k in range(problem.model.space.m))
+    if not basis:
+        warnings.warn("model output is constant on the universe: no contrastive "
+                      "explanations exist", ConstantOnUniverseWarning, stacklevel=3)
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +279,10 @@ def _build_sufficiency_table(problem: ExplanationProblem) -> list[int]:
         guard_cell_table(problem.model)
         return [int(is_waxp(problem, [i for i in problem.feature_ids if mask >> i - 1 & 1]))
                 for mask in range(1 << m)]
-    dissimilar: dict = {}  # output -> not similar_value, one call per output
+    dissimilar = _dissimilar(problem)
     found = [False] * (1 << m)
     for mask, y in problem.scope.masked_outputs(problem.instance.point):
-        hit = dissimilar.get(y)
-        if hit is None:
-            hit = dissimilar[y] = not similar_value(problem, y)
-        found[mask] |= hit
+        found[mask] |= dissimilar(y)
     _fold_supersets(found, or_)
     return [0 if hit else 1 for hit in found]
 
@@ -212,26 +318,20 @@ def _shrink(problem: ExplanationProblem, seed: Iterable[int] | None,
 
 def enumerate_cxps(problem: ExplanationProblem) -> tuple[FeatureSet, ...]:
     """All subset-minimal contrastive explanations, by size, then ids."""
-    return _cxps_in_table(sufficiency_table(problem), problem.feature_ids)
+    return tuple(map(_ids, _minimal_cxps(problem)))
 
 
-def _cxps_in_table(table: list[int], ids: tuple[int, ...]) -> tuple[FeatureSet, ...]:
-    """The minimal contrastive explanations read off a sufficiency table
-    over the players ``ids``: freeing C allows a distinguishable output
-    exactly when its complement R is not sufficient, and since nu is
-    monotone, C is minimal when R plus any one feature of C is."""
-    table = table[:-1] + [1]  # freeing nothing is never a contrastive explanation
-    found = []
-    for rest, sufficient in enumerate(table):
-        if sufficient:
-            continue
-        freed = [i for i in ids if not rest >> i - 1 & 1]
-        if all(table[rest | 1 << i - 1] for i in freed):
-            found.append(tuple(freed))
-    if not found:
-        warnings.warn("model output is constant on the universe: no contrastive "
-                      "explanations exist", ConstantOnUniverseWarning, stacklevel=3)
-    return tuple(sorted(found, key=lambda c: (len(c), c)))
+def _cxps_in_table(table: list[int], ids: tuple[int, ...]) -> tuple[int, ...]:
+    """The contrastive basis read off a sufficiency table over the players
+    ``ids``, as masks in (size, ids) order: freeing C allows a
+    distinguishable output exactly when its complement R is not
+    sufficient, and since nu is monotone, C is minimal when R plus any one
+    feature of C is."""
+    full = len(table) - 1
+    return _in_order(
+        full ^ rest for rest, sufficient in enumerate(table)
+        if not sufficient and all(table[rest | 1 << i - 1] for i in ids
+                                  if not rest >> i - 1 & 1))
 
 
 def axps_from_cxps(cxps: Iterable[FeatureSet]) -> tuple[FeatureSet, ...]:
@@ -249,23 +349,31 @@ def axps_from_cxps(cxps: Iterable[FeatureSet]) -> tuple[FeatureSet, ...]:
 def minimal_hitting_sets(family: Iterable[frozenset]) -> set[frozenset]:
     """Enumerate every minimal hitting set of a family of non-empty sets.
 
-    Recursive branching on the first set not yet hit, pruning branches that
-    already contain a recorded solution, then a final minimality filter.
+    Depth-first branching on the first set not yet hit, pruning branches
+    that already contain a recorded solution, then a final minimality
+    filter. The branches live on a stack, so a hitting set may have any
+    size. A family over more than EXACT_GUARD elements is refused past
+    BASIS_GUARD set comparisons: k disjoint pairs have 2^k minimal hitting
+    sets. A narrower one is not, as its width bounds it.
     """
     sets = [frozenset(s) for s in family]
+    guard = BASIS_GUARD if len(frozenset().union(*sets)) > EXACT_GUARD else None
     results: set[frozenset] = set()
-
-    def recurse(current: frozenset) -> None:
+    stack, compared = [frozenset()], 0
+    while stack:
+        current = stack.pop()
+        compared += len(results) + len(sets)
+        if guard is not None and compared > guard:
+            raise SizeLimitError(
+                f"hitting-set enumeration over more than {EXACT_GUARD} features "
+                f"guarded at {guard} set comparisons")
         if any(r <= current for r in results):
-            return
+            continue
         unhit = next((s for s in sets if not (s & current)), None)
         if unhit is None:
             results.add(current)
-            return
-        for element in sorted(unhit):
-            recurse(current | {element})
-
-    recurse(frozenset())
+        else:  # the smallest element's branch is popped, and finished, first
+            stack.extend(current | {element} for element in sorted(unhit, reverse=True))
     return {r for r in results if not any(o < r for o in results)}
 
 
@@ -279,8 +387,7 @@ def relevant_features(problem: ExplanationProblem) -> FeatureSet:
     """Features occurring in some abductive explanation; these are exactly
     the features occurring in some contrastive explanation, so the union
     of the CXps is used and no hitting sets are needed."""
-    table = sufficiency_table(problem)
-    return canonical(i for c in _cxps_in_table(table, problem.feature_ids) for i in c)
+    return _ids(reduce(or_, _minimal_cxps(problem), 0))
 
 
 def full_space_sample(model) -> Sample:

@@ -25,6 +25,7 @@ from .explanations import (
     _fold_supersets,
     is_waxp,
     relevant_features,
+    sufficiency_check_cost,
     sufficiency_table,
 )
 from .models import Instance, conditional_expectation, guard_cell_table, output_range
@@ -60,6 +61,10 @@ class Game:
     builds once (see :func:`~shapxp.explanations.sufficiency_table`). Any
     other game evaluates ``at`` on each of the 2^m coalitions.
 
+    ``evaluation_cost``, when given, returns the set comparisons one
+    ``charfn`` call makes, which the sampling estimator charges against
+    BASIS_GUARD before it samples; the sufficiency game gives it.
+
     ``marginal_bound`` is an upper bound on |nu(S+i) - nu(S)| used by the
     sampling estimator; pass one explicitly for custom games.
     """
@@ -69,6 +74,8 @@ class Game:
     tag: str = CUSTOM
     marginal_bound: Optional[Fraction] = None
     kernel: Optional[Callable[[], CoalitionTable]] = field(
+        default=None, repr=False, compare=False)
+    evaluation_cost: Optional[Callable[[], int]] = field(
         default=None, repr=False, compare=False)
     _cache: dict[int, Fraction] = field(default_factory=dict, repr=False, compare=False)
 
@@ -134,6 +141,11 @@ def cf_waxp(problem: ExplanationProblem, features: Iterable[int]) -> int:
 
 
 def expected_game(problem: ExplanationProblem) -> Game:
+    """The expected-value game: the uniform product distribution is on the
+    model's space, so a problem whose universe is a sample has none."""
+    if problem.universe is not None:
+        raise ValidationError("the expected-value game is defined over the model's "
+                              "space, not over a sample")
     lo, hi = output_range(problem.model)
     discrete = problem.model.space.all_discrete()
     return Game(
@@ -152,6 +164,7 @@ def waxp_game(problem: ExplanationProblem) -> Game:
         tag=WAXP_BASED,
         marginal_bound=Fraction(1),
         kernel=lambda: (sufficiency_table(problem), 1),
+        evaluation_cost=partial(sufficiency_check_cost, problem),
     )
 
 

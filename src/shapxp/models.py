@@ -21,7 +21,10 @@ end of this module check their inputs and then call it:
 * ``labelled_points()``, ``masked_outputs(v)`` and ``relabel(mapping)`` -
   the discrete kinds only: every point with its output, every point's
   agreement mask with v with its output, and the model under an output
-  relabeling.
+  relabeling;
+* ``disagreements(v, dissimilar)`` - trees only: the disagreement mask
+  with v of each leaf with a dissimilar output, one walk that gives the
+  contrastive explanations without enumerating points.
 
 Each kind derives them from one primitive: box cells ``_affine_extremes``,
 the discrete kinds a reader from slots to outputs. A discrete space
@@ -42,7 +45,7 @@ from fractions import Fraction
 from itertools import product
 from math import prod
 from operator import getitem, le, mul
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     DomainError,
@@ -368,6 +371,9 @@ class TreeModel(_EnumerableModel):
                 raise ValidationError(f"tree tests unknown feature {node.feature}")
             path.append(node.feature)
             domain = self.space.domain(node.feature)
+            if not all(values for values, _ in node.edges):
+                # its child would count as reached, yet no point reaches it
+                raise ValidationError(f"node {node_id}: an edge routes no domain value")
             route = {v: child for values, child in node.edges for v in values}
             for v in route:
                 if v not in domain:
@@ -406,6 +412,25 @@ class TreeModel(_EnumerableModel):
             j, children = routes[node_id]
             node_id = children[slot // strides[j] % radices[j]]
         return self.nodes[node_id].value
+
+    def disagreements(self, v: Point, dissimilar: Callable[[Value], bool]) -> Iterator[int]:
+        """The disagreement mask with v (bit j: x_j != v_j) of each leaf
+        whose output is ``dissimilar``: the features on its path whose edge
+        excludes v_j. Every edge routes some value (see _validate), and off
+        its path a point reaching the leaf may agree with v, so each mask is
+        a dissimilar point's, and every dissimilar
+        point's mask holds its leaf's. One walk from the root, O(nodes)."""
+        stack = [(self.root, 0)]
+        while stack:
+            node_id, mask = stack.pop()
+            node = self.nodes[node_id]
+            if isinstance(node, TreeLeaf):
+                if dissimilar(node.value):
+                    yield mask
+                continue
+            j = node.feature - 1
+            stack.extend((child, mask if v[j] in values else mask | 1 << j)
+                         for values, child in node.edges)
 
     def _values(self) -> list:
         return [n.value for n in self.nodes.values() if isinstance(n, TreeLeaf)]

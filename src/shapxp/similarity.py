@@ -52,13 +52,17 @@ class ExplanationProblem:
     """A model, a target instance, the similarity notion tying them, and
     the universe explanations quantify over: the model's whole space when
     ``universe`` is None, else a sample's rows. The problem keeps its
-    sufficiency table (see :func:`~shapxp.explanations.sufficiency_table`)."""
+    sufficiency table (see :func:`~shapxp.explanations.sufficiency_table`)
+    and its contrastive basis (see
+    :func:`~shapxp.explanations.contrastive_basis`)."""
 
     model: Model
     instance: Instance
     similarity: SimilarityConfig
     universe: Sample | None = None
     _sufficiency: list[int] | None = field(
+        default=None, init=False, repr=False, compare=False)
+    _basis: tuple[int, ...] | None = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):

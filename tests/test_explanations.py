@@ -9,11 +9,14 @@ import pytest
 
 import shapxp
 from shapxp import (
+    BoxPiecewiseModel,
+    Cell,
     ConstantOnUniverseWarning,
     DiscreteDomain,
     ExplanationProblem,
     Feature,
     FeatureSpace,
+    IntervalDomain,
     PreconditionError,
     Sample,
     SimilarityConfig,
@@ -34,15 +37,26 @@ from shapxp import (
     minimal_hitting_sets,
     relevant_features,
     similar,
+    similar_value,
+    tabulate,
 )
-from shapxp.explanations import agnostic_support
+from shapxp.explanations import (
+    _cxps_in_table,
+    _ids,
+    agnostic_support,
+    contrastive_basis,
+    sufficiency_table,
+)
+from shapxp.models import labelled_points
 from boxmodels import random_grid_model
+from conftest import cpu_limit
 from randmodels import (
     brute_force_axps,
     brute_force_cxps,
     brute_force_hitting_sets,
     random_instance,
     random_sample,
+    random_table,
     random_tabular_problem,
     random_tree_model,
     subsets,
@@ -69,6 +83,17 @@ def wide_tree_model(m):
         Feature(i + 1, f"x{i + 1}", DiscreteDomain((0, 1, 2))) for i in range(m)))
     nodes = {0: TreeNode(1, (((0,), 1), ((1, 2), 2))), 1: TreeLeaf(0), 2: TreeLeaf(1)}
     return TreeModel(space, nodes, 0, "numeric")
+
+
+def wide_box_model(m):
+    """Two cells split on feature 1 over m unit intervals, x1 on one."""
+    space = FeatureSpace(tuple(
+        Feature(i + 1, f"x{i + 1}", IntervalDomain(F(0), F(1))) for i in range(m)))
+    rest = ((F(0), F(1)),) * (m - 1)
+    zero = (F(0),) * m
+    cells = (Cell(((F(0), F(1, 2)),) + rest, F(0), zero),
+             Cell(((F(1, 2), F(1)),) + rest, F(0), (F(1),) + zero[1:]))
+    return BoxPiecewiseModel(space, cells)
 
 
 def parity_problem(m=3):
@@ -240,12 +265,104 @@ class TestEnumeration:
         assert enumerate_cxps(problem) == ((1,), (2,), (3,))
 
     def test_guarded_past_24_features(self):
-        model = wide_tree_model(25)
-        problem = ExplanationProblem(model, make_instance(model, (0,) * 25),
-                                     SimilarityConfig.class_equality())
+        # A box model reads its basis off the 2^m sufficiency table.
+        model = wide_box_model(25)
+        problem = ExplanationProblem(model, make_instance(model, (F(0),) * 25),
+                                     SimilarityConfig.threshold(0))
         for enumerate_ in (enumerate_cxps, relevant_features):
             with pytest.raises(SizeLimitError):
                 enumerate_(problem)
+
+    def test_a_wide_tree_is_explained_from_its_basis(self):
+        # 3^25 points, but one walk over three nodes gives the basis {{1}}.
+        model = wide_tree_model(25)
+        problem = ExplanationProblem(model, make_instance(model, (0,) * 25),
+                                     SimilarityConfig.class_equality())
+        with cpu_limit(1):
+            assert enumerate_cxps(problem) == ((1,),)
+            assert enumerate_axps(problem) == ((1,),)
+            assert relevant_features(problem) == (1,)
+            assert extract_axp(problem) == extract_cxp(problem) == (1,)
+
+
+def slice_quantifier(problem, features):
+    """is_waxp by its definition: every output of the slice x_S = v_S over
+    the problem's universe is similar."""
+    return all(similar_value(problem, y) for y in
+               problem.scope.slice_outputs(problem.instance.point, frozenset(features)))
+
+
+def thirty_rows(rng, model):
+    points = list(labelled_points(model))
+    rows = [rng.choice(points) for _ in range(30)]
+    return Sample(tuple(p for p, _ in rows), tuple(y for _, y in rows))
+
+
+def basis_problems(rng):
+    """Random trees with multi-value edges and their tabulated twins, random
+    tables, and a 30-row sample of each; under class equality, threshold
+    similarity and categorical outputs."""
+    for _ in range(40):
+        categorical = rng.random() < 0.3
+        tree = random_tree_model(rng, rng.randint(1, 6), max_domain=4, categorical=categorical,
+                                 mixed=rng.random() < 0.3)
+        if rng.random() < 0.5:
+            space, outputs, kind = random_table(rng, max_m=4, categorical=categorical)
+            table = TabularModel(space, outputs, kind)
+        else:
+            table = tabulate(tree)
+        for model in (tree, table):
+            instance = random_instance(rng, model)
+            similarities = [SimilarityConfig.class_equality()]
+            if not categorical:
+                similarities.append(SimilarityConfig.threshold(rng.choice((F(1, 3), F(1), F(2)))))
+            for similarity in similarities:
+                problem = ExplanationProblem(model, instance, similarity)
+                yield problem
+                yield replace(problem, universe=thirty_rows(rng, model))
+
+
+class TestContrastiveBasis:
+    def test_equals_the_lattice_oracle_and_the_table(self):
+        rng = random.Random(1414)
+        for problem in basis_problems(rng):
+            basis = contrastive_basis(problem)
+            assert set(map(frozenset, map(_ids, basis))) == brute_force_cxps(problem)
+            assert basis == _cxps_in_table(sufficiency_table(problem), problem.feature_ids)
+            if problem.model.space.m <= 6:
+                for s in subsets(problem.feature_ids):
+                    assert is_waxp(problem, s) == slice_quantifier(problem, s)
+
+    def test_a_tree_and_its_table_share_a_basis(self):
+        rng = random.Random(1732)
+        for _ in range(30):
+            tree = random_tree_model(rng, rng.randint(1, 6), max_domain=4)
+            instance = random_instance(rng, tree)
+            for similarity in (SimilarityConfig.class_equality(), SimilarityConfig.threshold(1)):
+                problem = ExplanationProblem(tree, instance, similarity)
+                twin = replace(problem, model=tabulate(tree))
+                assert contrastive_basis(problem) == contrastive_basis(twin)
+
+    def test_the_instance_labelled_otherwise_gives_the_empty_mask(self, cls3_problem):
+        # nu is 0 everywhere: no fixed set is sufficient, and every
+        # singleton is reported as a contrastive explanation.
+        problem = replace(cls3_problem, universe=Sample(((1, 1, 2),), (F(0),)))
+        assert contrastive_basis(problem) == (0,)
+        assert _cxps_in_table(sufficiency_table(problem), problem.feature_ids) == (0,)
+        assert brute_force_cxps(problem) == {frozenset()}
+        assert not is_waxp(problem, problem.feature_ids)
+        assert enumerate_cxps(problem) == ((1,), (2,), (3,))
+        assert relevant_features(problem) == (1, 2, 3)
+        assert enumerate_axps(problem) == ((1, 2, 3),)
+
+    def test_a_constant_universe_has_an_empty_basis(self, cls3_problem):
+        problem = replace(cls3_problem, universe=Sample(((1, 0, 0), (0, 1, 1)), (F(1), F(1))))
+        assert contrastive_basis(problem) == ()
+        assert _cxps_in_table(sufficiency_table(problem), problem.feature_ids) == ()
+        assert is_waxp(problem, ())
+        for query in (enumerate_cxps, relevant_features):
+            with pytest.warns(ConstantOnUniverseWarning):
+                assert query(problem) == ()
 
 
 class TestHittingSetDuality:
@@ -273,6 +390,26 @@ class TestHittingSetDuality:
             family = {frozenset(rng.sample(universe, rng.randint(1, len(universe))))
                       for _ in range(rng.randint(1, 5))}
             assert minimal_hitting_sets(family) == brute_force_hitting_sets(family)
+
+    def test_a_hitting_set_may_be_larger_than_the_recursion_limit(self):
+        family = [frozenset((i,)) for i in range(1, 1101)]
+        assert minimal_hitting_sets(family) == {frozenset(range(1, 1101))}
+
+    def test_exponentially_many_hitting_sets_are_guarded(self):
+        # k disjoint pairs have 2^k minimal hitting sets.
+        pairs = [frozenset((2 * i, 2 * i + 1)) for i in range(40)]
+        assert len(minimal_hitting_sets(pairs[:10])) == 1024
+        with cpu_limit(2), pytest.raises(SizeLimitError, match="guarded"):
+            minimal_hitting_sets(pairs)
+        with cpu_limit(2), pytest.raises(SizeLimitError, match="guarded"):
+            minimal_hitting_sets(pairs[:13])  # 26 features
+
+    def test_a_family_over_24_features_is_never_refused(self):
+        # Twelve disjoint pairs, as a 24-feature sample's contrastive
+        # explanations may be, cost four times BASIS_GUARD in comparisons,
+        # but a family that narrow is bounded by its width.
+        pairs = [frozenset((2 * i, 2 * i + 1)) for i in range(12)]
+        assert len(minimal_hitting_sets(pairs)) == 4096
 
     def test_dualizing_cxps_gives_axps(self):
         rng = random.Random(2718)

@@ -14,10 +14,11 @@ import json
 import time
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from shapxp.cli import run_cli
-from conftest import FIXTURES
+from conftest import FIXTURES, cpu_limit
 
 MODELS = ("cls3.json", "cls3_tree.json", "reg2.json", "reg2_tree.json", "pw2.json")
 SAMPLE_MODELS = ("reg2.json", "reg2_tree.json", "pw2.json")  # features x1, x2
@@ -118,6 +119,15 @@ def rewired(doc, draw):
     return doc
 
 
+def emptied_edge(doc, draw):
+    """The tree with an edge that routes no value added to one node, its
+    child a new leaf of a class no point reaches."""
+    node = draw(st.sampled_from([node for node in doc["nodes"] if "edges" in node]))
+    node["edges"].append({"values": [], "child": "unrouted"})
+    doc["nodes"].append({"id": "unrouted", "value": 7})
+    return doc
+
+
 def moved_bound(doc, draw):
     """The box model with one cell bound moved to another rational inside
     the domain, which leaves a gap, an overlap or an empty interval."""
@@ -171,6 +181,9 @@ def test_mutated_models(tmp_path_factory, data):
     doc = widened(doc, k, data.draw(st.sampled_from((0, 1, 2, 4))))
     if "nodes" in doc and data.draw(st.booleans()):
         doc = rewired(doc, data.draw)
+    emptied = "nodes" in doc and data.draw(st.booleans())
+    if emptied:
+        doc = emptied_edge(doc, data.draw)
     if "cells" in doc and data.draw(st.booleans()):
         doc = moved_bound(doc, data.draw)
     # A re-spelled table takes no hostile leaves, so that some of them load.
@@ -192,7 +205,36 @@ def test_mutated_models(tmp_path_factory, data):
         argv.append(f"--instance={instance}")
         if name == "pw2.json":
             argv += ["--delta", "1/5"]
-    run(argv)
+    code = run(argv)
+    if emptied:
+        assert code == 2, argv
+
+
+def results(argv):
+    """The results of a run that succeeds, from its JSON report."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run_cli(argv + ["--output", "json"]) == 0
+    return json.loads(out.getvalue())["results"]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_a_widened_tree_is_explained_as_the_fixture(tmp_path, k):
+    # Nineteen copies of a feature (m = 22) that the tree never tests are
+    # irrelevant, so every answer equals the fixture's; they read the
+    # tree's basis and enumerate no slice of the 12 * 3^19-point space.
+    fixture = FIXTURES / "cls3_tree.json"
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps(widened(json.loads(fixture.read_text()), k, 19)))
+    for point in ((1, 1, 2), (0, 0, 0), (0, 1, 1), (0, 0, 2)):
+        for command, key in ((["axp"], "axp"), (["cxp"], "cxp"), (["relevancy"], "relevant"),
+                             (["enumerate", "--kind", "axp"], "sets")):
+            want = results(command + ["--model", str(fixture),
+                                      "--instance", ",".join(map(str, point))])
+            with cpu_limit(1):
+                got = results(command + ["--model", str(wide), "--instance",
+                                         ",".join(map(str, point + (point[k],) * 19))])
+            assert got[key] == want[key]
 
 
 @FUZZ

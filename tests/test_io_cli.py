@@ -218,6 +218,29 @@ def run_json(capsys, argv):
     return json.loads(out)
 
 
+def one_split_tree(m):
+    """A tree over m ternary features that splits on feature 1 only."""
+    features = [{"id": i, "name": f"x{i}", "domain": {"type": "discrete",
+                                                      "values": [0, 1, 2]}}
+                for i in range(1, m + 1)]
+    nodes = [{"id": 0, "feature": 1, "edges": [{"values": [0], "child": 1},
+                                               {"values": [1, 2], "child": 2}]},
+             {"id": 1, "value": 0}, {"id": 2, "value": 1}]
+    return {"version": 1, "kind": "tree", "features": features, "root": 0, "nodes": nodes}
+
+
+def two_cell_box(m):
+    """A box model over m unit intervals: two cells split on feature 1,
+    the output x1 on the upper one and 0 on the lower."""
+    features = [{"id": i, "name": f"x{i}", "domain": {"type": "interval",
+                                                      "lo": "0", "hi": "1"}}
+                for i in range(1, m + 1)]
+    rest = [["0", "1"]] * (m - 1)
+    cells = [{"box": [["0", "1/2"]] + rest, "affine": [0] * (m + 1)},
+             {"box": [["1/2", "1"]] + rest, "affine": [0, 1] + [0] * (m - 1)}]
+    return {"version": 1, "kind": "box_piecewise", "features": features, "cells": cells}
+
+
 class TestCli:
     def test_relevancy(self, capsys):
         doc = run_json(capsys, ["relevancy", "--model", CLS3, "--instance", "1,1,2"])
@@ -344,6 +367,16 @@ class TestCli:
                                   "--sample", REG2_SAMPLE]) == 2
         assert "--agnostic" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["shap", "--game", "expected"], ["shap", "--game", "expected", "--method", "cgt"],
+        ["compare"]], ids=" ".join)
+    def test_expected_game_over_a_sample_exits_2(self, capsys, command):
+        # The expected value averages over the model's space; a sample
+        # universe would be reported but not read.
+        assert run_cli(command + ["--model", REG2, "--instance", "1,1", "--agnostic",
+                                  "--sample", REG2_SAMPLE]) == 2
+        assert "defined over the model's space" in capsys.readouterr().err
+
     def test_computation_error_exits_3(self, capsys, tmp_path):
         doc = variant(value_kind="categorical",
                       table=[{"point": [0], "value": "no"},
@@ -376,31 +409,43 @@ class TestCli:
         assert "guarded" in capsys.readouterr().err
 
     def test_relevancy_past_24_features_exits_3(self, capsys, tmp_path):
-        # One split on feature 1 of 25 ternary features: the table guard
-        # stops the run before any of the 3^24 points of a slice is visited.
-        features = [{"id": i, "name": f"x{i}", "domain": {"type": "discrete",
-                                                          "values": [0, 1, 2]}}
-                    for i in range(1, 26)]
-        nodes = [{"id": 0, "feature": 1, "edges": [{"values": [0], "child": 1},
-                                                   {"values": [1, 2], "child": 2}]},
-                 {"id": 1, "value": 0}, {"id": 2, "value": 1}]
-        path = write(tmp_path, "wide.json", json.dumps(
-            {"version": 1, "kind": "tree", "features": features, "root": 0,
-             "nodes": nodes}))
+        # A box model of 25 features reads its basis off the 2^25-entry
+        # sufficiency table, which the table guard refuses before any entry.
+        path = write(tmp_path, "wide.json", json.dumps(two_cell_box(25)))
         started = time.process_time()
-        assert run_cli(["relevancy", "--model", path, "--instance", ",".join("0" * 25)]) == 3
+        assert run_cli(["relevancy", "--model", path, "--instance", ",".join("0" * 25),
+                        "--delta", "0"]) == 3
         assert time.process_time() - started < 1
         assert "guarded" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command,m", [
-        (["axp"], 25), (["cxp"], 25), (["shap", "--game", "waxp", "--method", "cgt"], 25),
-        (["relevancy"], 20)], ids=["axp", "cxp", "shap-cgt", "relevancy"])
-    def test_slices_past_the_point_guard_exit_3(self, capsys, tmp_path, command, m):
-        path = write(tmp_path, "wide.json", json.dumps(one_split_tree(m)))
+    @pytest.mark.parametrize("command,model", [
+        (["shap", "--game", "expected", "--method", "cgt"], one_split_tree(25)),
+        (["shap", "--game", "waxp", "--method", "exact"], one_split_tree(20)),
+        (["relevancy", "--delta", "0"], two_cell_box(20))],
+        ids=["shap-cgt", "shap-waxp-exact", "relevancy"])
+    def test_slices_past_the_point_guard_exit_3(self, capsys, tmp_path, command, model):
+        # The expected game's slices and the tree's sufficiency table pass
+        # 2^20 points; the box model's table, 2^20 cell visits.
+        path = write(tmp_path, "wide.json", json.dumps(model))
+        m = len(model["features"])
         started = time.process_time()
         assert run_cli(command + ["--model", path, "--instance", ",".join("0" * m)]) == 3
         assert time.process_time() - started < 5
         assert "guarded" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,key,found", [
+        (["axp"], "axp", [1]), (["cxp"], "cxp", [1]), (["relevancy"], "relevant", [1]),
+        (["enumerate", "--kind", "axp"], "sets", [[1]])],
+        ids=["axp", "cxp", "relevancy", "enumerate-axp"])
+    def test_a_wide_tree_is_explained_from_its_basis(self, capsys, tmp_path, command, key,
+                                                     found):
+        # 3^25 points, but one walk over the tree's three nodes gives the
+        # basis {{1}}, and every answer reads it.
+        path = write(tmp_path, "wide.json", json.dumps(one_split_tree(25)))
+        with cpu_limit(1):
+            doc = run_json(capsys, command + ["--model", path,
+                                              "--instance", ",".join("0" * 25)])
+        assert doc["results"][key] == found
 
     def test_a_small_slice_of_a_wide_space_still_answers(self, capsys, tmp_path):
         # 3^25 points, but shrinking {1} reads slices of 3 points and 1 point.
@@ -467,17 +512,6 @@ class TestCli:
                         "--game", "expected"]) == 0
         out = capsys.readouterr().out
         assert "0.250000" in out and "1/4" in out
-
-
-def one_split_tree(m):
-    """A tree over m ternary features that splits on feature 1 only."""
-    features = [{"id": i, "name": f"x{i}", "domain": {"type": "discrete",
-                                                      "values": [0, 1, 2]}}
-                for i in range(1, m + 1)]
-    nodes = [{"id": 0, "feature": 1, "edges": [{"values": [0], "child": 1},
-                                               {"values": [1, 2], "child": 2}]},
-             {"id": 1, "value": 0}, {"id": 2, "value": 1}]
-    return {"version": 1, "kind": "tree", "features": features, "root": 0, "nodes": nodes}
 
 
 def mutated(fixture, path, value):
@@ -597,6 +631,30 @@ class TestTreeShape:
         with cpu_limit(5):
             assert run_cli(["validate", "--model", path]) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", [["validate"], ["cxp", "--instance", "1,1,2"],
+                                         ["enumerate", "--kind", "axp", "--instance", "1,1,2"]])
+    def test_an_edge_routing_no_value_exits_2(self, capsys, tmp_path, command):
+        # No point reaches the class-7 leaf, so no point makes {1} a CXp.
+        doc = json.loads((FIXTURES / "cls3_tree.json").read_text())
+        doc["nodes"][0]["edges"].append({"values": [], "child": "unrouted"})
+        doc["nodes"].append({"id": "unrouted", "value": 7})
+        path = write(tmp_path, "empty_edge.json", json.dumps(doc))
+        assert run_cli(command + ["--model", path]) == 2
+        assert "an edge routes no domain value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("m,code", [(25, 0), (200, 3)])
+    def test_sampling_a_wide_trees_sufficiency_game_is_bounded(self, capsys, tmp_path,
+                                                               m, code):
+        # Freeing any one even feature flips the class, so the basis holds
+        # m/2 singletons. At m = 200 the 1,798 permutations could make about
+        # 10^8 comparisons against it, past the 2^22 guard; at m = 25, 1.3M.
+        path = write(tmp_path, "chain.json", chain_tree_doc(m))
+        with cpu_limit(5 if code == 0 else 1):
+            assert run_cli(["shap", "--model", path, "--instance", ",".join("1" * m),
+                            "--game", "waxp", "--method", "cgt"]) == code
+        if code:
+            assert "guarded" in capsys.readouterr().err
 
     def test_a_node_reached_twice_exits_2_at_once(self, capsys, tmp_path):
         path = write(tmp_path, "shared.json", shared_child_tree_doc(40))

@@ -87,6 +87,14 @@ class TestValidation:
         with pytest.raises(ValidationError, match="cover"):
             TreeModel(space, nodes, 0)
 
+    def test_tree_edge_routing_no_value_is_rejected(self):
+        # Leaf 3 would count as reached, yet no point reaches it.
+        space = bool_space(1)
+        nodes = {0: TreeNode(1, (((0,), 1), ((1,), 2), ((), 3))),
+                 1: TreeLeaf(0), 2: TreeLeaf(0), 3: TreeLeaf(1)}
+        with pytest.raises(ValidationError, match="node 0: an edge routes no domain value"):
+            TreeModel(space, nodes, 0)
+
     def test_tree_unreachable_node(self):
         space = bool_space(1)
         nodes = {0: TreeNode(1, (((0,), 1), ((1,), 2))),

@@ -183,7 +183,8 @@ class TestGamesWithoutKernel:
 
 class TestNoPerCoalitionFallback:
     """Exact Shapley values, enumeration and relevancy on discrete models
-    come from the coalition tables alone."""
+    come from the coalition tables and the contrastive basis, not from
+    one coalition at a time."""
 
     @pytest.fixture
     def no_slow_path(self, monkeypatch):
@@ -238,12 +239,20 @@ CLS3 = ["--model", str(FIXTURES / "cls3.json"), "--instance", "1,1,2"]
     (["compare"] + CLS3 + ["--instance", "0,0,0"], "instance (0,0,0):", 2),
 ], ids=["tabular", "tree", "agnostic", "box", "expected", "compare"])
 def test_exact_waxp_scores_and_compliance_share_one_sufficiency_table(
-        argv, shown, builds, monkeypatch, capsys):
+        argv, shown, builds, table_builds, capsys):
     """Each problem builds its sufficiency table once: the sufficiency
     game's scores and compliance share it, compliance builds it for the
     expected game, and compare builds one per instance. The builder is
     counted, below the problem's memo, so reads of a kept table do not
     count."""
+    assert run_cli(argv) == 0
+    assert shown in capsys.readouterr().out
+    assert len(table_builds) == builds
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The problems whose sufficiency table is built, one entry a build."""
     built = []
     build = shapxp.explanations._build_sufficiency_table
 
@@ -252,6 +261,25 @@ def test_exact_waxp_scores_and_compliance_share_one_sufficiency_table(
         return build(problem)
 
     monkeypatch.setattr(shapxp.explanations, "_build_sufficiency_table", counted)
-    assert run_cli(argv) == 0
-    assert shown in capsys.readouterr().out
-    assert len(built) == builds
+    return built
+
+
+TREE = ["--model", str(FIXTURES / "cls3_tree.json"), "--instance", "1,1,2"]
+AGNOSTIC = ["--model", str(FIXTURES / "reg2.json"), "--instance", "1,1", "--agnostic",
+            "--sample", str(FIXTURES / "reg2_sample.csv")]
+
+
+@pytest.mark.parametrize("universe", [TREE, AGNOSTIC], ids=["tree", "sample"])
+@pytest.mark.parametrize("command", [
+    ["relevancy"], ["axp"], ["cxp"], ["enumerate", "--kind", "axp"],
+    ["enumerate", "--kind", "cxp"]], ids=" ".join)
+def test_trees_and_samples_explain_without_the_sufficiency_table(
+        command, universe, table_builds, capsys):
+    """A tree or a sample gives its contrastive basis in one pass, and every
+    explanation query reads that basis; only the sufficiency game's
+    scores build the table."""
+    assert run_cli(command + universe) == 0
+    assert table_builds == []
+    assert run_cli(EXACT_WAXP + universe) == 0
+    assert len(table_builds) == 1
+    capsys.readouterr()
