@@ -194,14 +194,19 @@ def contrastive_basis(problem: ExplanationProblem) -> tuple[int, ...]:
     return problem._basis
 
 
-def sufficiency_check_cost(problem: ExplanationProblem) -> int:
-    """The set comparisons one :func:`is_waxp` call makes on a tree: its
-    feature ids, then the basis. 0 elsewhere: a slice of a tabular or box
-    model is guarded on its own, and a check against a sample's basis
-    costs no more than one scan of its rows."""
+def guard_sufficiency_sampling(problem: ExplanationProblem, evaluations: int) -> None:
+    """Refuse, before any draw, a sampling run whose ``evaluations``
+    sufficiency checks could pass BASIS_GUARD set comparisons. One
+    :func:`is_waxp` call on a tree compares its feature ids, then the
+    basis. Other problems pass: a slice of a tabular or box model is
+    guarded on its own, and a check against a sample's basis costs no more
+    than one scan of its rows."""
     if problem.universe is not None or not isinstance(problem.model, TreeModel):
-        return 0
-    return problem.model.space.m + len(contrastive_basis(problem))
+        return
+    if evaluations * (problem.model.space.m + len(contrastive_basis(problem))) > BASIS_GUARD:
+        raise SizeLimitError(
+            f"sampling guarded at {BASIS_GUARD} set comparisons: the permutations may "
+            f"evaluate {evaluations} coalitions, each checked against the basis")
 
 
 def _minimal(masks: Iterable[int]) -> tuple[int, ...]:

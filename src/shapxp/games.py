@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import permutations
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from operator import add
 from typing import Callable, Iterable, Mapping, Optional
 
@@ -23,12 +23,19 @@ from .errors import PreconditionError, SizeLimitError, ValidationError
 from .explanations import (
     EXACT_GUARD,
     _fold_supersets,
+    guard_sufficiency_sampling,
     is_waxp,
     relevant_features,
-    sufficiency_check_cost,
     sufficiency_table,
 )
-from .models import Instance, conditional_expectation, guard_cell_table, output_range
+from .models import (
+    POINT_GUARD,
+    FeatureSpace,
+    Instance,
+    conditional_expectation,
+    guard_cell_table,
+    output_range,
+)
 from .similarity import CLASS_EQUALITY, ExplanationProblem
 
 PERMUTATION_GUARD = 10  # m! permutation evaluations
@@ -61,9 +68,10 @@ class Game:
     builds once (see :func:`~shapxp.explanations.sufficiency_table`). Any
     other game evaluates ``at`` on each of the 2^m coalitions.
 
-    ``evaluation_cost``, when given, returns the set comparisons one
-    ``charfn`` call makes, which the sampling estimator charges against
-    BASIS_GUARD before it samples; the sufficiency game gives it.
+    ``sampling_guard``, when given, is called by the sampling estimator
+    before its first draw with the number of coalitions it may evaluate,
+    and raises SizeLimitError when evaluating that many would run
+    unbounded.
 
     ``marginal_bound`` is an upper bound on |nu(S+i) - nu(S)| used by the
     sampling estimator; pass one explicitly for custom games.
@@ -75,7 +83,7 @@ class Game:
     marginal_bound: Optional[Fraction] = None
     kernel: Optional[Callable[[], CoalitionTable]] = field(
         default=None, repr=False, compare=False)
-    evaluation_cost: Optional[Callable[[], int]] = field(
+    sampling_guard: Optional[Callable[[int], None]] = field(
         default=None, repr=False, compare=False)
     _cache: dict[int, Fraction] = field(default_factory=dict, repr=False, compare=False)
 
@@ -154,6 +162,7 @@ def expected_game(problem: ExplanationProblem) -> Game:
         tag=EXPECTED_VALUE,
         marginal_bound=hi - lo,
         kernel=partial(_expected_table if discrete else _box_expected_table, problem),
+        sampling_guard=partial(_guard_slices, problem.model.space) if discrete else None,
     )
 
 
@@ -164,8 +173,20 @@ def waxp_game(problem: ExplanationProblem) -> Game:
         tag=WAXP_BASED,
         marginal_bound=Fraction(1),
         kernel=lambda: (sufficiency_table(problem), 1),
-        evaluation_cost=partial(sufficiency_check_cost, problem),
+        sampling_guard=partial(guard_sufficiency_sampling, problem),
     )
+
+
+def _guard_slices(space: FeatureSpace, evaluations: int) -> None:
+    """Refuse sampling the expected-value game of a discrete model when the
+    slices of ``evaluations`` distinct coalitions could enumerate more than
+    POINT_GUARD points: each slice holds at most |space| points, and the
+    slices of all 2^m coalitions hold prod_j (1 + |D_j|)."""
+    points = min(evaluations * space.size,
+                 prod(1 + len(feature.domain.values) for feature in space.features))
+    if points > POINT_GUARD:
+        raise SizeLimitError(f"sampling guarded at {POINT_GUARD} slice points: "
+                             f"{evaluations} coalitions may enumerate {points}")
 
 
 def _over_lcd(values: Iterable[Fraction]) -> CoalitionTable:

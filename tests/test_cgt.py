@@ -19,12 +19,13 @@ from shapxp import (
     waxp_game,
 )
 from shapxp import cgt as cgt_module
-from shapxp.cgt import _orders, permutation_at, sample_count
+from shapxp.cgt import CHUNK, _draw_counts, _order, _outputs, permutation_at, sample_count
 from randmodels import random_tabular_problem
 
 # Reference stream: a verbatim copy of permutation_at as it was written
 # before the draw loop was inlined, one call per SplitMix step and per
-# bounded draw. The inlined stream must reproduce it for every seed.
+# bounded draw. The inlined stream and the chunked draw counter must
+# reproduce it for every seed.
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -62,6 +63,30 @@ def reference_permutation_at(seed: int, m: int, index: int) -> tuple[int, ...]:
 
 def draws(seed, m, n):
     return [permutation_at(seed, m, k) for k in range(n)]
+
+
+def counted(seed, m, start, stop):
+    """Permutations start..stop-1 as the estimator sees them: the sum of
+    the chunk Counters, each tuple of draws decoded to its permutation."""
+    total = Counter()
+    for chunk in _draw_counts(seed, m, start, stop):
+        for drawn, n in chunk.items():
+            total[tuple(_order(m, drawn))] += n
+    return total
+
+
+def reference_counts(seed, m, start, stop):
+    return Counter(reference_permutation_at(seed, m, k) for k in range(start, stop))
+
+
+def rejecting_index(seed, draw):
+    """The permutation k whose draw ``draw`` (no earlier one rejecting)
+    reads counter k + 2 + draw at SplitMix state 0, whose output is 0."""
+    _, mixed = _splitmix_next(seed & _MASK64)
+    counter = -mixed * pow(_GOLDEN, -1, 2 ** 64) % 2 ** 64
+    assert (mixed + counter * _GOLDEN) & _MASK64 == 0
+    assert _splitmix_next((0 - _GOLDEN) & _MASK64)[1] == 0
+    return counter - 2 - draw
 
 
 def naive_estimate(game, seed, n):
@@ -103,25 +128,54 @@ class TestPermutationStream:
             permutation_at(0, 0, 0)
 
     @pytest.mark.parametrize("seed", [0, 1, 11, 2024, 2 ** 64 + 5, -3])
-    def test_matches_the_reference_stream(self, seed):
+    def test_matches_the_reference_stream(self, seed, monkeypatch):
+        # Chunks of 7 permutations: 300 draws span 43 of them.
+        monkeypatch.setattr(cgt_module, "CHUNK", 7)
         for m in range(1, 10):
             want = [reference_permutation_at(seed, m, k) for k in range(300)]
             assert draws(seed, m, 300) == want
-            assert [tuple(o) for o in _orders(seed, m, 0, 300)] == want
-            assert [tuple(o) for o in _orders(seed, m, 120, 300)] == want[120:]
+            assert counted(seed, m, 0, 300) == Counter(want)
+            assert counted(seed, m, 120, 300) == Counter(want[120:])
+
+    @pytest.mark.parametrize("seed", [0, 2024])
+    def test_chunks_match_the_reference_stream(self, seed):
+        # Each run spans three chunks of the module's size.
+        for m in range(1, 10):
+            want = [reference_permutation_at(seed, m, k) for k in range(3 * CHUNK + 4)]
+            for start in (0, 120, CHUNK - 1):
+                stop = start + 2 * CHUNK + 5
+                assert counted(seed, m, start, stop) == Counter(want[start:stop])
 
     @pytest.mark.parametrize("seed", [0, 7, 2024])
     def test_rejected_draw_matches_the_reference_stream(self, seed):
-        # Pick k so that the first draw of permutation k advances SplitMix
-        # to state 0, whose output is 0: below 2^64 mod 3 = 1, so the draw
-        # from {0, 1, 2} rejects it and takes the next output.
-        _, mixed = _splitmix_next(seed & _MASK64)
-        k = (-mixed * pow(_GOLDEN, -1, 2 ** 64) - 2) % 2 ** 64
-        state = (mixed + (k + 2) * _GOLDEN) & _MASK64
-        assert state == 0 and _splitmix_next((state - _GOLDEN) & _MASK64)[1] == 0
+        # The first draw of permutation k reads output 0: below
+        # 2^64 mod 3 = 1, so the draw from {0, 1, 2} rejects it and takes
+        # the next output.
+        k = rejecting_index(seed, 0)
         assert permutation_at(seed, 3, k) == reference_permutation_at(seed, 3, k)
-        assert [tuple(o) for o in _orders(seed, 3, k - 1, k + 2)] == \
-            [reference_permutation_at(seed, 3, i) for i in (k - 1, k, k + 1)]
+        assert counted(seed, 3, k - 1, k + 2) == reference_counts(seed, 3, k - 1, k + 2)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    def test_a_rejection_at_a_later_draw_matches_the_reference_stream(self, seed):
+        # With m = 4 the first draw is below 4 and never rejects (2^64 mod
+        # 4 = 0); the second, below 3, reads output 0 and rejects it, so
+        # the third draw reads one counter further than its window.
+        k = rejecting_index(seed, 1)
+        _, mixed = _splitmix_next(seed & _MASK64)
+        assert _outputs(mixed, k + 2, k + 4)[1] == 0 < (1 << 64) % 3
+        assert permutation_at(seed, 4, k) == reference_permutation_at(seed, 4, k)
+        assert counted(seed, 4, k - 2, k + 3) == reference_counts(seed, 4, k - 2, k + 3)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    @pytest.mark.parametrize("m,draw", [(3, 0), (4, 1)])
+    def test_a_rejection_next_to_a_chunk_boundary(self, seed, m, draw):
+        # The rejecting permutation k is the last of its chunk, so it reads
+        # on past the chunk's outputs, or the first of the next, so the
+        # chunk before holds its rejected output in another window.
+        k = rejecting_index(seed, draw)
+        for start in (k - CHUNK + 1, k - CHUNK):
+            stop = start + CHUNK + 3
+            assert counted(seed, m, start, stop) == reference_counts(seed, m, start, stop)
 
 
 class TestSampleCount:
@@ -205,11 +259,24 @@ class TestEstimator:
         games.append(Game((9, 2, 5, 4), lambda s: sum(weights[i] for i in s) ** 2
                           + (F(7) if {2, 9} <= s else F(0)), marginal_bound=F(200)))
         for game in games:
-            for seed, n in ((3, 1), (3, 40), (17, 250)):
+            for seed, n in ((3, 1), (3, 40), (17, 250), (5, 2 * CHUNK + 7)):
                 config = CgtConfig(F(1, 20), F(1, 20), seed=seed, sample_count=n)
                 vector, diag = cgt_estimate(game, config)
                 assert diag.permutations == n
                 assert vector.scores == naive_estimate(game, seed, n)
+
+    def test_no_score_depends_on_the_chunk_size(self, monkeypatch, cls3_problem,
+                                                 pw2_problem):
+        weights = {9: F(3), 2: F(-1), 5: F(1, 2), 4: F(2)}
+        config = CgtConfig(F(1, 20), F(1, 20), seed=29, sample_count=3000)
+        results = []
+        for chunk in (1, 7, 1024):
+            monkeypatch.setattr(cgt_module, "CHUNK", chunk)
+            games = [waxp_game(cls3_problem), expected_game(pw2_problem),
+                     Game((9, 2, 5, 4), lambda s: sum(weights[i] for i in s) ** 2,
+                          marginal_bound=F(100))]
+            results.append([cgt_estimate(game, config)[0].scores for game in games])
+        assert results[0] == results[1] == results[2]
 
     def test_wide_game_needs_no_table_over_coalitions(self):
         # 40 players: any table indexed by coalition mask would need 2^40
@@ -232,7 +299,7 @@ class TestEstimator:
         def no_draws(*args):
             raise AssertionError("drew a permutation")
 
-        monkeypatch.setattr(cgt_module, "_orders", no_draws)
+        monkeypatch.setattr(cgt_module, "_draw_counts", no_draws)
         game = Game((1, 2, 3), lambda s: F(len(s)), marginal_bound=F(1))
         for config in (CgtConfig(F(1, 10 ** 400), F(1, 20)),
                        CgtConfig(F(1, 100000), F(1, 20)),

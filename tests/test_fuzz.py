@@ -237,6 +237,25 @@ def test_a_widened_tree_is_explained_as_the_fixture(tmp_path, k):
             assert got[key] == want[key]
 
 
+@pytest.mark.parametrize("copies,code", [(6, 0), (8, 3)])
+def test_sampling_the_expected_game_of_a_widened_table_is_bounded(tmp_path, capsys,
+                                                                  copies, code):
+    # With feature 3 of cls3 copied, the slices of all 2^m coalitions hold
+    # 9 * 4^(copies + 1) points: 147,456 at six copies, which answers, and
+    # 2,359,296 at eight, past the 2^20 point guard, which refuses before
+    # the first draw.
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps(widened(json.loads((FIXTURES / "cls3.json").read_text()),
+                                       2, copies)))
+    instance = ",".join(["1", "1"] + ["2"] * (copies + 1))
+    argv = ["shap", "--model", str(wide), "--instance", instance,
+            "--game", "expected", "--method", "cgt", "--epsilon", "1/4"]
+    with cpu_limit(1 if code else 5):
+        assert run_cli(argv) == code
+    if code:
+        assert "guarded" in capsys.readouterr().err
+
+
 @FUZZ
 @given(st.data())
 def test_mutated_samples(tmp_path_factory, data):
