@@ -31,7 +31,7 @@ from .models import (
     Point,
     TreeModel,
     Value,
-    guard_cell_table,
+    guard_cell_visits,
     labelled_points,
     predict,  # noqa: F401  (looked up here by the benchmark's tracer)
 )
@@ -196,14 +196,15 @@ def contrastive_basis(problem: ExplanationProblem) -> tuple[int, ...]:
 
 def guard_sufficiency_sampling(problem: ExplanationProblem, evaluations: int) -> None:
     """Refuse, before any draw, a sampling run whose ``evaluations``
-    sufficiency checks could pass BASIS_GUARD set comparisons. One
-    :func:`is_waxp` call on a tree compares its feature ids, then the
-    basis. Other problems pass: a slice of a tabular or box model is
-    guarded on its own, and a check against a sample's basis costs no more
-    than one scan of its rows."""
-    if problem.universe is not None or not isinstance(problem.model, TreeModel):
-        return
-    if evaluations * (problem.model.space.m + len(contrastive_basis(problem))) > BASIS_GUARD:
+    sufficiency checks could pass BASIS_GUARD set comparisons on a tree
+    (each compares its feature ids, then the basis), or POINT_GUARD cell
+    visits on a box model. Others pass: a tabular slice is guarded on its
+    own, and a check against a sample's basis scans its rows at most."""
+    model = problem.model
+    if problem.universe is None and not model.space.all_discrete():
+        guard_cell_visits(model, evaluations, "sampling")
+    elif problem.universe is None and isinstance(model, TreeModel) and evaluations * (
+            model.space.m + len(contrastive_basis(problem))) > BASIS_GUARD:
         raise SizeLimitError(
             f"sampling guarded at {BASIS_GUARD} set comparisons: the permutations may "
             f"evaluate {evaluations} coalitions, each checked against the basis")
@@ -281,7 +282,7 @@ def _build_sufficiency_table(problem: ExplanationProblem) -> list[int]:
     if m > EXACT_GUARD:
         raise SizeLimitError(f"exact computation guarded at m <= {EXACT_GUARD}, got {m}")
     if problem.universe is None and not problem.model.space.all_discrete():
-        guard_cell_table(problem.model)
+        guard_cell_visits(problem.model, 1 << m)
         return [int(is_waxp(problem, [i for i in problem.feature_ids if mask >> i - 1 & 1]))
                 for mask in range(1 << m)]
     dissimilar = _dissimilar(problem)

@@ -33,7 +33,7 @@ from .models import (
     FeatureSpace,
     Instance,
     conditional_expectation,
-    guard_cell_table,
+    guard_cell_visits,
     output_range,
 )
 from .similarity import CLASS_EQUALITY, ExplanationProblem
@@ -162,7 +162,8 @@ def expected_game(problem: ExplanationProblem) -> Game:
         tag=EXPECTED_VALUE,
         marginal_bound=hi - lo,
         kernel=partial(_expected_table if discrete else _box_expected_table, problem),
-        sampling_guard=partial(_guard_slices, problem.model.space) if discrete else None,
+        sampling_guard=(partial(_guard_slices, problem.model.space) if discrete
+                        else partial(guard_cell_visits, problem.model, run="sampling")),
     )
 
 
@@ -199,8 +200,8 @@ def _over_lcd(values: Iterable[Fraction]) -> CoalitionTable:
 def _box_expected_table(problem: ExplanationProblem) -> CoalitionTable:
     """The expected-value game of a box model: one conditional expectation
     per coalition, guarded at POINT_GUARD cell visits."""
-    guard_cell_table(problem.model)
     ids = problem.feature_ids
+    guard_cell_visits(problem.model, 1 << len(ids))
     return _over_lcd(cf_expected(problem, [i for i in ids if mask >> i - 1 & 1])
                      for mask in range(1 << len(ids)))
 

@@ -283,7 +283,7 @@ def _box_from(doc, space, where) -> BoxPiecewiseModel:
     raw_cells = doc.get("cells")
     if not isinstance(raw_cells, list):
         raise ValidationError(f"{where}: box model needs a 'cells' list")
-    cells = []
+    cells, memo = [], {}  # each distinct token is parsed once
     for k, entry in enumerate(raw_cells):
         loc = f"{where}: cell {k}"
         if not isinstance(entry, dict):
@@ -295,9 +295,9 @@ def _box_from(doc, space, where) -> BoxPiecewiseModel:
             raise ValidationError(f"{loc}: 'box' must list {space.m} [lo, hi] pairs")
         if not isinstance(affine, list) or len(affine) != space.m + 1:
             raise ValidationError(f"{loc}: 'affine' must list {space.m + 1} coefficients")
-        bounds = tuple(
-            (parse_rational(lo, loc), parse_rational(hi, loc)) for lo, hi in box)
-        coeffs = [parse_rational(a, loc) for a in affine]
+        bounds = tuple((_memo_value(memo, lo, NUMERIC, loc), _memo_value(memo, hi, NUMERIC, loc))
+                       for lo, hi in box)
+        coeffs = [_memo_value(memo, a, NUMERIC, loc) for a in affine]
         cells.append(Cell(bounds, coeffs[0], tuple(coeffs[1:])))
     return BoxPiecewiseModel(space, tuple(cells))
 

@@ -38,13 +38,14 @@ All arithmetic on numeric values is exact (``fractions.Fraction``).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from math import prod
-from operator import getitem, le, mul
+from operator import getitem, le, mul, sub
 from typing import Callable, Iterable, Iterator
 
 from .errors import (
@@ -60,7 +61,7 @@ Point = tuple
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
-POINT_GUARD = 2 ** 20  # points one enumeration, or cells one box coalition table, may visit
+POINT_GUARD = 2 ** 20  # points one enumeration, or cells one box run over coalitions, may visit
 
 
 # ---------------------------------------------------------------------------
@@ -458,14 +459,16 @@ class BoxPiecewiseModel:
 
     Cell intervals are half-open [lo, hi) except that hi equal to the
     domain's upper endpoint is closed, which makes membership unambiguous
-    and the partition check decidable.
-    """
+    and the partition check decidable. Both compare integers on a rank
+    grid: each axis's sorted distinct ``cuts`` (cell bounds and domain
+    endpoints), and each cell's bounds as their ranks."""
 
     space: FeatureSpace
     cells: tuple[Cell, ...]
     value_kind: str = NUMERIC
-    # Each feature's domain upper endpoint, where cell intervals close.
-    tops: tuple = field(init=False, repr=False, compare=False)
+    cuts: tuple = field(init=False, repr=False, compare=False)   # per axis
+    lows: tuple = field(init=False, repr=False, compare=False)   # per cell, per axis
+    highs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.space.all_interval():
@@ -474,55 +477,49 @@ class BoxPiecewiseModel:
             raise ValidationError("box-piecewise models are numeric-valued")
         if not self.cells:
             raise ValidationError("box-piecewise model has no cells")
-        object.__setattr__(self, "tops", tuple(f.domain.hi for f in self.space.features))
-        self._validate()
-
-    def _validate(self) -> None:
-        m = self.space.m
-        for k, cell in enumerate(self.cells):
-            if len(cell.box) != m or len(cell.coeffs) != m:
-                raise ValidationError(f"cell {k}: box/coeffs length must equal {m}")
-            for j, (lo, hi) in enumerate(cell.box):
-                dom = self.space.domain(j + 1)
-                if not (dom.lo <= lo < hi <= dom.hi):
-                    raise ValidationError(
-                        f"cell {k}: interval [{lo}, {hi}) invalid for feature {j + 1}")
+        m, cells = self.space.m, self.cells
+        # Errors come cell by cell, length first: rank the cells before a wrong length.
+        short = next((k for k, c in enumerate(cells)
+                      if len(c.box) != m or len(c.coeffs) != m), len(cells))
+        cuts, ranks = zip(*(_ranked([f.domain.lo, f.domain.hi,
+                                     *(x for c in cells[:short] for x in c.box[j])])
+                            for j, f in enumerate(self.space.features)))
+        object.__setattr__(self, "cuts", cuts)
+        object.__setattr__(self, "lows", tuple(zip(*(r[2::2] for r in ranks))))
+        object.__setattr__(self, "highs", tuple(zip(*(r[3::2] for r in ranks))))
+        for k, (lo, hi) in enumerate(zip(self.lows, self.highs)):
+            for j, r in enumerate(ranks):  # r[0], r[1]: the domain's endpoints
+                if not r[0] <= lo[j] < hi[j] <= r[1]:
+                    raise ValidationError(f"cell {k}: interval [{cells[k].box[j][0]}, "
+                                          f"{cells[k].box[j][1]}) invalid for feature {j + 1}")
+        if short < len(cells):
+            raise ValidationError(f"cell {short}: box/coeffs length must equal {m}")
         witness = self._partition_witness()
         if witness is not None:
-            owners = [k for k, cell in enumerate(self.cells)
-                      if self._holds(cell, witness, range(m))]
+            owners = self._holders(witness, range(m))
             kind = "no cell" if not owners else f"cells {owners}"
             raise ValidationError(
                 f"cells do not partition the space: point {witness} lies in {kind}")
         # Constant iff every coefficient is zero and all intercepts agree.
-        if len({(cell.intercept, cell.coeffs) for cell in self.cells}) == 1 and all(
-                c == 0 for c in self.cells[0].coeffs):
-            raise ValidationError(
-                "model is constant; a non-constant prediction function is required")
+        first = (cells[0].intercept, cells[0].coeffs)
+        if not any(first[1]) and all((c.intercept, c.coeffs) == first for c in cells):
+            raise ValidationError("model is constant; a non-constant prediction function is required")
 
     def _partition_witness(self) -> Point | None:
-        """None if the cells partition the space, else a point that lies in
-        no cell or in several, in O(k^2 * m + k * m^2) for k cells and m
-        features.
-
-        Under the half-open rule, cells that are pairwise interior-disjoint
-        are disjoint as sets, and what they leave uncovered has positive
-        volume. So the cells partition the space exactly when some axis
-        separates every pair of them and their volumes sum to the space's."""
-        cells, features = self.cells, self.space.features
-        # Each axis's distinct bounds in order; cell bounds become their ranks.
-        cuts = [sorted({f.domain.lo, f.domain.hi}.union(*(c.box[j] for c in cells)))
-                for j, f in enumerate(features)]
-        ranks = [{x: r for r, x in enumerate(axis)} for axis in cuts]
-        los = [tuple(rank[lo] for rank, (lo, _) in zip(ranks, c.box)) for c in cells]
-        his = [tuple(rank[hi] for rank, (_, hi) in zip(ranks, c.box)) for c in cells]
+        """None if the cells partition the space, else a point in no cell or
+        in several, in O(k^2 * m + k * m^2) for k cells and m features. Each
+        cell is a union of the grid's slabs, and interior-disjoint cells are
+        disjoint under the half-open rule, so the cells partition the space
+        when some axis separates every pair and they count every slab."""
+        cuts, los, his = self.cuts, self.lows, self.highs
+        slabs = [len(axis) - 1 for axis in cuts]
 
         def midpoint(j, lo, hi):
             return (cuts[j][lo] + cuts[j][hi]) / 2
 
         # Sorted by lower rank on axis 0, a cell can overlap only the cells
         # after it that start before it ends there.
-        order = sorted(range(len(cells)), key=lambda k: los[k][0])
+        order = sorted(range(len(los)), key=lambda k: los[k][0])
         for p, a in enumerate(order):
             lo_a, hi_a = los[a], his[a]
             for b in order[p + 1:]:
@@ -531,20 +528,16 @@ class BoxPiecewiseModel:
                     break
                 if not (any(map(le, hi_a, lo_b)) or any(map(le, hi_b, lo_a))):
                     return tuple(midpoint(j, max(lo_a[j], lo_b[j]), min(hi_a[j], hi_b[j]))
-                                 for j in range(len(features)))
-        volume = sum(prod(hi - lo for lo, hi in c.box) for c in cells)
-        if volume == prod(f.domain.width for f in features):
+                                 for j in range(len(cuts)))
+        if sum(prod(map(sub, hi, lo)) for lo, hi in zip(los, his)) == prod(slabs):
             return None
-        # A gap: on each axis in turn, take the first slab between adjacent
-        # cuts whose cross-section the cells spanning it cover short of the
-        # space's, and fix the coordinate at the slab's midpoint. Disjoint
-        # cells with a volume deficit leave such a slab on every axis, and
-        # on the last axis no cell spans it.
-        point, live = [], range(len(cells))
-        for j in range(len(features)):
-            full = prod(f.domain.width for f in features[j + 1:])
-            section = {k: prod(hi - lo for lo, hi in cells[k].box[j + 1:]) for k in live}
-            for t in range(len(cuts[j]) - 1):
+        # A gap: on each axis, fix the midpoint of the first slab whose cells
+        # count its cross-section short. On the last axis no cell spans it.
+        point, live = [], range(len(los))
+        for j in range(len(cuts)):
+            full = prod(slabs[j + 1:])
+            section = {k: prod(map(sub, his[k][j + 1:], los[k][j + 1:])) for k in live}
+            for t in range(slabs[j]):
                 spanning = [k for k in live if los[k][j] <= t < his[k][j]]
                 if sum(section[k] for k in spanning) < full:
                     break
@@ -552,24 +545,21 @@ class BoxPiecewiseModel:
             live = spanning
         return tuple(point)
 
-    def _holds(self, cell: Cell, point: Point, axes: Iterable[int]) -> bool:
-        """Does the cell's box hold ``point`` on the given 0-based axes?
-        This is the one definition of the half-open membership rule. It
-        decides slice membership and names the owners of a partition
-        witness; the partition check itself compares bound ranks."""
-        box, tops = cell.box, self.tops
+    def _holders(self, v: Point, axes: Iterable[int]) -> list[int]:
+        """The cells (by index) holding v on the given 0-based axes, by the one
+        half-open rule: v_j lies in slab t, the rank of the last cut at or
+        below it (the domain top in the last slab), and lo_r <= t < hi_r."""
+        slabs = []
         for j in axes:
-            lo, hi = box[j]
-            x = point[j]
-            if x < lo or x > hi or (x == hi and hi != tops[j]):
-                return False
-        return True
+            t = bisect_right(self.cuts[j], v[j])
+            slabs.append((j, t - 1 - (t == len(self.cuts[j]) and v[j] == self.cuts[j][-1])))
+        return [k for k, (lo, hi) in enumerate(zip(self.lows, self.highs))
+                if all(lo[j] <= t < hi[j] for j, t in slabs)]
 
     def slice_cells(self, v: Point, fixed: Iterable[int]) -> list[Cell]:
         """The cells meeting the slice x_S = v_S. Only the fixed axes are
         tested: cell boxes are non-degenerate, so free axes always meet."""
-        axes = [fid - 1 for fid in fixed]
-        return [cell for cell in self.cells if self._holds(cell, v, axes)]
+        return [self.cells[k] for k in self._holders(v, [fid - 1 for fid in fixed])]
 
     def cell_at(self, point: Point) -> Cell:
         owners = self.slice_cells(point, self.space.ids)
@@ -601,6 +591,15 @@ class BoxPiecewiseModel:
     def output_range(self) -> tuple[Fraction, Fraction]:
         lows, highs = zip(*(_affine_extremes(cell, (), ()) for cell in self.cells))
         return min(lows), max(highs)
+
+
+def _ranked(bounds: list) -> tuple[tuple, list[int]]:
+    """The sorted distinct values of ``bounds`` and each bound's rank among
+    them, keyed by exact ratio (two ints), which hashes cheaper than a Fraction."""
+    keys = [x.as_integer_ratio() for x in bounds]
+    cuts = sorted(dict(zip(keys, bounds)).values())
+    rank = {x.as_integer_ratio(): r for r, x in enumerate(cuts)}
+    return tuple(cuts), list(map(rank.__getitem__, keys))
 
 
 def _affine_extremes(cell: Cell, v: Point, fixed) -> tuple[Fraction, Fraction]:
@@ -689,13 +688,12 @@ def _guard(points: int) -> None:
         raise SizeLimitError(f"enumeration guarded at {POINT_GUARD} points, got {points}")
 
 
-def guard_cell_table(model: BoxPiecewiseModel) -> None:
-    """Refuse a box model's coalition table above POINT_GUARD cell visits:
-    each of its 2^m coalitions scans every cell."""
-    visits = len(model.cells) << model.space.m
+def guard_cell_visits(model: BoxPiecewiseModel, coalitions: int, run="coalition table") -> None:
+    """Refuse a box model's run over ``coalitions`` coalitions above
+    POINT_GUARD cell visits: each coalition scans every cell."""
+    visits = len(model.cells) * coalitions
     if visits > POINT_GUARD:
-        raise SizeLimitError(
-            f"coalition table guarded at {POINT_GUARD} cell visits, got {visits}")
+        raise SizeLimitError(f"{run} guarded at {POINT_GUARD} cell visits, got {visits}")
 
 
 def conditional_expectation(model: Model, instance: Instance, fixed: Iterable[int]) -> Fraction:

@@ -14,21 +14,49 @@ from itertools import product
 from shapxp import BoxPiecewiseModel, Cell, Feature, FeatureSpace, IntervalDomain, predict
 
 INSET = Fraction(1, 4096)
+LO, HI = Fraction(-1), Fraction(1)
+QUARTERS = [Fraction(k, 4) for k in range(-4, 5)]  # the domain's ends and every cut
 
 
 def random_grid_model(rng, m=2):
-    lo, hi = Fraction(-1), Fraction(1)
     axes_cuts = []
     for _ in range(m):
-        inner = sorted(rng.sample([Fraction(k, 4) for k in range(-3, 4)],
-                                  rng.randint(1, 2)))
-        axes_cuts.append([lo] + inner + [hi])
+        inner = sorted(rng.sample(QUARTERS[1:-1], rng.randint(1, 2)))
+        axes_cuts.append([LO] + inner + [HI])
+    return model_on(rng, list(product(*(zip(cuts, cuts[1:]) for cuts in axes_cuts))))
+
+
+def random_kd_model(rng, m=2, n_cells=6):
+    return model_on(rng, kd_boxes(rng, m, n_cells, QUARTERS))
+
+
+def kd_boxes(rng, m, n_cells, lattice):
+    """A guillotine layout of [lo, hi]^m (the lattice's ends): split random
+    cells at lattice points inside them."""
+    boxes = [[(lattice[0], lattice[-1])] * m]
+    while len(boxes) < n_cells:
+        k, j = rng.randrange(len(boxes)), rng.randrange(m)
+        lo, hi = boxes[k][j]
+        inside = [x for x in lattice if lo < x < hi]
+        if not inside:
+            continue
+        cut = rng.choice(inside)
+        box = boxes[k]
+        boxes[k:k + 1] = [box[:j] + [(lo, cut)] + box[j + 1:],
+                          box[:j] + [(cut, hi)] + box[j + 1:]]
+    return boxes
+
+
+def model_on(rng, boxes):
+    """A model on [-1, 1]^m with random affines on the boxes, drawn again
+    until it is not constant."""
+    m = len(boxes[0])
     space = FeatureSpace(tuple(
-        Feature(j + 1, f"x{j + 1}", IntervalDomain(lo, hi)) for j in range(m)))
+        Feature(j + 1, f"x{j + 1}", IntervalDomain(LO, HI)) for j in range(m)))
     coeff_pool = [Fraction(k, 2) for k in range(-4, 5)]
     while True:
         cells = []
-        for bounds in product(*(zip(cuts, cuts[1:]) for cuts in axes_cuts)):
+        for bounds in boxes:
             cells.append(Cell(tuple(bounds), rng.choice(coeff_pool),
                               tuple(rng.choice(coeff_pool) for _ in range(m))))
         if len({(c.intercept, c.coeffs) for c in cells}) > 1 or any(

@@ -5,20 +5,23 @@ refines all cell bounds into a grid and asks every grid box's midpoint for
 its owners, which costs up to (2k)^m membership scans. The loader's check
 must reach the same decision on every layout, name a point that really
 lies in no cell or in several, and stay polynomial where the grid is not.
+``holds`` is the half-open rule on Fraction bounds, the reference for
+membership by slab rank.
 """
 
 import json
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
 from math import prod
-from types import SimpleNamespace
 
 import pytest
 
 from shapxp import BoxPiecewiseModel, Cell, Feature, FeatureSpace, IntervalDomain, ValidationError
 from shapxp.cli import run_cli
+from boxmodels import QUARTERS, kd_boxes, random_grid_model, random_kd_model
 from conftest import cpu_limit
 
 
@@ -79,22 +82,6 @@ def with_affines(rng, boxes):
             for k, box in enumerate(boxes)]
 
 
-def kd_boxes(rng, m, n_cells):
-    """A guillotine layout: split random cells at lattice cuts inside them."""
-    boxes = [[(LO, HI)] * m]
-    while len(boxes) < n_cells:
-        k, j = rng.randrange(len(boxes)), rng.randrange(m)
-        lo, hi = boxes[k][j]
-        inside = [x for x in LATTICE if lo < x < hi]
-        if not inside:
-            continue
-        cut = rng.choice(inside)
-        box = boxes[k]
-        boxes[k:k + 1] = [box[:j] + [(lo, cut)] + box[j + 1:],
-                          box[:j] + [(cut, hi)] + box[j + 1:]]
-    return boxes
-
-
 def grid_boxes(rng, m):
     axes = []
     for _ in range(m):
@@ -124,7 +111,7 @@ def layouts():
     rng = random.Random(20261018)
     for n in range(240):
         m = 1 + n % 3
-        boxes = kd_boxes(rng, m, rng.randint(1, 9)) if n % 2 else grid_boxes(rng, m)
+        boxes = kd_boxes(rng, m, rng.randint(1, 9), LATTICE) if n % 2 else grid_boxes(rng, m)
         if n % 4 >= 2:
             boxes = moved(rng, boxes)
         yield m, with_affines(rng, boxes)
@@ -149,9 +136,8 @@ def named_witness(message):
 
 
 def owners_by_holds(space, cells, point):
-    model = SimpleNamespace(tops=tuple(f.domain.hi for f in space.features))
-    return [k for k, cell in enumerate(cells)
-            if BoxPiecewiseModel._holds(model, cell, point, range(space.m))]
+    tops = tuple(f.domain.hi for f in space.features)
+    return [k for k, cell in enumerate(cells) if holds(cell, point, range(space.m), tops)]
 
 
 def assert_true_witness(space, cells, message):
@@ -210,6 +196,43 @@ def test_a_gap_is_named_inside_the_uncovered_region():
     with pytest.raises(ValidationError) as caught:
         BoxPiecewiseModel(space, tuple(cells))
     assert named_witness(str(caught.value)) == ((F(1, 4), F(1, 2)), [])
+
+
+def test_slab_membership_agrees_with_the_fraction_rule():
+    """Slices and owners by rank agree with ``holds`` on every subset of
+    axes, at every point of a quarter lattice that holds each cut line and
+    the domain top."""
+    rng = random.Random(20261019)
+    for n in range(24):
+        m = 1 + n % 3
+        model = random_kd_model(rng, m, rng.randint(1, 8)) if n % 2 else random_grid_model(rng, m)
+        tops = tuple(f.domain.hi for f in model.space.features)
+        subsets = [[j for j in range(m) if mask >> j & 1] for mask in range(1 << m)]
+        for v in product(QUARTERS, repeat=m):
+            for axes in subsets:
+                expected = [cell for cell in model.cells if holds(cell, v, axes, tops)]
+                assert model.slice_cells(v, [j + 1 for j in axes]) == expected, (model, v, axes)
+            assert [model.cell_at(v)] == expected  # the last subset fixes every axis
+
+
+def test_errors_come_cell_by_cell_with_the_length_check_first():
+    xs = [LO, F(-3, 4), F(-1, 2), F(-1, 4), F(0), F(1, 2), HI]
+    cells = with_affines(random.Random(3), [[(a, b), (LO, HI)] for a, b in zip(xs, xs[1:])])
+    outside = replace(cells[2], box=((F(-2), F(-1, 4)), (LO, HI)))
+    short = replace(cells[5], box=((F(1, 2), HI),))
+    cases = [
+        ({2: outside, 5: short}, "cell 2: interval [-2, -1/4) invalid for feature 1"),
+        ({2: replace(outside, box=outside.box[:1]), 5: short},
+         "cell 2: box/coeffs length must equal 2"),
+        ({5: short}, "cell 5: box/coeffs length must equal 2"),
+        ({5: replace(cells[5], coeffs=(F(1),))}, "cell 5: box/coeffs length must equal 2"),
+    ]
+    for changes, message in cases:
+        broken = tuple(changes.get(k, cell) for k, cell in enumerate(cells))
+        with pytest.raises(ValidationError) as caught:
+            BoxPiecewiseModel(unit_space(2), broken)
+        assert str(caught.value) == message
+    BoxPiecewiseModel(unit_space(2), tuple(cells))
 
 
 # A guillotine layout in ten dimensions whose every split uses a cut that

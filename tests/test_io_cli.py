@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -699,6 +700,45 @@ class TestBoxTableGuard:
         argv = ["shap", "--game", "expected", "--method", "cgt", "--epsilon", "1",
                 "--model", path, "--instance", ",".join(["1"] * 21)]
         assert run_cli(argv) == 0
+
+
+def halved_doc(m, halved):
+    """m features on [0, 1] whose first ``halved`` are split at 1/2, so the
+    model has 2^halved cells; its output is x1."""
+    halves = [["0", "1/2"], ["1/2", "1"]]
+    return json.dumps({
+        "version": 1, "kind": "box_piecewise",
+        "features": [{"id": j + 1, "name": f"x{j + 1}",
+                      "domain": {"type": "interval", "lo": 0, "hi": 1}} for j in range(m)],
+        "cells": [{"box": list(box) + [["0", "1"]] * (m - halved),
+                   "affine": [0, 1] + [0] * (m - 1)}
+                  for box in itertools.product(halves, repeat=halved)],
+    })
+
+
+class TestBoxSamplingGuard:
+    """CGT on a box model scans every cell for each coalition it may
+    evaluate, min(T*m + 1, 2^m) of them; past 2^20 cell visits the run exits
+    3 before the first draw."""
+
+    @pytest.mark.parametrize("game", [["expected"], ["waxp", "--delta", "1/5"]], ids=" ".join)
+    def test_512_cells_on_12_features_exit_3_at_once(self, capsys, tmp_path, game):
+        path = write(tmp_path, "halved.json", halved_doc(12, 9))
+        argv = ["shap", "--method", "cgt", "--game", *game, "--model", path,
+                "--instance", ",".join(["1/4"] * 12)]
+        with cpu_limit(1):
+            assert run_cli(argv) == 3
+        assert "sampling guarded at 1048576 cell visits, got 2097152" in \
+            capsys.readouterr().err
+
+    def test_the_same_model_passes_a_shorter_run(self, capsys, tmp_path):
+        # epsilon 1 needs 4 permutations: 49 coalitions, 25,088 cell visits.
+        path = write(tmp_path, "halved.json", halved_doc(12, 9))
+        argv = ["shap", "--method", "cgt", "--game", "expected", "--epsilon", "1",
+                "--model", path, "--instance", ",".join(["1/4"] * 12), "--output", "json"]
+        assert run_cli(argv) == 0
+        scores = json.loads(capsys.readouterr().out)["results"]["scores"]
+        assert [row["score"] for row in scores][1:] == ["0"] * 11  # x2..x12 are null
 
 
 def test_an_out_of_domain_table_point_names_the_file_and_the_entry(capsys, tmp_path):

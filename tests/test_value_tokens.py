@@ -128,3 +128,33 @@ def test_a_boolean_table_value_after_a_one_is_still_refused(capsys, tmp_path):
     path = write_json(tmp_path, doc)
     assert validate_error(capsys, path) == \
         f"error: {path}: table entry 3: booleans are not rationals\n"
+
+
+# A box model parses each distinct bound and coefficient token once. pw2's
+# cell 0 reads the JSON integers 0 and 1 (its affine is [0, 1, 0]) before
+# cell 2 is read.
+PW2 = FIXTURES / "pw2.json"
+
+
+@pytest.mark.parametrize("where", [("box", 0, 1), ("affine", 1)], ids=["bound", "coefficient"])
+@pytest.mark.parametrize("token", [True, False], ids=repr)
+def test_a_boolean_box_token_after_its_integer_is_still_refused(capsys, tmp_path, where, token):
+    doc = json.loads(PW2.read_text())
+    assert doc["cells"][0]["affine"] == [0, 1, 0]
+    parent = doc["cells"][2]
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = token
+    path = write_json(tmp_path, doc)
+    assert validate_error(capsys, path) == f"error: {path}: cell 2: booleans are not rationals\n"
+
+
+@pytest.mark.parametrize("token,message", NOT_VALUES + [
+    ("x", "'x' is not a rational literal"), ("1/0", "'1/0' is not a rational literal")],
+    ids=lambda t: repr(t)[:12])
+def test_a_bad_box_token_names_the_first_cell_that_holds_it(capsys, tmp_path, token, message):
+    doc = json.loads(PW2.read_text())
+    doc["cells"][1]["affine"][0] = token
+    doc["cells"][2]["box"][1][0] = token
+    path = write_json(tmp_path, doc)
+    assert validate_error(capsys, path) == f"error: {path}: cell 1: {message}\n"
