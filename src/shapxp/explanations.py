@@ -6,15 +6,13 @@ if freed, allow the prediction to change". Predicates quantify over the
 problem's universe: the model's whole feature space (model-aware) or a
 finite sample of its behavior (model-agnostic).
 
-Each problem keeps its contrastive basis, :func:`contrastive_basis`: the
-inclusion-minimal disagreement masks of the points whose output is
-distinguishable from the instance's, which are exactly the minimal
-contrastive explanations. The sufficiency predicate on a tree or a sample,
-enumeration, relevancy and compliance all read it; the abductive
-explanations are its minimal hitting sets. A tree builds the basis in one
-walk over its leaves and a sample in one pass over its rows; tabular and
-box models read it off the sufficiency table, :func:`sufficiency_table`,
-which also gives the sufficiency game. A problem builds each at most once.
+Sufficiency has one source, the problem's contrastive basis
+(:func:`contrastive_basis`): the minimal contrastive explanations, found
+among the disagreement masks the problem's scope yields, built once per
+problem. Enumeration, relevancy, compliance and the sufficiency predicate
+on a tree or a sample read it; the abductive explanations are its minimal
+hitting sets, and the sufficiency game's table (:func:`sufficiency_table`)
+is its closure.
 """
 
 from __future__ import annotations
@@ -23,11 +21,13 @@ import warnings
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import compress
-from operator import eq, or_
+from math import inf
+from operator import ne, or_
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import PreconditionError, SizeLimitError, ValidationError
 from .models import (
+    POINT_GUARD,
     Point,
     TreeModel,
     Value,
@@ -79,16 +79,12 @@ class Sample:
         return (y for row, y in zip(self.rows, self.predictions)
                 if all(row[j] == v[j] for j in axes))
 
-    def masked_outputs(self, v: Point, where: Callable[[Value], bool] | None = None
-                       ) -> Iterator[tuple[int, Value]]:
-        """(agreement mask with v, prediction) of every row, or with
-        ``where`` of the rows whose prediction it holds for; their masks
-        alone are computed."""
+    def disagreements(self, v: Point, dissimilar: Callable[[Value], bool]) -> Iterator[int]:
+        """The disagreement mask with v (bit j: row_j != v_j) of every row
+        whose prediction is ``dissimilar``."""
         bits = [1 << j for j in range(len(v))]
-        rows = zip(self.rows, self.predictions)
-        if where is not None:
-            rows = ((row, y) for row, y in rows if where(y))
-        return ((sum(compress(bits, map(eq, row, v))), y) for row, y in rows)
+        return (sum(compress(bits, map(ne, row, v)))
+                for row, y in zip(self.rows, self.predictions) if dissimilar(y))
 
     def relabel(self, mapping: Mapping) -> "Sample":
         """The same rows with each prediction y replaced by mapping[y]."""
@@ -164,8 +160,9 @@ def agnostic_support(problem: ExplanationProblem, features: Iterable[int]) -> in
 
 
 def _walks_basis(problem: ExplanationProblem) -> bool:
-    """Does the problem's scope give its disagreement masks in one pass
-    (a sample's rows, a tree's leaves) rather than through the table?"""
+    """Does is_waxp read the basis? A sample's rows and a tree's leaves
+    give it in one pass; a table's slice stops at its first dissimilar
+    point and a box model's costs its cells, so they quantify instead."""
     return problem.universe is not None or isinstance(problem.model, TreeModel)
 
 
@@ -177,20 +174,12 @@ def _dissimilar(problem: ExplanationProblem) -> Callable[[Value], bool]:
 
 def contrastive_basis(problem: ExplanationProblem) -> tuple[int, ...]:
     """The basis as coalition masks (bit k is feature k+1), in (size, ids)
-    order. It is (0,) when a sample labels the instance's own point
-    otherwise, and empty when no point is distinguishable. Built on the
-    problem's first call and kept."""
+    order: the minimal masks the scope's ``disagreements`` yields. It is
+    (0,) when a sample labels the instance's own point otherwise, and empty
+    when no point is distinguishable. Built on the first call and kept."""
     if problem._basis is None:
-        v, dissimilar = problem.instance.point, _dissimilar(problem)
-        if problem.universe is not None:
-            full = (1 << len(v)) - 1
-            basis = _minimal(full ^ mask
-                             for mask, _ in problem.universe.masked_outputs(v, dissimilar))
-        elif isinstance(problem.model, TreeModel):
-            basis = _minimal(problem.model.disagreements(v, dissimilar))
-        else:
-            basis = _cxps_in_table(sufficiency_table(problem), problem.feature_ids)
-        object.__setattr__(problem, "_basis", basis)
+        masks = problem.scope.disagreements(problem.instance.point, _dissimilar(problem))
+        object.__setattr__(problem, "_basis", _minimal(masks, problem.model.space.m))
     return problem._basis
 
 
@@ -210,13 +199,33 @@ def guard_sufficiency_sampling(problem: ExplanationProblem, evaluations: int) ->
             f"evaluate {evaluations} coalitions, each checked against the basis")
 
 
-def _minimal(masks: Iterable[int]) -> tuple[int, ...]:
-    """The inclusion-minimal masks, in (size, ids) order."""
-    kept: list[int] = []
-    for mask in _in_order(set(masks)):
+def _minimal(masks: Iterable[int], m: int) -> tuple[int, ...]:
+    """The inclusion-minimal masks over m features, in (size, ids) order.
+    Each mask, smallest first, is compared with those kept; once that has
+    cost the m * 2^m steps of the closure route, which needs 2^m within
+    POINT_GUARD, that route finishes."""
+    masks = sorted(set(masks), key=int.bit_count)
+    budget = m << m if 1 << m <= POINT_GUARD else inf
+    kept, compared = [], 0
+    for mask in masks:
+        compared += len(kept)
+        if compared > budget:
+            return _minimal_in_closure(masks, m)
         if all(k & mask != k for k in kept):
             kept.append(mask)
-    return tuple(kept)
+    return _in_order(kept)
+
+
+def _minimal_in_closure(masks: Iterable[int], m: int) -> tuple[int, ...]:
+    """The inclusion-minimal masks over m features, in (size, ids) order,
+    read off the closure: C is minimal when its complement R is
+    insufficient and R plus any one feature of C is not."""
+    insufficient = _closure(masks, m)
+    full = (1 << m) - 1
+    bits = [1 << j for j in range(m)]
+    return _in_order(
+        full ^ rest for rest, hit in enumerate(insufficient)
+        if hit and not any(insufficient[rest | b] for b in bits if not rest & b))
 
 
 def _in_order(masks: Iterable[int]) -> tuple[int, ...]:
@@ -240,13 +249,11 @@ def _minimal_cxps(problem: ExplanationProblem) -> tuple[int, ...]:
 # Coalition tables
 # ---------------------------------------------------------------------------
 #
-# A labelled point p agrees with the instance v on the features of its
-# agreement mask A(p) = {j : p_j = v_j}, and it satisfies x_S = v_S exactly
-# when S is a subset of A(p). So a histogram of the points by agreement
-# mask, folded over supersets, holds for every coalition S an aggregate of
-# exactly the points with x_S = v_S: O(|points| * m + m * 2^m) work for all
-# 2^m coalitions at once. The points come from ``masked_outputs(v)`` of
-# the universe: a sample's rows, or every point of a discrete model.
+# A coalition table holds a value for every coalition mask S; a fold over
+# the supersets of each S fills all 2^m of them in O(m * 2^m). The
+# expected-value game folds a histogram of the points by agreement mask,
+# within which x_S = v_S holds; the sufficiency table folds the complements
+# of the basis masks, since S is insufficient exactly when it lies in one.
 
 
 def _fold_supersets(table: list, op: Callable) -> None:
@@ -262,35 +269,26 @@ def _fold_supersets(table: list, op: Callable) -> None:
         half *= 2
 
 
+def _closure(masks: Iterable[int], m: int) -> list[bool]:
+    """For every coalition mask S over m features: does some mask lie
+    within the complement of S, so that fixing S leaves it free?"""
+    full = (1 << m) - 1
+    found = [False] * (1 << m)
+    for mask in masks:
+        found[full ^ mask] = True
+    _fold_supersets(found, or_)
+    return found
+
+
 def sufficiency_table(problem: ExplanationProblem) -> list[int]:
     """The sufficiency game for every coalition mask S (bit k is feature
-    k+1): nu(S) = 1 exactly when S is a weak abductive explanation. Built
-    on the problem's first call and kept, so callers must not mutate it."""
-    if problem._sufficiency is None:
-        object.__setattr__(problem, "_sufficiency", _build_sufficiency_table(problem))
-    return problem._sufficiency
-
-
-def _build_sufficiency_table(problem: ExplanationProblem) -> list[int]:
-    """Over the rows of a sample universe, or over the whole space of a
-    discrete model, f[S] tells whether some labelled point with x_S = v_S
-    has an output distinguishable from the instance's, so nu(S) = 1 - f[S];
-    a coalition that no sample row matches is vacuously sufficient. A box
-    model takes one is_waxp call per coalition, guarded at POINT_GUARD cell
-    visits."""
-    m = problem.model.space.m
-    if m > EXACT_GUARD:
-        raise SizeLimitError(f"exact computation guarded at m <= {EXACT_GUARD}, got {m}")
-    if problem.universe is None and not problem.model.space.all_discrete():
-        guard_cell_visits(problem.model, 1 << m)
-        return [int(is_waxp(problem, [i for i in problem.feature_ids if mask >> i - 1 & 1]))
-                for mask in range(1 << m)]
-    dissimilar = _dissimilar(problem)
-    found = [False] * (1 << m)
-    for mask, y in problem.scope.masked_outputs(problem.instance.point):
-        found[mask] |= dissimilar(y)
-    _fold_supersets(found, or_)
-    return [0 if hit else 1 for hit in found]
+    k+1): nu(S) = 1 exactly when S is a weak abductive explanation, that
+    is, when S meets every mask of the contrastive basis. Refused past
+    POINT_GUARD coalitions, once the basis is built."""
+    basis, m = contrastive_basis(problem), problem.model.space.m
+    if 1 << m > POINT_GUARD:
+        raise SizeLimitError(f"coalition table guarded at {POINT_GUARD} coalitions, got {1 << m}")
+    return [0 if hit else 1 for hit in _closure(basis, m)]
 
 
 # ---------------------------------------------------------------------------
@@ -325,19 +323,6 @@ def _shrink(problem: ExplanationProblem, seed: Iterable[int] | None,
 def enumerate_cxps(problem: ExplanationProblem) -> tuple[FeatureSet, ...]:
     """All subset-minimal contrastive explanations, by size, then ids."""
     return tuple(map(_ids, _minimal_cxps(problem)))
-
-
-def _cxps_in_table(table: list[int], ids: tuple[int, ...]) -> tuple[int, ...]:
-    """The contrastive basis read off a sufficiency table over the players
-    ``ids``, as masks in (size, ids) order: freeing C allows a
-    distinguishable output exactly when its complement R is not
-    sufficient, and since nu is monotone, C is minimal when R plus any one
-    feature of C is."""
-    full = len(table) - 1
-    return _in_order(
-        full ^ rest for rest, sufficient in enumerate(table)
-        if not sufficient and all(table[rest | 1 << i - 1] for i in ids
-                                  if not rest >> i - 1 & 1))
 
 
 def axps_from_cxps(cxps: Iterable[FeatureSet]) -> tuple[FeatureSet, ...]:

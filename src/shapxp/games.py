@@ -64,9 +64,10 @@ class Game:
 
     ``table`` returns the whole coalition table, which is what exact
     Shapley values need. A game with a ``kernel`` builds it at once, only
-    when asked; the sufficiency game's kernel reads the table its problem
-    builds once (see :func:`~shapxp.explanations.sufficiency_table`). Any
-    other game evaluates ``at`` on each of the 2^m coalitions.
+    when asked; the sufficiency game's kernel builds the closure of its
+    problem's contrastive basis on each read (see
+    :func:`~shapxp.explanations.sufficiency_table`). Any other game
+    evaluates ``at`` on each of the 2^m coalitions.
 
     ``sampling_guard``, when given, is called by the sampling estimator
     before its first draw with the number of coalitions it may evaluate,

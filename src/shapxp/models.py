@@ -22,9 +22,9 @@ end of this module check their inputs and then call it:
   the discrete kinds only: every point with its output, every point's
   agreement mask with v with its output, and the model under an output
   relabeling;
-* ``disagreements(v, dissimilar)`` - trees only: the disagreement mask
-  with v of each leaf with a dissimilar output, one walk that gives the
-  contrastive explanations without enumerating points.
+* ``disagreements(v, dissimilar)`` - masks of weak contrastive
+  explanations, every minimal one among them: a table's from its points,
+  a tree's from its leaves, a box model's from its cells per coalition.
 
 Each kind derives them from one primitive: box cells ``_affine_extremes``,
 the discrete kinds a reader from slots to outputs. A discrete space
@@ -240,6 +240,12 @@ class _EnumerableModel:
                 for j, f in enumerate(self.space.features)]
         return zip(map(sum, _product(axes)), map(self._read, self.space.slots()))
 
+    def disagreements(self, v: Point, dissimilar: Callable[[Value], bool]) -> Iterator[int]:
+        """The disagreement mask with v (bit j: x_j != v_j) of every point
+        whose output is ``dissimilar``."""
+        full = (1 << self.space.m) - 1
+        return (full ^ mask for mask, y in self.masked_outputs(v) if dissimilar(y))
+
     def relabel(self, mapping: Mapping):
         """The same model with each output y replaced by mapping[y]; the map
         must be injective on the model's outputs."""
@@ -419,8 +425,8 @@ class TreeModel(_EnumerableModel):
         whose output is ``dissimilar``: the features on its path whose edge
         excludes v_j. Every edge routes some value (see _validate), and off
         its path a point reaching the leaf may agree with v, so each mask is
-        a dissimilar point's, and every dissimilar
-        point's mask holds its leaf's. One walk from the root, O(nodes)."""
+        a dissimilar point's, and every dissimilar point's mask holds its
+        leaf's. One walk from the root, O(nodes)."""
         stack = [(self.root, 0)]
         while stack:
             node_id, mask = stack.pop()
@@ -577,6 +583,16 @@ class BoxPiecewiseModel:
         so both quantifiers over the slice are decided by the extremes."""
         for cell in self.slice_cells(v, fixed):
             yield from _affine_extremes(cell, v, fixed)
+
+    def disagreements(self, v: Point, dissimilar: Callable[[Value], bool]) -> Iterator[int]:
+        """Every weak contrastive explanation C (bit j: feature j+1): the
+        slice fixing the other features holds a ``dissimilar`` closure
+        extreme. Each C scans every cell, refused past POINT_GUARD visits."""
+        guard_cell_visits(self, 1 << self.space.m)
+        for free in range(1 << self.space.m):
+            fixed = frozenset(i for i in self.space.ids if not free >> i - 1 & 1)
+            if any(map(dissimilar, self.slice_outputs(v, fixed))):
+                yield free
 
     def slice_expectation(self, v: Point, fixed: frozenset[int]) -> Fraction:
         # An affine's mean over the free sub-box is its value at the centre,

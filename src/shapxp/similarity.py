@@ -52,16 +52,13 @@ class ExplanationProblem:
     """A model, a target instance, the similarity notion tying them, and
     the universe explanations quantify over: the model's whole space when
     ``universe`` is None, else a sample's rows. The problem keeps its
-    sufficiency table (see :func:`~shapxp.explanations.sufficiency_table`)
-    and its contrastive basis (see
-    :func:`~shapxp.explanations.contrastive_basis`)."""
+    contrastive basis (see :func:`~shapxp.explanations.contrastive_basis`),
+    which decides every sufficiency question."""
 
     model: Model
     instance: Instance
     similarity: SimilarityConfig
     universe: Sample | None = None
-    _sufficiency: list[int] | None = field(
-        default=None, init=False, repr=False, compare=False)
     _basis: tuple[int, ...] | None = field(
         default=None, init=False, repr=False, compare=False)
 

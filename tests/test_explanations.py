@@ -41,14 +41,15 @@ from shapxp import (
     tabulate,
 )
 from shapxp.explanations import (
-    _cxps_in_table,
+    _dissimilar,
     _ids,
+    _minimal_in_closure,
     agnostic_support,
     contrastive_basis,
     sufficiency_table,
 )
-from shapxp.models import labelled_points
-from boxmodels import random_grid_model
+from shapxp.models import Instance, labelled_points
+from boxmodels import random_grid_model, random_kd_model
 from conftest import cpu_limit
 from randmodels import (
     brute_force_axps,
@@ -300,8 +301,9 @@ def thirty_rows(rng, model):
 
 def basis_problems(rng):
     """Random trees with multi-value edges and their tabulated twins, random
-    tables, and a 30-row sample of each; under class equality, threshold
-    similarity and categorical outputs."""
+    tables, and a 30-row sample of each, under class equality, threshold
+    similarity and categorical outputs; then random grid and kd box models
+    under delta 0, 1/4 and 1."""
     for _ in range(40):
         categorical = rng.random() < 0.3
         tree = random_tree_model(rng, rng.randint(1, 6), max_domain=4, categorical=categorical,
@@ -320,6 +322,13 @@ def basis_problems(rng):
                 problem = ExplanationProblem(model, instance, similarity)
                 yield problem
                 yield replace(problem, universe=thirty_rows(rng, model))
+    eighths = [F(k, 8) for k in range(-8, 9)]
+    for _ in range(12):
+        m = rng.randint(1, 3)
+        for model in (random_grid_model(rng, m), random_kd_model(rng, m, rng.randint(2, 8))):
+            instance = make_instance(model, [rng.choice(eighths) for _ in range(m)])
+            for delta in (0, F(1, 4), 1):
+                yield ExplanationProblem(model, instance, SimilarityConfig.threshold(delta))
 
 
 class TestContrastiveBasis:
@@ -328,10 +337,33 @@ class TestContrastiveBasis:
         for problem in basis_problems(rng):
             basis = contrastive_basis(problem)
             assert set(map(frozenset, map(_ids, basis))) == brute_force_cxps(problem)
-            assert basis == _cxps_in_table(sufficiency_table(problem), problem.feature_ids)
+            assert basis == tuple(sorted(basis, key=lambda b: (b.bit_count(), _ids(b))))
+            masks = problem.scope.disagreements(problem.instance.point, _dissimilar(problem))
+            assert _minimal_in_closure(masks, problem.model.space.m) == basis
             if problem.model.space.m <= 6:
+                table = sufficiency_table(problem)
                 for s in subsets(problem.feature_ids):
-                    assert is_waxp(problem, s) == slice_quantifier(problem, s)
+                    mask = sum(1 << i - 1 for i in s)
+                    assert is_waxp(problem, s) == slice_quantifier(problem, s) == table[mask]
+
+    def test_a_dense_antichain_stays_bounded(self):
+        # "At least 8 of 16 ones" at the all-zero point: the basis is every
+        # set of 8 features, 12,870 masks, which compared pairwise would
+        # take about 83 million comparisons.
+        space = FeatureSpace(tuple(Feature(j, f"x{j}", DiscreteDomain((0, 1)))
+                                   for j in range(1, 17)))
+        points = tuple(product((0, 1), repeat=16))
+        outputs = tuple(int(sum(p) >= 8) for p in points)
+        model = TabularModel(space, outputs)
+        eights = [mask for mask in range(1 << 16) if mask.bit_count() == 8]
+        for universe in (None, Sample(points, outputs)):
+            problem = ExplanationProblem(model, Instance(points[0], 0),
+                                         SimilarityConfig.class_equality(), universe)
+            with cpu_limit(2):
+                basis = contrastive_basis(problem)
+                masks = problem.scope.disagreements(points[0], _dissimilar(problem))
+                assert basis == _minimal_in_closure(masks, 16)
+            assert sorted(basis) == eights
 
     def test_a_tree_and_its_table_share_a_basis(self):
         rng = random.Random(1732)
@@ -348,7 +380,7 @@ class TestContrastiveBasis:
         # singleton is reported as a contrastive explanation.
         problem = replace(cls3_problem, universe=Sample(((1, 1, 2),), (F(0),)))
         assert contrastive_basis(problem) == (0,)
-        assert _cxps_in_table(sufficiency_table(problem), problem.feature_ids) == (0,)
+        assert sufficiency_table(problem) == [0] * 8
         assert brute_force_cxps(problem) == {frozenset()}
         assert not is_waxp(problem, problem.feature_ids)
         assert enumerate_cxps(problem) == ((1,), (2,), (3,))
@@ -358,7 +390,7 @@ class TestContrastiveBasis:
     def test_a_constant_universe_has_an_empty_basis(self, cls3_problem):
         problem = replace(cls3_problem, universe=Sample(((1, 0, 0), (0, 1, 1)), (F(1), F(1))))
         assert contrastive_basis(problem) == ()
-        assert _cxps_in_table(sufficiency_table(problem), problem.feature_ids) == ()
+        assert sufficiency_table(problem) == [1] * 8
         assert is_waxp(problem, ())
         for query in (enumerate_cxps, relevant_features):
             with pytest.warns(ConstantOnUniverseWarning):

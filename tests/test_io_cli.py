@@ -419,20 +419,34 @@ class TestCli:
         assert time.process_time() - started < 1
         assert "guarded" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command,model", [
-        (["shap", "--game", "expected", "--method", "cgt"], one_split_tree(25)),
-        (["shap", "--game", "waxp", "--method", "exact"], one_split_tree(20)),
-        (["relevancy", "--delta", "0"], two_cell_box(20))],
+    @pytest.mark.parametrize("command,model,message", [
+        (["shap", "--game", "expected", "--method", "cgt"], one_split_tree(25),
+         "sampling guarded at 1048576 slice points"),
+        (["shap", "--game", "waxp", "--method", "exact"], one_split_tree(21),
+         "coalition table guarded at 1048576 coalitions"),
+        (["relevancy", "--delta", "0"], two_cell_box(20),
+         "coalition table guarded at 1048576 cell visits")],
         ids=["shap-cgt", "shap-waxp-exact", "relevancy"])
-    def test_slices_past_the_point_guard_exit_3(self, capsys, tmp_path, command, model):
-        # The expected game's slices and the tree's sufficiency table pass
-        # 2^20 points; the box model's table, 2^20 cell visits.
+    def test_slices_past_the_point_guard_exit_3(self, capsys, tmp_path, command, model,
+                                                message):
+        # The expected game's slices pass 2^20 points; the tree's sufficiency
+        # table, 2^20 coalitions; the box model's scan for its basis, 2^20
+        # cell visits.
         path = write(tmp_path, "wide.json", json.dumps(model))
         m = len(model["features"])
         started = time.process_time()
         assert run_cli(command + ["--model", path, "--instance", ",".join("0" * m)]) == 3
         assert time.process_time() - started < 5
-        assert "guarded" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+    def test_a_wide_tree_scores_its_sufficiency_game(self, capsys, tmp_path):
+        # 3^16 points, but the table of 2^16 coalitions is the closure of
+        # the basis {{1}} from one walk over the tree's three nodes.
+        path = write(tmp_path, "wide.json", json.dumps(one_split_tree(16)))
+        with cpu_limit(1):
+            doc = run_json(capsys, ["shap", "--game", "waxp", "--model", path,
+                                    "--instance", ",".join("0" * 16)])
+        assert [row["score"] for row in doc["results"]["scores"]] == ["1"] + ["0"] * 15
 
     @pytest.mark.parametrize("command,key,found", [
         (["axp"], "axp", [1]), (["cxp"], "cxp", [1]), (["relevancy"], "relevant", [1]),

@@ -162,9 +162,9 @@ class TestGamesWithoutKernel:
             model = random_grid_model(rng)
             problem = ExplanationProblem(model, make_instance(model, (F(1, 3), F(-1, 5))),
                                          SimilarityConfig.threshold(F(1, 2)))
-            # The sufficiency game is built by sufficiency_table, one is_waxp
-            # call per coalition; the expected game evaluates each coalition
-            # once.
+            # The sufficiency game reads its table off the basis, which the
+            # model's scan of its cells gives; the expected game evaluates
+            # each coalition once.
             expectations.clear()
             expected_game(problem).table()
             assert len(expectations) == 1 << model.space.m
@@ -235,16 +235,15 @@ CLS3 = ["--model", str(FIXTURES / "cls3.json"), "--instance", "1,1,2"]
     (EXACT_WAXP + ["--model", str(FIXTURES / "pw2.json"), "--instance", "1,1",
                    "--delta", "1/5"], COMPLIANT, 1),
     (["shap", "--game", "expected", "--method", "exact"] + CLS3,
-     "compliance: MISLEADING on features [1, 2, 3]", 1),
+     "compliance: MISLEADING on features [1, 2, 3]", 0),
     (["compare"] + CLS3 + ["--instance", "0,0,0"], "instance (0,0,0):", 2),
 ], ids=["tabular", "tree", "agnostic", "box", "expected", "compare"])
 def test_exact_waxp_scores_and_compliance_share_one_sufficiency_table(
         argv, shown, builds, table_builds, capsys):
-    """Each problem builds its sufficiency table once: the sufficiency
-    game's scores and compliance share it, compliance builds it for the
-    expected game, and compare builds one per instance. The builder is
-    counted, below the problem's memo, so reads of a kept table do not
-    count."""
+    """The sufficiency game's scores build the table once, off the
+    problem's contrastive basis, and compliance reads relevancy off that
+    basis: so the expected game builds no table, and compare builds one
+    per instance."""
     assert run_cli(argv) == 0
     assert shown in capsys.readouterr().out
     assert len(table_builds) == builds
@@ -252,32 +251,37 @@ def test_exact_waxp_scores_and_compliance_share_one_sufficiency_table(
 
 @pytest.fixture
 def table_builds(monkeypatch):
-    """The problems whose sufficiency table is built, one entry a build."""
+    """The problems whose sufficiency table is built, one entry a build,
+    counted where the games and the explanations look the builder up."""
     built = []
-    build = shapxp.explanations._build_sufficiency_table
+    build = shapxp.explanations.sufficiency_table
 
     def counted(problem):
         built.append(problem)
         return build(problem)
 
-    monkeypatch.setattr(shapxp.explanations, "_build_sufficiency_table", counted)
+    for module in (shapxp.explanations, shapxp.games):
+        monkeypatch.setattr(module, "sufficiency_table", counted)
     return built
 
 
 TREE = ["--model", str(FIXTURES / "cls3_tree.json"), "--instance", "1,1,2"]
 AGNOSTIC = ["--model", str(FIXTURES / "reg2.json"), "--instance", "1,1", "--agnostic",
             "--sample", str(FIXTURES / "reg2_sample.csv")]
+BOX = ["--model", str(FIXTURES / "pw2.json"), "--instance", "1,1", "--delta", "1/5"]
 
 
-@pytest.mark.parametrize("universe", [TREE, AGNOSTIC], ids=["tree", "sample"])
+@pytest.mark.parametrize("universe", [TREE, AGNOSTIC, CLS3, BOX],
+                         ids=["tree", "sample", "tabular", "box"])
 @pytest.mark.parametrize("command", [
     ["relevancy"], ["axp"], ["cxp"], ["enumerate", "--kind", "axp"],
     ["enumerate", "--kind", "cxp"]], ids=" ".join)
 def test_trees_and_samples_explain_without_the_sufficiency_table(
         command, universe, table_builds, capsys):
-    """A tree or a sample gives its contrastive basis in one pass, and every
-    explanation query reads that basis; only the sufficiency game's
-    scores build the table."""
+    """Every scope gives its contrastive basis from its disagreement masks
+    without the table (a tree's leaves, a sample's rows, a table's points,
+    a box model's cells), and every explanation query reads that basis or
+    a slice; only the sufficiency game's scores build the table."""
     assert run_cli(command + universe) == 0
     assert table_builds == []
     assert run_cli(EXACT_WAXP + universe) == 0
