@@ -222,6 +222,8 @@ def cgt_estimate(game: Game, config: CgtConfig) -> tuple[ScoreVector, CgtDiagnos
     """
     m = game.m
     bound = game.marginal_bound
+    if callable(bound):
+        bound = bound()
     if config.sample_count is not None:
         total = config.sample_count
     else:

@@ -18,10 +18,9 @@ is its closure.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, reduce
 from itertools import compress
-from math import inf
 from operator import ne, or_
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -45,7 +44,8 @@ FeatureSet = tuple  # canonical: sorted tuple of 1-based feature ids
 EXACT_GUARD = 24  # 2^m subset evaluations
 # Set comparisons one run may make against a contrastive basis: a
 # hitting-set search over more than EXACT_GUARD features (a narrower
-# family is bounded by its width), or CGT's sufficiency checks on a tree.
+# family is bounded by its width), the minimality filter of a basis too
+# wide for the closure route, or CGT's sufficiency checks on a tree.
 # One comparison costs 0.2-0.3 us (Python 3.11, x86-64), so about a second.
 BASIS_GUARD = 2 ** 22
 
@@ -59,39 +59,64 @@ class Sample:
     """Observed model behavior: points d_j with their predictions p_j.
 
     A sample is a universe of its own: it answers the quantifiers that
-    the model answers over its whole space, over its rows only."""
+    the model answers over its whole space, over its rows only. Rows
+    compare with a point through int codes: ``codes`` holds each row's and
+    ``index`` each field's value -> code map, the space's domain positions
+    from the loader, else first appearances. A value the index lacks codes
+    to -1, which no row has."""
 
     rows: tuple[Point, ...]
     predictions: tuple[Value, ...]
+    codes: tuple[tuple[int, ...], ...] | None = field(default=None, repr=False, compare=False)
+    index: tuple[dict, ...] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.rows:
             raise ValidationError("a sample must contain at least one row")
         if len(self.rows) != len(self.predictions):
             raise ValidationError("sample rows and predictions differ in length")
+        if self.codes is None:
+            index = tuple({} for _ in range(max(map(len, self.rows))))
+            shared = {}  # equal rows share one codes tuple
+            codes = []
+            for row in self.rows:
+                c = tuple(col.setdefault(x, len(col)) for col, x in zip(index, row))
+                codes.append(shared.setdefault(c, c))
+            object.__setattr__(self, "codes", tuple(codes))
+            object.__setattr__(self, "index", index)
 
     def __len__(self) -> int:
         return len(self.rows)
 
+    def _coded(self, v: Point) -> list[int]:
+        return [col.get(x, -1) for col, x in zip(self.index, v)]
+
     def slice_outputs(self, v: Point, fixed: Iterable[int]) -> Iterator[Value]:
         """The prediction of every row with x_S = v_S."""
         axes = [i - 1 for i in fixed]
-        return (y for row, y in zip(self.rows, self.predictions)
-                if all(row[j] == v[j] for j in axes))
+        coded = self._coded(v)
+        want = [coded[j] for j in axes]
+        return (y for codes, y in zip(self.codes, self.predictions)
+                if [codes[j] for j in axes] == want)
 
     def disagreements(self, v: Point, dissimilar: Callable[[Value], bool]) -> Iterator[int]:
-        """The disagreement mask with v (bit j: row_j != v_j) of every row
-        whose prediction is ``dissimilar``."""
+        """The disagreement mask with v (bit j: row_j != v_j) of every
+        distinct row whose prediction is ``dissimilar``: rows are told apart
+        by the identity of their codes and prediction, hashing no value."""
+        coded = self._coded(v)
         bits = [1 << j for j in range(len(v))]
-        return (sum(compress(bits, map(ne, row, v)))
-                for row, y in zip(self.rows, self.predictions) if dissimilar(y))
+        distinct = {(id(codes), id(y)): (codes, y)
+                    for codes, y in zip(self.codes, self.predictions)}
+        return (sum(compress(bits, map(ne, codes, coded)))
+                for codes, y in distinct.values() if dissimilar(y))
 
     def relabel(self, mapping: Mapping) -> "Sample":
         """The same rows with each prediction y replaced by mapping[y]."""
         missing = [y for y in self.predictions if y not in mapping]
         if missing:
             raise ValidationError(f"relabeling map misses output value {missing[0]!r}")
-        return Sample(self.rows, tuple(mapping[y] for y in self.predictions))
+        return Sample(self.rows, tuple(mapping[y] for y in self.predictions),
+                      self.codes, self.index)
 
 
 def canonical(features: Iterable[int]) -> FeatureSet:
@@ -203,13 +228,18 @@ def _minimal(masks: Iterable[int], m: int) -> tuple[int, ...]:
     """The inclusion-minimal masks over m features, in (size, ids) order.
     Each mask, smallest first, is compared with those kept; once that has
     cost the m * 2^m steps of the closure route, which needs 2^m within
-    POINT_GUARD, that route finishes."""
+    POINT_GUARD, that route finishes. Past that width the comparisons are
+    refused beyond BASIS_GUARD."""
     masks = sorted(set(masks), key=int.bit_count)
-    budget = m << m if 1 << m <= POINT_GUARD else inf
+    closure = 1 << m <= POINT_GUARD
+    budget = m << m if closure else BASIS_GUARD
     kept, compared = [], 0
     for mask in masks:
         compared += len(kept)
         if compared > budget:
+            if not closure:
+                raise SizeLimitError(f"contrastive basis over {m} features guarded "
+                                     f"at {BASIS_GUARD} set comparisons")
             return _minimal_in_closure(masks, m)
         if all(k & mask != k for k in kept):
             kept.append(mask)

@@ -19,7 +19,7 @@ from math import factorial, lcm, prod
 from operator import add
 from typing import Callable, Iterable, Mapping, Optional
 
-from .errors import PreconditionError, SizeLimitError, ValidationError
+from .errors import NumericOutputError, PreconditionError, SizeLimitError, ValidationError
 from .explanations import (
     EXACT_GUARD,
     _fold_supersets,
@@ -29,6 +29,7 @@ from .explanations import (
     sufficiency_table,
 )
 from .models import (
+    NUMERIC,
     POINT_GUARD,
     FeatureSpace,
     Instance,
@@ -75,13 +76,14 @@ class Game:
     unbounded.
 
     ``marginal_bound`` is an upper bound on |nu(S+i) - nu(S)| used by the
-    sampling estimator; pass one explicitly for custom games.
+    sampling estimator, or a function that computes it, called only when
+    the estimator asks; pass one explicitly for custom games.
     """
 
     players: tuple[int, ...]
     charfn: Callable[[frozenset[int]], Fraction]
     tag: str = CUSTOM
-    marginal_bound: Optional[Fraction] = None
+    marginal_bound: Optional[Fraction | Callable[[], Fraction]] = None
     kernel: Optional[Callable[[], CoalitionTable]] = field(
         default=None, repr=False, compare=False)
     sampling_guard: Optional[Callable[[int], None]] = field(
@@ -155,17 +157,23 @@ def expected_game(problem: ExplanationProblem) -> Game:
     if problem.universe is not None:
         raise ValidationError("the expected-value game is defined over the model's "
                               "space, not over a sample")
-    lo, hi = output_range(problem.model)
+    if problem.model.value_kind != NUMERIC:
+        raise NumericOutputError("the expected-value game needs numeric model outputs")
     discrete = problem.model.space.all_discrete()
     return Game(
         players=problem.feature_ids,
         charfn=lambda s: cf_expected(problem, s),
         tag=EXPECTED_VALUE,
-        marginal_bound=hi - lo,
+        marginal_bound=partial(_output_width, problem.model),
         kernel=partial(_expected_table if discrete else _box_expected_table, problem),
         sampling_guard=(partial(_guard_slices, problem.model.space) if discrete
                         else partial(guard_cell_visits, problem.model, run="sampling")),
     )
+
+
+def _output_width(model) -> Fraction:
+    lo, hi = output_range(model)
+    return hi - lo
 
 
 def waxp_game(problem: ExplanationProblem) -> Game:

@@ -308,7 +308,9 @@ def _box_from(doc, space, where) -> BoxPiecewiseModel:
 
 def load_sample(path, model: Model) -> Sample:
     """Read a delimiter-separated sample; the trailing 'prediction'
-    column, when present, is checked against the model."""
+    column, when present, is checked against the model. Each distinct
+    line is read, checked and evaluated (by slot on a discrete space) once,
+    at its first occurrence, and its repeats share that row."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             lines = [line.rstrip("\n") for line in fh if line.strip()]
@@ -319,28 +321,38 @@ def load_sample(path, model: Model) -> Sample:
     names = [f.name for f in model.space.features]
     header, delim = _split_header(lines[0], names, path)
     has_prediction = len(header) == len(names) + 1
-    reader, predictions = PointReader(model.space), {}
-    rows, preds = [], []
+    space, m, rows = model.space, len(names), []
+    reader, predictions, seen = PointReader(space), {}, {}  # seen: line -> row
     for lineno, line in enumerate(lines[1:], start=2):
-        where = f"{path}:{lineno}"
-        fields = [f.strip() for f in line.split(delim)]
-        if len(fields) != len(header):
-            raise ValidationError(f"{where}: expected {len(header)} fields, "
-                                  f"got {len(fields)}")
-        try:
-            point = reader.point(fields[:len(names)], where)
-        except DomainError as exc:
-            raise ValidationError(f"{where}: {exc}") from None
-        actual = model.output(point)  # the reader checked the point
-        if has_prediction:
-            given = _memo_value(predictions, fields[-1], model.value_kind, where)
-            if given != actual:
-                raise ValidationError(
-                    f"{where}: prediction {given!r} disagrees with the "
-                    f"model output {actual!r}")
-        rows.append(point)
-        preds.append(actual)
-    return Sample(tuple(rows), tuple(preds))
+        row = seen.get(line)
+        if row is None:
+            where = f"{path}:{lineno}"
+            fields = [f.strip() for f in line.split(delim)]
+            if len(fields) != len(header):
+                raise ValidationError(f"{where}: expected {len(header)} fields, "
+                                      f"got {len(fields)}")
+            try:
+                if reader.discrete:
+                    codes = tuple(reader.indexes(fields[:m], where))
+                    point = reader.point_at(codes)
+                    actual = model._read(sum(map(mul, codes, space.strides)))
+                else:
+                    codes, point = None, reader.point(fields[:m], where)
+                    actual = model.output(point)  # the reader checked the point
+            except DomainError as exc:
+                raise ValidationError(f"{where}: {exc}") from None
+            if has_prediction:
+                given = _memo_value(predictions, fields[-1], model.value_kind, where)
+                if given != actual:
+                    raise ValidationError(
+                        f"{where}: prediction {given!r} disagrees with the "
+                        f"model output {actual!r}")
+            row = seen[line] = point, codes, actual
+        rows.append(row)
+    points, codes, preds = zip(*rows)
+    if not reader.discrete:  # the sample codes its values itself
+        return Sample(points, preds)
+    return Sample(points, preds, codes, space.indexes)
 
 
 def _split_header(line: str, names: list[str], path) -> tuple[list[str], str]:

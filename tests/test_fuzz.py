@@ -280,6 +280,9 @@ def test_mutated_samples(tmp_path_factory, data):
             lines[k] = ""
         else:
             lines[k] = "\t".join(fields)
+    if data.draw(st.booleans()):  # repeat some lines, then reorder the rows
+        body = lines[1:] + data.draw(st.lists(st.sampled_from(lines[1:]), max_size=6))
+        lines = lines[:1] + data.draw(st.permutations(body))
     path = tmp_path_factory.mktemp("sample") / "sample.csv"
     path.write_text("\n".join(lines) + "\n")
     model = str(FIXTURES / data.draw(st.sampled_from(SAMPLE_MODELS)))

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import random
+import runpy
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction as F
@@ -6,6 +9,7 @@ from itertools import combinations
 
 import pytest
 
+from shapxp import games
 from shapxp import (
     CgtConfig,
     DiscreteDomain,
@@ -36,7 +40,12 @@ from shapxp import (
     tabulate,
     waxp_game,
 )
+from shapxp.cli import run_cli
+from shapxp.models import output_range
+from conftest import FIXTURES
 from randmodels import random_tabular_problem, subsets
+
+ROOT = FIXTURES.parent.parent
 
 
 def table_problem(rows, v, m=2):
@@ -332,3 +341,55 @@ class TestMemoization:
             results = list(pool.map(game.value, coalitions))
         reference = {s: game.value(s) for s in set(coalitions)}
         assert all(results[i] == reference[coalitions[i]] for i in range(len(coalitions)))
+
+
+class TestLazyMarginalBound:
+    """The expected-value game's marginal bound is the model's output
+    width, which only the sampling estimator reads: exact runs never
+    compute it."""
+
+    PW2 = ["--model", "docs/fixtures/pw2.json", "--instance", "1,1", "--delta", "1/5"]
+    CLS3 = ["--model", "docs/fixtures/cls3.json", "--instance", "1,1,2"]
+
+    @pytest.fixture
+    def ranges(self, monkeypatch):
+        calls = []
+
+        def counted(model):
+            calls.append(model)
+            return output_range(model)
+
+        monkeypatch.setattr(games, "output_range", counted)
+        monkeypatch.chdir(ROOT)
+        return calls
+
+    def run(self, capsys, argv):
+        assert run_cli(argv + ["--output", "json"]) == 0
+        return capsys.readouterr().out
+
+    def test_exact_runs_on_a_box_model_skip_the_output_range(self, ranges, capsys):
+        self.run(capsys, ["shap", *self.PW2, "--game", "expected"])
+        self.run(capsys, ["compare", *self.PW2])
+        assert ranges == []
+
+    def test_sampling_computes_it_once(self, ranges, capsys):
+        report = json.loads(self.run(capsys, ["shap", *self.PW2, "--game", "expected",
+                                              "--method", "cgt", "--epsilon", "1"]))
+        assert len(ranges) == 1
+        assert report["diagnostics"]["marginal_bound"] == "5"  # pw2 spans [-5/2, 5/2]
+
+    @pytest.mark.parametrize("name,argv", [("cls3", CLS3), ("pw2", PW2)])
+    def test_fixed_seed_reports_keep_their_digests(self, ranges, capsys, name, argv):
+        text = self.run(capsys, ["shap", *argv, "--game", "waxp", "--method", "cgt",
+                                 "--epsilon", "1/100", "--seed", "7"])
+        digests = runpy.run_path(str(ROOT / "bench" / "fixture_digests.py"))["DIGESTS"]
+        assert hashlib.sha256(text.encode()).hexdigest() == digests[f"{name}.cgt_fixed_seed"]
+
+    def test_a_categorical_model_is_refused_before_any_bound_is_asked(self, ranges):
+        space = FeatureSpace((Feature(1, "a", DiscreteDomain((0, 1))),))
+        model = TabularModel(space, ["no", "yes"], "categorical")
+        problem = ExplanationProblem(model, make_instance(model, (1,)),
+                                     SimilarityConfig.class_equality())
+        with pytest.raises(NumericOutputError, match="expected-value game"):
+            expected_game(problem)
+        assert ranges == []
