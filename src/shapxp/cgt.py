@@ -16,12 +16,13 @@ whose draws read SplitMix64 outputs from counter k + 2 on, and one
 function, ``_draw``, defines that stream. The estimator counts the draw
 tuples of k = 0..T-1 with ``_draw_counts``, which computes each stream
 output once, since consecutive permutations share all but one of their
-counters, and falls back on ``_draw`` where an output is rejected. It
-decodes each distinct tuple once and tallies how often each (prefix
-coalition, position) pair occurs, so it holds at most T*m counts, and then
-weights the counts by the game's memoized marginals. All accumulation is
-exact (marginals are rationals and occurrence counts are integers), so the
-returned estimates are deterministic in the strongest sense.
+counters, and falls back on ``_draw`` for a chunk where an output may be
+rejected. It decodes each distinct tuple once and tallies how often each
+(prefix coalition, position) pair occurs, so it holds at most T*m counts,
+and then weights the counts by the game's memoized marginals. All
+accumulation is exact (marginals are rationals and occurrence counts are
+integers), so the returned estimates are deterministic in the strongest
+sense.
 """
 
 from __future__ import annotations
@@ -164,11 +165,11 @@ def _draw_counts(seed: int, m: int, start: int, stop: int) -> Iterator[Counter]:
     therefore computes the outputs at counters k0 + 2 .. k1 + m - 1 once,
     and column t of its draws is those outputs from the t-th on, each mod
     m - t. Every rejection threshold 2^64 mod n is below m, so a chunk
-    whose outputs all reach the largest one rejects nothing; otherwise each
-    permutation whose window holds a lower output is counted again from
-    :func:`_draw`. When all m! tuples fit in CHUNK entries (m <= 6), the
-    chunks add to one Counter for the whole run; otherwise each chunk's
-    Counter is handed on alone.
+    whose outputs all reach the largest one rejects nothing; otherwise,
+    with probability about m * CHUNK / 2^64, the chunk is read one
+    permutation at a time by :func:`_draw`. When all m! tuples fit in
+    CHUNK entries (m <= 6), the chunks add to one Counter for the whole
+    run; otherwise each chunk's Counter is handed on alone.
     """
     _, mixed = _splitmix_next(seed & _MASK64)
     if m == 1:  # no draws
@@ -182,17 +183,11 @@ def _draw_counts(seed: int, m: int, start: int, stop: int) -> Iterator[Counter]:
     for k0 in range(start, stop, CHUNK):
         size = min(CHUNK, stop - k0)
         zs = _outputs(mixed, k0 + 2, k0 + size + m)
-        counts.update(zip(*(map(mod, islice(zs, t, None), repeat(n))
-                            for t, n in enumerate(sizes))))
-        if min(zs) < top:
-            low = [i for i, z in enumerate(zs) if z < top]
-            for r in {i - t for i in low for t in range(m - 1)}:
-                if 0 <= r < size:
-                    read = tuple(zs[r + t] % n for t, n in enumerate(sizes))
-                    counts[read] -= 1
-                    if not counts[read]:
-                        del counts[read]
-                    counts[_draw(mixed, m, k0 + r)] += 1
+        if min(zs) < top:  # some output may be rejected
+            counts.update(_draw(mixed, m, k) for k in range(k0, k0 + size))
+        else:
+            counts.update(zip(*(map(mod, islice(zs, t, None), repeat(n))
+                                for t, n in enumerate(sizes))))
         if not whole_run:
             yield counts
             counts = Counter()
@@ -235,9 +230,9 @@ def cgt_estimate(game: Game, config: CgtConfig) -> tuple[ScoreVector, CgtDiagnos
         raise SizeLimitError(
             f"sampling guarded at {DRAW_GUARD} player draws: {m} players allow at most "
             f"{DRAW_GUARD // m} permutations, fewer than these parameters need")
-    if game.sampling_guard is not None:
+    if game.guard is not None:
         # A permutation's prefixes share only the empty and the full coalition.
-        game.sampling_guard(min(total * m + 1, 1 << m))
+        game.guard(min(total * m + 1, 1 << m), "sampling")
 
     # Marginals repeat heavily on small games, so tally (prefix mask,
     # position) occurrence counts under the int key mask * m + (p - 1) and

@@ -30,7 +30,7 @@ from .models import (
     Point,
     TreeModel,
     Value,
-    guard_cell_visits,
+    guard_slices,
     labelled_points,
     predict,  # noqa: F401  (looked up here by the benchmark's tracer)
 )
@@ -45,7 +45,8 @@ EXACT_GUARD = 24  # 2^m subset evaluations
 # Set comparisons one run may make against a contrastive basis: a
 # hitting-set search over more than EXACT_GUARD features (a narrower
 # family is bounded by its width), the minimality filter of a basis too
-# wide for the closure route, or CGT's sufficiency checks on a tree.
+# wide for the closure route, or CGT's sufficiency checks on a tree or a
+# sample.
 # One comparison costs 0.2-0.3 us (Python 3.11, x86-64), so about a second.
 BASIS_GUARD = 2 ** 22
 
@@ -208,20 +209,19 @@ def contrastive_basis(problem: ExplanationProblem) -> tuple[int, ...]:
     return problem._basis
 
 
-def guard_sufficiency_sampling(problem: ExplanationProblem, evaluations: int) -> None:
-    """Refuse, before any draw, a sampling run whose ``evaluations``
-    sufficiency checks could pass BASIS_GUARD set comparisons on a tree
-    (each compares its feature ids, then the basis), or POINT_GUARD cell
-    visits on a box model. Others pass: a tabular slice is guarded on its
-    own, and a check against a sample's basis scans its rows at most."""
-    model = problem.model
-    if problem.universe is None and not model.space.all_discrete():
-        guard_cell_visits(model, evaluations, "sampling")
-    elif problem.universe is None and isinstance(model, TreeModel) and evaluations * (
-            model.space.m + len(contrastive_basis(problem))) > BASIS_GUARD:
+def guard_sufficiency_sampling(problem: ExplanationProblem, coalitions: int,
+                               run: str) -> None:
+    """Refuse, before its first check, a ``run`` of sufficiency checks on
+    ``coalitions`` distinct coalitions past its bound. Where is_waxp reads
+    the basis, each check compares its feature ids, then every basis mask:
+    BASIS_GUARD set comparisons in all. Where it quantifies over slices,
+    :func:`~shapxp.models.guard_slices` charges them."""
+    if not _walks_basis(problem):
+        guard_slices(problem.model, coalitions, run)
+    elif coalitions * (problem.model.space.m + len(contrastive_basis(problem))) > BASIS_GUARD:
         raise SizeLimitError(
-            f"sampling guarded at {BASIS_GUARD} set comparisons: the permutations may "
-            f"evaluate {evaluations} coalitions, each checked against the basis")
+            f"{run} guarded at {BASIS_GUARD} set comparisons: {coalitions} coalitions "
+            f"may be evaluated, each checked against the basis")
 
 
 def _minimal(masks: Iterable[int], m: int) -> tuple[int, ...]:

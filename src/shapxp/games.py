@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import permutations
-from math import factorial, lcm, prod
+from math import factorial, lcm
 from operator import add
 from typing import Callable, Iterable, Mapping, Optional
 
@@ -30,11 +30,9 @@ from .explanations import (
 )
 from .models import (
     NUMERIC,
-    POINT_GUARD,
-    FeatureSpace,
     Instance,
     conditional_expectation,
-    guard_cell_visits,
+    guard_slices,
     output_range,
 )
 from .similarity import CLASS_EQUALITY, ExplanationProblem
@@ -70,10 +68,10 @@ class Game:
     :func:`~shapxp.explanations.sufficiency_table`). Any other game
     evaluates ``at`` on each of the 2^m coalitions.
 
-    ``sampling_guard``, when given, is called by the sampling estimator
-    before its first draw with the number of coalitions it may evaluate,
-    and raises SizeLimitError when evaluating that many would run
-    unbounded.
+    ``guard(coalitions, run)``, when given, is asked before a run that may
+    evaluate ``coalitions`` distinct coalitions: by ``table`` when the game
+    has no kernel, and by the sampling estimator before its first draw. It
+    raises SizeLimitError when evaluating that many would run unbounded.
 
     ``marginal_bound`` is an upper bound on |nu(S+i) - nu(S)| used by the
     sampling estimator, or a function that computes it, called only when
@@ -86,7 +84,7 @@ class Game:
     marginal_bound: Optional[Fraction | Callable[[], Fraction]] = None
     kernel: Optional[Callable[[], CoalitionTable]] = field(
         default=None, repr=False, compare=False)
-    sampling_guard: Optional[Callable[[int], None]] = field(
+    guard: Optional[Callable[[int, str], None]] = field(
         default=None, repr=False, compare=False)
     _cache: dict[int, Fraction] = field(default_factory=dict, repr=False, compare=False)
 
@@ -109,8 +107,11 @@ class Game:
     def table(self) -> CoalitionTable:
         """nu(S) for every coalition mask S, as (numerators, denominator);
         callers must not mutate it."""
-        return self.kernel() if self.kernel is not None else _over_lcd(
-            map(self.at, range(1 << self.m)))
+        if self.kernel is not None:
+            return self.kernel()
+        if self.guard is not None:
+            self.guard(1 << self.m, "coalition table")
+        return _over_lcd(map(self.at, range(1 << self.m)))
 
     @property
     def m(self) -> int:
@@ -159,15 +160,14 @@ def expected_game(problem: ExplanationProblem) -> Game:
                               "space, not over a sample")
     if problem.model.value_kind != NUMERIC:
         raise NumericOutputError("the expected-value game needs numeric model outputs")
-    discrete = problem.model.space.all_discrete()
     return Game(
         players=problem.feature_ids,
         charfn=lambda s: cf_expected(problem, s),
         tag=EXPECTED_VALUE,
         marginal_bound=partial(_output_width, problem.model),
-        kernel=partial(_expected_table if discrete else _box_expected_table, problem),
-        sampling_guard=(partial(_guard_slices, problem.model.space) if discrete
-                        else partial(guard_cell_visits, problem.model, run="sampling")),
+        kernel=(partial(_expected_table, problem) if problem.model.space.all_discrete()
+                else None),
+        guard=partial(guard_slices, problem.model),
     )
 
 
@@ -183,20 +183,8 @@ def waxp_game(problem: ExplanationProblem) -> Game:
         tag=WAXP_BASED,
         marginal_bound=Fraction(1),
         kernel=lambda: (sufficiency_table(problem), 1),
-        sampling_guard=partial(guard_sufficiency_sampling, problem),
+        guard=partial(guard_sufficiency_sampling, problem),
     )
-
-
-def _guard_slices(space: FeatureSpace, evaluations: int) -> None:
-    """Refuse sampling the expected-value game of a discrete model when the
-    slices of ``evaluations`` distinct coalitions could enumerate more than
-    POINT_GUARD points: each slice holds at most |space| points, and the
-    slices of all 2^m coalitions hold prod_j (1 + |D_j|)."""
-    points = min(evaluations * space.size,
-                 prod(1 + len(feature.domain.values) for feature in space.features))
-    if points > POINT_GUARD:
-        raise SizeLimitError(f"sampling guarded at {POINT_GUARD} slice points: "
-                             f"{evaluations} coalitions may enumerate {points}")
 
 
 def _over_lcd(values: Iterable[Fraction]) -> CoalitionTable:
@@ -204,15 +192,6 @@ def _over_lcd(values: Iterable[Fraction]) -> CoalitionTable:
     values = list(values)
     denominator = lcm(*(v.denominator for v in values))
     return [v.numerator * (denominator // v.denominator) for v in values], denominator
-
-
-def _box_expected_table(problem: ExplanationProblem) -> CoalitionTable:
-    """The expected-value game of a box model: one conditional expectation
-    per coalition, guarded at POINT_GUARD cell visits."""
-    ids = problem.feature_ids
-    guard_cell_visits(problem.model, 1 << len(ids))
-    return _over_lcd(cf_expected(problem, [i for i in ids if mask >> i - 1 & 1])
-                     for mask in range(1 << len(ids)))
 
 
 def _expected_table(problem: ExplanationProblem) -> CoalitionTable:

@@ -32,7 +32,7 @@ numbers its points by mixed radix (``FeatureSpace.slot``), and every
 enumeration walks those slots lazily through the one guarded product of
 axes; a table reads its dense ``outputs`` at a slot, a tree walks the
 routes that one validating walk builds, reading each tested feature's
-digit of the slot. The discrete kinds share every method but ``output``.
+digit of the slot. The discrete kinds share every method but ``_read``.
 All arithmetic on numeric values is exact (``fractions.Fraction``).
 """
 
@@ -61,7 +61,7 @@ Point = tuple
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
-POINT_GUARD = 2 ** 20  # points one enumeration, or cells one box run over coalitions, may visit
+POINT_GUARD = 2 ** 20  # points one enumeration, or the slices of one run over coalitions, may visit
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +211,12 @@ class FeatureSpace:
 
 class _EnumerableModel:
     """Semantics shared by the discrete kinds, all read by slot of the
-    space's numbering. Subclasses define ``output``, ``_read`` (slot ->
-    output), ``_values`` (every output the model can produce, repeats
-    allowed) and ``_relabelled``."""
+    space's numbering. Subclasses define ``_read`` (slot -> output),
+    ``_values`` (every output the model can produce, repeats allowed) and
+    ``_relabelled``."""
+
+    def output(self, point: Point) -> Value:
+        return self._read(self.space.slot(point))
 
     def slice_outputs(self, v: Point, fixed: frozenset[int]) -> Iterator[Value]:
         """The output at every point x of the slice x_S = v_S, lazily."""
@@ -287,9 +290,6 @@ class TabularModel(_EnumerableModel):
         object.__setattr__(self, "distinct", distinct)
         if len(distinct) < 2:
             raise ValidationError("model is constant; a non-constant prediction function is required")
-
-    def output(self, point: Point) -> Value:
-        return self.outputs[self.space.slot(point)]
 
     @property
     def _read(self):
@@ -400,15 +400,6 @@ class TreeModel(_EnumerableModel):
         if len(set(leaf_values)) < 2:
             raise ValidationError("model is constant; a non-constant prediction function is required")
         return routes
-
-    def output(self, point: Point) -> Value:
-        """Follow the routes from the root to the leaf that ``point``
-        reaches, reading only the features tested on the way."""
-        node_id, routes, indexes = self.root, self.routes, self.space.indexes
-        while node_id in routes:
-            j, children = routes[node_id]
-            node_id = children[indexes[j][point[j]]]
-        return self.nodes[node_id].value
 
     def _read(self, slot: int) -> Value:
         """The output at a slot: each node on the way reads its feature's
@@ -587,8 +578,8 @@ class BoxPiecewiseModel:
     def disagreements(self, v: Point, dissimilar: Callable[[Value], bool]) -> Iterator[int]:
         """Every weak contrastive explanation C (bit j: feature j+1): the
         slice fixing the other features holds a ``dissimilar`` closure
-        extreme. Each C scans every cell, refused past POINT_GUARD visits."""
-        guard_cell_visits(self, 1 << self.space.m)
+        extreme. Each C scans every cell (see :func:`guard_slices`)."""
+        guard_slices(self, 1 << self.space.m, "coalition table")
         for free in range(1 << self.space.m):
             fixed = frozenset(i for i in self.space.ids if not free >> i - 1 & 1)
             if any(map(dissimilar, self.slice_outputs(v, fixed))):
@@ -704,12 +695,21 @@ def _guard(points: int) -> None:
         raise SizeLimitError(f"enumeration guarded at {POINT_GUARD} points, got {points}")
 
 
-def guard_cell_visits(model: BoxPiecewiseModel, coalitions: int, run="coalition table") -> None:
-    """Refuse a box model's run over ``coalitions`` coalitions above
-    POINT_GUARD cell visits: each coalition scans every cell."""
-    visits = len(model.cells) * coalitions
-    if visits > POINT_GUARD:
-        raise SizeLimitError(f"{run} guarded at {POINT_GUARD} cell visits, got {visits}")
+def guard_slices(model: Model, coalitions: int, run: str) -> None:
+    """Refuse a ``run`` over the slices of ``coalitions`` distinct
+    coalitions past POINT_GUARD units of work, before the first slice. A
+    discrete slice holds at most |space| points, and the slices of all 2^m
+    coalitions hold prod_j (1 + |D_j|). A box slice tests every cell and
+    evaluates the m terms of each affine it meets, so it costs cells * m
+    affine terms."""
+    space = model.space
+    if space.all_discrete():
+        work = min(coalitions * space.size, prod(1 + radix for radix in space.radices))
+        unit = "slice points"
+    else:
+        work, unit = coalitions * len(model.cells) * space.m, "affine terms"
+    if work > POINT_GUARD:
+        raise SizeLimitError(f"{run} guarded at {POINT_GUARD} {unit}, got {work}")
 
 
 def conditional_expectation(model: Model, instance: Instance, fixed: Iterable[int]) -> Fraction:

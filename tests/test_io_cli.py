@@ -425,13 +425,13 @@ class TestCli:
         (["shap", "--game", "waxp", "--method", "exact"], one_split_tree(21),
          "coalition table guarded at 1048576 coalitions"),
         (["relevancy", "--delta", "0"], two_cell_box(20),
-         "coalition table guarded at 1048576 cell visits")],
+         "coalition table guarded at 1048576 affine terms, got 41943040")],
         ids=["shap-cgt", "shap-waxp-exact", "relevancy"])
     def test_slices_past_the_point_guard_exit_3(self, capsys, tmp_path, command, model,
                                                 message):
         # The expected game's slices pass 2^20 points; the tree's sufficiency
         # table, 2^20 coalitions; the box model's scan for its basis, 2^20
-        # cell visits.
+        # affine terms (2 cells of 20 terms for each of 2^20 coalitions).
         path = write(tmp_path, "wide.json", json.dumps(model))
         m = len(model["features"])
         started = time.process_time()
@@ -693,8 +693,9 @@ def wide_pw2_doc(copies):
 
 
 class TestBoxTableGuard:
-    """A box model's coalition table visits every cell for each of its 2^m
-    coalitions; past 2^20 visits the run exits 3 before the first one."""
+    """A box model's coalition table visits every cell, and evaluates the m
+    terms of its affine, for each of its 2^m coalitions; past 2^20 affine
+    terms the run exits 3 before the first one."""
 
     @pytest.mark.parametrize("command", [
         ["relevancy"], ["enumerate", "--kind", "cxp"], ["enumerate", "--kind", "axp"],
@@ -706,7 +707,7 @@ class TestBoxTableGuard:
                           "--delta", "1/5"]
         with cpu_limit(1):
             assert run_cli(argv) == 3
-        assert "coalition table guarded at 1048576 cell visits, got 6291456" in \
+        assert "coalition table guarded at 1048576 affine terms, got 132120576" in \
             capsys.readouterr().err
 
     def test_sampling_is_not_guarded(self, tmp_path):
@@ -731,9 +732,9 @@ def halved_doc(m, halved):
 
 
 class TestBoxSamplingGuard:
-    """CGT on a box model scans every cell for each coalition it may
-    evaluate, min(T*m + 1, 2^m) of them; past 2^20 cell visits the run exits
-    3 before the first draw."""
+    """CGT on a box model scans every cell, m affine terms each, for each
+    coalition it may evaluate, min(T*m + 1, 2^m) of them; past 2^20 affine
+    terms the run exits 3 before the first draw."""
 
     @pytest.mark.parametrize("game", [["expected"], ["waxp", "--delta", "1/5"]], ids=" ".join)
     def test_512_cells_on_12_features_exit_3_at_once(self, capsys, tmp_path, game):
@@ -742,11 +743,11 @@ class TestBoxSamplingGuard:
                 "--instance", ",".join(["1/4"] * 12)]
         with cpu_limit(1):
             assert run_cli(argv) == 3
-        assert "sampling guarded at 1048576 cell visits, got 2097152" in \
+        assert "sampling guarded at 1048576 affine terms, got 25165824" in \
             capsys.readouterr().err
 
     def test_the_same_model_passes_a_shorter_run(self, capsys, tmp_path):
-        # epsilon 1 needs 4 permutations: 49 coalitions, 25,088 cell visits.
+        # epsilon 1 needs 4 permutations: 49 coalitions, 301,056 affine terms.
         path = write(tmp_path, "halved.json", halved_doc(12, 9))
         argv = ["shap", "--method", "cgt", "--game", "expected", "--epsilon", "1",
                 "--model", path, "--instance", ",".join(["1/4"] * 12), "--output", "json"]
