@@ -41,12 +41,10 @@ from .similarity import (
 )
 
 FeatureSet = tuple  # canonical: sorted tuple of 1-based feature ids
-EXACT_GUARD = 24  # 2^m subset evaluations
-# Set comparisons one run may make against a contrastive basis: a
-# hitting-set search over more than EXACT_GUARD features (a narrower
-# family is bounded by its width), the minimality filter of a basis too
-# wide for the closure route, or CGT's sufficiency checks on a tree or a
-# sample.
+# Set comparisons one run may make over a family of masks: the hitting-set
+# search's mask operations at any width (k disjoint pairs have 2^k minimal
+# hitting sets), the minimality filter of a basis too wide for the closure
+# route, or CGT's sufficiency checks on a tree or a sample.
 # One comparison costs 0.2-0.3 us (Python 3.11, x86-64), so about a second.
 BASIS_GUARD = 2 ** 22
 
@@ -313,12 +311,10 @@ def _closure(masks: Iterable[int], m: int) -> list[bool]:
 def sufficiency_table(problem: ExplanationProblem) -> list[int]:
     """The sufficiency game for every coalition mask S (bit k is feature
     k+1): nu(S) = 1 exactly when S is a weak abductive explanation, that
-    is, when S meets every mask of the contrastive basis. Refused past
-    POINT_GUARD coalitions, once the basis is built."""
-    basis, m = contrastive_basis(problem), problem.model.space.m
-    if 1 << m > POINT_GUARD:
-        raise SizeLimitError(f"coalition table guarded at {POINT_GUARD} coalitions, got {1 << m}")
-    return [0 if hit else 1 for hit in _closure(basis, m)]
+    is, when S meets every mask of the contrastive basis. Its 2^m entries
+    are bounded by the caller, :meth:`~shapxp.games.Game.table`."""
+    return [0 if hit else 1 for hit in _closure(contrastive_basis(problem),
+                                                problem.model.space.m)]
 
 
 # ---------------------------------------------------------------------------
@@ -368,34 +364,34 @@ def axps_from_cxps(cxps: Iterable[FeatureSet]) -> tuple[FeatureSet, ...]:
 
 
 def minimal_hitting_sets(family: Iterable[frozenset]) -> set[frozenset]:
-    """Enumerate every minimal hitting set of a family of non-empty sets.
-
-    Depth-first branching on the first set not yet hit, pruning branches
-    that already contain a recorded solution, then a final minimality
-    filter. The branches live on a stack, so a hitting set may have any
-    size. A family over more than EXACT_GUARD elements is refused past
-    BASIS_GUARD set comparisons: k disjoint pairs have 2^k minimal hitting
-    sets. A narrower one is not, as its width bounds it.
-    """
+    """Every minimal hitting set of a family of non-empty sets, by MMCS
+    (Murakami and Uno, 2014) on a stack: branch on the first set not yet
+    hit. A child bars the elements its elder siblings added, so no set is
+    reached twice, and lives while each chosen element hits a set that no
+    other one hits, so every set reached is minimal. A node of c children
+    costs (c + 1) * (chosen + 1) mask operations, refused past BASIS_GUARD."""
     sets = [frozenset(s) for s in family]
-    guard = BASIS_GUARD if len(frozenset().union(*sets)) > EXACT_GUARD else None
-    results: set[frozenset] = set()
-    stack, compared = [frozenset()], 0
+    hits = {}  # element -> mask of the sets it hits
+    for i, s in enumerate(sets):
+        hits.update({element: hits.get(element, 0) | 1 << i for element in s})
+    results, charged = set(), 0
+    stack = [((), (), (1 << len(sets)) - 1, frozenset())]  # chosen, private, unhit, barred
     while stack:
-        current = stack.pop()
-        compared += len(results) + len(sets)
-        if guard is not None and compared > guard:
-            raise SizeLimitError(
-                f"hitting-set enumeration over more than {EXACT_GUARD} features "
-                f"guarded at {guard} set comparisons")
-        if any(r <= current for r in results):
+        chosen, private, unhit, barred = stack.pop()
+        if not unhit:
+            results.add(frozenset(chosen))
             continue
-        unhit = next((s for s in sets if not (s & current)), None)
-        if unhit is None:
-            results.add(current)
-        else:  # the smallest element's branch is popped, and finished, first
-            stack.extend(current | {element} for element in sorted(unhit, reverse=True))
-    return {r for r in results if not any(o < r for o in results)}
+        branch = sets[(unhit & -unhit).bit_length() - 1] - barred
+        charged += (len(branch) + 1) * (len(chosen) + 1)
+        if charged > BASIS_GUARD:
+            raise SizeLimitError(f"hitting-set search guarded at {BASIS_GUARD} mask operations")
+        for element in branch:
+            hit = hits[element]
+            kept = [p & ~hit for p in private]  # each chosen element's private sets
+            if all(kept):
+                stack.append((chosen + (element,), (*kept, unhit & hit), unhit & ~hit, barred))
+            barred |= {element}
+    return results
 
 
 def enumerate_axps(problem: ExplanationProblem) -> tuple[FeatureSet, ...]:

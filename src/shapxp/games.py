@@ -21,7 +21,6 @@ from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import NumericOutputError, PreconditionError, SizeLimitError, ValidationError
 from .explanations import (
-    EXACT_GUARD,
     _fold_supersets,
     guard_sufficiency_sampling,
     is_waxp,
@@ -30,6 +29,7 @@ from .explanations import (
 )
 from .models import (
     NUMERIC,
+    POINT_GUARD,
     Instance,
     conditional_expectation,
     guard_slices,
@@ -62,7 +62,8 @@ class Game:
     coalition, never an inconsistent result (dict updates are atomic).
 
     ``table`` returns the whole coalition table, which is what exact
-    Shapley values need. A game with a ``kernel`` builds it at once, only
+    Shapley values need, and refuses more than POINT_GUARD coalitions
+    before any work. A game with a ``kernel`` builds it at once, only
     when asked; the sufficiency game's kernel builds the closure of its
     problem's contrastive basis on each read (see
     :func:`~shapxp.explanations.sufficiency_table`). Any other game
@@ -107,6 +108,9 @@ class Game:
     def table(self) -> CoalitionTable:
         """nu(S) for every coalition mask S, as (numerators, denominator);
         callers must not mutate it."""
+        if 1 << self.m > POINT_GUARD:
+            raise SizeLimitError(
+                f"coalition table guarded at {POINT_GUARD} coalitions, got {1 << self.m}")
         if self.kernel is not None:
             return self.kernel()
         if self.guard is not None:
@@ -225,14 +229,12 @@ def shapley_exact(game: Game) -> ScoreVector:
     score(i) = sum over S not containing i of
                |S|! (m - |S| - 1)! / m! * (nu(S + i) - nu(S)).
 
-    The game's coalition table (see :meth:`Game.table`) gives nu as integer
-    numerators N over one denominator d, so each sum of
-    |S|! (m - |S| - 1)! * (N[S + i] - N[S]) is an integer, divided once by
-    m! * d.
+    The game's coalition table (see :meth:`Game.table`, refused past
+    POINT_GUARD coalitions) gives nu as integer numerators N over one
+    denominator d, so each sum of |S|! (m - |S| - 1)! * (N[S + i] - N[S])
+    is an integer, divided once by m! * d.
     """
     m = game.m
-    if m > EXACT_GUARD:
-        raise SizeLimitError(f"exact computation guarded at m <= {EXACT_GUARD}, got {m}")
     numerators, denominator = game.table()
     weights = [factorial(s) * factorial(m - s - 1) for s in range(m)]
     scale = factorial(m) * denominator

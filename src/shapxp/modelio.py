@@ -11,7 +11,7 @@ point per row, with an optional trailing prediction column.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from fractions import Fraction
 from operator import getitem, mul
 from typing import Optional
@@ -388,7 +388,7 @@ class RunReport:
     timing_ms: Optional[float] = None
 
     def to_json(self, include_timing: bool = False) -> str:
-        doc = asdict(self)
+        doc = {f.name: getattr(self, f.name) for f in dataclass_fields(self)}  # JSON-ready
         if not include_timing:
             doc.pop("timing_ms")
         return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"

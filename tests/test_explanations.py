@@ -3,7 +3,7 @@ import random
 import warnings
 from dataclasses import fields, replace
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -417,10 +417,10 @@ class TestHittingSetDuality:
 
     def test_against_brute_force_on_random_families(self):
         rng = random.Random(31337)
-        for _ in range(30):
-            universe = list(range(1, rng.randint(2, 6)))
+        for _ in range(300):
+            universe = list(range(1, rng.randint(2, 10)))
             family = {frozenset(rng.sample(universe, rng.randint(1, len(universe))))
-                      for _ in range(rng.randint(1, 5))}
+                      for _ in range(rng.randint(1, 8))}
             assert minimal_hitting_sets(family) == brute_force_hitting_sets(family)
 
     def test_a_hitting_set_may_be_larger_than_the_recursion_limit(self):
@@ -433,15 +433,32 @@ class TestHittingSetDuality:
         assert len(minimal_hitting_sets(pairs[:10])) == 1024
         with cpu_limit(2), pytest.raises(SizeLimitError, match="guarded"):
             minimal_hitting_sets(pairs)
-        with cpu_limit(2), pytest.raises(SizeLimitError, match="guarded"):
-            minimal_hitting_sets(pairs[:13])  # 26 features
+
+    def test_thirteen_pairs_answer_as_the_oracle_does(self):
+        # 26 features and 8,192 minimal hitting sets, one per choice of an
+        # element from each pair.
+        pairs = [frozenset((2 * i, 2 * i + 1)) for i in range(13)]
+        with cpu_limit(1):
+            hits = minimal_hitting_sets(pairs)
+        assert hits == {frozenset(choice) for choice in product(*pairs)}
 
     def test_a_family_over_24_features_is_never_refused(self):
         # Twelve disjoint pairs, as a 24-feature sample's contrastive
-        # explanations may be, cost four times BASIS_GUARD in comparisons,
-        # but a family that narrow is bounded by its width.
+        # explanations may be: the search reaches each of the 4,096 minimal
+        # hitting sets once, for 135,171 mask operations of BASIS_GUARD's
+        # 4,194,304. Only its work, not its width, is bounded.
         pairs = [frozenset((2 * i, 2 * i + 1)) for i in range(12)]
         assert len(minimal_hitting_sets(pairs)) == 4096
+
+    @pytest.mark.parametrize("n,k,axps", [(12, 6, 792), (14, 7, 3003)])
+    def test_every_k_of_n_family_answers_under_a_cpu_alarm(self, n, k, axps):
+        # The k-subsets of n features hit minimally by the (n-k+1)-subsets:
+        # a search that reaches a set more than once ran 21 s on 6 of 12.
+        family = [frozenset(c) for c in combinations(range(1, n + 1), k)]
+        with cpu_limit(1):
+            hits = minimal_hitting_sets(family)
+        assert len(hits) == axps
+        assert hits == set(map(frozenset, combinations(range(1, n + 1), n - k + 1)))
 
     def test_dualizing_cxps_gives_axps(self):
         rng = random.Random(2718)

@@ -4,11 +4,13 @@ A run that evaluates n distinct coalitions is charged before its first
 one: by the slices it may read (slice points on a discrete model, affine
 terms on a box model), or, where sufficiency reads the contrastive basis,
 by its set comparisons against the basis. These tests hold the inputs that
-ran unguarded to an exit 3 at once, and their smaller twins to an answer.
+ran unguarded to an exit 3 at once, and their smaller twins to an answer,
+or, where a search now bounds its own work, to an answer at once.
 """
 
 import json
 from fractions import Fraction as F
+from itertools import combinations, product
 
 import pytest
 
@@ -26,7 +28,7 @@ from shapxp import (
 )
 from shapxp import cgt as cgt_module
 from shapxp.cli import run_cli
-from conftest import cpu_limit
+from conftest import FIXTURES, cpu_limit
 from test_samples import chain_tree_doc, every_k_of
 
 
@@ -122,3 +124,64 @@ def test_a_shorter_run_on_the_same_sample_answers(six_of_twelve):
     assert vector.total() == 1  # each permutation's marginals sum to nu(N) - nu({})
     assert vector.scores[12:] == (0,) * 9  # features 13..21 are in no basis set
 
+
+def at_least_k_of(n, k):
+    """n binary features whose output is 1 when at least k of them are 1."""
+    features = [{"id": j, "name": f"x{j}", "domain": {"type": "discrete", "values": [0, 1]}}
+                for j in range(1, n + 1)]
+    return {"version": 1, "kind": "tabular", "features": features,
+            "table": [{"point": list(p), "value": int(sum(p) >= k)}
+                      for p in product((0, 1), repeat=n)]}
+
+
+@pytest.mark.parametrize("n,k", [(12, 6), (14, 7)])
+def test_axps_of_an_at_least_k_of_n_table_answer_under_a_cpu_alarm(capsys, tmp_path, n, k):
+    # At all-zeros the CXps are every k of n features and the AXps every
+    # n - k + 1: the hitting-set search ran 21 s on 6 of 12, and past 90 s
+    # on 7 of 14, while it reached sets more than once.
+    path = write(tmp_path, "table.json", at_least_k_of(n, k))
+    argv = ["enumerate", "--kind", "axp", "--model", path, "--instance",
+            ",".join(["0"] * n), "--output", "json"]
+    with cpu_limit(2):
+        assert run_cli(argv) == 0
+    sets = json.loads(capsys.readouterr().out)["results"]["sets"]
+    assert sets == [list(c) for c in combinations(range(1, n + 1), n - k + 1)]
+
+
+def reg2_with_single_values(extra):
+    """reg2 with ``extra`` features whose domain holds the one value 0, so
+    its space keeps reg2's 4 points while its coalitions number 2^(2+extra)."""
+    doc = json.loads((FIXTURES / "reg2.json").read_text())
+    doc["features"] += [{"id": j, "name": f"x{j}", "domain": {"type": "discrete", "values": [0]}}
+                        for j in range(3, 3 + extra)]
+    for entry in doc["table"]:
+        entry["point"] += [0] * extra
+    return doc
+
+
+def shap_scores(capsys, argv):
+    assert run_cli(argv + ["--output", "json"]) == 0
+    return [entry["score"] for entry in json.loads(capsys.readouterr().out)["results"]["scores"]]
+
+
+@pytest.mark.parametrize("game", ["expected", "waxp"])
+def test_exact_scores_are_bounded_by_their_coalition_table(capsys, tmp_path, game):
+    # 4 points, but 2^21 coalitions: the table is refused before it is built.
+    path = write(tmp_path, "wide.json", reg2_with_single_values(19))
+    argv = ["shap", "--game", game, "--model", path, "--instance", ",".join(["1"] * 2 + ["0"] * 19)]
+    with cpu_limit(1):
+        assert run_cli(argv) == 3
+    assert "coalition table guarded at 1048576 coalitions, got 2097152" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("game", ["expected", "waxp"])
+def test_the_16_feature_twin_scores_as_reg2(capsys, tmp_path, game):
+    # The single-value features are null players: they score 0, and x1 and
+    # x2 keep reg2's scores.
+    wide = write(tmp_path, "wide.json", reg2_with_single_values(14))
+    argv = ["shap", "--game", game, "--model", wide, "--instance", ",".join(["1"] * 2 + ["0"] * 14)]
+    scores = shap_scores(capsys, argv)
+    reg2 = shap_scores(capsys, ["shap", "--game", game, "--model", str(FIXTURES / "reg2.json"),
+                                "--instance", "1,1"])
+    assert scores == reg2 + ["0"] * 14

@@ -1,12 +1,16 @@
-"""Every name a shapxp module imports is read in that module.
+"""Every name a shapxp module imports is read in that module, and every
+module-level constant is read somewhere in the package.
 
 No linter ships with the toolchain, so each module is parsed with ``ast``:
 an imported name that no expression of the module reads fails the test.
 A line marked ``# noqa: F401`` keeps its import, for names that are looked
 up in the module from outside (the benchmark's tracer rebinds them there).
+An UPPER_CASE name assigned at module level that no module of the package
+reads, by name or as an attribute, fails too: a guard or tag left behind.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -45,3 +49,34 @@ def test_the_checker_finds_an_orphaned_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_read(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def unread_constants(sources: dict[str, str]) -> list[tuple[str, int, str]]:
+    """(module, line, name) of each module-level UPPER_CASE assignment that
+    no source reads."""
+    assigned, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                getattr(node, "target", None)]
+            assigned += [(module, node.lineno, t.id) for t in targets
+                         if isinstance(t, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", t.id)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [entry for entry in assigned if entry[2] not in read]
+
+
+def test_the_checker_finds_an_unread_constant():
+    sources = {"a.py": "LIMIT = 24\nUSED: int = 2\n__all__ = []\nlower = 1\n",
+               "b.py": "from .a import LIMIT, USED\nprint(USED)\n",
+               "c.py": "import a\nTAG = 'x'\nprint(a.TAG)\n"}
+    assert unread_constants(sources) == [("a.py", 1, "LIMIT")]
+
+
+def test_every_constant_is_read():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unread_constants(sources) == []
