@@ -11,9 +11,10 @@ point per row, with an optional trailing prediction column.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, fields as dataclass_fields
 from fractions import Fraction
-from operator import getitem, mul
+from operator import add, getitem, itemgetter, mul, ne
 from typing import Optional
 
 from .errors import DomainError, ValidationError
@@ -39,6 +40,25 @@ from .explanations import Sample
 
 SCHEMA_VERSION = 1
 _DELIMITERS = (",", "\t", ";", "|")
+# The token types a column of a table is read from; True == 1, so a bool
+# (and any other type) sends the table to the entry loop.
+_TOKEN_TYPES = {int, str, Fraction}
+
+
+def _fraction(text: str) -> Fraction:
+    """Fraction(text), refused (ValueError) before any power of ten is
+    built when the literal's numerator or denominator, written out in full
+    before reducing, would pass Python's integer digit limit: "1e5000"
+    could be read but never printed, and "1e9999999" takes seconds."""
+    limit = sys.get_int_max_str_digits()
+    # With no exponent, a literal shorter than the limit stays within it.
+    if limit and (len(text) >= limit or "e" in text or "E" in text):
+        mantissa, _, exponent = text.lower().partition("e")
+        decimals = mantissa.partition(".")[2]
+        shift = (int(exponent) if exponent else 0) - sum(map(str.isdecimal, decimals))
+        if sum(map(str.isdecimal, mantissa)) + max(shift, 0) > limit or -shift >= limit:
+            raise ValueError(f"{text!r} passes the integer digit limit")
+    return Fraction(text)
 
 
 def parse_rational(x, where: str = "value") -> Fraction:
@@ -48,7 +68,7 @@ def parse_rational(x, where: str = "value") -> Fraction:
         return Fraction(x)
     if isinstance(x, str):
         try:
-            return Fraction(x)
+            return _fraction(x)
         except (ValueError, ZeroDivisionError):
             raise ValidationError(f"{where}: {x!r} is not a rational literal") from None
     raise ValidationError(f"{where}: {x!r} is not a rational literal")
@@ -56,10 +76,11 @@ def parse_rational(x, where: str = "value") -> Fraction:
 
 def parse_value(x, where: str = "value"):
     """A scalar from a model/sample file: rational if it parses as one,
-    otherwise a categorical label."""
+    otherwise a categorical label. It also reads JSON decimals, so a
+    number past the digit limit loads as its literal text."""
     if isinstance(x, str):
         try:
-            return Fraction(x)
+            return _fraction(x)
         except (ValueError, ZeroDivisionError):
             return x
     return parse_rational(x, where)
@@ -128,7 +149,7 @@ def load_model(path) -> Model:
     """Read and validate a JSON model file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh, parse_float=Fraction)
+            doc = json.load(fh, parse_float=parse_value)
         except (ValueError, RecursionError) as exc:
             # Bad JSON, bytes that are not UTF-8 and integer literals past
             # Python's digit limit raise ValueError; deep nesting recurses.
@@ -177,47 +198,103 @@ def _space_from(entries, where: str) -> FeatureSpace:
             raw_values = dom.get("values", [])
             if not isinstance(raw_values, list):
                 raise ValidationError(f"{where}: feature {fid}: 'values' must be a list")
-            values = tuple(parse_value(v, f"{where}: feature {fid} domain")
-                           for v in raw_values)
-            domain = DiscreteDomain(values)
+            kind, args = DiscreteDomain, (tuple(parse_value(v, f"{where}: feature {fid} domain")
+                                                for v in raw_values),)
         elif dtype == "interval":
-            domain = IntervalDomain(
+            kind, args = IntervalDomain, (
                 parse_rational(dom.get("lo"), f"{where}: feature {fid} lo"),
                 parse_rational(dom.get("hi"), f"{where}: feature {fid} hi"))
         else:
             raise ValidationError(f"{where}: feature {fid}: unknown domain type {dtype!r}")
-        features.append(Feature(fid, name, domain))
+        try:
+            features.append(Feature(fid, name, kind(*args)))
+        except ValidationError as exc:  # the domain's own checks, which name no feature
+            raise ValidationError(f"{where}: feature {fid}: {exc}") from None
     return FeatureSpace(tuple(features))
 
 
-def _model_value(raw, value_kind: str, where: str):
-    if value_kind == NUMERIC:
-        return parse_rational(raw, where)
+def _label(raw, where: str) -> str:
     if not isinstance(raw, str):
         raise ValidationError(f"{where}: categorical values must be strings, got {raw!r}")
     return raw
 
 
-def _memo_value(memo: dict, raw, value_kind: str, where: str):
-    """_model_value through a memo keyed by (type(raw), raw), because
-    True == 1; an unhashable token, which _model_value rejects, skips it."""
+# Each value kind's reading of a model output: a table value or default, a
+# tree leaf, a sample's prediction.
+_OUTPUT = {NUMERIC: parse_rational, CATEGORICAL: _label}
+
+
+def _memo_value(memo: dict, raw, parse, where: str):
+    """parse(raw, where) through a memo keyed by (type(raw), raw), because
+    True == 1; an unhashable token, which the parsers reject, skips it."""
     try:
         return memo[type(raw), raw]
     except KeyError:
-        value = memo[type(raw), raw] = _model_value(raw, value_kind, where)
+        value = memo[type(raw), raw] = parse(raw, where)
         return value
     except TypeError:
-        return _model_value(raw, value_kind, where)
+        return parse(raw, where)
 
 
 def _tabular_from(doc, space, value_kind, where) -> TabularModel:
-    """Each entry fills its point's output slot: a filled slot is a
-    duplicate, and a slot left empty with no default fails totality."""
+    """The table read by columns when it is regular, else by the entry
+    loop, which raises on what is not."""
     entries = doc.get("table")
     if not isinstance(entries, list):
         raise ValidationError(f"{where}: tabular model needs a 'table' list")
     outputs = dense_slots(space)
+    if _table_columns(entries, space, value_kind, outputs) is None:
+        _table_entries(entries, space, value_kind, outputs, where)
+    if "default" in doc:
+        default = _OUTPUT[value_kind](doc["default"], f"{where}: default")
+        outputs = [default if y is None else y for y in outputs]
+    return TabularModel(space, outputs, value_kind)
+
+
+def _table_columns(entries, space, value_kind, outputs) -> list | None:
+    """The entry loop's filling of the empty ``outputs``, read column by
+    column: each feature's distinct tokens are parsed and looked up once,
+    and whole columns are mapped to slot offsets and values. Nothing is
+    filled, and None returned, unless the table is regular: entries are
+    objects with a 'point' of m tokens and a 'value', every token's type is
+    in _TOKEN_TYPES, every point lies in the space, no point repeats and
+    every value parses. The entry loop reports what is irregular."""
+    try:
+        points = list(map(itemgetter("point"), entries))
+        raw_values = list(map(itemgetter("value"), entries))
+    except (KeyError, TypeError):  # a missing field, or an entry that is no object
+        return None
+    if not ({*map(type, entries)} <= {dict} and {*map(type, points)} <= {list}
+            and {*map(len, points)} <= {space.m} and {*map(type, raw_values)} <= _TOKEN_TYPES):
+        return None
+    slots = [0] * len(points)
+    for j, (feature, stride) in enumerate(zip(space.features, space.strides)):
+        column = list(map(itemgetter(j), points))  # one column at a time
+        if not {*map(type, column)} <= _TOKEN_TYPES:
+            return None
+        index = feature.domain.index
+        try:
+            offsets = {t: index[parse_value(t)] * stride for t in set(column)}
+        except KeyError:  # a value outside the domain
+            return None
+        slots = list(map(add, slots, map(offsets.__getitem__, column)))
+    if len(set(slots)) < len(slots):
+        return None
+    parse = _OUTPUT[value_kind]
+    try:
+        values = {t: parse(t, "") for t in set(raw_values)}
+    except ValidationError:
+        return None
+    for slot, y in zip(slots, map(values.__getitem__, raw_values)):
+        outputs[slot] = y
+    return outputs
+
+
+def _table_entries(entries, space, value_kind, outputs, where) -> list:
+    """Each entry fills its point's output slot: a filled slot is a
+    duplicate, and a slot left empty with no default fails totality."""
     m, strides, reader, values = space.m, space.strides, PointReader(space), {}
+    parse = _OUTPUT[value_kind]
     for k, entry in enumerate(entries):
         loc = f"{where}: table entry {k}"
         if not isinstance(entry, dict):
@@ -232,18 +309,15 @@ def _tabular_from(doc, space, value_kind, where) -> TabularModel:
         slot = sum(map(mul, indexes, strides))
         if outputs[slot] is not None:
             raise ValidationError(f"{loc}: duplicate point {reader.point_at(indexes)}")
-        outputs[slot] = _memo_value(values, entry.get("value"), value_kind, loc)
-    if "default" in doc:
-        default = _model_value(doc["default"], value_kind, f"{where}: default")
-        outputs = [default if y is None else y for y in outputs]
-    return TabularModel(space, outputs, value_kind)
+        outputs[slot] = _memo_value(values, entry.get("value"), parse, loc)
+    return outputs
 
 
 def _tree_from(doc, space, value_kind, where) -> TreeModel:
     raw_nodes = doc.get("nodes")
     if not isinstance(raw_nodes, list) or "root" not in doc:
         raise ValidationError(f"{where}: tree model needs 'root' and a 'nodes' list")
-    nodes = {}
+    nodes, memo = {}, {}  # each distinct edge token is parsed once
     for entry in raw_nodes:
         if not isinstance(entry, dict):
             raise ValidationError(f"{where}: tree nodes must be JSON objects")
@@ -252,7 +326,7 @@ def _tree_from(doc, space, value_kind, where) -> TreeModel:
         if nid in nodes:
             raise ValidationError(f"{loc}: duplicate node id")
         if "value" in entry:
-            nodes[nid] = TreeLeaf(_model_value(entry["value"], value_kind, loc))
+            nodes[nid] = TreeLeaf(_OUTPUT[value_kind](entry["value"], loc))
         elif "feature" in entry:
             feature = entry["feature"]
             if isinstance(feature, bool) or not isinstance(feature, int):
@@ -264,7 +338,8 @@ def _tree_from(doc, space, value_kind, where) -> TreeModel:
             for edge in raw_edges:
                 if not isinstance(edge, dict) or not isinstance(edge.get("values", []), list):
                     raise ValidationError(f"{loc}: each edge must be an object with a 'values' list")
-                values = tuple(parse_value(v, loc) for v in edge.get("values", []))
+                values = tuple(_memo_value(memo, v, parse_value, loc)
+                               for v in edge.get("values", []))
                 edges.append((values, _node_id(edge.get("child"), f"{loc}: child")))
             nodes[nid] = TreeNode(feature, tuple(edges))
         else:
@@ -295,9 +370,9 @@ def _box_from(doc, space, where) -> BoxPiecewiseModel:
             raise ValidationError(f"{loc}: 'box' must list {space.m} [lo, hi] pairs")
         if not isinstance(affine, list) or len(affine) != space.m + 1:
             raise ValidationError(f"{loc}: 'affine' must list {space.m + 1} coefficients")
-        bounds = tuple((_memo_value(memo, lo, NUMERIC, loc), _memo_value(memo, hi, NUMERIC, loc))
-                       for lo, hi in box)
-        coeffs = [_memo_value(memo, a, NUMERIC, loc) for a in affine]
+        bounds = tuple((_memo_value(memo, lo, parse_rational, loc),
+                        _memo_value(memo, hi, parse_rational, loc)) for lo, hi in box)
+        coeffs = [_memo_value(memo, a, parse_rational, loc) for a in affine]
         cells.append(Cell(bounds, coeffs[0], tuple(coeffs[1:])))
     return BoxPiecewiseModel(space, tuple(cells))
 
@@ -310,7 +385,7 @@ def load_sample(path, model: Model) -> Sample:
     """Read a delimiter-separated sample; the trailing 'prediction'
     column, when present, is checked against the model. Each distinct
     line is read, checked and evaluated (by slot on a discrete space) once,
-    at its first occurrence, and its repeats share that row."""
+    and its repeats share that row."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             lines = [line.rstrip("\n") for line in fh if line.strip()]
@@ -320,17 +395,62 @@ def load_sample(path, model: Model) -> Sample:
         raise ValidationError(f"{path}: sample needs a header line and at least one row")
     names = [f.name for f in model.space.features]
     header, delim = _split_header(lines[0], names, path)
-    has_prediction = len(header) == len(names) + 1
-    space, m, rows = model.space, len(names), []
+    if model.space.all_discrete():
+        sample = _sample_columns(lines[1:], delim, len(header), model)
+        if sample is not None:
+            return sample
+    return _sample_lines(lines[1:], delim, len(header), model, path)
+
+
+def _sample_columns(lines, delim, width, model) -> Sample | None:
+    """The line loop's sample on a discrete space, read column by column
+    over the distinct lines: each field's distinct tokens are parsed and
+    looked up once, and whole columns are mapped to codes, slots and
+    values. None unless every line has ``width`` fields, every value lies
+    in its domain and every prediction parses and agrees with the model;
+    the line loop reports what does not."""
+    space = model.space
+    distinct = list(dict.fromkeys(lines))
+    fields = [line.split(delim) for line in distinct]
+    if {*map(len, fields)} != {width}:
+        return None
+    columns, slots = [], [0] * len(fields)  # columns: each feature's codes
+    for j, (feature, stride) in enumerate(zip(space.features, space.strides)):
+        column = list(map(itemgetter(j), fields))
+        index = feature.domain.index
+        try:
+            code = {t: index[parse_value(t.strip())] for t in set(column)}
+        except KeyError:  # a value outside the domain
+            return None
+        columns.append(list(map(code.__getitem__, column)))
+        slots = list(map(add, slots, map(stride.__mul__, columns[-1])))
+    actual = list(map(model._read, slots))
+    if width > space.m:
+        column, parse = list(map(itemgetter(-1), fields)), _OUTPUT[model.value_kind]
+        try:
+            given = {t: parse(t.strip(), "") for t in set(column)}
+        except ValidationError:
+            return None
+        if any(map(ne, map(given.__getitem__, column), actual)):
+            return None
+    points = zip(*(map(f.domain.values.__getitem__, c) for f, c in zip(space.features, columns)))
+    rows = dict(zip(distinct, zip(points, zip(*columns), actual)))
+    points, codes, preds = zip(*map(rows.__getitem__, lines))
+    return Sample(points, preds, codes, space.indexes)
+
+
+def _sample_lines(lines, delim, width, model, path) -> Sample:
+    """The sample line by line; the first line with an error raises it."""
+    space, m, rows = model.space, model.space.m, []
     reader, predictions, seen = PointReader(space), {}, {}  # seen: line -> row
-    for lineno, line in enumerate(lines[1:], start=2):
+    parse = _OUTPUT[model.value_kind]
+    for lineno, line in enumerate(lines, start=2):
         row = seen.get(line)
         if row is None:
             where = f"{path}:{lineno}"
             fields = [f.strip() for f in line.split(delim)]
-            if len(fields) != len(header):
-                raise ValidationError(f"{where}: expected {len(header)} fields, "
-                                      f"got {len(fields)}")
+            if len(fields) != width:
+                raise ValidationError(f"{where}: expected {width} fields, got {len(fields)}")
             try:
                 if reader.discrete:
                     codes = tuple(reader.indexes(fields[:m], where))
@@ -341,8 +461,8 @@ def load_sample(path, model: Model) -> Sample:
                     actual = model.output(point)  # the reader checked the point
             except DomainError as exc:
                 raise ValidationError(f"{where}: {exc}") from None
-            if has_prediction:
-                given = _memo_value(predictions, fields[-1], model.value_kind, where)
+            if width > m:
+                given = _memo_value(predictions, fields[-1], parse, where)
                 if given != actual:
                     raise ValidationError(
                         f"{where}: prediction {given!r} disagrees with the "

@@ -282,11 +282,13 @@ class TabularModel(_EnumerableModel):
                 f"table lists {len(outputs)} outputs for {self.space.size} points")
         object.__setattr__(self, "outputs", outputs)
         # The outputs repeat a few objects (the loader parses each distinct
-        # token once), so they are told apart by identity before hashing.
-        distinct = frozenset({id(y): y for y in outputs}.values())
-        if None in distinct:
+        # token once), so they are told apart by identity before hashing;
+        # the first appearances, in slot order, are checked for the others.
+        firsts = {id(y): y for y in outputs}.values()
+        if None in firsts:
             raise _not_total(self.space, outputs)
-        _check_values(outputs, self.value_kind)
+        _check_values(firsts, self.value_kind)
+        distinct = frozenset(firsts)
         object.__setattr__(self, "distinct", distinct)
         if len(distinct) < 2:
             raise ValidationError("model is constant; a non-constant prediction function is required")
@@ -381,16 +383,19 @@ class TreeModel(_EnumerableModel):
             if not all(values for values, _ in node.edges):
                 # its child would count as reached, yet no point reaches it
                 raise ValidationError(f"node {node_id}: an edge routes no domain value")
-            route = {v: child for values, child in node.edges for v in values}
-            for v in route:
-                if v not in domain:
-                    raise ValidationError(
-                        f"edge value {v!r} outside domain of feature {node.feature}")
+            route, index = {}, domain.index  # route: domain position -> child
+            for values, child in node.edges:
+                for v in values:
+                    try:
+                        route[index[v]] = child
+                    except (KeyError, TypeError):  # TypeError: an unhashable value
+                        raise ValidationError(
+                            f"edge value {v!r} outside domain of feature {node.feature}") from None
             if len(route) < sum(len(values) for values, _ in node.edges):
                 raise ValidationError(f"node {node_id}: a domain value maps to two children")
             if len(route) != len(domain.values):
                 raise ValidationError(f"node {node_id}: edges do not cover the domain")
-            routes[node_id] = (node.feature - 1, tuple(route[x] for x in domain.values))
+            routes[node_id] = (node.feature - 1, tuple(map(route.__getitem__, range(len(route)))))
             stack.extend((child, depth + 1) for _, child in reversed(node.edges))
         unreachable = [nid for nid in self.nodes if nid not in seen]  # ids may not sort
         if unreachable:

@@ -17,17 +17,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from shapxp import ValidationError, load_model
 from shapxp.cli import run_cli
+from shapxp.modelio import (_sample_columns, _sample_lines, _space_from, _split_header,
+                            _table_columns, _table_entries, parse_value)
+from shapxp.models import CATEGORICAL, NUMERIC, dense_slots
 from conftest import FIXTURES, cpu_limit
 
 MODELS = ("cls3.json", "cls3_tree.json", "reg2.json", "reg2_tree.json", "pw2.json")
 SAMPLE_MODELS = ("reg2.json", "reg2_tree.json", "pw2.json")  # features x1, x2
 HOSTILE_LEAVES = (None, True, False, 0, -1, 2, 10 ** 30, -10 ** 30, 0.5, 1e308,
                   float("nan"), float("inf"), "", "x", "1/0", "0/0", "-1/2", "NaN",
-                  "²", [], [0], [[0, 1]], {}, {"type": "discrete"})
+                  "²", "1e5000", "1e9999999", [], [0], [[0, 1]], {}, {"type": "discrete"})
 BOUNDS = tuple(f"{k}/4" for k in range(-2, 7))  # pw2's domain [-1/2, 3/2] on the quarters
 HOSTILE_TOKENS = ("0", "1", "-1", "2", "1/2", "3/2", "-1/2", "1/0", "x", "", "1e-400",
-                  "10" * 20, ",", "1,1", "²", "nan")
+                  "10" * 20, ",", "1,1", "²", "nan", "1e5000", "1e9999999")
 COMMANDS = (
     ["validate"], ["relevancy"], ["axp"], ["cxp"],
     ["enumerate", "--kind", "axp"], ["enumerate", "--kind", "cxp"],
@@ -172,31 +176,39 @@ def instance_for(doc, draw):
     return ",".join(tokens)
 
 
+def mutated_model(draw, names=MODELS):
+    """(name, doc, instance, emptied): a fixture widened and, as drawn,
+    rewired, given an empty edge, a moved bound, re-spelled points or
+    hostile leaves; the instance is drawn before the leaves."""
+    name = draw(st.sampled_from(names))
+    doc = json.loads((FIXTURES / name).read_text())
+    k = draw(st.integers(0, len(doc["features"]) - 1))
+    doc = widened(doc, k, draw(st.sampled_from((0, 1, 2, 4))))
+    if "nodes" in doc and draw(st.booleans()):
+        doc = rewired(doc, draw)
+    emptied = "nodes" in doc and draw(st.booleans())
+    if emptied:
+        doc = emptied_edge(doc, draw)
+    if "cells" in doc and draw(st.booleans()):
+        doc = moved_bound(doc, draw)
+    # A re-spelled table takes no hostile leaves, so that some of them load.
+    respell = "table" in doc and draw(st.booleans())
+    if respell:
+        doc = respelled_points(doc, draw)
+    instance = instance_for(doc, draw)
+    paths = list(leaves(doc))
+    for _ in range(0 if respell else draw(st.integers(0, 2))):
+        path = draw(st.sampled_from(paths))
+        value = copy.deepcopy(draw(st.sampled_from(HOSTILE_LEAVES)))
+        doc = replaced(doc, path, value)
+        paths = list(leaves(doc))
+    return name, doc, instance, emptied
+
+
 @FUZZ
 @given(st.data())
 def test_mutated_models(tmp_path_factory, data):
-    name = data.draw(st.sampled_from(MODELS))
-    doc = json.loads((FIXTURES / name).read_text())
-    k = data.draw(st.integers(0, len(doc["features"]) - 1))
-    doc = widened(doc, k, data.draw(st.sampled_from((0, 1, 2, 4))))
-    if "nodes" in doc and data.draw(st.booleans()):
-        doc = rewired(doc, data.draw)
-    emptied = "nodes" in doc and data.draw(st.booleans())
-    if emptied:
-        doc = emptied_edge(doc, data.draw)
-    if "cells" in doc and data.draw(st.booleans()):
-        doc = moved_bound(doc, data.draw)
-    # A re-spelled table takes no hostile leaves, so that some of them load.
-    respell = "table" in doc and data.draw(st.booleans())
-    if respell:
-        doc = respelled_points(doc, data.draw)
-    instance = instance_for(doc, data.draw)
-    paths = list(leaves(doc))
-    for _ in range(0 if respell else data.draw(st.integers(0, 2))):
-        path = data.draw(st.sampled_from(paths))
-        value = copy.deepcopy(data.draw(st.sampled_from(HOSTILE_LEAVES)))
-        doc = replaced(doc, path, value)
-        paths = list(leaves(doc))
+    name, doc, instance, emptied = mutated_model(data.draw)
     path = tmp_path_factory.mktemp("model") / "model.json"
     path.write_text(json.dumps(doc))
     command = data.draw(st.sampled_from(COMMANDS))
@@ -256,19 +268,20 @@ def test_sampling_the_expected_game_of_a_widened_table_is_bounded(tmp_path, caps
         assert "guarded" in capsys.readouterr().err
 
 
-@FUZZ
-@given(st.data())
-def test_mutated_samples(tmp_path_factory, data):
+def mutated_sample(draw):
+    """The lines of reg2_sample.csv with fields replaced, re-spelled,
+    dropped or added, lines copied, blanked or tab-separated, and, as
+    drawn, some lines repeated and the rows reordered."""
     lines = (FIXTURES / "reg2_sample.csv").read_text().splitlines()
-    for _ in range(data.draw(st.integers(1, 3))):
-        k = data.draw(st.integers(0, len(lines) - 1))
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(lines) - 1))
         fields = lines[k].split(",")
-        edit = data.draw(st.sampled_from(("field", "respell", "drop", "extra", "copy",
-                                          "blank", "tab")))
+        edit = draw(st.sampled_from(("field", "respell", "drop", "extra", "copy",
+                                     "blank", "tab")))
         if edit in ("field", "respell"):
-            j = data.draw(st.integers(0, len(fields) - 1))
-            fields[j] = (data.draw(st.sampled_from(HOSTILE_TOKENS)) if edit == "field"
-                         else json.dumps(respelled(fields[j], data.draw)).strip('"'))
+            j = draw(st.integers(0, len(fields) - 1))
+            fields[j] = (draw(st.sampled_from(HOSTILE_TOKENS)) if edit == "field"
+                         else json.dumps(respelled(fields[j], draw)).strip('"'))
             lines[k] = ",".join(fields)
         elif edit == "drop":
             lines[k] = ",".join(fields[:-1])
@@ -280,9 +293,16 @@ def test_mutated_samples(tmp_path_factory, data):
             lines[k] = ""
         else:
             lines[k] = "\t".join(fields)
-    if data.draw(st.booleans()):  # repeat some lines, then reorder the rows
-        body = lines[1:] + data.draw(st.lists(st.sampled_from(lines[1:]), max_size=6))
-        lines = lines[:1] + data.draw(st.permutations(body))
+    if draw(st.booleans()):  # repeat some lines, then reorder the rows
+        body = lines[1:] + draw(st.lists(st.sampled_from(lines[1:]), max_size=6))
+        lines = lines[:1] + draw(st.permutations(body))
+    return lines
+
+
+@FUZZ
+@given(st.data())
+def test_mutated_samples(tmp_path_factory, data):
+    lines = mutated_sample(data.draw)
     path = tmp_path_factory.mktemp("sample") / "sample.csv"
     path.write_text("\n".join(lines) + "\n")
     model = str(FIXTURES / data.draw(st.sampled_from(SAMPLE_MODELS)))
@@ -308,3 +328,166 @@ def test_mutated_flags(data):
     if data.draw(st.booleans()):
         argv += ["--sample", str(FIXTURES / "reg2_sample.csv")]
     run(argv)
+
+
+# ---------------------------------------------------------------------------
+# The column paths against the loops they stand in for
+# ---------------------------------------------------------------------------
+
+TABLES = ("cls3.json", "reg2.json")
+DISCRETE_SAMPLE_MODELS = ("reg2.json", "reg2_tree.json")
+
+
+def typed(values):
+    return [(type(y), y) for y in values]
+
+
+def table_paths(doc):
+    """(columns, loop) for a document's table, the loop's error in place of
+    its outputs when it raises; None when the table cannot reach them."""
+    try:
+        space = _space_from(doc.get("features"), "model")
+        dense_slots(space)
+    except ValidationError:
+        return None
+    entries, value_kind = doc.get("table"), doc.get("value_kind", NUMERIC)
+    if not isinstance(entries, list) or value_kind not in (NUMERIC, CATEGORICAL):
+        return None
+    columns = _table_columns(entries, space, value_kind, dense_slots(space))
+    try:
+        loop = _table_entries(entries, space, value_kind, dense_slots(space), "model")
+    except ValidationError as exc:
+        loop = exc
+    return columns, loop
+
+
+def assert_table_paths_agree(doc):
+    """The column path returns None or the entry loop's exact outputs, and
+    None whenever the loop raises; returns whether it read the table."""
+    paths = table_paths(doc)
+    if paths is None:
+        return False
+    columns, loop = paths
+    if isinstance(loop, ValidationError) or columns is None:
+        assert columns is None
+        return False
+    assert typed(columns) == typed(loop)
+    return True
+
+
+def sample_paths(lines, model):
+    """(columns, loop) for a sample's lines as load_sample reads them, the
+    loop's error in place of its sample when it raises."""
+    lines = [line for line in lines if line.strip()]
+    header, delim = _split_header(lines[0], [f.name for f in model.space.features], "s")
+    columns = _sample_columns(lines[1:], delim, len(header), model)
+    try:
+        loop = _sample_lines(lines[1:], delim, len(header), model, "s")
+    except ValidationError as exc:
+        loop = exc
+    return columns, loop
+
+
+def assert_sample_paths_agree(lines, model):
+    """As assert_table_paths_agree, for the line loop of a sample."""
+    try:
+        columns, loop = sample_paths(lines, model)
+    except (ValidationError, IndexError):  # no header, or no lines at all
+        return False
+    if isinstance(loop, ValidationError) or columns is None:
+        assert columns is None
+        return False
+    assert [typed(row) for row in columns.rows] == [typed(row) for row in loop.rows]
+    assert typed(columns.predictions) == typed(loop.predictions)
+    assert columns.codes == loop.codes
+    return True
+
+
+@FUZZ
+@given(st.data())
+def test_the_table_columns_agree_with_the_entry_loop(data):
+    # Each mutated table both as drawn and as load_model reads its JSON text.
+    _, doc, _, _ = mutated_model(data.draw, TABLES)
+    assert_table_paths_agree(doc)
+    assert_table_paths_agree(json.loads(json.dumps(doc), parse_float=parse_value))
+
+
+@FUZZ
+@given(st.data())
+def test_the_sample_columns_agree_with_the_line_loop(data):
+    lines = mutated_sample(data.draw)
+    for name in DISCRETE_SAMPLE_MODELS:
+        assert_sample_paths_agree(lines, load_model(FIXTURES / name))
+
+
+def table_with(**changes):
+    """reg2 as load_model reads it, with ``changes`` made to its document."""
+    doc = json.loads((FIXTURES / "reg2.json").read_text(), parse_float=parse_value)
+    doc.update(changes)
+    return doc
+
+
+REG2_TABLE = table_with()["table"]
+IRREGULAR_TABLES = {  # each sends the table to the entry loop
+    "one-point-twice": [{"point": [1], "value": 1}, {"point": ["1/1"], "value": 0}],
+    "a-true-token": [{"point": [True, 0], "value": 1}] + REG2_TABLE[1:],
+    "a-missing-value": [{"point": [0, 0]}] + REG2_TABLE[1:],
+    "a-non-object-entry": [[[0, 0], 1]] + REG2_TABLE[1:],
+    "a-true-value-after-a-one": REG2_TABLE[:3] + [{"point": [1, 1], "value": True}],
+}
+
+
+@pytest.mark.parametrize("table", IRREGULAR_TABLES.values(), ids=IRREGULAR_TABLES)
+def test_an_irregular_table_goes_to_the_entry_loop(table):
+    doc = table_with(table=table)
+    if table is IRREGULAR_TABLES["one-point-twice"]:
+        doc["features"] = doc["features"][:1]
+    columns, loop = table_paths(doc)
+    assert columns is None and isinstance(loop, ValidationError)
+
+
+def test_a_categorical_table_with_an_int_value_goes_to_the_entry_loop():
+    doc = json.loads((FIXTURES / "cls3.json").read_text())
+    doc["value_kind"] = "categorical"
+    for entry in doc["table"]:
+        entry["value"] = str(entry["value"])
+    assert assert_table_paths_agree(doc)
+    doc["table"][5]["value"] = 1
+    columns, loop = table_paths(doc)
+    assert columns is None
+    assert str(loop) == "model: table entry 5: categorical values must be strings, got 1"
+
+
+@pytest.mark.parametrize("doc", [
+    table_with(table=[dict(entry, point=[x / 1 for x in entry["point"]])
+                      for entry in json.loads((FIXTURES / "reg2.json").read_text())["table"]]),
+    json.loads(json.dumps(table_with()).replace("[1, 0]", "[1.0, 0]"), parse_float=parse_value),
+    table_with(table=[], default=1),
+    table_with(table=REG2_TABLE[:2], default=1),
+], ids=["float-tokens", "a-decimal-token", "an-empty-table", "a-default"])
+def test_a_table_the_columns_read_gives_the_loop_outputs(doc):
+    # Python floats are no token type the columns read; the JSON decimal
+    # 1.0 loads as the Fraction 1, which they do.
+    regular = assert_table_paths_agree(doc)
+    assert regular == all(isinstance(t, (int, Fraction)) for entry in doc["table"]
+                          for t in entry["point"])
+
+
+SAMPLE_CASES = {  # (lines, whether the columns read them)
+    "padded-fields": (["x1,x2,prediction", " 1,1 , 1 ", "0, 0,-1/2"], True),
+    "a-repeated-line": (["x1,x2,prediction", "1,1,1", "0,1,3/2", "1,1,1", "1,1,1"], True),
+    "two-spellings-of-a-row": (["x1,x2", "1,1", "1/1,1.0", "1,1"], True),
+    "a-disagreeing-prediction": (["x1,x2,prediction", "1,1,1", "0,0,1"], False),
+    "an-unparsed-prediction": (["x1,x2,prediction", "1,1,one"], False),
+    "a-value-outside-the-domain": (["x1,x2", "1,1", "2,1"], False),
+    "a-short-line": (["x1,x2,prediction", "1,1,1", "1,1"], False),
+}
+
+
+@pytest.mark.parametrize("lines,regular", SAMPLE_CASES.values(), ids=SAMPLE_CASES)
+@pytest.mark.parametrize("name", DISCRETE_SAMPLE_MODELS)
+def test_a_sample_goes_to_the_columns_exactly_when_it_is_regular(lines, regular, name):
+    model = load_model(FIXTURES / name)
+    assert assert_sample_paths_agree(lines, model) == regular
+    if not regular:
+        assert isinstance(sample_paths(lines, model)[1], ValidationError)

@@ -70,6 +70,22 @@ class TestRationals:
         with pytest.raises(ValidationError):
             parse_rational(True)
 
+    def test_exponents_parse_exactly(self):
+        assert parse_rational("1e-3") == F(1, 1000)
+        assert parse_rational("-2.5E2") == F(-250)
+        assert parse_value("1.5e+1") == F(15)
+
+    def test_literals_past_the_digit_limit_are_not_rationals(self):
+        # Written out before reducing, 1e4299 has 4,300 digits, the limit,
+        # and the denominator of 1e-4299 has 4,300 too; one more passes it.
+        assert parse_rational("1e4299") == 10 ** 4299
+        assert parse_rational("1e-4299") == F(1, 10 ** 4299)
+        for text in ("1e4300", "1e-4300", "0.5e4300", "1" * 3000 + "." + "1" * 1301,
+                     "0e99999999", "1e" + "9" * 5000):
+            assert parse_value(text) == text
+            with pytest.raises(ValidationError, match="is not a rational literal"):
+                parse_rational(text)
+
     def test_parse_value_falls_back_to_labels(self):
         assert parse_value("red") == "red"
         assert parse_value("3/4") == F(3, 4)
@@ -134,6 +150,19 @@ class TestLoadModel:
         doc = variant(value_kind="categorical")
         with pytest.raises(ValidationError, match="strings"):
             load_model(write(tmp_path, "m.json", doc))
+
+    @pytest.mark.parametrize("domain,message", [
+        ({"type": "discrete", "values": []}, "discrete domain must be non-empty"),
+        ({"type": "discrete", "values": [0, "0/1"]}, "discrete domain has duplicate values"),
+        ({"type": "interval", "lo": 1, "hi": "1/1"}, "interval domain needs lo < hi, got [1, 1]"),
+    ], ids=["empty", "duplicate", "interval"])
+    def test_a_domain_error_names_the_file_and_the_feature(self, tmp_path, domain, message):
+        doc = json.loads(variant())
+        doc["features"].append({"id": 2, "name": "b", "domain": domain})
+        path = write(tmp_path, "m.json", json.dumps(doc))
+        with pytest.raises(ValidationError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}: feature 2: {message}"
 
     def test_not_json(self, tmp_path):
         with pytest.raises(ValidationError, match="JSON"):

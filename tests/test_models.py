@@ -87,6 +87,21 @@ class TestValidation:
         with pytest.raises(ValidationError, match="cover"):
             TreeModel(space, nodes, 0)
 
+    @pytest.mark.parametrize("edges,message", [
+        # A value outside the domain is named first, even after a repeat.
+        ((((0, 0), 1), ((1, 5), 2)), "edge value 5 outside domain of feature 1"),
+        ((((0,), 1), ((1, [2]), 2)), "edge value [2] outside domain of feature 1"),
+        ((((0,), 1), ((0, 1), 2)), "node 0: a domain value maps to two children"),
+        ((((0,), 1), ((1,), 2), ((F(1),), 1)), "node 0: a domain value maps to two children"),
+        ((((0,), 1), ((1,), 2)), "node 0: edges do not cover the domain"),
+    ], ids=["outside", "unhashable", "two-children", "two-spellings", "uncovered"])
+    def test_tree_edge_errors_keep_their_order(self, edges, message):
+        space = FeatureSpace((Feature(1, "a", DiscreteDomain((0, 1, 2))),))
+        nodes = {0: TreeNode(1, edges), 1: TreeLeaf(0), 2: TreeLeaf(1)}
+        with pytest.raises(ValidationError) as info:
+            TreeModel(space, nodes, 0)
+        assert str(info.value) == message
+
     def test_tree_edge_routing_no_value_is_rejected(self):
         # Leaf 3 would count as reached, yet no point reaches it.
         space = bool_space(1)

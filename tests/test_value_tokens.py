@@ -13,7 +13,7 @@ import pytest
 from shapxp import ValidationError, load_model, load_sample
 from shapxp.cli import run_cli
 from shapxp.models import labelled_points
-from conftest import FIXTURES
+from conftest import FIXTURES, cpu_limit
 
 REG2 = FIXTURES / "reg2.json"
 # Spellings of 0 and 1 in a JSON model file; a JSON decimal parses exactly.
@@ -158,3 +158,69 @@ def test_a_bad_box_token_names_the_first_cell_that_holds_it(capsys, tmp_path, to
     doc["cells"][2]["box"][1][0] = token
     path = write_json(tmp_path, doc)
     assert validate_error(capsys, path) == f"error: {path}: cell 1: {message}\n"
+
+
+# Rational literals whose numerator or denominator, written out, passes
+# Python's integer digit limit: each is refused (or kept as a label) from its
+# text, before a power of ten is built, so every run exits 2 at once with no
+# traceback. JSON numbers are written into the file raw.
+CLS3 = FIXTURES / "cls3.json"
+REG2_SAMPLE = FIXTURES / "reg2_sample.csv"
+
+
+def reg2_with(key, literal):
+    """reg2's JSON text with ``key`` set to the raw JSON ``literal``."""
+    doc = json.loads(REG2.read_text())
+    doc[key] = "@"
+    return json.dumps(doc).replace('"@"', literal)
+
+
+def pw2_with_bound(literal):
+    doc = json.loads(PW2.read_text())
+    doc["cells"][0]["box"][0][0] = literal
+    return json.dumps(doc)
+
+
+def reg2_sample_with(row, field, token):
+    lines = REG2_SAMPLE.read_text().splitlines()
+    fields = lines[row].split(",")
+    fields[field] = token
+    lines[row] = ",".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+HUGE_LITERALS = [
+    pytest.param({"model.json": reg2_with("default", "1e9999999")}, ["validate"],
+                 id="default-number-1e9999999"),
+    pytest.param({"model.json": reg2_with("default", '"1e9999999"')}, ["validate"],
+                 id="default-string-1e9999999"),
+    pytest.param({"model.json": reg2_with("default", "1e30000000")}, ["validate"],
+                 id="default-number-1e30000000"),
+    pytest.param({"model.json": reg2_with("default", "1e5000")},
+                 ["shap", "--game", "expected", "--instance", "1,1"],
+                 id="default-1e5000-shap"),
+    pytest.param({"model.json": pw2_with_bound("-1e5000")}, ["validate"],
+                 id="box-bound-1e5000"),
+    pytest.param({"model.json": REG2.read_text(), "s.csv": reg2_sample_with(2, 0, "1e5000")},
+                 ["validate", "--sample", "s.csv"], id="sample-field-1e5000"),
+    pytest.param({"model.json": REG2.read_text(), "s.csv": reg2_sample_with(2, 2, "1e5000")},
+                 ["validate", "--sample", "s.csv"], id="sample-prediction-1e5000"),
+    pytest.param({"model.json": PW2.read_text(), "s.csv": "x1,x2\n0,0\n0,1e5000\n"},
+                 ["validate", "--sample", "s.csv"], id="box-sample-field-1e5000"),
+    pytest.param({"model.json": CLS3.read_text()}, ["relevancy", "--instance", "1,1,1e5000"],
+                 id="instance-1e5000"),
+    pytest.param({"model.json": REG2.read_text()},
+                 ["axp", "--instance", "1,1", "--delta", "1e-5000"], id="delta-1e-5000"),
+]
+
+
+@pytest.mark.parametrize("files,argv", HUGE_LITERALS)
+def test_a_literal_past_the_digit_limit_exits_2_at_once(capsys, tmp_path, files, argv):
+    for name, content in files.items():
+        (tmp_path / name).write_text(content)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    with cpu_limit(1):
+        code = run_cli(argv + ["--model", str(tmp_path / "model.json")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error:") and "Traceback" not in err
