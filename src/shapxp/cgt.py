@@ -17,17 +17,22 @@ function, ``_draw``, defines that stream. The estimator counts the draw
 tuples of k = 0..T-1 with ``_draw_counts``, which computes each stream
 output once, since consecutive permutations share all but one of their
 counters, and falls back on ``_draw`` for a chunk where an output may be
-rejected. It decodes each distinct tuple once and tallies how often each
-(prefix coalition, position) pair occurs, so it holds at most T*m counts,
-and then weights the counts by the game's memoized marginals. All
-accumulation is exact (marginals are rationals and occurrence counts are
-integers), so the returned estimates are deterministic in the strongest
-sense.
+rejected. ``_outputs`` computes a chunk's outputs together, each state
+in its own 128-bit lane of one int, so that a SplitMix64 step is a few
+big-int operations over the chunk rather than a Python loop step per
+output. The estimator decodes each distinct tuple once and tallies how
+often each (prefix coalition, position) pair occurs, so it holds at most
+T*m counts, and then weights the counts by the game's memoized
+marginals. All accumulation is exact (marginals are rationals and
+occurrence counts are integers), so the returned estimates are
+deterministic in the strongest sense.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,11 +46,11 @@ from .games import Game, ScoreVector
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 # Permutation draws times players. Counting and tallying one player step
-# costs 0.15-0.6 us (Python 3.11, 2-core x86-64 host, m = 2..10; 0.25 at
-# m = 4, 0.55 at m = 8, where nearly every draw tuple is distinct), so the
+# costs 0.1-0.5 us (Python 3.11, 2-core x86-64 host, m = 2..10; 0.10 at
+# m = 4, 0.39 at m = 8, where nearly every draw tuple is distinct), so the
 # guard stops sampling runs of more than about a minute. It bounds draws,
 # not weighting: at m = 20 and 40 nearly every tally key needs its own game
-# evaluation, about 7 and 13 us per step on an additive custom game, with
+# evaluation, about 7 and 11 us per step on an additive custom game, with
 # a memo of 6.3 and 9.2 MiB (T = 4,000 and 2,000).
 DRAW_GUARD = 10 ** 8
 # Permutations whose stream outputs, and distinct draw tuples that are
@@ -111,20 +116,31 @@ def _splitmix_next(state: int) -> tuple[int, int]:
     return state, z ^ (z >> 31)
 
 
+# The positions, in an array of 64-bit words, of the low halves of 128-bit
+# lanes 0, 1, ... of an int written out in the machine's byte order.
+_LOW_HALVES = slice(0, None, 2) if sys.byteorder == "little" else slice(None, None, -2)
+
+
 def _outputs(mixed: int, start: int, stop: int) -> list[int]:
     """The SplitMix64 outputs at counters start..stop-1; counter c reads
-    the state mixed + c * golden. The step is written out inline because
-    calls, or ``map`` over operators, would cost more than the arithmetic."""
-    golden, mask64 = _GOLDEN, _MASK64
-    s = (mixed + (start - 1) * golden) & mask64
-    zs = []
-    append = zs.append
-    for _ in range(start, stop):
-        s = (s + golden) & mask64
-        z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & mask64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask64
-        append(z ^ (z >> 31))
-    return zs
+    the state mixed + c * golden.
+
+    Output i is computed in bits 128i..128i+127 of one int, so each mix
+    step is a few big-int operations over the whole range. A state fills
+    the low 64 bits of its lane; masking it there before each multiply
+    drops the bits a right shift carried in from the next lane, and its
+    product with a 64-bit constant fits in the lane's 128."""
+    n = stop - start
+    index = array("Q", bytes(16 * n))
+    index[_LOW_HALVES] = array("Q", range(n))
+    ones = int.from_bytes((b"\1" + bytes(15)) * n, "little")
+    lanes = (ones << 64) - ones
+    z = (((mixed + start * _GOLDEN) & _MASK64) * ones
+         + int.from_bytes(index, sys.byteorder) * _GOLDEN) & lanes
+    z = ((z ^ (z >> 30)) & lanes) * 0xBF58476D1CE4E5B9 & lanes
+    z = ((z ^ (z >> 27)) & lanes) * 0x94D049BB133111EB & lanes
+    z ^= z >> 31
+    return array("Q", z.to_bytes(16 * n, sys.byteorder))[_LOW_HALVES].tolist()
 
 
 def _draw(mixed: int, m: int, k: int) -> tuple[int, ...]:
@@ -172,7 +188,7 @@ def _draw_counts(seed: int, m: int, start: int, stop: int) -> Iterator[Counter]:
     run; otherwise each chunk's Counter is handed on alone.
     """
     _, mixed = _splitmix_next(seed & _MASK64)
-    if m == 1:  # no draws
+    if m < 2:  # no draws
         if stop > start:
             yield Counter({(): stop - start})
         return
@@ -219,7 +235,9 @@ def cgt_estimate(game: Game, config: CgtConfig) -> tuple[ScoreVector, CgtDiagnos
     bound = game.marginal_bound
     if callable(bound):
         bound = bound()
-    if config.sample_count is not None:
+    if m == 0:  # no player to score
+        total = 0
+    elif config.sample_count is not None:
         total = config.sample_count
     else:
         if bound is None:

@@ -10,6 +10,7 @@ requirements, failed preconditions).
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 import time
 import warnings
@@ -18,7 +19,7 @@ from functools import cache
 from fractions import Fraction
 
 from . import cgt as cgt_mod
-from .errors import DomainError, ShapxpError, ValidationError
+from .errors import DomainError, ShapxpError, SizeLimitError, ValidationError
 from .explanations import (
     ConstantOnUniverseWarning,
     agnostic_support,
@@ -108,7 +109,14 @@ def run_cli(argv) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ConstantOnUniverseWarning)
         try:
-            outcome, code = _dispatch(args), 0
+            # Rendered before anything is written, so a value that cannot
+            # be shown exits 3 with no partial report.
+            report = _dispatch(args)
+            if args.output == "json":
+                outcome = report.to_json(include_timing=args.with_timing)
+            else:
+                outcome = _table(report)
+            code = 0
         except (ValidationError, DomainError, OSError) as exc:
             outcome, code = exc, 2
         except ShapxpError as exc:
@@ -117,10 +125,8 @@ def run_cli(argv) -> int:
         print(f"warning: {message}", file=sys.stderr)
     if code:
         print(f"error: {outcome}", file=sys.stderr)
-    elif args.output == "json":
-        sys.stdout.write(outcome.to_json(include_timing=args.with_timing))
     else:
-        _print_table(outcome)
+        sys.stdout.write(outcome)
     return code
 
 
@@ -359,11 +365,15 @@ def _finish(report: RunReport, started: float) -> RunReport:
 # ---------------------------------------------------------------------------
 
 def _decimal(text: str) -> str:
-    return f"{float(Fraction(text)):.6f}"
+    try:
+        return f"{float(Fraction(text)):.6f}"
+    except OverflowError:
+        raise SizeLimitError(f"{text[:20]}... is too large for a float in table "
+                             "output; --output json reports it") from None
 
 
-def _print_table(report: RunReport) -> None:
-    out = sys.stdout
+def _table(report: RunReport) -> str:
+    out = io.StringIO()
     res = report.results
     print(f"model: {report.model['path']} "
           f"({report.model['kind']}, {report.model['value_kind']}, "
@@ -438,6 +448,7 @@ def _print_table(report: RunReport) -> None:
                       f"mean {_decimal(row['mean'])}", file=out)
     if report.timing_ms is not None:
         print(f"time: {report.timing_ms:.1f} ms", file=out)
+    return out.getvalue()
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from fractions import Fraction
 from operator import add, getitem, itemgetter, mul, ne
 from typing import Optional
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, SizeLimitError, ValidationError
 from .models import (
     CATEGORICAL,
     NUMERIC,
@@ -133,12 +133,22 @@ def format_value(v):
     """Canonical JSON form: integers as numbers, other rationals as
     "p/q" strings, labels as themselves."""
     if isinstance(v, Fraction):
-        return int(v) if v.denominator == 1 else str(v)
+        text = rational_str(v)
+        return v.numerator if v.denominator == 1 else text
     return v
 
 
 def rational_str(v) -> str:
-    return str(Fraction(v))
+    """v as "p/q", or "p" for an integer. A rational computed from
+    in-limit literals can still pass Python's integer digit limit, so
+    such a value raises SizeLimitError rather than ValueError."""
+    v = Fraction(v)
+    try:
+        return str(v)
+    except ValueError:
+        raise SizeLimitError(
+            f"a result has more than {sys.get_int_max_str_digits()} digits in its "
+            "numerator or denominator, past Python's integer digit limit") from None
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from shapxp import (
     CgtConfig,
     Game,
     PreconditionError,
+    ScoreVector,
     SizeLimitError,
     ValidationError,
     cgt_estimate,
@@ -87,6 +88,17 @@ def rejecting_index(seed, draw):
     assert (mixed + counter * _GOLDEN) & _MASK64 == 0
     assert _splitmix_next((0 - _GOLDEN) & _MASK64)[1] == 0
     return counter - 2 - draw
+
+
+def reference_outputs(mixed, start, stop):
+    """The outputs at counters start..stop-1, one _splitmix_next call each
+    from the state before counter start."""
+    state = (mixed + (start - 1) * _GOLDEN) & _MASK64
+    outputs = []
+    for _ in range(start, stop):
+        state, z = _splitmix_next(state)
+        outputs.append(z)
+    return outputs
 
 
 def naive_estimate(game, seed, n):
@@ -176,6 +188,49 @@ class TestPermutationStream:
         for start in (k - CHUNK + 1, k - CHUNK):
             stop = start + CHUNK + 3
             assert counted(seed, m, start, stop) == reference_counts(seed, m, start, stop)
+
+
+class TestOutputs:
+    """_outputs computes a range of the stream in 128-bit lanes of one int;
+    each lane must read as one step of the scalar generator."""
+
+    @pytest.mark.parametrize("seed", [0, 11, 2024])
+    def test_chunk_lengths(self, seed):
+        # A chunk of CHUNK permutations reads CHUNK + m - 2 outputs.
+        _, mixed = _splitmix_next(seed & _MASK64)
+        for m in range(2, 13):
+            for length in (0, 1, CHUNK + m - 2):
+                for start in (2, 5000):
+                    assert _outputs(mixed, start, start + length) == \
+                        reference_outputs(mixed, start, start + length)
+
+    @pytest.mark.parametrize("mixed", [0, 1, _MASK64, _GOLDEN, -_GOLDEN & _MASK64,
+                                       1 << 63, (1 << 63) - 1])
+    def test_states_that_wrap_past_2_to_the_64(self, mixed):
+        # From mixed near 2^64, mixed + c * golden passes 2^64 within a lane
+        # on most steps; counters near 2^64, and past it, wrap too.
+        for start in (0, 1, 2 ** 64 - 40, 2 ** 64 - 1, 2 ** 64 + 3, -7):
+            assert _outputs(mixed, start, start + 80) == \
+                reference_outputs(mixed, start, start + 80)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    def test_counters_that_read_state_0(self, seed):
+        # rejecting_index's counter (past 2^61 for these seeds) reads state
+        # 0, whose output is 0; the ranges hold it near their end, second
+        # and first.
+        _, mixed = _splitmix_next(seed & _MASK64)
+        counter = rejecting_index(seed, 0) + 2
+        for start in (counter - CHUNK, counter - 1, counter):
+            zs = _outputs(mixed, start, start + CHUNK + 3)
+            assert zs == reference_outputs(mixed, start, start + CHUNK + 3)
+            assert zs[counter - start] == 0
+
+    def test_random_ranges(self):
+        rng = random.Random(22)
+        for _ in range(200):
+            mixed, start = rng.getrandbits(64), rng.getrandbits(rng.choice((10, 64)))
+            stop = start + rng.randrange(1101)
+            assert _outputs(mixed, start, stop) == reference_outputs(mixed, start, stop)
 
 
 class TestSampleCount:
@@ -294,6 +349,18 @@ class TestEstimator:
         vector, diag = cgt_estimate(game, CgtConfig(F(1, 20), F(1, 20)))
         assert vector.scores == (F(0), F(0))
         assert diag.permutations == 1
+
+    def test_zero_players_draw_nothing(self):
+        def no_value(coalition):
+            raise AssertionError("evaluated a coalition")
+
+        # With no marginal bound, and with a sample count that would draw.
+        for config in (CgtConfig(F(1, 20), F(1, 20)),
+                       CgtConfig(F(1, 20), F(1, 20), sample_count=50)):
+            vector, diag = cgt_estimate(Game((), no_value), config)
+            assert vector == ScoreVector((), "custom", "cgt")
+            assert diag.permutations == 0
+        assert shapley_exact(Game((), lambda s: F(0))).scores == ()
 
     def test_draw_guard_stops_before_any_draw(self, monkeypatch):
         def no_draws(*args):

@@ -1,5 +1,6 @@
-"""Every name a shapxp module imports is read in that module, and every
-module-level constant is read somewhere in the package.
+"""Every name a shapxp module imports is read in that module, every
+module-level constant is read somewhere in the package, and every import
+is of the standard library or of the package itself.
 
 No linter ships with the toolchain, so each module is parsed with ``ast``:
 an imported name that no expression of the module reads fails the test.
@@ -7,16 +8,20 @@ A line marked ``# noqa: F401`` keeps its import, for names that are looked
 up in the module from outside (the benchmark's tracer rebinds them there).
 An UPPER_CASE name assigned at module level that no module of the package
 reads, by name or as an attribute, fails too: a guard or tag left behind.
+The package declares no dependencies, so an absolute import whose top-level
+name is not in ``sys.stdlib_module_names`` fails as well.
 """
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "shapxp"
 MODULES = sorted(path.name for path in SRC.glob("*.py") if path.name != "__init__.py")
+ALL_MODULES = sorted(path.name for path in SRC.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -80,3 +85,38 @@ def test_the_checker_finds_an_unread_constant():
 def test_every_constant_is_read():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unread_constants(sources) == []
+
+
+def foreign_imports(source: str) -> list[tuple[int, str]]:
+    """(line, module) of each absolute import from outside the standard
+    library."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [(node.lineno, module) for module in modules
+                  if module.partition(".")[0] not in sys.stdlib_module_names]
+    return sorted(found)
+
+
+def test_the_checker_finds_a_foreign_import():
+    source = ("from __future__ import annotations\n"
+              "import numpy\n"
+              "import os.path, scipy.sparse\n"
+              "from . import cgt\n"
+              "from .models import predict\n"
+              "from numpy.linalg import norm\n"
+              "from collections import Counter\n"
+              "def f():\n"
+              "    import numpy as np\n")
+    assert foreign_imports(source) == [(2, "numpy"), (3, "scipy.sparse"),
+                                       (6, "numpy.linalg"), (9, "numpy")]
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_every_import_is_of_the_standard_library_or_the_package(module):
+    assert foreign_imports((SRC / module).read_text()) == []

@@ -224,3 +224,48 @@ def test_a_literal_past_the_digit_limit_exits_2_at_once(capsys, tmp_path, files,
     err = capsys.readouterr().err
     assert code == 2, err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+# Rationals computed from in-limit literals: reg2's expected-value scores
+# over the table values 1/9...9 (4,000 nines) and 1/7...73 (4,000 digits)
+# have denominators of about 8,000 digits, past the limit, so every place
+# a result becomes report text refuses it with exit 3 and writes no report.
+def reg2_with_values(first, second):
+    doc = json.loads(REG2.read_text())
+    doc["table"][0]["value"], doc["table"][1]["value"] = first, second
+    return doc
+
+
+PAST_THE_LIMIT = reg2_with_values("1/" + "9" * 4000, "1/" + "7" * 3998 + "3")
+
+
+@pytest.mark.parametrize("output", ["json", "table"])
+@pytest.mark.parametrize("command", [
+    ["shap", "--game", "expected"],
+    ["shap", "--game", "expected", "--method", "cgt", "--epsilon", "1"],
+    ["compare"]], ids=" ".join)
+def test_a_result_past_the_digit_limit_exits_3(capsys, tmp_path, command, output):
+    path = write_json(tmp_path, PAST_THE_LIMIT)
+    assert run_cli(["validate", "--model", path]) == 0
+    capsys.readouterr()
+    with cpu_limit(1):
+        code = run_cli(command + ["--model", path, "--instance", "1,1", "--output", output])
+    out, err = capsys.readouterr()
+    assert code == 3, err
+    assert out == ""
+    assert err.startswith("error: a result has more than 4300 digits") and "Traceback" not in err
+
+
+def test_a_score_past_float_range_exits_3_in_table_output_only(capsys, tmp_path):
+    # 10^400 is in the digit limit but past the largest float, which the
+    # table's decimal column needs; JSON output reports it exactly.
+    path = write_json(tmp_path, reg2_with_values("1e400", "3/2"))
+    argv = ["shap", "--game", "expected", "--model", path, "--instance", "1,1"]
+    with cpu_limit(1):
+        assert run_cli(argv + ["--output", "json"]) == 0
+        score = json.loads(capsys.readouterr().out)["results"]["scores"][0]["score"]
+        assert abs(F(score)) > 10 ** 399
+        assert run_cli(argv + ["--output", "table"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "too large for a float in table output" in err
