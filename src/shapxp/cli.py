@@ -39,13 +39,13 @@ from .games import (
 )
 from .models import make_instance
 from .modelio import (
-    PointReader,
     RunReport,
     format_value,
     load_model,
     load_sample,
     parse_rational,
     rational_str,
+    read_point,
 )
 from .ranking import compare_scores, rank_features, summarize_comparisons
 from .similarity import ExplanationProblem, SimilarityConfig
@@ -188,7 +188,7 @@ def _dispatch(args) -> RunReport:
         }
     elif args.command in ("axp", "cxp"):
         seed = _parse_feature_ids(args.seed_features, model) \
-            if args.seed_features else None
+            if args.seed_features is not None else None
         if args.command == "axp":
             found = extract_axp(problem, seed)
         else:
@@ -313,13 +313,13 @@ def _run_compare(args, model, instances, similarity, universe):
 def _parse_instances(args, model):
     if not args.instance:
         raise ValidationError(f"'{args.command}' needs --instance")
-    instances, reader = [], PointReader(model.space)
+    instances = []
     for text in args.instance:
         tokens = [t.strip() for t in text.split(",")]
         if len(tokens) != model.space.m:
             raise ValidationError(
                 f"--instance {text!r}: expected {model.space.m} values")
-        instances.append(make_instance(model, reader.point(tokens, "--instance")))
+        instances.append(make_instance(model, read_point(model.space, tokens, "--instance")))
     return instances
 
 

@@ -14,7 +14,7 @@ import json
 import sys
 from dataclasses import dataclass, fields as dataclass_fields
 from fractions import Fraction
-from operator import add, getitem, itemgetter, mul, ne
+from operator import add, getitem, itemgetter, ne
 from typing import Optional
 
 from .errors import DomainError, SizeLimitError, ValidationError
@@ -86,47 +86,19 @@ def parse_value(x, where: str = "value"):
     return parse_rational(x, where)
 
 
-class PointReader:
-    """Reads raw points (JSON tokens or text fields) as points of a space.
-
-    On a discrete space each feature keeps a cache from a raw token to its
-    value's domain position, keyed by (type(token), token) because
-    True == 1. A point whose tokens all hit is neither parsed nor checked
-    again, and its coordinates are the domain's own objects. A miss parses
-    and checks the whole point, so a bad point raises what parse_value and
-    check_point raise, in their order: ValidationError for a token that is
-    no value, DomainError for a value outside its domain."""
-
-    def __init__(self, space: FeatureSpace):
-        self.space = space
-        self.caches = [{} for _ in space.features]
-        self.discrete = space.all_discrete()
-
-    def indexes(self, raw, where: str) -> list[int]:
-        """The domain positions of a discrete point's raw tokens, one token
-        per feature (callers check the count)."""
-        try:
-            return [cache[type(t), t] for cache, t in zip(self.caches, raw)]
-        except (KeyError, TypeError):  # a new token, or an unhashable one
-            pass
-        point = self._parsed(raw, where)
-        indexes = [f.domain.index[x] for f, x in zip(self.space.features, point)]
-        for cache, t, k in zip(self.caches, raw, indexes):
-            cache[type(t), t] = k
-        return indexes
-
-    def point(self, raw, where: str) -> Point:
-        if not self.discrete:
-            return self._parsed(raw, where)
-        return self.point_at(self.indexes(raw, where))
-
-    def point_at(self, indexes) -> Point:
-        return tuple(map(getitem, (f.domain.values for f in self.space.features), indexes))
-
-    def _parsed(self, raw, where: str) -> Point:
-        point = tuple(parse_value(t, where) for t in raw)
-        self.space.check_point(point)
+def read_point(space: FeatureSpace, raw, where: str) -> Point:
+    """A raw point (JSON tokens or text fields) as a point of ``space``:
+    every token is parsed, then the point is checked, so a bad point raises
+    ValidationError for a token that is no value, else DomainError for a
+    value outside its domain. On a discrete space the coordinates are the
+    domain's own objects, which dict lookups and membership tests match by
+    identity before they compare values."""
+    point = tuple(parse_value(t, where) for t in raw)
+    space.check_point(point)
+    if not space.all_discrete():
         return point
+    return tuple(f.domain.values[index[x]]
+                 for f, index, x in zip(space.features, space.indexes, point))
 
 
 def format_value(v):
@@ -268,7 +240,8 @@ def _table_columns(entries, space, value_kind, outputs) -> list | None:
     filled, and None returned, unless the table is regular: entries are
     objects with a 'point' of m tokens and a 'value', every token's type is
     in _TOKEN_TYPES, every point lies in the space, no point repeats and
-    every value parses. The entry loop reports what is irregular."""
+    every value parses. The entry loop reports what is irregular; it is
+    the reference this path must agree with."""
     try:
         points = list(map(itemgetter("point"), entries))
         raw_values = list(map(itemgetter("value"), entries))
@@ -302,9 +275,10 @@ def _table_columns(entries, space, value_kind, outputs) -> list | None:
 
 def _table_entries(entries, space, value_kind, outputs, where) -> list:
     """Each entry fills its point's output slot: a filled slot is a
-    duplicate, and a slot left empty with no default fails totality."""
-    m, strides, reader, values = space.m, space.strides, PointReader(space), {}
-    parse = _OUTPUT[value_kind]
+    duplicate, and a slot left empty with no default fails totality. Only
+    a table the column path refuses is read here, so each entry is parsed
+    on its own, and the first that is wrong raises."""
+    m, parse = space.m, _OUTPUT[value_kind]
     for k, entry in enumerate(entries):
         loc = f"{where}: table entry {k}"
         if not isinstance(entry, dict):
@@ -313,13 +287,13 @@ def _table_entries(entries, space, value_kind, outputs, where) -> list:
         if not isinstance(raw_point, list) or len(raw_point) != m:
             raise ValidationError(f"{loc}: 'point' must list {m} values")
         try:
-            indexes = reader.indexes(raw_point, loc)
+            point = read_point(space, raw_point, loc)
         except DomainError as exc:
             raise ValidationError(f"{loc}: {exc}") from None
-        slot = sum(map(mul, indexes, strides))
+        slot = space.slot(point)
         if outputs[slot] is not None:
-            raise ValidationError(f"{loc}: duplicate point {reader.point_at(indexes)}")
-        outputs[slot] = _memo_value(values, entry.get("value"), parse, loc)
+            raise ValidationError(f"{loc}: duplicate point {point}")
+        outputs[slot] = parse(entry.get("value"), loc)
     return outputs
 
 
@@ -418,7 +392,8 @@ def _sample_columns(lines, delim, width, model) -> Sample | None:
     looked up once, and whole columns are mapped to codes, slots and
     values. None unless every line has ``width`` fields, every value lies
     in its domain and every prediction parses and agrees with the model;
-    the line loop reports what does not."""
+    the line loop reports what does not, and is the reference this path
+    must agree with."""
     space = model.space
     distinct = list(dict.fromkeys(lines))
     fields = [line.split(delim) for line in distinct]
@@ -450,10 +425,11 @@ def _sample_columns(lines, delim, width, model) -> Sample | None:
 
 
 def _sample_lines(lines, delim, width, model, path) -> Sample:
-    """The sample line by line; the first line with an error raises it."""
-    space, m, rows = model.space, model.space.m, []
-    reader, predictions, seen = PointReader(space), {}, {}  # seen: line -> row
-    parse = _OUTPUT[model.value_kind]
+    """The sample line by line; the first line with an error raises it.
+    This reads every sample on a space with an interval domain, and on a
+    discrete space only one the column path refuses."""
+    space, m, rows, seen = model.space, model.space.m, [], {}  # seen: line -> row
+    discrete, parse = space.all_discrete(), _OUTPUT[model.value_kind]
     for lineno, line in enumerate(lines, start=2):
         row = seen.get(line)
         if row is None:
@@ -462,25 +438,21 @@ def _sample_lines(lines, delim, width, model, path) -> Sample:
             if len(fields) != width:
                 raise ValidationError(f"{where}: expected {width} fields, got {len(fields)}")
             try:
-                if reader.discrete:
-                    codes = tuple(reader.indexes(fields[:m], where))
-                    point = reader.point_at(codes)
-                    actual = model._read(sum(map(mul, codes, space.strides)))
-                else:
-                    codes, point = None, reader.point(fields[:m], where)
-                    actual = model.output(point)  # the reader checked the point
+                point = read_point(space, fields[:m], where)
             except DomainError as exc:
                 raise ValidationError(f"{where}: {exc}") from None
+            actual = model.output(point)  # read_point checked the point
             if width > m:
-                given = _memo_value(predictions, fields[-1], parse, where)
+                given = parse(fields[-1], where)
                 if given != actual:
                     raise ValidationError(
                         f"{where}: prediction {given!r} disagrees with the "
                         f"model output {actual!r}")
+            codes = tuple(map(getitem, space.indexes, point)) if discrete else None
             row = seen[line] = point, codes, actual
         rows.append(row)
     points, codes, preds = zip(*rows)
-    if not reader.discrete:  # the sample codes its values itself
+    if not discrete:  # the sample codes its values itself
         return Sample(points, preds)
     return Sample(points, preds, codes, space.indexes)
 

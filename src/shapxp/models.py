@@ -74,7 +74,7 @@ class DiscreteDomain:
 
     values: tuple
     # Each value's position in ``values``: membership, the slot numbering
-    # and the loaders' token caches all read this one index.
+    # and the loaders' column paths all read this one index.
     index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

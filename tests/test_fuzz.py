@@ -156,7 +156,7 @@ def respelled(token, draw):
 
 def respelled_points(doc, draw):
     """The table with some point tokens re-spelled, so that one feature's
-    token cache sees one value under several keys."""
+    column holds one value under several tokens."""
     points = [entry["point"] for entry in doc["table"]]
     for _ in range(draw(st.integers(1, 4))):
         point = draw(st.sampled_from(points))
@@ -362,14 +362,14 @@ def table_paths(doc):
 
 
 def assert_table_paths_agree(doc):
-    """The column path returns None or the entry loop's exact outputs, and
-    None whenever the loop raises; returns whether it read the table."""
+    """The column path returns None exactly when the entry loop raises, and
+    otherwise the loop's exact outputs; returns whether it read the table."""
     paths = table_paths(doc)
     if paths is None:
         return False
     columns, loop = paths
-    if isinstance(loop, ValidationError) or columns is None:
-        assert columns is None
+    assert (columns is None) == isinstance(loop, ValidationError)
+    if columns is None:
         return False
     assert typed(columns) == typed(loop)
     return True
@@ -394,8 +394,8 @@ def assert_sample_paths_agree(lines, model):
         columns, loop = sample_paths(lines, model)
     except (ValidationError, IndexError):  # no header, or no lines at all
         return False
-    if isinstance(loop, ValidationError) or columns is None:
-        assert columns is None
+    assert (columns is None) == isinstance(loop, ValidationError)
+    if columns is None:
         return False
     assert [typed(row) for row in columns.rows] == [typed(row) for row in loop.rows]
     assert typed(columns.predictions) == typed(loop.predictions)

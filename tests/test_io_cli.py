@@ -315,6 +315,14 @@ class TestCli:
                                 "--from", "1,2"])
         assert doc["results"]["cxp"] == [1]
 
+    @pytest.mark.parametrize("command", ["axp", "cxp"])
+    def test_an_empty_from_names_no_feature(self, capsys, command):
+        # An empty --from is a list of one empty id, not "every feature".
+        assert run_cli([command, "--model", CLS3, "--instance", "1,1,2", "--from", ""]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --from: '' is not a feature id\n"
+
     def test_enumerate(self, capsys):
         doc = run_json(capsys, ["enumerate", "--model", CLS3, "--instance", "1,1,2",
                                 "--kind", "cxp"])

@@ -1,8 +1,9 @@
 """Raw value tokens in model files, samples and --instance.
 
 Every spelling of a domain value reads as that value, and its coordinates
-are the domain's own objects; tokens that are no value fail with the same
-message whether or not the same feature has read other tokens before.
+are the domain's own objects, whether the column paths read it or
+``read_point`` does (the entry and line loops, and --instance); tokens
+that are no value fail with the same message wherever they stand.
 """
 
 import json
@@ -12,6 +13,7 @@ import pytest
 
 from shapxp import ValidationError, load_model, load_sample
 from shapxp.cli import run_cli
+from shapxp.modelio import parse_value, read_point
 from shapxp.models import labelled_points
 from conftest import FIXTURES, cpu_limit
 
@@ -66,6 +68,26 @@ def test_sample_rows_and_predictions_read_through_the_caches(tmp_path):
     assert sample.predictions == (1, 1, 1, F(-1, 2), F(-1, 2))
 
 
+# A problem built from values equal to the domain's, but not the same
+# objects, is slower to build: dict lookups and tuple membership lose their
+# identity shortcut and compare Fractions.
+@pytest.mark.parametrize("path", [REG2, FIXTURES / "cls3.json"], ids=lambda p: p.stem)
+def test_read_point_gives_the_domains_own_objects(path):
+    space = load_model(path).space
+    for x, spellings in ((0, ZEROS), (1, ONES)):
+        for token in spellings:
+            # As a model file's JSON gives the token, and as --instance text.
+            for raw in (json.loads(json.dumps(token), parse_float=parse_value), str(token)):
+                point = read_point(space, [raw] * space.m, "--instance")
+                assert all(y is f.domain.values[x] for f, y in zip(space.features, point))
+
+
+def test_read_point_returns_an_interval_point_as_parsed():
+    space = load_model(FIXTURES / "pw2.json").space
+    point = read_point(space, ["1", " 1/2"], "--instance")
+    assert [(type(y), y) for y in point] == [(F, 1), (F, F(1, 2))]
+
+
 def test_instance_spellings_give_byte_identical_reports(capsys):
     reports = []
     for text in ("1,1", "1/1,1.0", "2/2,1"):
@@ -87,8 +109,7 @@ def test_two_spellings_of_one_point_are_a_duplicate(tmp_path):
 
 
 # (token, message) for point tokens that are no value; each is tried in
-# the first entry, before the feature has read any token, and in a later
-# one, after it has read a 1.
+# the first entry and in a later one, after other entries have read a 1.
 NOT_VALUES = [
     (True, "booleans are not rationals"),
     (False, "booleans are not rationals"),
