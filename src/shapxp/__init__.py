@@ -15,6 +15,7 @@ from .errors import (
 )
 from .explanations import (
     ConstantOnUniverseWarning,
+    ExplanationProblem,
     Sample,
     axps_from_cxps,
     enumerate_axps,
@@ -68,6 +69,6 @@ from .ranking import (
     rbo,
     summarize_comparisons,
 )
-from .similarity import ExplanationProblem, SimilarityConfig, similar, similar_value
+from .similarity import SimilarityConfig, similar, similar_value
 
 __version__ = "0.1.0"

@@ -11,21 +11,22 @@ epsilon of the exact Shapley value with probability at least 1 - alpha
 
 Permutations come from a counter-based generator: permutation k depends
 only on (seed, k), so any single draw can be reproduced on its own
-(``permutation_at``). Permutation k is a Fisher-Yates shuffle of 1..m
-whose draws read SplitMix64 outputs from counter k + 2 on, and one
-function, ``_draw``, defines that stream. The estimator counts the draw
-tuples of k = 0..T-1 with ``_draw_counts``, which computes each stream
-output once, since consecutive permutations share all but one of their
-counters, and falls back on ``_draw`` for a chunk where an output may be
-rejected. ``_outputs`` computes a chunk's outputs together, each state
-in its own 128-bit lane of one int, so that a SplitMix64 step is a few
-big-int operations over the chunk rather than a Python loop step per
-output. The estimator decodes each distinct tuple once and tallies how
-often each (prefix coalition, position) pair occurs, so it holds at most
-T*m counts, and then weights the counts by the game's memoized
-marginals. All accumulation is exact (marginals are rationals and
-occurrence counts are integers), so the returned estimates are
-deterministic in the strongest sense.
+(``permutation_at``). Every SplitMix64 output, the seed's mixing
+included, comes from one function, ``_outputs``, which computes a range
+of counters together, each state in its own 128-bit lane of one int, so
+that a SplitMix64 step is a few big-int operations over the range rather
+than a Python loop step per output. Permutation k is a Fisher-Yates
+shuffle of 1..m whose draws read the outputs from counter k + 2 on
+(``_draw``). The estimator counts the draw tuples of k = 0..T-1 with
+``_draw_counts``, which computes each output once, since consecutive
+permutations share all but one of their counters, and falls back on
+``_draw`` for a chunk where an output may be rejected. The estimator
+decodes each distinct tuple once and tallies how often each (prefix
+coalition, position) pair occurs, so it holds at most T*m counts, and
+then weights the counts by the game's memoized marginals. All
+accumulation is exact (marginals are rationals and occurrence counts
+are integers), so the returned estimates are deterministic in the
+strongest sense.
 """
 
 from __future__ import annotations
@@ -81,9 +82,6 @@ class CgtConfig:
 class CgtDiagnostics:
     permutations: int
     marginal_bound: Optional[Fraction]
-    epsilon: Fraction
-    alpha: Fraction
-    seed: int
 
 
 def sample_count(epsilon, alpha, m: int, bound) -> int:
@@ -107,14 +105,6 @@ def sample_count(epsilon, alpha, m: int, bound) -> int:
 # ---------------------------------------------------------------------------
 # Counter-based permutation stream
 # ---------------------------------------------------------------------------
-
-def _splitmix_next(state: int) -> tuple[int, int]:
-    state = (state + _GOLDEN) & _MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return state, z ^ (z >> 31)
-
 
 # The positions, in an array of 64-bit words, of the low halves of 128-bit
 # lanes 0, 1, ... of an int written out in the machine's byte order.
@@ -144,20 +134,23 @@ def _outputs(mixed: int, start: int, stop: int) -> list[int]:
 
 
 def _draw(mixed: int, m: int, k: int) -> tuple[int, ...]:
-    """The m - 1 draws of permutation k, read one output at a time.
+    """The m - 1 draws of permutation k.
 
     Draw t is below n = m - t. It reads the output after the previous
     draw's, starting at counter k + 2, and takes it as z mod n when
     z >= 2^64 mod n, which keeps it exactly uniform; a lower z is rejected
-    and the draw reads on."""
-    state = (mixed + (k + 1) * _GOLDEN) & _MASK64
+    and the draw reads on. The m - 1 outputs the draws read when none is
+    rejected are computed together, and each rejection computes one more."""
+    zs = _outputs(mixed, k + 2, k + m + 1)
+    i = 0
     draws = []
     for n in range(m, 1, -1):
         threshold = (1 << 64) % n
-        state, z = _splitmix_next(state)
-        while z < threshold:
-            state, z = _splitmix_next(state)
-        draws.append(z % n)
+        while zs[i] < threshold:
+            zs += _outputs(mixed, k + 2 + len(zs), k + 3 + len(zs))
+            i += 1
+        draws.append(zs[i] % n)
+        i += 1
     return tuple(draws)
 
 
@@ -187,7 +180,7 @@ def _draw_counts(seed: int, m: int, start: int, stop: int) -> Iterator[Counter]:
     CHUNK entries (m <= 6), the chunks add to one Counter for the whole
     run; otherwise each chunk's Counter is handed on alone.
     """
-    _, mixed = _splitmix_next(seed & _MASK64)
+    mixed = _outputs(seed & _MASK64, 1, 2)[0]
     if m < 2:  # no draws
         if stop > start:
             yield Counter({(): stop - start})
@@ -216,7 +209,7 @@ def permutation_at(seed: int, m: int, index: int) -> tuple[int, ...]:
     of (seed, m, index)."""
     if m < 1:
         raise ValidationError("permutations need m >= 1")
-    _, mixed = _splitmix_next(seed & _MASK64)
+    mixed = _outputs(seed & _MASK64, 1, 2)[0]
     return tuple(_order(m, _draw(mixed, m, index)))
 
 
@@ -273,6 +266,4 @@ def cgt_estimate(game: Game, config: CgtConfig) -> tuple[ScoreVector, CgtDiagnos
         mask, pos = divmod(key, m)
         sums[pos] += n * (at(mask | 1 << pos) - at(mask))
     scores = tuple(s / total for s in sums)
-    diag = CgtDiagnostics(total, bound, Fraction(config.epsilon),
-                          Fraction(config.alpha), config.seed)
-    return ScoreVector(scores, game.tag, "cgt"), diag
+    return ScoreVector(scores, game.tag, "cgt"), CgtDiagnostics(total, bound)

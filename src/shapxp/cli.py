@@ -22,6 +22,7 @@ from . import cgt as cgt_mod
 from .errors import DomainError, ShapxpError, SizeLimitError, ValidationError
 from .explanations import (
     ConstantOnUniverseWarning,
+    ExplanationProblem,
     agnostic_support,
     axps_from_cxps,
     enumerate_cxps,
@@ -48,7 +49,7 @@ from .modelio import (
     read_point,
 )
 from .ranking import compare_scores, rank_features, summarize_comparisons
-from .similarity import ExplanationProblem, SimilarityConfig
+from .similarity import SimilarityConfig
 
 SIGMA_COMMANDS = {"relevancy", "axp", "cxp", "enumerate", "compare"}
 
@@ -109,9 +110,12 @@ def run_cli(argv) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ConstantOnUniverseWarning)
         try:
+            started = time.perf_counter()
+            report = _dispatch(args)
+            elapsed_ms = round((time.perf_counter() - started) * 1000.0, 3)
+            report = replace(report, timing_ms=elapsed_ms)
             # Rendered before anything is written, so a value that cannot
             # be shown exits 3 with no partial report.
-            report = _dispatch(args)
             if args.output == "json":
                 outcome = report.to_json(include_timing=args.with_timing)
             else:
@@ -139,7 +143,6 @@ def main() -> None:
 # ---------------------------------------------------------------------------
 
 def _dispatch(args) -> RunReport:
-    started = time.perf_counter()
     model = load_model(args.model)
     model_info = {
         "path": str(args.model),
@@ -156,8 +159,7 @@ def _dispatch(args) -> RunReport:
             results["cells"] = len(model.cells)
         if args.sample:
             results["sample_rows"] = len(load_sample(args.sample, model))
-        return _finish(RunReport("validate", model_info, None, None, None, results),
-                       started)
+        return RunReport("validate", model_info, None, None, None, results)
 
     instances = _parse_instances(args, model)
     similarity = _similarity_for(args, model)
@@ -168,8 +170,7 @@ def _dispatch(args) -> RunReport:
 
     if args.command == "compare":
         results = _run_compare(args, model, instances, similarity, universe)
-        return _finish(RunReport("compare", model_info, None, sim_info, universe_info,
-                                 results), started)
+        return RunReport("compare", model_info, None, sim_info, universe_info, results)
 
     if len(instances) != 1:
         raise ValidationError(f"'{args.command}' takes exactly one --instance")
@@ -204,14 +205,13 @@ def _dispatch(args) -> RunReport:
         results = {"kind": args.kind, "sets": [list(s) for s in sets]}
     elif args.command == "shap":
         results, diagnostics = _run_shap(args, problem)
-        report = RunReport("shap", model_info, instance_info, sim_info,
-                           universe_info, results, diagnostics)
-        return _finish(report, started)
+        return RunReport("shap", model_info, instance_info, sim_info,
+                         universe_info, results, diagnostics)
     else:  # pragma: no cover - argparse restricts the choices
         raise ValidationError(f"unknown subcommand {args.command!r}")
 
-    return _finish(RunReport(args.command, model_info, instance_info, sim_info,
-                             universe_info, results), started)
+    return RunReport(args.command, model_info, instance_info, sim_info,
+                     universe_info, results)
 
 
 def _run_shap(args, problem):
@@ -243,9 +243,9 @@ def _run_shap(args, problem):
         diagnostics = {
             "permutations": diag.permutations,
             "marginal_bound": rational_str(diag.marginal_bound),
-            "epsilon": rational_str(diag.epsilon),
-            "alpha": rational_str(diag.alpha),
-            "seed": diag.seed,
+            "epsilon": rational_str(config.epsilon),
+            "alpha": rational_str(config.alpha),
+            "seed": config.seed,
         }
     names = [f.name for f in problem.model.space.features]
     results = {
@@ -354,10 +354,6 @@ def _parse_feature_ids(text, model):
             raise ValidationError(f"--from: {token!r} is not a feature id")
         ids.append(int(token))
     return ids
-
-
-def _finish(report: RunReport, started: float) -> RunReport:
-    return replace(report, timing_ms=round((time.perf_counter() - started) * 1000.0, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -7,35 +7,38 @@ problem's universe: the model's whole feature space (model-aware) or a
 finite sample of its behavior (model-agnostic).
 
 Sufficiency has one source, the problem's contrastive basis
-(:func:`contrastive_basis`): the minimal contrastive explanations, found
-among the disagreement masks the problem's scope yields, built once per
-problem. Enumeration, relevancy, compliance and the sufficiency predicate
-on a tree or a sample read it; the abductive explanations are its minimal
-hitting sets, and the sufficiency game's table (:func:`sufficiency_table`)
-is its closure.
+(:attr:`ExplanationProblem.contrastive_basis`): the minimal contrastive
+explanations, found among the disagreement masks the problem's scope
+yields, built once per problem. Enumeration, relevancy, compliance and
+the sufficiency predicate on a tree or a sample read it; the abductive
+explanations are its minimal hitting sets, and the sufficiency game's
+table (:func:`sufficiency_table`) is its closure.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 from itertools import compress
 from operator import ne, or_
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .errors import PreconditionError, SizeLimitError, ValidationError
+from .errors import NumericOutputError, PreconditionError, SizeLimitError, ValidationError
 from .models import (
+    NUMERIC,
     POINT_GUARD,
+    Instance,
+    Model,
     Point,
     TreeModel,
     Value,
     guard_slices,
     labelled_points,
-    predict,  # noqa: F401  (looked up here by the benchmark's tracer)
+    predict,
 )
 from .similarity import (
-    ExplanationProblem,
+    SimilarityConfig,
     similar,  # noqa: F401  (looked up here by the benchmark's tracer)
     similar_value,
 )
@@ -118,6 +121,50 @@ class Sample:
                       self.codes, self.index)
 
 
+@dataclass(frozen=True)
+class ExplanationProblem:
+    """A model, a target instance, the similarity notion tying them, and
+    the universe explanations quantify over: the model's whole space when
+    ``universe`` is None, else a sample's rows."""
+
+    model: Model
+    instance: Instance
+    similarity: SimilarityConfig
+    universe: Sample | None = None
+
+    def __post_init__(self):
+        actual = predict(self.model, self.instance.point)
+        if actual != self.instance.prediction:
+            raise ValidationError(
+                f"instance prediction {self.instance.prediction!r} does not match "
+                f"the model output {actual!r}")
+        if self.similarity.delta is not None and self.model.value_kind != NUMERIC:
+            raise NumericOutputError("threshold similarity needs numeric model outputs")
+        m = self.model.space.m
+        for row in () if self.universe is None else self.universe.rows:
+            if len(row) != m:
+                raise ValidationError(f"sample row {row!r} does not have the model's {m} values")
+
+    @property
+    def feature_ids(self) -> tuple[int, ...]:
+        return self.model.space.ids
+
+    @property
+    def scope(self) -> Model | Sample:
+        """What answers the quantifiers: the sample, else the model."""
+        return self.model if self.universe is None else self.universe
+
+    @cached_property
+    def contrastive_basis(self) -> tuple[int, ...]:
+        """The contrastive basis (see below) as coalition masks (bit k is
+        feature k+1), in (size, ids) order: the minimal masks the scope's
+        ``disagreements`` yields. It is (0,) when a sample labels the
+        instance's own point otherwise, and empty when no point is
+        distinguishable. Built on the first read and kept."""
+        masks = self.scope.disagreements(self.instance.point, _dissimilar(self))
+        return _minimal(masks, self.model.space.m)
+
+
 def canonical(features: Iterable[int]) -> FeatureSet:
     return tuple(sorted(set(features)))
 
@@ -142,7 +189,7 @@ def is_waxp(problem: ExplanationProblem, features: Iterable[int]) -> bool:
     _check_feature_ids(problem, fixed)
     if _walks_basis(problem):
         mask = sum(1 << i - 1 for i in fixed)
-        return all(b & mask for b in contrastive_basis(problem))
+        return all(b & mask for b in problem.contrastive_basis)
     return all(similar_value(problem, y)
                for y in problem.scope.slice_outputs(problem.instance.point, fixed))
 
@@ -196,17 +243,6 @@ def _dissimilar(problem: ExplanationProblem) -> Callable[[Value], bool]:
     return cache(lambda y: not similar_value(problem, y))
 
 
-def contrastive_basis(problem: ExplanationProblem) -> tuple[int, ...]:
-    """The basis as coalition masks (bit k is feature k+1), in (size, ids)
-    order: the minimal masks the scope's ``disagreements`` yields. It is
-    (0,) when a sample labels the instance's own point otherwise, and empty
-    when no point is distinguishable. Built on the first call and kept."""
-    if problem._basis is None:
-        masks = problem.scope.disagreements(problem.instance.point, _dissimilar(problem))
-        object.__setattr__(problem, "_basis", _minimal(masks, problem.model.space.m))
-    return problem._basis
-
-
 def guard_sufficiency_sampling(problem: ExplanationProblem, coalitions: int,
                                run: str) -> None:
     """Refuse, before its first check, a ``run`` of sufficiency checks on
@@ -216,7 +252,7 @@ def guard_sufficiency_sampling(problem: ExplanationProblem, coalitions: int,
     :func:`~shapxp.models.guard_slices` charges them."""
     if not _walks_basis(problem):
         guard_slices(problem.model, coalitions, run)
-    elif coalitions * (problem.model.space.m + len(contrastive_basis(problem))) > BASIS_GUARD:
+    elif coalitions * (problem.model.space.m + len(problem.contrastive_basis)) > BASIS_GUARD:
         raise SizeLimitError(
             f"{run} guarded at {BASIS_GUARD} set comparisons: {coalitions} coalitions "
             f"may be evaluated, each checked against the basis")
@@ -264,7 +300,7 @@ def _minimal_cxps(problem: ExplanationProblem) -> tuple[int, ...]:
     """The minimal contrastive explanations as masks: the basis, except
     that freeing nothing is never one, so a basis (0,), where nu is 0
     everywhere, gives every singleton."""
-    basis = contrastive_basis(problem)
+    basis = problem.contrastive_basis
     if basis == (0,):
         return tuple(1 << k for k in range(problem.model.space.m))
     if not basis:
@@ -313,7 +349,7 @@ def sufficiency_table(problem: ExplanationProblem) -> list[int]:
     k+1): nu(S) = 1 exactly when S is a weak abductive explanation, that
     is, when S meets every mask of the contrastive basis. Its 2^m entries
     are bounded by the caller, :meth:`~shapxp.games.Game.table`."""
-    return [0 if hit else 1 for hit in _closure(contrastive_basis(problem),
+    return [0 if hit else 1 for hit in _closure(problem.contrastive_basis,
                                                 problem.model.space.m)]
 
 

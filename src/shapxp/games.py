@@ -21,6 +21,7 @@ from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import NumericOutputError, PreconditionError, SizeLimitError, ValidationError
 from .explanations import (
+    ExplanationProblem,
     _fold_supersets,
     guard_sufficiency_sampling,
     is_waxp,
@@ -35,7 +36,6 @@ from .models import (
     guard_slices,
     output_range,
 )
-from .similarity import CLASS_EQUALITY, ExplanationProblem
 
 PERMUTATION_GUARD = 10  # m! permutation evaluations
 
@@ -57,9 +57,7 @@ class Game:
     k stands for ``players[k]``, as in the coalition table), and memoizes
     it per game instance under that mask; ``charfn`` still receives a
     frozenset of players. ``value`` reads the same memo by player ids, as
-    the all-permutations oracle does. The function must be pure. Under
-    concurrent use the worst case is a duplicate evaluation of the same
-    coalition, never an inconsistent result (dict updates are atomic).
+    the all-permutations oracle does. The function must be pure.
 
     ``table`` returns the whole coalition table, which is what exact
     Shapley values need, and refuses more than POINT_GUARD coalitions
@@ -291,7 +289,6 @@ class FeatureCompliance:
 @dataclass(frozen=True)
 class ComplianceReport:
     entries: tuple[FeatureCompliance, ...]
-    game: str
 
     @property
     def violations(self) -> tuple[int, ...]:
@@ -312,7 +309,7 @@ def check_compliance(problem: ExplanationProblem, scores: ScoreVector) -> Compli
         FeatureCompliance(i, i in relevant, scores.score(i))
         for i in problem.feature_ids
     )
-    return ComplianceReport(entries, scores.game)
+    return ComplianceReport(entries)
 
 
 def check_value_independence(problem: ExplanationProblem, relabel: Mapping) -> bool:
@@ -322,7 +319,7 @@ def check_value_independence(problem: ExplanationProblem, relabel: Mapping) -> b
     The relabeled problem is :func:`relabel_problem`'s. True means the
     score vector is unchanged feature-by-feature (exact equality).
     """
-    if problem.similarity.mode != CLASS_EQUALITY:
+    if problem.similarity.delta is not None:
         raise PreconditionError("value independence is defined for class-equality similarity")
     relabeled = relabel_problem(problem, relabel)
     before = shapley_exact(waxp_game(problem))

@@ -32,8 +32,9 @@ numbers its points by mixed radix (``FeatureSpace.slot``), and every
 enumeration walks those slots lazily through the one guarded product of
 axes; a table reads its dense ``outputs`` at a slot, a tree walks the
 routes that one validating walk builds, reading each tested feature's
-digit of the slot. The discrete kinds share every method but ``_read``.
-All arithmetic on numeric values is exact (``fractions.Fraction``).
+digit of the slot. The discrete kinds share every method but ``_read``
+and ``disagreements``, which a tree takes from its leaves rather than its
+points. All arithmetic on numeric values is exact (``fractions.Fraction``).
 """
 
 from __future__ import annotations

@@ -124,8 +124,6 @@ class RankingComparison:
 class ComparisonReport:
     rankings: Mapping[str, Mapping[str, tuple[int, ...]]]
     pairs: tuple[RankingComparison, ...]
-    persistence: Fraction
-    depth: int
 
 
 def compare_scores(vectors: Mapping[str, ScoreVector],
@@ -148,7 +146,7 @@ def compare_scores(vectors: Mapping[str, ScoreVector],
                 rbo(rankings[a][SIGNED], rankings[b][SIGNED], persistence, depth),
                 rbo(rankings[a][ABSOLUTE], rankings[b][ABSOLUTE], persistence, depth),
             ))
-    return ComparisonReport(rankings, tuple(pairs), Fraction(persistence), depth)
+    return ComparisonReport(rankings, tuple(pairs))
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,6 @@ from shapxp.explanations import (
     _ids,
     _minimal_in_closure,
     agnostic_support,
-    contrastive_basis,
     sufficiency_table,
 )
 from shapxp.models import Instance, labelled_points
@@ -335,7 +334,7 @@ class TestContrastiveBasis:
     def test_equals_the_lattice_oracle_and_the_table(self):
         rng = random.Random(1414)
         for problem in basis_problems(rng):
-            basis = contrastive_basis(problem)
+            basis = problem.contrastive_basis
             assert set(map(frozenset, map(_ids, basis))) == brute_force_cxps(problem)
             assert basis == tuple(sorted(basis, key=lambda b: (b.bit_count(), _ids(b))))
             masks = problem.scope.disagreements(problem.instance.point, _dissimilar(problem))
@@ -360,10 +359,30 @@ class TestContrastiveBasis:
             problem = ExplanationProblem(model, Instance(points[0], 0),
                                          SimilarityConfig.class_equality(), universe)
             with cpu_limit(2):
-                basis = contrastive_basis(problem)
+                basis = problem.contrastive_basis
                 masks = problem.scope.disagreements(points[0], _dissimilar(problem))
                 assert basis == _minimal_in_closure(masks, 16)
             assert sorted(basis) == eights
+
+    @pytest.mark.parametrize("agnostic", [False, True], ids=["model", "sample"])
+    def test_the_basis_is_built_once_per_problem(self, cls3_problem, monkeypatch, agnostic):
+        universe = full_space_sample(cls3_problem.model) if agnostic else None
+        problem = replace(cls3_problem, universe=universe)
+        scope = type(problem.scope)
+        disagreements = scope.disagreements
+        calls = []
+
+        def counted(self, v, dissimilar):
+            calls.append(v)
+            return disagreements(self, v, dissimilar)
+
+        monkeypatch.setattr(scope, "disagreements", counted)
+        basis = problem.contrastive_basis
+        assert problem.contrastive_basis is basis
+        assert enumerate_cxps(problem) == ((1,),) and is_waxp(problem, (1,))
+        assert len(calls) == 1
+        assert replace(problem).contrastive_basis == basis
+        assert len(calls) == 2
 
     def test_a_tree_and_its_table_share_a_basis(self):
         rng = random.Random(1732)
@@ -373,13 +392,13 @@ class TestContrastiveBasis:
             for similarity in (SimilarityConfig.class_equality(), SimilarityConfig.threshold(1)):
                 problem = ExplanationProblem(tree, instance, similarity)
                 twin = replace(problem, model=tabulate(tree))
-                assert contrastive_basis(problem) == contrastive_basis(twin)
+                assert problem.contrastive_basis == twin.contrastive_basis
 
     def test_the_instance_labelled_otherwise_gives_the_empty_mask(self, cls3_problem):
         # nu is 0 everywhere: no fixed set is sufficient, and every
         # singleton is reported as a contrastive explanation.
         problem = replace(cls3_problem, universe=Sample(((1, 1, 2),), (F(0),)))
-        assert contrastive_basis(problem) == (0,)
+        assert problem.contrastive_basis == (0,)
         assert sufficiency_table(problem) == [0] * 8
         assert brute_force_cxps(problem) == {frozenset()}
         assert not is_waxp(problem, problem.feature_ids)
@@ -389,7 +408,7 @@ class TestContrastiveBasis:
 
     def test_a_constant_universe_has_an_empty_basis(self, cls3_problem):
         problem = replace(cls3_problem, universe=Sample(((1, 0, 0), (0, 1, 1)), (F(1), F(1))))
-        assert contrastive_basis(problem) == ()
+        assert problem.contrastive_basis == ()
         assert sufficiency_table(problem) == [1] * 8
         assert is_waxp(problem, ())
         for query in (enumerate_cxps, relevant_features):

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -564,6 +565,23 @@ class TestCli:
                         "--game", "expected"]) == 0
         out = capsys.readouterr().out
         assert "0.250000" in out and "1/4" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["validate"],
+        ["relevancy", "--instance", "1,1,2"],
+        ["axp", "--instance", "1,1,2"],
+        ["cxp", "--instance", "1,1,2"],
+        ["enumerate", "--instance", "1,1,2", "--kind", "axp"],
+        ["shap", "--instance", "1,1,2", "--game", "waxp"],
+        ["compare", "--instance", "1,1,2"],
+    ], ids=lambda argv: argv[0])
+    def test_every_command_reports_its_time(self, capsys, argv):
+        argv = [argv[0], "--model", CLS3, *argv[1:]]
+        assert run_json(capsys, argv + ["--with-timing"])["timing_ms"] >= 0
+        assert "timing_ms" not in run_json(capsys, argv)
+        assert run_cli(argv) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert re.fullmatch(r"time: \d+\.\d ms", last), last
 
 
 def mutated(fixture, path, value):

@@ -31,7 +31,7 @@ from shapxp import (
     relabel_problem,
 )
 from shapxp.cli import run_cli
-from shapxp.explanations import _dissimilar, _ids, agnostic_support, contrastive_basis
+from shapxp.explanations import _dissimilar, _ids, agnostic_support
 from shapxp.models import labelled_points
 from shapxp.similarity import similar_value
 from boxmodels import QUARTERS, random_grid_model, random_kd_model
@@ -88,8 +88,8 @@ def assert_codes_agree(coded, valued):
     v = coded.instance.point
     masks = [set(p.universe.disagreements(v, _dissimilar(p))) for p in (coded, valued)]
     assert masks[0] == masks[1]
-    basis = contrastive_basis(coded)
-    assert basis == contrastive_basis(valued)
+    basis = coded.contrastive_basis
+    assert basis == valued.contrastive_basis
     expected = reference_cxps(coded)
     assert {frozenset(_ids(b)) for b in basis} == expected
     assert brute_force_cxps(coded) == expected
@@ -279,8 +279,8 @@ def test_a_wide_basis_within_its_guard_is_kept_whole(tmp_path):
     sample.write_text(header + "\n" + every_k_of(12, 6, 21) + "\n")  # 924 masks
     problem = ExplanationProblem(model, make_instance(model, (0,) * 21),
                                  SimilarityConfig.class_equality(), load_sample(sample, model))
-    assert contrastive_basis(problem) == tuple(
+    assert problem.contrastive_basis == tuple(
         sum(1 << j for j in c) for c in combinations(range(12), 6))
     sample.write_text(header + "\n" + every_k_of(14, 7, 21) + "\n")  # 3,432 masks
     with pytest.raises(SizeLimitError, match="21 features"):
-        contrastive_basis(replace(problem, universe=load_sample(sample, model)))
+        replace(problem, universe=load_sample(sample, model)).contrastive_basis

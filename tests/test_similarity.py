@@ -21,18 +21,17 @@ from shapxp.models import Instance
 
 
 class TestConfig:
-    def test_class_equality_carries_no_delta(self):
-        with pytest.raises(ValidationError):
-            SimilarityConfig("class_equality", F(1, 2))
-
     def test_threshold_needs_nonnegative_delta(self):
         with pytest.raises(ValidationError):
             SimilarityConfig.threshold(F(-1, 2))
         assert SimilarityConfig.threshold(0).delta == 0
 
-    def test_unknown_mode(self):
-        with pytest.raises(ValidationError):
-            SimilarityConfig("fuzzy")
+    def test_the_mode_is_decided_by_delta(self):
+        assert SimilarityConfig() == SimilarityConfig.class_equality()
+        assert SimilarityConfig().mode == "class_equality"
+        assert SimilarityConfig(F(1, 5)) == SimilarityConfig.threshold(F(1, 5))
+        assert SimilarityConfig(F(1, 5)).mode == "threshold"
+        assert SimilarityConfig.threshold(0).mode == "threshold"
 
     def test_threshold_needs_numeric_outputs(self):
         space = FeatureSpace((Feature(1, "a", DiscreteDomain((0, 1))),))
