@@ -20,13 +20,16 @@ shuffle of 1..m whose draws read the outputs from counter k + 2 on
 (``_draw``). The estimator counts the draw tuples of k = 0..T-1 with
 ``_draw_counts``, which computes each output once, since consecutive
 permutations share all but one of their counters, and falls back on
-``_draw`` for a chunk where an output may be rejected. The estimator
-decodes each distinct tuple once and tallies how often each (prefix
-coalition, position) pair occurs, so it holds at most T*m counts, and
-then weights the counts by the game's memoized marginals. All
-accumulation is exact (marginals are rationals and occurrence counts
-are integers), so the returned estimates are deterministic in the
-strongest sense.
+``_draw`` for a chunk where an output may be rejected; the lane constants
+of its full-length chunks are built once per run. The estimator walks
+each distinct tuple once, as the Fisher-Yates shuffle itself, and tallies
+how often each (coalition, player) step occurs, so it holds at most T*m
+counts. The values weighting the counts are integer numerators over one
+denominator: the game's coalition table (``Game.table``) when the draws
+touched all 2^m coalitions and the game has a kernel, else the game's
+memoized values of the touched coalitions alone. All accumulation is
+exact integer arithmetic, so the returned estimates do not depend on
+where the values came from and are deterministic in the strongest sense.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ from operator import mod
 from typing import Iterator, Optional
 
 from .errors import PreconditionError, SizeLimitError, ValidationError
-from .games import Game, ScoreVector
+from .games import Game, ScoreVector, _over_lcd
+from .models import POINT_GUARD
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -111,7 +115,16 @@ def sample_count(epsilon, alpha, m: int, bound) -> int:
 _LOW_HALVES = slice(0, None, 2) if sys.byteorder == "little" else slice(None, None, -2)
 
 
-def _outputs(mixed: int, start: int, stop: int) -> list[int]:
+def _lanes(n: int) -> tuple[int, int, int]:
+    """The constants of an n-output :func:`_outputs` call: lane i's index
+    times golden, a 1 in each lane, and the low 64 bits of each lane."""
+    index = array("Q", bytes(16 * n))
+    index[_LOW_HALVES] = array("Q", range(n))
+    ones = int.from_bytes((b"\1" + bytes(15)) * n, "little")
+    return int.from_bytes(index, sys.byteorder) * _GOLDEN, ones, (ones << 64) - ones
+
+
+def _outputs(mixed: int, start: int, stop: int, lanes=None) -> list[int]:
     """The SplitMix64 outputs at counters start..stop-1; counter c reads
     the state mixed + c * golden.
 
@@ -119,16 +132,13 @@ def _outputs(mixed: int, start: int, stop: int) -> list[int]:
     step is a few big-int operations over the whole range. A state fills
     the low 64 bits of its lane; masking it there before each multiply
     drops the bits a right shift carried in from the next lane, and its
-    product with a 64-bit constant fits in the lane's 128."""
+    product with a 64-bit constant fits in the lane's 128. ``lanes`` is
+    ``_lanes(stop - start)``, built here when not given."""
     n = stop - start
-    index = array("Q", bytes(16 * n))
-    index[_LOW_HALVES] = array("Q", range(n))
-    ones = int.from_bytes((b"\1" + bytes(15)) * n, "little")
-    lanes = (ones << 64) - ones
-    z = (((mixed + start * _GOLDEN) & _MASK64) * ones
-         + int.from_bytes(index, sys.byteorder) * _GOLDEN) & lanes
-    z = ((z ^ (z >> 30)) & lanes) * 0xBF58476D1CE4E5B9 & lanes
-    z = ((z ^ (z >> 27)) & lanes) * 0x94D049BB133111EB & lanes
+    steps, ones, low = _lanes(n) if lanes is None else lanes
+    z = (((mixed + start * _GOLDEN) & _MASK64) * ones + steps) & low
+    z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
+    z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low
     z ^= z >> 31
     return array("Q", z.to_bytes(16 * n, sys.byteorder))[_LOW_HALVES].tolist()
 
@@ -188,10 +198,12 @@ def _draw_counts(seed: int, m: int, start: int, stop: int) -> Iterator[Counter]:
     sizes = range(m, 1, -1)
     top = max((1 << 64) % n for n in sizes)
     whole_run = math.factorial(m) <= CHUNK
+    # Every chunk but the last reads CHUNK + m - 2 outputs.
+    full = _lanes(CHUNK + m - 2) if stop - start > CHUNK else None
     counts: Counter = Counter()
     for k0 in range(start, stop, CHUNK):
         size = min(CHUNK, stop - k0)
-        zs = _outputs(mixed, k0 + 2, k0 + size + m)
+        zs = _outputs(mixed, k0 + 2, k0 + size + m, full if size == CHUNK else None)
         if min(zs) < top:  # some output may be rejected
             counts.update(_draw(mixed, m, k) for k in range(k0, k0 + size))
         else:
@@ -220,9 +232,9 @@ def permutation_at(seed: int, m: int, index: int) -> tuple[int, ...]:
 def cgt_estimate(game: Game, config: CgtConfig) -> tuple[ScoreVector, CgtDiagnostics]:
     """Estimate all Shapley values of ``game`` from sampled permutations.
 
-    Each permutation is walked once, evaluating the m+1 prefix coalitions
-    (memoized by the game), and contributes one marginal per player. The
-    estimate for a player is the exact rational mean of its marginals.
+    Each permutation contributes one marginal per player, between the
+    coalition before it and that coalition with it. The estimate for a
+    player is the exact rational mean of its marginals.
     """
     m = game.m
     bound = game.marginal_bound
@@ -245,25 +257,47 @@ def cgt_estimate(game: Game, config: CgtConfig) -> tuple[ScoreVector, CgtDiagnos
         # A permutation's prefixes share only the empty and the full coalition.
         game.guard(min(total * m + 1, 1 << m), "sampling")
 
-    # Marginals repeat heavily on small games, so tally (prefix mask,
-    # position) occurrence counts under the int key mask * m + (p - 1) and
-    # weight them by the memoized marginals at the end. Position p of a
-    # permutation is player players[p - 1] and mask bit p - 1, the game's
-    # own coalition key. The dict holds at most T * m keys, however many
-    # players there are.
+    # Fisher-Yates fixes positions from the back: when a step puts player
+    # bit ``bit`` at its position, ``after`` holds it and the players
+    # behind it, so the coalition before it is full ^ after. Each step is
+    # tallied under after << m | bit; the dict holds at most T * m keys,
+    # however many players there are. Bit k of a mask stands for
+    # players[k], the game's own coalition key.
+    full = (1 << m) - 1
+    bits = [1 << k for k in range(m)]
+    steps = range(m - 1, 0, -1)
     counts: dict = {}
     get = counts.get
     for drawn in _draw_counts(config.seed, m, 0, total):
         for draws, n in drawn.items():
-            mask = 0
-            for p in _order(m, draws):
-                key = mask * m + p - 1
+            order = bits.copy()
+            after = 0
+            for i, j in zip(steps, draws):
+                bit = order[j]
+                order[j] = order[i]
+                after |= bit
+                key = after << m | bit
                 counts[key] = get(key, 0) + n
-                mask |= 1 << (p - 1)
-    at = game.at
-    sums = [Fraction(0)] * m
+            key = full << m | full ^ after  # position 0: no one before it
+            counts[key] = get(key, 0) + n
+    # Every coalition a tally key reads is full ^ after for some key's
+    # after, or the full coalition (after a first step, full ^ after ^ bit
+    # is the full one). The values come as integer numerators
+    # over one denominator: from the game's table when the sample touched
+    # every coalition, else from the memo over the touched ones. The sums
+    # are exact, so they do not depend on the source.
+    touched = {full ^ key >> m for key in counts}
+    if counts:
+        touched.add(full)
+    if len(touched) == 1 << m <= POINT_GUARD and game.kernel is not None:
+        values, denominator = game.table()
+    else:
+        numerators, denominator = _over_lcd(map(game.at, touched))
+        values = dict(zip(touched, numerators))
+    sums = [0] * m
     for key, n in counts.items():
-        mask, pos = divmod(key, m)
-        sums[pos] += n * (at(mask | 1 << pos) - at(mask))
-    scores = tuple(s / total for s in sums)
+        bit = key & full
+        before = full ^ key >> m
+        sums[bit.bit_length() - 1] += n * (values[before | bit] - values[before])
+    scores = tuple(Fraction(s, total * denominator) for s in sums)
     return ScoreVector(scores, game.tag, "cgt"), CgtDiagnostics(total, bound)

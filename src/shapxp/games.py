@@ -57,7 +57,10 @@ class Game:
     k stands for ``players[k]``, as in the coalition table), and memoizes
     it per game instance under that mask; ``charfn`` still receives a
     frozenset of players. ``value`` reads the same memo by player ids, as
-    the all-permutations oracle does. The function must be pure.
+    the all-permutations oracle does. The sampling estimator reads ``at``
+    for the coalitions its draws touched, or ``table`` once when they
+    touched all 2^m and the game has a kernel, so the memo and the table
+    must agree. The function must be pure.
 
     ``table`` returns the whole coalition table, which is what exact
     Shapley values need, and refuses more than POINT_GUARD coalitions

@@ -40,6 +40,7 @@ points. All arithmetic on numeric values is exact (``fractions.Fraction``).
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -224,8 +225,12 @@ class _EnumerableModel:
         return map(self._read, self.space.slots({j: v[j - 1] for j in fixed}))
 
     def slice_expectation(self, v: Point, fixed: frozenset[int]) -> Fraction:
+        # The outputs repeat a few shared objects, so each distinct object
+        # is weighted by its count, told apart by identity, not by hash.
         outputs = list(self.slice_outputs(v, fixed))
-        return sum(outputs, Fraction(0)) / len(outputs)
+        firsts = {id(y): y for y in outputs}
+        total = sum(firsts[k] * n for k, n in Counter(map(id, outputs)).items())
+        return Fraction(total, len(outputs))
 
     def output_range(self) -> tuple[Fraction, Fraction]:
         # Numeric outputs are ints or Fractions, which compare exactly, so

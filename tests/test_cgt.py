@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 import time
@@ -9,19 +11,30 @@ import pytest
 
 from shapxp import (
     CgtConfig,
+    DiscreteDomain,
+    ExplanationProblem,
+    Feature,
+    FeatureSpace,
     Game,
     PreconditionError,
     ScoreVector,
+    SimilarityConfig,
     SizeLimitError,
+    TabularModel,
     ValidationError,
     cgt_estimate,
     expected_game,
+    make_instance,
     shapley_exact,
     waxp_game,
 )
 from shapxp import cgt as cgt_module
-from shapxp.cgt import CHUNK, _draw_counts, _order, _outputs, permutation_at, sample_count
-from randmodels import random_tabular_problem
+from shapxp import games as games_module
+from shapxp.cgt import (
+    CHUNK, _draw_counts, _lanes, _order, _outputs, permutation_at, sample_count)
+from shapxp.cli import run_cli
+from conftest import FIXTURES
+from randmodels import random_instance, random_tabular_problem, random_tree_model
 
 # Reference stream: a verbatim copy of permutation_at as it was written
 # before the draw loop was inlined, one call per SplitMix step and per
@@ -225,6 +238,36 @@ class TestOutputs:
             assert zs == reference_outputs(mixed, start, start + CHUNK + 3)
             assert zs[counter - start] == 0
 
+    @pytest.mark.parametrize("mixed", [0, _MASK64, _GOLDEN, -_GOLDEN & _MASK64, 1 << 63])
+    def test_prebuilt_lane_constants(self, mixed):
+        # The constants depend only on the length, so one set serves every
+        # range of that length, wrapping states and counters included.
+        for length in (1, 7, CHUNK + 6):
+            lanes = _lanes(length)
+            for start in (0, 2, 2 ** 64 - 40, 2 ** 64 - 1, 2 ** 64 + 3, -7):
+                stop = start + length
+                assert _outputs(mixed, start, stop, lanes) == _outputs(mixed, start, stop) \
+                    == reference_outputs(mixed, start, stop)
+
+    @pytest.mark.parametrize("size,built", [(CHUNK, 1), (CHUNK + 1, 2), (5 * CHUNK, 1),
+                                            (5 * CHUNK + 3, 2), (3, 1)])
+    def test_lane_constants_are_built_once_per_run(self, monkeypatch, size, built):
+        # Every full chunk of a run shares one set; a shorter last chunk
+        # builds its own.
+        lengths = []
+
+        def counted(n):
+            lengths.append(n)
+            return _lanes(n)
+
+        monkeypatch.setattr(cgt_module, "_lanes", counted)
+        for m in (2, 8):
+            lengths.clear()
+            for _ in _draw_counts(11, m, 0, size):
+                pass
+            assert len(lengths) == built + 1  # and the seed's mixing
+            assert lengths.count(CHUNK + m - 2) == (size >= CHUNK)
+
     def test_random_ranges(self):
         rng = random.Random(22)
         for _ in range(200):
@@ -313,6 +356,12 @@ class TestEstimator:
         weights = {9: F(3), 2: F(-1), 5: F(1, 2), 4: F(2)}
         games.append(Game((9, 2, 5, 4), lambda s: sum(weights[i] for i in s) ** 2
                           + (F(7) if {2, 9} <= s else F(0)), marginal_bound=F(200)))
+        # m! above CHUNK: one Counter per chunk, and 2 * CHUNK + 7 draws
+        # touch every coalition, so the scores come from the game's table.
+        for m in (7, 8, 9):
+            model = random_tree_model(rng, m, max_depth=5, max_domain=2)
+            games.append(expected_game(ExplanationProblem(
+                model, random_instance(rng, model), SimilarityConfig.class_equality())))
         for game in games:
             for seed, n in ((3, 1), (3, 40), (17, 250), (5, 2 * CHUNK + 7)):
                 config = CgtConfig(F(1, 20), F(1, 20), seed=seed, sample_count=n)
@@ -406,3 +455,131 @@ class TestEstimator:
                                  CgtConfig(F(1, 4), F(1, 4), sample_count=10))
         assert vector.method == "cgt"
         assert vector.game == "waxp"
+
+
+class TestValueSource:
+    """The scores weight the tally by the game's table when the draws touch
+    every coalition and the game can tabulate them, and by the memo over
+    the touched coalitions otherwise; both give the same scores."""
+
+    @staticmethod
+    def counted_game(game, calls):
+        def charfn(coalition):
+            calls.append("charfn")
+            return game.charfn(coalition)
+
+        def kernel():
+            calls.append("kernel")
+            return game.kernel()
+
+        return Game(game.players, charfn, game.tag, game.marginal_bound, kernel)
+
+    @staticmethod
+    def binary_table_game(rng, m):
+        space = FeatureSpace(tuple(
+            Feature(i + 1, f"f{i + 1}", DiscreteDomain((0, 1))) for i in range(m)))
+        model = TabularModel(space, [rng.choice((0, 1, F(1, 2), F(-2, 3)))
+                                     for _ in range(space.size)])
+        point = tuple(rng.randrange(2) for _ in range(m))
+        return expected_game(ExplanationProblem(model, make_instance(model, point),
+                                                SimilarityConfig.class_equality()))
+
+    def test_a_sample_over_every_coalition_reads_the_table_once(self, cls3_problem):
+        rng = random.Random(31)
+        for game in (waxp_game(cls3_problem), expected_game(cls3_problem),
+                     self.binary_table_game(rng, 5)):
+            calls = []
+            config = CgtConfig(F(1, 20), F(1, 20), seed=3, sample_count=2000)
+            vector, _ = cgt_estimate(self.counted_game(game, calls), config)
+            assert calls == ["kernel"]
+            assert vector.scores == naive_estimate(game, 3, 2000)
+
+    def test_a_sparse_sample_never_reads_the_table(self):
+        # T = 20 on 12 players touches at most 20 * 12 + 1 of 4096 coalitions.
+        game = self.binary_table_game(random.Random(12), 12)
+        calls = []
+        config = CgtConfig(F(1, 20), F(1, 20), seed=5, sample_count=20)
+        vector, _ = cgt_estimate(self.counted_game(game, calls), config)
+        assert "kernel" not in calls
+        assert 13 <= len(calls) <= 20 * 12 + 1
+        assert vector.scores == naive_estimate(game, 5, 20)
+
+    def test_a_table_past_the_point_guard_is_never_read(self, monkeypatch, cls3_problem):
+        monkeypatch.setattr(cgt_module, "POINT_GUARD", 4)
+        monkeypatch.setattr(games_module, "POINT_GUARD", 4)
+        for game in (waxp_game(cls3_problem), expected_game(cls3_problem)):
+            calls = []
+            config = CgtConfig(F(1, 20), F(1, 20), seed=3, sample_count=500)
+            vector, _ = cgt_estimate(self.counted_game(game, calls), config)
+            assert calls == ["charfn"] * 8
+            assert vector.scores == naive_estimate(game, 3, 500)
+
+
+def seeded_tree_doc(seed, m, depth):
+    """A binary decision tree over m binary features, drawn from ``seed``,
+    whose leaves hold ints and fractions."""
+    rng = random.Random(seed)
+    nodes = []
+
+    def grow(level, path):
+        nid = len(nodes)
+        nodes.append(None)
+        free = [i for i in range(1, m + 1) if i not in path]
+        if level < depth and free and (level < 2 or rng.random() < 0.85):
+            feature = rng.choice(free)
+            kids = [grow(level + 1, path | {feature}) for _ in range(2)]
+            nodes[nid] = {"id": nid, "feature": feature,
+                          "edges": [{"values": [v], "child": c} for v, c in enumerate(kids)]}
+        else:
+            nodes[nid] = {"id": nid, "value": rng.choice((0, 1, 2, "1/2", "-1/3", "5/4"))}
+        return nid
+
+    grow(0, frozenset())
+    features = [{"id": i, "name": f"x{i}", "domain": {"type": "discrete", "values": [0, 1]}}
+                for i in range(1, m + 1)]
+    return {"version": 1, "kind": "tree", "value_kind": "numeric",
+            "features": features, "root": 0, "nodes": nodes}
+
+
+class TestPinnedReports:
+    """`shap --method cgt` JSON reports, byte for byte, on models whose
+    runs take each route: one Counter for the whole run (m <= 6), one per
+    chunk with every coalition touched (the m = 8 tree), and a sample that
+    leaves most coalitions untouched (the m = 12 tree at epsilon 1)."""
+
+    MODELS = {"cls3_tree": ("1,1,2", None), "reg2_tree": ("1,1", None),
+              "tree_m8": ("1,0,1,1,0,0,1,0", (2026, 8, 6)),
+              "tree_m12": ("0,1,1,0,1,0,0,1,1,0,1,0", (12, 12, 7))}
+    DIGESTS = {
+        ("cls3_tree", "waxp", "1/20"):
+            "bd2e255fa854388c223aae3cb4d41cc8fe93f374c4f23fa9ef705a16f33045e1",
+        ("cls3_tree", "expected", "1/10"):
+            "d08fa8a8fe52f4a36c83c1e382c1c4cef7b4103d4111b8c71a34a76bdee35513",
+        ("reg2_tree", "waxp", "1/20"):
+            "97fecbd9a322f3d0af99cd96ccde21fd00b14994fbdde7145139094f7e6b5afd",
+        ("reg2_tree", "expected", "1/10"):
+            "a703acb7de67ddc9625c57f9ef017ae5d86f7278de19923526cc64dcb7e05807",
+        ("tree_m8", "waxp", "1/20"):
+            "3f387080fff2ba69ffdb0ba082f0eab3d922c27156a237f1cfbfcc4e8630fc95",
+        ("tree_m8", "expected", "1/10"):
+            "e413c065e1cd18326f6f56257a59edba151f02c5c7a441c3f9eb13e4382eb865",
+        ("tree_m12", "waxp", "1"):
+            "29a616f671fceb4c0fa353465f529b964fb6f8b73ffcdf443e923bf140889c2f",
+        ("tree_m12", "expected", "1"):
+            "83dbff77b873caba9d3a6c92b72cfd0837958d5e46860250a8204789b59ff176",
+    }
+
+    @pytest.mark.parametrize("name,game,epsilon", sorted(DIGESTS))
+    def test_reports_keep_their_digests(self, tmp_path, monkeypatch, capsys,
+                                        name, game, epsilon):
+        instance, tree = self.MODELS[name]
+        path = FIXTURES / f"{name}.json"
+        if tree is not None:
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(seeded_tree_doc(*tree)))
+        monkeypatch.chdir(path.parent)
+        assert run_cli(["shap", "--model", path.name, "--instance", instance,
+                        "--game", game, "--method", "cgt", "--epsilon", epsilon,
+                        "--seed", "7", "--output", "json"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == self.DIGESTS[name, game, epsilon]

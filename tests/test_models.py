@@ -28,7 +28,7 @@ from shapxp import (
     tabulate,
 )
 from shapxp.models import labelled_points
-from randmodels import random_tabular_problem
+from randmodels import random_instance, random_tabular_problem, random_tree_model, subsets
 
 
 def bool_space(m):
@@ -306,6 +306,31 @@ class TestConditionalExpectation:
             for fixed in [(), (1,), (2,), (1, 2)]:
                 assert conditional_expectation(model, inst, fixed) == \
                     exact_expectation_by_midpoints(model, v, fixed)
+
+
+    @pytest.mark.parametrize("kind", ["int", "fraction", "mixed"])
+    def test_discrete_slices_equal_the_fraction_sum(self, kind):
+        # Outputs weighted by identity count must give the plain Fraction
+        # sum: on tables and trees, with int, Fraction and mixed outputs,
+        # equal values held by distinct objects included.
+        images = {"int": lambda y: int(6 * y), "fraction": lambda y: F(y),
+                  "mixed": lambda y: int(y) if y.denominator == 1 else F(y)}[kind]
+        rng = random.Random(f"slices:{kind}")
+        for _ in range(12):
+            problem = random_tabular_problem(rng, max_m=5)
+            tree = random_tree_model(rng, rng.randint(1, 6), max_domain=3)
+            for model in (problem.model, tree):
+                values = set(model._values())
+                model = model.relabel({y: images(y) for y in values})
+                table = TabularModel(model.space, [images(y) for y in
+                                                   map(model.output, model.space.points())])
+                for twin in (model, table):
+                    v = random_instance(rng, twin).point
+                    for fixed in subsets(twin.space.ids):
+                        outputs = list(twin.slice_outputs(v, frozenset(fixed)))
+                        mean = twin.slice_expectation(v, frozenset(fixed))
+                        assert type(mean) is F
+                        assert mean == sum(outputs, F(0)) / len(outputs)
 
 
 class TestOutputRange:
