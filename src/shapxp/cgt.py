@@ -45,8 +45,8 @@ from operator import mod
 from typing import Iterator, Optional
 
 from .errors import PreconditionError, SizeLimitError, ValidationError
-from .games import Game, ScoreVector, _over_lcd
-from .models import POINT_GUARD
+from .games import Game, ScoreVector
+from .models import POINT_GUARD, _over_lcd
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cache, cached_property, reduce
+from functools import cached_property, reduce
 from itertools import compress
 from operator import ne, or_
 from typing import Callable, Iterable, Iterator, Mapping
@@ -36,8 +36,10 @@ from .models import (
     guard_slices,
     labelled_points,
     predict,
+    verdicts,
 )
 from .similarity import (
+    Dissimilar,
     SimilarityConfig,
     similar,  # noqa: F401  (looked up here by the benchmark's tracer)
     similar_value,
@@ -104,13 +106,15 @@ class Sample:
     def disagreements(self, v: Point, dissimilar: Callable[[Value], bool]) -> Iterator[int]:
         """The disagreement mask with v (bit j: row_j != v_j) of every
         distinct row whose prediction is ``dissimilar``: rows are told apart
-        by the identity of their codes and prediction, hashing no value."""
+        by the identity of their codes and prediction, hashing no value,
+        and each prediction object is tested once."""
         coded = self._coded(v)
         bits = [1 << j for j in range(len(v))]
-        distinct = {(id(codes), id(y)): (codes, y)
-                    for codes, y in zip(self.codes, self.predictions)}
+        distinct = list({(id(codes), id(y)): (codes, y)
+                         for codes, y in zip(self.codes, self.predictions)}.values())
+        hits = verdicts(dissimilar, [y for _, y in distinct])
         return (sum(compress(bits, map(ne, codes, coded)))
-                for codes, y in distinct.values() if dissimilar(y))
+                for codes, _ in compress(distinct, hits))
 
     def relabel(self, mapping: Mapping) -> "Sample":
         """The same rows with each prediction y replaced by mapping[y]."""
@@ -237,10 +241,9 @@ def _walks_basis(problem: ExplanationProblem) -> bool:
     return problem.universe is not None or isinstance(problem.model, TreeModel)
 
 
-def _dissimilar(problem: ExplanationProblem) -> Callable[[Value], bool]:
-    """Is an output distinguishable from the instance's? One similarity
-    call per distinct output."""
-    return cache(lambda y: not similar_value(problem, y))
+def _dissimilar(problem: ExplanationProblem) -> Dissimilar:
+    """Is an output distinguishable from the instance's?"""
+    return Dissimilar(problem.instance.prediction, problem.similarity.delta)
 
 
 def guard_sufficiency_sampling(problem: ExplanationProblem, coalitions: int,

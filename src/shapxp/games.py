@@ -32,6 +32,7 @@ from .models import (
     NUMERIC,
     POINT_GUARD,
     Instance,
+    _over_lcd,
     conditional_expectation,
     guard_slices,
     output_range,
@@ -190,13 +191,6 @@ def waxp_game(problem: ExplanationProblem) -> Game:
         kernel=lambda: (sufficiency_table(problem), 1),
         guard=partial(guard_sufficiency_sampling, problem),
     )
-
-
-def _over_lcd(values: Iterable[Fraction]) -> CoalitionTable:
-    """Rational values as integer numerators over their least common denominator."""
-    values = list(values)
-    denominator = lcm(*(v.denominator for v in values))
-    return [v.numerator * (denominator // v.denominator) for v in values], denominator
 
 
 def _expected_table(problem: ExplanationProblem) -> CoalitionTable:

@@ -26,15 +26,17 @@ end of this module check their inputs and then call it:
   explanations, every minimal one among them: a table's from its points,
   a tree's from its leaves, a box model's from its cells per coalition.
 
-Each kind derives them from one primitive: box cells ``_affine_extremes``,
-the discrete kinds a reader from slots to outputs. A discrete space
+Each kind derives them from one primitive: box models each cell's integer
+form over its own denominator (``Cell._integers``), the discrete kinds a
+reader from slots to outputs. A discrete space
 numbers its points by mixed radix (``FeatureSpace.slot``), and every
 enumeration walks those slots lazily through the one guarded product of
 axes; a table reads its dense ``outputs`` at a slot, a tree walks the
 routes that one validating walk builds, reading each tested feature's
 digit of the slot. The discrete kinds share every method but ``_read``
-and ``disagreements``, which a tree takes from its leaves rather than its
-points. All arithmetic on numeric values is exact (``fractions.Fraction``).
+and ``disagreements``, which a table takes from its points and a tree from
+its leaves. All arithmetic on numeric values is exact: ``fractions.Fraction``,
+or ints over a known denominator.
 """
 
 from __future__ import annotations
@@ -45,8 +47,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import product
-from math import prod
+from itertools import accumulate, chain, compress, product
+from math import lcm, prod
 from operator import getitem, le, mul, sub
 from typing import Callable, Iterable, Iterator
 
@@ -214,8 +216,8 @@ class FeatureSpace:
 class _EnumerableModel:
     """Semantics shared by the discrete kinds, all read by slot of the
     space's numbering. Subclasses define ``_read`` (slot -> output),
-    ``_values`` (every output the model can produce, repeats allowed) and
-    ``_relabelled``."""
+    ``_values`` (every output the model can produce, repeats allowed),
+    ``_relabelled`` and ``disagreements``."""
 
     def output(self, point: Point) -> Value:
         return self._read(self.space.slot(point))
@@ -245,15 +247,12 @@ class _EnumerableModel:
 
     def masked_outputs(self, v: Point) -> Iterator[tuple[int, Value]]:
         """(agreement mask with v, output) of every point of the space."""
+        return zip(self._agreements(v), map(self._read, self.space.slots()))
+
+    def _agreements(self, v: Point) -> Iterator[int]:
         axes = [[1 << j if x == v[j] else 0 for x in f.domain.values]
                 for j, f in enumerate(self.space.features)]
-        return zip(map(sum, _product(axes)), map(self._read, self.space.slots()))
-
-    def disagreements(self, v: Point, dissimilar: Callable[[Value], bool]) -> Iterator[int]:
-        """The disagreement mask with v (bit j: x_j != v_j) of every point
-        whose output is ``dissimilar``."""
-        full = (1 << self.space.m) - 1
-        return (full ^ mask for mask, y in self.masked_outputs(v) if dissimilar(y))
+        return map(sum, _product(axes))
 
     def relabel(self, mapping: Mapping):
         """The same model with each output y replaced by mapping[y]; the map
@@ -305,6 +304,12 @@ class TabularModel(_EnumerableModel):
 
     def _values(self):
         return self.distinct
+
+    def disagreements(self, v: Point, dissimilar: Callable[[Value], bool]) -> Iterator[int]:
+        """The disagreement mask with v (bit j: x_j != v_j) of every point
+        whose output is ``dissimilar``, tested once per output object."""
+        full = (1 << self.space.m) - 1
+        return map(full.__xor__, compress(self._agreements(v), verdicts(dissimilar, self.outputs)))
 
     def _relabelled(self, mapping: Mapping, value_kind: str) -> "TabularModel":
         return TabularModel(self.space, tuple(map(mapping.__getitem__, self.outputs)), value_kind)
@@ -429,17 +434,18 @@ class TreeModel(_EnumerableModel):
         its path a point reaching the leaf may agree with v, so each mask is
         a dissimilar point's, and every dissimilar point's mask holds its
         leaf's. One walk from the root, O(nodes)."""
-        stack = [(self.root, 0)]
+        masks, outputs, stack = [], [], [(self.root, 0)]
         while stack:
             node_id, mask = stack.pop()
             node = self.nodes[node_id]
             if isinstance(node, TreeLeaf):
-                if dissimilar(node.value):
-                    yield mask
+                masks.append(mask)
+                outputs.append(node.value)
                 continue
             j = node.feature - 1
             stack.extend((child, mask if v[j] in values else mask | 1 << j)
                          for values, child in node.edges)
+        return compress(masks, verdicts(dissimilar, outputs))
 
     def _values(self) -> list:
         return [n.value for n in self.nodes.values() if isinstance(n, TreeLeaf)]
@@ -459,6 +465,21 @@ class Cell:
     box: tuple[tuple[Fraction, Fraction], ...]
     intercept: Fraction
     coeffs: tuple[Fraction, ...]
+
+    @cached_property
+    def _integers(self) -> tuple:
+        """The cell over E, the lcm of the denominators of its bounds,
+        intercept and coefficients: (E, a0*E, (a_j*E), the ends
+        (min(a_j*lo_j, a_j*hi_j)*E^2) and (max(...)*E^2), the spans
+        ((hi_j - lo_j)*E), and its extremes over the whole box over E^2).
+        Built on its first read, so validation does not pay for it."""
+        m = len(self.coeffs)
+        (a0, *rest), scale = _over_lcd((self.intercept, *self.coeffs, *chain(*self.box)))
+        coeffs, lows, highs = rest[:m], rest[m::2], rest[m + 1::2]
+        at_lo, at_hi = list(map(mul, coeffs, lows)), list(map(mul, coeffs, highs))
+        low_ends, high_ends = tuple(map(min, at_lo, at_hi)), tuple(map(max, at_lo, at_hi))
+        return (scale, a0, tuple(coeffs), low_ends, high_ends, tuple(map(sub, highs, lows)),
+                a0 * scale + sum(low_ends), a0 * scale + sum(high_ends))
 
 
 @dataclass(frozen=True)
@@ -525,14 +546,16 @@ class BoxPiecewiseModel:
         def midpoint(j, lo, hi):
             return (cuts[j][lo] + cuts[j][hi]) / 2
 
-        # Sorted by lower rank on axis 0, a cell can overlap only the cells
-        # after it that start before it ends there.
-        order = sorted(range(len(los)), key=lambda k: los[k][0])
+        # Sorted by lower rank on one axis, a cell can overlap only the cells
+        # after it that start before it ends there; the axis with the most
+        # distinct lower ranks (the lowest of those) cuts these runs shortest.
+        axis = max(range(len(cuts)), key=lambda j: len({lo[j] for lo in los}))
+        order = sorted(range(len(los)), key=lambda k: los[k][axis])
         for p, a in enumerate(order):
             lo_a, hi_a = los[a], his[a]
             for b in order[p + 1:]:
                 lo_b, hi_b = los[b], his[b]
-                if lo_b[0] >= hi_a[0]:
+                if lo_b[axis] >= hi_a[axis]:
                     break
                 if not (any(map(le, hi_a, lo_b)) or any(map(le, hi_b, lo_a))):
                     return tuple(midpoint(j, max(lo_a[j], lo_b[j]), min(hi_a[j], hi_b[j]))
@@ -541,28 +564,42 @@ class BoxPiecewiseModel:
             return None
         # A gap: on each axis, fix the midpoint of the first slab whose cells
         # count its cross-section short. On the last axis no cell spans it.
+        # Each cell adds its cross-section from its lower rank on and takes
+        # it back from its upper one, so one running sum counts every slab.
         point, live = [], range(len(los))
         for j in range(len(cuts)):
             full = prod(slabs[j + 1:])
-            section = {k: prod(map(sub, his[k][j + 1:], los[k][j + 1:])) for k in live}
-            for t in range(slabs[j]):
-                spanning = [k for k in live if los[k][j] <= t < his[k][j]]
-                if sum(section[k] for k in spanning) < full:
-                    break
+            counted = [0] * len(cuts[j])
+            for k in live:
+                section = prod(map(sub, his[k][j + 1:], los[k][j + 1:]))
+                counted[los[k][j]] += section
+                counted[his[k][j]] -= section
+            t = next(t for t, total in enumerate(accumulate(counted)) if total < full)
             point.append(midpoint(j, t, t + 1))
-            live = spanning
+            live = [k for k in live if los[k][j] <= t < his[k][j]]
         return tuple(point)
 
+    def _slab(self, j: int, x) -> int:
+        """The slab of v_j = x on axis j by the one half-open rule: the rank
+        of the last cut at or below x, the domain top in the last slab."""
+        cuts = self.cuts[j]
+        t = bisect_right(cuts, x)
+        return t - 1 - (t == len(cuts) and x == cuts[-1])
+
     def _holders(self, v: Point, axes: Iterable[int]) -> list[int]:
-        """The cells (by index) holding v on the given 0-based axes, by the one
-        half-open rule: v_j lies in slab t, the rank of the last cut at or
-        below it (the domain top in the last slab), and lo_r <= t < hi_r."""
-        slabs = []
+        """The cells (by index) holding v on the given 0-based axes: those
+        with lo_r <= t < hi_r for v_j's slab t on each, one axis at a time."""
+        held, los, his = range(len(self.cells)), self.lows, self.highs
         for j in axes:
-            t = bisect_right(self.cuts[j], v[j])
-            slabs.append((j, t - 1 - (t == len(self.cuts[j]) and v[j] == self.cuts[j][-1])))
-        return [k for k, (lo, hi) in enumerate(zip(self.lows, self.highs))
-                if all(lo[j] <= t < hi[j] for j, t in slabs)]
+            t = self._slab(j, v[j])
+            held = [k for k in held if los[k][j] <= t < his[k][j]]
+        return list(held)
+
+    def _owner(self, point: Point) -> int:
+        owners = self._holders(point, range(self.space.m))
+        if len(owners) != 1:
+            raise ValidationError(f"partition violated at {point}: {len(owners)} cells")
+        return owners[0]
 
     def slice_cells(self, v: Point, fixed: Iterable[int]) -> list[Cell]:
         """The cells meeting the slice x_S = v_S. Only the fixed axes are
@@ -570,45 +607,107 @@ class BoxPiecewiseModel:
         return [self.cells[k] for k in self._holders(v, [fid - 1 for fid in fixed])]
 
     def cell_at(self, point: Point) -> Cell:
-        owners = self.slice_cells(point, self.space.ids)
-        if len(owners) != 1:
-            raise ValidationError(f"partition violated at {point}: {len(owners)} cells")
-        return owners[0]
+        return self.cells[self._owner(point)]
+
+    # Every quantity below is read in integers: each cell over its own
+    # denominator E (see Cell._integers), the point v over d, the lcm of its
+    # coordinates' denominators. An affine's extremes over a cell's closure
+    # are reached coordinate-wise at the interval ends (it is separable),
+    # so over E^2 * d they are (a0*d + sum_fixed a_j*v_j) * E plus d times
+    # the free axes' low or high ends.
 
     def output(self, point: Point) -> Fraction:
-        # With every feature fixed the two extremes are the affine's value.
-        return _affine_extremes(self.cell_at(point), point, frozenset(self.space.ids))[0]
+        # The affine at the point, over E * d.
+        scale, a0, coeffs = self.cells[self._owner(point)]._integers[:3]
+        numerators, d = _over_lcd(point)
+        return Fraction(a0 * d + sum(map(mul, coeffs, numerators)), scale * d)
+
+    def _extremes(self, v: Point, fixed: Iterable[int]) -> tuple[int, list]:
+        """d, and each cell meeting the slice x_S = v_S as its row of
+        ``Cell._integers`` with its closure extremes there over E^2 * d."""
+        numerators, d = _over_lcd(v)
+        axes = [j - 1 for j in fixed]
+        free = [j for j in range(self.space.m) if j + 1 not in fixed]
+        cells = []
+        for k in self._holders(v, axes):
+            row = scale, a0, coeffs, lows, highs, *_ = self.cells[k]._integers
+            pinned = (a0 * d + sum(coeffs[j] * numerators[j] for j in axes)) * scale
+            cells.append((row, pinned + d * sum(lows[j] for j in free),
+                          pinned + d * sum(highs[j] for j in free)))
+        return d, cells
 
     def slice_outputs(self, v: Point, fixed: frozenset[int]) -> Iterator[Fraction]:
         """The closure extremes of the affine on each cell pinned to
         x_S = v_S. Values on open faces are approached by interior points,
         so both quantifiers over the slice are decided by the extremes."""
-        for cell in self.slice_cells(v, fixed):
-            yield from _affine_extremes(cell, v, fixed)
+        d, cells = self._extremes(v, fixed)
+        for (scale, *_), low, high in cells:
+            yield Fraction(low, scale * scale * d)
+            yield Fraction(high, scale * scale * d)
 
     def disagreements(self, v: Point, dissimilar: Callable[[Value], bool]) -> Iterator[int]:
         """Every weak contrastive explanation C (bit j: feature j+1): the
-        slice fixing the other features holds a ``dissimilar`` closure
-        extreme. Each C scans every cell (see :func:`guard_slices`)."""
-        guard_slices(self, 1 << self.space.m, "coalition table")
-        for free in range(1 << self.space.m):
-            fixed = frozenset(i for i in self.space.ids if not free >> i - 1 & 1)
-            if any(map(dissimilar, self.slice_outputs(v, fixed))):
-                yield free
+        slice fixing the other features holds a closure extreme outside the
+        band y0 +- delta of ``dissimilar``, a
+        :class:`~shapxp.similarity.Dissimilar` (delta None reads as 0),
+        scaled once per cell denominator E to E^2 * d. A slice that fixes
+        features meets only the cells holding v on their axes, and every
+        cell meets the one that fixes none, which is a disagreement as soon
+        as one cell's range leaves the band. The guard charges every cell
+        per C (see :func:`guard_slices`)."""
+        m = self.space.m
+        guard_slices(self, 1 << m, "coalition table")
+        numerators, d = _over_lcd(v)
+        y0, delta = Fraction(dissimilar.prediction), dissimilar.delta or 0
+        below_n, below_d = (y0 - delta).as_integer_ratio()
+        above_n, above_d = (y0 + delta).as_integer_ratio()
+        bands = {}
+
+        def leaves(scale, low, high):  # low and high over E^2 * d
+            if scale not in bands:
+                s = scale * scale * d
+                bands[scale] = -(-below_n * s // below_d), above_n * s // above_d
+            return low < bands[scale][0] or high > bands[scale][1]
+
+        held, full, found = {}, (1 << m) - 1, set()
+        for j in range(m):
+            for k in self._holders(v, [j]):
+                held.setdefault(k, []).append(j)
+        for k, axes in held.items():
+            scale, _, coeffs, lows, highs, _, bottom, top = self.cells[k]._integers
+            slices = [(full, bottom * d, top * d)]  # (C, low, high) of each slice it meets
+            for j in axes:
+                pinned = coeffs[j] * numerators[j] * scale
+                to_lo, to_hi = pinned - d * lows[j], pinned - d * highs[j]
+                slices += [(free ^ 1 << j, lo + to_lo, hi + to_hi) for free, lo, hi in slices]
+            found.update(free for free, lo, hi in slices if leaves(scale, lo, hi))
+        if full not in found and any(leaves(scale, bottom * d, top * d) for scale, *_, bottom, top
+                                     in (cell._integers for cell in self.cells)):
+            found.add(full)
+        return iter(sorted(found))
 
     def slice_expectation(self, v: Point, fixed: frozenset[int]) -> Fraction:
         # An affine's mean over the free sub-box is its value at the centre,
-        # which is the mean of its two extreme corners.
-        total = Fraction(0)
-        for cell in self.slice_cells(v, fixed):
-            lo, hi = _affine_extremes(cell, v, fixed)
-            total += prod(b_hi - b_lo for j, (b_lo, b_hi) in enumerate(cell.box)
-                          if j + 1 not in fixed) * (lo + hi) / 2
-        return total / prod(f.domain.width for f in self.space.features if f.id not in fixed)
+        # the mean of its two extremes; over E^(free+2) * 2d each cell adds
+        # its free volume times their sum, and one Fraction sums each E's.
+        d, cells = self._extremes(v, fixed)
+        free = [j for j in range(self.space.m) if j + 1 not in fixed]
+        sums = {}
+        for (scale, *_, spans, _, _), low, high in cells:
+            sums[scale] = sums.get(scale, 0) + prod(spans[j] for j in free) * (low + high)
+        total = sum(Fraction(n, scale ** (len(free) + 2) * 2 * d) for scale, n in sums.items())
+        return total / prod(self.space.features[j].domain.width for j in free)
 
     def output_range(self) -> tuple[Fraction, Fraction]:
-        lows, highs = zip(*(_affine_extremes(cell, (), ()) for cell in self.cells))
-        return min(lows), max(highs)
+        # Each cell's extremes are over its E^2: compared by cross-multiplying.
+        lo = hi = None
+        for scale, *_, bottom, top in (cell._integers for cell in self.cells):
+            s = scale * scale
+            if lo is None or bottom * lo[1] < lo[0] * s:
+                lo = bottom, s
+            if hi is None or top * hi[1] > hi[0] * s:
+                hi = top, s
+        return Fraction(*lo), Fraction(*hi)
 
 
 def _ranked(bounds: list) -> tuple[tuple, list[int]]:
@@ -620,27 +719,19 @@ def _ranked(bounds: list) -> tuple[tuple, list[int]]:
     return tuple(cuts), list(map(rank.__getitem__, keys))
 
 
-def _affine_extremes(cell: Cell, v: Point, fixed) -> tuple[Fraction, Fraction]:
-    """Min/max of the cell's affine over the closure of its box, with the
-    fixed features pinned at v.
+def _over_lcd(values: Iterable) -> tuple[list[int], int]:
+    """Rational values as integer numerators over their least common denominator."""
+    ratios = [x.as_integer_ratio() for x in values]
+    denominator = lcm(*(q for _, q in ratios))
+    return [n * (denominator // q) for n, q in ratios], denominator
 
-    The affine is separable, so extremes are reached coordinate-wise at the
-    interval endpoints."""
-    lo = hi = Fraction(cell.intercept)
-    for j, (a, (b_lo, b_hi)) in enumerate(zip(cell.coeffs, cell.box)):
-        if not a:
-            continue
-        if j + 1 in fixed:
-            pinned = a * Fraction(v[j])
-            lo += pinned
-            hi += pinned
-        elif a > 0:
-            lo += a * b_lo
-            hi += a * b_hi
-        else:
-            lo += a * b_hi
-            hi += a * b_lo
-    return lo, hi
+
+def verdicts(test: Callable[[Value], bool], outputs: list) -> Iterator[bool]:
+    """test(y) for each of ``outputs``, called once per distinct object:
+    outputs repeat a few shared objects, told apart by identity, not hash."""
+    firsts = dict(zip(map(id, outputs), outputs))
+    verdict = {k: test(y) for k, y in firsts.items()}
+    return map(verdict.__getitem__, map(id, outputs))
 
 
 Model = TabularModel | TreeModel | BoxPiecewiseModel

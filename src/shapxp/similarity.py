@@ -45,13 +45,30 @@ class SimilarityConfig:
         return cls(Fraction(delta))
 
 
-def similar_value(problem: ExplanationProblem, value: Value) -> bool:
-    """Is ``value`` indistinguishable from the instance's prediction?"""
-    p = problem.instance.prediction
-    delta = problem.similarity.delta
+@dataclass(frozen=True)
+class Dissimilar:
+    """The test that an output is distinguishable from ``prediction``:
+    unequal to it when ``delta`` is None, else more than ``delta`` away.
+    The discrete scopes call it once per distinct output object; a box
+    model reads the band prediction +- delta itself (see
+    :meth:`~shapxp.models.BoxPiecewiseModel.disagreements`)."""
+
+    prediction: Value
+    delta: Optional[Fraction] = None
+
+    def __call__(self, value: Value) -> bool:
+        return not _within(value, self.prediction, self.delta)
+
+
+def _within(value: Value, p: Value, delta: Optional[Fraction]) -> bool:
     if delta is None:
         return value == p
     return abs(Fraction(value) - Fraction(p)) <= delta
+
+
+def similar_value(problem: ExplanationProblem, value: Value) -> bool:
+    """Is ``value`` indistinguishable from the instance's prediction?"""
+    return _within(value, problem.instance.prediction, problem.similarity.delta)
 
 
 def similar(problem: ExplanationProblem, x: Point) -> bool:

@@ -47,6 +47,26 @@ def kd_boxes(rng, m, n_cells, lattice):
     return boxes
 
 
+def odd_primes_above(n, count):
+    """The first ``count`` primes above n (n >= 2), by trial division."""
+    primes, p = [], n + 1
+    while len(primes) < count:
+        if all(p % q for q in range(2, int(p ** 0.5) + 1)):
+            primes.append(p)
+        p += 1
+    return primes
+
+
+def prime_stacked_model(rng, n_cells=1024):
+    """A model on [-1, 1]^2 of ``n_cells`` cells stacked along axis 2, each
+    spanning all of axis 1, whose n_cells - 1 inner cuts carry distinct
+    odd-prime denominators: cut k is the multiple of 2/p_k nearest to
+    -1 + 2k/n_cells, and p_k > 2 * n_cells keeps the cuts increasing."""
+    cuts = [LO] + [LO + 2 * Fraction(round(p * k / n_cells), p)
+                   for k, p in enumerate(odd_primes_above(2 * n_cells, n_cells - 1), 1)] + [HI]
+    return model_on(rng, [[(LO, HI), (lo, hi)] for lo, hi in zip(cuts, cuts[1:])])
+
+
 def model_on(rng, boxes):
     """A model on [-1, 1]^m with random affines on the boxes, drawn again
     until it is not constant."""

@@ -305,3 +305,53 @@ def test_a_hostile_broken_layout_exits_2_with_a_witness_within_a_second(
     point, owners = named_witness(err)
     assert_true_witness(space, cells, err)
     assert (len(owners) >= 2) == (step > 0)
+
+
+# Cells stacked along axis 2, each spanning all of axis 1: every cell
+# starts at rank 0 on axis 1, so a scan sorted on axis 1 would compare
+# every pair; sorted on axis 2, the axis of most distinct lower ranks, each
+# cell meets only its neighbour.
+
+STACKED = 4000
+
+
+def stacked_boxes():
+    cuts = [F(k, STACKED) for k in range(STACKED + 1)]
+    return [[(F(0), F(1)), (lo, hi)] for lo, hi in zip(cuts, cuts[1:])]
+
+
+def stacked_doc(boxes):
+    return {
+        "version": 1, "kind": "box_piecewise", "value_kind": "numeric",
+        "features": [{"id": j + 1, "name": f"x{j + 1}",
+                      "domain": {"type": "interval", "lo": "0", "hi": "1"}} for j in range(2)],
+        "cells": [{"box": [[str(lo), str(hi)] for lo, hi in box], "affine": [k, 1, 1]}
+                  for k, box in enumerate(boxes)],
+    }
+
+
+def test_a_stacked_layout_validates_within_a_second(capsys, tmp_path):
+    path = tmp_path / "stacked.json"
+    path.write_text(json.dumps(stacked_doc(stacked_boxes())))
+    with cpu_limit(1):
+        assert run_cli(["validate", "--model", str(path)]) == 0
+    assert f"ok: model valid ({STACKED} cells)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("step", [F(-1, 2 * STACKED), F(1, 2 * STACKED)], ids=["gap", "overlap"])
+def test_a_stacked_layout_with_one_bound_moved_exits_2_with_a_witness_within_a_second(
+        capsys, tmp_path, step):
+    boxes = stacked_boxes()
+    k = STACKED - 2  # the top cell whose upper bound can move either way
+    lo, hi = boxes[k][1]
+    boxes[k][1] = (lo, hi + step)
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(stacked_doc(boxes)))
+    with cpu_limit(1):
+        assert run_cli(["validate", "--model", str(path)]) == 2
+    err = capsys.readouterr().err
+    space = FeatureSpace(tuple(Feature(j + 1, f"x{j + 1}", IntervalDomain(F(0), F(1)))
+                               for j in range(2)))
+    cells = [Cell(tuple(box), F(0), (F(1), F(1))) for box in boxes]
+    assert_true_witness(space, cells, err)
+    assert (len(named_witness(err)[1]) >= 2) == (step > 0)

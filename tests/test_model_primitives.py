@@ -1,13 +1,16 @@
-"""Each model kind reads one primitive: box cells their affine extremes,
-trees the routes built by one validating walk, discrete models their
-outputs by slot of the space's numbering. The methods derived from them
-must agree exactly with the per-method code they replaced, kept below as
-reference copies."""
+"""Each model kind reads one primitive: box cells their integer form over
+their own denominators, trees the routes built by one validating walk,
+discrete models their outputs by slot of the space's numbering. The
+methods derived from them must agree exactly with the code they replaced,
+kept below as reference copies: for box models, the ``Fraction``
+arithmetic of ``_affine_extremes`` and the methods built on it."""
 
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, combinations, product
+from operator import or_
 
 import pytest
 
@@ -26,10 +29,14 @@ from shapxp import (
     is_waxp,
     make_instance,
     predict,
+    relevant_features,
     tabulate,
 )
-from shapxp.models import labelled_points
-from boxmodels import random_grid_model
+from shapxp.explanations import _ids, _minimal
+from shapxp.games import Game, expected_game, shapley_exact
+from shapxp.models import guard_slices, labelled_points
+from shapxp.similarity import Dissimilar
+from boxmodels import QUARTERS, prime_stacked_model, random_grid_model, random_kd_model
 from conftest import cpu_limit
 from randmodels import random_table, random_tree_model
 
@@ -65,6 +72,51 @@ def reference_box_slice_expectation(self, v, fixed):
         if f.id not in fixed:
             width *= f.domain.width
     return total / width
+
+
+# The Fraction reference of every box method that reads extremes: the
+# primitive they all derived from before the cells were read as integers,
+# verbatim, and BoxPiecewiseModel's slice_outputs, disagreements and
+# output_range as they were written on it.
+def _affine_extremes(cell, v, fixed):
+    """Min/max of the cell's affine over the closure of its box, with the
+    fixed features pinned at v.
+
+    The affine is separable, so extremes are reached coordinate-wise at the
+    interval endpoints."""
+    lo = hi = Fraction(cell.intercept)
+    for j, (a, (b_lo, b_hi)) in enumerate(zip(cell.coeffs, cell.box)):
+        if not a:
+            continue
+        if j + 1 in fixed:
+            pinned = a * Fraction(v[j])
+            lo += pinned
+            hi += pinned
+        elif a > 0:
+            lo += a * b_lo
+            hi += a * b_hi
+        else:
+            lo += a * b_hi
+            hi += a * b_lo
+    return lo, hi
+
+
+def reference_box_slice_outputs(self, v, fixed):
+    for cell in self.slice_cells(v, fixed):
+        yield from _affine_extremes(cell, v, fixed)
+
+
+def reference_box_disagreements(self, v, dissimilar, slice_outputs=reference_box_slice_outputs):
+    guard_slices(self, 1 << self.space.m, "coalition table")
+    for free in range(1 << self.space.m):
+        fixed = frozenset(i for i in self.space.ids if not free >> i - 1 & 1)
+        if any(map(dissimilar, slice_outputs(self, v, fixed))):
+            yield free
+
+
+def reference_box_output_range(self):
+    lows, highs = zip(*(_affine_extremes(cell, (), ()) for cell in self.cells))
+    return min(lows), max(highs)
 
 
 def reference_tree_output(self, point):
@@ -103,6 +155,58 @@ def test_box_output_and_expectation_equal_the_reference(seed):
         for fixed in map(frozenset, subsets(model.space.ids)):
             assert model.slice_expectation(v, fixed) == \
                 reference_box_slice_expectation(model, v, fixed)
+
+
+DELTAS = [None, Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2)]
+
+
+@pytest.mark.parametrize("seed", range(7))
+def test_box_extremes_and_disagreements_equal_the_fraction_reference(seed):
+    """At every quarter-lattice point, which holds every cut line and the
+    domain top, on every coalition, under class equality (None) and each
+    threshold; the last seed is a kd layout in three dimensions."""
+    rng = random.Random(2026 + seed)
+    if seed == 6:
+        model = random_kd_model(rng, 3, 6)
+    elif seed % 2:
+        model = random_kd_model(rng, 2, rng.randint(2, 9))
+    else:
+        model = random_grid_model(rng, 2)
+    assert model.output_range() == reference_box_output_range(model)
+    for v in product(QUARTERS, repeat=model.space.m):
+        assert model.output(v) == reference_box_output(model, v)
+        extremes = {}  # the reference's, per coalition, read by every delta
+        for fixed in map(frozenset, subsets(model.space.ids)):
+            extremes[fixed] = list(reference_box_slice_outputs(model, v, fixed))
+            assert list(model.slice_outputs(v, fixed)) == extremes[fixed]
+            assert model.slice_expectation(v, fixed) == \
+                reference_box_slice_expectation(model, v, fixed)
+        for delta in DELTAS:
+            dissimilar = Dissimilar(model.output(v), delta)
+            expected = reference_box_disagreements(model, v, dissimilar,
+                                                   lambda _, __, fixed: extremes[fixed])
+            assert list(model.disagreements(v, dissimilar)) == list(expected), (v, delta)
+
+
+def test_the_prime_layout_answers_as_the_fraction_reference_within_a_second():
+    """1,024 stacked cells whose cuts carry 1,023 distinct odd-prime
+    denominators: each cell is read over its own denominator, so neither
+    the expected game nor the basis pays for one common denominator."""
+    model = prime_stacked_model(random.Random(11))
+    v = (Fraction(1, 3), Fraction(-2, 7))
+    instance = make_instance(model, v)
+    exact = ExplanationProblem(model, instance, SimilarityConfig.class_equality())
+    banded = ExplanationProblem(model, instance, SimilarityConfig.threshold(Fraction(1, 2)))
+    with cpu_limit(1):
+        scores = shapley_exact(expected_game(exact)).scores
+        relevant = relevant_features(banded)
+    reference = Game(model.space.ids, lambda s: reference_box_slice_expectation(model, v, s))
+    assert scores == shapley_exact(reference).scores
+    masks = reference_box_disagreements(model, v, Dissimilar(instance.prediction, Fraction(1, 2)))
+    basis = _minimal(masks, 2)
+    assert banded.contrastive_basis == basis
+    assert relevant == _ids(reduce(or_, basis, 0))
+    assert model.output_range() == reference_box_output_range(model)
 
 
 @pytest.mark.parametrize("seed", range(30))
