@@ -12,16 +12,19 @@ epsilon of the exact Shapley value with probability at least 1 - alpha
 Permutations come from a counter-based generator: permutation k depends
 only on (seed, k), so any single draw can be reproduced on its own
 (``permutation_at``). Every SplitMix64 output, the seed's mixing
-included, comes from one function, ``_outputs``, which computes a range
+included, comes from one function, ``_packed``, which computes a range
 of counters together, each state in its own 128-bit lane of one int, so
 that a SplitMix64 step is a few big-int operations over the range rather
-than a Python loop step per output. Permutation k is a Fisher-Yates
-shuffle of 1..m whose draws read the outputs from counter k + 2 on
-(``_draw``). The estimator counts the draw tuples of k = 0..T-1 with
-``_draw_counts``, which computes each output once, since consecutive
-permutations share all but one of their counters, and falls back on
-``_draw`` for a chunk where an output may be rejected; the lane constants
-of its full-length chunks are built once per run. The estimator walks
+than a Python loop step per output; ``_outputs`` unpacks the lanes into a
+list. Permutation k is a Fisher-Yates shuffle of 1..m whose draws read
+the outputs from counter k + 2 on (``_draw``). The estimator counts the
+draw tuples of k = 0..T-1 with ``_draw_counts``, which computes each
+output once, since consecutive permutations share all but one of their
+counters, and falls back on ``_draw`` for a chunk where an output may be
+rejected; the lane constants of its full-length chunks are built once per
+run. At m = 2 the one draw is z mod 2, which rejects nothing (2^64 mod 2
+is 0), so ``_draw_counts`` counts the draws of 1 as the set low bits of
+the packed lanes, with no unpacking and no fallback. The estimator walks
 each distinct tuple once, as the Fisher-Yates shuffle itself, and tallies
 how often each (coalition, player) step occurs, so it holds at most T*m
 counts. The values weighting the counts are integer numerators over one
@@ -51,9 +54,10 @@ from .models import POINT_GUARD, _over_lcd
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 # Permutation draws times players. Counting and tallying one player step
-# costs 0.1-0.5 us (Python 3.11, 2-core x86-64 host, m = 2..10; 0.10 at
-# m = 4, 0.39 at m = 8, where nearly every draw tuple is distinct), so the
-# guard stops sampling runs of more than about a minute. It bounds draws,
+# costs 0.05-0.5 us (Python 3.11, 2-core x86-64 host, m = 2..10; at m = 2,
+# counted by popcount, 0.10-0.13 us per permutation, T = 10^5..10^6; 0.10
+# at m = 4, 0.39 at m = 8, where nearly every draw tuple is distinct), so
+# the guard stops sampling runs of more than about a minute. It bounds draws,
 # not weighting: at m = 20 and 40 nearly every tally key needs its own game
 # evaluation, about 7 and 11 us per step on an additive custom game, with
 # a memo of 6.3 and 9.2 MiB (T = 4,000 and 2,000).
@@ -124,23 +128,30 @@ def _lanes(n: int) -> tuple[int, int, int]:
     return int.from_bytes(index, sys.byteorder) * _GOLDEN, ones, (ones << 64) - ones
 
 
-def _outputs(mixed: int, start: int, stop: int, lanes=None) -> list[int]:
-    """The SplitMix64 outputs at counters start..stop-1; counter c reads
-    the state mixed + c * golden.
+def _packed(mixed: int, start: int, stop: int, lanes=None) -> tuple[int, int]:
+    """The SplitMix64 outputs at counters start..stop-1, output i in the
+    low 64 bits of bits 128i..128i+127 of one int, and the lanes' ones
+    (bit 128i for each i); counter c reads the state mixed + c * golden.
 
-    Output i is computed in bits 128i..128i+127 of one int, so each mix
-    step is a few big-int operations over the whole range. A state fills
-    the low 64 bits of its lane; masking it there before each multiply
-    drops the bits a right shift carried in from the next lane, and its
-    product with a 64-bit constant fits in the lane's 128. ``lanes`` is
-    ``_lanes(stop - start)``, built here when not given."""
-    n = stop - start
-    steps, ones, low = _lanes(n) if lanes is None else lanes
+    Each mix step is a few big-int operations over the whole range. A
+    state fills the low 64 bits of its lane; masking it there before each
+    multiply drops the bits a right shift carried in from the next lane,
+    and its product with a 64-bit constant fits in the lane's 128. The
+    last shift carries bits into the high half of each lane, which callers
+    ignore. ``lanes`` is ``_lanes(stop - start)``, built here when not
+    given."""
+    steps, ones, low = _lanes(stop - start) if lanes is None else lanes
     z = (((mixed + start * _GOLDEN) & _MASK64) * ones + steps) & low
     z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
     z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low
-    z ^= z >> 31
-    return array("Q", z.to_bytes(16 * n, sys.byteorder))[_LOW_HALVES].tolist()
+    return z ^ z >> 31, ones
+
+
+def _outputs(mixed: int, start: int, stop: int, lanes=None) -> list[int]:
+    """The SplitMix64 outputs at counters start..stop-1, as a list
+    (see :func:`_packed`)."""
+    z, _ = _packed(mixed, start, stop, lanes)
+    return array("Q", z.to_bytes(16 * (stop - start), sys.byteorder))[_LOW_HALVES].tolist()
 
 
 def _draw(mixed: int, m: int, k: int) -> tuple[int, ...]:
@@ -189,17 +200,34 @@ def _draw_counts(seed: int, m: int, start: int, stop: int) -> Iterator[Counter]:
     permutation at a time by :func:`_draw`. When all m! tuples fit in
     CHUNK entries (m <= 6), the chunks add to one Counter for the whole
     run; otherwise each chunk's Counter is handed on alone.
+
+    At m = 2 the one draw is z mod 2, the low bit of the output, and its
+    rejection threshold 2^64 mod 2 is 0, so no output is ever rejected and
+    no chunk falls back on :func:`_draw`. The draws of 1 are then counted
+    by a popcount of the lanes' low bits, before any unpacking, and the
+    run yields one Counter of (0,) and (1,) without zero counts.
     """
     mixed = _outputs(seed & _MASK64, 1, 2)[0]
     if m < 2:  # no draws
         if stop > start:
             yield Counter({(): stop - start})
         return
+    # Every chunk but the last reads CHUNK + m - 2 outputs.
+    full = _lanes(CHUNK + m - 2) if stop - start > CHUNK else None
+    if m == 2:
+        # No rejection fallback: the threshold 2^64 mod 2 is 0.
+        odd = 0
+        for k0 in range(start, stop, CHUNK):
+            size = min(CHUNK, stop - k0)
+            z, ones = _packed(mixed, k0 + 2, k0 + size + 2, full if size == CHUNK else None)
+            odd += (z & ones).bit_count()
+        counts = +Counter({(0,): stop - start - odd, (1,): odd})
+        if counts:
+            yield counts
+        return
     sizes = range(m, 1, -1)
     top = max((1 << 64) % n for n in sizes)
     whole_run = math.factorial(m) <= CHUNK
-    # Every chunk but the last reads CHUNK + m - 2 outputs.
-    full = _lanes(CHUNK + m - 2) if stop - start > CHUNK else None
     counts: Counter = Counter()
     for k0 in range(start, stop, CHUNK):
         size = min(CHUNK, stop - k0)

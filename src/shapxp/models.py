@@ -695,8 +695,11 @@ class BoxPiecewiseModel:
         sums = {}
         for (scale, *_, spans, _, _), low, high in cells:
             sums[scale] = sums.get(scale, 0) + prod(spans[j] for j in free) * (low + high)
-        total = sum(Fraction(n, scale ** (len(free) + 2) * 2 * d) for scale, n in sums.items())
-        return total / prod(self.space.features[j].domain.width for j in free)
+        # Added pairwise: a running sum's denominator grows at every step.
+        terms = [Fraction(n, scale ** (len(free) + 2) * 2 * d) for scale, n in sums.items()]
+        while len(terms) > 1:
+            terms = [a + b for a, b in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1:]
+        return terms[0] / prod(self.space.features[j].domain.width for j in free)
 
     def output_range(self) -> tuple[Fraction, Fraction]:
         # Each cell's extremes are over its E^2: compared by cross-multiplying.

@@ -31,7 +31,7 @@ from shapxp import (
 from shapxp import cgt as cgt_module
 from shapxp import games as games_module
 from shapxp.cgt import (
-    CHUNK, _draw_counts, _lanes, _order, _outputs, permutation_at, sample_count)
+    CHUNK, _draw_counts, _lanes, _order, _outputs, _packed, permutation_at, sample_count)
 from shapxp.cli import run_cli
 from conftest import FIXTURES
 from randmodels import random_instance, random_tabular_problem, random_tree_model
@@ -203,9 +203,38 @@ class TestPermutationStream:
             assert counted(seed, m, start, stop) == reference_counts(seed, m, start, stop)
 
 
+class TestTwoPlayers:
+    """At m = 2 the one draw is the low bit of an output, never rejected;
+    _draw_counts counts the set bits of the packed lanes."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    def test_output_0_is_draw_0_not_a_rejection(self, seed, monkeypatch):
+        # Permutation k reads state 0, whose output 0 is a draw of 0; the
+        # windows hold it inside a chunk and on either side of a boundary.
+        def no_draw(*args):
+            raise AssertionError("read a permutation one at a time")
+
+        monkeypatch.setattr(cgt_module, "_draw", no_draw)
+        k = rejecting_index(seed, 0)
+        for start in (k - 1, k - CHUNK + 1, k - CHUNK, k):
+            stop = start + CHUNK + 3
+            assert counted(seed, 2, start, stop) == reference_counts(seed, 2, start, stop)
+
+    @pytest.mark.parametrize("seed", [0, 11, 2024])
+    def test_runs_match_the_reference_stream(self, seed):
+        for start in (0, CHUNK - 1):
+            for size in (1, CHUNK, CHUNK + 1, 3 * CHUNK + 5):
+                chunks = list(_draw_counts(seed, 2, start, start + size))
+                assert all(0 not in chunk.values() for chunk in chunks)
+                assert counted(seed, 2, start, start + size) == \
+                    reference_counts(seed, 2, start, start + size)
+            assert list(_draw_counts(seed, 2, start, start)) == []
+
+
 class TestOutputs:
-    """_outputs computes a range of the stream in 128-bit lanes of one int;
-    each lane must read as one step of the scalar generator."""
+    """_packed computes a range of the stream in 128-bit lanes of one int,
+    which _outputs unpacks; each lane must read as one step of the scalar
+    generator."""
 
     @pytest.mark.parametrize("seed", [0, 11, 2024])
     def test_chunk_lengths(self, seed):
@@ -225,6 +254,19 @@ class TestOutputs:
         for start in (0, 1, 2 ** 64 - 40, 2 ** 64 - 1, 2 ** 64 + 3, -7):
             assert _outputs(mixed, start, start + 80) == \
                 reference_outputs(mixed, start, start + 80)
+
+    @pytest.mark.parametrize("mixed", [0, 1, _MASK64, _GOLDEN, -_GOLDEN & _MASK64,
+                                       1 << 63, (1 << 63) - 1])
+    def test_packed_low_bits_count_the_odd_outputs(self, mixed):
+        # The m = 2 draw count, on the ranges of the wrapping test above
+        # and around the counter that reads state 0.
+        counter = -mixed * pow(_GOLDEN, -1, 2 ** 64) % 2 ** 64
+        for start in (0, 1, 2 ** 64 - 40, 2 ** 64 - 1, 2 ** 64 + 3, -7,
+                      counter - CHUNK, counter - 1, counter):
+            for length in (1, 80, CHUNK + 3):
+                z, ones = _packed(mixed, start, start + length)
+                want = reference_outputs(mixed, start, start + length)
+                assert (z & ones).bit_count() == sum(x & 1 for x in want)
 
     @pytest.mark.parametrize("seed", [0, 7, 2024])
     def test_counters_that_read_state_0(self, seed):
@@ -416,12 +458,13 @@ class TestEstimator:
             raise AssertionError("drew a permutation")
 
         monkeypatch.setattr(cgt_module, "_draw_counts", no_draws)
-        game = Game((1, 2, 3), lambda s: F(len(s)), marginal_bound=F(1))
-        for config in (CgtConfig(F(1, 10 ** 400), F(1, 20)),
-                       CgtConfig(F(1, 100000), F(1, 20)),
-                       CgtConfig(F(1, 20), F(1, 20), sample_count=cgt_module.DRAW_GUARD)):
-            with pytest.raises(SizeLimitError):
-                cgt_estimate(game, config)
+        for players in ((1, 2, 3), (1, 2)):
+            game = Game(players, lambda s: F(len(s)), marginal_bound=F(1))
+            for config in (CgtConfig(F(1, 10 ** 400), F(1, 20)),
+                           CgtConfig(F(1, 100000), F(1, 20)),
+                           CgtConfig(F(1, 20), F(1, 20), sample_count=cgt_module.DRAW_GUARD)):
+                with pytest.raises(SizeLimitError):
+                    cgt_estimate(game, config)
 
     def test_unbounded_game_needs_override(self):
         game = Game((1, 2), lambda s: F(len(s)))
@@ -545,11 +588,15 @@ class TestPinnedReports:
     """`shap --method cgt` JSON reports, byte for byte, on models whose
     runs take each route: one Counter for the whole run (m <= 6), one per
     chunk with every coalition touched (the m = 8 tree), and a sample that
-    leaves most coalitions untouched (the m = 12 tree at epsilon 1)."""
+    leaves most coalitions untouched (the m = 12 tree at epsilon 1). The
+    reg2 tree and the box model pw2 have m = 2, counted by popcount; both
+    pw2 runs draw 21,911 permutations."""
 
-    MODELS = {"cls3_tree": ("1,1,2", None), "reg2_tree": ("1,1", None),
-              "tree_m8": ("1,0,1,1,0,0,1,0", (2026, 8, 6)),
-              "tree_m12": ("0,1,1,0,1,0,0,1,1,0,1,0", (12, 12, 7))}
+    # name: (instance, seeded tree or None for a fixture, extra arguments)
+    MODELS = {"cls3_tree": ("1,1,2", None, ()), "reg2_tree": ("1,1", None, ()),
+              "pw2": ("1,1", None, ("--delta", "1/5")),
+              "tree_m8": ("1,0,1,1,0,0,1,0", (2026, 8, 6), ()),
+              "tree_m12": ("0,1,1,0,1,0,0,1,1,0,1,0", (12, 12, 7), ())}
     DIGESTS = {
         ("cls3_tree", "waxp", "1/20"):
             "bd2e255fa854388c223aae3cb4d41cc8fe93f374c4f23fa9ef705a16f33045e1",
@@ -559,6 +606,10 @@ class TestPinnedReports:
             "97fecbd9a322f3d0af99cd96ccde21fd00b14994fbdde7145139094f7e6b5afd",
         ("reg2_tree", "expected", "1/10"):
             "a703acb7de67ddc9625c57f9ef017ae5d86f7278de19923526cc64dcb7e05807",
+        ("pw2", "waxp", "1/100"):
+            "ec5b8aa0fc46ae067d00126c9ff7bae1bdc8cca295578fab8a09713a456e6b9a",
+        ("pw2", "expected", "1/20"):
+            "fe012a32d0fb676654a503fc0035d4e8720d78676cbb1392aef05f244d548f05",
         ("tree_m8", "waxp", "1/20"):
             "3f387080fff2ba69ffdb0ba082f0eab3d922c27156a237f1cfbfcc4e8630fc95",
         ("tree_m8", "expected", "1/10"):
@@ -572,7 +623,7 @@ class TestPinnedReports:
     @pytest.mark.parametrize("name,game,epsilon", sorted(DIGESTS))
     def test_reports_keep_their_digests(self, tmp_path, monkeypatch, capsys,
                                         name, game, epsilon):
-        instance, tree = self.MODELS[name]
+        instance, tree, extra = self.MODELS[name]
         path = FIXTURES / f"{name}.json"
         if tree is not None:
             path = tmp_path / f"{name}.json"
@@ -580,6 +631,6 @@ class TestPinnedReports:
         monkeypatch.chdir(path.parent)
         assert run_cli(["shap", "--model", path.name, "--instance", instance,
                         "--game", game, "--method", "cgt", "--epsilon", epsilon,
-                        "--seed", "7", "--output", "json"]) == 0
+                        "--seed", "7", "--output", "json", *extra]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == self.DIGESTS[name, game, epsilon]

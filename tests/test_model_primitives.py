@@ -209,6 +209,18 @@ def test_the_prime_layout_answers_as_the_fraction_reference_within_a_second():
     assert model.output_range() == reference_box_output_range(model)
 
 
+@pytest.mark.parametrize("n_cells", [1024, 6, 7])
+def test_stacked_slice_expectations_equal_the_left_to_right_sum(n_cells):
+    """The per-denominator terms are added pairwise: on the prime layout,
+    and on short ones whose levels leave an odd term over, the all-free and
+    one-fixed slices equal the reference's running sum over the cells."""
+    model = prime_stacked_model(random.Random(11), n_cells)
+    v = (Fraction(1, 3), Fraction(-2, 7))
+    for fixed in (frozenset(), frozenset({1}), frozenset({2})):
+        assert model.slice_expectation(v, fixed) == \
+            reference_box_slice_expectation(model, v, fixed)
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_tree_output_equals_the_reference_at_every_point(seed):
     rng = random.Random(seed)
