@@ -48,7 +48,13 @@ from .modelio import (
     rational_str,
     read_point,
 )
-from .ranking import compare_scores, rank_features, summarize_comparisons
+from .ranking import (
+    DEFAULT_DEPTH,
+    DEFAULT_PERSISTENCE,
+    compare_scores,
+    rank_features,
+    summarize_comparisons,
+)
 from .similarity import SimilarityConfig
 
 SIGMA_COMMANDS = {"relevancy", "axp", "cxp", "enumerate", "compare"}
@@ -97,8 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare",
                            help="rank-overlap of expected-value vs sufficiency scores")
     common(p_cmp)
-    p_cmp.add_argument("--persistence", default="1/2", help="top-weighting parameter in (0,1)")
-    p_cmp.add_argument("--depth", type=int, default=5, help="evaluation depth")
+    p_cmp.add_argument("--persistence", default=str(DEFAULT_PERSISTENCE),
+                       help="top-weighting parameter in (0,1)")
+    p_cmp.add_argument("--depth", type=int, default=DEFAULT_DEPTH, help="evaluation depth")
     p_cmp.add_argument("--abs", action="store_true",
                        help="table output shows only the absolute-value variant")
     return parser

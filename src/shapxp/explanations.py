@@ -12,7 +12,7 @@ explanations, found among the disagreement masks the problem's scope
 yields, built once per problem. Enumeration, relevancy, compliance and
 the sufficiency predicate on a tree or a sample read it; the abductive
 explanations are its minimal hitting sets, and the sufficiency game's
-table (:func:`sufficiency_table`) is its closure.
+table (:func:`sufficiency_table`) is read off its up-closure.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .similarity import (
 FeatureSet = tuple  # canonical: sorted tuple of 1-based feature ids
 # Set comparisons one run may make over a family of masks: the hitting-set
 # search's mask operations at any width (k disjoint pairs have 2^k minimal
-# hitting sets), the minimality filter of a basis too wide for the closure
+# hitting sets), the minimality filter of a basis too wide for the up-closure
 # route, or CGT's sufficiency checks on a tree or a sample.
 # One comparison costs 0.2-0.3 us (Python 3.11, x86-64), so about a second.
 BASIS_GUARD = 2 ** 22
@@ -264,8 +264,9 @@ def guard_sufficiency_sampling(problem: ExplanationProblem, coalitions: int,
 def _minimal(masks: Iterable[int], m: int) -> tuple[int, ...]:
     """The inclusion-minimal masks over m features, in (size, ids) order.
     Each mask, smallest first, is compared with those kept; once that has
-    cost the m * 2^m steps of the closure route, which needs 2^m within
-    POINT_GUARD, that route finishes. Past that width the comparisons are
+    cost m * 2^m steps, and 2^m is within POINT_GUARD, the rest is read off
+    the masks' up-closure: a mask is minimal when the closure holds none of
+    the masks one feature smaller. Past that width the comparisons are
     refused beyond BASIS_GUARD."""
     masks = sorted(set(masks), key=int.bit_count)
     closure = 1 << m <= POINT_GUARD
@@ -277,22 +278,13 @@ def _minimal(masks: Iterable[int], m: int) -> tuple[int, ...]:
             if not closure:
                 raise SizeLimitError(f"contrastive basis over {m} features guarded "
                                      f"at {BASIS_GUARD} set comparisons")
-            return _minimal_in_closure(masks, m)
+            found = _up_closure(masks, m).to_bytes(((1 << m) + 7) // 8, "little")
+            bits = [1 << j for j in range(m)]
+            return _in_order(mask for mask in masks if not any(
+                found[(mask ^ b) >> 3] >> ((mask ^ b) & 7) & 1 for b in bits if mask & b))
         if all(k & mask != k for k in kept):
             kept.append(mask)
     return _in_order(kept)
-
-
-def _minimal_in_closure(masks: Iterable[int], m: int) -> tuple[int, ...]:
-    """The inclusion-minimal masks over m features, in (size, ids) order,
-    read off the closure: C is minimal when its complement R is
-    insufficient and R plus any one feature of C is not."""
-    insufficient = _closure(masks, m)
-    full = (1 << m) - 1
-    bits = [1 << j for j in range(m)]
-    return _in_order(
-        full ^ rest for rest, hit in enumerate(insufficient)
-        if hit and not any(insufficient[rest | b] for b in bits if not rest & b))
 
 
 def _in_order(masks: Iterable[int]) -> tuple[int, ...]:
@@ -316,44 +308,42 @@ def _minimal_cxps(problem: ExplanationProblem) -> tuple[int, ...]:
 # Coalition tables
 # ---------------------------------------------------------------------------
 #
-# A coalition table holds a value for every coalition mask S; a fold over
-# the supersets of each S fills all 2^m of them in O(m * 2^m). The
-# expected-value game folds a histogram of the points by agreement mask,
-# within which x_S = v_S holds; the sufficiency table folds the complements
-# of the basis masks, since S is insufficient exactly when it lies in one.
+# The sufficiency game is 0/1, so its table is a set of coalitions: one int
+# whose bit S stands for coalition S. S is insufficient exactly when its
+# complement contains a basis mask, that is, when the complement lies in
+# the basis's up-closure, which m whole-int steps build.
 
 
-def _fold_supersets(table: list, op: Callable) -> None:
-    """In place, table[S] becomes the op-fold of table[T] over every
-    superset T of S (the zeta transform): m passes over 2^m entries."""
-    size = len(table)
-    half = 1
-    while half < size:
-        for lo in range(0, size, 2 * half):
-            # masks lo..lo+half-1 lack this bit; the next half are them with it
-            table[lo:lo + half] = map(op, table[lo:lo + half],
-                                      table[lo + half:lo + 2 * half])
-        half *= 2
-
-
-def _closure(masks: Iterable[int], m: int) -> list[bool]:
-    """For every coalition mask S over m features: does some mask lie
-    within the complement of S, so that fixing S leaves it free?"""
-    full = (1 << m) - 1
-    found = [False] * (1 << m)
+def _up_closure(masks: Iterable[int], m: int) -> int:
+    """The coalitions over m features that contain some mask, as an int
+    whose bit S is set for coalition S. Each feature k in turn adds, to
+    every coalition without k in the set, that coalition with k."""
+    size = 1 << m
+    found = bytearray((size + 7) // 8)
     for mask in masks:
-        found[full ^ mask] = True
-    _fold_supersets(found, or_)
-    return found
+        found[mask >> 3] |= 1 << (mask & 7)
+    closed = int.from_bytes(found, "little")
+    for k in range(m):
+        half = 1 << k
+        low = (1 << half) - 1  # the coalitions without k: runs of 2^k ones and zeros
+        width = 2 * half
+        while width < size:  # doubled, as dividing out the runs is quadratic
+            low |= low << width
+            width *= 2
+        closed |= (closed & low) << half
+    return closed
 
 
 def sufficiency_table(problem: ExplanationProblem) -> list[int]:
     """The sufficiency game for every coalition mask S (bit k is feature
     k+1): nu(S) = 1 exactly when S is a weak abductive explanation, that
-    is, when S meets every mask of the contrastive basis. Its 2^m entries
-    are bounded by the caller, :meth:`~shapxp.games.Game.table`."""
-    return [0 if hit else 1 for hit in _closure(problem.contrastive_basis,
-                                                problem.model.space.m)]
+    is, when S meets every mask of the contrastive basis, so that bit
+    full ^ S of the basis's up-closure is clear. Written from its top bit,
+    that bit is the closure's digit S. Its 2^m entries are bounded by the
+    caller, :meth:`~shapxp.games.Game.table`."""
+    m = problem.model.space.m
+    digits = format(_up_closure(problem.contrastive_basis, m), f"0{1 << m}b")
+    return list(digits.encode().translate(bytes.maketrans(b"01", b"\1\0")))
 
 
 # ---------------------------------------------------------------------------

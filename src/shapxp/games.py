@@ -22,7 +22,6 @@ from typing import Callable, Iterable, Mapping, Optional
 from .errors import NumericOutputError, PreconditionError, SizeLimitError, ValidationError
 from .explanations import (
     ExplanationProblem,
-    _fold_supersets,
     guard_sufficiency_sampling,
     is_waxp,
     relevant_features,
@@ -66,8 +65,8 @@ class Game:
     ``table`` returns the whole coalition table, which is what exact
     Shapley values need, and refuses more than POINT_GUARD coalitions
     before any work. A game with a ``kernel`` builds it at once, only
-    when asked; the sufficiency game's kernel builds the closure of its
-    problem's contrastive basis on each read (see
+    when asked; the sufficiency game's kernel reads the up-closure of
+    its problem's contrastive basis on each read (see
     :func:`~shapxp.explanations.sufficiency_table`). Any other game
     evaluates ``at`` on each of the 2^m coalitions.
 
@@ -206,7 +205,10 @@ def _expected_table(problem: ExplanationProblem) -> CoalitionTable:
     sums = [0] * (1 << space.m)
     for mask, y in outputs:
         sums[mask] += y.numerator * (scale // y.denominator)
-    _fold_supersets(sums, add)
+    for k in range(space.m):  # each sum gains its supersets': m passes, O(m * 2^m)
+        half, step = 1 << k, 2 << k  # masks lo..lo+half-1 lack bit k, the next half hold it
+        for lo in range(0, len(sums), step):
+            sums[lo:lo + half] = map(add, sums[lo:lo + half], sums[lo + half:lo + step])
     inside = [1]  # prod_{j in S} |D_j|, one feature at a time
     for feature in space.features:
         size = len(feature.domain.values)

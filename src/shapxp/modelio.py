@@ -155,7 +155,7 @@ def model_from_dict(doc: dict, where: str = "model") -> Model:
     if kind == "tree":
         return _tree_from(doc, space, value_kind, where)
     if kind == "box_piecewise":
-        return _box_from(doc, space, where)
+        return _box_from(doc, space, value_kind, where)
     raise ValidationError(f"{where}: unknown model kind {kind!r}")
 
 
@@ -338,7 +338,7 @@ def _node_id(raw, where: str):
     return raw
 
 
-def _box_from(doc, space, where) -> BoxPiecewiseModel:
+def _box_from(doc, space, value_kind, where) -> BoxPiecewiseModel:
     raw_cells = doc.get("cells")
     if not isinstance(raw_cells, list):
         raise ValidationError(f"{where}: box model needs a 'cells' list")
@@ -358,7 +358,7 @@ def _box_from(doc, space, where) -> BoxPiecewiseModel:
                         _memo_value(memo, hi, parse_rational, loc)) for lo, hi in box)
         coeffs = [_memo_value(memo, a, parse_rational, loc) for a in affine]
         cells.append(Cell(bounds, coeffs[0], tuple(coeffs[1:])))
-    return BoxPiecewiseModel(space, tuple(cells))
+    return BoxPiecewiseModel(space, tuple(cells), value_kind)
 
 
 # ---------------------------------------------------------------------------

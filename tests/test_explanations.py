@@ -4,6 +4,7 @@ import warnings
 from dataclasses import fields, replace
 from fractions import Fraction as F
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 
@@ -43,7 +44,7 @@ from shapxp import (
 from shapxp.explanations import (
     _dissimilar,
     _ids,
-    _minimal_in_closure,
+    _minimal,
     agnostic_support,
     sufficiency_table,
 )
@@ -330,6 +331,37 @@ def basis_problems(rng):
                 yield ExplanationProblem(model, instance, SimilarityConfig.threshold(delta))
 
 
+def pairwise_minimal(masks):
+    """The masks that contain no other, each compared with every other,
+    in (size, ids) order."""
+    masks = set(masks)
+    return tuple(sorted((b for b in masks if not any(a != b and a & b == a for a in masks)),
+                        key=lambda b: (b.bit_count(), _ids(b))))
+
+
+def seeded_family(rng, m, n):
+    """n masks over m features of about m/2 features each, with repeats
+    and a superset of some."""
+    masks = [sum(1 << j for j in rng.sample(range(m), rng.randint(m // 2, m // 2 + 1)))
+             for _ in range(n)]
+    masks += rng.choices(masks, k=n // 8)
+    return masks + [mask | 1 << rng.randrange(m) for mask in rng.choices(masks, k=n // 8)]
+
+
+def one_witness_family(rng, m):
+    """Every set of k = m // 2 of m features but some, every set of more
+    than k + 1, and for each feature j one set M of k + 1 holding j whose
+    only subset of size k in the family is M - {j}, as far as the later
+    such sets leave it: a minimality test that skips feature j keeps M."""
+    k = m // 2
+    family = {mask for mask in range(1 << m) if mask.bit_count() in (k, *range(k + 2, m + 1))}
+    for j in range(m):
+        mask = sum(1 << i for i in rng.sample([i for i in range(m) if i != j], k)) | 1 << j
+        family -= {mask ^ 1 << i for i in range(m) if mask >> i & 1 and i != j}
+        family |= {mask, mask ^ 1 << j}
+    return sorted(family)
+
+
 class TestContrastiveBasis:
     def test_equals_the_lattice_oracle_and_the_table(self):
         rng = random.Random(1414)
@@ -338,7 +370,7 @@ class TestContrastiveBasis:
             assert set(map(frozenset, map(_ids, basis))) == brute_force_cxps(problem)
             assert basis == tuple(sorted(basis, key=lambda b: (b.bit_count(), _ids(b))))
             masks = problem.scope.disagreements(problem.instance.point, _dissimilar(problem))
-            assert _minimal_in_closure(masks, problem.model.space.m) == basis
+            assert pairwise_minimal(masks) == basis
             if problem.model.space.m <= 6:
                 table = sufficiency_table(problem)
                 for s in subsets(problem.feature_ids):
@@ -360,8 +392,6 @@ class TestContrastiveBasis:
                                          SimilarityConfig.class_equality(), universe)
             with cpu_limit(2):
                 basis = problem.contrastive_basis
-                masks = problem.scope.disagreements(points[0], _dissimilar(problem))
-                assert basis == _minimal_in_closure(masks, 16)
             assert sorted(basis) == eights
 
     @pytest.mark.parametrize("agnostic", [False, True], ids=["model", "sample"])
@@ -414,6 +444,41 @@ class TestContrastiveBasis:
         for query in (enumerate_cxps, relevant_features):
             with pytest.warns(ConstantOnUniverseWarning):
                 assert query(problem) == ()
+
+
+class TestUpClosure:
+    """The basis's up-closure, one int of 2^m bits, against the
+    definitions it is read for."""
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_the_sufficiency_table_is_its_definition(self, m):
+        rng = random.Random(m)
+        bases = [(0,), (), ((1 << m) - 1,)]
+        bases += [tuple(seeded_family(rng, m, rng.randint(1, 12))) for _ in range(4)]
+        bases += [tuple(rng.randrange(1, 1 << m) for _ in range(rng.randint(1, 6)))
+                  for _ in range(4)]
+        for basis in bases:
+            problem = SimpleNamespace(contrastive_basis=basis,
+                                      model=SimpleNamespace(space=SimpleNamespace(m=m)))
+            assert sufficiency_table(problem) == [int(all(b & s for b in basis))
+                                                  for s in range(1 << m)]
+
+    @pytest.mark.parametrize("m", range(6, 11))
+    def test_minimal_past_its_budget_equals_the_pairwise_reference(self, m, monkeypatch):
+        up_closure, calls = shapxp.explanations._up_closure, []
+
+        def counted(masks, m):
+            calls.append(m)
+            return up_closure(masks, m)
+
+        monkeypatch.setattr(shapxp.explanations, "_up_closure", counted)
+        rng = random.Random(m)
+        families = [seeded_family(rng, m, 2 << m) for _ in range(3)]
+        if m >= 8:  # narrower ones stay within the budget
+            families += [one_witness_family(rng, m) for _ in range(3)]
+        for masks in families:
+            assert _minimal(masks, m) == pairwise_minimal(masks)
+        assert calls == [m] * len(families)
 
 
 class TestHittingSetDuality:

@@ -8,6 +8,8 @@ A line marked ``# noqa: F401`` keeps its import, for names that are looked
 up in the module from outside (the benchmark's tracer rebinds them there).
 An UPPER_CASE name assigned at module level that no module of the package
 reads, by name or as an attribute, fails too: a guard or tag left behind.
+So does a module-level function or class whose name starts with ``_``: a
+private helper that only tests call.
 The package declares no dependencies, so an absolute import whose top-level
 name is not in ``sys.stdlib_module_names`` fails as well.
 """
@@ -56,22 +58,29 @@ def test_every_import_is_read(module):
     assert unused_imports((SRC / module).read_text()) == []
 
 
-def unread_constants(sources: dict[str, str]) -> list[tuple[str, int, str]]:
-    """(module, line, name) of each module-level UPPER_CASE assignment that
-    no source reads."""
-    assigned, read = [], set()
-    for module, source in sources.items():
-        tree = ast.parse(source)
-        for node in tree.body:
-            targets = node.targets if isinstance(node, ast.Assign) else [
-                getattr(node, "target", None)]
-            assigned += [(module, node.lineno, t.id) for t in targets
-                         if isinstance(t, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", t.id)]
-        for node in ast.walk(tree):
+def names_read(sources: dict[str, str]) -> set[str]:
+    """Every name some source reads, by name or as an attribute."""
+    read = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+    return read
+
+
+def unread_constants(sources: dict[str, str]) -> list[tuple[str, int, str]]:
+    """(module, line, name) of each module-level UPPER_CASE assignment that
+    no source reads."""
+    assigned = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                getattr(node, "target", None)]
+            assigned += [(module, node.lineno, t.id) for t in targets
+                         if isinstance(t, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", t.id)]
+    read = names_read(sources)
     return [entry for entry in assigned if entry[2] not in read]
 
 
@@ -85,6 +94,31 @@ def test_the_checker_finds_an_unread_constant():
 def test_every_constant_is_read():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unread_constants(sources) == []
+
+
+def unread_private_definitions(sources: dict[str, str]) -> list[tuple[str, int, str]]:
+    """(module, line, name) of each module-level function or class whose
+    name starts with ``_`` and that no source reads."""
+    defined = [(module, node.lineno, node.name)
+               for module, source in sources.items() for node in ast.parse(source).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] == "_"]
+    read = names_read(sources)
+    return [entry for entry in defined if entry[2] not in read]
+
+
+def test_the_checker_finds_an_unread_private_definition():
+    sources = {"a.py": ("def _helper():\n    pass\n"
+                        "class _Kept:\n    pass\n"
+                        "def _walked():\n    pass\n"
+                        "def public():\n    return _Kept()\n"),
+               "b.py": "from . import a\nclass _Orphan:\n    pass\na._walked()\n"}
+    assert unread_private_definitions(sources) == [("a.py", 1, "_helper"),
+                                                   ("b.py", 2, "_Orphan")]
+
+
+def test_every_private_definition_is_read():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unread_private_definitions(sources) == []
 
 
 def foreign_imports(source: str) -> list[tuple[int, str]]:

@@ -372,6 +372,12 @@ class TestCli:
             assert run_cli(argv) == 2
             capsys.readouterr()
 
+    def test_a_categorical_box_model_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "pw2.json"
+        path.write_bytes(mutated("pw2.json", ("value_kind",), "categorical"))
+        assert run_cli(["validate", "--model", str(path)]) == 2
+        assert "box-piecewise models are numeric-valued" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self, capsys):
         assert run_cli(["validate", "--model", "no/such/file.json"]) == 2
         capsys.readouterr()

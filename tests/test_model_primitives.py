@@ -39,6 +39,7 @@ from shapxp.similarity import Dissimilar
 from boxmodels import QUARTERS, prime_stacked_model, random_grid_model, random_kd_model
 from conftest import cpu_limit
 from randmodels import random_table, random_tree_model
+from test_models import bool_space
 
 
 # Reference semantics: verbatim copies of BoxPiecewiseModel.output,
@@ -345,17 +346,9 @@ def test_table_enumerations_equal_the_reference(seed):
     assert_enumerations_equal_the_reference(TabularModel(space, outputs, kind), rng)
 
 
-def test_a_slice_is_read_lazily():
-    """A 2^20-point slice whose second point already differs is answered
-    from its first two slots, with no list of slots or points."""
-    m = 20
-    space = FeatureSpace(tuple(
-        Feature(i, f"x{i}", DiscreteDomain((0, 1))) for i in range(1, m + 1)))
-    nodes = {"root": TreeNode(m, (((0,), "zero"), ((1,), "one"))),
-             "zero": TreeLeaf(0), "one": TreeLeaf(1)}
-    model = TreeModel(space, nodes, "root")
-    problem = ExplanationProblem(model, make_instance(model, (0,) * m),
-                                 SimilarityConfig.class_equality())
+def assert_lazy(problem):
+    """The empty set is no WAXp of ``problem``, decided within 1 s of CPU
+    and 1 MiB of traced memory."""
     tracemalloc.start()
     try:
         with cpu_limit(1):
@@ -364,3 +357,23 @@ def test_a_slice_is_read_lazily():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+def test_a_wide_trees_basis_is_built_lazily():
+    """The basis of a tree over 2^20 coalitions comes from its two leaves,
+    with no table of coalitions."""
+    m = 20
+    nodes = {"root": TreeNode(m, (((0,), "zero"), ((1,), "one"))),
+             "zero": TreeLeaf(0), "one": TreeLeaf(1)}
+    model = TreeModel(bool_space(m), nodes, "root")
+    assert_lazy(ExplanationProblem(model, make_instance(model, (0,) * m),
+                                   SimilarityConfig.class_equality()))
+
+
+def test_a_slice_of_a_wide_table_is_read_lazily():
+    """A 2^20-point slice whose second point already differs is answered
+    from its first two slots, with no list of slots or points."""
+    m = 20
+    model = TabularModel(bool_space(m), (0, 1) + (0,) * ((1 << m) - 2))
+    assert_lazy(ExplanationProblem(model, make_instance(model, (0,) * m),
+                                   SimilarityConfig.class_equality()))
