@@ -14,7 +14,6 @@ import io
 import sys
 import time
 import warnings
-from dataclasses import replace
 from functools import cache
 from fractions import Fraction
 
@@ -120,13 +119,12 @@ def run_cli(argv) -> int:
             started = time.perf_counter()
             report = _dispatch(args)
             elapsed_ms = round((time.perf_counter() - started) * 1000.0, 3)
-            report = replace(report, timing_ms=elapsed_ms)
             # Rendered before anything is written, so a value that cannot
             # be shown exits 3 with no partial report.
             if args.output == "json":
-                outcome = report.to_json(include_timing=args.with_timing)
+                outcome = report.to_json(elapsed_ms if args.with_timing else None)
             else:
-                outcome = _table(report)
+                outcome = _table(report, elapsed_ms)
             code = 0
         except (ValidationError, DomainError, OSError) as exc:
             outcome, code = exc, 2
@@ -151,7 +149,9 @@ def main() -> None:
 
 def _dispatch(args) -> RunReport:
     model = load_model(args.model)
-    model_info = {
+    report = RunReport(command=args.command, instance=None, similarity=None,
+                       universe=None, results=None, diagnostics=None)
+    report["model"] = {
         "path": str(args.model),
         "kind": type(model).__name__,
         "value_kind": model.value_kind,
@@ -159,30 +159,30 @@ def _dispatch(args) -> RunReport:
         "features": [f.name for f in model.space.features],
     }
     if args.command == "validate":
-        results = {"ok": True}
+        results = report["results"] = {"ok": True}
         if model.space.all_discrete():
             results["points"] = model.space.size
         else:
             results["cells"] = len(model.cells)
         if args.sample:
             results["sample_rows"] = len(load_sample(args.sample, model))
-        return RunReport("validate", model_info, None, None, None, results)
+        return report
 
     instances = _parse_instances(args, model)
     similarity = _similarity_for(args, model)
-    universe, universe_info = _universe_for(args, model)
-    sim_info = {"mode": similarity.mode}
+    universe, report["universe"] = _universe_for(args, model)
+    report["similarity"] = {"mode": similarity.mode}
     if similarity.delta is not None:
-        sim_info["delta"] = rational_str(similarity.delta)
+        report["similarity"]["delta"] = rational_str(similarity.delta)
 
     if args.command == "compare":
-        results = _run_compare(args, model, instances, similarity, universe)
-        return RunReport("compare", model_info, None, sim_info, universe_info, results)
+        report["results"] = _run_compare(args, model, instances, similarity, universe)
+        return report
 
     if len(instances) != 1:
         raise ValidationError(f"'{args.command}' takes exactly one --instance")
     problem = ExplanationProblem(model, instances[0], similarity, universe)
-    instance_info = {
+    report["instance"] = {
         "point": [format_value(x) for x in problem.instance.point],
         "prediction": format_value(problem.instance.prediction),
     }
@@ -211,14 +211,11 @@ def _dispatch(args) -> RunReport:
         sets = axps_from_cxps(cxps) if args.kind == "axp" else cxps
         results = {"kind": args.kind, "sets": [list(s) for s in sets]}
     elif args.command == "shap":
-        results, diagnostics = _run_shap(args, problem)
-        return RunReport("shap", model_info, instance_info, sim_info,
-                         universe_info, results, diagnostics)
+        results, report["diagnostics"] = _run_shap(args, problem)
     else:  # pragma: no cover - argparse restricts the choices
         raise ValidationError(f"unknown subcommand {args.command!r}")
-
-    return RunReport(args.command, model_info, instance_info, sim_info,
-                     universe_info, results)
+    report["results"] = results
+    return report
 
 
 def _run_shap(args, problem):
@@ -375,40 +372,39 @@ def _decimal(text: str) -> str:
                              "output; --output json reports it") from None
 
 
-def _table(report: RunReport) -> str:
+def _table(report: RunReport, elapsed_ms: float) -> str:
     out = io.StringIO()
-    res = report.results
-    print(f"model: {report.model['path']} "
-          f"({report.model['kind']}, {report.model['value_kind']}, "
-          f"m={report.model['m']})", file=out)
-    if report.instance:
-        point = ",".join(str(x) for x in report.instance["point"])
-        print(f"instance: ({point}) -> {report.instance['prediction']}", file=out)
-    if report.universe and report.universe["kind"] == "model_agnostic":
-        print(f"universe: sample {report.universe['sample']} "
-              f"({report.universe['rows']} rows)", file=out)
-    if report.command == "validate":
+    command, model, res = report["command"], report["model"], report["results"]
+    instance, universe = report["instance"], report["universe"]
+    print(f"model: {model['path']} ({model['kind']}, {model['value_kind']}, "
+          f"m={model['m']})", file=out)
+    if instance:
+        point = ",".join(str(x) for x in instance["point"])
+        print(f"instance: ({point}) -> {instance['prediction']}", file=out)
+    if universe and universe["kind"] == "model_agnostic":
+        print(f"universe: sample {universe['sample']} ({universe['rows']} rows)", file=out)
+    if command == "validate":
         size = res.get("points", res.get("cells"))
         unit = "points" if "points" in res else "cells"
         print(f"ok: model valid ({size} {unit})", file=out)
         if "sample_rows" in res:
             print(f"ok: sample valid ({res['sample_rows']} rows)", file=out)
-    elif report.command == "relevancy":
+    elif command == "relevancy":
         for row in res["per_feature"]:
             mark = "relevant" if row["relevant"] else "irrelevant"
             print(f"  feature {row['feature']}: {mark}", file=out)
         print(f"relevant set: {set(res['relevant']) or '{}'}", file=out)
-    elif report.command in ("axp", "cxp"):
-        label = "abductive" if report.command == "axp" else "contrastive"
-        print(f"{label} explanation: {set(res[report.command])}", file=out)
+    elif command in ("axp", "cxp"):
+        label = "abductive" if command == "axp" else "contrastive"
+        print(f"{label} explanation: {set(res[command])}", file=out)
         if res.get("vacuous"):
             print("warning: no sample row matches the fixed features; the check "
                   "is vacuous", file=out)
-    elif report.command == "enumerate":
+    elif command == "enumerate":
         print(f"minimal {res['kind']} sets ({len(res['sets'])}):", file=out)
         for s in res["sets"]:
             print(f"  {set(s)}", file=out)
-    elif report.command == "shap":
+    elif command == "shap":
         print(f"game: {res['game']}   method: {res['method']}", file=out)
         print("feature  name        score         (exact)", file=out)
         for row in res["scores"]:
@@ -425,11 +421,10 @@ def _table(report: RunReport) -> str:
             else:
                 print(f"compliance: MISLEADING on features {comp['violations']}",
                       file=out)
-        if report.diagnostics:
-            d = report.diagnostics
+        if d := report["diagnostics"]:
             print(f"cgt: {d['permutations']} permutations, bound {d['marginal_bound']}, "
                   f"epsilon {d['epsilon']}, alpha {d['alpha']}, seed {d['seed']}", file=out)
-    elif report.command == "compare":
+    elif command == "compare":
         print(f"persistence {res['persistence']}, depth {res['depth']}, "
               f"max attainable rbo {_decimal(res['max_rbo'])}", file=out)
         modes = ("absolute",) if res["absolute_only"] else ("signed", "absolute")
@@ -449,8 +444,7 @@ def _table(report: RunReport) -> str:
                 print(f"  {row['a']} vs {row['b']} [{row['mode']}]: "
                       f"min {_decimal(row['min'])}  max {_decimal(row['max'])}  "
                       f"mean {_decimal(row['mean'])}", file=out)
-    if report.timing_ms is not None:
-        print(f"time: {report.timing_ms:.1f} ms", file=out)
+    print(f"time: {elapsed_ms:.1f} ms", file=out)
     return out.getvalue()
 
 

@@ -288,7 +288,9 @@ def _minimal(masks: Iterable[int], m: int) -> tuple[int, ...]:
 
 
 def _in_order(masks: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted(masks, key=lambda mask: (mask.bit_count(), _ids(mask))))
+    # By size, then ids: among masks of one size, reversed binary numerals descend as ids ascend.
+    return tuple(sorted(sorted(masks, key=lambda mask: f"{mask:b}"[::-1], reverse=True),
+                        key=int.bit_count))
 
 
 def _minimal_cxps(problem: ExplanationProblem) -> tuple[int, ...]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, fields as dataclass_fields
 from fractions import Fraction
 from operator import add, getitem, itemgetter, ne
 from typing import Optional
@@ -332,8 +331,8 @@ def _tree_from(doc, space, value_kind, where) -> TreeModel:
 
 
 def _node_id(raw, where: str):
-    # Node ids key a dict, so a JSON list or object cannot be one.
-    if isinstance(raw, (list, dict)):
+    # Node ids key a dict: true and false would alias 1 and 0, and null a missing id.
+    if isinstance(raw, bool) or not isinstance(raw, (int, Fraction, str)):
         raise ValidationError(f"{where}: a node id must be a number or a string, got {raw!r}")
     return raw
 
@@ -471,40 +470,13 @@ def _split_header(line: str, names: list[str], path) -> tuple[list[str], str]:
 # Run reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RunReport:
-    """Everything one CLI invocation computed, in JSON-ready form.
+class RunReport(dict):
+    """Everything one CLI invocation computed, as its JSON document: the keys
+    command, model, instance, similarity, universe, results and diagnostics,
+    None where a command has no such part. Rationals inside are canonical
+    strings, so ``RunReport(json.loads(text)).to_json()`` gives ``text`` back."""
 
-    All rationals inside are canonical strings, so serialization is
-    lossless and byte-stable. Timing is excluded from JSON by default to
-    keep identical invocations byte-identical.
-    """
-
-    command: str
-    model: dict
-    instance: Optional[dict]
-    similarity: Optional[dict]
-    universe: Optional[dict]
-    results: dict
-    diagnostics: Optional[dict] = None
-    timing_ms: Optional[float] = None
-
-    def to_json(self, include_timing: bool = False) -> str:
-        doc = {f.name: getattr(self, f.name) for f in dataclass_fields(self)}  # JSON-ready
-        if not include_timing:
-            doc.pop("timing_ms")
+    def to_json(self, timing_ms: Optional[float] = None) -> str:
+        # Wall time would break byte-stability, so it is written only when given.
+        doc = self if timing_ms is None else {**self, "timing_ms": timing_ms}
         return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        doc = json.loads(text)
-        return cls(
-            command=doc["command"],
-            model=doc["model"],
-            instance=doc.get("instance"),
-            similarity=doc.get("similarity"),
-            universe=doc.get("universe"),
-            results=doc["results"],
-            diagnostics=doc.get("diagnostics"),
-            timing_ms=doc.get("timing_ms"),
-        )

@@ -433,18 +433,19 @@ class TreeModel(_EnumerableModel):
         excludes v_j. Every edge routes some value (see _validate), and off
         its path a point reaching the leaf may agree with v, so each mask is
         a dissimilar point's, and every dissimilar point's mask holds its
-        leaf's. One walk from the root, O(nodes)."""
-        masks, outputs, stack = [], [], [(self.root, 0)]
+        leaf's. One walk from the root over the routes, O(nodes)."""
+        masks, outputs, stack, routes = [], [], [(self.root, 0)], self.routes
+        at = tuple(map(getitem, self.space.indexes, v))  # v's domain positions
         while stack:
             node_id, mask = stack.pop()
-            node = self.nodes[node_id]
-            if isinstance(node, TreeLeaf):
+            if node_id not in routes:  # a leaf
                 masks.append(mask)
-                outputs.append(node.value)
+                outputs.append(self.nodes[node_id].value)
                 continue
-            j = node.feature - 1
-            stack.extend((child, mask if v[j] in values else mask | 1 << j)
-                         for values, child in node.edges)
+            j, children = routes[node_id]
+            own = children[at[j]]  # the child v_j routes to
+            stack.extend((child, mask if child == own else mask | 1 << j)
+                         for child in dict.fromkeys(children))
         return compress(masks, verdicts(dissimilar, outputs))
 
     def _values(self) -> list:

@@ -44,6 +44,7 @@ from shapxp import (
 from shapxp.explanations import (
     _dissimilar,
     _ids,
+    _in_order,
     _minimal,
     agnostic_support,
     sufficiency_table,
@@ -362,7 +363,57 @@ def one_witness_family(rng, m):
     return sorted(family)
 
 
+def edge_value_disagreements(tree, v, dissimilar):
+    """TreeModel.disagreements as a walk that tests v_j against each edge's
+    values: bit j is set below every edge of feature j + 1 that excludes v_j."""
+    masks, stack = [], [(tree.root, 0)]
+    while stack:
+        node_id, mask = stack.pop()
+        node = tree.nodes[node_id]
+        if isinstance(node, TreeLeaf):
+            masks += [mask] if dissimilar(node.value) else []
+            continue
+        j = node.feature - 1
+        stack.extend((child, mask if v[j] in values else mask | 1 << j)
+                     for values, child in node.edges)
+    return masks
+
+
+def with_string_ids(tree):
+    """The same tree with each node id n renamed "n<n>"."""
+    name = {nid: f"n{nid}" for nid in tree.nodes}
+    nodes = {name[nid]: node if isinstance(node, TreeLeaf) else TreeNode(
+        node.feature, tuple((values, name[child]) for values, child in node.edges))
+        for nid, node in tree.nodes.items()}
+    return TreeModel(tree.space, nodes, name[tree.root], tree.value_kind)
+
+
 class TestContrastiveBasis:
+    def test_the_order_is_size_then_ids(self):
+        rng = random.Random(2000)
+        for _ in range(2000):
+            m = rng.randint(1, 22)
+            family = [rng.getrandbits(m) for _ in range(rng.randint(0, 40))] + [0] * (m % 2)
+            assert _in_order(family) == tuple(sorted(family,
+                                                     key=lambda b: (b.bit_count(), _ids(b))))
+
+    def test_a_trees_routes_give_the_edge_values_masks(self):
+        rng = random.Random(1733)
+        wide_edges = 0
+        for _ in range(60):
+            tree = with_string_ids(random_tree_model(rng, rng.randint(1, 6), max_domain=4,
+                                                     mixed=True))
+            wide_edges += any(len(values) > 1 for node in tree.nodes.values()
+                              if isinstance(node, TreeNode) for values, _ in node.edges)
+            for _ in range(3):
+                instance = random_instance(rng, tree)
+                for similarity in (SimilarityConfig.class_equality(),
+                                   SimilarityConfig.threshold(1)):
+                    dissimilar = _dissimilar(ExplanationProblem(tree, instance, similarity))
+                    assert sorted(tree.disagreements(instance.point, dissimilar)) == \
+                        sorted(edge_value_disagreements(tree, instance.point, dissimilar))
+        assert wide_edges > 20
+
     def test_equals_the_lattice_oracle_and_the_table(self):
         rng = random.Random(1414)
         for problem in basis_problems(rng):

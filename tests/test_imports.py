@@ -5,7 +5,8 @@ is of the standard library or of the package itself.
 No linter ships with the toolchain, so each module is parsed with ``ast``:
 an imported name that no expression of the module reads fails the test.
 A line marked ``# noqa: F401`` keeps its import, for names that are looked
-up in the module from outside (the benchmark's tracer rebinds them there).
+up in the module from outside (the benchmark's tracer rebinds them there);
+each such import must name a lookup site of ``bench/tracing.py``.
 An UPPER_CASE name assigned at module level that no module of the package
 reads, by name or as an attribute, fails too: a guard or tag left behind.
 So does a module-level function or class whose name starts with ``_``: a
@@ -22,6 +23,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "shapxp"
+TRACING = SRC.parent.parent / "bench" / "tracing.py"
 MODULES = sorted(path.name for path in SRC.glob("*.py") if path.name != "__init__.py")
 ALL_MODULES = sorted(path.name for path in SRC.glob("*.py"))
 
@@ -56,6 +58,46 @@ def test_the_checker_finds_an_orphaned_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_read(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def tracer_sites(source: str) -> set[str]:
+    """Every "shapxp.<module>:<name>" lookup site that a source names."""
+    return {node.value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and re.fullmatch(r"shapxp\.\w+:[\w.]+", node.value)}
+
+
+def untraced_kept_imports(module: str, source: str, sites: set[str]) -> list[tuple[int, str]]:
+    """(line, name) of each ``# noqa: F401`` import of ``module`` whose
+    name is no site "shapxp.<module>:<name>"."""
+    lines = source.splitlines()
+    return sorted((alias.lineno, alias.asname or alias.name)
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names
+                  if "# noqa: F401" in lines[alias.lineno - 1]
+                  and f"shapxp.{module}:{alias.asname or alias.name}" not in sites)
+
+
+def test_the_checker_finds_a_kept_import_the_tracer_does_not_look_up():
+    tracer = ('SPANS = (("a", ("shapxp.cli:load_model",)),)\n'
+              'LEAVES = (("b", ("shapxp.models:predict", "shapxp.games:Game.value")),)\n')
+    source = ("from .models import (\n"
+              "    predict,  # noqa: F401\n"
+              "    similar,  # noqa: F401\n"
+              ")\n"
+              "from .cli import load_model  # noqa: F401\n")
+    sites = tracer_sites(tracer)
+    assert sites == {"shapxp.cli:load_model", "shapxp.models:predict",
+                     "shapxp.games:Game.value"}
+    assert untraced_kept_imports("models", source, sites) == [(3, "similar"),
+                                                              (5, "load_model")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_kept_import_is_a_tracer_site(module):
+    sites = tracer_sites(TRACING.read_text())
+    assert untraced_kept_imports(module[:-3], (SRC / module).read_text(), sites) == [], \
+        "the tracer no longer looks these names up here: delete their imports"
 
 
 def names_read(sources: dict[str, str]) -> set[str]:

@@ -1,8 +1,10 @@
+import hashlib
 import itertools
 import json
 import math
 import os
 import re
+import runpy
 import subprocess
 import sys
 import time
@@ -732,6 +734,21 @@ class TestTreeShape:
         if code:
             assert "guarded" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where,change", [
+        ("root", lambda doc: doc.update(root=False)),  # would read as node 0
+        ("child", lambda doc: doc["nodes"][0]["edges"][0].update(child=True)),  # node 1
+        ("node id", lambda doc: doc["nodes"][1].pop("id")),
+        ("child", lambda doc: doc["nodes"][0]["edges"][0].pop("child")),
+    ], ids=["root false", "child true", "missing id", "missing child"])
+    def test_a_node_id_that_is_no_number_or_string_exits_2(self, capsys, tmp_path,
+                                                             where, change):
+        doc = json.loads((FIXTURES / "cls3_tree.json").read_text())
+        change(doc)
+        path = write(tmp_path, "bad_id.json", json.dumps(doc))
+        assert run_cli(["relevancy", "--model", path, "--instance", "1,1,2"]) == 2
+        assert f"{where}: a node id must be a number or a string, got" \
+            in capsys.readouterr().err
+
     def test_a_node_reached_twice_exits_2_at_once(self, capsys, tmp_path):
         path = write(tmp_path, "shared.json", shared_child_tree_doc(40))
         with cpu_limit(5):
@@ -867,6 +884,58 @@ class TestEntryPoint:
         assert "Traceback" not in done.stderr
 
 
+ROOT = FIXTURES.parent.parent
+DIGESTS = runpy.run_path(str(ROOT / "bench" / "fixture_digests.py"))["DIGESTS"]
+# The command behind each report in bench/fixture_digests.py, run from the
+# checkout's root (a report quotes the model path as given).
+FIXTURE_COMMANDS = {
+    "cls3.cgt_fixed_seed": ("shap --model docs/fixtures/cls3.json --instance 1,1,2 --game "
+                            "waxp --method cgt --epsilon 1/100 --seed 7"),
+    "cls3.compare": "compare --model docs/fixtures/cls3.json --instance 1,1,2 --instance 0,1,1",
+    "cls3.expected": "shap --model docs/fixtures/cls3.json --instance 1,1,2 --game expected",
+    "cls3.relevancy": "relevancy --model docs/fixtures/cls3.json --instance 1,1,2",
+    "cls3.waxp": "shap --model docs/fixtures/cls3.json --instance 1,1,2 --game waxp",
+    "cls3_tree.compare": ("compare --model docs/fixtures/cls3_tree.json --instance 1,1,2 "
+                          "--instance 0,1,1"),
+    "cls3_tree.expected": ("shap --model docs/fixtures/cls3_tree.json --instance 1,1,2 --game "
+                           "expected"),
+    "cls3_tree.relevancy": "relevancy --model docs/fixtures/cls3_tree.json --instance 1,1,2",
+    "cls3_tree.waxp": "shap --model docs/fixtures/cls3_tree.json --instance 1,1,2 --game waxp",
+    "pw2.cgt_fixed_seed": ("shap --model docs/fixtures/pw2.json --instance 1,1 --delta 1/5 "
+                           "--game waxp --method cgt --epsilon 1/100 --seed 7"),
+    "pw2.enumerate_axp": ("enumerate --model docs/fixtures/pw2.json --instance 1,1 --delta "
+                          "1/5 --kind axp"),
+    "pw2.relevancy": "relevancy --model docs/fixtures/pw2.json --instance 1,1 --delta 1/5",
+    "pw2.shap_expected": "shap --model docs/fixtures/pw2.json --instance 1,1 --game expected",
+    "pw2.shap_waxp": "shap --model docs/fixtures/pw2.json --instance 1,1 --delta 1/5 --game waxp",
+    "pw2.validate": "validate --model docs/fixtures/pw2.json",
+    "reg2.agnostic.axp": ("axp --model docs/fixtures/reg2.json --instance 1,1 --agnostic "
+                          "--sample docs/fixtures/reg2_sample.csv"),
+    "reg2.agnostic.cxp": ("cxp --model docs/fixtures/reg2.json --instance 1,1 --agnostic "
+                          "--sample docs/fixtures/reg2_sample.csv"),
+    "reg2.agnostic.enumerate_axp": ("enumerate --model docs/fixtures/reg2.json --instance 1,1 "
+                                    "--agnostic --sample docs/fixtures/reg2_sample.csv --kind "
+                                    "axp"),
+    "reg2.agnostic.enumerate_cxp": ("enumerate --model docs/fixtures/reg2.json --instance 1,1 "
+                                    "--agnostic --sample docs/fixtures/reg2_sample.csv --kind "
+                                    "cxp"),
+    "reg2.agnostic.relevancy": ("relevancy --model docs/fixtures/reg2.json --instance 1,1 "
+                                "--agnostic --sample docs/fixtures/reg2_sample.csv"),
+    "reg2.axp": "axp --model docs/fixtures/reg2.json --instance 1,1",
+    "reg2.cxp": "cxp --model docs/fixtures/reg2.json --instance 1,1",
+    "reg2.enumerate_axp": "enumerate --model docs/fixtures/reg2.json --instance 1,1 --kind axp",
+    "reg2.enumerate_cxp": "enumerate --model docs/fixtures/reg2.json --instance 1,1 --kind cxp",
+    "reg2.relevancy": "relevancy --model docs/fixtures/reg2.json --instance 1,1",
+    "reg2_tree.axp": "axp --model docs/fixtures/reg2_tree.json --instance 1,1",
+    "reg2_tree.cxp": "cxp --model docs/fixtures/reg2_tree.json --instance 1,1",
+    "reg2_tree.enumerate_axp": ("enumerate --model docs/fixtures/reg2_tree.json --instance "
+                                "1,1 --kind axp"),
+    "reg2_tree.enumerate_cxp": ("enumerate --model docs/fixtures/reg2_tree.json --instance "
+                                "1,1 --kind cxp"),
+    "reg2_tree.relevancy": "relevancy --model docs/fixtures/reg2_tree.json --instance 1,1",
+}
+
+
 class TestReportStability:
     def test_identical_invocations_are_byte_identical(self, capsys):
         argv = ["shap", "--model", PW2, "--instance", "1,1", "--game", "waxp",
@@ -883,16 +952,31 @@ class TestReportStability:
                 "--output", "json"]
         assert run_cli(argv) == 0
         text = capsys.readouterr().out
-        report = RunReport.from_json(text)
-        assert report.to_json() == text
+        assert RunReport(json.loads(text)).to_json() == text
 
     def test_round_trip_preserves_timing_when_included(self):
-        report = RunReport("shap", {"path": "m.json"}, None, None, None,
-                           {"x": "1/2"}, None, timing_ms=12.5)
-        again = RunReport.from_json(report.to_json(include_timing=True))
-        assert again == report
+        report = RunReport(command="shap", model={"path": "m.json"}, results={"x": "1/2"})
+        again = json.loads(report.to_json(12.5))
+        assert again.pop("timing_ms") == 12.5
+        assert RunReport(again) == report
 
     def test_default_json_omits_timing(self):
-        report = RunReport("shap", {"path": "m.json"}, None, None, None,
-                           {"x": "1/2"}, None, timing_ms=12.5)
+        report = RunReport(command="shap", model={"path": "m.json"}, results={"x": "1/2"})
         assert "timing" not in report.to_json()
+        assert "timing" not in report.to_json(None)
+        assert '"timing_ms": 0.0' in report.to_json(0.0)
+
+    def test_every_fixture_report_is_named(self):
+        assert sorted(FIXTURE_COMMANDS) == sorted(DIGESTS)
+
+    @pytest.mark.parametrize("name", sorted(FIXTURE_COMMANDS))
+    def test_fixture_reports_keep_their_digests_and_round_trip(self, capsys, monkeypatch,
+                                                               name):
+        monkeypatch.chdir(ROOT)  # the reports quote the model's path as given
+        assert run_cli(FIXTURE_COMMANDS[name].split() + ["--output", "json"]) == 0
+        text = capsys.readouterr().out
+        assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[name]
+        doc = json.loads(text)
+        assert sorted(doc) == ["command", "diagnostics", "instance", "model", "results",
+                               "similarity", "universe"]
+        assert RunReport(doc).to_json() == text
