@@ -41,15 +41,14 @@ import math
 import sys
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
 from operator import mod
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import PreconditionError, SizeLimitError, ValidationError
 from .games import Game, ScoreVector
-from .models import POINT_GUARD, _over_lcd
+from .models import POINT_GUARD, _Frozen, _over_lcd, _set
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -67,27 +66,27 @@ DRAW_GUARD = 10 ** 8
 CHUNK = 1024
 
 
-@dataclass(frozen=True)
-class CgtConfig:
+class CgtConfig(_Frozen):
     """Sampling parameters: additive error bound, failure probability,
     RNG seed, and an optional explicit sample-count override."""
 
-    epsilon: Fraction
-    alpha: Fraction
-    seed: int = 0
-    sample_count: Optional[int] = None
+    __slots__ = _fields = ("epsilon", "alpha", "seed", "sample_count")
 
-    def __post_init__(self):
-        if self.epsilon <= 0:
+    def __init__(self, epsilon: Fraction, alpha: Fraction, seed: int = 0,
+                 sample_count: Optional[int] = None):
+        if epsilon <= 0:
             raise ValidationError("epsilon must be positive")
-        if not 0 < self.alpha < 1:
+        if not 0 < alpha < 1:
             raise ValidationError("alpha must lie in (0, 1)")
-        if self.sample_count is not None and self.sample_count < 1:
+        if sample_count is not None and sample_count < 1:
             raise ValidationError("sample count override must be >= 1")
+        _set(self, "epsilon", epsilon)
+        _set(self, "alpha", alpha)
+        _set(self, "seed", seed)
+        _set(self, "sample_count", sample_count)
 
 
-@dataclass(frozen=True)
-class CgtDiagnostics:
+class CgtDiagnostics(NamedTuple):
     permutations: int
     marginal_bound: Optional[Fraction]
 

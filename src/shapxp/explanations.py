@@ -18,7 +18,6 @@ table (:func:`sufficiency_table`) is read off its up-closure.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import compress
 from operator import ne, or_
@@ -33,6 +32,8 @@ from .models import (
     Point,
     TreeModel,
     Value,
+    _Frozen,
+    _set,
     guard_slices,
     labelled_points,
     predict,
@@ -58,8 +59,7 @@ class ConstantOnUniverseWarning(UserWarning):
     """No point of the universe is output-distinguishable from the instance."""
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(_Frozen):
     """Observed model behavior: points d_j with their predictions p_j.
 
     A sample is a universe of its own: it answers the quantifiers that
@@ -67,27 +67,30 @@ class Sample:
     compare with a point through int codes: ``codes`` holds each row's and
     ``index`` each field's value -> code map, the space's domain positions
     from the loader, else first appearances. A value the index lacks codes
-    to -1, which no row has."""
+    to -1, which no row has. Samples compare by rows and predictions."""
 
-    rows: tuple[Point, ...]
-    predictions: tuple[Value, ...]
-    codes: tuple[tuple[int, ...], ...] | None = field(default=None, repr=False, compare=False)
-    index: tuple[dict, ...] | None = field(default=None, repr=False, compare=False)
+    __slots__ = ("rows", "predictions", "codes", "index")
+    _fields = ("rows", "predictions")
 
-    def __post_init__(self):
-        if not self.rows:
+    def __init__(self, rows: tuple[Point, ...], predictions: tuple[Value, ...],
+                 codes: tuple[tuple[int, ...], ...] | None = None,
+                 index: tuple[dict, ...] | None = None):
+        if not rows:
             raise ValidationError("a sample must contain at least one row")
-        if len(self.rows) != len(self.predictions):
+        if len(rows) != len(predictions):
             raise ValidationError("sample rows and predictions differ in length")
-        if self.codes is None:
-            index = tuple({} for _ in range(max(map(len, self.rows))))
+        if codes is None:
+            index = tuple({} for _ in range(max(map(len, rows))))
             shared = {}  # equal rows share one codes tuple
             codes = []
-            for row in self.rows:
+            for row in rows:
                 c = tuple(col.setdefault(x, len(col)) for col, x in zip(index, row))
                 codes.append(shared.setdefault(c, c))
-            object.__setattr__(self, "codes", tuple(codes))
-            object.__setattr__(self, "index", index)
+            codes = tuple(codes)
+        _set(self, "rows", rows)
+        _set(self, "predictions", predictions)
+        _set(self, "codes", codes)
+        _set(self, "index", index)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -125,29 +128,31 @@ class Sample:
                       self.codes, self.index)
 
 
-@dataclass(frozen=True)
-class ExplanationProblem:
+class ExplanationProblem(_Frozen):
     """A model, a target instance, the similarity notion tying them, and
     the universe explanations quantify over: the model's whole space when
-    ``universe`` is None, else a sample's rows."""
+    ``universe`` is None, else a sample's rows. It keeps a ``__dict__`` for
+    its cached contrastive basis."""
 
-    model: Model
-    instance: Instance
-    similarity: SimilarityConfig
-    universe: Sample | None = None
+    _fields = ("model", "instance", "similarity", "universe")
 
-    def __post_init__(self):
-        actual = predict(self.model, self.instance.point)
-        if actual != self.instance.prediction:
+    def __init__(self, model: Model, instance: Instance, similarity: SimilarityConfig,
+                 universe: Sample | None = None):
+        actual = predict(model, instance.point)
+        if actual != instance.prediction:
             raise ValidationError(
-                f"instance prediction {self.instance.prediction!r} does not match "
+                f"instance prediction {instance.prediction!r} does not match "
                 f"the model output {actual!r}")
-        if self.similarity.delta is not None and self.model.value_kind != NUMERIC:
+        if similarity.delta is not None and model.value_kind != NUMERIC:
             raise NumericOutputError("threshold similarity needs numeric model outputs")
-        m = self.model.space.m
-        for row in () if self.universe is None else self.universe.rows:
+        m = model.space.m
+        for row in () if universe is None else universe.rows:
             if len(row) != m:
                 raise ValidationError(f"sample row {row!r} does not have the model's {m} values")
+        _set(self, "model", model)
+        _set(self, "instance", instance)
+        _set(self, "similarity", similarity)
+        _set(self, "universe", universe)
 
     @property
     def feature_ids(self) -> tuple[int, ...]:

@@ -11,13 +11,12 @@ zero precisely on irrelevant features.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import permutations
 from math import factorial, lcm
 from operator import add
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 from .errors import NumericOutputError, PreconditionError, SizeLimitError, ValidationError
 from .explanations import (
@@ -31,7 +30,9 @@ from .models import (
     NUMERIC,
     POINT_GUARD,
     Instance,
+    _Frozen,
     _over_lcd,
+    _set,
     conditional_expectation,
     guard_slices,
     output_range,
@@ -49,8 +50,7 @@ CUSTOM = "custom"
 CoalitionTable = tuple[list[int], int]
 
 
-@dataclass
-class Game:
+class Game(_Frozen):
     """A set of players and a characteristic function on coalitions.
 
     ``at(mask)`` evaluates one coalition, given by its player bitmask (bit
@@ -78,17 +78,27 @@ class Game:
     ``marginal_bound`` is an upper bound on |nu(S+i) - nu(S)| used by the
     sampling estimator, or a function that computes it, called only when
     the estimator asks; pass one explicitly for custom games.
+
+    A game compares by its players, function, tag and bound. Unlike the
+    package's other classes its attributes may be reassigned, so it has
+    no hash.
     """
 
-    players: tuple[int, ...]
-    charfn: Callable[[frozenset[int]], Fraction]
-    tag: str = CUSTOM
-    marginal_bound: Optional[Fraction | Callable[[], Fraction]] = None
-    kernel: Optional[Callable[[], CoalitionTable]] = field(
-        default=None, repr=False, compare=False)
-    guard: Optional[Callable[[int, str], None]] = field(
-        default=None, repr=False, compare=False)
-    _cache: dict[int, Fraction] = field(default_factory=dict, repr=False, compare=False)
+    __slots__ = ("players", "charfn", "tag", "marginal_bound", "kernel", "guard", "_cache")
+    _fields = ("players", "charfn", "tag", "marginal_bound")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __reduce__ = object.__reduce__
+    __hash__ = None
+
+    def __init__(self, players: tuple[int, ...], charfn: Callable[[frozenset[int]], Fraction],
+                 tag: str = CUSTOM,
+                 marginal_bound: Optional[Fraction | Callable[[], Fraction]] = None,
+                 kernel: Optional[Callable[[], CoalitionTable]] = None,
+                 guard: Optional[Callable[[int, str], None]] = None):
+        self.players, self.charfn, self.tag = players, charfn, tag
+        self.marginal_bound, self.kernel, self.guard = marginal_bound, kernel, guard
+        self._cache = {}  # mask -> value
 
     def at(self, mask: int) -> Fraction:
         """nu of the coalition {players[k] : bit k of mask is set}."""
@@ -123,13 +133,17 @@ class Game:
         return len(self.players)
 
 
-@dataclass(frozen=True)
-class ScoreVector:
-    """Per-feature attribution scores, tagged with game and method."""
+class ScoreVector(_Frozen):
+    """Per-feature attribution scores, tagged with game and method: index i
+    of ``scores`` holds the score of feature i+1, and ``method`` is "exact"
+    or "cgt". Not a tuple, so it is unequal to its fields as one."""
 
-    scores: tuple[Fraction, ...]  # index i holds the score of feature i+1
-    game: str
-    method: str  # "exact" or "cgt"
+    __slots__ = _fields = ("scores", "game", "method")
+
+    def __init__(self, scores: tuple[Fraction, ...], game: str, method: str):
+        _set(self, "scores", scores)
+        _set(self, "game", game)
+        _set(self, "method", method)
 
     def score(self, feature_id: int) -> Fraction:
         return self.scores[feature_id - 1]
@@ -272,8 +286,7 @@ def shapley_via_permutations(game: Game) -> ScoreVector:
 # Score diagnostics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FeatureCompliance:
+class FeatureCompliance(NamedTuple):
     feature: int
     relevant: bool
     score: Fraction
@@ -285,8 +298,7 @@ class FeatureCompliance:
         return self.relevant == (self.score == 0)
 
 
-@dataclass(frozen=True)
-class ComplianceReport:
+class ComplianceReport(NamedTuple):
     entries: tuple[FeatureCompliance, ...]
 
     @property

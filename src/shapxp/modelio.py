@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
-from operator import add, getitem, itemgetter, ne
+from operator import add, getitem, itemgetter, mul, ne
 from typing import Optional
 
 from .errors import DomainError, SizeLimitError, ValidationError
@@ -275,9 +275,13 @@ def _table_columns(entries, space, value_kind, outputs) -> list | None:
 def _table_entries(entries, space, value_kind, outputs, where) -> list:
     """Each entry fills its point's output slot: a filled slot is a
     duplicate, and a slot left empty with no default fails totality. Only
-    a table the column path refuses is read here, so each entry is parsed
-    on its own, and the first that is wrong raises."""
+    a table the column path refuses is read here, and the first entry that
+    is wrong raises. Each feature's tokens, and the values, are read once
+    per call: a token ``read_point`` accepted before at that position is
+    known by its domain position, keyed by (type, token), as True == 1."""
     m, parse = space.m, _OUTPUT[value_kind]
+    known = [{} for _ in range(m)]  # per feature: (type, token) -> domain position
+    values = {}  # the value tokens, for _memo_value
     for k, entry in enumerate(entries):
         loc = f"{where}: table entry {k}"
         if not isinstance(entry, dict):
@@ -286,13 +290,19 @@ def _table_entries(entries, space, value_kind, outputs, where) -> list:
         if not isinstance(raw_point, list) or len(raw_point) != m:
             raise ValidationError(f"{loc}: 'point' must list {m} values")
         try:
-            point = read_point(space, raw_point, loc)
-        except DomainError as exc:
-            raise ValidationError(f"{loc}: {exc}") from None
-        slot = space.slot(point)
+            at = list(map(getitem, known, zip(map(type, raw_point), raw_point)))
+        except (KeyError, TypeError):  # a token not met before, or an unhashable one
+            try:
+                at = list(map(getitem, space.indexes, read_point(space, raw_point, loc)))
+            except DomainError as exc:
+                raise ValidationError(f"{loc}: {exc}") from None
+            for memo, t, position in zip(known, raw_point, at):
+                memo[type(t), t] = position
+        slot = sum(map(mul, at, space.strides))
         if outputs[slot] is not None:
+            point = tuple(f.domain.values[p] for f, p in zip(space.features, at))
             raise ValidationError(f"{loc}: duplicate point {point}")
-        outputs[slot] = parse(entry.get("value"), loc)
+        outputs[slot] = _memo_value(values, entry.get("value"), parse, loc)
     return outputs
 
 

@@ -37,6 +37,15 @@ digit of the slot. The discrete kinds share every method but ``_read``
 and ``disagreements``, which a table takes from its points and a tree from
 its leaves. All arithmetic on numeric values is exact: ``fractions.Fraction``,
 or ints over a known denominator.
+
+The package imports no data-class machinery, which would cost each
+process its import (with ``inspect``) and the building of every class.
+Plain records are ``NamedTuple``s; a class that validates, caches or keeps
+derived fields has one explicit ``__init__`` and derives from ``_Frozen``,
+which gives equality, hash and repr over its ``_fields`` and refuses
+assignment, so every model is immutable after validation. A
+``cached_property`` still fills the instance ``__dict__`` of a class that
+keeps one.
 """
 
 from __future__ import annotations
@@ -44,13 +53,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate, chain, compress, product
 from math import lcm, prod
 from operator import getitem, le, mul, sub
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import (
     DomainError,
@@ -68,26 +76,65 @@ CATEGORICAL = "categorical"
 POINT_GUARD = 2 ** 20  # points one enumeration, or the slices of one run over coalitions, may visit
 
 
+# Writes an attribute past _Frozen's refusal; only an __init__ calls it.
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Equality (same class only), hash and repr over the class's
+    ``_fields``, its constructor's parameters in order; any other
+    attribute is derived and left out. Attributes are written once, by
+    ``__init__`` through ``_set``; assigning or deleting one raises
+    AttributeError."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copies and pickles are rebuilt through the constructor
+        return type(self), self._key()
+
+
 # ---------------------------------------------------------------------------
 # Feature space
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DiscreteDomain:
-    """Finite ordered list of admissible values for one feature."""
+class DiscreteDomain(_Frozen):
+    """Finite ordered list of admissible values for one feature. Each
+    value's position in ``values`` is in ``index``: membership, the slot
+    numbering and the loaders' column paths all read this one index."""
 
-    values: tuple
-    # Each value's position in ``values``: membership, the slot numbering
-    # and the loaders' column paths all read this one index.
-    index: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("values", "index")
+    _fields = ("values",)
 
-    def __post_init__(self):
-        if not self.values:
+    def __init__(self, values: tuple):
+        if not values:
             raise ValidationError("discrete domain must be non-empty")
-        index = {x: k for k, x in enumerate(self.values)}
-        if len(index) != len(self.values):
+        index = {x: k for k, x in enumerate(values)}
+        if len(index) != len(values):
             raise ValidationError("discrete domain has duplicate values")
-        object.__setattr__(self, "index", index)
+        _set(self, "values", values)
+        _set(self, "index", index)
 
     def __contains__(self, value) -> bool:
         try:
@@ -96,16 +143,16 @@ class DiscreteDomain:
             return False
 
 
-@dataclass(frozen=True)
-class IntervalDomain:
+class IntervalDomain(_Frozen):
     """Closed real interval [lo, hi] with lo < hi."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = _fields = ("lo", "hi")
 
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValidationError(f"interval domain needs lo < hi, got [{self.lo}, {self.hi}]")
+    def __init__(self, lo: Fraction, hi: Fraction):
+        if not lo < hi:
+            raise ValidationError(f"interval domain needs lo < hi, got [{lo}, {hi}]")
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
 
     def __contains__(self, value) -> bool:
         try:
@@ -121,25 +168,25 @@ class IntervalDomain:
 Domain = DiscreteDomain | IntervalDomain
 
 
-@dataclass(frozen=True)
-class Feature:
+class Feature(NamedTuple):
     id: int  # 1-based
     name: str
     domain: Domain
 
 
-@dataclass(frozen=True)
-class FeatureSpace:
-    """Ordered product of per-feature domains; feature ids are 1..m."""
+class FeatureSpace(_Frozen):
+    """Ordered product of per-feature domains; feature ids are 1..m. It
+    keeps a ``__dict__`` for its cached slot numbering."""
 
-    features: tuple[Feature, ...]
+    _fields = ("features",)
 
-    def __post_init__(self):
-        if not self.features:
+    def __init__(self, features: tuple[Feature, ...]):
+        if not features:
             raise ValidationError("feature space needs at least one feature")
-        ids = [f.id for f in self.features]
+        ids = [f.id for f in features]
         if ids != list(range(1, len(ids) + 1)):
             raise ValidationError(f"feature ids must be 1..m with no gaps, got {ids}")
+        _set(self, "features", features)
 
     @property
     def m(self) -> int:
@@ -213,11 +260,13 @@ class FeatureSpace:
 # Model kinds
 # ---------------------------------------------------------------------------
 
-class _EnumerableModel:
+class _EnumerableModel(_Frozen):
     """Semantics shared by the discrete kinds, all read by slot of the
     space's numbering. Subclasses define ``_read`` (slot -> output),
     ``_values`` (every output the model can produce, repeats allowed),
     ``_relabelled`` and ``disagreements``."""
+
+    __slots__ = ()
 
     def output(self, point: Point) -> Value:
         return self._read(self.space.slot(point))
@@ -268,35 +317,34 @@ class _EnumerableModel:
         return self._relabelled(mapping, NUMERIC if numeric else CATEGORICAL)
 
 
-@dataclass(frozen=True)
 class TabularModel(_EnumerableModel):
     """Total lookup table over a fully discrete feature space, stored dense:
-    ``outputs`` holds the output at every slot of the space's numbering."""
+    ``outputs`` holds the output at every slot of the space's numbering,
+    ``distinct`` the distinct outputs."""
 
-    space: FeatureSpace
-    outputs: tuple
-    value_kind: str = NUMERIC
-    distinct: frozenset = field(init=False, repr=False, compare=False)
+    __slots__ = ("space", "outputs", "value_kind", "distinct")
+    _fields = ("space", "outputs", "value_kind")
 
-    def __post_init__(self):
-        if not self.space.all_discrete():
+    def __init__(self, space: FeatureSpace, outputs: tuple, value_kind: str = NUMERIC):
+        if not space.all_discrete():
             raise ValidationError("tabular models need all-discrete domains")
-        outputs = tuple(self.outputs)
-        if len(outputs) != self.space.size:
-            raise ValidationError(
-                f"table lists {len(outputs)} outputs for {self.space.size} points")
-        object.__setattr__(self, "outputs", outputs)
+        outputs = tuple(outputs)
+        if len(outputs) != space.size:
+            raise ValidationError(f"table lists {len(outputs)} outputs for {space.size} points")
         # The outputs repeat a few objects (the loader parses each distinct
         # token once), so they are told apart by identity before hashing;
         # the first appearances, in slot order, are checked for the others.
-        firsts = {id(y): y for y in outputs}.values()
+        firsts = dict(zip(map(id, outputs), outputs)).values()
         if None in firsts:
-            raise _not_total(self.space, outputs)
-        _check_values(firsts, self.value_kind)
+            raise _not_total(space, outputs)
+        _check_values(firsts, value_kind)
         distinct = frozenset(firsts)
-        object.__setattr__(self, "distinct", distinct)
         if len(distinct) < 2:
             raise ValidationError("model is constant; a non-constant prediction function is required")
+        _set(self, "space", space)
+        _set(self, "outputs", outputs)
+        _set(self, "value_kind", value_kind)
+        _set(self, "distinct", distinct)
 
     @property
     def _read(self):
@@ -334,40 +382,44 @@ def _not_total(space: FeatureSpace, outputs) -> ValidationError:
     return ValidationError(f"table is not total: missing {len(missing)} points, e.g. {first}")
 
 
-@dataclass(frozen=True)
-class TreeLeaf:
-    value: Value
+class TreeLeaf(_Frozen):
+    # A slotted class, not a NamedTuple: TreeModel._read reads ``value``
+    # once per slot, and a slot reads faster than a tuple field.
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: Value):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(NamedTuple):
     """Internal node: tests one feature, one child per domain-value group."""
 
     feature: int
     edges: tuple[tuple[tuple, int], ...]  # (values, child id) pairs
 
 
-@dataclass(frozen=True)
 class TreeModel(_EnumerableModel):
     """Decision/regression tree over discrete features.
 
     Every node but the root has exactly one parent, each root-to-leaf path
     tests a feature at most once and every node's edges partition its
-    feature's domain, so the induced function is total.
+    feature's domain, so the induced function is total. ``routes`` holds
+    each internal node's route (0-based feature axis, child id per domain
+    position), from _validate.
     """
 
-    space: FeatureSpace
-    nodes: Mapping[int, TreeNode | TreeLeaf]
-    root: int
-    value_kind: str = NUMERIC
-    # Each internal node's route (0-based feature axis, child id per domain
-    # position), from _validate.
-    routes: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("space", "nodes", "root", "value_kind", "routes")
+    _fields = ("space", "nodes", "root", "value_kind")
 
-    def __post_init__(self):
-        if not self.space.all_discrete():
+    def __init__(self, space: FeatureSpace, nodes: Mapping[int, TreeNode | TreeLeaf],
+                 root: int, value_kind: str = NUMERIC):
+        if not space.all_discrete():
             raise ValidationError("tree models need all-discrete domains")
-        object.__setattr__(self, "routes", self._validate())
+        _set(self, "space", space)
+        _set(self, "nodes", nodes)
+        _set(self, "root", root)
+        _set(self, "value_kind", value_kind)
+        _set(self, "routes", self._validate())
 
     def _validate(self) -> dict:
         """One walk from the root, visiting each node once; returns the routes."""
@@ -457,15 +509,19 @@ class TreeModel(_EnumerableModel):
         return TreeModel(self.space, nodes, self.root, value_kind)
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(_Frozen):
     """One box of a piecewise-affine model: per-feature [lo, hi) bounds
     (closed at the domain's upper endpoint) and affine output
-    a0 + sum_i coeffs[i] * x_i."""
+    a0 + sum_i coeffs[i] * x_i. It keeps a ``__dict__`` for its integer
+    form."""
 
-    box: tuple[tuple[Fraction, Fraction], ...]
-    intercept: Fraction
-    coeffs: tuple[Fraction, ...]
+    _fields = ("box", "intercept", "coeffs")
+
+    def __init__(self, box: tuple[tuple[Fraction, Fraction], ...], intercept: Fraction,
+                 coeffs: tuple[Fraction, ...]):
+        _set(self, "box", box)
+        _set(self, "intercept", intercept)
+        _set(self, "coeffs", coeffs)
 
     @cached_property
     def _integers(self) -> tuple:
@@ -483,40 +539,39 @@ class Cell:
                 a0 * scale + sum(low_ends), a0 * scale + sum(high_ends))
 
 
-@dataclass(frozen=True)
-class BoxPiecewiseModel:
+class BoxPiecewiseModel(_Frozen):
     """Axis-aligned piecewise-affine regressor; cells partition the space.
 
     Cell intervals are half-open [lo, hi) except that hi equal to the
     domain's upper endpoint is closed, which makes membership unambiguous
     and the partition check decidable. Both compare integers on a rank
     grid: each axis's sorted distinct ``cuts`` (cell bounds and domain
-    endpoints), and each cell's bounds as their ranks."""
+    endpoints), and each cell's bounds as their ranks, per cell and per
+    axis in ``lows`` and ``highs``."""
 
-    space: FeatureSpace
-    cells: tuple[Cell, ...]
-    value_kind: str = NUMERIC
-    cuts: tuple = field(init=False, repr=False, compare=False)   # per axis
-    lows: tuple = field(init=False, repr=False, compare=False)   # per cell, per axis
-    highs: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("space", "cells", "value_kind", "cuts", "lows", "highs")
+    _fields = ("space", "cells", "value_kind")
 
-    def __post_init__(self):
-        if not self.space.all_interval():
+    def __init__(self, space: FeatureSpace, cells: tuple[Cell, ...], value_kind: str = NUMERIC):
+        if not space.all_interval():
             raise ValidationError("box-piecewise models need all-interval domains")
-        if self.value_kind != NUMERIC:
+        if value_kind != NUMERIC:
             raise ValidationError("box-piecewise models are numeric-valued")
-        if not self.cells:
+        if not cells:
             raise ValidationError("box-piecewise model has no cells")
-        m, cells = self.space.m, self.cells
+        m = space.m
         # Errors come cell by cell, length first: rank the cells before a wrong length.
         short = next((k for k, c in enumerate(cells)
                       if len(c.box) != m or len(c.coeffs) != m), len(cells))
         cuts, ranks = zip(*(_ranked([f.domain.lo, f.domain.hi,
                                      *(x for c in cells[:short] for x in c.box[j])])
-                            for j, f in enumerate(self.space.features)))
-        object.__setattr__(self, "cuts", cuts)
-        object.__setattr__(self, "lows", tuple(zip(*(r[2::2] for r in ranks))))
-        object.__setattr__(self, "highs", tuple(zip(*(r[3::2] for r in ranks))))
+                            for j, f in enumerate(space.features)))
+        _set(self, "space", space)
+        _set(self, "cells", cells)
+        _set(self, "value_kind", value_kind)
+        _set(self, "cuts", cuts)
+        _set(self, "lows", tuple(zip(*(r[2::2] for r in ranks))))
+        _set(self, "highs", tuple(zip(*(r[3::2] for r in ranks))))
         for k, (lo, hi) in enumerate(zip(self.lows, self.highs)):
             for j, r in enumerate(ranks):  # r[0], r[1]: the domain's endpoints
                 if not r[0] <= lo[j] < hi[j] <= r[1]:
@@ -741,8 +796,7 @@ def verdicts(test: Callable[[Value], bool], outputs: list) -> Iterator[bool]:
 Model = TabularModel | TreeModel | BoxPiecewiseModel
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     """A target point together with the model's prediction at it."""
 
     point: Point

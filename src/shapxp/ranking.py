@@ -10,12 +10,12 @@ is therefore capped at 1 - p^depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import SizeLimitError, ValidationError
 from .games import ScoreVector
+from .models import _Frozen, _set
 
 SIGNED = "signed"
 ABSOLUTE = "absolute"
@@ -27,18 +27,18 @@ DEFAULT_DEPTH = 5
 RBO_BITS_GUARD = 10_000
 
 
-@dataclass(frozen=True)
-class Ranking:
+class Ranking(_Frozen):
     """Feature ids ordered from most to least important."""
 
-    order: tuple[int, ...]
-    mode: str
+    __slots__ = _fields = ("order", "mode")
 
-    def __post_init__(self):
-        if sorted(self.order) != list(range(1, len(self.order) + 1)):
+    def __init__(self, order: tuple[int, ...], mode: str):
+        if sorted(order) != list(range(1, len(order) + 1)):
             raise ValidationError("a ranking must be a permutation of 1..m")
-        if self.mode not in (SIGNED, ABSOLUTE):
-            raise ValidationError(f"unknown ranking mode {self.mode!r}")
+        if mode not in (SIGNED, ABSOLUTE):
+            raise ValidationError(f"unknown ranking mode {mode!r}")
+        _set(self, "order", order)
+        _set(self, "mode", mode)
 
     def __len__(self) -> int:
         return len(self.order)
@@ -110,8 +110,7 @@ def _order_of(ranking) -> tuple[int, ...]:
 # Score-vector comparison reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RankingComparison:
+class RankingComparison(NamedTuple):
     """Pairwise overlap of the rankings induced by two score vectors."""
 
     method_a: str
@@ -120,8 +119,7 @@ class RankingComparison:
     absolute: Fraction
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     rankings: Mapping[str, Mapping[str, tuple[int, ...]]]
     pairs: tuple[RankingComparison, ...]
 
@@ -149,8 +147,7 @@ def compare_scores(vectors: Mapping[str, ScoreVector],
     return ComparisonReport(rankings, tuple(pairs))
 
 
-@dataclass(frozen=True)
-class BatchSummary:
+class BatchSummary(NamedTuple):
     """min/max/mean overlap per method pair over a batch of instances."""
 
     method_a: str

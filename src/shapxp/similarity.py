@@ -9,28 +9,27 @@ carries a configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ValidationError
-from .models import Point, Value, predict
+from .models import Point, Value, _Frozen, _set, predict
 
 CLASS_EQUALITY = "class_equality"
 THRESHOLD = "threshold"
 
 
-@dataclass(frozen=True)
-class SimilarityConfig:
+class SimilarityConfig(_Frozen):
     """How to decide that two model outputs are indistinguishable: by
     class equality when ``delta`` is None, else by an absolute output
     change of at most ``delta``."""
 
-    delta: Optional[Fraction] = None
+    __slots__ = _fields = ("delta",)
 
-    def __post_init__(self):
-        if self.delta is not None and self.delta < 0:
+    def __init__(self, delta: Optional[Fraction] = None):
+        if delta is not None and delta < 0:
             raise ValidationError("threshold similarity needs delta >= 0")
+        _set(self, "delta", delta)
 
     @property
     def mode(self) -> str:
@@ -45,8 +44,7 @@ class SimilarityConfig:
         return cls(Fraction(delta))
 
 
-@dataclass(frozen=True)
-class Dissimilar:
+class Dissimilar(NamedTuple):
     """The test that an output is distinguishable from ``prediction``:
     unequal to it when ``delta`` is None, else more than ``delta`` away.
     The discrete scopes call it once per distinct output object; a box

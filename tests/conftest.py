@@ -14,6 +14,14 @@ from shapxp import (
 FIXTURES = Path(__file__).resolve().parent.parent / "docs" / "fixtures"
 
 
+def rebuilt(obj, **changes):
+    """A new ``obj`` with ``changes`` to its fields, built through its
+    public constructor from its compared fields (``_fields``), so nothing
+    it derived or cached is carried over: a problem comes back with no
+    contrastive basis, a model re-validated."""
+    return type(obj)(**{**{name: getattr(obj, name) for name in obj._fields}, **changes})
+
+
 class CpuLimit(Exception):
     """Raised into a run that used up its CPU seconds."""
 

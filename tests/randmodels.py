@@ -2,7 +2,6 @@
 property suites. The oracles deliberately stay naive: full lattice scans
 and whole-subset filters, independent of the production search strategies."""
 
-from dataclasses import replace
 from fractions import Fraction
 from itertools import chain, combinations, product
 
@@ -22,6 +21,8 @@ from shapxp import (
     make_instance,
 )
 from shapxp.models import labelled_points
+
+from conftest import rebuilt
 
 VALUE_POOL = [Fraction(n, d) for n in range(-4, 5) for d in (1, 2, 3)]
 LABELS = ("no", "yes", "maybe")
@@ -107,7 +108,7 @@ def random_sample(rng, model):
 
 
 def with_similarity(problem, similarity):
-    return replace(problem, similarity=similarity)
+    return rebuilt(problem, similarity=similarity)
 
 
 def subsets(ids):

@@ -7,7 +7,6 @@ and the stated runtime budgets are asserted.
 
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -34,6 +33,7 @@ from shapxp import (
     waxp_game,
 )
 from shapxp.ranking import compare_scores
+from conftest import rebuilt
 from randmodels import (
     brute_force_axps,
     random_tabular_problem,
@@ -209,7 +209,7 @@ def test_c09_ranking_divergence(cls3_problem):
 def test_c10_model_agnostic_equivalence(cls3_problem, reg2_problem):
     ok = True
     for problem in (cls3_problem, reg2_problem):
-        agnostic = replace(problem, universe=full_space_sample(problem.model))
+        agnostic = rebuilt(problem, universe=full_space_sample(problem.model))
         for s in subsets(problem.feature_ids):
             ok &= is_waxp(agnostic, s) == is_waxp(problem, s)
             ok &= is_wcxp(agnostic, s) == is_wcxp(problem, s)

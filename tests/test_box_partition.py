@@ -12,7 +12,6 @@ membership by slab rank.
 import json
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
 from math import prod
@@ -22,7 +21,7 @@ import pytest
 from shapxp import BoxPiecewiseModel, Cell, Feature, FeatureSpace, IntervalDomain, ValidationError
 from shapxp.cli import run_cli
 from boxmodels import QUARTERS, kd_boxes, random_grid_model, random_kd_model
-from conftest import cpu_limit
+from conftest import cpu_limit, rebuilt
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +217,14 @@ def test_slab_membership_agrees_with_the_fraction_rule():
 def test_errors_come_cell_by_cell_with_the_length_check_first():
     xs = [LO, F(-3, 4), F(-1, 2), F(-1, 4), F(0), F(1, 2), HI]
     cells = with_affines(random.Random(3), [[(a, b), (LO, HI)] for a, b in zip(xs, xs[1:])])
-    outside = replace(cells[2], box=((F(-2), F(-1, 4)), (LO, HI)))
-    short = replace(cells[5], box=((F(1, 2), HI),))
+    outside = rebuilt(cells[2], box=((F(-2), F(-1, 4)), (LO, HI)))
+    short = rebuilt(cells[5], box=((F(1, 2), HI),))
     cases = [
         ({2: outside, 5: short}, "cell 2: interval [-2, -1/4) invalid for feature 1"),
-        ({2: replace(outside, box=outside.box[:1]), 5: short},
+        ({2: rebuilt(outside, box=outside.box[:1]), 5: short},
          "cell 2: box/coeffs length must equal 2"),
         ({5: short}, "cell 5: box/coeffs length must equal 2"),
-        ({5: replace(cells[5], coeffs=(F(1),))}, "cell 5: box/coeffs length must equal 2"),
+        ({5: rebuilt(cells[5], coeffs=(F(1),))}, "cell 5: box/coeffs length must equal 2"),
     ]
     for changes, message in cases:
         broken = tuple(changes.get(k, cell) for k, cell in enumerate(cells))

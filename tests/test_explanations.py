@@ -1,7 +1,6 @@
 import inspect
 import random
 import warnings
-from dataclasses import fields, replace
 from fractions import Fraction as F
 from itertools import combinations, product
 from types import SimpleNamespace
@@ -51,7 +50,7 @@ from shapxp.explanations import (
 )
 from shapxp.models import Instance, labelled_points
 from boxmodels import random_grid_model, random_kd_model
-from conftest import cpu_limit
+from conftest import cpu_limit, rebuilt
 from randmodels import (
     brute_force_axps,
     brute_force_cxps,
@@ -222,7 +221,7 @@ class TestEnumeration:
 
     def test_constant_universe_warns_and_returns_empty(self, cls3_problem):
         rows = ((1, 0, 0), (1, 1, 2))  # every row predicts 1
-        problem = replace(cls3_problem, universe=Sample(rows, (F(1), F(1))))
+        problem = rebuilt(cls3_problem, universe=Sample(rows, (F(1), F(1))))
         with pytest.warns(ConstantOnUniverseWarning):
             assert enumerate_cxps(problem) == ()
 
@@ -250,7 +249,7 @@ class TestEnumeration:
             for similarity in (SimilarityConfig.class_equality(),
                                SimilarityConfig.threshold(F(1, 2))):
                 assert_enumeration_matches_oracle(
-                    replace(problem, similarity=similarity, universe=universe))
+                    rebuilt(problem, similarity=similarity, universe=universe))
         for _ in range(10):
             model = random_grid_model(rng, m=2)
             v = (F(rng.randrange(-4, 5), 4), F(rng.randrange(-4, 5), 4))
@@ -263,7 +262,7 @@ class TestEnumeration:
         # full feature set insufficient; the minimal non-empty freed sets
         # are then the singletons.
         rows = ((0, 0, 0), (1, 1, 2))
-        problem = replace(cls3_problem, universe=Sample(rows, (F(0), F(7))))
+        problem = rebuilt(cls3_problem, universe=Sample(rows, (F(0), F(7))))
         assert enumerate_cxps(problem) == ((1,), (2,), (3,))
 
     def test_guarded_past_24_features(self):
@@ -322,7 +321,7 @@ def basis_problems(rng):
             for similarity in similarities:
                 problem = ExplanationProblem(model, instance, similarity)
                 yield problem
-                yield replace(problem, universe=thirty_rows(rng, model))
+                yield rebuilt(problem, universe=thirty_rows(rng, model))
     eighths = [F(k, 8) for k in range(-8, 9)]
     for _ in range(12):
         m = rng.randint(1, 3)
@@ -448,7 +447,7 @@ class TestContrastiveBasis:
     @pytest.mark.parametrize("agnostic", [False, True], ids=["model", "sample"])
     def test_the_basis_is_built_once_per_problem(self, cls3_problem, monkeypatch, agnostic):
         universe = full_space_sample(cls3_problem.model) if agnostic else None
-        problem = replace(cls3_problem, universe=universe)
+        problem = rebuilt(cls3_problem, universe=universe)
         scope = type(problem.scope)
         disagreements = scope.disagreements
         calls = []
@@ -462,7 +461,7 @@ class TestContrastiveBasis:
         assert problem.contrastive_basis is basis
         assert enumerate_cxps(problem) == ((1,),) and is_waxp(problem, (1,))
         assert len(calls) == 1
-        assert replace(problem).contrastive_basis == basis
+        assert rebuilt(problem).contrastive_basis == basis
         assert len(calls) == 2
 
     def test_a_tree_and_its_table_share_a_basis(self):
@@ -472,13 +471,13 @@ class TestContrastiveBasis:
             instance = random_instance(rng, tree)
             for similarity in (SimilarityConfig.class_equality(), SimilarityConfig.threshold(1)):
                 problem = ExplanationProblem(tree, instance, similarity)
-                twin = replace(problem, model=tabulate(tree))
+                twin = rebuilt(problem, model=tabulate(tree))
                 assert problem.contrastive_basis == twin.contrastive_basis
 
     def test_the_instance_labelled_otherwise_gives_the_empty_mask(self, cls3_problem):
         # nu is 0 everywhere: no fixed set is sufficient, and every
         # singleton is reported as a contrastive explanation.
-        problem = replace(cls3_problem, universe=Sample(((1, 1, 2),), (F(0),)))
+        problem = rebuilt(cls3_problem, universe=Sample(((1, 1, 2),), (F(0),)))
         assert problem.contrastive_basis == (0,)
         assert sufficiency_table(problem) == [0] * 8
         assert brute_force_cxps(problem) == {frozenset()}
@@ -488,7 +487,7 @@ class TestContrastiveBasis:
         assert enumerate_axps(problem) == ((1, 2, 3),)
 
     def test_a_constant_universe_has_an_empty_basis(self, cls3_problem):
-        problem = replace(cls3_problem, universe=Sample(((1, 0, 0), (0, 1, 1)), (F(1), F(1))))
+        problem = rebuilt(cls3_problem, universe=Sample(((1, 0, 0), (0, 1, 1)), (F(1), F(1))))
         assert problem.contrastive_basis == ()
         assert sufficiency_table(problem) == [1] * 8
         assert is_waxp(problem, ())
@@ -634,7 +633,7 @@ class TestRelevancy:
 class TestModelAgnostic:
     def test_full_space_sample_matches_model_aware(self, cls3_problem, reg2_problem):
         for problem in (cls3_problem, reg2_problem):
-            agnostic = replace(problem, universe=full_space_sample(problem.model))
+            agnostic = rebuilt(problem, universe=full_space_sample(problem.model))
             for s in subsets(problem.feature_ids):
                 assert is_waxp(agnostic, s) == is_waxp(problem, s)
                 assert is_wcxp(agnostic, s) == is_wcxp(problem, s)
@@ -644,7 +643,7 @@ class TestModelAgnostic:
 
     def test_vacuous_match_is_true(self, cls3_problem):
         rows = ((0, 0, 0), (0, 1, 1))  # nothing matches x1 = 1
-        problem = replace(cls3_problem, universe=Sample(rows, (F(0), F(7))))
+        problem = rebuilt(cls3_problem, universe=Sample(rows, (F(0), F(7))))
         assert agnostic_support(problem, (1,)) == 0
         assert is_waxp(problem, (1,))
         with pytest.raises(PreconditionError, match="model-agnostic"):
@@ -654,11 +653,11 @@ class TestModelAgnostic:
         # With only similar rows beyond the instance, even the empty set
         # becomes sufficient on the sample.
         rows = ((1, 1, 2), (1, 0, 0))
-        problem = replace(cls3_problem, universe=Sample(rows, (F(1), F(1))))
+        problem = rebuilt(cls3_problem, universe=Sample(rows, (F(1), F(1))))
         assert is_waxp(problem, ())
 
 
-def test_the_universe_is_read_from_the_problem_only():
+def test_the_universe_is_read_from_the_problem_only(cls3_problem):
     """No public function or method of shapxp takes a universe, a sample
     or a sufficiency table beside the problem that owns them."""
     threaded = []
@@ -672,7 +671,8 @@ def test_the_universe_is_read_from_the_problem_only():
         threaded += [qualified for qualified, f in members
                      if {"universe", "sample", "table"} & set(inspect.signature(f).parameters)]
     assert threaded == []
-    assert "universe" in {f.name for f in fields(ExplanationProblem)}
+    assert "universe" in inspect.signature(ExplanationProblem).parameters
+    assert cls3_problem.universe is None
 
 
 class TestBoxPredicatesAgainstWitnessOracle:

@@ -3,7 +3,6 @@ import json
 import random
 import runpy
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -42,7 +41,7 @@ from shapxp import (
 )
 from shapxp.cli import run_cli
 from shapxp.models import output_range
-from conftest import FIXTURES
+from conftest import FIXTURES, rebuilt
 from randmodels import random_tabular_problem, subsets
 
 ROOT = FIXTURES.parent.parent
@@ -247,13 +246,13 @@ class TestValueIndependence:
 
     def test_a_sample_universe_is_relabeled_with_the_model(self, cls3_problem):
         relabel = {y: f"c{y}" for y in set(cls3_problem.model.outputs)}
-        agnostic = replace(cls3_problem, universe=full_space_sample(cls3_problem.model))
+        agnostic = rebuilt(cls3_problem, universe=full_space_sample(cls3_problem.model))
         assert check_value_independence(cls3_problem, relabel)
         assert check_value_independence(agnostic, relabel)
 
     def test_a_sample_prediction_the_map_misses_is_rejected(self, cls3_problem):
         relabel = {y: f"c{y}" for y in set(cls3_problem.model.outputs)}
-        agnostic = replace(cls3_problem, universe=Sample(((1, 1, 2),), (F(99),)))
+        agnostic = rebuilt(cls3_problem, universe=Sample(((1, 1, 2),), (F(99),)))
         with pytest.raises(ValidationError, match="misses output value"):
             check_value_independence(agnostic, relabel)
 

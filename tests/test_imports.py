@@ -12,11 +12,15 @@ reads, by name or as an attribute, fails too: a guard or tag left behind.
 So does a module-level function or class whose name starts with ``_``: a
 private helper that only tests call.
 The package declares no dependencies, so an absolute import whose top-level
-name is not in ``sys.stdlib_module_names`` fails as well.
+name is not in ``sys.stdlib_module_names`` fails as well. Nor does it import
+``dataclasses`` or ``inspect``, which would cost every process that imports
+it more than its own classes take to build; a subprocess confirms that
+importing the CLI loads neither.
 """
 
 import ast
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -163,20 +167,22 @@ def test_every_private_definition_is_read():
     assert unread_private_definitions(sources) == []
 
 
-def foreign_imports(source: str) -> list[tuple[int, str]]:
-    """(line, module) of each absolute import from outside the standard
-    library."""
+def absolute_imports(source: str) -> list[tuple[int, str]]:
+    """(line, module) of each absolute import, in line order."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            modules = [alias.name for alias in node.names]
+            found += [(node.lineno, alias.name) for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            modules = [node.module]
-        else:
-            continue
-        found += [(node.lineno, module) for module in modules
-                  if module.partition(".")[0] not in sys.stdlib_module_names]
+            found.append((node.lineno, node.module))
     return sorted(found)
+
+
+def foreign_imports(source: str) -> list[tuple[int, str]]:
+    """(line, module) of each absolute import from outside the standard
+    library."""
+    return [(line, module) for line, module in absolute_imports(source)
+            if module.partition(".")[0] not in sys.stdlib_module_names]
 
 
 def test_the_checker_finds_a_foreign_import():
@@ -196,3 +202,38 @@ def test_the_checker_finds_a_foreign_import():
 @pytest.mark.parametrize("module", ALL_MODULES)
 def test_every_import_is_of_the_standard_library_or_the_package(module):
     assert foreign_imports((SRC / module).read_text()) == []
+
+
+SLOW_MODULES = {"dataclasses", "inspect"}
+
+
+def slow_imports(source: str) -> list[tuple[int, str]]:
+    """(line, module) of each import of ``dataclasses`` or ``inspect``, or
+    of a module inside them."""
+    return [(line, module) for line, module in absolute_imports(source)
+            if module.partition(".")[0] in SLOW_MODULES]
+
+
+def test_the_checker_finds_a_slow_import():
+    source = ("from __future__ import annotations\n"
+              "from dataclasses import dataclass, field\n"
+              "import inspect, json\n"
+              "from .models import dataclasses\n"
+              "import dataclasses_json\n"
+              "def f():\n"
+              "    from inspect import signature\n")
+    assert slow_imports(source) == [(2, "dataclasses"), (3, "inspect"), (7, "inspect")]
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_no_module_imports_dataclasses_or_inspect(module):
+    assert slow_imports((SRC / module).read_text()) == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # -S skips the site hooks, which may import either module themselves.
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); import shapxp.cli; "
+              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-S", "-c", script, str(SRC.parent)],
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"

@@ -9,7 +9,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -23,7 +22,7 @@ from shapxp import (
 )
 from shapxp.cli import run_cli
 from shapxp.modelio import format_value, parse_rational, parse_value
-from conftest import FIXTURES, cpu_limit
+from conftest import FIXTURES, cpu_limit, rebuilt
 
 CLS3 = str(FIXTURES / "cls3.json")
 REG2 = str(FIXTURES / "reg2.json")
@@ -186,7 +185,7 @@ class TestLoadSample:
                                                          reg2_problem):
         from shapxp import enumerate_axps, enumerate_cxps, is_waxp
         from randmodels import subsets
-        agnostic = replace(reg2_problem, universe=load_sample(REG2_SAMPLE, reg2_model))
+        agnostic = rebuilt(reg2_problem, universe=load_sample(REG2_SAMPLE, reg2_model))
         for s in subsets(reg2_problem.feature_ids):
             assert is_waxp(agnostic, s) == is_waxp(reg2_problem, s)
         assert enumerate_cxps(agnostic) == enumerate_cxps(reg2_problem)

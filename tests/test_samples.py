@@ -9,7 +9,6 @@ the line memo to the loader's one-line-at-a-time errors.
 import json
 import random
 import warnings
-from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -35,7 +34,7 @@ from shapxp.explanations import _dissimilar, _ids, agnostic_support
 from shapxp.models import labelled_points
 from shapxp.similarity import similar_value
 from boxmodels import QUARTERS, random_grid_model, random_kd_model
-from conftest import FIXTURES, cpu_limit
+from conftest import FIXTURES, cpu_limit, rebuilt
 from randmodels import brute_force_cxps, random_table, random_tree_model, subsets
 
 REG2_TREE = FIXTURES / "reg2_tree.json"
@@ -132,13 +131,13 @@ def test_loaded_discrete_samples_agree_with_their_values(tmp_path):
         valued = Sample(tuple(map(tuple, loaded.rows)), loaded.predictions)
         problem = ExplanationProblem(model, make_instance(model, v),
                                      SimilarityConfig.class_equality())
-        coded = replace(problem, universe=loaded)
-        assert_codes_agree(coded, replace(problem, universe=valued))
+        coded = rebuilt(problem, universe=loaded)
+        assert_codes_agree(coded, rebuilt(problem, universe=valued))
         # an injective relabeling passes the codes through
         outputs = sorted({str(y) for _, y in points})
         mapping = {y: f"out{outputs.index(str(y))}" for _, y in points}
         assert_codes_agree(relabel_problem(coded, mapping),
-                           relabel_problem(replace(problem, universe=valued), mapping))
+                           relabel_problem(rebuilt(problem, universe=valued), mapping))
 
 
 def test_one_point_labelled_two_ways_yields_both_masks(tmp_path):
@@ -157,7 +156,7 @@ def test_one_point_labelled_two_ways_yields_both_masks(tmp_path):
         valued = Sample(twice.rows, twice.predictions)
         problem = ExplanationProblem(model, make_instance(model, v),
                                      SimilarityConfig.class_equality())
-        assert_codes_agree(replace(problem, universe=twice), replace(problem, universe=valued))
+        assert_codes_agree(rebuilt(problem, universe=twice), rebuilt(problem, universe=valued))
 
 
 def test_loaded_box_samples_agree_with_their_values(tmp_path):
@@ -176,7 +175,7 @@ def test_loaded_box_samples_agree_with_their_values(tmp_path):
             rng.choice(lattice) for _ in range(m))  # often on no row's values
         problem = ExplanationProblem(model, make_instance(model, v),
                                      SimilarityConfig.threshold(rng.choice((0, F(1, 4), 1))))
-        assert_codes_agree(replace(problem, universe=loaded), replace(problem, universe=valued))
+        assert_codes_agree(rebuilt(problem, universe=loaded), rebuilt(problem, universe=valued))
 
 
 def test_a_hand_built_sample_codes_each_field_by_first_appearance():
@@ -283,4 +282,4 @@ def test_a_wide_basis_within_its_guard_is_kept_whole(tmp_path):
         sum(1 << j for j in c) for c in combinations(range(12), 6))
     sample.write_text(header + "\n" + every_k_of(14, 7, 21) + "\n")  # 3,432 masks
     with pytest.raises(SizeLimitError, match="21 features"):
-        replace(problem, universe=load_sample(sample, model)).contrastive_basis
+        rebuilt(problem, universe=load_sample(sample, model)).contrastive_basis

@@ -7,7 +7,6 @@ and ``is_waxp``. Every case asserts that the two agree exactly.
 """
 
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
 
@@ -38,7 +37,7 @@ from shapxp import (
 from shapxp.cli import run_cli
 from shapxp.models import labelled_points
 from boxmodels import random_grid_model
-from conftest import FIXTURES
+from conftest import FIXTURES, rebuilt
 from randmodels import (
     VALUE_POOL,
     random_instance,
@@ -124,7 +123,7 @@ class TestAgnostic:
             sample = random_sample(rng, problem.model)
             for similarity in (SimilarityConfig.class_equality(),
                                SimilarityConfig.threshold(F(1, 2))):
-                game = waxp_game(replace(problem, similarity=similarity, universe=sample))
+                game = waxp_game(rebuilt(problem, similarity=similarity, universe=sample))
                 assert_kernel_matches_oracle(game)
 
     def test_vacuous_coalitions_are_sufficient(self, cls3_problem):
@@ -133,7 +132,7 @@ class TestAgnostic:
         row = (1 - v[0], v[1], (v[2] + 1) % 3)
         pred = predict(cls3_problem.model, row)
         assert pred != cls3_problem.instance.prediction
-        game = waxp_game(replace(cls3_problem, universe=Sample((row,), (pred,))))
+        game = waxp_game(rebuilt(cls3_problem, universe=Sample((row,), (pred,))))
         numerators, denominator = game.table()
         assert denominator == 1
         assert numerators == [0, 1, 0, 1, 1, 1, 1, 1]  # masks with bit 0 or bit 2
@@ -207,18 +206,18 @@ class TestNoPerCoalitionFallback:
     # would hide the build; each test builds on fresh copies instead.
     def test_tabular_and_tree(self, no_slow_path, cls3_problem, reg2_problem, tree_problem):
         sample = Sample(((0, 0, 0), (1, 1, 2)), (F(0), F(7)))
-        for problem in (replace(cls3_problem), replace(reg2_problem), tree_problem):
+        for problem in (rebuilt(cls3_problem), rebuilt(reg2_problem), tree_problem):
             shapley_exact(expected_game(problem))
             shapley_exact(waxp_game(problem))
-        shapley_exact(waxp_game(replace(cls3_problem, universe=sample)))
+        shapley_exact(waxp_game(rebuilt(cls3_problem, universe=sample)))
 
     def test_enumeration_and_relevancy(self, no_slow_path, cls3_problem, reg2_problem,
                                        tree_problem):
         universe = Sample(((0, 0, 0), (1, 1, 2)), (F(0), F(1)))
-        for problem in (replace(cls3_problem), replace(reg2_problem), tree_problem,
-                        replace(cls3_problem, universe=universe)):
+        for problem in (rebuilt(cls3_problem), rebuilt(reg2_problem), tree_problem,
+                        rebuilt(cls3_problem, universe=universe)):
             enumerate_cxps(problem)
-            relevant_features(replace(problem))
+            relevant_features(rebuilt(problem))
 
 
 EXACT_WAXP = ["shap", "--game", "waxp", "--method", "exact"]

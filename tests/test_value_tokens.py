@@ -8,6 +8,7 @@ that are no value fail with the same message wherever they stand.
 
 import json
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -106,6 +107,39 @@ def test_two_spellings_of_one_point_are_a_duplicate(tmp_path):
     with pytest.raises(ValidationError,
                        match=r"table entry 1: duplicate point \(Fraction\(1, 1\),\)$"):
         load_model(write_json(tmp_path, doc))
+
+
+def binary_table(m):
+    """Every point of m binary features, in slot order, valued sum mod 3."""
+    features = [{"id": j, "name": f"x{j}", "domain": {"type": "discrete", "values": [0, 1]}}
+                for j in range(1, m + 1)]
+    table = [{"point": list(p), "value": sum(p) % 3} for p in product((0, 1), repeat=m)]
+    return {"version": 1, "kind": "tabular", "features": features, "table": table}
+
+
+def test_a_wide_table_refused_at_its_last_entry_errs_within_two_cpu_seconds(capsys, tmp_path):
+    # The column path refuses the table for its last token, so the entry
+    # loop reads all 65,536 entries; it reads each feature's tokens once.
+    # Loading the valid twin takes 0.34-0.45 s of CPU and this error
+    # 0.58-0.67 s (2-core x86-64 host, Python 3.11); parsing and looking up
+    # every token, as the loop did before, took 4-6 s.
+    doc = binary_table(16)
+    doc["table"][-1]["point"][-1] = 2
+    path = write_json(tmp_path, doc)
+    with cpu_limit(2):
+        err = validate_error(capsys, path)
+    assert err == (f"error: {path}: table entry 65535: value Fraction(2, 1) "
+                   "outside domain of feature 16 (x16)\n")
+
+
+def test_the_entry_loop_checks_a_known_token_against_each_feature(capsys, tmp_path):
+    # 0 is read at feature 1 in entry 0, but lies outside feature 2's domain.
+    doc = binary_table(2)
+    doc["features"][1]["domain"]["values"] = [1, 2]
+    doc["table"] = [{"point": [0, 1], "value": 0}, {"point": [1, 0], "value": 1}]
+    path = write_json(tmp_path, doc)
+    assert validate_error(capsys, path) == (f"error: {path}: table entry 1: value "
+                                            "Fraction(0, 1) outside domain of feature 2 (x2)\n")
 
 
 # (token, message) for point tokens that are no value; each is tried in
