@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
+from itertools import chain
 from operator import add, getitem, itemgetter, mul, ne
 from typing import Optional
 
@@ -348,9 +349,50 @@ def _node_id(raw, where: str):
 
 
 def _box_from(doc, space, value_kind, where) -> BoxPiecewiseModel:
+    """The cells read by columns when they are regular, else by the cell
+    loop, which raises on what is not."""
     raw_cells = doc.get("cells")
     if not isinstance(raw_cells, list):
         raise ValidationError(f"{where}: box model needs a 'cells' list")
+    cells = _box_columns(raw_cells, space.m)
+    if cells is None:
+        cells = _box_cells(raw_cells, space.m, where)
+    return BoxPiecewiseModel(space, tuple(cells), value_kind)
+
+
+def _box_columns(raw_cells, m) -> list | None:
+    """The cell loop's cells, read as whole lists: each distinct token is
+    parsed once, and bounds and coefficients are cut from one flat list. None
+    unless every cell is an object with a 'box' of m [lo, hi] lists and an
+    'affine' of m + 1 coefficients whose tokens' types are in _TOKEN_TYPES and
+    parse; the cell loop reports what is not, and is this path's reference."""
+    try:
+        boxes = list(map(itemgetter("box"), raw_cells))
+        affines = list(map(itemgetter("affine"), raw_cells))
+    except (KeyError, TypeError):  # a missing field, or a cell that is no object
+        return None
+    if not ({*map(type, raw_cells)} <= {dict} and {*map(type, boxes)} <= {list}
+            and {*map(type, affines)} <= {list} and {*map(len, boxes)} <= {m}
+            and {*map(len, affines)} <= {m + 1}):
+        return None
+    pairs = list(chain.from_iterable(boxes))
+    if not ({*map(type, pairs)} <= {list} and {*map(len, pairs)} <= {2}):
+        return None
+    tokens = list(chain(chain.from_iterable(pairs), chain.from_iterable(affines)))
+    if not {*map(type, tokens)} <= _TOKEN_TYPES:
+        return None
+    try:
+        values = {t: parse_rational(t, "") for t in set(tokens)}
+    except ValidationError:
+        return None
+    flat, n = list(map(values.__getitem__, tokens)), len(pairs) * 2
+    boxes = zip(*[zip(flat[:n:2], flat[1:n:2])] * m)  # m pairs per cell
+    rows = zip(*[iter(flat[n:])] * (m + 1))  # m + 1 coefficients per cell
+    return [Cell(box, row[0], row[1:]) for box, row in zip(boxes, rows)]
+
+
+def _box_cells(raw_cells, m, where) -> list:
+    """The cells one by one; the first one that is wrong raises."""
     cells, memo = [], {}  # each distinct token is parsed once
     for k, entry in enumerate(raw_cells):
         loc = f"{where}: cell {k}"
@@ -358,16 +400,16 @@ def _box_from(doc, space, value_kind, where) -> BoxPiecewiseModel:
             raise ValidationError(f"{loc}: expected a JSON object")
         box = entry.get("box")
         affine = entry.get("affine")
-        if not isinstance(box, list) or len(box) != space.m or not all(
+        if not isinstance(box, list) or len(box) != m or not all(
                 isinstance(pair, list) and len(pair) == 2 for pair in box):
-            raise ValidationError(f"{loc}: 'box' must list {space.m} [lo, hi] pairs")
-        if not isinstance(affine, list) or len(affine) != space.m + 1:
-            raise ValidationError(f"{loc}: 'affine' must list {space.m + 1} coefficients")
+            raise ValidationError(f"{loc}: 'box' must list {m} [lo, hi] pairs")
+        if not isinstance(affine, list) or len(affine) != m + 1:
+            raise ValidationError(f"{loc}: 'affine' must list {m + 1} coefficients")
         bounds = tuple((_memo_value(memo, lo, parse_rational, loc),
                         _memo_value(memo, hi, parse_rational, loc)) for lo, hi in box)
         coeffs = [_memo_value(memo, a, parse_rational, loc) for a in affine]
         cells.append(Cell(bounds, coeffs[0], tuple(coeffs[1:])))
-    return BoxPiecewiseModel(space, tuple(cells), value_kind)
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -436,9 +478,12 @@ def _sample_columns(lines, delim, width, model) -> Sample | None:
 def _sample_lines(lines, delim, width, model, path) -> Sample:
     """The sample line by line; the first line with an error raises it.
     This reads every sample on a space with an interval domain, and on a
-    discrete space only one the column path refuses."""
+    discrete space only one the column path refuses. A token ``read_point``
+    accepted before at its position is known by its domain position (the
+    line is then read by slot) on a discrete space, else by its value."""
     space, m, rows, seen = model.space, model.space.m, [], {}  # seen: line -> row
     discrete, parse = space.all_discrete(), _OUTPUT[model.value_kind]
+    known = [{} for _ in range(m)]  # per feature: token -> domain position, or value
     for lineno, line in enumerate(lines, start=2):
         row = seen.get(line)
         if row is None:
@@ -447,18 +492,27 @@ def _sample_lines(lines, delim, width, model, path) -> Sample:
             if len(fields) != width:
                 raise ValidationError(f"{where}: expected {width} fields, got {len(fields)}")
             try:
-                point = read_point(space, fields[:m], where)
-            except DomainError as exc:
-                raise ValidationError(f"{where}: {exc}") from None
-            actual = model.output(point)  # read_point checked the point
+                at = tuple(map(getitem, known, fields))
+            except KeyError:  # a token not met before at its position
+                try:
+                    at = read_point(space, fields[:m], where)
+                except DomainError as exc:
+                    raise ValidationError(f"{where}: {exc}") from None
+                at = tuple(map(getitem, space.indexes, at)) if discrete else at
+                for memo, t, x in zip(known, fields, at):
+                    memo[t] = x
+            if discrete:
+                point = tuple(f.domain.values[p] for f, p in zip(space.features, at))
+                actual = model._read(sum(map(mul, at, space.strides)))
+            else:
+                point, actual = at, model.output(at)  # read_point checked the point
             if width > m:
                 given = parse(fields[-1], where)
                 if given != actual:
                     raise ValidationError(
                         f"{where}: prediction {given!r} disagrees with the "
                         f"model output {actual!r}")
-            codes = tuple(map(getitem, space.indexes, point)) if discrete else None
-            row = seen[line] = point, codes, actual
+            row = seen[line] = point, at if discrete else None, actual
         rows.append(row)
     points, codes, preds = zip(*rows)
     if not discrete:  # the sample codes its values itself

@@ -50,14 +50,14 @@ keeps one.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Mapping
 from functools import cached_property
 from fractions import Fraction
-from itertools import accumulate, chain, compress, product
+from itertools import accumulate, chain, compress, product, repeat
 from math import lcm, prod
-from operator import getitem, le, mul, sub
+from operator import attrgetter, getitem, itemgetter, le, lt, mul, sub
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import (
@@ -563,8 +563,9 @@ class BoxPiecewiseModel(_Frozen):
         # Errors come cell by cell, length first: rank the cells before a wrong length.
         short = next((k for k, c in enumerate(cells)
                       if len(c.box) != m or len(c.coeffs) != m), len(cells))
+        boxes = list(map(attrgetter("box"), cells[:short]))
         cuts, ranks = zip(*(_ranked([f.domain.lo, f.domain.hi,
-                                     *(x for c in cells[:short] for x in c.box[j])])
+                                     *chain.from_iterable(map(itemgetter(j), boxes))])
                             for j, f in enumerate(space.features)))
         _set(self, "space", space)
         _set(self, "cells", cells)
@@ -572,11 +573,14 @@ class BoxPiecewiseModel(_Frozen):
         _set(self, "cuts", cuts)
         _set(self, "lows", tuple(zip(*(r[2::2] for r in ranks))))
         _set(self, "highs", tuple(zip(*(r[3::2] for r in ranks))))
-        for k, (lo, hi) in enumerate(zip(self.lows, self.highs)):
-            for j, r in enumerate(ranks):  # r[0], r[1]: the domain's endpoints
-                if not r[0] <= lo[j] < hi[j] <= r[1]:
-                    raise ValidationError(f"cell {k}: interval [{cells[k].box[j][0]}, "
-                                          f"{cells[k].box[j][1]}) invalid for feature {j + 1}")
+        # Each axis at once; the loop only names the first bad cell.
+        if not all(min(r) == r[0] and max(r) == r[1] and all(map(lt, r[2::2], r[3::2]))
+                   for r in ranks):
+            for k, (lo, hi) in enumerate(zip(self.lows, self.highs)):
+                for j, r in enumerate(ranks):  # r[0], r[1]: the domain's endpoints
+                    if not r[0] <= lo[j] < hi[j] <= r[1]:
+                        raise ValidationError(f"cell {k}: interval [{cells[k].box[j][0]}, "
+                                              f"{cells[k].box[j][1]}) invalid for feature {j + 1}")
         if short < len(cells):
             raise ValidationError(f"cell {short}: box/coeffs length must equal {m}")
         witness = self._partition_witness()
@@ -591,32 +595,22 @@ class BoxPiecewiseModel(_Frozen):
             raise ValidationError("model is constant; a non-constant prediction function is required")
 
     def _partition_witness(self) -> Point | None:
-        """None if the cells partition the space, else a point in no cell or
-        in several, in O(k^2 * m + k * m^2) for k cells and m features. Each
-        cell is a union of the grid's slabs, and interior-disjoint cells are
-        disjoint under the half-open rule, so the cells partition the space
-        when some axis separates every pair and they count every slab."""
+        """None if the cells partition the space, else a point in no cell or in
+        several (the centre of an overlapping pair's intersection). Each cell
+        is a union of the grid's slabs, and interior-disjoint cells are disjoint
+        under the half-open rule: a partition has no overlap and counts every slab."""
         cuts, los, his = self.cuts, self.lows, self.highs
         slabs = [len(axis) - 1 for axis in cuts]
 
         def midpoint(j, lo, hi):
             return (cuts[j][lo] + cuts[j][hi]) / 2
 
-        # Sorted by lower rank on one axis, a cell can overlap only the cells
-        # after it that start before it ends there; the axis with the most
-        # distinct lower ranks (the lowest of those) cuts these runs shortest.
-        axis = max(range(len(cuts)), key=lambda j: len({lo[j] for lo in los}))
-        order = sorted(range(len(los)), key=lambda k: los[k][axis])
-        for p, a in enumerate(order):
-            lo_a, hi_a = los[a], his[a]
-            for b in order[p + 1:]:
-                lo_b, hi_b = los[b], his[b]
-                if lo_b[axis] >= hi_a[axis]:
-                    break
-                if not (any(map(le, hi_a, lo_b)) or any(map(le, hi_b, lo_a))):
-                    return tuple(midpoint(j, max(lo_a[j], lo_b[j]), min(hi_a[j], hi_b[j]))
-                                 for j in range(len(cuts)))
-        if sum(prod(map(sub, hi, lo)) for lo, hi in zip(los, his)) == prod(slabs):
+        pair = self._sweep() if len(cuts) == 2 else self._pair_scan()
+        if pair is not None:
+            lo_a, hi_a, lo_b, hi_b = los[pair[0]], his[pair[0]], los[pair[1]], his[pair[1]]
+            return tuple(midpoint(j, max(lo_a[j], lo_b[j]), min(hi_a[j], hi_b[j]))
+                         for j in range(len(cuts)))
+        if sum(map(prod, map(map, repeat(sub), his, los))) == prod(slabs):
             return None
         # A gap: on each axis, fix the midpoint of the first slab whose cells
         # count its cross-section short. On the last axis no cell spans it.
@@ -634,6 +628,48 @@ class BoxPiecewiseModel(_Frozen):
             point.append(midpoint(j, t, t + 1))
             live = [k for k in live if los[k][j] <= t < his[k][j]]
         return tuple(point)
+
+    def _sweep(self) -> tuple[int, int] | None:
+        """Two overlapping cells of a 2-D model, or None, by a sweep along axis 0
+        (Shamos and Hoey, FOCS 1976) over the live cells' axis-1 rank intervals,
+        kept sorted: at each rank, cells that end leave before cells that start
+        enter, and each entering interval is checked against its two neighbours."""
+        (lo0, lo1), (hi0, hi1) = zip(*self.lows), zip(*self.highs)
+        leaving, i, live = sorted(range(len(lo0)), key=hi0.__getitem__), 0, []
+        for a in sorted(range(len(lo0)), key=lo0.__getitem__):
+            while hi0[leaving[i]] <= lo0[a]:
+                b = leaving[i]
+                del live[bisect_left(live, (lo1[b], hi1[b], b))]
+                i += 1
+            p = bisect_left(live, (lo1[a], hi1[a], a))
+            if p and live[p - 1][1] > lo1[a]:
+                return live[p - 1][2], a
+            if p < len(live) and live[p][0] < hi1[a]:
+                return a, live[p][2]
+            live.insert(p, (lo1[a], hi1[a], a))
+        return None
+
+    def _pair_scan(self) -> tuple[int, int] | None:
+        """Two overlapping cells, or None. Sorted by lower rank on the axis with
+        the most of them, a cell is checked against the cells after it that
+        start before it ends there; a staircase makes that quadratic, so more
+        than POINT_GUARD checks, counted before each run, raise SizeLimitError."""
+        los, his = self.lows, self.highs
+        axis = max(range(len(los[0])), key=lambda j: len({lo[j] for lo in los}))
+        order = sorted(range(len(los)), key=lambda k: los[k][axis])
+        starts, checks = [los[k][axis] for k in order], 0
+        for p, a in enumerate(order):
+            lo_a, hi_a = los[a], his[a]
+            end = bisect_left(starts, hi_a[axis], p + 1)
+            checks += end - p - 1
+            if checks > POINT_GUARD:
+                raise SizeLimitError(f"partition check guarded at {POINT_GUARD} pair checks, "
+                                     f"got {checks} by cell {p + 1} of {len(order)}")
+            for b in order[p + 1:end]:
+                lo_b, hi_b = los[b], his[b]
+                if not (any(map(le, hi_a, lo_b)) or any(map(le, hi_b, lo_a))):
+                    return a, b
+        return None
 
     def _slab(self, j: int, x) -> int:
         """The slab of v_j = x on axis j by the one half-open rule: the rank
@@ -770,12 +806,19 @@ class BoxPiecewiseModel(_Frozen):
 
 
 def _ranked(bounds: list) -> tuple[tuple, list[int]]:
-    """The sorted distinct values of ``bounds`` and each bound's rank among
-    them, keyed by exact ratio (two ints), which hashes cheaper than a Fraction."""
-    keys = [x.as_integer_ratio() for x in bounds]
-    cuts = sorted(dict(zip(keys, bounds)).values())
-    rank = {x.as_integer_ratio(): r for r, x in enumerate(cuts)}
-    return tuple(cuts), list(map(rank.__getitem__, keys))
+    """The sorted distinct values of ``bounds`` (a few shared objects, each read
+    once) and each bound's rank among them, keyed by exact ratio and sorted as
+    integers over the lcm of the denominators, unless many coprime ones could
+    make that lcm pass 1024 bits."""
+    distinct = list(dict(zip(map(id, bounds), bounds)).values())
+    ratios = [x.as_integer_ratio() for x in distinct]
+    value = dict(zip(ratios, distinct))
+    denominators = {q for _, q in value}
+    d = lcm(*denominators) if sum(map(int.bit_length, denominators)) <= 1024 else 0
+    order = sorted(value, key=(lambda r: r[0] * (d // r[1])) if d else value.__getitem__)
+    rank = dict(zip(order, range(len(order))))
+    by_id = dict(zip(map(id, distinct), map(rank.__getitem__, ratios)))
+    return tuple(map(value.__getitem__, order)), list(map(by_id.__getitem__, map(id, bounds)))
 
 
 def _over_lcd(values: Iterable) -> tuple[list[int], int]:

@@ -106,6 +106,18 @@ def moved(rng, boxes):
             return boxes
 
 
+def staircase_boxes(cuts):
+    """For each step [c_k, c_k+1), a row [c_k, top] x [c_k, c_k+1) and, below
+    the top, a column [c_k, c_k+1) x [c_k+1, top]: a partition in which every
+    row spans the rest of axis 0 and every column the rest of axis 1."""
+    top, boxes = cuts[-1], []
+    for lo, hi in zip(cuts, cuts[1:]):
+        boxes.append([(lo, top), (lo, hi)])
+        if hi != top:
+            boxes.append([(lo, hi), (hi, top)])
+    return boxes
+
+
 def layouts():
     rng = random.Random(20261018)
     for n in range(240):
@@ -114,6 +126,11 @@ def layouts():
         if n % 4 >= 2:
             boxes = moved(rng, boxes)
         yield m, with_affines(rng, boxes)
+    for n in range(40):  # 2-D staircases, whole and with one bound moved, either way round
+        boxes = staircase_boxes([LO] + sorted(rng.sample(LATTICE[1:-1], rng.randint(0, 6))) + [HI])
+        if n % 2:
+            boxes = moved(rng, boxes)
+        yield 2, with_affines(rng, [box[::-1] for box in boxes] if n % 4 >= 2 else boxes)
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +277,14 @@ def hostile_boxes():
 
 
 def box_doc(boxes):
+    """A model on [0, 1]^m with the boxes as its cells."""
+    m = len(boxes[0])
     return {
         "version": 1, "kind": "box_piecewise", "value_kind": "numeric",
         "features": [{"id": j + 1, "name": f"x{j + 1}",
                       "domain": {"type": "interval", "lo": "0", "hi": "1"}}
-                     for j in range(HOSTILE_M)],
-        "cells": [{"box": [[str(lo), str(hi)] for lo, hi in box],
-                   "affine": [k] + [1] * HOSTILE_M}
+                     for j in range(m)],
+        "cells": [{"box": [[str(lo), str(hi)] for lo, hi in box], "affine": [k] + [1] * m}
                   for k, box in enumerate(boxes)],
     }
 
@@ -295,15 +313,7 @@ def test_a_hostile_broken_layout_exits_2_with_a_witness_within_a_second(
     boxes[k][0] = (lo, hi + step)
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(box_doc(boxes)))
-    with cpu_limit(1):
-        assert run_cli(["validate", "--model", str(path)]) == 2
-    err = capsys.readouterr().err
-    space = FeatureSpace(tuple(Feature(j + 1, f"x{j + 1}", IntervalDomain(F(0), F(1)))
-                               for j in range(HOSTILE_M)))
-    cells = [Cell(tuple(box), F(0), (F(1),) * HOSTILE_M) for box in boxes]
-    point, owners = named_witness(err)
-    assert_true_witness(space, cells, err)
-    assert (len(owners) >= 2) == (step > 0)
+    assert_exits_2_with_a_true_witness(capsys, boxes, path, overlap=step > 0)
 
 
 # Cells stacked along axis 2, each spanning all of axis 1: every cell
@@ -319,19 +329,9 @@ def stacked_boxes():
     return [[(F(0), F(1)), (lo, hi)] for lo, hi in zip(cuts, cuts[1:])]
 
 
-def stacked_doc(boxes):
-    return {
-        "version": 1, "kind": "box_piecewise", "value_kind": "numeric",
-        "features": [{"id": j + 1, "name": f"x{j + 1}",
-                      "domain": {"type": "interval", "lo": "0", "hi": "1"}} for j in range(2)],
-        "cells": [{"box": [[str(lo), str(hi)] for lo, hi in box], "affine": [k, 1, 1]}
-                  for k, box in enumerate(boxes)],
-    }
-
-
 def test_a_stacked_layout_validates_within_a_second(capsys, tmp_path):
     path = tmp_path / "stacked.json"
-    path.write_text(json.dumps(stacked_doc(stacked_boxes())))
+    path.write_text(json.dumps(box_doc(stacked_boxes())))
     with cpu_limit(1):
         assert run_cli(["validate", "--model", str(path)]) == 0
     assert f"ok: model valid ({STACKED} cells)" in capsys.readouterr().out
@@ -345,12 +345,71 @@ def test_a_stacked_layout_with_one_bound_moved_exits_2_with_a_witness_within_a_s
     lo, hi = boxes[k][1]
     boxes[k][1] = (lo, hi + step)
     path = tmp_path / "broken.json"
-    path.write_text(json.dumps(stacked_doc(boxes)))
+    path.write_text(json.dumps(box_doc(boxes)))
+    assert_exits_2_with_a_true_witness(capsys, boxes, path, overlap=step > 0)
+
+
+def assert_exits_2_with_a_true_witness(capsys, boxes, path, overlap):
     with cpu_limit(1):
         assert run_cli(["validate", "--model", str(path)]) == 2
     err = capsys.readouterr().err
+    m = len(boxes[0])
     space = FeatureSpace(tuple(Feature(j + 1, f"x{j + 1}", IntervalDomain(F(0), F(1)))
-                               for j in range(2)))
-    cells = [Cell(tuple(box), F(0), (F(1), F(1))) for box in boxes]
+                               for j in range(m)))
+    cells = [Cell(tuple(box), F(0), (F(1),) * m) for box in boxes]
     assert_true_witness(space, cells, err)
-    assert (len(named_witness(err)[1]) >= 2) == (step > 0)
+    assert (len(named_witness(err)[1]) >= 2) == overlap
+
+
+# A staircase of n steps on [0, 1]^2 (2n - 1 cells) defeats every sort axis
+# of a pair scan: each row overlaps every later cell on axis 0, each column
+# on axis 1. The sweep along axis 0 meets each cell twice.
+
+def unit_staircase(cells):
+    n = (cells + 1) // 2
+    return staircase_boxes([F(k, n) for k in range(n + 1)])
+
+
+@pytest.mark.parametrize("cells", [3999, 7999])
+def test_a_staircase_validates_within_a_second(capsys, tmp_path, cells):
+    path = tmp_path / "staircase.json"
+    path.write_text(json.dumps(box_doc(unit_staircase(cells))))
+    with cpu_limit(1):
+        assert run_cli(["validate", "--model", str(path)]) == 0
+    assert f"ok: model valid ({cells} cells)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("overlap", [False, True], ids=["gap", "overlap"])
+@pytest.mark.parametrize("cells", [3999, 7999])
+def test_a_staircase_with_one_bound_moved_exits_2_with_a_witness_within_a_second(
+        capsys, tmp_path, cells, overlap):
+    boxes = unit_staircase(cells)
+    k = cells // 2 + 1  # the middle row
+    (lo, hi), n = boxes[k][1], (cells + 1) // 2
+    boxes[k][1] = (lo, hi + F(1 if overlap else -1, 2 * n))
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(box_doc(boxes)))
+    assert_exits_2_with_a_true_witness(capsys, boxes, path, overlap)
+
+
+# At m >= 3 the pair scan stays, with its checks guarded: the staircase
+# times [0, 1] makes about k^2/4 of them on k cells, 999,000 at 1,999 cells
+# and past POINT_GUARD at 3,999.
+
+@pytest.mark.parametrize("cells,code", [(1999, 0), (3999, 3)])
+def test_a_3d_staircase_past_the_pair_check_guard_exits_3_within_a_second(
+        capsys, tmp_path, cells, code):
+    path = tmp_path / "staircase3.json"
+    path.write_text(json.dumps(box_doc([box + [(F(0), F(1))] for box in unit_staircase(cells)])))
+    with cpu_limit(1):
+        assert run_cli(["validate", "--model", str(path)]) == code
+    if code == 3:
+        assert "partition check guarded at 1048576 pair checks" in capsys.readouterr().err
+
+
+def test_3d_layouts_of_the_bench_sizes_validate():
+    rng = random.Random(4)
+    cuts = [[LO] + sorted(rng.sample(LATTICE[1:-1], 3)) + [HI] for _ in range(3)]
+    for boxes in (kd_boxes(rng, 3, 64, LATTICE[::2]),
+                  [list(box) for box in product(*(zip(c, c[1:]) for c in cuts))]):
+        BoxPiecewiseModel(unit_space(3), tuple(with_affines(rng, boxes)))

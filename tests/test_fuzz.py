@@ -11,18 +11,23 @@ import contextlib
 import copy
 import io
 import json
+import random
 import time
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from shapxp import ValidationError, load_model
 from shapxp.cli import run_cli
-from shapxp.modelio import (_sample_columns, _sample_lines, _space_from, _split_header,
-                            _table_columns, _table_entries, parse_value)
+from shapxp.modelio import (_box_cells, _box_columns, _sample_columns, _sample_lines,
+                            _space_from, _split_header, _table_columns, _table_entries,
+                            model_from_dict, parse_value)
 from shapxp.models import CATEGORICAL, NUMERIC, dense_slots
+from boxmodels import random_grid_model, random_kd_model
 from conftest import FIXTURES, cpu_limit
+from test_io_cli import HOSTILE_INPUTS
 
 MODELS = ("cls3.json", "cls3_tree.json", "reg2.json", "reg2_tree.json", "pw2.json")
 SAMPLE_MODELS = ("reg2.json", "reg2_tree.json", "pw2.json")  # features x1, x2
@@ -491,3 +496,94 @@ def test_a_sample_goes_to_the_columns_exactly_when_it_is_regular(lines, regular,
     assert assert_sample_paths_agree(lines, model) == regular
     if not regular:
         assert isinstance(sample_paths(lines, model)[1], ValidationError)
+
+
+# ---------------------------------------------------------------------------
+# Box cells: the column path against the cell loop
+# ---------------------------------------------------------------------------
+
+def box_paths(doc):
+    """(columns, loop) for a document's cells, the loop's error in place of
+    its cells when it raises; None when the cells cannot reach them."""
+    try:
+        m = _space_from(doc.get("features"), "model").m
+    except ValidationError:
+        return None
+    if not isinstance(doc.get("cells"), list):
+        return None
+    columns = _box_columns(doc["cells"], m)
+    try:
+        loop = _box_cells(doc["cells"], m, "model")
+    except ValidationError as exc:
+        loop = exc
+    return columns, loop
+
+
+def cell_values(cells):
+    return typed(chain.from_iterable((*chain(*c.box), c.intercept, *c.coeffs) for c in cells))
+
+
+def assert_box_paths_agree(doc):
+    """As assert_table_paths_agree, for the cell loop of a box model."""
+    paths = box_paths(doc)
+    if paths is None:
+        return False
+    columns, loop = paths
+    assert (columns is None) == isinstance(loop, ValidationError)
+    if columns is None:
+        return False
+    assert columns == loop
+    assert cell_values(columns) == cell_values(loop)
+    return True
+
+
+@FUZZ
+@given(st.data())
+def test_the_box_columns_agree_with_the_cell_loop(data):
+    _, doc, _, _ = mutated_model(data.draw, ("pw2.json",))
+    assert_box_paths_agree(doc)
+    assert_box_paths_agree(json.loads(json.dumps(doc), parse_float=parse_value))
+
+
+def spelled(rng, x):
+    """A JSON token for the rational x: an integer, a "p/q" string or a
+    decimal (the models' bounds and coefficients are exact in binary)."""
+    options = [str(x), float(x)] + ([int(x)] if x.denominator == 1 else [])
+    return rng.choice(options)
+
+
+def test_random_box_documents_read_by_columns_give_the_loop_cells():
+    rng = random.Random(20261019)
+    for n in range(60):
+        m = 1 + n % 3
+        model = random_kd_model(rng, m, rng.randint(1, 9)) if n % 2 else random_grid_model(rng, m)
+        doc = {"version": 1, "kind": "box_piecewise",
+               "features": [{"id": j + 1, "domain": {"type": "interval", "lo": -1, "hi": 1}}
+                            for j in range(m)],
+               "cells": [{"box": [[spelled(rng, lo), spelled(rng, hi)] for lo, hi in cell.box],
+                          "affine": [spelled(rng, a) for a in (cell.intercept, *cell.coeffs)]}
+                         for cell in model.cells]}
+        doc = json.loads(json.dumps(doc), parse_float=parse_value)
+        assert assert_box_paths_agree(doc)
+        assert model_from_dict(doc).cells == model.cells
+
+
+MALFORMED_BOXES = [param for param in HOSTILE_INPUTS
+                   if b'"box_piecewise"' in param.values[0].get("model.json", b"")]
+
+
+@pytest.mark.parametrize("files,argv", MALFORMED_BOXES,
+                         ids=[param.id for param in MALFORMED_BOXES])
+def test_a_malformed_box_document_goes_to_the_cell_loop(files, argv):
+    doc = json.loads(files["model.json"], parse_float=parse_value)
+    columns, loop = box_paths(doc)
+    assert columns is None and isinstance(loop, ValidationError)
+
+
+@pytest.mark.parametrize("token", [True, False, None, "x", "1/0", "1e5000", 0.5, [1], {}],
+                         ids=repr)
+def test_a_box_token_that_is_no_rational_goes_to_the_cell_loop(token):
+    doc = json.loads((FIXTURES / "pw2.json").read_text(), parse_float=parse_value)
+    doc["cells"][1]["affine"][0] = token
+    columns, loop = box_paths(doc)
+    assert columns is None and isinstance(loop, ValidationError)

@@ -34,7 +34,7 @@ from shapxp import (
 )
 from shapxp.explanations import _ids, _minimal
 from shapxp.games import Game, expected_game, shapley_exact
-from shapxp.models import guard_slices, labelled_points
+from shapxp.models import _ranked, guard_slices, labelled_points
 from shapxp.similarity import Dissimilar
 from boxmodels import QUARTERS, prime_stacked_model, random_grid_model, random_kd_model
 from conftest import cpu_limit
@@ -220,6 +220,34 @@ def test_stacked_slice_expectations_equal_the_left_to_right_sum(n_cells):
     for fixed in (frozenset(), frozenset({1}), frozenset({2})):
         assert model.slice_expectation(v, fixed) == \
             reference_box_slice_expectation(model, v, fixed)
+
+
+def reference_ranked(bounds):
+    """The sorted distinct values of ``bounds`` as Fractions, and each
+    bound's position among them."""
+    cuts = sorted(set(map(Fraction, bounds)))
+    position = {x: r for r, x in enumerate(cuts)}
+    return tuple(cuts), [position[Fraction(x)] for x in bounds]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_ranked_bounds_equal_the_sorted_fraction_reference(seed):
+    """Ints, negatives and large denominators, each value repeated by
+    shared objects and held again by distinct equal objects (an int and a
+    Fraction of it, two Fractions); from seed 20 on, a few hundred coprime
+    denominators push the common denominator past 1024 bits."""
+    rng = random.Random(seed)
+    top = 10 ** 30 if seed % 2 else 8
+    pool = [rng.randint(-5, 5) for _ in range(4)]
+    pool += [Fraction(rng.randint(-top, top), rng.randint(1, top)) for _ in range(8)]
+    if seed >= 20:
+        pool += [Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randrange(10 ** 5, 10 ** 6))
+                 for _ in range(300)]
+    pool += [Fraction(x.numerator, x.denominator) for x in rng.sample(pool, 4)]
+    pool += [int(x) for x in pool if Fraction(x).denominator == 1]
+    bounds = [rng.choice(pool) for _ in range(3 * len(pool))]
+    cuts, ranks = _ranked(bounds)
+    assert (cuts, ranks) == reference_ranked(bounds)
 
 
 @pytest.mark.parametrize("seed", range(30))

@@ -212,6 +212,22 @@ def test_a_bad_line_that_repeats_is_named_at_its_first_occurrence(tmp_path):
         load_sample(path, model)
 
 
+def test_a_large_sample_the_columns_refuse_raises_within_two_seconds(tmp_path):
+    """65,536 distinct lines of 16 binary fields, the last one ending in 2:
+    the line loop reads each field's tokens once before it names that line."""
+    model = tmp_path / "chain.json"
+    model.write_text(json.dumps(chain_tree_doc(16, 16)))
+    lines = [",".join(format(k, "016b")) for k in range(1 << 16)]
+    lines[-1] = lines[-1][:-1] + "2"
+    path = tmp_path / "s.csv"
+    path.write_text(",".join(f"x{j}" for j in range(1, 17)) + "\n" + "\n".join(lines) + "\n")
+    model = load_model(model)
+    with cpu_limit(2), pytest.raises(ValidationError) as caught:
+        load_sample(path, model)
+    assert str(caught.value) == \
+        f"{path}:65537: value Fraction(2, 1) outside domain of feature 16 (x16)"
+
+
 @pytest.mark.parametrize("kind", [TreeModel, TabularModel])
 def test_each_distinct_line_is_evaluated_once(tmp_path, monkeypatch, kind):
     model = load_model(REG2_TREE if kind is TreeModel else FIXTURES / "reg2.json")
