@@ -146,9 +146,9 @@ class ExplanationProblem(_Frozen):
         if similarity.delta is not None and model.value_kind != NUMERIC:
             raise NumericOutputError("threshold similarity needs numeric model outputs")
         m = model.space.m
-        for row in () if universe is None else universe.rows:
-            if len(row) != m:
-                raise ValidationError(f"sample row {row!r} does not have the model's {m} values")
+        if universe is not None and not {*map(len, universe.rows)} <= {m}:
+            row = next(row for row in universe.rows if len(row) != m)
+            raise ValidationError(f"sample row {row!r} does not have the model's {m} values")
         _set(self, "model", model)
         _set(self, "instance", instance)
         _set(self, "similarity", similarity)

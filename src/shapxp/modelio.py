@@ -34,6 +34,7 @@ from .models import (
     TreeModel,
     TreeNode,
     dense_slots,
+    not_total,
     predict,  # noqa: F401  (looked up here by the benchmark's tracer)
 )
 from .explanations import Sample
@@ -86,19 +87,46 @@ def parse_value(x, where: str = "value"):
     return parse_rational(x, where)
 
 
+def _integral(parse):
+    """``parse`` with an integral rational as an int, which hashes and compares in C."""
+    def read(x, where: str = "value"):
+        if x.__class__ is str and x.lstrip("-").isdecimal():
+            try:
+                return int(x)
+            except ValueError:  # "--1", or past the digit limit, as Fraction() is
+                pass
+        v = x if x.__class__ is int else parse(x, where)
+        return v.numerator if v.__class__ is Fraction and v.denominator == 1 else v
+    return read
+
+
+# Interval bounds, box cells and box points stay Fractions: (lo + hi) / 2 of ints is a float.
+read_discrete, read_number = _integral(parse_value), _integral(parse_rational)
+
+
 def read_point(space: FeatureSpace, raw, where: str) -> Point:
     """A raw point (JSON tokens or text fields) as a point of ``space``:
     every token is parsed, then the point is checked, so a bad point raises
     ValidationError for a token that is no value, else DomainError for a
-    value outside its domain. On a discrete space the coordinates are the
-    domain's own objects, which dict lookups and membership tests match by
-    identity before they compare values."""
-    point = tuple(parse_value(t, where) for t in raw)
-    space.check_point(point)
-    if not space.all_discrete():
+    value outside its domain, as ``parse_value`` reads it. On a discrete
+    space the coordinates are the domain's own objects, which dict lookups
+    and membership tests match by identity before they compare values."""
+    discrete = space.all_discrete()
+    point = tuple((read_discrete if discrete else parse_value)(t, where) for t in raw)
+    try:
+        space.check_point(point)
+    except DomainError:  # raised again with the values as parse_value reads them
+        space.check_point(tuple(map(parse_value, raw)))
+        raise
+    if not discrete:
         return point
     return tuple(f.domain.values[index[x]]
                  for f, index, x in zip(space.features, space.indexes, point))
+
+
+def _as_parsed(values) -> tuple:
+    """Loaded values as error texts show them: ints as Fractions."""
+    return tuple(Fraction(v) if v.__class__ is int else v for v in values)
 
 
 def format_value(v):
@@ -180,8 +208,8 @@ def _space_from(entries, where: str) -> FeatureSpace:
             raw_values = dom.get("values", [])
             if not isinstance(raw_values, list):
                 raise ValidationError(f"{where}: feature {fid}: 'values' must be a list")
-            kind, args = DiscreteDomain, (tuple(parse_value(v, f"{where}: feature {fid} domain")
-                                                for v in raw_values),)
+            at = f"{where}: feature {fid} domain"
+            kind, args = DiscreteDomain, (tuple(read_discrete(v, at) for v in raw_values),)
         elif dtype == "interval":
             kind, args = IntervalDomain, (
                 parse_rational(dom.get("lo"), f"{where}: feature {fid} lo"),
@@ -203,7 +231,7 @@ def _label(raw, where: str) -> str:
 
 # Each value kind's reading of a model output: a table value or default, a
 # tree leaf, a sample's prediction.
-_OUTPUT = {NUMERIC: parse_rational, CATEGORICAL: _label}
+_OUTPUT = {NUMERIC: read_number, CATEGORICAL: _label}
 
 
 def _memo_value(memo: dict, raw, parse, where: str):
@@ -230,6 +258,8 @@ def _tabular_from(doc, space, value_kind, where) -> TabularModel:
     if "default" in doc:
         default = _OUTPUT[value_kind](doc["default"], f"{where}: default")
         outputs = [default if y is None else y for y in outputs]
+    elif len(entries) < len(outputs):  # each entry filled a slot of its own
+        raise not_total(space, outputs, _as_parsed)
     return TabularModel(space, outputs, value_kind)
 
 
@@ -257,7 +287,7 @@ def _table_columns(entries, space, value_kind, outputs) -> list | None:
             return None
         index = feature.domain.index
         try:
-            offsets = {t: index[parse_value(t)] * stride for t in set(column)}
+            offsets = {t: index[read_discrete(t)] * stride for t in set(column)}
         except KeyError:  # a value outside the domain
             return None
         slots = list(map(add, slots, map(offsets.__getitem__, column)))
@@ -301,7 +331,7 @@ def _table_entries(entries, space, value_kind, outputs, where) -> list:
                 memo[type(t), t] = position
         slot = sum(map(mul, at, space.strides))
         if outputs[slot] is not None:
-            point = tuple(f.domain.values[p] for f, p in zip(space.features, at))
+            point = _as_parsed(f.domain.values[p] for f, p in zip(space.features, at))
             raise ValidationError(f"{loc}: duplicate point {point}")
         outputs[slot] = _memo_value(values, entry.get("value"), parse, loc)
     return outputs
@@ -311,34 +341,54 @@ def _tree_from(doc, space, value_kind, where) -> TreeModel:
     raw_nodes = doc.get("nodes")
     if not isinstance(raw_nodes, list) or "root" not in doc:
         raise ValidationError(f"{where}: tree model needs 'root' and a 'nodes' list")
-    nodes, memo = {}, {}  # each distinct edge token is parsed once
+    nodes, leaves, edge_values, leaf = {}, {}, {}, _OUTPUT[value_kind]
     for entry in raw_nodes:
         if not isinstance(entry, dict):
             raise ValidationError(f"{where}: tree nodes must be JSON objects")
-        nid = _node_id(entry.get("id"), f"{where}: node id")
-        loc = f"{where}: node {nid}"
-        if nid in nodes:
-            raise ValidationError(f"{loc}: duplicate node id")
-        if "value" in entry:
-            nodes[nid] = TreeLeaf(_OUTPUT[value_kind](entry["value"], loc))
-        elif "feature" in entry:
-            feature = entry["feature"]
-            if isinstance(feature, bool) or not isinstance(feature, int):
-                raise ValidationError(f"{loc}: 'feature' must be a feature id, got {feature!r}")
-            raw_edges = entry.get("edges", [])
-            if not isinstance(raw_edges, list):
-                raise ValidationError(f"{loc}: 'edges' must be a list")
-            edges = []
-            for edge in raw_edges:
-                if not isinstance(edge, dict) or not isinstance(edge.get("values", []), list):
-                    raise ValidationError(f"{loc}: each edge must be an object with a 'values' list")
-                values = tuple(_memo_value(memo, v, parse_value, loc)
-                               for v in edge.get("values", []))
-                edges.append((values, _node_id(edge.get("child"), f"{loc}: child")))
-            nodes[nid] = TreeNode(feature, tuple(edges))
-        else:
-            raise ValidationError(f"{loc}: needs either 'value' or 'feature'")
+        nid = entry.get("id")
+        if type(nid) not in _TOKEN_TYPES:  # a subclass, or no id: _node_id decides
+            _node_id(nid, f"{where}: node id")
+        try:  # an error is located here, so no node pays for its location
+            if nid in nodes:
+                raise ValidationError(": duplicate node id")
+            if "value" in entry:
+                nodes[nid] = TreeLeaf(_memo_value(leaves, entry["value"], leaf, ""))
+            elif "feature" in entry:
+                feature = entry["feature"]
+                if isinstance(feature, bool) or not isinstance(feature, int):
+                    raise ValidationError(f": 'feature' must be a feature id, got {feature!r}")
+                raw_edges = entry.get("edges", [])
+                if not isinstance(raw_edges, list):
+                    raise ValidationError(": 'edges' must be a list")
+                edges = []
+                for edge in raw_edges:
+                    tokens = edge.get("values", []) if isinstance(edge, dict) else None
+                    if not isinstance(tokens, list):
+                        raise ValidationError(": each edge must be an object with a 'values' list")
+                    values = tuple([_edge_value(edge_values, feature, t, space) for t in tokens])
+                    child = edge.get("child")
+                    if type(child) not in _TOKEN_TYPES:
+                        _node_id(child, ": child")
+                    edges.append((values, child))
+                nodes[nid] = TreeNode(feature, tuple(edges))
+            else:
+                raise ValidationError(": needs either 'value' or 'feature'")
+        except ValidationError as exc:
+            raise ValidationError(f"{where}: node {nid}{exc}") from None
     return TreeModel(space, nodes, _node_id(doc["root"], f"{where}: root"), value_kind)
+
+
+def _edge_value(memo: dict, feature, token, space):
+    """An edge token as its feature's own domain value, else as ``parse_value``
+    reads it, for TreeModel's error; read once per (feature, type, token)."""
+    try:
+        return memo[feature, type(token), token]
+    except (KeyError, TypeError):  # new, or unhashable, which read_discrete refuses
+        value = read_discrete(token, "")
+    domain = space.features[feature - 1].domain if 0 < feature <= space.m else None
+    at = getattr(domain, "index", {}).get(value)  # an interval domain has none
+    memo[feature, type(token), token] = parse_value(token) if at is None else domain.values[at]
+    return memo[feature, type(token), token]
 
 
 def _node_id(raw, where: str):
@@ -422,8 +472,8 @@ def load_sample(path, model: Model) -> Sample:
     line is read, checked and evaluated (by slot on a discrete space) once,
     and its repeats share that row."""
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            lines = [line.rstrip("\n") for line in fh if line.strip()]
+        try:  # split on newlines only: splitlines also splits on \f, \x85 and \u2028
+            lines = list(filter(str.strip, fh.read().split("\n")))
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
     if len(lines) < 2:
@@ -455,7 +505,7 @@ def _sample_columns(lines, delim, width, model) -> Sample | None:
         column = list(map(itemgetter(j), fields))
         index = feature.domain.index
         try:
-            code = {t: index[parse_value(t.strip())] for t in set(column)}
+            code = {t: index[read_discrete(t.strip())] for t in set(column)}
         except KeyError:  # a value outside the domain
             return None
         columns.append(list(map(code.__getitem__, column)))
@@ -509,6 +559,7 @@ def _sample_lines(lines, delim, width, model, path) -> Sample:
             if width > m:
                 given = parse(fields[-1], where)
                 if given != actual:
+                    given, actual = _as_parsed((given, actual))
                     raise ValidationError(
                         f"{where}: prediction {given!r} disagrees with the "
                         f"model output {actual!r}")

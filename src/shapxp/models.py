@@ -35,8 +35,8 @@ axes; a table reads its dense ``outputs`` at a slot, a tree walks the
 routes that one validating walk builds, reading each tested feature's
 digit of the slot. The discrete kinds share every method but ``_read``
 and ``disagreements``, which a table takes from its points and a tree from
-its leaves. All arithmetic on numeric values is exact: ``fractions.Fraction``,
-or ints over a known denominator.
+its leaves. All arithmetic on numeric values is exact: on ints (the loader's
+integral values), ``fractions.Fraction`` or ints over a known denominator.
 
 The package imports no data-class machinery, which would cost each
 process its import (with ``inspect``) and the building of every class.
@@ -336,7 +336,7 @@ class TabularModel(_EnumerableModel):
         # the first appearances, in slot order, are checked for the others.
         firsts = dict(zip(map(id, outputs), outputs)).values()
         if None in firsts:
-            raise _not_total(space, outputs)
+            raise not_total(space, outputs)
         _check_values(firsts, value_kind)
         distinct = frozenset(firsts)
         if len(distinct) < 2:
@@ -372,12 +372,12 @@ def dense_slots(space: FeatureSpace) -> list:
     return [None] * space.size
 
 
-def _not_total(space: FeatureSpace, outputs) -> ValidationError:
-    """The error for a table with empty (None) slots; the example is the
-    first in slot order, since points may mix labels and rationals, which
-    do not sort."""
+def not_total(space: FeatureSpace, outputs, shown=tuple) -> ValidationError:
+    """The error for a table with empty (None) slots; the example, made by
+    ``shown``, is the first in slot order, since points may mix labels and
+    rationals, which do not sort."""
     missing = [slot for slot, y in enumerate(outputs) if y is None]
-    first = tuple(f.domain.values[missing[0] // s % r]
+    first = shown(f.domain.values[missing[0] // s % r]
                   for f, s, r in zip(space.features, space.strides, space.radices))
     return ValidationError(f"table is not total: missing {len(missing)} points, e.g. {first}")
 
@@ -436,32 +436,31 @@ class TreeModel(_EnumerableModel):
             node = self.nodes[node_id]
             if isinstance(node, TreeLeaf):
                 continue
+            feature, edges = node
             del path[depth:]
-            if node.feature in path:
-                raise ValidationError(f"feature {node.feature} tested twice on one path")
-            if node.feature not in self.space.ids:
-                raise ValidationError(f"tree tests unknown feature {node.feature}")
-            path.append(node.feature)
-            domain = self.space.domain(node.feature)
-            if not all(values for values, _ in node.edges):
+            if feature in path:
+                raise ValidationError(f"feature {feature} tested twice on one path")
+            if feature not in range(1, self.space.m + 1):
+                raise ValidationError(f"tree tests unknown feature {feature}")
+            path.append(feature)
+            if not all(map(itemgetter(0), edges)):
                 # its child would count as reached, yet no point reaches it
                 raise ValidationError(f"node {node_id}: an edge routes no domain value")
-            route, index = {}, domain.index  # route: domain position -> child
-            for values, child in node.edges:
-                for v in values:
-                    try:
-                        route[index[v]] = child
-                    except (KeyError, TypeError):  # TypeError: an unhashable value
-                        raise ValidationError(
-                            f"edge value {v!r} outside domain of feature {node.feature}") from None
-            if len(route) < sum(len(values) for values, _ in node.edges):
+            domain = self.space.domain(feature)
+            try:  # route: domain position -> child
+                route = {domain.index[v]: child for values, child in edges for v in values}
+            except (KeyError, TypeError):  # TypeError: an unhashable value
+                v = next(v for values, _ in edges for v in values if v not in domain)
+                raise ValidationError(
+                    f"edge value {v!r} outside domain of feature {feature}") from None
+            if len(route) < sum(map(len, map(itemgetter(0), edges))):
                 raise ValidationError(f"node {node_id}: a domain value maps to two children")
             if len(route) != len(domain.values):
                 raise ValidationError(f"node {node_id}: edges do not cover the domain")
-            routes[node_id] = (node.feature - 1, tuple(map(route.__getitem__, range(len(route)))))
-            stack.extend((child, depth + 1) for _, child in reversed(node.edges))
-        unreachable = [nid for nid in self.nodes if nid not in seen]  # ids may not sort
-        if unreachable:
+            routes[node_id] = (feature - 1, tuple(map(route.__getitem__, range(len(route)))))
+            stack.extend((child, depth + 1) for _, child in reversed(edges))
+        if len(seen) < len(self.nodes):
+            unreachable = [nid for nid in self.nodes if nid not in seen]  # ids may not sort
             raise ValidationError(f"unreachable tree nodes: {unreachable}")
         leaf_values = self._values()
         _check_values(leaf_values, self.value_kind)

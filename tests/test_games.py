@@ -274,7 +274,7 @@ class TestValueIndependence:
         tree_after = relabel_problem(tree_problem, relabel)
         twin_after = relabel_problem(twin_problem, relabel)
         assert isinstance(tree_after.model, TreeModel)
-        numeric = all(isinstance(y, F) for y in relabel.values())
+        numeric = all(isinstance(y, (int, F)) for y in relabel.values())
         assert tree_after.model.value_kind == ("numeric" if numeric else "categorical")
         assert twin_after.model.value_kind == tree_after.model.value_kind
         assert tabulate(tree_after.model) == twin_after.model

@@ -53,6 +53,14 @@ class TestConfig:
                 ExplanationProblem(cls3_model, instance, SimilarityConfig.class_equality(),
                                    Sample(rows, (F(0), F(1))))
 
+    def test_the_first_sample_row_of_another_length_is_named(self, cls3_model):
+        instance = make_instance(cls3_model, (1, 1, 2))
+        rows = ((1, 1, 2), (1, 1, 2, 0), (0,), (1, 1, 2))
+        with pytest.raises(ValidationError) as exc:
+            ExplanationProblem(cls3_model, instance, SimilarityConfig.class_equality(),
+                               Sample(rows, (F(0),) * len(rows)))
+        assert str(exc.value) == "sample row (1, 1, 2, 0) does not have the model's 3 values"
+
 
 class TestSimilar:
     def test_instance_point_always_similar(self, cls3_problem, reg2_problem,
