@@ -17,22 +17,21 @@ of counters together, each state in its own 128-bit lane of one int, so
 that a SplitMix64 step is a few big-int operations over the range rather
 than a Python loop step per output; ``_outputs`` unpacks the lanes into a
 list. Permutation k is a Fisher-Yates shuffle of 1..m whose draws read
-the outputs from counter k + 2 on (``_draw``). The estimator counts the
-draw tuples of k = 0..T-1 with ``_draw_counts``, which computes each
-output once, since consecutive permutations share all but one of their
-counters, and falls back on ``_draw`` for a chunk where an output may be
-rejected; the lane constants of its full-length chunks are built once per
-run. At m = 2 the one draw is z mod 2, which rejects nothing (2^64 mod 2
-is 0), so ``_draw_counts`` counts the draws of 1 as the set low bits of
-the packed lanes, with no unpacking and no fallback. The estimator walks
-each distinct tuple once, as the Fisher-Yates shuffle itself, and tallies
-how often each (coalition, player) step occurs, so it holds at most T*m
-counts. The values weighting the counts are integer numerators over one
-denominator: the game's coalition table (``Game.table``) when the draws
-touched all 2^m coalitions and the game has a kernel, else the game's
-memoized values of the touched coalitions alone. All accumulation is
-exact integer arithmetic, so the returned estimates do not depend on
-where the values came from and are deterministic in the strongest sense.
+the outputs from counter k + 2 on (``_draw``). ``_draw_columns`` reads
+the draws of k = 0..T-1 a chunk at a time, computing each output once,
+and falls back on ``_draw`` for a chunk where an output may be rejected.
+The estimator tallies how often each (coalition, player) step occurs, so
+it holds at most T*m counts. From m = 7 to 16, where nearly every draw
+tuple is distinct, ``_lane_tally`` walks all the shuffles of a chunk at
+once, a lane of a few ints per permutation; otherwise ``_draw_counts``
+counts the draw tuples (at m = 2 by a popcount of the packed lanes) and
+the estimator walks each distinct one once. The values weighting the
+counts are integer numerators over one denominator: the game's coalition
+table (``Game.table``) when the draws touched all 2^m coalitions and the
+game has a kernel, else the game's memoized values of the touched
+coalitions alone. All accumulation is exact integer arithmetic, so the
+returned estimates do not depend on where the values came from and are
+deterministic in the strongest sense.
 """
 
 from __future__ import annotations
@@ -52,12 +51,12 @@ from .models import POINT_GUARD, _Frozen, _over_lcd, _set
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-# Permutation draws times players. Counting and tallying one player step
-# costs 0.05-0.5 us (Python 3.11, 2-core x86-64 host, m = 2..10; at m = 2,
-# counted by popcount, 0.10-0.13 us per permutation, T = 10^5..10^6; 0.10
-# at m = 4, 0.39 at m = 8, where nearly every draw tuple is distinct), so
-# the guard stops sampling runs of more than about a minute. It bounds draws,
-# not weighting: at m = 20 and 40 nearly every tally key needs its own game
+# Permutation draws times players. Counting and tallying a permutation
+# costs 0.1-8 us (Python 3.11, 2-core x86-64 host): 0.10-0.13 us at m = 2
+# (popcount, T = 10^5..10^6), 0.4 at m = 4, in lanes 1.2 at m = 7, 1.3 at
+# m = 8, 2.5 at 12 and 3.7 at 16, and about 8 at m = 20, so the guard stops
+# sampling runs of more than about a minute. It bounds draws, not
+# weighting: at m = 20 and 40 nearly every tally key needs its own game
 # evaluation, about 7 and 11 us per step on an additive custom game, with
 # a memo of 6.3 and 9.2 MiB (T = 4,000 and 2,000).
 DRAW_GUARD = 10 ** 8
@@ -184,37 +183,51 @@ def _order(m: int, draws: tuple[int, ...]) -> list[int]:
     return order
 
 
-def _draw_counts(seed: int, m: int, start: int, stop: int) -> Iterator[Counter]:
-    """How often each tuple of draws occurs among permutations start..stop-1
-    of this seed, as Counters that together count each permutation once.
+def _draw_columns(mixed: int, m: int, start: int, stop: int) -> Iterator[list]:
+    """The draws of permutations start..stop-1 (m >= 3) of the seed that
+    mixes to ``mixed``, a chunk at a time, as m - 1 columns: column t holds
+    draw t of each permutation of the chunk.
 
     Permutation k's draw t reads counter k + 2 + t unless an earlier draw
-    rejected an output, so consecutive permutations share all but one of
-    their counters. A chunk k0..k1-1 of at most CHUNK permutations
-    therefore computes the outputs at counters k0 + 2 .. k1 + m - 1 once,
-    and column t of its draws is those outputs from the t-th on, each mod
-    m - t. Every rejection threshold 2^64 mod n is below m, so a chunk
-    whose outputs all reach the largest one rejects nothing; otherwise,
-    with probability about m * CHUNK / 2^64, the chunk is read one
-    permutation at a time by :func:`_draw`. When all m! tuples fit in
-    CHUNK entries (m <= 6), the chunks add to one Counter for the whole
-    run; otherwise each chunk's Counter is handed on alone.
+    rejected an output, so a chunk k0..k1-1 of at most CHUNK permutations
+    computes the outputs at counters k0 + 2 .. k1 + m - 1 once, and column
+    t maps those from the t-th on mod m - t. Every rejection threshold
+    2^64 mod n is below m, so a chunk whose outputs all reach the largest
+    one rejects nothing; otherwise, with probability about m * CHUNK /
+    2^64, the chunk is read one permutation at a time by :func:`_draw`.
+    """
+    # Every chunk but the last reads CHUNK + m - 2 outputs.
+    full = _lanes(CHUNK + m - 2) if stop - start > CHUNK else None
+    sizes = range(m, 1, -1)
+    top = max((1 << 64) % n for n in sizes)
+    for k0 in range(start, stop, CHUNK):
+        size = min(CHUNK, stop - k0)
+        zs = _outputs(mixed, k0 + 2, k0 + size + m, full if size == CHUNK else None)
+        if min(zs) < top:  # some output may be rejected
+            yield list(zip(*(_draw(mixed, m, k) for k in range(k0, k0 + size))))
+        else:
+            yield [map(mod, islice(zs, t, t + size), repeat(n)) for t, n in enumerate(sizes)]
+
+
+def _draw_counts(seed: int, m: int, start: int, stop: int) -> Iterator[Counter]:
+    """How often each tuple of draws occurs among permutations start..stop-1
+    of this seed, as Counters that together count each permutation once:
+    one for the whole run when all m! tuples fit in CHUNK entries (m <= 6),
+    else one per chunk of :func:`_draw_columns`.
 
     At m = 2 the one draw is z mod 2, the low bit of the output, and its
-    rejection threshold 2^64 mod 2 is 0, so no output is ever rejected and
-    no chunk falls back on :func:`_draw`. The draws of 1 are then counted
-    by a popcount of the lanes' low bits, before any unpacking, and the
-    run yields one Counter of (0,) and (1,) without zero counts.
+    rejection threshold 2^64 mod 2 is 0, so no output is ever rejected.
+    The draws of 1 are counted by a popcount of the lanes' low bits, before
+    any unpacking, and the run yields one Counter of (0,) and (1,) without
+    zero counts.
     """
     mixed = _outputs(seed & _MASK64, 1, 2)[0]
     if m < 2:  # no draws
         if stop > start:
             yield Counter({(): stop - start})
         return
-    # Every chunk but the last reads CHUNK + m - 2 outputs.
-    full = _lanes(CHUNK + m - 2) if stop - start > CHUNK else None
     if m == 2:
-        # No rejection fallback: the threshold 2^64 mod 2 is 0.
+        full = _lanes(CHUNK) if stop - start > CHUNK else None
         odd = 0
         for k0 in range(start, stop, CHUNK):
             size = min(CHUNK, stop - k0)
@@ -224,23 +237,55 @@ def _draw_counts(seed: int, m: int, start: int, stop: int) -> Iterator[Counter]:
         if counts:
             yield counts
         return
-    sizes = range(m, 1, -1)
-    top = max((1 << 64) % n for n in sizes)
     whole_run = math.factorial(m) <= CHUNK
     counts: Counter = Counter()
-    for k0 in range(start, stop, CHUNK):
-        size = min(CHUNK, stop - k0)
-        zs = _outputs(mixed, k0 + 2, k0 + size + m, full if size == CHUNK else None)
-        if min(zs) < top:  # some output may be rejected
-            counts.update(_draw(mixed, m, k) for k in range(k0, k0 + size))
-        else:
-            counts.update(zip(*(map(mod, islice(zs, t, None), repeat(n))
-                                for t, n in enumerate(sizes))))
+    for columns in _draw_columns(mixed, m, start, stop):
+        counts.update(zip(*columns))
         if not whole_run:
             yield counts
             counts = Counter()
     if counts:
         yield counts
+
+
+def _lane_tally(seed: int, m: int, start: int, stop: int) -> Counter:
+    """How often each tally key after << m | bit (see :func:`cgt_estimate`)
+    occurs among permutations start..stop-1 of this seed, 7 <= m <= 16.
+
+    A chunk of :func:`_draw_columns` walks its Fisher-Yates shuffles at
+    once: permutation p is lane p, of 2 bytes (m <= 8) or 4, and order[k]
+    holds in each lane the bit of the player at position k. At step i,
+    ``bytes.translate`` turns the draw column, copied into every byte of
+    its lanes, into the selector of the lanes whose draw is k (all ones
+    there) for each k < i; those lanes swap order[k] with order[i], and
+    the rest, whose draw is i, keep it. Each key fills 2m bits of a lane,
+    and one Counter update counts a chunk's keys from their bytes.
+    """
+    mixed = _outputs(seed & _MASK64, 1, 2)[0]
+    width, code = (2, "H") if m <= 8 else (4, "I")
+    tables = [bytes(k) + b"\xff" + bytes(255 - k) for k in range(m - 1)]
+    counts: Counter = Counter()
+    for columns in _draw_columns(mixed, m, start, stop):
+        columns = list(map(bytes, columns))
+        wide = bytearray(width * len(columns[0]))
+        ones = int.from_bytes((b"\1" + bytes(width - 1)) * len(columns[0]), "little")
+        order = [ones << k for k in range(m)]
+        after, keys = 0, []
+        for i, column in zip(range(m - 1, 0, -1), columns):
+            for b in range(width):
+                wide[b::width] = column
+            bit = stay = order[i]
+            for k in range(i):
+                swap = (order[k] ^ stay) & int.from_bytes(wide.translate(tables[k]), "little")
+                order[k] ^= swap
+                bit ^= swap
+            after |= bit
+            keys.append(after << m | bit)
+        everyone = ((1 << m) - 1) * ones  # position 0: no one before it
+        keys.append(everyone << m | everyone ^ after)
+        counts.update(memoryview(b"".join(
+            key.to_bytes(len(wide), sys.byteorder) for key in keys)).cast(code))
+    return counts
 
 
 def permutation_at(seed: int, m: int, index: int) -> tuple[int, ...]:
@@ -289,24 +334,29 @@ def cgt_estimate(game: Game, config: CgtConfig) -> tuple[ScoreVector, CgtDiagnos
     # behind it, so the coalition before it is full ^ after. Each step is
     # tallied under after << m | bit; the dict holds at most T * m keys,
     # however many players there are. Bit k of a mask stands for
-    # players[k], the game's own coalition key.
+    # players[k], the game's own coalition key. Lanes count T * m keys with
+    # O(m^2) selectors a chunk: below m = 7 at most 720 tuples are walked
+    # instead, and past 16 the lanes measured no faster than the walks.
     full = (1 << m) - 1
-    bits = [1 << k for k in range(m)]
-    steps = range(m - 1, 0, -1)
-    counts: dict = {}
-    get = counts.get
-    for drawn in _draw_counts(config.seed, m, 0, total):
-        for draws, n in drawn.items():
-            order = bits.copy()
-            after = 0
-            for i, j in zip(steps, draws):
-                bit = order[j]
-                order[j] = order[i]
-                after |= bit
-                key = after << m | bit
+    if 6 < m <= 16:
+        counts = _lane_tally(config.seed, m, 0, total)
+    else:
+        counts = {}
+        get = counts.get
+        bits = [1 << k for k in range(m)]
+        steps = range(m - 1, 0, -1)
+        for drawn in _draw_counts(config.seed, m, 0, total):
+            for draws, n in drawn.items():
+                order = bits.copy()
+                after = 0
+                for i, j in zip(steps, draws):
+                    bit = order[j]
+                    order[j] = order[i]
+                    after |= bit
+                    key = after << m | bit
+                    counts[key] = get(key, 0) + n
+                key = full << m | full ^ after  # position 0: no one before it
                 counts[key] = get(key, 0) + n
-            key = full << m | full ^ after  # position 0: no one before it
-            counts[key] = get(key, 0) + n
     # Every coalition a tally key reads is full ^ after for some key's
     # after, or the full coalition (after a first step, full ^ after ^ bit
     # is the full one). The values come as integer numerators

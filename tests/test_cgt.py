@@ -31,7 +31,8 @@ from shapxp import (
 from shapxp import cgt as cgt_module
 from shapxp import games as games_module
 from shapxp.cgt import (
-    CHUNK, _draw_counts, _lanes, _order, _outputs, _packed, permutation_at, sample_count)
+    CHUNK, _draw, _draw_counts, _lane_tally, _lanes, _order, _outputs, _packed, permutation_at,
+    sample_count)
 from shapxp.cli import run_cli
 from conftest import FIXTURES
 from randmodels import random_instance, random_tabular_problem, random_tree_model
@@ -201,6 +202,51 @@ class TestPermutationStream:
         for start in (k - CHUNK + 1, k - CHUNK):
             stop = start + CHUNK + 3
             assert counted(seed, m, start, stop) == reference_counts(seed, m, start, stop)
+
+
+class TestLaneTally:
+    """From m = 7 to 16 _lane_tally walks each chunk's shuffles at once; its
+    tally keys are those of a walk over each reference permutation."""
+
+    @staticmethod
+    def reference_tally(seed, m, start, stop):
+        # Position p's key: the mask of the players at p and after, shifted
+        # by m, or the bit of the player at p.
+        tally = Counter()
+        for k in range(start, stop):
+            bits = [1 << player - 1 for player in reference_permutation_at(seed, m, k)]
+            for p, bit in enumerate(bits):
+                tally[sum(bits[p:]) << m | bit] += 1
+        return tally
+
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    @pytest.mark.parametrize("m", [8, 12, 16])
+    def test_a_rejection_inside_the_lanes(self, seed, m, monkeypatch):
+        # Draw 1 is below n = m - 1, and 2^64 mod n is above 0, so
+        # permutation k reads output 0 at draw 1 and rejects it. The
+        # windows hold k inside a chunk, as the last permutation of a chunk
+        # and as the first of the next; each such chunk falls back on _draw.
+        assert (1 << 64) % (m - 1) > 0
+        read = []
+
+        def counted_draw(mixed, m, k):
+            read.append(k)
+            return _draw(mixed, m, k)
+
+        monkeypatch.setattr(cgt_module, "_draw", counted_draw)
+        k = rejecting_index(seed, 1)
+        for start in (k - 5, k - CHUNK + 1, k - CHUNK):
+            stop = start + CHUNK + 3
+            read.clear()
+            assert _lane_tally(seed, m, start, stop) == self.reference_tally(seed, m, start, stop)
+            assert k in read
+
+    def test_ranges_across_chunks(self):
+        rng = random.Random(34)
+        for m in range(7, 17):
+            seed, start = rng.getrandbits(64), rng.getrandbits(rng.choice((8, 64)))
+            for stop in (start, start + 1, start + CHUNK + rng.randrange(1, 40)):
+                assert _lane_tally(seed, m, start, stop) == self.reference_tally(seed, m, start, stop)
 
 
 class TestTwoPlayers:
@@ -404,6 +450,14 @@ class TestEstimator:
             model = random_tree_model(rng, m, max_depth=5, max_domain=2)
             games.append(expected_game(ExplanationProblem(
                 model, random_instance(rng, model), SimilarityConfig.class_equality())))
+        # 4-byte lanes at m = 12 and 16, and m = 17 past them on the tuple walk:
+        # the weights game widened, with an interaction between two players.
+        for m in (12, 16, 17):
+            wide = {p: F(rng.randrange(-4, 5), rng.randrange(1, 4))
+                    for p in rng.sample(range(1, 60), m)}
+            pair = set(rng.sample(sorted(wide), 2))
+            games.append(Game(tuple(wide), lambda s, w=wide, pair=pair: sum(w[i] for i in s) ** 2
+                              + (F(7) if pair <= s else F(0)), marginal_bound=F(2000)))
         for game in games:
             for seed, n in ((3, 1), (3, 40), (17, 250), (5, 2 * CHUNK + 7)):
                 config = CgtConfig(F(1, 20), F(1, 20), seed=seed, sample_count=n)
@@ -418,9 +472,14 @@ class TestEstimator:
         results = []
         for chunk in (1, 7, 1024):
             monkeypatch.setattr(cgt_module, "CHUNK", chunk)
+            # m = 8 runs lanes of one shuffle at CHUNK = 1, and partial last
+            # chunks at 7 and 1024.
             games = [waxp_game(cls3_problem), expected_game(pw2_problem),
                      Game((9, 2, 5, 4), lambda s: sum(weights[i] for i in s) ** 2,
-                          marginal_bound=F(100))]
+                          marginal_bound=F(100)),
+                     Game((9, 2, 5, 4, 11, 1, 8, 3),
+                          lambda s: sum(weights.get(i, F(i, 3)) for i in s) ** 2
+                          + (F(5) if {1, 9} <= s else F(0)), marginal_bound=F(400))]
             results.append([cgt_estimate(game, config)[0].scores for game in games])
         assert results[0] == results[1] == results[2]
 
@@ -586,11 +645,11 @@ def seeded_tree_doc(seed, m, depth):
 
 class TestPinnedReports:
     """`shap --method cgt` JSON reports, byte for byte, on models whose
-    runs take each route: one Counter for the whole run (m <= 6), one per
-    chunk with every coalition touched (the m = 8 tree), and a sample that
-    leaves most coalitions untouched (the m = 12 tree at epsilon 1). The
-    reg2 tree and the box model pw2 have m = 2, counted by popcount; both
-    pw2 runs draw 21,911 permutations."""
+    runs take each route: one Counter for the whole run (m <= 6), 2-byte
+    lanes with every coalition touched (the m = 8 tree), and 4-byte lanes
+    over a sample that leaves most coalitions untouched (the m = 12 tree at
+    epsilon 1). The reg2 tree and the box model pw2 have m = 2, counted by
+    popcount; both pw2 runs draw 21,911 permutations."""
 
     # name: (instance, seeded tree or None for a fixture, extra arguments)
     MODELS = {"cls3_tree": ("1,1,2", None, ()), "reg2_tree": ("1,1", None, ()),
