@@ -20,18 +20,20 @@ list. Permutation k is a Fisher-Yates shuffle of 1..m whose draws read
 the outputs from counter k + 2 on (``_draw``). ``_draw_columns`` reads
 the draws of k = 0..T-1 a chunk at a time, computing each output once,
 and falls back on ``_draw`` for a chunk where an output may be rejected.
-The estimator tallies how often each (coalition, player) step occurs, so
-it holds at most T*m counts. From m = 7 to 16, where nearly every draw
-tuple is distinct, ``_lane_tally`` walks all the shuffles of a chunk at
-once, a lane of a few ints per permutation; otherwise ``_draw_counts``
-counts the draw tuples (at m = 2 by a popcount of the packed lanes) and
-the estimator walks each distinct one once. The values weighting the
-counts are integer numerators over one denominator: the game's coalition
-table (``Game.table``) when the draws touched all 2^m coalitions and the
-game has a kernel, else the game's memoized values of the touched
-coalitions alone. All accumulation is exact integer arithmetic, so the
-returned estimates do not depend on where the values came from and are
-deterministic in the strongest sense.
+``_step_counts`` tallies how often each (coalition, player) step of
+shuffle steps m - 1 .. 1 occurs, at most T*(m - 1) counts, and the
+estimator credits the first position from step 1, whose coalition before
+is that player alone. At m = 2 a popcount of the packed lanes counts the
+draws; up to m = 6 the draw tuples are counted and each distinct one is
+walked once; from 7 to 16, where nearly every tuple is distinct,
+``_lane_tally`` walks all the shuffles of a chunk at once, a lane of a
+few ints per permutation; past 16 each tuple is walked as drawn. The
+values weighting the counts are integer numerators over one denominator:
+the game's coalition table (``Game.table``) when the draws touched all
+2^m coalitions and the game has a kernel, else the game's memoized
+values of the touched coalitions alone. All accumulation is exact
+integer arithmetic, so the returned estimates do not depend on where the
+values came from and are deterministic in the strongest sense.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import sys
 from array import array
 from collections import Counter
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from operator import mod
 from typing import Iterator, NamedTuple, Optional
 
@@ -51,17 +53,19 @@ from .models import POINT_GUARD, _Frozen, _over_lcd, _set
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-# Permutation draws times players. Counting and tallying a permutation
-# costs 0.1-8 us (Python 3.11, 2-core x86-64 host): 0.10-0.13 us at m = 2
-# (popcount, T = 10^5..10^6), 0.4 at m = 4, in lanes 1.2 at m = 7, 1.3 at
-# m = 8, 2.5 at 12 and 3.7 at 16, and about 8 at m = 20, so the guard stops
-# sampling runs of more than about a minute. It bounds draws, not
+# Permutation draws times players. Counting a permutation's steps costs
+# 0.07-8.5 us (_step_counts, Python 3.11, 2-core x86-64 host, lower
+# decile): 0.07 us at m = 2 (popcount, T = 10^5..10^6), 0.4 at m = 4, in
+# lanes 1.2 at m = 8, 2.3 at 12 and 3.9 at 16, and 8.4 at m = 20, so the
+# guard stops sampling runs of more than about a minute (at m = 20 a run
+# at the guard counts for about 42 s). It bounds draws, not
 # weighting: at m = 20 and 40 nearly every tally key needs its own game
 # evaluation, about 7 and 11 us per step on an additive custom game, with
 # a memo of 6.3 and 9.2 MiB (T = 4,000 and 2,000).
 DRAW_GUARD = 10 ** 8
-# Permutations whose stream outputs, and distinct draw tuples that are
-# counted before they are tallied, are held at once; no result depends on it.
+# Permutations whose stream outputs and draws are held at once (the m <= 6
+# tuple Counter spans the whole run, at most 720 entries); no result depends
+# on it.
 CHUNK = 1024
 
 
@@ -209,23 +213,22 @@ def _draw_columns(mixed: int, m: int, start: int, stop: int) -> Iterator[list]:
             yield [map(mod, islice(zs, t, t + size), repeat(n)) for t, n in enumerate(sizes)]
 
 
-def _draw_counts(seed: int, m: int, start: int, stop: int) -> Iterator[Counter]:
-    """How often each tuple of draws occurs among permutations start..stop-1
-    of this seed, as Counters that together count each permutation once:
-    one for the whole run when all m! tuples fit in CHUNK entries (m <= 6),
-    else one per chunk of :func:`_draw_columns`.
+def _step_counts(seed: int, m: int, start: int, stop: int) -> Counter:
+    """How often each step key after << m | bit (see :func:`cgt_estimate`)
+    of Fisher-Yates steps m - 1 .. 1 occurs among permutations
+    start..stop-1 of this seed, m >= 2: m - 1 keys a permutation.
 
     At m = 2 the one draw is z mod 2, the low bit of the output, and its
-    rejection threshold 2^64 mod 2 is 0, so no output is ever rejected.
-    The draws of 1 are counted by a popcount of the lanes' low bits, before
-    any unpacking, and the run yields one Counter of (0,) and (1,) without
-    zero counts.
+    rejection threshold 2^64 mod 2 is 0, so no output is ever rejected:
+    a popcount of the lanes' low bits, before any unpacking, counts the
+    draws of 1 (key 0b1010) and so those of 0 (key 0b0101). Up to m = 6,
+    where all m! draw tuples fit in CHUNK entries, the run's tuples are
+    counted and each distinct one is walked once; from 7 to 16
+    :func:`_lane_tally` walks a chunk's shuffles at once, with O(m^2)
+    selectors a chunk; past 16, where the lanes measured no faster, each
+    tuple is walked as drawn.
     """
     mixed = _outputs(seed & _MASK64, 1, 2)[0]
-    if m < 2:  # no draws
-        if stop > start:
-            yield Counter({(): stop - start})
-        return
     if m == 2:
         full = _lanes(CHUNK) if stop - start > CHUNK else None
         odd = 0
@@ -233,24 +236,29 @@ def _draw_counts(seed: int, m: int, start: int, stop: int) -> Iterator[Counter]:
             size = min(CHUNK, stop - k0)
             z, ones = _packed(mixed, k0 + 2, k0 + size + 2, full if size == CHUNK else None)
             odd += (z & ones).bit_count()
-        counts = +Counter({(0,): stop - start - odd, (1,): odd})
-        if counts:
-            yield counts
-        return
-    whole_run = math.factorial(m) <= CHUNK
+        return +Counter({0b0101: stop - start - odd, 0b1010: odd})
+    if 6 < m <= 16:
+        return _lane_tally(mixed, m, start, stop)
+    drawn = chain.from_iterable(zip(*columns) for columns in _draw_columns(mixed, m, start, stop))
     counts: Counter = Counter()
-    for columns in _draw_columns(mixed, m, start, stop):
-        counts.update(zip(*columns))
-        if not whole_run:
-            yield counts
-            counts = Counter()
-    if counts:
-        yield counts
+    get = counts.get
+    bits = [1 << k for k in range(m)]
+    steps = range(m - 1, 0, -1)
+    for draws, n in Counter(drawn).items() if m <= 6 else zip(drawn, repeat(1)):
+        order = bits.copy()
+        after = 0
+        for i, j in zip(steps, draws):
+            bit = order[j]
+            order[j] = order[i]
+            after |= bit
+            key = after << m | bit
+            counts[key] = get(key, 0) + n
+    return counts
 
 
-def _lane_tally(seed: int, m: int, start: int, stop: int) -> Counter:
-    """How often each tally key after << m | bit (see :func:`cgt_estimate`)
-    occurs among permutations start..stop-1 of this seed, 7 <= m <= 16.
+def _lane_tally(mixed: int, m: int, start: int, stop: int) -> Counter:
+    """:func:`_step_counts` at 7 <= m <= 16, for the seed that mixes to
+    ``mixed``.
 
     A chunk of :func:`_draw_columns` walks its Fisher-Yates shuffles at
     once: permutation p is lane p, of 2 bytes (m <= 8) or 4, and order[k]
@@ -261,7 +269,6 @@ def _lane_tally(seed: int, m: int, start: int, stop: int) -> Counter:
     the rest, whose draw is i, keep it. Each key fills 2m bits of a lane,
     and one Counter update counts a chunk's keys from their bytes.
     """
-    mixed = _outputs(seed & _MASK64, 1, 2)[0]
     width, code = (2, "H") if m <= 8 else (4, "I")
     tables = [bytes(k) + b"\xff" + bytes(255 - k) for k in range(m - 1)]
     counts: Counter = Counter()
@@ -281,8 +288,6 @@ def _lane_tally(seed: int, m: int, start: int, stop: int) -> Counter:
                 bit ^= swap
             after |= bit
             keys.append(after << m | bit)
-        everyone = ((1 << m) - 1) * ones  # position 0: no one before it
-        keys.append(everyone << m | everyone ^ after)
         counts.update(memoryview(b"".join(
             key.to_bytes(len(wide), sys.byteorder) for key in keys)).cast(code))
     return counts
@@ -328,44 +333,25 @@ def cgt_estimate(game: Game, config: CgtConfig) -> tuple[ScoreVector, CgtDiagnos
     if game.guard is not None:
         # A permutation's prefixes share only the empty and the full coalition.
         game.guard(min(total * m + 1, 1 << m), "sampling")
+    if m < 2:  # no draw: no player, or one whose only marginal is nu({p}) - nu({})
+        scores = (game.at(1) - game.at(0),) if m else ()
+        return ScoreVector(scores, game.tag, "cgt"), CgtDiagnostics(total, bound)
 
     # Fisher-Yates fixes positions from the back: when a step puts player
     # bit ``bit`` at its position, ``after`` holds it and the players
     # behind it, so the coalition before it is full ^ after. Each step is
-    # tallied under after << m | bit; the dict holds at most T * m keys,
-    # however many players there are. Bit k of a mask stands for
-    # players[k], the game's own coalition key. Lanes count T * m keys with
-    # O(m^2) selectors a chunk: below m = 7 at most 720 tuples are walked
-    # instead, and past 16 the lanes measured no faster than the walks.
+    # tallied under after << m | bit; the tally holds at most T * (m - 1)
+    # keys, however many players there are. Bit k of a mask stands for
+    # players[k], the game's own coalition key.
     full = (1 << m) - 1
-    if 6 < m <= 16:
-        counts = _lane_tally(config.seed, m, 0, total)
-    else:
-        counts = {}
-        get = counts.get
-        bits = [1 << k for k in range(m)]
-        steps = range(m - 1, 0, -1)
-        for drawn in _draw_counts(config.seed, m, 0, total):
-            for draws, n in drawn.items():
-                order = bits.copy()
-                after = 0
-                for i, j in zip(steps, draws):
-                    bit = order[j]
-                    order[j] = order[i]
-                    after |= bit
-                    key = after << m | bit
-                    counts[key] = get(key, 0) + n
-                key = full << m | full ^ after  # position 0: no one before it
-                counts[key] = get(key, 0) + n
-    # Every coalition a tally key reads is full ^ after for some key's
-    # after, or the full coalition (after a first step, full ^ after ^ bit
-    # is the full one). The values come as integer numerators
-    # over one denominator: from the game's table when the sample touched
-    # every coalition, else from the memo over the touched ones. The sums
-    # are exact, so they do not depend on the source.
-    touched = {full ^ key >> m for key in counts}
-    if counts:
-        touched.add(full)
+    counts = _step_counts(config.seed, m, 0, total)
+    # Every coalition a step key reads is full ^ after for some key's after,
+    # the full coalition (after a first step, full ^ after ^ bit is the full
+    # one) or, for the first position, the empty one. The values come as
+    # integer numerators over one denominator: from the game's table when
+    # the sample touched every coalition, else from the memo over the
+    # touched ones. The sums are exact, so they do not depend on the source.
+    touched = {full ^ key >> m for key in counts} | {0, full}
     if len(touched) == 1 << m <= POINT_GUARD and game.kernel is not None:
         values, denominator = game.table()
     else:
@@ -376,5 +362,7 @@ def cgt_estimate(game: Game, config: CgtConfig) -> tuple[ScoreVector, CgtDiagnos
         bit = key & full
         before = full ^ key >> m
         sums[bit.bit_length() - 1] += n * (values[before | bit] - values[before])
+        if before & before - 1 == 0:  # step 1: before is the first player alone
+            sums[before.bit_length() - 1] += n * (values[before] - values[0])
     scores = tuple(Fraction(s, total * denominator) for s in sums)
     return ScoreVector(scores, game.tag, "cgt"), CgtDiagnostics(total, bound)

@@ -31,8 +31,8 @@ from shapxp import (
 from shapxp import cgt as cgt_module
 from shapxp import games as games_module
 from shapxp.cgt import (
-    CHUNK, _draw, _draw_counts, _lane_tally, _lanes, _order, _outputs, _packed, permutation_at,
-    sample_count)
+    CHUNK, _draw, _draw_columns, _lanes, _order, _outputs, _packed, _step_counts,
+    permutation_at, sample_count)
 from shapxp.cli import run_cli
 from conftest import FIXTURES
 from randmodels import random_instance, random_tabular_problem, random_tree_model
@@ -81,17 +81,27 @@ def draws(seed, m, n):
 
 
 def counted(seed, m, start, stop):
-    """Permutations start..stop-1 as the estimator sees them: the sum of
-    the chunk Counters, each tuple of draws decoded to its permutation."""
-    total = Counter()
-    for chunk in _draw_counts(seed, m, start, stop):
-        for drawn, n in chunk.items():
-            total[tuple(_order(m, drawn))] += n
-    return total
+    """Permutations start..stop-1 (m >= 3) as the step tallies see them:
+    the draws of each chunk of _draw_columns, decoded to permutations."""
+    _, mixed = _splitmix_next(seed & _MASK64)
+    return Counter(tuple(_order(m, drawn)) for columns in _draw_columns(mixed, m, start, stop)
+                   for drawn in zip(*columns))
 
 
 def reference_counts(seed, m, start, stop):
     return Counter(reference_permutation_at(seed, m, k) for k in range(start, stop))
+
+
+def reference_steps(seed, m, start, stop):
+    """The step keys of positions 1..m-1 of each reference permutation
+    start..stop-1: the mask of the players at p and after, shifted by m,
+    or the bit of the player at p."""
+    tally = Counter()
+    for k in range(start, stop):
+        bits = [1 << player - 1 for player in reference_permutation_at(seed, m, k)]
+        for p in range(1, m):
+            tally[sum(bits[p:]) << m | bits[p]] += 1
+    return tally
 
 
 def rejecting_index(seed, draw):
@@ -160,13 +170,16 @@ class TestPermutationStream:
         for m in range(1, 10):
             want = [reference_permutation_at(seed, m, k) for k in range(300)]
             assert draws(seed, m, 300) == want
-            assert counted(seed, m, 0, 300) == Counter(want)
-            assert counted(seed, m, 120, 300) == Counter(want[120:])
+            if m >= 3:
+                assert counted(seed, m, 0, 300) == Counter(want)
+                assert counted(seed, m, 120, 300) == Counter(want[120:])
+            if m >= 2:
+                assert _step_counts(seed, m, 120, 300) == reference_steps(seed, m, 120, 300)
 
     @pytest.mark.parametrize("seed", [0, 2024])
     def test_chunks_match_the_reference_stream(self, seed):
         # Each run spans three chunks of the module's size.
-        for m in range(1, 10):
+        for m in range(3, 10):
             want = [reference_permutation_at(seed, m, k) for k in range(3 * CHUNK + 4)]
             for start in (0, 120, CHUNK - 1):
                 stop = start + 2 * CHUNK + 5
@@ -204,29 +217,20 @@ class TestPermutationStream:
             assert counted(seed, m, start, stop) == reference_counts(seed, m, start, stop)
 
 
-class TestLaneTally:
-    """From m = 7 to 16 _lane_tally walks each chunk's shuffles at once; its
-    tally keys are those of a walk over each reference permutation."""
-
-    @staticmethod
-    def reference_tally(seed, m, start, stop):
-        # Position p's key: the mask of the players at p and after, shifted
-        # by m, or the bit of the player at p.
-        tally = Counter()
-        for k in range(start, stop):
-            bits = [1 << player - 1 for player in reference_permutation_at(seed, m, k)]
-            for p, bit in enumerate(bits):
-                tally[sum(bits[p:]) << m | bit] += 1
-        return tally
+class TestStepCounts:
+    """_step_counts takes its route from m: a popcount at m = 2, a walk over
+    each distinct draw tuple up to m = 6, byte lanes from 7 to 16 and a
+    walk over each tuple as drawn past 16. On every route its keys are
+    those of a walk over each reference permutation."""
 
     @pytest.mark.parametrize("seed", [0, 7, 2024])
-    @pytest.mark.parametrize("m", [8, 12, 16])
-    def test_a_rejection_inside_the_lanes(self, seed, m, monkeypatch):
-        # Draw 1 is below n = m - 1, and 2^64 mod n is above 0, so
-        # permutation k reads output 0 at draw 1 and rejects it. The
+    @pytest.mark.parametrize("m,draw", [(3, 0), (4, 1), (8, 1), (12, 1), (16, 1), (17, 0)])
+    def test_a_rejection_on_each_route(self, seed, m, draw, monkeypatch):
+        # Draw ``draw`` is below n = m - draw, and 2^64 mod n is above 0,
+        # so permutation k reads output 0 there and rejects it. The
         # windows hold k inside a chunk, as the last permutation of a chunk
         # and as the first of the next; each such chunk falls back on _draw.
-        assert (1 << 64) % (m - 1) > 0
+        assert (1 << 64) % (m - draw) > 0
         read = []
 
         def counted_draw(mixed, m, k):
@@ -234,24 +238,24 @@ class TestLaneTally:
             return _draw(mixed, m, k)
 
         monkeypatch.setattr(cgt_module, "_draw", counted_draw)
-        k = rejecting_index(seed, 1)
+        k = rejecting_index(seed, draw)
         for start in (k - 5, k - CHUNK + 1, k - CHUNK):
             stop = start + CHUNK + 3
             read.clear()
-            assert _lane_tally(seed, m, start, stop) == self.reference_tally(seed, m, start, stop)
+            assert _step_counts(seed, m, start, stop) == reference_steps(seed, m, start, stop)
             assert k in read
 
     def test_ranges_across_chunks(self):
         rng = random.Random(34)
-        for m in range(7, 17):
+        for m in (*range(2, 21), 33):
             seed, start = rng.getrandbits(64), rng.getrandbits(rng.choice((8, 64)))
             for stop in (start, start + 1, start + CHUNK + rng.randrange(1, 40)):
-                assert _lane_tally(seed, m, start, stop) == self.reference_tally(seed, m, start, stop)
+                assert _step_counts(seed, m, start, stop) == reference_steps(seed, m, start, stop)
 
 
 class TestTwoPlayers:
     """At m = 2 the one draw is the low bit of an output, never rejected;
-    _draw_counts counts the set bits of the packed lanes."""
+    _step_counts counts the set bits of the packed lanes."""
 
     @pytest.mark.parametrize("seed", [0, 7, 2024])
     def test_output_0_is_draw_0_not_a_rejection(self, seed, monkeypatch):
@@ -264,17 +268,16 @@ class TestTwoPlayers:
         k = rejecting_index(seed, 0)
         for start in (k - 1, k - CHUNK + 1, k - CHUNK, k):
             stop = start + CHUNK + 3
-            assert counted(seed, 2, start, stop) == reference_counts(seed, 2, start, stop)
+            assert _step_counts(seed, 2, start, stop) == reference_steps(seed, 2, start, stop)
 
     @pytest.mark.parametrize("seed", [0, 11, 2024])
     def test_runs_match_the_reference_stream(self, seed):
         for start in (0, CHUNK - 1):
-            for size in (1, CHUNK, CHUNK + 1, 3 * CHUNK + 5):
-                chunks = list(_draw_counts(seed, 2, start, start + size))
-                assert all(0 not in chunk.values() for chunk in chunks)
-                assert counted(seed, 2, start, start + size) == \
-                    reference_counts(seed, 2, start, start + size)
-            assert list(_draw_counts(seed, 2, start, start)) == []
+            for size in (1, CHUNK, CHUNK + 1, 3 * CHUNK + 5, 5 * CHUNK + 3):
+                steps = _step_counts(seed, 2, start, start + size)
+                assert 0 not in steps.values()
+                assert steps == reference_steps(seed, 2, start, start + size)
+            assert _step_counts(seed, 2, start, start) == Counter()
 
 
 class TestOutputs:
@@ -349,10 +352,9 @@ class TestOutputs:
             return _lanes(n)
 
         monkeypatch.setattr(cgt_module, "_lanes", counted)
-        for m in (2, 8):
+        for m in (2, 5, 8):
             lengths.clear()
-            for _ in _draw_counts(11, m, 0, size):
-                pass
+            _step_counts(11, m, 0, size)
             assert len(lengths) == built + 1  # and the seed's mixing
             assert lengths.count(CHUNK + m - 2) == (size >= CHUNK)
 
@@ -437,22 +439,29 @@ class TestEstimator:
             # additive game: exact from any order
             assert vector.scores == shapley_exact(game).scores == (weights[3], weights[7])
 
-    def test_tally_equals_a_walk_over_each_permutation(self):
+    def test_tally_equals_a_walk_over_each_permutation(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew a permutation")
+
         rng = random.Random(5)
         games = [expected_game(random_tabular_problem(rng, max_m=5)) for _ in range(4)]
+        # One player: its one marginal, scored without a draw.
+        games.append(Game((6,), lambda s: F(5) if s else F(-2, 3), marginal_bound=F(6)))
         # Players other than 1..m, in no sorted order, with interactions.
         weights = {9: F(3), 2: F(-1), 5: F(1, 2), 4: F(2)}
         games.append(Game((9, 2, 5, 4), lambda s: sum(weights[i] for i in s) ** 2
                           + (F(7) if {2, 9} <= s else F(0)), marginal_bound=F(200)))
-        # m! above CHUNK: one Counter per chunk, and 2 * CHUNK + 7 draws
-        # touch every coalition, so the scores come from the game's table.
+        # m! above CHUNK: lanes, and 2 * CHUNK + 7 draws touch every
+        # coalition, so the scores come from the game's table.
         for m in (7, 8, 9):
             model = random_tree_model(rng, m, max_depth=5, max_domain=2)
             games.append(expected_game(ExplanationProblem(
                 model, random_instance(rng, model), SimilarityConfig.class_equality())))
-        # 4-byte lanes at m = 12 and 16, and m = 17 past them on the tuple walk:
-        # the weights game widened, with an interaction between two players.
-        for m in (12, 16, 17):
+        # 4-byte lanes at m = 12 and 16, m = 17 past them on the tuple walk,
+        # two players counted by popcount and m = 33 (keys wider than 64
+        # bits): the weights game widened, with an interaction between two
+        # players.
+        for m in (12, 16, 17, 2, 33):
             wide = {p: F(rng.randrange(-4, 5), rng.randrange(1, 4))
                     for p in rng.sample(range(1, 60), m)}
             pair = set(rng.sample(sorted(wide), 2))
@@ -460,10 +469,15 @@ class TestEstimator:
                               + (F(7) if pair <= s else F(0)), marginal_bound=F(2000)))
         for game in games:
             for seed, n in ((3, 1), (3, 40), (17, 250), (5, 2 * CHUNK + 7)):
+                want = naive_estimate(game, seed, n)
                 config = CgtConfig(F(1, 20), F(1, 20), seed=seed, sample_count=n)
-                vector, diag = cgt_estimate(game, config)
+                with monkeypatch.context() as patch:
+                    if game.m == 1:
+                        patch.setattr(cgt_module, "_draw_columns", no_draws)
+                        patch.setattr(cgt_module, "_packed", no_draws)
+                    vector, diag = cgt_estimate(game, config)
                 assert diag.permutations == n
-                assert vector.scores == naive_estimate(game, seed, n)
+                assert vector.scores == want
 
     def test_no_score_depends_on_the_chunk_size(self, monkeypatch, cls3_problem,
                                                  pw2_problem):
@@ -516,7 +530,7 @@ class TestEstimator:
         def no_draws(*args):
             raise AssertionError("drew a permutation")
 
-        monkeypatch.setattr(cgt_module, "_draw_counts", no_draws)
+        monkeypatch.setattr(cgt_module, "_step_counts", no_draws)
         for players in ((1, 2, 3), (1, 2)):
             game = Game(players, lambda s: F(len(s)), marginal_bound=F(1))
             for config in (CgtConfig(F(1, 10 ** 400), F(1, 20)),

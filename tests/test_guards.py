@@ -112,7 +112,7 @@ def test_sampling_past_the_samples_basis_checks_exits_before_any_draw(six_of_twe
     def no_draws(*args):
         raise AssertionError("drew a permutation")
 
-    monkeypatch.setattr(cgt_module, "_draw_counts", no_draws)
+    monkeypatch.setattr(cgt_module, "_step_counts", no_draws)
     with pytest.raises(SizeLimitError, match="guarded at 4194304 set comparisons"):
         cgt_estimate(waxp_game(six_of_twelve), CgtConfig(F(1, 20), F(1, 20)))
 
