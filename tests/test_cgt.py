@@ -465,8 +465,10 @@ class TestEstimator:
             wide = {p: F(rng.randrange(-4, 5), rng.randrange(1, 4))
                     for p in rng.sample(range(1, 60), m)}
             pair = set(rng.sample(sorted(wide), 2))
-            games.append(Game(tuple(wide), lambda s, w=wide, pair=pair: sum(w[i] for i in s) ** 2
-                              + (F(7) if pair <= s else F(0)), marginal_bound=F(2000)))
+            sixths = {p: int(6 * w) for p, w in wide.items()}  # the same sums, in ints
+            games.append(Game(tuple(wide), lambda s, w=sixths, pair=pair:
+                              F(sum(w[i] for i in s), 6) ** 2 + (7 if pair <= s else 0),
+                              marginal_bound=F(2000)))
         for game in games:
             for seed, n in ((3, 1), (3, 40), (17, 250), (5, 2 * CHUNK + 7)):
                 want = naive_estimate(game, seed, n)
