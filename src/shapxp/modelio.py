@@ -529,46 +529,42 @@ def _sample_lines(lines, delim, width, model, path) -> Sample:
     """The sample line by line; the first line with an error raises it.
     This reads every sample on a space with an interval domain, and on a
     discrete space only one the column path refuses. A token ``read_point``
-    accepted before at its position is known by its domain position (the
-    line is then read by slot) on a discrete space, else by its value."""
-    space, m, rows, seen = model.space, model.space.m, [], {}  # seen: line -> row
-    discrete, parse = space.all_discrete(), _OUTPUT[model.value_kind]
-    known = [{} for _ in range(m)]  # per feature: token -> domain position, or value
+    accepted before at its position is known by its value, and each
+    distinct line's point is evaluated by ``model.output`` once; a discrete
+    sample's codes are its points' domain positions."""
+    space, m, seen = model.space, model.space.m, {}  # seen: line -> (point, output)
+    parse = _OUTPUT[model.value_kind]
+    known = [{} for _ in range(m)]  # per feature: token -> value
     for lineno, line in enumerate(lines, start=2):
-        row = seen.get(line)
-        if row is None:
-            where = f"{path}:{lineno}"
-            fields = [f.strip() for f in line.split(delim)]
-            if len(fields) != width:
-                raise ValidationError(f"{where}: expected {width} fields, got {len(fields)}")
+        if line in seen:
+            continue
+        where = f"{path}:{lineno}"
+        fields = [f.strip() for f in line.split(delim)]
+        if len(fields) != width:
+            raise ValidationError(f"{where}: expected {width} fields, got {len(fields)}")
+        try:
+            point = tuple(map(getitem, known, fields))
+        except KeyError:  # a token not met before at its position
             try:
-                at = tuple(map(getitem, known, fields))
-            except KeyError:  # a token not met before at its position
-                try:
-                    at = read_point(space, fields[:m], where)
-                except DomainError as exc:
-                    raise ValidationError(f"{where}: {exc}") from None
-                at = tuple(map(getitem, space.indexes, at)) if discrete else at
-                for memo, t, x in zip(known, fields, at):
-                    memo[t] = x
-            if discrete:
-                point = tuple(f.domain.values[p] for f, p in zip(space.features, at))
-                actual = model._read(sum(map(mul, at, space.strides)))
-            else:
-                point, actual = at, model.output(at)  # read_point checked the point
-            if width > m:
-                given = parse(fields[-1], where)
-                if given != actual:
-                    given, actual = _as_parsed((given, actual))
-                    raise ValidationError(
-                        f"{where}: prediction {given!r} disagrees with the "
-                        f"model output {actual!r}")
-            row = seen[line] = point, at if discrete else None, actual
-        rows.append(row)
-    points, codes, preds = zip(*rows)
-    if not discrete:  # the sample codes its values itself
+                point = read_point(space, fields[:m], where)
+            except DomainError as exc:
+                raise ValidationError(f"{where}: {exc}") from None
+            for memo, t, x in zip(known, fields, point):
+                memo[t] = x
+        actual = model.output(point)  # read_point checked each value
+        if width > m:
+            given = parse(fields[-1], where)
+            if given != actual:
+                given, actual = _as_parsed((given, actual))
+                raise ValidationError(
+                    f"{where}: prediction {given!r} disagrees with the "
+                    f"model output {actual!r}")
+        seen[line] = point, actual
+    points, preds = zip(*map(seen.__getitem__, lines))
+    if not space.all_discrete():  # the sample codes its values itself
         return Sample(points, preds)
-    return Sample(points, preds, codes, space.indexes)
+    codes = {line: tuple(map(getitem, space.indexes, point)) for line, (point, _) in seen.items()}
+    return Sample(points, preds, tuple(map(codes.__getitem__, lines)), space.indexes)
 
 
 def _split_header(line: str, names: list[str], path) -> tuple[list[str], str]:

@@ -686,19 +686,16 @@ class BoxPiecewiseModel(_Frozen):
             held = [k for k in held if los[k][j] <= t < his[k][j]]
         return list(held)
 
-    def _owner(self, point: Point) -> int:
-        owners = self._holders(point, range(self.space.m))
-        if len(owners) != 1:
-            raise ValidationError(f"partition violated at {point}: {len(owners)} cells")
-        return owners[0]
-
     def slice_cells(self, v: Point, fixed: Iterable[int]) -> list[Cell]:
         """The cells meeting the slice x_S = v_S. Only the fixed axes are
         tested: cell boxes are non-degenerate, so free axes always meet."""
         return [self.cells[k] for k in self._holders(v, [fid - 1 for fid in fixed])]
 
     def cell_at(self, point: Point) -> Cell:
-        return self.cells[self._owner(point)]
+        owners = self._holders(point, range(self.space.m))
+        if len(owners) != 1:
+            raise ValidationError(f"partition violated at {point}: {len(owners)} cells")
+        return self.cells[owners[0]]
 
     # Every quantity below is read in integers: each cell over its own
     # denominator E (see Cell._integers), the point v over d, the lcm of its
@@ -709,7 +706,7 @@ class BoxPiecewiseModel(_Frozen):
 
     def output(self, point: Point) -> Fraction:
         # The affine at the point, over E * d.
-        scale, a0, coeffs = self.cells[self._owner(point)]._integers[:3]
+        scale, a0, coeffs = self.cell_at(point)._integers[:3]
         numerators, d = _over_lcd(point)
         return Fraction(a0 * d + sum(map(mul, coeffs, numerators)), scale * d)
 
