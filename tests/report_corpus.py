@@ -4,12 +4,13 @@ loader's error paths.
 
 ``generate`` writes small tables, trees and box models (m <= 6), drawn with
 tests/randmodels.py and tests/boxmodels.py, and their samples, under fixed
-relative names, and returns each input's invocations. ``run`` replays them
-from the directory that holds the files (reports and errors quote paths as
-given) and digests each input's (argv, exit code, stdout, stderr) records;
-a table report's ``time:`` line is dropped. tests/report_corpus.json pins
-those digests, and one more over the generated files' bytes, so that a
-generator change is told apart from an output change.
+relative names, and returns each input's invocations. ``report_digest``
+replays them from the directory that holds the files (reports and errors
+quote paths as given) and digests each input's (argv, exit code, stdout,
+stderr) records; a table report's ``time:`` line is dropped.
+tests/report_corpus.json pins those digests, and one more over the
+generated files' bytes, so that a generator change is told apart from an
+output change.
 
 Re-pin after a change that alters reports::
 
@@ -131,7 +132,8 @@ def invocations(name, model, rng) -> list[list[str]]:
         return ",".join(field(x, rng) for x in random_instance(rng, model).point)
 
     base, sample = ["--model", f"{name}.json"], f"{name}.csv"
-    one, two = [f"--instance={point()}"], [f"--instance={point()}"]  # "=": a point may start with "-"
+    # "--instance=": a point may start with "-", which argparse reads as a flag.
+    one, two = [f"--instance={point()}"], [f"--instance={point()}"]
     ids = ",".join(map(str, reversed(space.ids)))
     deltas = [["--delta", "1/2"]] if boxed else \
         [[], ["--delta", "1/3"]] if model.value_kind == "numeric" else [[]]
@@ -181,10 +183,8 @@ def internal(doc) -> list[dict]:
     return [n for n in doc["nodes"] if "feature" in n]
 
 
-def leaf_values(doc, value):
-    for n in doc["nodes"]:
-        if "value" in n:
-            n["value"] = value
+def leaves(doc) -> list[dict]:
+    return [n for n in doc["nodes"] if "value" in n]
 
 
 def tested_twice(doc):
@@ -220,7 +220,8 @@ MODEL_ERRORS = {
     "table_point_unhashable": ("table_m6",
                                lambda d: d["table"][2]["point"].__setitem__(1, [0])),
     "table_point_token": ("table_mixed", lambda d: d["table"][-1]["point"].__setitem__(0, "1/0")),
-    "table_duplicate": ("table_m6", lambda d: d["table"][-1].update(point=d["table"][40]["point"])),
+    "table_duplicate": ("table_m6",
+                        lambda d: d["table"][-1].update(point=d["table"][40]["point"])),
     "table_not_total": ("table_m6", lambda d: d["table"].pop(17)),
     "table_default": ("table_m6", lambda d: d.update(default=0, table=d["table"][::3])),
     "table_bad_value": ("table_mixed", lambda d: d["table"][1].update(value="x")),
@@ -236,8 +237,8 @@ MODEL_ERRORS = {
     "tree_edges_not_list": ("tree_m5", lambda d: internal(d)[0].update(edges={})),
     "tree_edge_not_object": ("tree_m5", lambda d: internal(d)[-1]["edges"].__setitem__(0, [])),
     "tree_child": ("tree_m5", lambda d: internal(d)[-1]["edges"][0].update(child=[1])),
-    "tree_neither": ("tree_m5", lambda d: d["nodes"][-1].pop("value", None)
-                     or d["nodes"][-1].pop("feature")),
+    "tree_neither": ("tree_m5",
+                     lambda d: d["nodes"].__setitem__(-1, {"id": d["nodes"][-1]["id"]})),
     "tree_unknown_child": ("tree_m5", lambda d: internal(d)[-1]["edges"][0].update(child=999)),
     "tree_reached_twice": ("tree_m5", lambda d: internal(d)[0]["edges"][1].update(
         child=internal(d)[0]["edges"][0]["child"])),
@@ -251,9 +252,8 @@ MODEL_ERRORS = {
     "tree_tested_twice": ("tree_m5", tested_twice),
     "tree_unknown_feature": ("tree_m5", lambda d: internal(d)[0].update(feature=6)),
     "tree_unreachable": ("tree_m5", lambda d: d["nodes"].append({"id": "orphan", "value": 1})),
-    "tree_label_leaf": ("tree_m5", lambda d: d["nodes"][-1].update(value="x")
-                        if "value" in d["nodes"][-1] else d["nodes"][-2].update(value="x")),
-    "tree_constant": ("tree_m5", lambda d: leaf_values(d, "1/2")),
+    "tree_label_leaf": ("tree_m5", lambda d: leaves(d)[-1].update(value="x")),
+    "tree_constant": ("tree_m5", lambda d: [n.update(value="1/2") for n in leaves(d)]),
     "tree_discrete_only": ("box_grid", lambda d: d.update(kind="tree", root=0, nodes=[])),
     "box_cells_not_list": ("box_kd3", lambda d: d.update(cells={})),
     "box_no_cells": ("box_kd3", lambda d: d.update(cells=[])),
