@@ -18,16 +18,19 @@ that a SplitMix64 step is a few big-int operations over the range rather
 than a Python loop step per output; ``_outputs`` unpacks the lanes into a
 list. Permutation k is a Fisher-Yates shuffle of 1..m whose draws read
 the outputs from counter k + 2 on (``_draw``). ``_draw_columns`` reads
-the draws of k = 0..T-1 a chunk at a time, computing each output once,
-and falls back on ``_draw`` for a chunk where an output may be rejected.
-``_step_counts`` tallies how often each (coalition, player) step of
-shuffle steps m - 1 .. 1 occurs, at most T*(m - 1) counts, and the
-estimator credits the first position from step 1, whose coalition before
-is that player alone. At m = 2 a popcount of the packed lanes counts the
-draws; up to m = 6 the draw tuples are counted and each distinct one is
-walked once; from 7 to 16, where nearly every tuple is distinct,
-``_lane_tally`` walks all the shuffles of a chunk at once, a lane of a
-few ints per permutation; past 16 each tuple is walked as drawn. The
+the draws of k = 0..T-1 a chunk at a time, computing each output once;
+up to m = 32 it reads each column of residues from the outputs' byte
+planes with ``bytes.translate``, and it falls back on ``_draw`` for a
+chunk where an output may be rejected. ``_step_counts`` tallies how
+often each (coalition, player) step of shuffle steps m - 1 .. 1 occurs,
+at most T*(m - 1) counts, and the estimator credits the first position
+from step 1, whose coalition before is that player alone. At m = 2 a
+popcount of the packed lanes counts the draws; up to m = 6 each
+permutation's mixed-radix code is computed in byte lanes and counted,
+and each distinct one is walked once; from 7 to 16, where nearly every
+tuple is distinct, ``_lane_tally`` walks all the shuffles of a chunk at
+once, a lane of a few ints per permutation; past 16 each tuple is walked
+as drawn. The
 values weighting the counts are integer numerators over one denominator:
 the game's coalition table (``Game.table``) when the draws touched all
 2^m coalitions and the game has a kernel, else the game's memoized
@@ -43,7 +46,7 @@ import sys
 from array import array
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import chain, islice, product, repeat
 from operator import mod
 from typing import Iterator, NamedTuple, Optional
 
@@ -54,17 +57,17 @@ from .models import POINT_GUARD, _Frozen, _over_lcd, _set
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 # Permutation draws times players. Counting a permutation's steps costs
-# 0.07-8.5 us (_step_counts, Python 3.11, 2-core x86-64 host, lower
-# decile): 0.07 us at m = 2 (popcount, T = 10^5..10^6), 0.4 at m = 4, in
-# lanes 1.2 at m = 8, 2.3 at 12 and 3.9 at 16, and 8.4 at m = 20, so the
-# guard stops sampling runs of more than about a minute (at m = 20 a run
-# at the guard counts for about 42 s). It bounds draws, not
+# 0.07-8.3 us (_step_counts, Python 3.11, 2-core x86-64 host, lower
+# decile): 0.07 us at m = 2 (popcount, T = 2 * 10^5), 0.22 at m = 4
+# (codes), in lanes 1.0 at m = 8, 2.0 at 12 and 3.3 at 16, and 8.3 at
+# m = 20, so the guard stops sampling runs of more than about a minute (at
+# m = 20 a run at the guard counts for about 41 s). It bounds draws, not
 # weighting: at m = 20 and 40 nearly every tally key needs its own game
 # evaluation, about 7 and 11 us per step on an additive custom game, with
 # a memo of 6.3 and 9.2 MiB (T = 4,000 and 2,000).
 DRAW_GUARD = 10 ** 8
 # Permutations whose stream outputs and draws are held at once (the m <= 6
-# tuple Counter spans the whole run, at most 720 entries); no result depends
+# code Counter spans the whole run, at most 720 entries); no result depends
 # on it.
 CHUNK = 1024
 
@@ -190,27 +193,52 @@ def _order(m: int, draws: tuple[int, ...]) -> list[int]:
 def _draw_columns(mixed: int, m: int, start: int, stop: int) -> Iterator[list]:
     """The draws of permutations start..stop-1 (m >= 3) of the seed that
     mixes to ``mixed``, a chunk at a time, as m - 1 columns: column t holds
-    draw t of each permutation of the chunk.
+    draw t of each permutation of the chunk, as ``bytes`` up to m = 32.
 
     Permutation k's draw t reads counter k + 2 + t unless an earlier draw
     rejected an output, so a chunk k0..k1-1 of at most CHUNK permutations
     computes the outputs at counters k0 + 2 .. k1 + m - 1 once, and column
-    t maps those from the t-th on mod m - t. Every rejection threshold
-    2^64 mod n is below m, so a chunk whose outputs all reach the largest
-    one rejects nothing; otherwise, with probability about m * CHUNK /
-    2^64, the chunk is read one permutation at a time by :func:`_draw`.
+    t maps those from the t-th on mod n = m - t. Up to m = 32 an output's
+    byte j adds byte_j * (256^j mod n) mod n, which ``bytes.translate``
+    reads off its byte plane; the 8 terms sum to at most 8 * (n - 1) < 256,
+    so the planes add as ints with no carry, and one more table takes the
+    sum mod n. Every rejection threshold 2^64 mod n is below m, so a chunk
+    whose outputs all reach the largest one rejects nothing; up to m = 32
+    that is checked only for a chunk with an output below 256 (bytes 1..7
+    all zero). Otherwise, with probability about m * CHUNK / 2^64, the
+    chunk is read one permutation at a time by :func:`_draw`.
     """
     # Every chunk but the last reads CHUNK + m - 2 outputs.
     full = _lanes(CHUNK + m - 2) if stop - start > CHUNK else None
     sizes = range(m, 1, -1)
     top = max((1 << 64) % n for n in sizes)
+    if m <= 32:  # mods[n][b] = b mod n; shares[n][j][b] = b * (256^j mod n) mod n
+        mods = {n: (bytes(range(n)) * (256 // n + 1))[:256] for n in sizes}
+        shares = {n: [(bytes(b * pow(256, j, n) % n for b in range(n)) * (256 // n + 1))[:256]
+                      for j in range(8)] for n in sizes}
     for k0 in range(start, stop, CHUNK):
         size = min(CHUNK, stop - k0)
-        zs = _outputs(mixed, k0 + 2, k0 + size + m, full if size == CHUNK else None)
-        if min(zs) < top:  # some output may be rejected
-            yield list(zip(*(_draw(mixed, m, k) for k in range(k0, k0 + size))))
+        lanes = full if size == CHUNK else None
+        if m > 32:  # a threshold may pass 255: the unpacked outputs
+            zs = _outputs(mixed, k0 + 2, k0 + size + m, lanes)
+            if min(zs) >= top:
+                yield [map(mod, islice(zs, t, t + size), repeat(n)) for t, n in enumerate(sizes)]
+                continue
         else:
-            yield [map(mod, islice(zs, t, t + size), repeat(n)) for t, n in enumerate(sizes)]
+            count = size + m - 2
+            data = _packed(mixed, k0 + 2, k0 + size + m, lanes)[0].to_bytes(16 * count, "little")
+            planes = [data[j::16] for j in range(8)]
+            high = 0
+            for plane in planes[1:]:
+                high |= int.from_bytes(plane, "little")
+            if 0 not in high.to_bytes(count, "little") or \
+                    min(_outputs(mixed, k0 + 2, k0 + size + m, lanes)) >= top:
+                yield [sum(int.from_bytes(plane.translate(share), "little")
+                           for plane, share in zip(planes, shares[n])).to_bytes(count, "little")
+                       .translate(mods[n])[t:t + size] for t, n in enumerate(sizes)]
+                continue
+        drawn = zip(*(_draw(mixed, m, k) for k in range(k0, k0 + size)))
+        yield list(map(bytes, drawn)) if m <= 32 else list(drawn)
 
 
 def _step_counts(seed: int, m: int, start: int, stop: int) -> Counter:
@@ -222,11 +250,14 @@ def _step_counts(seed: int, m: int, start: int, stop: int) -> Counter:
     rejection threshold 2^64 mod 2 is 0, so no output is ever rejected:
     a popcount of the lanes' low bits, before any unpacking, counts the
     draws of 1 (key 0b1010) and so those of 0 (key 0b0101). Up to m = 6,
-    where all m! draw tuples fit in CHUNK entries, the run's tuples are
-    counted and each distinct one is walked once; from 7 to 16
-    :func:`_lane_tally` walks a chunk's shuffles at once, with O(m^2)
-    selectors a chunk; past 16, where the lanes measured no faster, each
-    tuple is walked as drawn.
+    where all m! draw tuples fit in CHUNK entries, each permutation is
+    counted by its mixed-radix code, the sum of draw t * (m - t - 1)!,
+    which a chunk computes in lanes of one int, a byte each up to m = 5
+    (5! = 120) and 2 at m = 6, from its byte columns; the run's codes are
+    counted and each distinct one, decoded to its draws, is walked once.
+    From 7 to 16 :func:`_lane_tally` walks a chunk's shuffles at once,
+    with O(m^2) selectors a chunk; past 16, where the lanes measured no
+    faster, each tuple is walked as drawn.
     """
     mixed = _outputs(seed & _MASK64, 1, 2)[0]
     if m == 2:
@@ -239,12 +270,29 @@ def _step_counts(seed: int, m: int, start: int, stop: int) -> Counter:
         return +Counter({0b0101: stop - start - odd, 0b1010: odd})
     if 6 < m <= 16:
         return _lane_tally(mixed, m, start, stop)
-    drawn = chain.from_iterable(zip(*columns) for columns in _draw_columns(mixed, m, start, stop))
+    sizes = range(m, 1, -1)
+    if m <= 6:
+        width, code = (1, "B") if m <= 5 else (2, "H")
+        weights = [math.factorial(n - 1) for n in sizes]
+        codes: Counter = Counter()
+        for columns in _draw_columns(mixed, m, start, stop):
+            wide = bytearray(width * len(columns[0]))
+            total = 0
+            for column, weight in zip(columns, weights):
+                wide[::width] = column
+                total += int.from_bytes(wide, "little") * weight
+            codes.update(memoryview(total.to_bytes(len(wide), sys.byteorder)).cast(code))
+        # The draw tuples in lexicographic order are those of codes 0, 1, ...
+        decoded = list(product(*map(range, sizes)))
+        drawn = [(decoded[c], n) for c, n in codes.items()]
+    else:
+        drawn = zip(chain.from_iterable(
+            zip(*columns) for columns in _draw_columns(mixed, m, start, stop)), repeat(1))
     counts: Counter = Counter()
     get = counts.get
     bits = [1 << k for k in range(m)]
     steps = range(m - 1, 0, -1)
-    for draws, n in Counter(drawn).items() if m <= 6 else zip(drawn, repeat(1)):
+    for draws, n in drawn:
         order = bits.copy()
         after = 0
         for i, j in zip(steps, draws):
@@ -263,17 +311,17 @@ def _lane_tally(mixed: int, m: int, start: int, stop: int) -> Counter:
     A chunk of :func:`_draw_columns` walks its Fisher-Yates shuffles at
     once: permutation p is lane p, of 2 bytes (m <= 8) or 4, and order[k]
     holds in each lane the bit of the player at position k. At step i,
-    ``bytes.translate`` turns the draw column, copied into every byte of
-    its lanes, into the selector of the lanes whose draw is k (all ones
-    there) for each k < i; those lanes swap order[k] with order[i], and
-    the rest, whose draw is i, keep it. Each key fills 2m bits of a lane,
-    and one Counter update counts a chunk's keys from their bytes.
+    ``bytes.translate`` turns the draw column's bytes, copied into every
+    byte of their lanes, into the selector of the lanes whose draw is k
+    (all ones there) for each k < i; those lanes swap order[k] with
+    order[i], and the rest, whose draw is i, keep it. Each key fills 2m
+    bits of a lane, and one Counter update counts a chunk's keys from their
+    bytes, written in the machine's byte order.
     """
     width, code = (2, "H") if m <= 8 else (4, "I")
     tables = [bytes(k) + b"\xff" + bytes(255 - k) for k in range(m - 1)]
     counts: Counter = Counter()
     for columns in _draw_columns(mixed, m, start, stop):
-        columns = list(map(bytes, columns))
         wide = bytearray(width * len(columns[0]))
         ones = int.from_bytes((b"\1" + bytes(width - 1)) * len(columns[0]), "little")
         order = [ones << k for k in range(m)]

@@ -208,7 +208,10 @@ def _dispatch(args) -> RunReport:
             results["vacuous"] = support == 0
     elif args.command == "enumerate":
         cxps = enumerate_cxps(problem)
-        sets = axps_from_cxps(cxps) if args.kind == "axp" else cxps
+        if args.kind == "cxp":
+            sets = cxps
+        else:  # with no CXp every set is sufficient: the empty one is the one minimal AXp
+            sets = axps_from_cxps(cxps) if cxps else ((),)
         results = {"kind": args.kind, "sets": [list(s) for s in sets]}
     elif args.command == "shap":
         results, report["diagnostics"] = _run_shap(args, problem)

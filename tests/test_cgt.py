@@ -92,26 +92,54 @@ def reference_counts(seed, m, start, stop):
     return Counter(reference_permutation_at(seed, m, k) for k in range(start, stop))
 
 
-def reference_steps(seed, m, start, stop):
-    """The step keys of positions 1..m-1 of each reference permutation
-    start..stop-1: the mask of the players at p and after, shifted by m,
-    or the bit of the player at p."""
+def steps_of(perms, m):
+    """The step keys of positions 1..m-1 of a Counter of permutations,
+    each counted as often as the permutation: the mask of the players at p
+    and after, shifted by m, or the bit of the player at p."""
     tally = Counter()
-    for k in range(start, stop):
-        bits = [1 << player - 1 for player in reference_permutation_at(seed, m, k)]
+    for perm, n in perms.items():
+        bits = [1 << player - 1 for player in perm]
         for p in range(1, m):
-            tally[sum(bits[p:]) << m | bits[p]] += 1
+            tally[sum(bits[p:]) << m | bits[p]] += n
     return tally
+
+
+def reference_steps(seed, m, start, stop):
+    """The step keys of reference permutations start..stop-1."""
+    return steps_of(reference_counts(seed, m, start, stop), m)
+
+
+def _unshift(z, shift):
+    """The 64-bit x with x ^ x >> shift == z: each pass fixes ``shift``
+    more of its high bits."""
+    x = z
+    for _ in range(64 // shift):
+        x = z ^ x >> shift
+    return x
+
+
+def state_of(output):
+    """The SplitMix64 state whose output is ``output``: the finaliser's
+    xor-shifts and odd multipliers are bijections of 64-bit words, undone
+    in reverse order."""
+    z = _unshift(output, 31) * pow(0x94D049BB133111EB, -1, 2 ** 64) & _MASK64
+    z = _unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 2 ** 64) & _MASK64
+    return _unshift(z, 30)
+
+
+def index_reading(seed, draw, output):
+    """The permutation k whose draw ``draw`` (no earlier one rejecting)
+    reads counter k + 2 + draw, whose output is ``output``."""
+    _, mixed = _splitmix_next(seed & _MASK64)
+    counter = (state_of(output) - mixed) * pow(_GOLDEN, -1, 2 ** 64) % 2 ** 64
+    assert reference_outputs(mixed, counter, counter + 1) == [output]
+    return counter - 2 - draw
 
 
 def rejecting_index(seed, draw):
     """The permutation k whose draw ``draw`` (no earlier one rejecting)
     reads counter k + 2 + draw at SplitMix state 0, whose output is 0."""
-    _, mixed = _splitmix_next(seed & _MASK64)
-    counter = -mixed * pow(_GOLDEN, -1, 2 ** 64) % 2 ** 64
-    assert (mixed + counter * _GOLDEN) & _MASK64 == 0
-    assert _splitmix_next((0 - _GOLDEN) & _MASK64)[1] == 0
-    return counter - 2 - draw
+    return index_reading(seed, draw, 0)
 
 
 def reference_outputs(mixed, start, stop):
@@ -217,14 +245,104 @@ class TestPermutationStream:
             assert counted(seed, m, start, stop) == reference_counts(seed, m, start, stop)
 
 
+class TestByteColumns:
+    """Up to m = 32 _draw_columns reads each output's residues from its 8
+    byte planes, and checks a chunk for rejections exactly only when some
+    output is below 256; past 32 it maps the unpacked outputs."""
+
+    def test_columns_are_the_outputs_mod_n(self):
+        # Every modulus 2..34, on a full chunk and a partial one after it,
+        # and on a lone partial chunk.
+        rng = random.Random(38)
+        for m in range(3, 35):
+            seed, start = rng.getrandbits(64), rng.getrandbits(rng.choice((8, 64)))
+            _, mixed = _splitmix_next(seed & _MASK64)
+            for stop in (start + rng.randrange(1, 40), start + CHUNK + rng.randrange(1, 40)):
+                zs = reference_outputs(mixed, start + 2, stop + m)
+                chunks = list(_draw_columns(mixed, m, start, stop))
+                assert len(chunks) == -(-(stop - start) // CHUNK)
+                for k0, columns in zip(range(0, stop - start, CHUNK), chunks):
+                    size = min(CHUNK, stop - start - k0)
+                    assert [list(column) for column in columns] == \
+                        [[z % n for z in zs[k0 + t:k0 + t + size]]
+                         for t, n in enumerate(range(m, 1, -1))]
+
+    @pytest.mark.parametrize("m,draw,output", [(3, 0, 1), (8, 1, 200), (20, 3, 255),
+                                               (32, 0, 25), (32, 1, 100)])
+    def test_an_output_below_256_that_no_draw_rejects(self, m, draw, output, monkeypatch):
+        # Permutation k's draw ``draw`` reads the output, and the draws of
+        # its neighbours read it below other moduli; it reaches 2^64 mod n
+        # for every n <= m, so the chunk's exact check reads the outputs
+        # and clears it, and no permutation is read alone.
+        assert max((1 << 64) % n for n in range(2, m + 1)) <= output < 256
+        checked = []
+
+        def counted_outputs(mixed, start, stop, lanes=None):
+            checked.append(start)
+            return _outputs(mixed, start, stop, lanes)
+
+        def no_draw(*args):
+            raise AssertionError("read a permutation one at a time")
+
+        monkeypatch.setattr(cgt_module, "_outputs", counted_outputs)
+        monkeypatch.setattr(cgt_module, "_draw", no_draw)
+        seed = 5
+        _, mixed = _splitmix_next(seed & _MASK64)
+        k = index_reading(seed, draw, output)
+        for start in (k - 5, k - CHUNK + 1, k):
+            stop = start + CHUNK + 3
+            zs = reference_outputs(mixed, start + 2, stop + m)
+            checked.clear()
+            columns = next(_draw_columns(mixed, m, start, stop))
+            assert checked == [start + 2]
+            assert [list(column) for column in columns] == \
+                [[z % n for z in zs[t:t + CHUNK]] for t, n in enumerate(range(m, 1, -1))]
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("m,draw,output", [(7, 0, 1), (12, 1, 4), (32, 1, 15), (30, 3, 24)])
+    def test_an_output_below_256_that_a_draw_rejects(self, seed, m, draw, output):
+        # Permutation k's draw ``draw``, below n = m - draw, reads an
+        # output 0 < z < 2^64 mod n: the byte pre-check must look at bytes
+        # 1..7 alone, or it would miss this rejection.
+        assert 0 < output < (1 << 64) % (m - draw)
+        k = index_reading(seed, draw, output)
+        for start in (k - 2, k - CHUNK + 1):
+            stop = start + CHUNK + 3
+            assert counted(seed, m, start, stop) == reference_counts(seed, m, start, stop)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_a_threshold_above_255_rejects_past_32(self, seed):
+        # 2^64 mod 271 = 265, so at m = 271 the first draw rejects output 260.
+        m, output = 271, 260
+        assert 256 <= output < (1 << 64) % m
+        k = index_reading(seed, 0, output)
+        _, mixed = _splitmix_next(seed & _MASK64)
+        assert _draw(mixed, m, k)[0] != output % m
+        assert counted(seed, m, k - 1, k + 2) == reference_counts(seed, m, k - 1, k + 2)
+
+    def test_code_routes_count_past_255(self):
+        seed = 3
+        # At m = 5 each of the 120 codes fills a byte lane and is counted
+        # about 330 times; at m = 6 the codes reach 719 in 2-byte lanes.
+        perms = reference_counts(seed, 5, 0, 40_000)
+        assert max(perms.values()) > 255
+        assert _step_counts(seed, 5, 0, 40_000) == steps_of(perms, 5)
+        assert _step_counts(seed, 6, 7, 5_000) == reference_steps(seed, 6, 7, 5_000)
+        # The m = 6 tally against the draw tuples of the same columns.
+        perms = counted(seed, 6, 0, 160_000)
+        assert max(perms.values()) > 255
+        assert _step_counts(seed, 6, 0, 160_000) == steps_of(perms, 6)
+
+
 class TestStepCounts:
-    """_step_counts takes its route from m: a popcount at m = 2, a walk over
-    each distinct draw tuple up to m = 6, byte lanes from 7 to 16 and a
-    walk over each tuple as drawn past 16. On every route its keys are
-    those of a walk over each reference permutation."""
+    """_step_counts takes its route from m: a popcount at m = 2, a count of
+    mixed-radix codes up to m = 6, byte lanes from 7 to 16 and a walk over
+    each tuple as drawn past 16. On every route its keys are those of a
+    walk over each reference permutation."""
 
     @pytest.mark.parametrize("seed", [0, 7, 2024])
-    @pytest.mark.parametrize("m,draw", [(3, 0), (4, 1), (8, 1), (12, 1), (16, 1), (17, 0)])
+    @pytest.mark.parametrize("m,draw", [(3, 0), (4, 1), (6, 1), (8, 1), (12, 1), (16, 1),
+                                        (17, 0)])
     def test_a_rejection_on_each_route(self, seed, m, draw, monkeypatch):
         # Draw ``draw`` is below n = m - draw, and 2^64 mod n is above 0,
         # so permutation k reads output 0 there and rejects it. The

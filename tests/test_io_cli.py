@@ -856,9 +856,11 @@ def test_a_constant_universe_warns_once_on_stderr(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.err == warning
     assert "minimal cxp sets (0):" in captured.out
-    assert run_cli(["enumerate", "--kind", "axp"] + argv) == 3
-    assert capsys.readouterr().err == (
-        warning + "error: duality is undefined for an empty explanation family\n")
+    # With no CXp the empty set is the one minimal AXp, as `axp` reports.
+    assert run_cli(["enumerate", "--kind", "axp"] + argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == warning
+    assert "minimal axp sets (1):" in captured.out
 
 
 class TestEntryPoint:
