@@ -44,11 +44,11 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from collections import Counter
+from collections import Counter, namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import chain, islice, product, repeat
 from operator import mod
-from typing import Iterator, NamedTuple, Optional
 
 from .errors import PreconditionError, SizeLimitError, ValidationError
 from .games import Game, ScoreVector
@@ -79,7 +79,7 @@ class CgtConfig(_Frozen):
     __slots__ = _fields = ("epsilon", "alpha", "seed", "sample_count")
 
     def __init__(self, epsilon: Fraction, alpha: Fraction, seed: int = 0,
-                 sample_count: Optional[int] = None):
+                 sample_count: int | None = None):
         if epsilon <= 0:
             raise ValidationError("epsilon must be positive")
         if not 0 < alpha < 1:
@@ -92,9 +92,7 @@ class CgtConfig(_Frozen):
         _set(self, "sample_count", sample_count)
 
 
-class CgtDiagnostics(NamedTuple):
-    permutations: int
-    marginal_bound: Optional[Fraction]
+CgtDiagnostics = namedtuple("CgtDiagnostics", "permutations marginal_bound")
 
 
 def sample_count(epsilon, alpha, m: int, bound) -> int:

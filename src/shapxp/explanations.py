@@ -18,10 +18,10 @@ table (:func:`sufficiency_table`) is read off its up-closure.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import cached_property, reduce
 from itertools import compress
 from operator import ne, or_
-from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import NumericOutputError, PreconditionError, SizeLimitError, ValidationError
 from .models import (

@@ -11,12 +11,13 @@ zero precisely on irrelevant features.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 from functools import partial
 from itertools import permutations
 from math import factorial, lcm
 from operator import add
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 from .errors import NumericOutputError, PreconditionError, SizeLimitError, ValidationError
 from .explanations import (
@@ -93,9 +94,9 @@ class Game(_Frozen):
 
     def __init__(self, players: tuple[int, ...], charfn: Callable[[frozenset[int]], Fraction],
                  tag: str = CUSTOM,
-                 marginal_bound: Optional[Fraction | Callable[[], Fraction]] = None,
-                 kernel: Optional[Callable[[], CoalitionTable]] = None,
-                 guard: Optional[Callable[[int, str], None]] = None):
+                 marginal_bound: Fraction | Callable[[], Fraction] | None = None,
+                 kernel: Callable[[], CoalitionTable] | None = None,
+                 guard: Callable[[int, str], None] | None = None):
         self.players, self.charfn, self.tag = players, charfn, tag
         self.marginal_bound, self.kernel, self.guard = marginal_bound, kernel, guard
         self._cache = {}  # mask -> value
@@ -286,10 +287,8 @@ def shapley_via_permutations(game: Game) -> ScoreVector:
 # Score diagnostics
 # ---------------------------------------------------------------------------
 
-class FeatureCompliance(NamedTuple):
-    feature: int
-    relevant: bool
-    score: Fraction
+class FeatureCompliance(namedtuple("FeatureCompliance", "feature relevant score")):
+    __slots__ = ()
 
     @property
     def misleading(self) -> bool:
@@ -298,8 +297,8 @@ class FeatureCompliance(NamedTuple):
         return self.relevant == (self.score == 0)
 
 
-class ComplianceReport(NamedTuple):
-    entries: tuple[FeatureCompliance, ...]
+class ComplianceReport(namedtuple("ComplianceReport", "entries")):
+    __slots__ = ()
 
     @property
     def violations(self) -> tuple[int, ...]:

@@ -15,7 +15,6 @@ import sys
 from fractions import Fraction
 from itertools import chain
 from operator import add, getitem, itemgetter, mul, ne
-from typing import Optional
 
 from .errors import DomainError, SizeLimitError, ValidationError
 from .models import (
@@ -443,7 +442,7 @@ def _box_columns(raw_cells, m) -> list | None:
 
 def _box_cells(raw_cells, m, where) -> list:
     """The cells one by one; the first one that is wrong raises."""
-    cells, memo = [], {}  # each distinct token is parsed once
+    cells = []
     for k, entry in enumerate(raw_cells):
         loc = f"{where}: cell {k}"
         if not isinstance(entry, dict):
@@ -455,9 +454,8 @@ def _box_cells(raw_cells, m, where) -> list:
             raise ValidationError(f"{loc}: 'box' must list {m} [lo, hi] pairs")
         if not isinstance(affine, list) or len(affine) != m + 1:
             raise ValidationError(f"{loc}: 'affine' must list {m + 1} coefficients")
-        bounds = tuple((_memo_value(memo, lo, parse_rational, loc),
-                        _memo_value(memo, hi, parse_rational, loc)) for lo, hi in box)
-        coeffs = [_memo_value(memo, a, parse_rational, loc) for a in affine]
+        bounds = tuple((parse_rational(lo, loc), parse_rational(hi, loc)) for lo, hi in box)
+        coeffs = [parse_rational(a, loc) for a in affine]
         cells.append(Cell(bounds, coeffs[0], tuple(coeffs[1:])))
     return cells
 
@@ -587,7 +585,7 @@ class RunReport(dict):
     None where a command has no such part. Rationals inside are canonical
     strings, so ``RunReport(json.loads(text)).to_json()`` gives ``text`` back."""
 
-    def to_json(self, timing_ms: Optional[float] = None) -> str:
+    def to_json(self, timing_ms: float | None = None) -> str:
         # Wall time would break byte-stability, so it is written only when given.
         doc = self if timing_ms is None else {**self, "timing_ms": timing_ms}
         return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"

@@ -38,27 +38,26 @@ and ``disagreements``, which a table takes from its points and a tree from
 its leaves. All arithmetic on numeric values is exact: on ints (the loader's
 integral values), ``fractions.Fraction`` or ints over a known denominator.
 
-The package imports no data-class machinery, which would cost each
-process its import (with ``inspect``) and the building of every class.
-Plain records are ``NamedTuple``s; a class that validates, caches or keeps
-derived fields has one explicit ``__init__`` and derives from ``_Frozen``,
-which gives equality, hash and repr over its ``_fields`` and refuses
-assignment, so every model is immutable after validation. A
-``cached_property`` still fills the instance ``__dict__`` of a class that
-keeps one.
+The package imports neither data-class machinery nor ``typing``, which
+would cost each process their import (with ``inspect``) and the building of
+every class. Plain records are ``collections.namedtuple`` classes; a class
+that validates, caches or keeps derived fields has one explicit
+``__init__`` and derives from ``_Frozen``, which gives equality, hash and
+repr over its ``_fields`` and refuses assignment, so every model is
+immutable after validation. A ``cached_property`` still fills the
+instance ``__dict__`` of a class that keeps one.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
-from collections.abc import Mapping
+from collections import Counter, namedtuple
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate, chain, compress, product, repeat
 from math import lcm, prod
 from operator import attrgetter, getitem, itemgetter, le, lt, mul, sub
-from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import (
     DomainError,
@@ -168,10 +167,7 @@ class IntervalDomain(_Frozen):
 Domain = DiscreteDomain | IntervalDomain
 
 
-class Feature(NamedTuple):
-    id: int  # 1-based
-    name: str
-    domain: Domain
+Feature = namedtuple("Feature", "id name domain")  # id is 1-based
 
 
 class FeatureSpace(_Frozen):
@@ -383,7 +379,7 @@ def not_total(space: FeatureSpace, outputs, shown=tuple) -> ValidationError:
 
 
 class TreeLeaf(_Frozen):
-    # A slotted class, not a NamedTuple: TreeModel._read reads ``value``
+    # A slotted class, not a namedtuple: TreeModel._read reads ``value``
     # once per slot, and a slot reads faster than a tuple field.
     __slots__ = _fields = ("value",)
 
@@ -391,11 +387,9 @@ class TreeLeaf(_Frozen):
         _set(self, "value", value)
 
 
-class TreeNode(NamedTuple):
-    """Internal node: tests one feature, one child per domain-value group."""
-
-    feature: int
-    edges: tuple[tuple[tuple, int], ...]  # (values, child id) pairs
+TreeNode = namedtuple("TreeNode", "feature edges")
+TreeNode.__doc__ = """Internal node: tests one feature, one child per domain-value group;
+``edges`` holds (values, child id) pairs."""
 
 
 class TreeModel(_EnumerableModel):
@@ -686,11 +680,6 @@ class BoxPiecewiseModel(_Frozen):
             held = [k for k in held if los[k][j] <= t < his[k][j]]
         return list(held)
 
-    def slice_cells(self, v: Point, fixed: Iterable[int]) -> list[Cell]:
-        """The cells meeting the slice x_S = v_S. Only the fixed axes are
-        tested: cell boxes are non-degenerate, so free axes always meet."""
-        return [self.cells[k] for k in self._holders(v, [fid - 1 for fid in fixed])]
-
     def cell_at(self, point: Point) -> Cell:
         owners = self._holders(point, range(self.space.m))
         if len(owners) != 1:
@@ -835,11 +824,8 @@ def verdicts(test: Callable[[Value], bool], outputs: list) -> Iterator[bool]:
 Model = TabularModel | TreeModel | BoxPiecewiseModel
 
 
-class Instance(NamedTuple):
-    """A target point together with the model's prediction at it."""
-
-    point: Point
-    prediction: Value
+Instance = namedtuple("Instance", "point prediction")
+Instance.__doc__ = """A target point together with the model's prediction at it."""
 
 
 def make_instance(model: Model, point: Iterable) -> Instance:

@@ -10,8 +10,9 @@ is therefore capped at 1 - p^depth.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
 
 from .errors import SizeLimitError, ValidationError
 from .games import ScoreVector
@@ -110,18 +111,11 @@ def _order_of(ranking) -> tuple[int, ...]:
 # Score-vector comparison reports
 # ---------------------------------------------------------------------------
 
-class RankingComparison(NamedTuple):
-    """Pairwise overlap of the rankings induced by two score vectors."""
-
-    method_a: str
-    method_b: str
-    signed: Fraction
-    absolute: Fraction
+RankingComparison = namedtuple("RankingComparison", "method_a method_b signed absolute")
+RankingComparison.__doc__ = """Pairwise overlap of the rankings induced by two score vectors."""
 
 
-class ComparisonReport(NamedTuple):
-    rankings: Mapping[str, Mapping[str, tuple[int, ...]]]
-    pairs: tuple[RankingComparison, ...]
+ComparisonReport = namedtuple("ComparisonReport", "rankings pairs")
 
 
 def compare_scores(vectors: Mapping[str, ScoreVector],
@@ -147,15 +141,8 @@ def compare_scores(vectors: Mapping[str, ScoreVector],
     return ComparisonReport(rankings, tuple(pairs))
 
 
-class BatchSummary(NamedTuple):
-    """min/max/mean overlap per method pair over a batch of instances."""
-
-    method_a: str
-    method_b: str
-    mode: str
-    minimum: Fraction
-    maximum: Fraction
-    mean: Fraction
+BatchSummary = namedtuple("BatchSummary", "method_a method_b mode minimum maximum mean")
+BatchSummary.__doc__ = """min/max/mean overlap per method pair over a batch of instances."""
 
 
 def summarize_comparisons(reports: Sequence[ComparisonReport]) -> tuple[BatchSummary, ...]:

@@ -9,8 +9,8 @@ carries a configuration.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple, Optional
 
 from .errors import ValidationError
 from .models import Point, Value, _Frozen, _set, predict
@@ -26,7 +26,7 @@ class SimilarityConfig(_Frozen):
 
     __slots__ = _fields = ("delta",)
 
-    def __init__(self, delta: Optional[Fraction] = None):
+    def __init__(self, delta: Fraction | None = None):
         if delta is not None and delta < 0:
             raise ValidationError("threshold similarity needs delta >= 0")
         _set(self, "delta", delta)
@@ -44,21 +44,20 @@ class SimilarityConfig(_Frozen):
         return cls(Fraction(delta))
 
 
-class Dissimilar(NamedTuple):
+class Dissimilar(namedtuple("Dissimilar", "prediction delta", defaults=(None,))):
     """The test that an output is distinguishable from ``prediction``:
     unequal to it when ``delta`` is None, else more than ``delta`` away.
     The discrete scopes call it once per distinct output object; a box
     model reads the band prediction +- delta itself (see
     :meth:`~shapxp.models.BoxPiecewiseModel.disagreements`)."""
 
-    prediction: Value
-    delta: Optional[Fraction] = None
+    __slots__ = ()
 
     def __call__(self, value: Value) -> bool:
         return not _within(value, self.prediction, self.delta)
 
 
-def _within(value: Value, p: Value, delta: Optional[Fraction]) -> bool:
+def _within(value: Value, p: Value, delta: Fraction | None) -> bool:
     if delta is None:
         return value == p
     return abs(Fraction(value) - Fraction(p)) <= delta

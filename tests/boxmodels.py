@@ -110,6 +110,13 @@ def exact_expectation_by_midpoints(model, v, fixed, step=Fraction(1, 16)):
     return total / count
 
 
+def slice_cells(model, v, fixed):
+    """The cells of a box model meeting the slice x_S = v_S, by the model's
+    own slab rule. Only the fixed axes are tested: cell boxes are
+    non-degenerate, so free axes always meet."""
+    return [model.cells[k] for k in model._holders(v, [fid - 1 for fid in fixed])]
+
+
 def inset_corner_points(model, cell, v, fixed):
     """Achievable points of the cell slice just inside each closure
     corner; the affine's extremes over the slice are approached here."""

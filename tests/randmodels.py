@@ -22,11 +22,17 @@ from shapxp import (
 )
 from shapxp.models import labelled_points
 
-from conftest import rebuilt
-
 VALUE_POOL = [Fraction(n, d) for n in range(-4, 5) for d in (1, 2, 3)]
 LABELS = ("no", "yes", "maybe")
 MIXED_VALUES = ("a", "b", "c", Fraction(1, 2), Fraction(-3), Fraction(0), Fraction(7, 3))
+
+
+def rebuilt(obj, **changes):
+    """A new ``obj`` with ``changes`` to its fields, built through its
+    public constructor from its compared fields (``_fields``), so nothing
+    it derived or cached is carried over: a problem comes back with no
+    contrastive basis, a model re-validated."""
+    return type(obj)(**{**{name: getattr(obj, name) for name in obj._fields}, **changes})
 
 
 def random_tabular_problem(rng, max_m=5, max_domain=3):

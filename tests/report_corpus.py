@@ -17,6 +17,11 @@ Re-pin after a change that alters reports::
     PYTHONPATH=src python tests/report_corpus.py
 
 rewrites tests/report_corpus.json and prints each digest that changed.
+The module needs no pytest, so any installed Python that the package
+supports can check the pins, for example::
+
+    PYENV_VERSION=3.10.13 PYTHONPATH=src python tests/report_corpus.py
+    git diff --exit-code tests/report_corpus.json
 """
 
 from __future__ import annotations

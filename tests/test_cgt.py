@@ -155,15 +155,16 @@ def reference_outputs(mixed, start, stop):
 
 def naive_estimate(game, seed, n):
     """Mean marginal of each player over permutations 0..n-1, walked one
-    by one; position p of a permutation is player players[p - 1]."""
-    sums = dict.fromkeys(game.players, F(0))
+    by one; position p of a permutation is player players[p - 1], which is
+    bit p - 1 of the coalition mask that ``Game.at`` reads."""
+    sums = [F(0)] * game.m
     for k in range(n):
-        prefix = frozenset()
+        mask = 0
         for p in permutation_at(seed, game.m, k):
-            player = game.players[p - 1]
-            sums[player] += game.value(prefix | {player}) - game.value(prefix)
-            prefix |= {player}
-    return tuple(sums[i] / n for i in game.players)
+            after = mask | 1 << p - 1
+            sums[p - 1] += game.at(after) - game.at(mask)
+            mask = after
+    return tuple(total / n for total in sums)
 
 
 class TestPermutationStream:

@@ -698,7 +698,7 @@ class TestBoxPredicatesAgainstWitnessOracle:
     def test_random_grid_models_match_inset_witnesses(self):
         # A false quantifier must be witnessed by an achievable point near
         # some slice corner; a true one must survive a fine grid scan.
-        from boxmodels import inset_corner_points, random_grid_model
+        from boxmodels import inset_corner_points, random_grid_model, slice_cells
         rng = random.Random(246)
         for _ in range(25):
             model = random_grid_model(rng, m=2)
@@ -709,7 +709,7 @@ class TestBoxPredicatesAgainstWitnessOracle:
             for fixed in subsets((1, 2)):
                 witnesses = [
                     x
-                    for cell in model.slice_cells(v, fixed)
+                    for cell in slice_cells(model, v, fixed)
                     for x in inset_corner_points(model, cell, v, frozenset(fixed))
                     if not similar(problem, x)
                 ]

@@ -10,12 +10,16 @@ each such import must name a lookup site of ``bench/tracing.py``.
 An UPPER_CASE name assigned at module level that no module of the package
 reads, by name or as an attribute, fails too: a guard or tag left behind.
 So does a module-level function or class whose name starts with ``_``: a
-private helper that only tests call.
+private helper that only tests call. So does a method or property (dunders
+aside) that no module reads as an attribute or names in a string: a
+mechanism that no run needs.
 The package declares no dependencies, so an absolute import whose top-level
 name is not in ``sys.stdlib_module_names`` fails as well. Nor does it import
-``dataclasses`` or ``inspect``, which would cost every process that imports
-it more than its own classes take to build; a subprocess confirms that
-importing the CLI loads neither.
+``dataclasses``, ``inspect`` or ``typing``, which would cost every process
+that imports it more than its own classes take to build (its records are
+``collections.namedtuple`` classes and its annotations name
+``collections.abc``); a subprocess confirms that importing the CLI loads
+none of them.
 """
 
 import ast
@@ -167,6 +171,44 @@ def test_every_private_definition_is_read():
     assert unread_private_definitions(sources) == []
 
 
+def unread_methods(sources: dict[str, str]) -> list[tuple[str, int, str]]:
+    """(module, line, "Class.name") of each method or property, dunders
+    aside, that no source reads by name or as an attribute, nor names in a
+    string that spells a dotted path such as "shapxp.games:Game.value"."""
+    defined = [(module, node.lineno, f"{cls.name}.{node.name}")
+               for module, source in sources.items() for cls in ast.walk(ast.parse(source))
+               if isinstance(cls, ast.ClassDef) for node in cls.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not re.fullmatch(r"__\w+__", node.name)]
+    read = names_read(sources)
+    for source in sources.values():
+        read.update(part for node in ast.walk(ast.parse(source))
+                    if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and re.fullmatch(r"[\w.:]+", node.value)
+                    for part in re.split(r"[.:]", node.value))
+    return [entry for entry in defined if entry[2].partition(".")[2] not in read]
+
+
+def test_the_checker_finds_an_unread_method():
+    sources = {"a.py": ("class Box:\n"
+                        "    def __len__(self):\n        return 0\n"
+                        "    @property\n    def size(self):\n        return 0\n"
+                        "    def corners(self):\n        return []\n"
+                        "    def cells(self):\n        return []\n"
+                        "    def traced(self):\n        return []\n"
+                        "    def unused(self):\n        '''Unlike Box.size and corners.'''\n"),
+               "b.py": ("from .a import Box\n"
+                        "SITE = 'shapxp.a:Box.traced'\n"
+                        "print(Box().size, getattr(Box(), 'corners'))\n"
+                        "class Grid:\n    def cells(self):\n        return Box().cells()\n")}
+    assert unread_methods(sources) == [("a.py", 13, "Box.unused")]
+
+
+def test_every_method_is_read():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unread_methods(sources) == []
+
+
 def absolute_imports(source: str) -> list[tuple[int, str]]:
     """(line, module) of each absolute import, in line order."""
     found = []
@@ -204,12 +246,12 @@ def test_every_import_is_of_the_standard_library_or_the_package(module):
     assert foreign_imports((SRC / module).read_text()) == []
 
 
-SLOW_MODULES = {"dataclasses", "inspect"}
+SLOW_MODULES = {"dataclasses", "inspect", "typing"}
 
 
 def slow_imports(source: str) -> list[tuple[int, str]]:
-    """(line, module) of each import of ``dataclasses`` or ``inspect``, or
-    of a module inside them."""
+    """(line, module) of each import of ``dataclasses``, ``inspect`` or
+    ``typing``, or of a module inside them."""
     return [(line, module) for line, module in absolute_imports(source)
             if module.partition(".")[0] in SLOW_MODULES]
 
@@ -221,19 +263,21 @@ def test_the_checker_finds_a_slow_import():
               "from .models import dataclasses\n"
               "import dataclasses_json\n"
               "def f():\n"
-              "    from inspect import signature\n")
-    assert slow_imports(source) == [(2, "dataclasses"), (3, "inspect"), (7, "inspect")]
+              "    from inspect import signature\n"
+              "from typing import NamedTuple\n")
+    assert slow_imports(source) == [(2, "dataclasses"), (3, "inspect"), (7, "inspect"),
+                                    (8, "typing")]
 
 
 @pytest.mark.parametrize("module", ALL_MODULES)
-def test_no_module_imports_dataclasses_or_inspect(module):
+def test_no_module_imports_a_slow_module(module):
     assert slow_imports((SRC / module).read_text()) == []
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # -S skips the site hooks, which may import either module themselves.
+def test_importing_the_cli_loads_no_slow_module():
+    # -S skips the site hooks, which may import any of them themselves.
     script = ("import sys; sys.path.insert(0, sys.argv[1]); import shapxp.cli; "
-              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    result = subprocess.run([sys.executable, "-S", "-c", script, str(SRC.parent)],
+              "print(sorted(set(sys.argv[2:]) & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-S", "-c", script, str(SRC.parent), *SLOW_MODULES],
                             capture_output=True, text=True, check=True)
     assert result.stdout == "[]\n"

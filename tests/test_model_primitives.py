@@ -36,7 +36,13 @@ from shapxp.explanations import _ids, _minimal
 from shapxp.games import Game, expected_game, shapley_exact
 from shapxp.models import _ranked, guard_slices, labelled_points
 from shapxp.similarity import Dissimilar
-from boxmodels import QUARTERS, prime_stacked_model, random_grid_model, random_kd_model
+from boxmodels import (
+    QUARTERS,
+    prime_stacked_model,
+    random_grid_model,
+    random_kd_model,
+    slice_cells,
+)
 from conftest import cpu_limit
 from randmodels import random_table, random_tree_model
 from test_models import bool_space
@@ -44,7 +50,8 @@ from test_models import bool_space
 
 # Reference semantics: verbatim copies of BoxPiecewiseModel.output,
 # BoxPiecewiseModel.slice_expectation and TreeModel.output as they were
-# written before each kind read one primitive, with ``self`` the model.
+# written before each kind read one primitive, with ``self`` the model and
+# its ``slice_cells`` method read from boxmodels.
 def reference_box_output(self, point):
     cell = self.cell_at(point)
     total = Fraction(cell.intercept)
@@ -56,7 +63,7 @@ def reference_box_output(self, point):
 
 def reference_box_slice_expectation(self, v, fixed):
     total = Fraction(0)
-    for cell in self.slice_cells(v, fixed):
+    for cell in slice_cells(self, v, fixed):
         # The integral of the affine over the free sub-box is its volume
         # times the value at the sub-box midpoint.
         vol = Fraction(1)
@@ -103,7 +110,7 @@ def _affine_extremes(cell, v, fixed):
 
 
 def reference_box_slice_outputs(self, v, fixed):
-    for cell in self.slice_cells(v, fixed):
+    for cell in slice_cells(self, v, fixed):
         yield from _affine_extremes(cell, v, fixed)
 
 

@@ -22,6 +22,16 @@ REG2 = FIXTURES / "reg2.json"
 # Spellings of 0 and 1 in a JSON model file; a JSON decimal parses exactly.
 ZEROS = (0, "0", "0/5", 0.0, "-0")
 ONES = (1, "1", "1/1", 1.0, "2/2", " 1")
+# CPython shares the objects 0 and 1, so ``is`` holds on them whatever the
+# loader returns. It shares none of these values: each token spells the
+# domain value at its index, a number never as the domain does and the
+# label as another object.
+UNCACHED = {"version": 1, "kind": "tabular", "value_kind": "numeric",
+            "features": [{"id": 1, "name": "x", "domain": {"type": "discrete",
+                                                           "values": ["1/2", 1000000, "abc"]}}],
+            "table": [{"point": ["1/2"], "value": 0}, {"point": [1000000], "value": 1},
+                      {"point": ["abc"], "value": "1/3"}]}
+RESPELLED = (("0.5", 0), (0.5, 0), ("2/4", 0), ("1e6", 1), (1e6, 1), ("abc", 2))
 
 
 def spelled(x, k):
@@ -69,6 +79,17 @@ def test_sample_rows_and_predictions_read_through_the_caches(tmp_path):
     assert sample.predictions == (1, 1, 1, F(-1, 2), F(-1, 2))
 
 
+def test_sample_rows_are_the_domains_own_uncached_objects(tmp_path):
+    model = load_model(write_json(tmp_path, UNCACHED))
+    path = tmp_path / "s.csv"
+    path.write_text("x,prediction\n" + "".join(f"{token},{model.outputs[k]}\n"
+                                                for token, k in RESPELLED))
+    sample = load_sample(path, model)
+    values = model.space.domain(1).values
+    assert [row[0] for row in sample.rows] == [values[k] for _, k in RESPELLED]
+    assert all(row[0] is values[k] for row, (_, k) in zip(sample.rows, RESPELLED))
+
+
 # A problem built from values equal to the domain's, but not the same
 # objects, is slower to build: dict lookups and tuple membership lose their
 # identity shortcut and compare Fractions.
@@ -81,6 +102,15 @@ def test_read_point_gives_the_domains_own_objects(path):
             for raw in (json.loads(json.dumps(token), parse_float=parse_value), str(token)):
                 point = read_point(space, [raw] * space.m, "--instance")
                 assert all(y is f.domain.values[x] for f, y in zip(space.features, point))
+
+
+def test_read_point_gives_the_domains_own_uncached_objects(tmp_path):
+    space = load_model(write_json(tmp_path, UNCACHED)).space
+    values = space.domain(1).values
+    for token, k in RESPELLED:
+        for raw in (json.loads(json.dumps(token), parse_float=parse_value), str(token)):
+            (y,) = read_point(space, [raw], "--instance")
+            assert y == values[k] and y is values[k], (token, raw)
 
 
 def test_read_point_returns_an_interval_point_as_parsed():
