@@ -21,7 +21,7 @@ import warnings
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import cached_property, reduce
 from itertools import compress
-from operator import ne, or_
+from operator import contains, or_
 
 from .errors import NumericOutputError, PreconditionError, SizeLimitError, ValidationError
 from .models import (
@@ -64,68 +64,49 @@ class Sample(_Frozen):
 
     A sample is a universe of its own: it answers the quantifiers that
     the model answers over its whole space, over its rows only. Rows
-    compare with a point through int codes: ``codes`` holds each row's and
-    ``index`` each field's value -> code map, the space's domain positions
-    from the loader, else first appearances. A value the index lacks codes
-    to -1, which no row has. Samples compare by rows and predictions."""
+    compare with a point value by value, identity first, so the domain's
+    own objects, which the loader and ``read_point`` give, match without
+    an ``__eq__`` call. Samples compare by rows and predictions."""
 
-    __slots__ = ("rows", "predictions", "codes", "index")
-    _fields = ("rows", "predictions")
+    __slots__ = _fields = ("rows", "predictions")
 
-    def __init__(self, rows: tuple[Point, ...], predictions: tuple[Value, ...],
-                 codes: tuple[tuple[int, ...], ...] | None = None,
-                 index: tuple[dict, ...] | None = None):
+    def __init__(self, rows: tuple[Point, ...], predictions: tuple[Value, ...]):
         if not rows:
             raise ValidationError("a sample must contain at least one row")
         if len(rows) != len(predictions):
             raise ValidationError("sample rows and predictions differ in length")
-        if codes is None:
-            index = tuple({} for _ in range(max(map(len, rows))))
-            shared = {}  # equal rows share one codes tuple
-            codes = []
-            for row in rows:
-                c = tuple(col.setdefault(x, len(col)) for col, x in zip(index, row))
-                codes.append(shared.setdefault(c, c))
-            codes = tuple(codes)
         _set(self, "rows", rows)
         _set(self, "predictions", predictions)
-        _set(self, "codes", codes)
-        _set(self, "index", index)
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def _coded(self, v: Point) -> list[int]:
-        return [col.get(x, -1) for col, x in zip(self.index, v)]
-
     def slice_outputs(self, v: Point, fixed: Iterable[int]) -> Iterator[Value]:
         """The prediction of every row with x_S = v_S."""
         axes = [i - 1 for i in fixed]
-        coded = self._coded(v)
-        want = [coded[j] for j in axes]
-        return (y for codes, y in zip(self.codes, self.predictions)
-                if [codes[j] for j in axes] == want)
+        want = [v[j] for j in axes]
+        return (y for row, y in zip(self.rows, self.predictions)
+                if [row[j] for j in axes] == want)
 
     def disagreements(self, v: Point, dissimilar: Callable[[Value], bool]) -> Iterator[int]:
         """The disagreement mask with v (bit j: row_j != v_j) of every
         distinct row whose prediction is ``dissimilar``: rows are told apart
-        by the identity of their codes and prediction, hashing no value,
-        and each prediction object is tested once."""
-        coded = self._coded(v)
+        by the identity of their row and prediction, hashing no value, each
+        prediction object is tested once and fields compare identity first."""
         bits = [1 << j for j in range(len(v))]
-        distinct = list({(id(codes), id(y)): (codes, y)
-                         for codes, y in zip(self.codes, self.predictions)}.values())
+        full, pinned = sum(bits), [(x,) for x in v]
+        distinct = list({(id(row), id(y)): (row, y)
+                         for row, y in zip(self.rows, self.predictions)}.values())
         hits = verdicts(dissimilar, [y for _, y in distinct])
-        return (sum(compress(bits, map(ne, codes, coded)))
-                for codes, _ in compress(distinct, hits))
+        return (full ^ sum(compress(bits, map(contains, pinned, row)))
+                for row, _ in compress(distinct, hits))
 
     def relabel(self, mapping: Mapping) -> "Sample":
         """The same rows with each prediction y replaced by mapping[y]."""
         missing = [y for y in self.predictions if y not in mapping]
         if missing:
             raise ValidationError(f"relabeling map misses output value {missing[0]!r}")
-        return Sample(self.rows, tuple(mapping[y] for y in self.predictions),
-                      self.codes, self.index)
+        return Sample(self.rows, tuple(mapping[y] for y in self.predictions))
 
 
 class ExplanationProblem(_Frozen):

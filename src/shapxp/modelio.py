@@ -108,8 +108,8 @@ def read_point(space: FeatureSpace, raw, where: str) -> Point:
     every token is parsed, then the point is checked, so a bad point raises
     ValidationError for a token that is no value, else DomainError for a
     value outside its domain, as ``parse_value`` reads it. On a discrete
-    space the coordinates are the domain's own objects, which dict lookups
-    and membership tests match by identity before they compare values."""
+    space the coordinates are the domain's own objects, which dict lookups,
+    membership tests and ``Sample.disagreements`` match by identity first."""
     discrete = space.all_discrete()
     point = tuple((read_discrete if discrete else parse_value)(t, where) for t in raw)
     try:
@@ -471,9 +471,10 @@ def load_sample(path, model: Model) -> Sample:
     and its repeats share that row."""
     with open(path, "r", encoding="utf-8") as fh:
         try:  # split on newlines only: splitlines also splits on \f, \x85 and \u2028
-            lines = list(filter(str.strip, fh.read().split("\n")))
+            text = fh.read().split("\n")
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
+    lines = list(filter(str.strip, text))
     if len(lines) < 2:
         raise ValidationError(f"{path}: sample needs a header line and at least one row")
     names = [f.name for f in model.space.features]
@@ -482,13 +483,13 @@ def load_sample(path, model: Model) -> Sample:
         sample = _sample_columns(lines[1:], delim, len(header), model)
         if sample is not None:
             return sample
-    return _sample_lines(lines[1:], delim, len(header), model, path)
+    return _sample_lines(text, text.index(lines[0]), delim, len(header), model, path)
 
 
 def _sample_columns(lines, delim, width, model) -> Sample | None:
     """The line loop's sample on a discrete space, read column by column
     over the distinct lines: each field's distinct tokens are parsed and
-    looked up once, and whole columns are mapped to codes, slots and
+    looked up once, and whole columns are mapped to positions, slots and
     values. None unless every line has ``width`` fields, every value lies
     in its domain and every prediction parses and agrees with the model;
     the line loop reports what does not, and is the reference this path
@@ -498,7 +499,7 @@ def _sample_columns(lines, delim, width, model) -> Sample | None:
     fields = [line.split(delim) for line in distinct]
     if {*map(len, fields)} != {width}:
         return None
-    columns, slots = [], [0] * len(fields)  # columns: each feature's codes
+    columns, slots = [], [0] * len(fields)  # columns: each feature's positions
     for j, (feature, stride) in enumerate(zip(space.features, space.strides)):
         column = list(map(itemgetter(j), fields))
         index = feature.domain.index
@@ -518,23 +519,23 @@ def _sample_columns(lines, delim, width, model) -> Sample | None:
         if any(map(ne, map(given.__getitem__, column), actual)):
             return None
     points = zip(*(map(f.domain.values.__getitem__, c) for f, c in zip(space.features, columns)))
-    rows = dict(zip(distinct, zip(points, zip(*columns), actual)))
-    points, codes, preds = zip(*map(rows.__getitem__, lines))
-    return Sample(points, preds, codes, space.indexes)
+    rows = dict(zip(distinct, zip(points, actual)))
+    return Sample(*zip(*map(rows.__getitem__, lines)))
 
 
-def _sample_lines(lines, delim, width, model, path) -> Sample:
-    """The sample line by line; the first line with an error raises it.
+def _sample_lines(text, at, delim, width, model, path) -> Sample:
+    """The sample from a file's lines ``text`` past its header ``text[at]``;
+    the first line with an error raises it, under its number in the file.
     This reads every sample on a space with an interval domain, and on a
-    discrete space only one the column path refuses. A token ``read_point``
-    accepted before at its position is known by its value, and each
-    distinct line's point is evaluated by ``model.output`` once; a discrete
-    sample's codes are its points' domain positions."""
+    discrete space only one the column path refuses. A token met before at
+    its position is known by its ``read_point`` value (on a discrete space
+    the domain's own object, as ``Sample.disagreements`` wants), and each
+    distinct line's point is evaluated by ``model.output`` once."""
     space, m, seen = model.space, model.space.m, {}  # seen: line -> (point, output)
     parse = _OUTPUT[model.value_kind]
     known = [{} for _ in range(m)]  # per feature: token -> value
-    for lineno, line in enumerate(lines, start=2):
-        if line in seen:
+    for lineno, line in enumerate(text[at + 1:], start=at + 2):
+        if line in seen or not line.strip():
             continue
         where = f"{path}:{lineno}"
         fields = [f.strip() for f in line.split(delim)]
@@ -558,11 +559,7 @@ def _sample_lines(lines, delim, width, model, path) -> Sample:
                     f"{where}: prediction {given!r} disagrees with the "
                     f"model output {actual!r}")
         seen[line] = point, actual
-    points, preds = zip(*map(seen.__getitem__, lines))
-    if not space.all_discrete():  # the sample codes its values itself
-        return Sample(points, preds)
-    codes = {line: tuple(map(getitem, space.indexes, point)) for line, (point, _) in seen.items()}
-    return Sample(points, preds, tuple(map(codes.__getitem__, lines)), space.indexes)
+    return Sample(*zip(*map(seen.__getitem__, filter(str.strip, text[at + 1:]))))
 
 
 def _split_header(line: str, names: list[str], path) -> tuple[list[str], str]:

@@ -140,8 +140,6 @@ DERIVED = [
     (BoxPiecewiseModel(LINE, CELLS), "cuts"),
     (BoxPiecewiseModel(LINE, CELLS), "lows"),
     (BoxPiecewiseModel(LINE, CELLS), "highs"),
-    (Sample(((0, "x"),), (0,)), "codes"),
-    (Sample(((0, "x"),), (0,)), "index"),
 ]
 
 

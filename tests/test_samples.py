@@ -1,12 +1,14 @@
 """Samples in the slot numbering.
 
-A loaded sample compares its rows with the instance through int codes
-(domain positions on a discrete space) and reads, checks and evaluates each
-distinct line once. These tests hold the codes to the rows' values, and
-the line memo to the loader's one-line-at-a-time errors.
+A loaded sample compares its rows with the instance value by value,
+identity first, and reads, checks and evaluates each distinct line once.
+These tests hold the comparisons to the rows' values, whether or not they
+are the domain's own objects, and the line memo to the loader's
+one-line-at-a-time errors.
 """
 
 import json
+import pickle
 import random
 import warnings
 from fractions import Fraction as F
@@ -15,7 +17,10 @@ from itertools import combinations
 import pytest
 
 from shapxp import (
+    DiscreteDomain,
     ExplanationProblem,
+    Feature,
+    FeatureSpace,
     Sample,
     SimilarityConfig,
     SizeLimitError,
@@ -79,27 +84,34 @@ def reference_cxps(problem):
     return {c for c in weak if not any(o < c for o in weak)}
 
 
-def assert_codes_agree(coded, valued):
-    """A problem over a coded sample and the same problem over the same
-    rows coded from their values answer every query alike, and as the
-    definition does."""
-    assert coded.universe == valued.universe
-    v = coded.instance.point
-    masks = [set(p.universe.disagreements(v, _dissimilar(p))) for p in (coded, valued)]
+def twin(sample):
+    """The sample with equal rows and predictions that are new objects
+    (small ints and one-letter strings aside, which CPython shares): what
+    the identity test finds is then left to equality."""
+    return Sample(*pickle.loads(pickle.dumps((sample.rows, sample.predictions))))
+
+
+def assert_twins_agree(problem):
+    """A problem over a sample and the same problem over its twin answer
+    every query alike, and as the definition does."""
+    other = rebuilt(problem, universe=twin(problem.universe))
+    assert problem.universe == other.universe
+    v = problem.instance.point
+    masks = [set(p.universe.disagreements(v, _dissimilar(p))) for p in (problem, other)]
     assert masks[0] == masks[1]
-    basis = coded.contrastive_basis
-    assert basis == valued.contrastive_basis
-    expected = reference_cxps(coded)
+    basis = problem.contrastive_basis
+    assert basis == other.contrastive_basis
+    expected = reference_cxps(problem)
     assert {frozenset(_ids(b)) for b in basis} == expected
-    assert brute_force_cxps(coded) == expected
-    for s in subsets(coded.feature_ids):
-        assert is_waxp(coded, s) == is_waxp(valued, s) == reference_waxp(coded, s)
-        assert (agnostic_support(coded, s) == agnostic_support(valued, s)
-                == reference_support(coded, s))
+    assert brute_force_cxps(problem) == expected
+    for s in subsets(problem.feature_ids):
+        assert is_waxp(problem, s) == is_waxp(other, s) == reference_waxp(problem, s)
+        assert (agnostic_support(problem, s) == agnostic_support(other, s)
+                == reference_support(problem, s))
     if expected and expected != {frozenset()}:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert set(map(frozenset, enumerate_cxps(coded))) == expected
+            assert set(map(frozenset, enumerate_cxps(problem))) == expected
 
 
 def random_discrete_model(rng):
@@ -112,7 +124,7 @@ def random_discrete_model(rng):
 
 def drawn_rows(rng, points, v):
     """Rows from ``points`` with repeats; sometimes none holds the
-    instance's value of feature 1, so that value has no code in the sample."""
+    instance's value of feature 1, so no row matches it there."""
     if rng.random() < 0.3:
         points = [p for p in points if p[0][0] != v[0]] or points
     return [rng.choice(points) for _ in range(rng.randint(1, 3 * len(points)))]
@@ -126,18 +138,13 @@ def test_loaded_discrete_samples_agree_with_their_values(tmp_path):
         points = list(labelled_points(model))
         rows = drawn_rows(rng, points, v)
         path = write_sample(tmp_path / f"s{trial}.csv", model, *zip(*rows), rng)
-        loaded = load_sample(path, model)
-        assert loaded.index == model.space.indexes
-        valued = Sample(tuple(map(tuple, loaded.rows)), loaded.predictions)
         problem = ExplanationProblem(model, make_instance(model, v),
-                                     SimilarityConfig.class_equality())
-        coded = rebuilt(problem, universe=loaded)
-        assert_codes_agree(coded, rebuilt(problem, universe=valued))
-        # an injective relabeling passes the codes through
+                                     SimilarityConfig.class_equality(), load_sample(path, model))
+        assert_twins_agree(problem)
+        # an injective relabeling keeps the rows
         outputs = sorted({str(y) for _, y in points})
         mapping = {y: f"out{outputs.index(str(y))}" for _, y in points}
-        assert_codes_agree(relabel_problem(coded, mapping),
-                           relabel_problem(rebuilt(problem, universe=valued), mapping))
+        assert_twins_agree(relabel_problem(problem, mapping))
 
 
 def test_one_point_labelled_two_ways_yields_both_masks(tmp_path):
@@ -150,13 +157,10 @@ def test_one_point_labelled_two_ways_yields_both_masks(tmp_path):
                              model)
         k = rng.randrange(len(loaded))
         other = next(y for y in model._values() if y != loaded.predictions[k])
-        # the same codes object labelled otherwise, as a hand-built sample may
-        twice = Sample(loaded.rows + (loaded.rows[k],), loaded.predictions + (other,),
-                       loaded.codes + (loaded.codes[k],), loaded.index)
-        valued = Sample(twice.rows, twice.predictions)
-        problem = ExplanationProblem(model, make_instance(model, v),
-                                     SimilarityConfig.class_equality())
-        assert_codes_agree(rebuilt(problem, universe=twice), rebuilt(problem, universe=valued))
+        # the same row object labelled otherwise, as a hand-built sample may
+        twice = Sample(loaded.rows + (loaded.rows[k],), loaded.predictions + (other,))
+        assert_twins_agree(ExplanationProblem(model, make_instance(model, v),
+                                              SimilarityConfig.class_equality(), twice))
 
 
 def test_loaded_box_samples_agree_with_their_values(tmp_path):
@@ -170,23 +174,51 @@ def test_loaded_box_samples_agree_with_their_values(tmp_path):
         predictions = [model.output(row) for row in rows]
         loaded = load_sample(write_sample(tmp_path / f"s{trial}.csv", model, rows,
                                           predictions, rng), model)
-        valued = Sample(tuple(map(tuple, loaded.rows)), loaded.predictions)
         v = rng.choice(points) if rng.random() < 0.5 else tuple(
             rng.choice(lattice) for _ in range(m))  # often on no row's values
-        problem = ExplanationProblem(model, make_instance(model, v),
-                                     SimilarityConfig.threshold(rng.choice((0, F(1, 4), 1))))
-        assert_codes_agree(rebuilt(problem, universe=loaded), rebuilt(problem, universe=valued))
+        assert_twins_agree(ExplanationProblem(
+            model, make_instance(model, v),
+            SimilarityConfig.threshold(rng.choice((0, F(1, 4), 1))), loaded))
 
 
-def test_a_hand_built_sample_codes_each_field_by_first_appearance():
-    sample = Sample(((F(1, 2), "a"), (0, "b"), (F(1, 2), "a"), (F(2, 4), "b")),
-                    (F(1), F(0), F(1), F(0)))
-    assert sample.codes == ((0, 0), (1, 1), (0, 0), (0, 1))
-    assert sample.codes[0] is sample.codes[2]  # equal rows share their codes
-    assert sample._coded((F(1, 2), "c")) == [0, -1]
-    # the codes are derived, so equality and repr ignore them
-    assert sample == Sample(sample.rows, sample.predictions, ((9, 9),) * 4, ({}, {}))
-    assert "codes" not in repr(sample) and "index" not in repr(sample)
+def test_rows_equal_to_the_instance_but_not_the_same_objects_agree_with_it():
+    """F(2, 4) and a label joined at run time are equal to the instance's
+    F(1, 2) and "high", but other objects: a row that holds them agrees
+    with the instance there, as a row of the domain's own objects does."""
+    half, high = F(1, 2), "high"
+    space = FeatureSpace((Feature(1, "x1", DiscreteDomain((0, half))),
+                          Feature(2, "x2", DiscreteDomain(("low", high)))))
+    model = TabularModel(space, (0, 0, 0, 1))  # 1 at (1/2, high) only
+    label = "".join(["hi", "gh"])
+    assert label == high and label is not high and F(2, 4) is not half
+    own = Sample(((half, high), (0, high), (half, "low"), (0, "low")), (1, 0, 0, 0))
+    equal = Sample(((F(2, 4), label), (0, label), (F(2, 4), "low"), (0, "low")), (1, 0, 0, 0))
+    problem = ExplanationProblem(model, make_instance(model, (half, high)),
+                                 SimilarityConfig.class_equality(), own)
+    other = rebuilt(problem, universe=equal)
+    expected = brute_force_cxps(problem)
+    assert expected == reference_cxps(other) == {frozenset({1}), frozenset({2})}
+    assert {frozenset(_ids(b)) for b in other.contrastive_basis} == expected
+    for s in subsets(problem.feature_ids):
+        assert (agnostic_support(other, s) == agnostic_support(problem, s)
+                == reference_support(other, s))
+
+
+def test_a_sample_is_its_rows_and_predictions():
+    assert Sample.__slots__ == Sample._fields == ("rows", "predictions")
+    with pytest.raises(TypeError):
+        Sample(((0,),), (1,), ((0,),), ({0: 0},))
+
+
+def test_an_error_after_a_blank_line_names_its_own_line(tmp_path):
+    model = load_model(FIXTURES / "reg2.json")
+    path = tmp_path / "s.csv"
+    path.write_text("x1,x2\n\n0,1\n\n0,5\n")
+    with pytest.raises(ValidationError, match=r"s\.csv:5: value .+ outside domain"):
+        load_sample(path, model)
+    path.write_text("\n\nx1,x2\n0,1\n0,1,7\n")
+    with pytest.raises(ValidationError, match=r"s\.csv:5: expected 2 fields, got 3"):
+        load_sample(path, model)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +279,7 @@ def test_each_distinct_line_is_evaluated_once(tmp_path, monkeypatch, kind):
     sample = load_sample(path, model)
     assert len(reads) == len(set(lines)) == 3
     assert len(sample) == len(lines)
-    assert sample.rows[0] is sample.rows[2] and sample.codes[1] is sample.codes[4]
+    assert sample.rows[0] is sample.rows[2] and sample.rows[1] is sample.rows[4]
     assert sample.predictions == (F(3, 2), 1, F(3, 2), 1, 1, F(3, 2), 1)
 
 
