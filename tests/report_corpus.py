@@ -272,8 +272,10 @@ MODEL_ERRORS = {
     "box_outside": ("box_kd3", lambda d: d["cells"][0]["box"][2].__setitem__(0, -2)),
     "box_gap": ("box_kd3", lambda d: d["cells"].pop(3)),
     "box_overlap": ("box_kd4", lambda d: d["cells"].append(d["cells"][2])),
+    "box_overlaps": ("box_kd4", lambda d: d["cells"][0]["box"][1].__setitem__(1, 1)),
     "box_gap_2d": ("box_grid", lambda d: d["cells"].pop(0)),
     "box_overlap_2d": ("box_grid", lambda d: d["cells"].append(d["cells"][-1])),
+    "box_overlaps_2d": ("box_grid", lambda d: d["cells"][0]["box"][0].__setitem__(1, 1)),
     "box_constant": ("box_grid", lambda d: [c.update(affine=[1, 0, 0]) for c in d["cells"]]),
     "box_discrete": ("table_m6", lambda d: d.update(kind="box_piecewise", cells=[])),
     "box_labels": ("box_grid", lambda d: d.update(value_kind="categorical")),
