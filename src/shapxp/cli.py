@@ -399,14 +399,14 @@ def _table(report: RunReport, elapsed_ms: float) -> str:
         print(f"relevant set: {set(res['relevant']) or '{}'}", file=out)
     elif command in ("axp", "cxp"):
         label = "abductive" if command == "axp" else "contrastive"
-        print(f"{label} explanation: {set(res[command])}", file=out)
+        print(f"{label} explanation: {set(res[command]) or '{}'}", file=out)
         if res.get("vacuous"):
             print("warning: no sample row matches the fixed features; the check "
                   "is vacuous", file=out)
     elif command == "enumerate":
         print(f"minimal {res['kind']} sets ({len(res['sets'])}):", file=out)
         for s in res["sets"]:
-            print(f"  {set(s)}", file=out)
+            print(f"  {set(s) or '{}'}", file=out)
     elif command == "shap":
         print(f"game: {res['game']}   method: {res['method']}", file=out)
         print("feature  name        score         (exact)", file=out)

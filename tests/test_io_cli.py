@@ -860,7 +860,10 @@ def test_a_constant_universe_warns_once_on_stderr(capsys, tmp_path):
     assert run_cli(["enumerate", "--kind", "axp"] + argv) == 0
     captured = capsys.readouterr()
     assert captured.err == warning
-    assert "minimal axp sets (1):" in captured.out
+    assert "minimal axp sets (1):\n  {}\n" in captured.out
+    # The empty set reads `{}` in every table, as `relevancy` writes it.
+    assert run_cli(["axp"] + argv) == 0
+    assert "abductive explanation: {}\n" in capsys.readouterr().out
 
 
 class TestEntryPoint:
