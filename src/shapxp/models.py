@@ -50,14 +50,14 @@ instance ``__dict__`` of a class that keeps one.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter, namedtuple
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate, chain, compress, product, repeat
 from math import lcm, prod
-from operator import attrgetter, getitem, itemgetter, le, lt, mul, sub
+from operator import attrgetter, getitem, itemgetter, lt, mul, or_, sub
 
 from .errors import (
     DomainError,
@@ -589,8 +589,8 @@ class BoxPiecewiseModel(_Frozen):
 
     def _partition_witness(self) -> Point | None:
         """None if the cells partition the space, else a point in no cell or in
-        several (the centre of an overlapping pair's intersection). Each cell
-        is a union of the grid's slabs, and interior-disjoint cells are disjoint
+        several (the centre of the overlap of the pair that _overlap names). Each
+        cell is a union of the grid's slabs, and interior-disjoint cells are disjoint
         under the half-open rule: a partition has no overlap and counts every slab."""
         cuts, los, his = self.cuts, self.lows, self.highs
         slabs = [len(axis) - 1 for axis in cuts]
@@ -598,7 +598,7 @@ class BoxPiecewiseModel(_Frozen):
         def midpoint(j, lo, hi):
             return (cuts[j][lo] + cuts[j][hi]) / 2
 
-        pair = self._sweep() if len(cuts) == 2 else self._pair_scan()
+        pair = self._overlap()
         if pair is not None:
             lo_a, hi_a, lo_b, hi_b = los[pair[0]], his[pair[0]], los[pair[1]], his[pair[1]]
             return tuple(midpoint(j, max(lo_a[j], lo_b[j]), min(hi_a[j], hi_b[j]))
@@ -622,46 +622,30 @@ class BoxPiecewiseModel(_Frozen):
             live = [k for k in live if los[k][j] <= t < his[k][j]]
         return tuple(point)
 
-    def _sweep(self) -> tuple[int, int] | None:
-        """Two overlapping cells of a 2-D model, or None, by a sweep along axis 0
-        (Shamos and Hoey, FOCS 1976) over the live cells' axis-1 rank intervals,
-        kept sorted: at each rank, cells that end leave before cells that start
-        enter, and each entering interval is checked against its two neighbours."""
-        (lo0, lo1), (hi0, hi1) = zip(*self.lows), zip(*self.highs)
-        leaving, i, live = sorted(range(len(lo0)), key=hi0.__getitem__), 0, []
-        for a in sorted(range(len(lo0)), key=lo0.__getitem__):
-            while hi0[leaving[i]] <= lo0[a]:
-                b = leaving[i]
-                del live[bisect_left(live, (lo1[b], hi1[b], b))]
-                i += 1
-            p = bisect_left(live, (lo1[a], hi1[a], a))
-            if p and live[p - 1][1] > lo1[a]:
-                return live[p - 1][2], a
-            if p < len(live) and live[p][0] < hi1[a]:
-                return a, live[p][2]
-            live.insert(p, (lo1[a], hi1[a], a))
-        return None
-
-    def _pair_scan(self) -> tuple[int, int] | None:
-        """Two overlapping cells, or None. Sorted by lower rank on the axis with
-        the most of them, a cell is checked against the cells after it that
-        start before it ends there; a staircase makes that quadratic, so more
-        than POINT_GUARD checks, counted before each run, raise SizeLimitError."""
+    def _overlap(self) -> tuple[int, int] | None:
+        """Two overlapping cells, or None (orthogonal box intersection; Six and
+        Wood, BIT 1980). Bit p of a mask is the cell at position p by lower rank
+        on the axis with the most of them. On each axis started[r] holds the
+        cells with lower rank below r and ended[r] those with upper rank at most
+        r, so the cells that meet cell a are the AND over the axes of
+        started[hi_a] & ~ended[lo_a]; the first after a is named."""
         los, his = self.lows, self.highs
         axis = max(range(len(los[0])), key=lambda j: len({lo[j] for lo in los}))
         order = sorted(range(len(los)), key=lambda k: los[k][axis])
-        starts, checks = [los[k][axis] for k in order], 0
+        started, ended = [], []
+        for j, cuts in enumerate(self.cuts):
+            starts, ends = [0] * len(cuts), [0] * len(cuts)
+            for p, k in enumerate(order):
+                starts[los[k][j]] |= 1 << p
+                ends[his[k][j]] |= 1 << p
+            started.append([0, *accumulate(starts, or_)])
+            ended.append(list(accumulate(ends, or_)))
         for p, a in enumerate(order):
-            lo_a, hi_a = los[a], his[a]
-            end = bisect_left(starts, hi_a[axis], p + 1)
-            checks += end - p - 1
-            if checks > POINT_GUARD:
-                raise SizeLimitError(f"partition check guarded at {POINT_GUARD} pair checks, "
-                                     f"got {checks} by cell {p + 1} of {len(order)}")
-            for b in order[p + 1:end]:
-                lo_b, hi_b = los[b], his[b]
-                if not (any(map(le, hi_a, lo_b)) or any(map(le, hi_b, lo_a))):
-                    return a, b
+            meet = -1 << (p + 1)
+            for s, e, lo, hi in zip(started, ended, los[a], his[a]):
+                meet &= s[hi] ^ e[lo]  # ended[lo] lies within started[hi]
+            if meet:
+                return a, order[(meet & -meet).bit_length() - 1]
         return None
 
     def _slab(self, j: int, x) -> int:

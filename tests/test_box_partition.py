@@ -6,15 +6,20 @@ its owners, which costs up to (2k)^m membership scans. The loader's check
 must reach the same decision on every layout, name a point that really
 lies in no cell or in several, and stay polynomial where the grid is not.
 ``holds`` is the half-open rule on Fraction bounds, the reference for
-membership by slab rank.
+membership by slab rank. ``sweep`` and ``pair_scan`` are the two overlap
+searches that the bitset check replaced, kept as the reference for the
+pair it names.
 """
 
 import json
 import random
 import re
+from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction as F
 from itertools import product
 from math import prod
+from operator import le
 
 import pytest
 
@@ -57,6 +62,48 @@ def grid_witness(space, cells):
                   if holds(cell, mid_point, axes, tops)]
         if len(owners) != 1:
             return mid_point, owners
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Reference: the plane sweep at m = 2 and the pair scan
+# ---------------------------------------------------------------------------
+
+def sweep(lows, highs):
+    """Two overlapping cells of a 2-D model, or None, by a sweep along axis 0
+    (Shamos and Hoey, FOCS 1976) over the live cells' axis-1 rank intervals,
+    kept sorted: at each rank, cells that end leave before cells that start
+    enter, and each entering interval is checked against its two neighbours."""
+    (lo0, lo1), (hi0, hi1) = zip(*lows), zip(*highs)
+    leaving, i, live = sorted(range(len(lo0)), key=hi0.__getitem__), 0, []
+    for a in sorted(range(len(lo0)), key=lo0.__getitem__):
+        while hi0[leaving[i]] <= lo0[a]:
+            b = leaving[i]
+            del live[bisect_left(live, (lo1[b], hi1[b], b))]
+            i += 1
+        p = bisect_left(live, (lo1[a], hi1[a], a))
+        if p and live[p - 1][1] > lo1[a]:
+            return live[p - 1][2], a
+        if p < len(live) and live[p][0] < hi1[a]:
+            return a, live[p][2]
+        live.insert(p, (lo1[a], hi1[a], a))
+    return None
+
+
+def pair_scan(los, his):
+    """Two overlapping cells, or None. Sorted by lower rank on the axis with
+    the most of them, a cell is checked against the cells after it that
+    start before it ends there; a staircase makes that quadratic."""
+    axis = max(range(len(los[0])), key=lambda j: len({lo[j] for lo in los}))
+    order = sorted(range(len(los)), key=lambda k: los[k][axis])
+    starts = [los[k][axis] for k in order]
+    for p, a in enumerate(order):
+        lo_a, hi_a = los[a], his[a]
+        end = bisect_left(starts, hi_a[axis], p + 1)
+        for b in order[p + 1:end]:
+            lo_b, hi_b = los[b], his[b]
+            if not (any(map(le, hi_a, lo_b)) or any(map(le, hi_b, lo_a))):
+                return a, b
     return None
 
 
@@ -104,6 +151,19 @@ def moved(rng, boxes):
             x = rng.choice(options)
             boxes[k][j] = (x, hi) if end == 0 else (lo, x)
             return boxes
+
+
+def stretched(rng, boxes):
+    """The boxes with one cell that ends inside an axis stretched to the top
+    there, so that it meets every cell it then reaches; as they were if none
+    ends inside."""
+    inside = [(k, j) for k, box in enumerate(boxes) for j, (lo, hi) in enumerate(box) if hi != HI]
+    if not inside:
+        return boxes
+    k, j = rng.choice(inside)
+    boxes = [list(box) for box in boxes]
+    boxes[k][j] = (boxes[k][j][0], HI)
+    return boxes
 
 
 def staircase_boxes(cuts):
@@ -190,6 +250,55 @@ def test_the_check_decides_as_the_grid_does_and_names_a_true_witness():
     assert kinds == {False, True}
 
 
+def oracle_layouts():
+    """(space, cells): ``layouts()``; random kd layouts at m = 2 to 5; 3-D
+    staircases with the flat axis in each place, half with a bound moved;
+    the unit staircases at m = 2 and 3, and the stacked and hostile
+    layouts, each whole and with one bound moved either way."""
+    for m, cells in layouts():
+        yield unit_space(m), cells
+    rng = random.Random(20261020)
+    for n in range(360):  # whole, with one bound moved, or with one cell stretched
+        m = 2 + n % 4
+        boxes = kd_boxes(rng, m, rng.randint(1, 12), LATTICE)
+        boxes = (boxes, moved(rng, boxes), stretched(rng, boxes))[n % 3]
+        yield unit_space(m), with_affines(rng, boxes)
+    for n in range(48):
+        boxes = staircase_boxes([LO] + sorted(rng.sample(LATTICE[1:-1], rng.randint(0, 6))) + [HI])
+        boxes = moved(rng, boxes) if n % 2 else boxes
+        boxes = [box[::-1] for box in boxes] if n % 4 >= 2 else boxes
+        j = n % 3
+        yield unit_space(3), with_affines(rng, [box[:j] + [(LO, HI)] + box[j:] for box in boxes])
+    for move in (0, -1, 1):
+        yield on_cube(unit_staircase(399, move))
+        yield on_cube(unit_staircase_3d(399, move))
+    for step in (0, F(-1, 2 * STACKED), F(1, 2 * STACKED)):
+        yield on_cube(stacked_boxes(step))
+    for step in (0, F(-1, 1000), F(1, 1000)):
+        yield on_cube(hostile_boxes(step))
+
+
+def test_the_bitset_check_names_the_pair_that_the_pair_scan_names(monkeypatch):
+    """The same pair, or None with it, on every layout; at m = 2 the sweep's
+    decision too, and on every overlap a true witness in the error."""
+    overlaps = Counter()
+    for space, cells in oracle_layouts():
+        with monkeypatch.context() as patch:  # the ranks, with no partition check
+            patch.setattr(BoxPiecewiseModel, "_partition_witness", lambda self: None)
+            model = BoxPiecewiseModel(space, tuple(cells))
+        pair = model._overlap()
+        assert pair == pair_scan(model.lows, model.highs), cells
+        if space.m == 2:
+            assert (pair is None) == (sweep(model.lows, model.highs) is None), cells
+        if pair is not None:
+            overlaps[space.m] += 1
+            with pytest.raises(ValidationError) as caught:
+                BoxPiecewiseModel(space, tuple(cells))
+            assert_true_witness(space, cells, str(caught.value))
+    assert min(overlaps[m] for m in (1, 2, 3, 4, 5, HOSTILE_M)) >= 1
+    assert sum(overlaps.values()) >= 150
+
+
 def test_an_overlap_is_named_by_its_intersection_midpoint():
     space = unit_space(2)
     cells = with_affines(random.Random(1), [
@@ -258,7 +367,9 @@ def test_errors_come_cell_by_cell_with_the_length_check_first():
 HOSTILE_M, HOSTILE_CELLS = 10, 80
 
 
-def hostile_boxes():
+def hostile_boxes(step=0):
+    """The layout; with a step, the first cell that ends inside axis 1 ends
+    that much later there."""
     rng = random.Random(7)
     boxes = [[(F(0), F(1))] * HOSTILE_M]
     used = [set() for _ in range(HOSTILE_M)]
@@ -273,6 +384,9 @@ def hostile_boxes():
         box = boxes[k]
         boxes[k:k + 1] = [box[:j] + [(lo, cut)] + box[j + 1:],
                           box[:j] + [(cut, hi)] + box[j + 1:]]
+    k = next(k for k, box in enumerate(boxes) if box[0][1] != 1)
+    lo, hi = boxes[k][0]
+    boxes[k][0] = (lo, hi + step)
     return boxes
 
 
@@ -307,10 +421,7 @@ def test_a_hostile_valid_layout_validates_within_a_second(capsys, tmp_path):
 @pytest.mark.parametrize("step", [F(-1, 1000), F(1, 1000)], ids=["gap", "overlap"])
 def test_a_hostile_broken_layout_exits_2_with_a_witness_within_a_second(
         capsys, tmp_path, step):
-    boxes = hostile_boxes()
-    k = next(k for k, box in enumerate(boxes) if box[0][1] != 1)
-    lo, hi = boxes[k][0]
-    boxes[k][0] = (lo, hi + step)
+    boxes = hostile_boxes(step)
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(box_doc(boxes)))
     assert_exits_2_with_a_true_witness(capsys, boxes, path, overlap=step > 0)
@@ -324,9 +435,14 @@ def test_a_hostile_broken_layout_exits_2_with_a_witness_within_a_second(
 STACKED = 4000
 
 
-def stacked_boxes():
+def stacked_boxes(step=0):
+    """The layout; with a step, the top cell whose upper bound can move either
+    way ends that much later on axis 2."""
     cuts = [F(k, STACKED) for k in range(STACKED + 1)]
-    return [[(F(0), F(1)), (lo, hi)] for lo, hi in zip(cuts, cuts[1:])]
+    boxes = [[(F(0), F(1)), (lo, hi)] for lo, hi in zip(cuts, cuts[1:])]
+    lo, hi = boxes[STACKED - 2][1]
+    boxes[STACKED - 2][1] = (lo, hi + step)
+    return boxes
 
 
 def test_a_stacked_layout_validates_within_a_second(capsys, tmp_path):
@@ -340,34 +456,40 @@ def test_a_stacked_layout_validates_within_a_second(capsys, tmp_path):
 @pytest.mark.parametrize("step", [F(-1, 2 * STACKED), F(1, 2 * STACKED)], ids=["gap", "overlap"])
 def test_a_stacked_layout_with_one_bound_moved_exits_2_with_a_witness_within_a_second(
         capsys, tmp_path, step):
-    boxes = stacked_boxes()
-    k = STACKED - 2  # the top cell whose upper bound can move either way
-    lo, hi = boxes[k][1]
-    boxes[k][1] = (lo, hi + step)
+    boxes = stacked_boxes(step)
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(box_doc(boxes)))
     assert_exits_2_with_a_true_witness(capsys, boxes, path, overlap=step > 0)
+
+
+def on_cube(boxes):
+    """[0, 1]^m and cells on the boxes, as ``box_doc`` writes them bar the intercepts."""
+    m = len(boxes[0])
+    space = FeatureSpace(tuple(Feature(j + 1, f"x{j + 1}", IntervalDomain(F(0), F(1)))
+                               for j in range(m)))
+    return space, [Cell(tuple(box), F(0), (F(1),) * m) for box in boxes]
 
 
 def assert_exits_2_with_a_true_witness(capsys, boxes, path, overlap):
     with cpu_limit(1):
         assert run_cli(["validate", "--model", str(path)]) == 2
     err = capsys.readouterr().err
-    m = len(boxes[0])
-    space = FeatureSpace(tuple(Feature(j + 1, f"x{j + 1}", IntervalDomain(F(0), F(1)))
-                               for j in range(m)))
-    cells = [Cell(tuple(box), F(0), (F(1),) * m) for box in boxes]
-    assert_true_witness(space, cells, err)
+    assert_true_witness(*on_cube(boxes), err)
     assert (len(named_witness(err)[1]) >= 2) == overlap
 
 
 # A staircase of n steps on [0, 1]^2 (2n - 1 cells) defeats every sort axis
 # of a pair scan: each row overlaps every later cell on axis 0, each column
-# on axis 1. The sweep along axis 0 meets each cell twice.
+# on axis 1. The bitset check ANDs one mask per axis for each cell.
 
-def unit_staircase(cells):
+def unit_staircase(cells, move=0):
+    """The staircase; with move = 1 or -1, the middle row (n even) ends
+    1/2n later or sooner on axis 1."""
     n = (cells + 1) // 2
-    return staircase_boxes([F(k, n) for k in range(n + 1)])
+    boxes = staircase_boxes([F(k, n) for k in range(n + 1)])
+    lo, hi = boxes[n][1]
+    boxes[n][1] = (lo, hi + F(move, 2 * n))
+    return boxes
 
 
 @pytest.mark.parametrize("cells", [3999, 7999])
@@ -383,28 +505,34 @@ def test_a_staircase_validates_within_a_second(capsys, tmp_path, cells):
 @pytest.mark.parametrize("cells", [3999, 7999])
 def test_a_staircase_with_one_bound_moved_exits_2_with_a_witness_within_a_second(
         capsys, tmp_path, cells, overlap):
-    boxes = unit_staircase(cells)
-    k = cells // 2 + 1  # the middle row
-    (lo, hi), n = boxes[k][1], (cells + 1) // 2
-    boxes[k][1] = (lo, hi + F(1 if overlap else -1, 2 * n))
+    boxes = unit_staircase(cells, 1 if overlap else -1)
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(box_doc(boxes)))
     assert_exits_2_with_a_true_witness(capsys, boxes, path, overlap)
 
 
-# At m >= 3 the pair scan stays, with its checks guarded: the staircase
-# times [0, 1] makes about k^2/4 of them on k cells, 999,000 at 1,999 cells
-# and past POINT_GUARD at 3,999.
+# The staircase times [0, 1]: at m = 3 the check is as wide as at m = 2.
 
-@pytest.mark.parametrize("cells,code", [(1999, 0), (3999, 3)])
-def test_a_3d_staircase_past_the_pair_check_guard_exits_3_within_a_second(
-        capsys, tmp_path, cells, code):
+def unit_staircase_3d(cells, move=0):
+    return [box + [(F(0), F(1))] for box in unit_staircase(cells, move)]
+
+
+@pytest.mark.parametrize("cells", [1999, 3999, 7999])
+def test_a_3d_staircase_validates_within_a_second(capsys, tmp_path, cells):
     path = tmp_path / "staircase3.json"
-    path.write_text(json.dumps(box_doc([box + [(F(0), F(1))] for box in unit_staircase(cells)])))
+    path.write_text(json.dumps(box_doc(unit_staircase_3d(cells))))
     with cpu_limit(1):
-        assert run_cli(["validate", "--model", str(path)]) == code
-    if code == 3:
-        assert "partition check guarded at 1048576 pair checks" in capsys.readouterr().err
+        assert run_cli(["validate", "--model", str(path)]) == 0
+    assert f"ok: model valid ({cells} cells)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("overlap", [False, True], ids=["gap", "overlap"])
+def test_a_3d_staircase_with_one_bound_moved_exits_2_with_a_witness_within_a_second(
+        capsys, tmp_path, overlap):
+    boxes = unit_staircase_3d(7999, 1 if overlap else -1)
+    path = tmp_path / "broken3.json"
+    path.write_text(json.dumps(box_doc(boxes)))
+    assert_exits_2_with_a_true_witness(capsys, boxes, path, overlap)
 
 
 def test_3d_layouts_of_the_bench_sizes_validate():
