@@ -600,9 +600,8 @@ class BoxPiecewiseModel(_Frozen):
 
         pair = self._overlap()
         if pair is not None:
-            lo_a, hi_a, lo_b, hi_b = los[pair[0]], his[pair[0]], los[pair[1]], his[pair[1]]
-            return tuple(midpoint(j, max(lo_a[j], lo_b[j]), min(hi_a[j], hi_b[j]))
-                         for j in range(len(cuts)))
+            both = itemgetter(*pair)
+            return tuple(map(midpoint, range(len(cuts)), map(max, *both(los)), map(min, *both(his))))
         if sum(map(prod, map(map, repeat(sub), his, los))) == prod(slabs):
             return None
         # A gap: on each axis, fix the midpoint of the first slab whose cells
@@ -623,13 +622,15 @@ class BoxPiecewiseModel(_Frozen):
         return tuple(point)
 
     def _overlap(self) -> tuple[int, int] | None:
-        """Two overlapping cells, or None (orthogonal box intersection; Six and
-        Wood, BIT 1980). Bit p of a mask is the cell at position p by lower rank
-        on the axis with the most of them. On each axis started[r] holds the
-        cells with lower rank below r and ended[r] those with upper rank at most
-        r, so the cells that meet cell a are the AND over the axes of
-        started[hi_a] & ~ended[lo_a]; the first after a is named."""
+        """Two overlapping cells, or None (orthogonal box intersection; Six and Wood,
+        BIT 1980). Bit p of a mask is the cell at position p by lower rank on the axis
+        with the most of them. On each axis started[r] holds the cells with lower rank
+        below r and ended[r] those with upper rank at most r, so the cells meeting cell
+        a are the AND over the axes of started[hi_a] & ~ended[lo_a]; the first after a
+        is named. The unions, at most 2 * cuts * k bits per axis, are refused past 2^28."""
         los, his = self.lows, self.highs
+        if (bits := 2 * len(los) * sum(map(len, self.cuts))) > POINT_GUARD << 8:
+            raise SizeLimitError(f"partition check guarded at {POINT_GUARD << 8} bits, got {bits}")
         axis = max(range(len(los[0])), key=lambda j: len({lo[j] for lo in los}))
         order = sorted(range(len(los)), key=lambda k: los[k][axis])
         started, ended = [], []

@@ -435,13 +435,13 @@ def test_a_hostile_broken_layout_exits_2_with_a_witness_within_a_second(
 STACKED = 4000
 
 
-def stacked_boxes(step=0):
+def stacked_boxes(step=0, cells=STACKED):
     """The layout; with a step, the top cell whose upper bound can move either
     way ends that much later on axis 2."""
-    cuts = [F(k, STACKED) for k in range(STACKED + 1)]
+    cuts = [F(k, cells) for k in range(cells + 1)]
     boxes = [[(F(0), F(1)), (lo, hi)] for lo, hi in zip(cuts, cuts[1:])]
-    lo, hi = boxes[STACKED - 2][1]
-    boxes[STACKED - 2][1] = (lo, hi + step)
+    lo, hi = boxes[cells - 2][1]
+    boxes[cells - 2][1] = (lo, hi + step)
     return boxes
 
 
@@ -460,6 +460,17 @@ def test_a_stacked_layout_with_one_bound_moved_exits_2_with_a_witness_within_a_s
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(box_doc(boxes)))
     assert_exits_2_with_a_true_witness(capsys, boxes, path, overlap=step > 0)
+
+
+# The check's unions take up to 2 * cuts * k bits per axis: about 2k^2 on
+# axis 2 here, so 16,000 cells (5.1e8 bits) are refused before they are built.
+
+def test_a_stacked_layout_past_the_index_guard_exits_3_within_a_second(capsys, tmp_path):
+    path = tmp_path / "stacked.json"
+    path.write_text(json.dumps(box_doc(stacked_boxes(cells=16000))))
+    with cpu_limit(1):
+        assert run_cli(["validate", "--model", str(path)]) == 3
+    assert "partition check guarded at 268435456 bits, got 512096000" in capsys.readouterr().err
 
 
 def on_cube(boxes):
