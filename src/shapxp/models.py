@@ -50,7 +50,7 @@ instance ``__dict__`` of a class that keeps one.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter, namedtuple
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import cached_property
@@ -623,28 +623,34 @@ class BoxPiecewiseModel(_Frozen):
 
     def _overlap(self) -> tuple[int, int] | None:
         """Two overlapping cells, or None (orthogonal box intersection; Six and Wood,
-        BIT 1980). Bit p of a mask is the cell at position p by lower rank on the axis
-        with the most of them. On each axis started[r] holds the cells with lower rank
-        below r and ended[r] those with upper rank at most r, so the cells meeting cell
-        a are the AND over the axes of started[hi_a] & ~ended[lo_a]; the first after a
-        is named. The unions, at most 2 * cuts * k bits per axis, are refused past 2^28."""
+        BIT 1980). Bit p of a mask is the cell at position p by lower rank on the sort
+        axis, the axis with the most of them: there the later cells meeting cell a are
+        those up to the last one starting below hi_a. On each other axis started[r]
+        holds the cells with lower rank below r and ended[r] those with upper rank at
+        most r, so the cells meeting a are started[hi_a] & ~ended[lo_a] there; the
+        first after a meeting it on every axis is named. The unions, at most
+        2 * cuts * k bits per other axis, are refused past 2^28 in all."""
         los, his = self.lows, self.highs
-        if (bits := 2 * len(los) * sum(map(len, self.cuts))) > POINT_GUARD << 8:
-            raise SizeLimitError(f"partition check guarded at {POINT_GUARD << 8} bits, got {bits}")
         axis = max(range(len(los[0])), key=lambda j: len({lo[j] for lo in los}))
+        others = [j for j in range(len(los[0])) if j != axis]
+        if (bits := 2 * len(los) * sum(len(self.cuts[j]) for j in others)) > POINT_GUARD << 8:
+            raise SizeLimitError(f"partition check guarded at {POINT_GUARD << 8} bits, got {bits}")
         order = sorted(range(len(los)), key=lambda k: los[k][axis])
+        firsts = [los[k][axis] for k in order]
         started, ended = [], []
-        for j, cuts in enumerate(self.cuts):
-            starts, ends = [0] * len(cuts), [0] * len(cuts)
+        for j in others:
+            starts, ends = [0] * len(self.cuts[j]), [0] * len(self.cuts[j])
             for p, k in enumerate(order):
                 starts[los[k][j]] |= 1 << p
                 ends[his[k][j]] |= 1 << p
             started.append([0, *accumulate(starts, or_)])
             ended.append(list(accumulate(ends, or_)))
         for p, a in enumerate(order):
-            meet = -1 << (p + 1)
-            for s, e, lo, hi in zip(started, ended, los[a], his[a]):
-                meet &= s[hi] ^ e[lo]  # ended[lo] lies within started[hi]
+            # The later cells starting below hi_a: positions p + 1 .. c - 1, where c
+            # counts the lower ranks below hi_a, a's own and those before it among them.
+            meet = (1 << bisect_left(firsts, his[a][axis])) - (2 << p)
+            for j, s, e in zip(others, started, ended):
+                meet &= s[his[a][j]] ^ e[los[a][j]]  # ended[lo] lies within started[hi]
             if meet:
                 return a, order[(meet & -meet).bit_length() - 1]
         return None

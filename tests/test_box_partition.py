@@ -445,12 +445,17 @@ def stacked_boxes(step=0, cells=STACKED):
     return boxes
 
 
-def test_a_stacked_layout_validates_within_a_second(capsys, tmp_path):
+# On the sort axis the check counts ranks and builds no unions, so 16,000
+# stacked cells take 4k bits on axis 1, where the sort axis alone would
+# have taken about 2k^2 (5.1e8, past the guard).
+
+@pytest.mark.parametrize("cells", [STACKED, 16000])
+def test_a_stacked_layout_validates_within_a_second(capsys, tmp_path, cells):
     path = tmp_path / "stacked.json"
-    path.write_text(json.dumps(box_doc(stacked_boxes())))
+    path.write_text(json.dumps(box_doc(stacked_boxes(cells=cells))))
     with cpu_limit(1):
         assert run_cli(["validate", "--model", str(path)]) == 0
-    assert f"ok: model valid ({STACKED} cells)" in capsys.readouterr().out
+    assert f"ok: model valid ({cells} cells)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("step", [F(-1, 2 * STACKED), F(1, 2 * STACKED)], ids=["gap", "overlap"])
@@ -460,17 +465,6 @@ def test_a_stacked_layout_with_one_bound_moved_exits_2_with_a_witness_within_a_s
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(box_doc(boxes)))
     assert_exits_2_with_a_true_witness(capsys, boxes, path, overlap=step > 0)
-
-
-# The check's unions take up to 2 * cuts * k bits per axis: about 2k^2 on
-# axis 2 here, so 16,000 cells (5.1e8 bits) are refused before they are built.
-
-def test_a_stacked_layout_past_the_index_guard_exits_3_within_a_second(capsys, tmp_path):
-    path = tmp_path / "stacked.json"
-    path.write_text(json.dumps(box_doc(stacked_boxes(cells=16000))))
-    with cpu_limit(1):
-        assert run_cli(["validate", "--model", str(path)]) == 3
-    assert "partition check guarded at 268435456 bits, got 512096000" in capsys.readouterr().err
 
 
 def on_cube(boxes):
@@ -523,6 +517,18 @@ def test_a_staircase_with_one_bound_moved_exits_2_with_a_witness_within_a_second
 
 
 # The staircase times [0, 1]: at m = 3 the check is as wide as at m = 2.
+
+# The unions take 2 * cuts * k bits on each axis but the sort one: on
+# axis 1 of a staircase of n steps, 2 * (n + 1) * (2n - 1), so 16,999
+# cells (2.9e8 bits) are refused before they are built.
+
+def test_a_staircase_past_the_index_guard_exits_3_within_a_second(capsys, tmp_path):
+    path = tmp_path / "staircase.json"
+    path.write_text(json.dumps(box_doc(unit_staircase(16999))))
+    with cpu_limit(1):
+        assert run_cli(["validate", "--model", str(path)]) == 3
+    assert "partition check guarded at 268435456 bits, got 289016998" in capsys.readouterr().err
+
 
 def unit_staircase_3d(cells, move=0):
     return [box + [(F(0), F(1))] for box in unit_staircase(cells, move)]
