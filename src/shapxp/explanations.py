@@ -250,13 +250,13 @@ def guard_sufficiency_sampling(problem: ExplanationProblem, coalitions: int,
 def _minimal(masks: Iterable[int], m: int) -> tuple[int, ...]:
     """The inclusion-minimal masks over m features, in (size, ids) order.
     Each mask, smallest first, is compared with those kept; once that has
-    cost m * 2^m steps, and 2^m is within POINT_GUARD, the rest is read off
-    the masks' up-closure: a mask is minimal when the closure holds none of
-    the masks one feature smaller. Past that width the comparisons are
-    refused beyond BASIS_GUARD."""
+    cost 2^m comparisons, and 2^m is within POINT_GUARD, they are read off
+    the masks' up-closure U instead: the minimal masks are U less every
+    coalition one feature larger than one in U. Past that width the
+    comparisons are refused beyond BASIS_GUARD."""
     masks = sorted(set(masks), key=int.bit_count)
     closure = 1 << m <= POINT_GUARD
-    budget = m << m if closure else BASIS_GUARD
+    budget = 1 << m if closure else BASIS_GUARD
     kept, compared = [], 0
     for mask in masks:
         compared += len(kept)
@@ -264,10 +264,11 @@ def _minimal(masks: Iterable[int], m: int) -> tuple[int, ...]:
             if not closure:
                 raise SizeLimitError(f"contrastive basis over {m} features guarded "
                                      f"at {BASIS_GUARD} set comparisons")
-            found = _up_closure(masks, m).to_bytes(((1 << m) + 7) // 8, "little")
-            bits = [1 << j for j in range(m)]
-            return _in_order(mask for mask in masks if not any(
-                found[(mask ^ b) >> 3] >> ((mask ^ b) & 7) & 1 for b in bits if mask & b))
+            closed = _up_closure(masks, m)
+            above = reduce(or_, ((closed & low) << half for half, low in _lows(m)), 0)
+            digits = format(closed & ~above, f"0{1 << m}b").encode()  # coalition 2^m - 1 first
+            return _in_order(compress(reversed(range(1 << m)),
+                                      digits.translate(bytes.maketrans(b"01", b"\0\1"))))
         if all(k & mask != k for k in kept):
             kept.append(mask)
     return _in_order(kept)
@@ -302,6 +303,20 @@ def _minimal_cxps(problem: ExplanationProblem) -> tuple[int, ...]:
 # the basis's up-closure, which m whole-int steps build.
 
 
+def _lows(m: int) -> Iterator[tuple[int, int]]:
+    """For each feature k, 2^k and the coalitions over m features without
+    k, as an int whose bit S is set for coalition S: runs of 2^k ones and zeros."""
+    size = 1 << m
+    for k in range(m):
+        half = 1 << k
+        low = (1 << half) - 1
+        width = 2 * half
+        while width < size:  # doubled, as dividing out the runs is quadratic
+            low |= low << width
+            width *= 2
+        yield half, low
+
+
 def _up_closure(masks: Iterable[int], m: int) -> int:
     """The coalitions over m features that contain some mask, as an int
     whose bit S is set for coalition S. Each feature k in turn adds, to
@@ -311,13 +326,7 @@ def _up_closure(masks: Iterable[int], m: int) -> int:
     for mask in masks:
         found[mask >> 3] |= 1 << (mask & 7)
     closed = int.from_bytes(found, "little")
-    for k in range(m):
-        half = 1 << k
-        low = (1 << half) - 1  # the coalitions without k: runs of 2^k ones and zeros
-        width = 2 * half
-        while width < size:  # doubled, as dividing out the runs is quadratic
-            low |= low << width
-            width *= 2
+    for half, low in _lows(m):
         closed |= (closed & low) << half
     return closed
 

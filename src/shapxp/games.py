@@ -15,9 +15,9 @@ from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 from functools import partial
-from itertools import permutations
+from itertools import islice, permutations
 from math import factorial, lcm
-from operator import add
+from operator import add, mul
 
 from .errors import NumericOutputError, PreconditionError, SizeLimitError, ValidationError
 from .explanations import (
@@ -222,8 +222,12 @@ def _expected_table(problem: ExplanationProblem) -> CoalitionTable:
         sums[mask] += y.numerator * (scale // y.denominator)
     for k in range(space.m):  # each sum gains its supersets': m passes, O(m * 2^m)
         half, step = 1 << k, 2 << k  # masks lo..lo+half-1 lack bit k, the next half hold it
-        for lo in range(0, len(sums), step):
-            sums[lo:lo + half] = map(add, sums[lo:lo + half], sums[lo + half:lo + step])
+        if half < len(sums) // step:  # 2^k strided slices are fewer than the blocks
+            for r in range(half):
+                sums[r::step] = map(add, sums[r::step], sums[r + half::step])
+        else:
+            for lo in range(0, len(sums), step):
+                sums[lo:lo + half] = map(add, sums[lo:lo + half], sums[lo + half:lo + step])
     inside = [1]  # prod_{j in S} |D_j|, one feature at a time
     for feature in space.features:
         size = len(feature.domain.values)
@@ -238,25 +242,37 @@ def _expected_table(problem: ExplanationProblem) -> CoalitionTable:
 def shapley_exact(game: Game) -> ScoreVector:
     """Exact Shapley values by the weighted subset-sum formula.
 
-    score(i) = sum over S not containing i of
-               |S|! (m - |S| - 1)! / m! * (nu(S + i) - nu(S)).
+    score(k) = sum over S not containing k of
+               |S|! (m - |S| - 1)! / m! * (nu(S + k) - nu(S)).
 
     The game's coalition table (see :meth:`Game.table`, refused past
     POINT_GUARD coalitions) gives nu as integer numerators N over one
-    denominator d, so each sum of |S|! (m - |S| - 1)! * (N[S + i] - N[S])
-    is an integer, divided once by m! * d.
+    denominator d. With w(s) = s! (m - s - 1)! and w(-1) = w(m) = 0,
+    score(k) * m! * d = H_k - q: H_k sums R[T] = N[T] * (w(|T| - 1) + w(|T|))
+    over the coalitions T holding k, and q = sum_T N[T] * w(|T|) is every
+    player's. Folding R's top half onto its bottom half, bit m - 1 down to
+    bit 0, drops the coalitions holding k as one half, whose sum is H_k;
+    efficiency, sum_k (H_k - q) = m! * (N[full] - N[empty]), gives q.
     """
     m = game.m
     numerators, denominator = game.table()
-    weights = [factorial(s) * factorial(m - s - 1) for s in range(m)]
+    w = [0, *(factorial(s) * factorial(m - s - 1) for s in range(m)), 0]  # w[s + 1] = w(s)
+    weights = list(map(add, w, w[1:]))  # by |T|
+
+    def part(lo, hi):  # R over the coalitions lo..hi-1, built as read
+        return map(mul, islice(numerators, lo, hi),
+                   map(weights.__getitem__, map(int.bit_count, range(lo, hi))))
+
+    held = []  # H_k, k = m - 1 down to 0
+    for k in reversed(range(m)):
+        top = list(part(1 << k, 2 << k))
+        held.append(sum(top))
+        folded = list(map(add, part(0, 1 << k), top))  # R, or the last fold, freed after
+        part = partial(islice, folded)
+    held.reverse()
+    q = (sum(held) - factorial(m) * (numerators[-1] - numerators[0])) // max(m, 1)
     scale = factorial(m) * denominator
-    scores = []
-    for k in range(m):
-        bit = 1 << k
-        acc = sum(weights[s.bit_count()] * (numerators[s | bit] - numerators[s])
-                  for s in range(1 << m) if not s & bit)
-        scores.append(Fraction(acc, scale))
-    return ScoreVector(tuple(scores), game.tag, "exact")
+    return ScoreVector(tuple(Fraction(h - q, scale) for h in held), game.tag, "exact")
 
 
 def shapley_via_permutations(game: Game) -> ScoreVector:

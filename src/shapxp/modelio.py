@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from operator import add, getitem, itemgetter, mul, ne
 
 from .errors import DomainError, SizeLimitError, ValidationError
@@ -264,13 +264,15 @@ def _tabular_from(doc, space, value_kind, where) -> TabularModel:
 
 def _table_columns(entries, space, value_kind, outputs) -> list | None:
     """The entry loop's filling of the empty ``outputs``, read column by
-    column: each feature's distinct tokens are parsed and looked up once,
-    and whole columns are mapped to slot offsets and values. Nothing is
-    filled, and None returned, unless the table is regular: entries are
-    objects with a 'point' of m tokens and a 'value', every token's type is
-    in _TOKEN_TYPES, every point lies in the space, no point repeats and
-    every value parses. The entry loop reports what is irregular; it is
-    the reference this path must agree with."""
+    column: a table of one entry per point whose columns list the domains
+    in slot order (the first feature varying slowest) fills the slots in
+    turn, and any other has each feature's distinct tokens parsed and
+    looked up once, and whole columns mapped to slot offsets and values.
+    Nothing is filled, and None returned, unless the table is regular:
+    entries are objects with a 'point' of m tokens and a 'value', every
+    token's type is in _TOKEN_TYPES, every point lies in the space, no
+    point repeats and every value parses. The entry loop reports what is
+    irregular; it is the reference this path must agree with."""
     try:
         points = list(map(itemgetter("point"), entries))
         raw_values = list(map(itemgetter("value"), entries))
@@ -279,26 +281,37 @@ def _table_columns(entries, space, value_kind, outputs) -> list | None:
     if not ({*map(type, entries)} <= {dict} and {*map(type, points)} <= {list}
             and {*map(len, points)} <= {space.m} and {*map(type, raw_values)} <= _TOKEN_TYPES):
         return None
-    slots = [0] * len(points)
-    for j, (feature, stride) in enumerate(zip(space.features, space.strides)):
-        column = list(map(itemgetter(j), points))  # one column at a time
+    n = len(points)
+    slots = None if n == space.size else [0] * n  # None while the columns run in slot order
+    for feature, stride, column in zip(space.features, space.strides, zip(*points)):
         if not {*map(type, column)} <= _TOKEN_TYPES:
             return None
+        domain = feature.domain.values
+        block = stride * len(domain)  # the slots one pass over the domain spans
+        if slots is None:
+            if column == tuple(chain.from_iterable(map(repeat, domain, repeat(stride)))) * (
+                    n // block):
+                continue
+            slots = [slot - slot % block for slot in range(n)]  # the earlier columns' offsets
         index = feature.domain.index
         try:
             offsets = {t: index[read_discrete(t)] * stride for t in set(column)}
         except KeyError:  # a value outside the domain
             return None
         slots = list(map(add, slots, map(offsets.__getitem__, column)))
-    if len(set(slots)) < len(slots):
+    if slots is not None and len(set(slots)) < n:
         return None
     parse = _OUTPUT[value_kind]
     try:
         values = {t: parse(t, "") for t in set(raw_values)}
     except ValidationError:
         return None
-    for slot, y in zip(slots, map(values.__getitem__, raw_values)):
-        outputs[slot] = y
+    read = map(values.__getitem__, raw_values)
+    if slots is None:  # every column ran in slot order
+        outputs[:] = read
+    else:
+        for slot, y in zip(slots, read):
+            outputs[slot] = y
     return outputs
 
 

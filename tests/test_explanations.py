@@ -1,4 +1,5 @@
 import inspect
+import json
 import random
 import warnings
 from fractions import Fraction as F
@@ -48,9 +49,11 @@ from shapxp.explanations import (
     agnostic_support,
     sufficiency_table,
 )
+from shapxp.modelio import model_from_dict
 from shapxp.models import Instance, labelled_points
 from boxmodels import random_grid_model, random_kd_model
 from conftest import cpu_limit, rebuilt
+from test_io_cli import chain_tree_doc
 from randmodels import (
     brute_force_axps,
     brute_force_cxps,
@@ -513,22 +516,65 @@ class TestUpClosure:
             assert sufficiency_table(problem) == [int(all(b & s for b in basis))
                                                   for s in range(1 << m)]
 
-    @pytest.mark.parametrize("m", range(6, 11))
+    @pytest.mark.parametrize("m", [*range(6, 11), 12])
     def test_minimal_past_its_budget_equals_the_pairwise_reference(self, m, monkeypatch):
-        up_closure, calls = shapxp.explanations._up_closure, []
-
-        def counted(masks, m):
-            calls.append(m)
-            return up_closure(masks, m)
-
-        monkeypatch.setattr(shapxp.explanations, "_up_closure", counted)
+        calls = counted_up_closures(monkeypatch)
         rng = random.Random(m)
-        families = [seeded_family(rng, m, 2 << m) for _ in range(3)]
-        if m >= 8:  # narrower ones stay within the budget
+        if m == 12:  # the disagreements of 400 rows of a sample
+            families = [[rng.randrange(1 << m) for _ in range(400)]]
+        else:
+            families = [seeded_family(rng, m, 2 << m) for _ in range(3)]
+        if 8 <= m <= 10:  # narrower ones stay within the budget
             families += [one_witness_family(rng, m) for _ in range(3)]
+        if m == 10:
+            families.append(dense_table_family(rng, m))
         for masks in families:
             assert _minimal(masks, m) == pairwise_minimal(masks)
         assert calls == [m] * len(families)
+
+    def test_the_closure_is_built_past_2_to_the_m_comparisons_only(self, monkeypatch):
+        # No pair of features holds another, so each of n pairs is compared with
+        # every one kept before it: n (n - 1) / 2 comparisons, 28 for 8 and 36
+        # for 9, against a budget of 2^5.
+        calls = counted_up_closures(monkeypatch)
+        pairs = [1 << a | 1 << b for a, b in combinations(range(5), 2)]
+        for n, built in ((8, False), (9, True)):
+            calls.clear()
+            assert _minimal(pairs[:n], 5) == pairwise_minimal(pairs[:n])
+            assert bool(calls) == built
+
+    def test_a_tree_basis_is_kept_pairwise(self, monkeypatch):
+        # The 20-feature chain tree's leaves give 21 masks: the closure's
+        # 2^20 bits would cost this basis milliseconds.
+        calls = counted_up_closures(monkeypatch)
+        model = model_from_dict(json.loads(chain_tree_doc(20)))
+        problem = ExplanationProblem(model, make_instance(model, (1,) * 20),
+                                     SimilarityConfig.class_equality())
+        assert problem.contrastive_basis == tuple(1 << k for k in range(1, 20, 2))
+        assert calls == []
+
+
+def counted_up_closures(monkeypatch):
+    """The m of every _up_closure call from here on."""
+    up_closure, calls = shapxp.explanations._up_closure, []
+
+    def counted(masks, m):
+        calls.append(m)
+        return up_closure(masks, m)
+
+    monkeypatch.setattr(shapxp.explanations, "_up_closure", counted)
+    return calls
+
+
+def dense_table_family(rng, m):
+    """The disagreement masks of a table like the benchmark's tab10: m
+    binary features, one irrelevant, four output values, about 3/4 of
+    its 2^m points dissimilar from a random instance's."""
+    relevant = (1 << m) - 1 - (1 << rng.randrange(m))
+    values = [rng.randrange(4) for _ in range(1 << m)]
+    v = rng.randrange(1 << m)
+    return [point ^ v for point in range(1 << m)
+            if values[point & relevant] != values[v & relevant]]
 
 
 class TestHittingSetDuality:

@@ -19,11 +19,11 @@ from itertools import chain
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from shapxp import ValidationError, load_model
+from shapxp import DomainError, ValidationError, load_model
 from shapxp.cli import run_cli
 from shapxp.modelio import (_box_cells, _box_columns, _sample_columns, _sample_lines,
                             _space_from, _split_header, _table_columns, _table_entries,
-                            model_from_dict, parse_value)
+                            model_from_dict, parse_value, read_point)
 from shapxp.models import CATEGORICAL, NUMERIC, dense_slots
 from boxmodels import random_grid_model, random_kd_model
 from conftest import FIXTURES, cpu_limit
@@ -368,7 +368,38 @@ def table_paths(doc):
 
 def assert_table_paths_agree(doc):
     """The column path returns None exactly when the entry loop raises, and
-    otherwise the loop's exact outputs; returns whether it read the table."""
+    otherwise the loop's exact outputs; returns whether it read the table.
+    The table is also checked with its entries sorted into slot order and
+    reversed, so that the columns' slot-order branch and their offset
+    branch both meet every table drawn."""
+    for reordered in slot_ordered(doc):
+        assert_one_table_order_agrees(reordered)
+    return assert_one_table_order_agrees(doc)
+
+
+def slot_ordered(doc):
+    """The document with its entries sorted by the slot the entry loop
+    reads for them, those it cannot read last, then reversed; nothing when
+    the table or its space cannot be read."""
+    try:
+        space = _space_from(doc.get("features"), "model")
+        dense_slots(space)
+    except ValidationError:
+        return
+
+    def slot(entry):
+        try:
+            return space.slot(read_point(space, entry["point"], "model"))
+        except (DomainError, ValidationError, KeyError, TypeError):
+            return space.size
+
+    if isinstance(doc.get("table"), list):
+        ordered = sorted(doc["table"], key=slot)
+        yield dict(doc, table=ordered)
+        yield dict(doc, table=ordered[::-1])
+
+
+def assert_one_table_order_agrees(doc):
     paths = table_paths(doc)
     if paths is None:
         return False
@@ -515,6 +546,32 @@ def test_a_table_the_columns_read_gives_the_loop_outputs(doc):
     regular = assert_table_paths_agree(doc)
     assert regular == all(isinstance(t, (int, Fraction)) for entry in doc["table"]
                           for t in entry["point"])
+
+
+def reg2_points(*points):
+    """reg2's table, which lists its space in slot order, with these points."""
+    return table_with(table=[dict(entry, point=point) for entry, point in zip(REG2_TABLE, points)])
+
+
+@pytest.mark.parametrize("doc,error", [
+    (reg2_points([0, 0], [0, True], [1, 0], [1, 1]),
+     "model: table entry 1: booleans are not rationals"),
+    (reg2_points([0, 0], [0, 1], [1, 0], [1, 0]),
+     "model: table entry 3: duplicate point (Fraction(1, 1), Fraction(0, 1))"),
+], ids=["true-where-the-domain-holds-1", "a-duplicate-for-a-missing-point"])
+def test_a_table_of_one_entry_per_point_that_is_irregular_gets_the_loops_error(doc, error):
+    columns, loop = table_paths(doc)
+    assert columns is None and str(loop) == error
+
+
+@pytest.mark.parametrize("doc", [
+    reg2_points([0, 0], [0, "1"], [1, 0], [1, 1]),
+    reg2_points([0, 0], [0, 1], ["2/2", 0], [1, 1]),
+    json.loads(json.dumps(reg2_points([0, 0], [0, 1], [1, 0], [1, 1])).replace(
+        "[1, 1]", "[1.0, 1]"), parse_float=parse_value),
+], ids=["a-string-1", "2/2", "a-decimal-1.0"])
+def test_a_slot_ordered_table_spelled_otherwise_gives_the_loop_outputs(doc):
+    assert assert_table_paths_agree(doc)
 
 
 SAMPLE_CASES = {  # (lines, whether the columns read them)

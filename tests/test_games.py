@@ -5,6 +5,7 @@ import runpy
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 from itertools import combinations
+from math import factorial
 
 import pytest
 
@@ -41,8 +42,9 @@ from shapxp import (
 )
 from shapxp.cli import run_cli
 from shapxp.models import output_range
-from conftest import FIXTURES, rebuilt
+from conftest import FIXTURES, cpu_limit, rebuilt
 from randmodels import random_tabular_problem, subsets
+from test_io_cli import chain_tree_doc
 
 ROOT = FIXTURES.parent.parent
 
@@ -127,6 +129,56 @@ class TestShapleyExact:
         assert vec.total() == F(1, 4)
         assert vec.m == 2
         assert (vec.game, vec.method) == ("expected", "exact")
+
+
+def shapley_loop(game):
+    """The weighted subset-sum formula term by term, one sum per player
+    over the coalitions without it: the reference for shapley_exact's folds."""
+    m = game.m
+    numerators, denominator = game.table()
+    weights = [factorial(s) * factorial(m - s - 1) for s in range(m)]
+    return tuple(F(sum(weights[s.bit_count()] * (numerators[s | 1 << k] - numerators[s])
+                       for s in range(1 << m) if not s >> k & 1), factorial(m) * denominator)
+                 for k in range(m))
+
+
+def table_game(rng, m):
+    """A game of m players whose table has numerators up to +-10^30 over a
+    denominator of 1..9; its function reads the same table."""
+    numerators = [rng.randint(-10 ** 30, 10 ** 30) for _ in range(1 << m)]
+    denominator = rng.randint(1, 9)
+    return Game(tuple(range(1, m + 1)),
+                lambda s: F(numerators[sum(1 << p - 1 for p in s)], denominator),
+                kernel=lambda: (numerators, denominator))
+
+
+class TestShapleyFolds:
+    @pytest.mark.parametrize("m", range(11))
+    def test_the_folds_equal_the_loop_and_the_permutations(self, m):
+        # All m! orders cost about 0.25 s a game at m = 7, 10^2 times that at
+        # m = 10, so the loop alone checks m = 7..10.
+        rng = random.Random(2026 + m)
+        for _ in range(20 if m <= 6 else 4):
+            game = table_game(rng, m)
+            scores = shapley_exact(game).scores
+            assert scores == shapley_loop(game)
+            if m <= 6:
+                assert scores == shapley_via_permutations(game).scores
+
+    def test_the_folds_equal_the_loop_at_fourteen_players(self):
+        game = table_game(random.Random(14), 14)
+        assert shapley_exact(game).scores == shapley_loop(game)
+
+    def test_a_20_feature_chain_trees_sufficiency_scores_answer_within_a_second(
+            self, capsys, tmp_path):
+        # The basis is the 10 even singletons, so the game is their unanimity game.
+        path = tmp_path / "chain.json"
+        path.write_text(chain_tree_doc(20))
+        with cpu_limit(1):
+            assert run_cli(["shap", "--model", str(path), "--instance", ",".join("1" * 20),
+                            "--game", "waxp"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[4:24]]
+        assert [row[-1] for row in rows] == ["0", "1/10"] * 10
 
 
 class TestShapleyPermutations:
