@@ -502,13 +502,21 @@ def table_with(**changes):
     return doc
 
 
-REG2_TABLE = table_with()["table"]
+REG2_TABLE = table_with()["table"]  # its space in slot order
+
+
+def reg2_points(*points):
+    """reg2's table with these points."""
+    return [dict(entry, point=point) for entry, point in zip(REG2_TABLE, points)]
+
+
 IRREGULAR_TABLES = {  # each sends the table to the entry loop
     "one-point-twice": [{"point": [1], "value": 1}, {"point": ["1/1"], "value": 0}],
     "a-true-token": [{"point": [True, 0], "value": 1}] + REG2_TABLE[1:],
     "a-missing-value": [{"point": [0, 0]}] + REG2_TABLE[1:],
     "a-non-object-entry": [[[0, 0], 1]] + REG2_TABLE[1:],
     "a-true-value-after-a-one": REG2_TABLE[:3] + [{"point": [1, 1], "value": True}],
+    "a-duplicate-for-a-missing-point": reg2_points([0, 0], [0, 1], [1, 0], [1, 0]),
 }
 
 
@@ -548,27 +556,10 @@ def test_a_table_the_columns_read_gives_the_loop_outputs(doc):
                           for t in entry["point"])
 
 
-def reg2_points(*points):
-    """reg2's table, which lists its space in slot order, with these points."""
-    return table_with(table=[dict(entry, point=point) for entry, point in zip(REG2_TABLE, points)])
-
-
-@pytest.mark.parametrize("doc,error", [
-    (reg2_points([0, 0], [0, True], [1, 0], [1, 1]),
-     "model: table entry 1: booleans are not rationals"),
-    (reg2_points([0, 0], [0, 1], [1, 0], [1, 0]),
-     "model: table entry 3: duplicate point (Fraction(1, 1), Fraction(0, 1))"),
-], ids=["true-where-the-domain-holds-1", "a-duplicate-for-a-missing-point"])
-def test_a_table_of_one_entry_per_point_that_is_irregular_gets_the_loops_error(doc, error):
-    columns, loop = table_paths(doc)
-    assert columns is None and str(loop) == error
-
-
 @pytest.mark.parametrize("doc", [
-    reg2_points([0, 0], [0, "1"], [1, 0], [1, 1]),
-    reg2_points([0, 0], [0, 1], ["2/2", 0], [1, 1]),
-    json.loads(json.dumps(reg2_points([0, 0], [0, 1], [1, 0], [1, 1])).replace(
-        "[1, 1]", "[1.0, 1]"), parse_float=parse_value),
+    table_with(table=reg2_points([0, 0], [0, "1"], [1, 0], [1, 1])),
+    table_with(table=reg2_points([0, 0], [0, 1], ["2/2", 0], [1, 1])),
+    json.loads(json.dumps(table_with()).replace("[1, 1]", "[1.0, 1]"), parse_float=parse_value),
 ], ids=["a-string-1", "2/2", "a-decimal-1.0"])
 def test_a_slot_ordered_table_spelled_otherwise_gives_the_loop_outputs(doc):
     assert assert_table_paths_agree(doc)
