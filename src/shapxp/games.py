@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from itertools import islice, permutations
 from math import factorial, lcm
 from operator import add, mul
@@ -34,6 +34,7 @@ from .models import (
     _Frozen,
     _over_lcd,
     _set,
+    coalition_fold,
     conditional_expectation,
     guard_slices,
     output_range,
@@ -210,28 +211,23 @@ def waxp_game(problem: ExplanationProblem) -> Game:
 def _expected_table(problem: ExplanationProblem) -> CoalitionTable:
     """The expected-value game of a discrete model, for every coalition.
 
-    With L the least common denominator of the model's outputs, the folded
-    sums f[S] of y * L satisfy nu(S) = f[S] / (L * prod_{j not in S} |D_j|),
-    which over the common denominator L * |space| has the numerator
-    f[S] * prod_{j in S} |D_j|."""
-    space = problem.model.space
-    outputs = list(problem.model.masked_outputs(problem.instance.point))
-    scale = lcm(*{y.denominator for _, y in outputs})  # outputs are int or Fraction
-    sums = [0] * (1 << space.m)
-    for mask, y in outputs:
-        sums[mask] += y.numerator * (scale // y.denominator)
-    for k in range(space.m):  # each sum gains its supersets': m passes, O(m * 2^m)
-        half, step = 1 << k, 2 << k  # masks lo..lo+half-1 lack bit k, the next half hold it
-        if half < len(sums) // step:  # 2^k strided slices are fewer than the blocks
-            for r in range(half):
-                sums[r::step] = map(add, sums[r::step], sums[r + half::step])
-        else:
-            for lo in range(0, len(sums), step):
-                sums[lo:lo + half] = map(add, sums[lo:lo + half], sums[lo + half:lo + step])
+    With L the least common denominator of the model's outputs, the sums
+    f[S] of y * L over the slice x_S = v_S satisfy
+    nu(S) = f[S] / (L * prod_{j not in S} |D_j|), which over the common
+    denominator L * |space| has the numerator f[S] * prod_{j in S} |D_j|.
+    coalition_fold sums the numerators' slot column, m whole-list passes."""
+    model, space = problem.model, problem.model.space
+    outputs = {id(y): y for y in model._values()}  # the few output objects, int or Fraction
+    scale = lcm(*{y.denominator for y in outputs.values()})
+    column = model._column()
+    if {*map(type, outputs.values())} != {int}:  # else each is its own numerator, L = 1
+        numerator = {k: y.numerator * (scale // y.denominator) for k, y in outputs.items()}
+        column = list(map(numerator.__getitem__, map(id, column)))
+    sums = coalition_fold(column, space, problem.instance.point,  # a free feature: rows summed
+                          lambda rows, k: list(reduce(partial(map, add), rows)))
     inside = [1]  # prod_{j in S} |D_j|, one feature at a time
-    for feature in space.features:
-        size = len(feature.domain.values)
-        inside += [n * size for n in inside]
+    for radix in space.radices:
+        inside += [n * radix for n in inside]
     return [f * n for f, n in zip(sums, inside)], scale * inside[-1]
 
 

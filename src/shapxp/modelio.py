@@ -155,18 +155,20 @@ def rational_str(v) -> str:
 # ---------------------------------------------------------------------------
 
 def load_model(path) -> Model:
-    """Read and validate a JSON model file."""
+    """Read and validate a JSON model file. A JSON boolean is spelled
+    ``true`` or ``false``, so a text holding neither has none."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh, parse_float=parse_value)
+            text = fh.read()
+            doc = json.loads(text, parse_float=parse_value)
         except (ValueError, RecursionError) as exc:
             # Bad JSON, bytes that are not UTF-8 and integer literals past
             # Python's digit limit raise ValueError; deep nesting recurses.
             raise ValidationError(f"{path}: not valid UTF-8 JSON ({exc})") from None
-    return model_from_dict(doc, where=str(path))
+    return model_from_dict(doc, str(path), "true" in text or "false" in text)
 
 
-def model_from_dict(doc: dict, where: str = "model") -> Model:
+def model_from_dict(doc: dict, where: str = "model", booleans: bool = True) -> Model:
     if not isinstance(doc, dict):
         raise ValidationError(f"{where}: model document must be a JSON object")
     if doc.get("version") != SCHEMA_VERSION:
@@ -178,7 +180,7 @@ def model_from_dict(doc: dict, where: str = "model") -> Model:
         raise ValidationError(f"{where}: unknown value_kind {value_kind!r}")
     space = _space_from(doc.get("features"), where)
     if kind == "tabular":
-        return _tabular_from(doc, space, value_kind, where)
+        return _tabular_from(doc, space, value_kind, where, booleans)
     if kind == "tree":
         return _tree_from(doc, space, value_kind, where)
     if kind == "box_piecewise":
@@ -245,14 +247,14 @@ def _memo_value(memo: dict, raw, parse, where: str):
         return parse(raw, where)
 
 
-def _tabular_from(doc, space, value_kind, where) -> TabularModel:
+def _tabular_from(doc, space, value_kind, where, booleans) -> TabularModel:
     """The table read by columns when it is regular, else by the entry
     loop, which raises on what is not."""
     entries = doc.get("table")
     if not isinstance(entries, list):
         raise ValidationError(f"{where}: tabular model needs a 'table' list")
     outputs = dense_slots(space)
-    if _table_columns(entries, space, value_kind, outputs) is None:
+    if _table_columns(entries, space, value_kind, outputs, booleans) is None:
         _table_entries(entries, space, value_kind, outputs, where)
     if "default" in doc:
         default = _OUTPUT[value_kind](doc["default"], f"{where}: default")
@@ -262,7 +264,7 @@ def _tabular_from(doc, space, value_kind, where) -> TabularModel:
     return TabularModel(space, outputs, value_kind)
 
 
-def _table_columns(entries, space, value_kind, outputs) -> list | None:
+def _table_columns(entries, space, value_kind, outputs, booleans) -> list | None:
     """The entry loop's filling of the empty ``outputs``, read column by
     column: a table of one entry per point whose columns list the domains
     in slot order (the first feature varying slowest) fills the slots in
@@ -272,7 +274,11 @@ def _table_columns(entries, space, value_kind, outputs) -> list | None:
     entries are objects with a 'point' of m tokens and a 'value', every
     token's type is in _TOKEN_TYPES, every point lies in the space, no
     point repeats and every value parses. The entry loop reports what is
-    irregular; it is the reference this path must agree with."""
+    irregular; it is the reference this path must agree with.
+
+    A column equal to its slot-order column has each token read as the
+    domain value it equals, unless one is a JSON boolean (True == 1), so
+    its types are checked only when ``booleans``: the text may hold one."""
     try:
         points = list(map(itemgetter("point"), entries))
         raw_values = list(map(itemgetter("value"), entries))
@@ -284,14 +290,15 @@ def _table_columns(entries, space, value_kind, outputs) -> list | None:
     n = len(points)
     slots = None if n == space.size else [0] * n  # None while the columns run in slot order
     for feature, stride, column in zip(space.features, space.strides, zip(*points)):
-        if not {*map(type, column)} <= _TOKEN_TYPES:
-            return None
         domain = feature.domain.values
         block = stride * len(domain)  # the slots one pass over the domain spans
+        in_order = slots is None and column == tuple(
+            chain.from_iterable(map(repeat, domain, repeat(stride)))) * (n // block)
+        if (booleans or not in_order) and not {*map(type, column)} <= _TOKEN_TYPES:
+            return None
+        if in_order:
+            continue
         if slots is None:
-            if column == tuple(chain.from_iterable(map(repeat, domain, repeat(stride)))) * (
-                    n // block):
-                continue
             slots = [slot - slot % block for slot in range(n)]  # the earlier columns' offsets
         index = feature.domain.index
         try:

@@ -18,13 +18,13 @@ end of this module check their inputs and then call it:
 * ``slice_expectation(v, fixed)`` - the mean output over the slice under
   the uniform, feature-independent product distribution;
 * ``output_range()`` - the exact (min, max) output over the whole space;
-* ``labelled_points()``, ``masked_outputs(v)`` and ``relabel(mapping)`` -
-  the discrete kinds only: every point with its output, every point's
-  agreement mask with v with its output, and the model under an output
+* ``labelled_points()`` and ``relabel(mapping)`` - the discrete kinds
+  only: every point with its output, and the model under an output
   relabeling;
 * ``disagreements(v, dissimilar)`` - masks of weak contrastive
-  explanations, every minimal one among them: a table's from its points,
-  a tree's from its leaves, a box model's from its cells per coalition.
+  explanations, every minimal one among them: a table's from its points
+  by ``coalition_fold``, a tree's from its leaves, a box model's from its
+  cells per coalition.
 
 Each kind derives them from one primitive: box models each cell's integer
 form over its own denominator (``Cell._integers``), the discrete kinds a
@@ -53,7 +53,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter, namedtuple
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
 from itertools import accumulate, chain, compress, product, repeat
 from math import lcm, prod
@@ -259,8 +259,8 @@ class FeatureSpace(_Frozen):
 class _EnumerableModel(_Frozen):
     """Semantics shared by the discrete kinds, all read by slot of the
     space's numbering. Subclasses define ``_read`` (slot -> output),
-    ``_values`` (every output the model can produce, repeats allowed),
-    ``_relabelled`` and ``disagreements``."""
+    ``_values`` (every output object the model can produce, repeats
+    allowed), ``_relabelled`` and ``disagreements``."""
 
     __slots__ = ()
 
@@ -285,19 +285,13 @@ class _EnumerableModel(_Frozen):
         values = self._values()
         return Fraction(min(values)), Fraction(max(values))
 
-    # Every point with its output, in slot order; the product of per-feature
-    # agreement bits in masked_outputs runs in the same order.
     def labelled_points(self) -> Iterator[tuple[Point, Value]]:
+        """Every point with its output, in slot order."""
         return zip(self.space.points(), map(self._read, self.space.slots()))
 
-    def masked_outputs(self, v: Point) -> Iterator[tuple[int, Value]]:
-        """(agreement mask with v, output) of every point of the space."""
-        return zip(self._agreements(v), map(self._read, self.space.slots()))
-
-    def _agreements(self, v: Point) -> Iterator[int]:
-        axes = [[1 << j if x == v[j] else 0 for x in f.domain.values]
-                for j, f in enumerate(self.space.features)]
-        return map(sum, _product(axes))
+    def _column(self):
+        """The output at every slot, in slot order."""
+        return list(map(self._read, self.space.slots()))
 
     def relabel(self, mapping: Mapping):
         """The same model with each output y replaced by mapping[y]; the map
@@ -316,9 +310,9 @@ class _EnumerableModel(_Frozen):
 class TabularModel(_EnumerableModel):
     """Total lookup table over a fully discrete feature space, stored dense:
     ``outputs`` holds the output at every slot of the space's numbering,
-    ``distinct`` the distinct outputs."""
+    ``firsts`` each output object by its id, first appearances first."""
 
-    __slots__ = ("space", "outputs", "value_kind", "distinct")
+    __slots__ = ("space", "outputs", "value_kind", "firsts")
     _fields = ("space", "outputs", "value_kind")
 
     def __init__(self, space: FeatureSpace, outputs: tuple, value_kind: str = NUMERIC):
@@ -330,30 +324,36 @@ class TabularModel(_EnumerableModel):
         # The outputs repeat a few objects (the loader parses each distinct
         # token once), so they are told apart by identity before hashing;
         # the first appearances, in slot order, are checked for the others.
-        firsts = dict(zip(map(id, outputs), outputs)).values()
-        if None in firsts:
+        firsts = dict(zip(map(id, outputs), outputs))
+        if None in firsts.values():
             raise not_total(space, outputs)
-        _check_values(firsts, value_kind)
-        distinct = frozenset(firsts)
-        if len(distinct) < 2:
+        _check_values(firsts.values(), value_kind)
+        if len(set(firsts.values())) < 2:
             raise ValidationError("model is constant; a non-constant prediction function is required")
         _set(self, "space", space)
         _set(self, "outputs", outputs)
         _set(self, "value_kind", value_kind)
-        _set(self, "distinct", distinct)
+        _set(self, "firsts", firsts)
 
     @property
     def _read(self):
         return self.outputs.__getitem__
 
+    def _column(self):
+        return list(self.outputs)
+
     def _values(self):
-        return self.distinct
+        return self.firsts.values()
 
     def disagreements(self, v: Point, dissimilar: Callable[[Value], bool]) -> Iterator[int]:
-        """The disagreement mask with v (bit j: x_j != v_j) of every point
-        whose output is ``dissimilar``, tested once per output object."""
-        full = (1 << self.space.m) - 1
-        return map(full.__xor__, compress(self._agreements(v), verdicts(dissimilar, self.outputs)))
+        """Each distinct disagreement mask with v (bit j: x_j != v_j) of the
+        points whose output is ``dissimilar``, once: each output object is
+        tested once, and the 0/1 column of verdicts folded over the
+        agreement masks, the other rows ORed where feature j differs."""
+        verdict = {k: dissimilar(y) for k, y in self.firsts.items()}
+        hits = bytes(map(verdict.__getitem__, map(id, self.outputs)))
+        present = coalition_fold(hits, self.space, v, _or_others)
+        return compress(range((1 << self.space.m) - 1, -1, -1), present)  # S -> full ^ S
 
     def _relabelled(self, mapping: Mapping, value_kind: str) -> "TabularModel":
         return TabularModel(self.space, tuple(map(mapping.__getitem__, self.outputs)), value_kind)
@@ -810,6 +810,29 @@ def verdicts(test: Callable[[Value], bool], outputs: list) -> Iterator[bool]:
     firsts = dict(zip(map(id, outputs), outputs))
     verdict = {k: test(y) for k, y in firsts.items()}
     return map(verdict.__getitem__, map(id, outputs))
+
+
+def coalition_fold(column, space: FeatureSpace, v: Point, merge: Callable) -> list:
+    """Entry S for every coalition mask S (bit j: feature j + 1), folded
+    from ``column`` (a list or bytes, one entry per slot) as in Yates's
+    algorithm. One whole-list pass per feature, the last (fastest) first,
+    turns its rows ``column[k::r_j]`` into ``merge(rows, k)`` followed by
+    the row at v_j's position k: the halves where bit j is clear and set.
+    An entry's index is then its mask with the m bits reversed."""
+    for radix, index, x in zip(reversed(space.radices), reversed(space.indexes), reversed(v)):
+        k = index[x]
+        rows = [column[i::radix] for i in range(radix)]
+        column = merge(rows, k) + rows[k]
+    order = [0]  # index -> mask, its m bits reversed, by doubling
+    for _ in range(space.m):
+        order = [r << 1 for r in order]
+        order += [r | 1 for r in order]
+    return list(map(column.__getitem__, order))
+
+
+def _or_others(rows: list[bytes], k: int) -> bytes:  # zeros when there is no other row
+    others = map(int.from_bytes, rows[:k] + rows[k + 1:], repeat("big"))
+    return reduce(or_, others, 0).to_bytes(len(rows[k]), "big")
 
 
 Model = TabularModel | TreeModel | BoxPiecewiseModel

@@ -51,36 +51,43 @@ def random_tabular_problem(rng, max_m=5, max_domain=3):
                               SimilarityConfig.class_equality())
 
 
-def random_table(rng, max_m=4, max_domain=4, categorical=False):
+def random_table(rng, max_m=4, max_domain=4, categorical=False, min_domain=2, m=None,
+                 pool=None):
     """A random space whose domains mix labels and rationals, with a
-    non-constant output per point in lexicographic order."""
-    m = rng.randint(1, max_m)
+    non-constant output per point in lexicographic order, drawn from
+    ``pool`` when given. The first domain has two values or more."""
+    m = m or rng.randint(1, max_m)
     space = FeatureSpace(tuple(
-        Feature(i + 1, f"f{i + 1}",
-                DiscreteDomain(tuple(rng.sample(MIXED_VALUES, rng.randint(2, max_domain)))))
+        Feature(i + 1, f"f{i + 1}", DiscreteDomain(tuple(rng.sample(
+            MIXED_VALUES, rng.randint(min_domain if i else max(min_domain, 2), max_domain)))))
         for i in range(m)))
-    pool = LABELS if categorical else VALUE_POOL
+    pool = pool or (LABELS if categorical else VALUE_POOL)
     while True:
         outputs = [rng.choice(pool) for _ in space.points()]
         if len(set(outputs)) >= 2:
             return space, outputs, "categorical" if categorical else "numeric"
 
 
-def random_tree_model(rng, m, max_depth=4, max_domain=3, categorical=False, mixed=False):
+def random_tree_model(rng, m, max_depth=4, max_domain=3, categorical=False, mixed=False,
+                      min_domain=2, pool=None):
     """A random tree over m discrete features; each node splits its
-    feature's domain into two or more groups. Domains are 0..k-1, or with
-    ``mixed`` draws from labels and rationals."""
-    domains = [tuple(rng.sample(MIXED_VALUES, rng.randint(2, max_domain))) if mixed
-               else tuple(range(rng.randint(2, max_domain))) for _ in range(m)]
+    feature's domain into two or more groups, so a feature of one value is
+    never tested, and the first has two values or more. Domains are
+    0..k-1, or with ``mixed`` draws from labels and rationals; leaves are
+    drawn from ``pool`` when given."""
+    sizes = (min_domain if i else max(min_domain, 2) for i in range(m))
+    domains = [tuple(rng.sample(MIXED_VALUES, rng.randint(low, max_domain))) if mixed
+               else tuple(range(rng.randint(low, max_domain))) for low in sizes]
     space = FeatureSpace(tuple(
         Feature(i + 1, f"f{i + 1}", DiscreteDomain(domains[i])) for i in range(m)))
-    pool = LABELS if categorical else VALUE_POOL
+    pool = pool or (LABELS if categorical else VALUE_POOL)
     while True:
         nodes = {}
 
         def build(free, depth):
             nid = len(nodes)
             nodes[nid] = None
+            free = {j for j in free if len(domains[j - 1]) > 1}
             if depth == 0 or not free or rng.random() < 0.2:
                 nodes[nid] = TreeLeaf(rng.choice(pool))
                 return nid

@@ -135,7 +135,7 @@ def test_a_game_may_be_reassigned_and_has_no_hash():
 # Each class with an attribute it derives, which equality leaves out.
 DERIVED = [
     (DiscreteDomain((0, 1)), "index"),
-    (TabularModel(SPACE, (0, 1, 1, 0)), "distinct"),
+    (TabularModel(SPACE, (0, 1, 1, 0)), "firsts"),
     (TreeModel(SPACE, NODES, 1), "routes"),
     (BoxPiecewiseModel(LINE, CELLS), "cuts"),
     (BoxPiecewiseModel(LINE, CELLS), "lows"),

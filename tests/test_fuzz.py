@@ -19,7 +19,7 @@ from itertools import chain
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from shapxp import DomainError, ValidationError, load_model
+from shapxp import DomainError, TabularModel, ValidationError, load_model
 from shapxp.cli import run_cli
 from shapxp.modelio import (_box_cells, _box_columns, _sample_columns, _sample_lines,
                             _space_from, _split_header, _table_columns, _table_entries,
@@ -347,9 +347,10 @@ def typed(values):
     return [(type(y), y) for y in values]
 
 
-def table_paths(doc):
+def table_paths(doc, booleans=True):
     """(columns, loop) for a document's table, the loop's error in place of
-    its outputs when it raises; None when the table cannot reach them."""
+    its outputs when it raises; None when the table cannot reach them. The
+    columns read it with the loader's ``booleans`` flag."""
     try:
         space = _space_from(doc.get("features"), "model")
         dense_slots(space)
@@ -358,7 +359,7 @@ def table_paths(doc):
     entries, value_kind = doc.get("table"), doc.get("value_kind", NUMERIC)
     if not isinstance(entries, list) or value_kind not in (NUMERIC, CATEGORICAL):
         return None
-    columns = _table_columns(entries, space, value_kind, dense_slots(space))
+    columns = _table_columns(entries, space, value_kind, dense_slots(space), booleans)
     try:
         loop = _table_entries(entries, space, value_kind, dense_slots(space), "model")
     except ValidationError as exc:
@@ -400,7 +401,17 @@ def slot_ordered(doc):
 
 
 def assert_one_table_order_agrees(doc):
-    paths = table_paths(doc)
+    """The paths agree on the document, and on it as load_model reads its
+    JSON text, with the flag load_model computes from that text: False
+    when it holds no true or false, so that a slot-ordered column skips
+    its type check. Returns whether the columns read the document."""
+    text = json.dumps(doc, default=str)  # a Fraction token as its "p/q" string
+    read = json.loads(text, parse_float=parse_value)
+    assert_paths_agree(table_paths(read, "true" in text or "false" in text))
+    return assert_paths_agree(table_paths(doc))
+
+
+def assert_paths_agree(paths):
     if paths is None:
         return False
     columns, loop = paths
@@ -563,6 +574,42 @@ def test_a_table_the_columns_read_gives_the_loop_outputs(doc):
 ], ids=["a-string-1", "2/2", "a-decimal-1.0"])
 def test_a_slot_ordered_table_spelled_otherwise_gives_the_loop_outputs(doc):
     assert assert_table_paths_agree(doc)
+
+
+LOADED_TABLES = {  # edits to reg2's slot-ordered text, and whether it then loads
+    "true-for-a-1": ([('"point": [1, 0]', '"point": [true, 0]')], False),
+    "false-for-a-0": ([('"point": [0, 1]', '"point": [false, 1]')], False),
+    "a-feature-named-true": ([('"name": "x2"', '"name": "true"')], True),
+    "1.0-and-2/2": ([('"point": [1, 0]', '"point": [1.0, 0]'),
+                     ('"point": [0, 1]', '"point": [0, "2/2"]')], True),
+    "a-true-value": ([('"value": 1}', '"value": true}')], False),
+}
+
+
+@pytest.mark.parametrize("edits,loads", LOADED_TABLES.values(), ids=LOADED_TABLES)
+def test_a_loaded_table_gives_the_entry_loops_model_or_error(tmp_path, edits, loads):
+    # load_model skips a slot-ordered column's type check only when the
+    # text holds no true or false; the entry loop reads every token.
+    text = (FIXTURES / "reg2.json").read_text()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new, 1)
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    doc, where = json.loads(text, parse_float=parse_value), str(path)
+    try:
+        space = _space_from(doc["features"], where)
+        loop = TabularModel(space, _table_entries(doc["table"], space, NUMERIC,
+                                                  dense_slots(space), where))
+    except ValidationError as exc:
+        assert not loads
+        with pytest.raises(ValidationError) as raised:
+            load_model(path)
+        assert str(raised.value) == str(exc)
+    else:
+        assert loads
+        model = load_model(path)
+        assert model == loop and typed(model.outputs) == typed(loop.outputs)
 
 
 SAMPLE_CASES = {  # (lines, whether the columns read them)

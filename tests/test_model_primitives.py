@@ -10,7 +10,8 @@ import tracemalloc
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, combinations, product
-from operator import or_
+from math import lcm
+from operator import add, or_
 
 import pytest
 
@@ -33,7 +34,8 @@ from shapxp import (
     tabulate,
 )
 from shapxp.explanations import _ids, _minimal
-from shapxp.games import Game, expected_game, shapley_exact
+from shapxp.games import (Game, _expected_table, expected_game, shapley_exact,
+                          shapley_via_permutations)
 from shapxp.models import _ranked, guard_slices, labelled_points
 from shapxp.similarity import Dissimilar
 from boxmodels import (
@@ -44,7 +46,7 @@ from boxmodels import (
     slice_cells,
 )
 from conftest import cpu_limit
-from randmodels import random_table, random_tree_model
+from randmodels import VALUE_POOL, random_table, random_tree_model
 from test_models import bool_space
 
 
@@ -336,9 +338,54 @@ def reference_labelled_points(self, output):
 
 
 def reference_masked_outputs(self, output, v):
+    """(agreement mask with v, output) of every point of the space."""
     axes = [[1 << j if x == v[j] else 0 for x in f.domain.values]
             for j, f in enumerate(self.space.features)]
     return zip(map(sum, product(*axes)), (y for _, y in reference_labelled_points(self, output)))
+
+
+def reference_expected_table(masked, space):
+    """The expected-value game's coalition table as it was built before the
+    coalition fold: each point's output numerator over L binned under its
+    agreement mask, then every bin's supersets added in, bit by bit, by
+    strided slices or by blocks, whichever are fewer."""
+    scale = lcm(*{y.denominator for _, y in masked})
+    sums = [0] * (1 << space.m)
+    for mask, y in masked:
+        sums[mask] += y.numerator * (scale // y.denominator)
+    for k in range(space.m):
+        half, step = 1 << k, 2 << k
+        if half < len(sums) // step:
+            for r in range(half):
+                sums[r::step] = map(add, sums[r::step], sums[r + half::step])
+        else:
+            for lo in range(0, len(sums), step):
+                sums[lo:lo + half] = map(add, sums[lo:lo + half], sums[lo + half:lo + step])
+    inside = [1]
+    for feature in space.features:
+        size = len(feature.domain.values)
+        inside += [n * size for n in inside]
+    return [f * n for f, n in zip(sums, inside)], scale * inside[-1]
+
+
+def assert_folds_equal_the_reference(model, output, v):
+    """The expected table and a table's disagreement masks, each folded
+    from the slot column, against the reference built from every point's
+    agreement mask: the masks once each, under class equality and, for
+    numeric outputs, under a threshold."""
+    masked = list(reference_masked_outputs(model, output, v))
+    instance = make_instance(model, v)
+    numeric = model.value_kind == "numeric"
+    if numeric:
+        problem = ExplanationProblem(model, instance, SimilarityConfig.class_equality())
+        assert _expected_table(problem) == reference_expected_table(masked, model.space)
+    if isinstance(model, TabularModel):
+        full = (1 << model.space.m) - 1
+        for delta in (None, Fraction(1, 2))[:1 + numeric]:
+            dissimilar = Dissimilar(instance.prediction, delta)
+            masks = list(model.disagreements(v, dissimilar))
+            assert len(masks) == len(set(masks))
+            assert set(masks) == {full ^ mask for mask, y in masked if dissimilar(y)}
 
 
 def fresh(point):
@@ -355,7 +402,7 @@ def assert_enumerations_equal_the_reference(model, rng):
         assert model.output(point) == model.output(fresh(point)) == predict(model, point) == y
     for _ in range(3):
         v = fresh(rng.choice(labelled)[0])
-        assert list(model.masked_outputs(v)) == list(reference_masked_outputs(model, output, v))
+        assert_folds_equal_the_reference(model, output, v)
         for fixed in map(frozenset, subsets(model.space.ids)):
             outputs = list(reference_slice_outputs(model, output, v, fixed))
             assert list(model.slice_outputs(v, fixed)) == outputs
@@ -379,6 +426,33 @@ def test_table_enumerations_equal_the_reference(seed):
     rng = random.Random(seed)
     space, outputs, kind = random_table(rng, categorical=seed % 2 == 1)
     assert_enumerations_equal_the_reference(TabularModel(space, outputs, kind), rng)
+
+
+INTS_AND_FRACTIONS = [y.numerator if y.denominator == 1 else y for y in VALUE_POOL]
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+@pytest.mark.parametrize("kind", ["table", "tree"])
+def test_the_coalition_folds_equal_the_reference(kind, m):
+    """Domains of one to four values in one space, int and Fraction outputs,
+    and an instance at every position of each domain."""
+    rng = random.Random(f"{kind}{m}")
+    if kind == "table":
+        space, outputs, _ = random_table(rng, max_domain=4, min_domain=1, m=m,
+                                         pool=INTS_AND_FRACTIONS)
+        model = TabularModel(space, outputs)
+    else:
+        model = random_tree_model(rng, m, max_depth=m, max_domain=4, mixed=True,
+                                  min_domain=1, pool=INTS_AND_FRACTIONS)
+    output = reference_output(model)
+    domains = [f.domain.values for f in model.space.features]
+    for k in range(max(map(len, domains))):
+        v = tuple(values[k % len(values)] for values in domains)
+        assert_folds_equal_the_reference(model, output, v)
+        if m <= 6:
+            game = expected_game(ExplanationProblem(model, make_instance(model, v),
+                                                    SimilarityConfig.class_equality()))
+            assert shapley_exact(game) == shapley_via_permutations(game)
 
 
 def assert_lazy(problem):
