@@ -784,13 +784,29 @@ class TestPinnedReports:
     lanes with every coalition touched (the m = 8 tree), and 4-byte lanes
     over a sample that leaves most coalitions untouched (the m = 12 tree at
     epsilon 1). The reg2 tree and the box model pw2 have m = 2, counted by
-    popcount; both pw2 runs draw 21,911 permutations."""
+    popcount; both pw2 runs draw 21,911 permutations. The seeded trees at
+    m = 4..9 draw 1,382-1,840 permutations, a full chunk and a shorter
+    last one, and waxp at 1/50 draws 7,043 (m = 7) and 7,211 (m = 8),
+    enough to count two steps a key. From m = 16 on epsilon 1 draws 4,
+    and only the waxp game runs there, since the expected game's slices
+    pass the point guard."""
 
     # name: (instance, seeded tree or None for a fixture, extra arguments)
     MODELS = {"cls3_tree": ("1,1,2", None, ()), "reg2_tree": ("1,1", None, ()),
               "pw2": ("1,1", None, ("--delta", "1/5")),
+              "tree_m4": ("0,0,1,0", (4, 4, 4), ()),
+              "tree_m5": ("0,0,0,1,0", (5, 5, 5), ()),
+              "tree_m6": ("0,0,1,1,0,0", (6, 6, 5), ()),
+              "tree_m7": ("0,1,0,1,1,0,0", (7, 7, 6), ()),
               "tree_m8": ("1,0,1,1,0,0,1,0", (2026, 8, 6), ()),
-              "tree_m12": ("0,1,1,0,1,0,0,1,1,0,1,0", (12, 12, 7), ())}
+              "tree_m9": ("1,1,0,1,0,0,0,0,1", (9, 9, 6), ()),
+              "tree_m12": ("0,1,1,0,1,0,0,1,1,0,1,0", (12, 12, 7), ()),
+              "tree_m16": ("0,1,1,0,0,0,1,1,1,0,1,1,0,1,0,0", (16, 16, 7), ()),
+              "tree_m17": ("1,0,1,0,0,0,1,0,0,0,0,1,1,0,0,0,1", (17, 17, 7), ()),
+              "tree_m32": ("0,1,1,0,0,0,0,0,0,0,1,0,1,1,1,1,1,0,1,0,1,0,0,1,1,1,1,0,1,0,0,1",
+                           (32, 32, 8), ()),
+              "tree_m33": ("1,1,1,0,0,0,1,1,0,1,0,1,0,1,1,0,0,0,0,0,0,0,1,0,1,0,0,1,0,1,0,1,1",
+                           (33, 33, 8), ())}
     DIGESTS = {
         ("cls3_tree", "waxp", "1/20"):
             "bd2e255fa854388c223aae3cb4d41cc8fe93f374c4f23fa9ef705a16f33045e1",
@@ -804,10 +820,42 @@ class TestPinnedReports:
             "ec5b8aa0fc46ae067d00126c9ff7bae1bdc8cca295578fab8a09713a456e6b9a",
         ("pw2", "expected", "1/20"):
             "fe012a32d0fb676654a503fc0035d4e8720d78676cbb1392aef05f244d548f05",
+        ("tree_m4", "waxp", "1/25"):
+            "a2a35783083221a77642e16a96b5c989e0c428bb732fad3674d7bd9accd37d5e",
+        ("tree_m4", "expected", "1/10"):
+            "43d8b607632d41279dd7104c3ac9b26d8fec4eb8b56f011034c8c20717efc61a",
+        ("tree_m5", "waxp", "1/25"):
+            "458a940e84f52cf865d1ffed793d12c8a8dcab41a20f55b3ad273b70a4f907d7",
+        ("tree_m5", "expected", "1/10"):
+            "77ad824d3df72a32291932dce965f421817b879a78a15f069dc50c554dd3af03",
+        ("tree_m6", "waxp", "1/25"):
+            "ced9ae3721e1e94fc04d3665c2bca69d57613362b241a46bc662469d50ef7772",
+        ("tree_m6", "expected", "1/10"):
+            "1ba819ed26635a60f80ced129e599a195059bac86c1b2f754b76651750092da6",
+        ("tree_m7", "waxp", "1/25"):
+            "2559823db344d65a5d2a4fa6dd866e8c06cda5fa3966fc324e178a31b1dada31",
+        ("tree_m7", "waxp", "1/50"):
+            "32f549acc2ed9d4a6d5ee58c33f655f2003e861685f3640392ac193fa0310848",
+        ("tree_m7", "expected", "1/10"):
+            "d87ec3978ddb56a8e701e6a260febff127b2494337607745e3b2dc85f4b85eba",
         ("tree_m8", "waxp", "1/20"):
             "3f387080fff2ba69ffdb0ba082f0eab3d922c27156a237f1cfbfcc4e8630fc95",
+        ("tree_m8", "waxp", "1/50"):
+            "d2c773340030a97ea6e6fcaa3fc01d1bcd927dac0000ebdef946c11f0c264350",
         ("tree_m8", "expected", "1/10"):
             "e413c065e1cd18326f6f56257a59edba151f02c5c7a441c3f9eb13e4382eb865",
+        ("tree_m9", "waxp", "1/25"):
+            "8b3d95b16ee16afd9f93ba88ef942e8f5f3f4b6c484763535471a99b639d0776",
+        ("tree_m9", "expected", "1/10"):
+            "18547955a2b19a58869c1150cbec1645e54d7a03a246741c9e3c8739cc9f5955",
+        ("tree_m16", "waxp", "1"):
+            "eb21cf34960b1ec42fea4a1c95226d39ef4f7a49a20380e6db417ac71a67fb0e",
+        ("tree_m17", "waxp", "1"):
+            "c645b5bc4cb8f905e2a7df607442ac33ba8f853ba08405753056ee558df35fc3",
+        ("tree_m32", "waxp", "1"):
+            "17028feeab2f5ba38f302c2aa0c25f0bf75638110a00e14db5dba8a8d681cab0",
+        ("tree_m33", "waxp", "1"):
+            "d7ac23ce0215ac881cc8d9f6b7d260290648db1e0e65ad20ada193db86b5446b",
         ("tree_m12", "waxp", "1"):
             "29a616f671fceb4c0fa353465f529b964fb6f8b73ffcdf443e923bf140889c2f",
         ("tree_m12", "expected", "1"):
