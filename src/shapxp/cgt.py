@@ -18,25 +18,27 @@ that a SplitMix64 step is a few big-int operations over the range rather
 than a Python loop step per output; ``_outputs`` unpacks the lanes into a
 list. Permutation k is a Fisher-Yates shuffle of 1..m whose draws read
 the outputs from counter k + 2 on (``_draw``). ``_draw_columns`` reads
-the draws of k = 0..T-1 a chunk at a time, computing each output once;
-up to m = 32 it reads each column of residues from the outputs' byte
-planes with ``bytes.translate``, and it falls back on ``_draw`` for a
-chunk where an output may be rejected. ``_step_counts`` tallies how
-often each (coalition, player) step of shuffle steps m - 1 .. 1 occurs,
-at most T*(m - 1) counts, and the estimator credits the first position
-from step 1, whose coalition before is that player alone. At m = 2 a
-popcount of the packed lanes counts the draws; up to m = 6 each
-permutation's mixed-radix code is computed in byte lanes and counted,
-and each distinct one is walked once; from 7 to 16, where nearly every
-tuple is distinct, ``_lane_tally`` walks all the shuffles of a chunk at
-once, a lane of a few ints per permutation; past 16 each tuple is walked
-as drawn. The
-values weighting the counts are integer numerators over one denominator:
-the game's coalition table (``Game.table``) when the draws touched all
-2^m coalitions and the game has a kernel, else the game's memoized
-values of the touched coalitions alone. All accumulation is exact
-integer arithmetic, so the returned estimates do not depend on where the
-values came from and are deterministic in the strongest sense.
+the draws of k = 0..T-1 a chunk at a time, computing each output once
+and building the lane constants once a run (``_chunks``); up to m = 32
+it reads each column of residues with ``bytes.translate`` from those of
+the outputs' byte planes that carry one, and it falls back on ``_draw``
+for a chunk where an output may be rejected. ``_step_counts`` tallies
+how often each (coalition, player) step of shuffle steps m - 1 .. 1
+occurs, at most T*(m - 1) counts, and the estimator credits the first
+position from step 1, whose coalition before is that player alone. At
+m = 2 a popcount of the packed lanes counts the draws; up to m = 6 each
+permutation's mixed-radix code is computed in byte lanes and counted (up
+to m = 4 by one ``bytes.count`` a code), and each distinct one is walked
+once; from 7 to 16, where nearly every tuple is distinct,
+``_lane_tally`` walks all the shuffles of a chunk at once, a lane of a
+few ints per permutation (two steps a key in a long run at m <= 8); past
+16 each tuple is walked as drawn. The values weighting the counts are
+integer numerators over one denominator: the game's coalition table
+(``Game.table``) when the draws touched all 2^m coalitions and the game
+has a kernel, else the game's memoized values of the touched coalitions
+alone. All accumulation is exact integer arithmetic, so the returned
+estimates do not depend on where the values came from and are
+deterministic in the strongest sense.
 """
 
 from __future__ import annotations
@@ -57,18 +59,19 @@ from .models import POINT_GUARD, _Frozen, _over_lcd, _set
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 # Permutation draws times players. Counting a permutation's steps costs
-# 0.07-8.3 us (_step_counts, Python 3.11, 2-core x86-64 host, lower
-# decile): 0.07 us at m = 2 (popcount, T = 2 * 10^5), 0.22 at m = 4
-# (codes), in lanes 1.0 at m = 8, 2.0 at 12 and 3.3 at 16, and 8.3 at
-# m = 20, so the guard stops sampling runs of more than about a minute (at
-# m = 20 a run at the guard counts for about 41 s). It bounds draws, not
-# weighting: at m = 20 and 40 nearly every tally key needs its own game
-# evaluation, about 7 and 11 us per step on an additive custom game, with
-# a memo of 6.3 and 9.2 MiB (T = 4,000 and 2,000).
+# (_step_counts, Python 3.11, 2-core x86-64 host, thread CPU, lowest of
+# 12 runs) 0.06 us at m = 2 (popcount, T = 2 * 10^5), 0.13 at m = 3 and
+# 0.15 at 4 (codes), in lanes 0.67 at m = 8 (pair keys), 1.7 at 12 and
+# 3.0 at 16, 7.5 at m = 20 and past 32 about 0.43 us a player, so the
+# guard stops sampling runs of more than about a minute (a run at the
+# guard counts for 37 s at m = 20, 42-44 s at m = 33..200). It bounds
+# draws, not weighting: at m = 20 and 40 nearly every tally key needs its
+# own game evaluation, about 7 and 11 us per step on an additive custom
+# game, with a memo of 6.3 and 9.2 MiB (T = 4,000 and 2,000).
 DRAW_GUARD = 10 ** 8
 # Permutations whose stream outputs and draws are held at once (the m <= 6
-# code Counter spans the whole run, at most 720 entries); no result depends
-# on it.
+# code Counter spans the whole run, at most 720 entries, and the m <= 8
+# pair-key Counter at most 1,792); no result depends on it.
 CHUNK = 1024
 
 
@@ -129,6 +132,19 @@ def _lanes(n: int) -> tuple[int, int, int]:
     index[_LOW_HALVES] = array("Q", range(n))
     ones = int.from_bytes((b"\1" + bytes(15)) * n, "little")
     return int.from_bytes(index, sys.byteorder) * _GOLDEN, ones, (ones << 64) - ones
+
+
+def _chunks(start: int, stop: int, extra: int) -> Iterator[tuple[int, int, tuple]]:
+    """Each chunk k0, size of at most CHUNK permutations of start..stop-1
+    with the :func:`_lanes` of its size + extra outputs, built once a run:
+    a shorter last chunk's are the full chunk's cut to its lanes."""
+    lanes = _lanes(min(CHUNK, stop - start) + extra)
+    for k0 in range(start, stop, CHUNK):
+        size = min(CHUNK, stop - k0)
+        if size < CHUNK < stop - start:
+            mask = (1 << 128 * (size + extra)) - 1
+            lanes = tuple(constant & mask for constant in lanes)
+        yield k0, size, lanes
 
 
 def _packed(mixed: int, start: int, stop: int, lanes=None) -> tuple[int, int]:
@@ -198,25 +214,23 @@ def _draw_columns(mixed: int, m: int, start: int, stop: int) -> Iterator[list]:
     computes the outputs at counters k0 + 2 .. k1 + m - 1 once, and column
     t maps those from the t-th on mod n = m - t. Up to m = 32 an output's
     byte j adds byte_j * (256^j mod n) mod n, which ``bytes.translate``
-    reads off its byte plane; the 8 terms sum to at most 8 * (n - 1) < 256,
-    so the planes add as ints with no carry, and one more table takes the
-    sum mod n. Every rejection threshold 2^64 mod n is below m, so a chunk
-    whose outputs all reach the largest one rejects nothing; up to m = 32
-    that is checked only for a chunk with an output below 256 (bytes 1..7
-    all zero). Otherwise, with probability about m * CHUNK / 2^64, the
-    chunk is read one permutation at a time by :func:`_draw`.
+    reads off its byte plane; the at most 8 terms sum to at most
+    8 * (n - 1) < 256, so the planes add as ints with no carry, and one
+    more table takes the sum mod n. A plane whose 256^j mod n is 0, every
+    j >= 1 when n is a power of two, adds nothing and is not read. Every
+    rejection threshold 2^64 mod n is below m, so a chunk whose outputs all
+    reach the largest one rejects nothing; up to m = 32 that is checked
+    only for a chunk with an output below 256 (bytes 1..7 all zero).
+    Otherwise, with probability about m * CHUNK / 2^64, the chunk is read
+    one permutation at a time by :func:`_draw`.
     """
-    # Every chunk but the last reads CHUNK + m - 2 outputs.
-    full = _lanes(CHUNK + m - 2) if stop - start > CHUNK else None
     sizes = range(m, 1, -1)
     top = max((1 << 64) % n for n in sizes)
-    if m <= 32:  # mods[n][b] = b mod n; shares[n][j][b] = b * (256^j mod n) mod n
+    if m <= 32:  # mods[n][b] = b mod n; shares[n] pairs j with b * (256^j mod n) mod n
         mods = {n: (bytes(range(n)) * (256 // n + 1))[:256] for n in sizes}
-        shares = {n: [(bytes(b * pow(256, j, n) % n for b in range(n)) * (256 // n + 1))[:256]
-                      for j in range(8)] for n in sizes}
-    for k0 in range(start, stop, CHUNK):
-        size = min(CHUNK, stop - k0)
-        lanes = full if size == CHUNK else None
+        shares = {n: [(j, (bytes(b * pow(256, j, n) % n for b in range(n)) * (256 // n + 1))[:256])
+                      for j in range(8) if pow(256, j, n)] for n in sizes}
+    for k0, size, lanes in _chunks(start, stop, m - 2):
         if m > 32:  # a threshold may pass 255: the unpacked outputs
             zs = _outputs(mixed, k0 + 2, k0 + size + m, lanes)
             if min(zs) >= top:
@@ -231,8 +245,8 @@ def _draw_columns(mixed: int, m: int, start: int, stop: int) -> Iterator[list]:
                 high |= int.from_bytes(plane, "little")
             if 0 not in high.to_bytes(count, "little") or \
                     min(_outputs(mixed, k0 + 2, k0 + size + m, lanes)) >= top:
-                yield [sum(int.from_bytes(plane.translate(share), "little")
-                           for plane, share in zip(planes, shares[n])).to_bytes(count, "little")
+                yield [sum(int.from_bytes(planes[j].translate(share), "little")
+                           for j, share in shares[n]).to_bytes(count, "little")
                        .translate(mods[n])[t:t + size] for t, n in enumerate(sizes)]
                 continue
         drawn = zip(*(_draw(mixed, m, k) for k in range(k0, k0 + size)))
@@ -253,17 +267,17 @@ def _step_counts(seed: int, m: int, start: int, stop: int) -> Counter:
     which a chunk computes in lanes of one int, a byte each up to m = 5
     (5! = 120) and 2 at m = 6, from its byte columns; the run's codes are
     counted and each distinct one, decoded to its draws, is walked once.
+    Up to m = 4 (24 codes) one ``bytes.count`` a code counts a chunk, for
+    less than a Counter update a permutation; at m = 5 the scans cost more.
     From 7 to 16 :func:`_lane_tally` walks a chunk's shuffles at once,
     with O(m^2) selectors a chunk; past 16, where the lanes measured no
     faster, each tuple is walked as drawn.
     """
     mixed = _outputs(seed & _MASK64, 1, 2)[0]
     if m == 2:
-        full = _lanes(CHUNK) if stop - start > CHUNK else None
         odd = 0
-        for k0 in range(start, stop, CHUNK):
-            size = min(CHUNK, stop - k0)
-            z, ones = _packed(mixed, k0 + 2, k0 + size + 2, full if size == CHUNK else None)
+        for k0, size, lanes in _chunks(start, stop, 0):
+            z, ones = _packed(mixed, k0 + 2, k0 + size + 2, lanes)
             odd += (z & ones).bit_count()
         return +Counter({0b0101: stop - start - odd, 0b1010: odd})
     if 6 < m <= 16:
@@ -273,16 +287,21 @@ def _step_counts(seed: int, m: int, start: int, stop: int) -> Counter:
         width, code = (1, "B") if m <= 5 else (2, "H")
         weights = [math.factorial(n - 1) for n in sizes]
         codes: Counter = Counter()
+        # The draw tuples in lexicographic order are those of codes 0, 1, ...
+        decoded = list(product(*map(range, sizes)))
+        span = range(len(decoded))
         for columns in _draw_columns(mixed, m, start, stop):
             wide = bytearray(width * len(columns[0]))
             total = 0
             for column, weight in zip(columns, weights):
                 wide[::width] = column
                 total += int.from_bytes(wide, "little") * weight
-            codes.update(memoryview(total.to_bytes(len(wide), sys.byteorder)).cast(code))
-        # The draw tuples in lexicographic order are those of codes 0, 1, ...
-        decoded = list(product(*map(range, sizes)))
-        drawn = [(decoded[c], n) for c, n in codes.items()]
+            data = total.to_bytes(len(wide), sys.byteorder)
+            if m <= 4:  # at most 24 codes: a scan for each beats a count per permutation
+                codes.update(dict(zip(span, map(data.count, span))))
+            else:
+                codes.update(memoryview(data).cast(code))
+        drawn = [(decoded[c], n) for c, n in codes.items() if n]
     else:
         drawn = zip(chain.from_iterable(
             zip(*columns) for columns in _draw_columns(mixed, m, start, stop)), repeat(1))
@@ -314,16 +333,22 @@ def _lane_tally(mixed: int, m: int, start: int, stop: int) -> Counter:
     (all ones there) for each k < i; those lanes swap order[k] with
     order[i], and the rest, whose draw is i, keep it. Each key fills 2m
     bits of a lane, and one Counter update counts a chunk's keys from their
-    bytes, written in the machine's byte order.
+    bytes, written in the machine's byte order. In 2-byte lanes a run of at
+    least 24 * 2^m permutations (decoding its at most 1,792 distinct keys
+    pays from about 2,200 at m = 7 and 5,000 at m = 8) keys two steps
+    together: the players behind step i, then the numbers 1..m of the
+    players steps i and i - 1 place (0 for a last step alone).
     """
     width, code = (2, "H") if m <= 8 else (4, "I")
+    pairs = m <= 8 and stop - start >= 24 << m
     tables = [bytes(k) + b"\xff" + bytes(255 - k) for k in range(m - 1)]
+    log = bytes(map(int.bit_length, range(256)))  # a one-hot byte's player number
     counts: Counter = Counter()
     for columns in _draw_columns(mixed, m, start, stop):
         wide = bytearray(width * len(columns[0]))
         ones = int.from_bytes((b"\1" + bytes(width - 1)) * len(columns[0]), "little")
         order = [ones << k for k in range(m)]
-        after, keys = 0, []
+        after, behind, bits = 0, [], []
         for i, column in zip(range(m - 1, 0, -1), columns):
             for b in range(width):
                 wide[b::width] = column
@@ -332,10 +357,30 @@ def _lane_tally(mixed: int, m: int, start: int, stop: int) -> Counter:
                 swap = (order[k] ^ stay) & int.from_bytes(wide.translate(tables[k]), "little")
                 order[k] ^= swap
                 bit ^= swap
+            behind.append(after)
             after |= bit
-            keys.append(after << m | bit)
+            bits.append(bit)
+        if pairs:
+            numbers = [int.from_bytes(bit.to_bytes(len(wide), "little").translate(log), "little")
+                       for bit in bits] + [0]
+            keys = [before | first << m | second << m + 4 for before, first, second
+                    in zip(behind[::2], numbers[::2], numbers[1::2])]
+        else:
+            keys = [(before | bit) << m | bit for before, bit in zip(behind, bits)]
         counts.update(memoryview(b"".join(
             key.to_bytes(len(wide), sys.byteorder) for key in keys)).cast(code))
+    if pairs:  # each distinct pair key adds its count to its two step keys
+        steps: dict = {}
+        get, full = steps.get, (1 << m) - 1
+        for key, n in counts.items():
+            first = 1 << (key >> m & 15) - 1
+            after = key & full | first
+            steps[after << m | first] = get(after << m | first, 0) + n
+            if key >> m + 4:
+                second = 1 << (key >> m + 4) - 1
+                step = (after | second) << m | second
+                steps[step] = get(step, 0) + n
+        counts = Counter(steps)
     return counts
 
 

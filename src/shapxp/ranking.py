@@ -54,7 +54,7 @@ def rank_features(scores: ScoreVector, mode: str = SIGNED) -> Ranking:
         key = lambda i: abs(scores.score(i))
     else:
         raise ValidationError(f"unknown ranking mode {mode!r}")
-    order = sorted(range(1, scores.m + 1), key=lambda i: (-key(i), i))
+    order = sorted(range(1, scores.m + 1), key=key, reverse=True)  # stable: ids ascend on ties
     return Ranking(tuple(order), mode)
 
 

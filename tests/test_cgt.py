@@ -342,8 +342,8 @@ class TestStepCounts:
     walk over each reference permutation."""
 
     @pytest.mark.parametrize("seed", [0, 7, 2024])
-    @pytest.mark.parametrize("m,draw", [(3, 0), (4, 1), (6, 1), (8, 1), (12, 1), (16, 1),
-                                        (17, 0)])
+    @pytest.mark.parametrize("m,draw", [(3, 0), (4, 1), (5, 0), (6, 1), (7, 0), (8, 1), (12, 1),
+                                        (16, 1), (17, 0)])
     def test_a_rejection_on_each_route(self, seed, m, draw, monkeypatch):
         # Draw ``draw`` is below n = m - draw, and 2^64 mod n is above 0,
         # so permutation k reads output 0 there and rejects it. The
@@ -363,6 +363,29 @@ class TestStepCounts:
             read.clear()
             assert _step_counts(seed, m, start, stop) == reference_steps(seed, m, start, stop)
             assert k in read
+
+    def test_short_runs_count_each_step(self):
+        rng = random.Random(44)
+        for m in range(2, 9):
+            seed, start = rng.getrandbits(64), rng.getrandbits(rng.choice((8, 64)))
+            for size in (1, 2, 3):
+                steps = _step_counts(seed, m, start, start + size)
+                assert 0 not in steps.values()
+                assert steps == reference_steps(seed, m, start, start + size)
+
+    @pytest.mark.parametrize("seed,m,draw", [(0, 7, 0), (7, 7, 0), (0, 8, 1), (7, 8, 1),
+                                             (0, 9, 1)])
+    def test_pair_keys_on_runs_of_24_times_2_to_the_m(self, seed, m, draw):
+        # From 24 * 2^m permutations on, 2-byte lanes count two steps a key
+        # (at m = 8 the last step unpaired), and one permutation fewer takes
+        # one key a step, as 4-byte lanes (m = 9) do at any length; the run
+        # holds a rejecting permutation in its last chunk.
+        k = rejecting_index(seed, draw)
+        for size in (24 << m, (24 << m) - 1, (24 << m) + 5) if m <= 8 else (24 << m,):
+            start = k - size + 3
+            steps = _step_counts(seed, m, start, start + size)
+            assert 0 not in steps.values()
+            assert steps == reference_steps(seed, m, start, start + size)
 
     def test_ranges_across_chunks(self):
         rng = random.Random(34)
@@ -459,11 +482,10 @@ class TestOutputs:
                 assert _outputs(mixed, start, stop, lanes) == _outputs(mixed, start, stop) \
                     == reference_outputs(mixed, start, stop)
 
-    @pytest.mark.parametrize("size,built", [(CHUNK, 1), (CHUNK + 1, 2), (5 * CHUNK, 1),
-                                            (5 * CHUNK + 3, 2), (3, 1)])
-    def test_lane_constants_are_built_once_per_run(self, monkeypatch, size, built):
-        # Every full chunk of a run shares one set; a shorter last chunk
-        # builds its own.
+    @pytest.mark.parametrize("size", [CHUNK, CHUNK + 1, 5 * CHUNK, 5 * CHUNK + 3, 3])
+    def test_lane_constants_are_built_once_per_run(self, monkeypatch, size):
+        # Every full chunk of a run shares one set, and a shorter last chunk
+        # cuts its own from it.
         lengths = []
 
         def counted(n):
@@ -471,11 +493,10 @@ class TestOutputs:
             return _lanes(n)
 
         monkeypatch.setattr(cgt_module, "_lanes", counted)
-        for m in (2, 5, 8):
+        for m in (2, 3, 5, 8, 12, 33):
             lengths.clear()
-            _step_counts(11, m, 0, size)
-            assert len(lengths) == built + 1  # and the seed's mixing
-            assert lengths.count(CHUNK + m - 2) == (size >= CHUNK)
+            assert _step_counts(11, m, 0, size) == reference_steps(11, m, 0, size)
+            assert lengths == [1, min(CHUNK, size) + m - 2]  # the seed's mixing, then the run's
 
     def test_random_ranges(self):
         rng = random.Random(22)

@@ -33,6 +33,15 @@ class TestRankFeatures:
     def test_ties_break_by_feature_id(self):
         assert rank_features(vector(1, 1, 1, 1), "signed").order == (1, 2, 3, 4)
 
+    def test_order_equals_the_id_tiebreak_key(self):
+        # Scores drawn from a few values, so ties, zeros and negatives recur.
+        rng = random.Random(44)
+        for _ in range(300):
+            scores = [F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(rng.randint(1, 9))]
+            for mode, key in (("signed", lambda s: s), ("absolute", abs)):
+                want = sorted(range(1, len(scores) + 1), key=lambda i: (-key(scores[i - 1]), i))
+                assert rank_features(vector(*scores), mode).order == tuple(want)
+
     def test_absolute_invariant_under_sign_flip(self):
         rng = random.Random(13)
         for _ in range(20):
