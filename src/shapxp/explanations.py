@@ -20,8 +20,8 @@ from __future__ import annotations
 import warnings
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import cached_property, reduce
-from itertools import compress
-from operator import contains, or_
+from itertools import compress, repeat
+from operator import and_, contains, itemgetter, ne, or_
 
 from .errors import NumericOutputError, PreconditionError, SizeLimitError, ValidationError
 from .models import (
@@ -82,11 +82,16 @@ class Sample(_Frozen):
         return len(self.rows)
 
     def slice_outputs(self, v: Point, fixed: Iterable[int]) -> Iterator[Value]:
-        """The prediction of every row with x_S = v_S."""
+        """The prediction of every row with x_S = v_S: one ``itemgetter``
+        takes x_S from every row, and ``contains`` compares it with v_S's
+        inside a 1-tuple, identity first, as ``==`` on the bare field that
+        a single axis gives has no identity shortcut."""
         axes = [i - 1 for i in fixed]
-        want = [v[j] for j in axes]
-        return (y for row, y in zip(self.rows, self.predictions)
-                if [row[j] for j in axes] == want)
+        if not axes:
+            return iter(self.predictions)
+        get = itemgetter(*axes)
+        hits = map(contains, repeat((get(v),)), map(get, self.rows))
+        return compress(self.predictions, hits)
 
     def disagreements(self, v: Point, dissimilar: Callable[[Value], bool]) -> Iterator[int]:
         """The disagreement mask with v (bit j: row_j != v_j) of every
@@ -201,10 +206,11 @@ def _check_feature_ids(problem: ExplanationProblem, features: frozenset[int]) ->
 
 
 def agnostic_support(problem: ExplanationProblem, features: Iterable[int]) -> int:
-    """How many rows of the sample match x_S = v_S; zero means a vacuous check."""
+    """How many rows of the sample match x_S = v_S; zero means a vacuous
+    check. The matches are counted as the length of one list of them."""
     if problem.universe is None:
         raise PreconditionError("sample support needs a model-agnostic problem")
-    return sum(1 for _ in problem.universe.slice_outputs(problem.instance.point, features))
+    return len([*problem.universe.slice_outputs(problem.instance.point, features)])
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +255,8 @@ def guard_sufficiency_sampling(problem: ExplanationProblem, coalitions: int,
 
 def _minimal(masks: Iterable[int], m: int) -> tuple[int, ...]:
     """The inclusion-minimal masks over m features, in (size, ids) order.
-    Each mask, smallest first, is compared with those kept; once that has
+    Each mask, smallest first, is compared with those kept, all of them in
+    one C-level pass (k & mask != k for each kept k); once that has
     cost 2^m comparisons, and 2^m is within POINT_GUARD, they are read off
     the masks' up-closure U instead: the minimal masks are U less every
     coalition one feature larger than one in U. Past that width the
@@ -269,7 +276,7 @@ def _minimal(masks: Iterable[int], m: int) -> tuple[int, ...]:
             digits = format(closed & ~above, f"0{1 << m}b").encode()  # coalition 2^m - 1 first
             return _in_order(compress(reversed(range(1 << m)),
                                       digits.translate(bytes.maketrans(b"01", b"\0\1"))))
-        if all(k & mask != k for k in kept):
+        if all(map(ne, map(and_, kept, repeat(mask)), kept)):
             kept.append(mask)
     return _in_order(kept)
 

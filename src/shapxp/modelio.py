@@ -461,8 +461,9 @@ def _box_columns(raw_cells, m) -> list | None:
 
 
 def _box_cells(raw_cells, m, where) -> list:
-    """The cells one by one; the first one that is wrong raises."""
-    cells = []
+    """The cells one by one; the first one that is wrong raises. Each
+    distinct token is parsed once per call, through ``_memo_value``."""
+    cells, memo = [], {}
     for k, entry in enumerate(raw_cells):
         loc = f"{where}: cell {k}"
         if not isinstance(entry, dict):
@@ -474,8 +475,9 @@ def _box_cells(raw_cells, m, where) -> list:
             raise ValidationError(f"{loc}: 'box' must list {m} [lo, hi] pairs")
         if not isinstance(affine, list) or len(affine) != m + 1:
             raise ValidationError(f"{loc}: 'affine' must list {m + 1} coefficients")
-        bounds = tuple((parse_rational(lo, loc), parse_rational(hi, loc)) for lo, hi in box)
-        coeffs = [parse_rational(a, loc) for a in affine]
+        bounds = tuple((_memo_value(memo, lo, parse_rational, loc),
+                        _memo_value(memo, hi, parse_rational, loc)) for lo, hi in box)
+        coeffs = [_memo_value(memo, a, parse_rational, loc) for a in affine]
         cells.append(Cell(bounds, coeffs[0], tuple(coeffs[1:])))
     return cells
 
@@ -508,38 +510,41 @@ def load_sample(path, model: Model) -> Sample:
 
 def _sample_columns(lines, delim, width, model) -> Sample | None:
     """The line loop's sample on a discrete space, read column by column
-    over the distinct lines: each field's distinct tokens are parsed and
-    looked up once, and whole columns are mapped to positions, slots and
-    values. None unless every line has ``width`` fields, every value lies
-    in its domain and every prediction parses and agrees with the model;
-    the line loop reports what does not, and is the reference this path
-    must agree with."""
+    over the distinct lines: their fields are transposed once, each
+    feature's distinct tokens are parsed and looked up once, to a slot
+    offset and to the domain's own object, and whole columns are mapped
+    through those two lookups to slots and values. Each distinct line keeps
+    one row, which its repeats share. None unless every line has ``width``
+    fields, every value lies in its domain and every prediction parses and
+    agrees with the model; the line loop reports what does not, and is the
+    reference this path must agree with."""
     space = model.space
-    distinct = list(dict.fromkeys(lines))
-    fields = [line.split(delim) for line in distinct]
+    rows = dict.fromkeys(lines)  # each distinct line -> its (point, output)
+    fields = [line.split(delim) for line in rows]
     if {*map(len, fields)} != {width}:
         return None
-    columns, slots = [], [0] * len(fields)  # columns: each feature's positions
-    for j, (feature, stride) in enumerate(zip(space.features, space.strides)):
-        column = list(map(itemgetter(j), fields))
-        index = feature.domain.index
+    columns = list(zip(*fields))
+    slots, values = [0] * len(fields), []
+    for feature, stride, column in zip(space.features, space.strides, columns):
+        tokens, domain = list(set(column)), feature.domain
         try:
-            code = {t: index[read_discrete(t.strip())] for t in set(column)}
+            at = [domain.index[read_discrete(t.strip())] for t in tokens]
         except KeyError:  # a value outside the domain
             return None
-        columns.append(list(map(code.__getitem__, column)))
-        slots = list(map(add, slots, map(stride.__mul__, columns[-1])))
+        offset = dict(zip(tokens, map(stride.__mul__, at)))
+        slots = list(map(add, slots, map(offset.__getitem__, column)))
+        value = dict(zip(tokens, map(domain.values.__getitem__, at)))
+        values.append(map(value.__getitem__, column))
     actual = list(map(model._read, slots))
     if width > space.m:
-        column, parse = list(map(itemgetter(-1), fields)), _OUTPUT[model.value_kind]
+        column, parse = columns[-1], _OUTPUT[model.value_kind]
         try:
             given = {t: parse(t.strip(), "") for t in set(column)}
         except ValidationError:
             return None
         if any(map(ne, map(given.__getitem__, column), actual)):
             return None
-    points = zip(*(map(f.domain.values.__getitem__, c) for f, c in zip(space.features, columns)))
-    rows = dict(zip(distinct, zip(points, actual)))
+    rows.update(zip(rows, zip(zip(*values), actual)))  # no key is added, so rows may be iterated
     return Sample(*zip(*map(rows.__getitem__, lines)))
 
 

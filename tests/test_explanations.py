@@ -54,6 +54,7 @@ from shapxp.models import Instance, labelled_points
 from boxmodels import random_grid_model, random_kd_model
 from conftest import cpu_limit, rebuilt
 from test_io_cli import chain_tree_doc
+from test_samples import per_row_slice_outputs
 from randmodels import (
     brute_force_axps,
     brute_force_cxps,
@@ -291,9 +292,12 @@ class TestEnumeration:
 
 def slice_quantifier(problem, features):
     """is_waxp by its definition: every output of the slice x_S = v_S over
-    the problem's universe is similar."""
-    return all(similar_value(problem, y) for y in
-               problem.scope.slice_outputs(problem.instance.point, frozenset(features)))
+    the problem's universe is similar. A sample's slice is read by its
+    per-row form, which does not change with ``Sample.slice_outputs``."""
+    v, fixed = problem.instance.point, frozenset(features)
+    outputs = (problem.model.slice_outputs(v, fixed) if problem.universe is None
+               else per_row_slice_outputs(problem.universe, v, fixed))
+    return all(similar_value(problem, y) for y in outputs)
 
 
 def thirty_rows(rng, model):

@@ -140,6 +140,8 @@ def test_loaded_discrete_samples_agree_with_their_values(tmp_path):
         path = write_sample(tmp_path / f"s{trial}.csv", model, *zip(*rows), rng)
         problem = ExplanationProblem(model, make_instance(model, v),
                                      SimilarityConfig.class_equality(), load_sample(path, model))
+        assert all(x is f.domain.values[f.domain.index[x]]  # labels and rationals too
+                   for row in problem.universe.rows for f, x in zip(model.space.features, row))
         assert_twins_agree(problem)
         # an injective relabeling keeps the rows
         outputs = sorted({str(y) for _, y in points})
@@ -208,6 +210,124 @@ def test_a_sample_is_its_rows_and_predictions():
     assert Sample.__slots__ == Sample._fields == ("rows", "predictions")
     with pytest.raises(TypeError):
         Sample(((0,),), (1,), ((0,),), ({0: 0},))
+
+
+# ---------------------------------------------------------------------------
+# The per-row forms of the sample quantifiers
+# ---------------------------------------------------------------------------
+#
+# Sample.slice_outputs and agnostic_support run as C-level passes over the
+# rows, and Sample.disagreements builds each mask in one. These are their
+# forms of one Python step per row; the passes must give what they give,
+# object for object.
+
+def per_row_slice_outputs(sample, v, fixed):
+    """The prediction of every row whose fields on ``fixed`` equal v's,
+    compared as lists, so identity first."""
+    axes = [i - 1 for i in fixed]
+    want = [v[j] for j in axes]
+    return (y for row, y in zip(sample.rows, sample.predictions)
+            if [row[j] for j in axes] == want)
+
+
+def per_row_support(problem, features):
+    return sum(1 for _ in per_row_slice_outputs(problem.universe, problem.instance.point,
+                                                features))
+
+
+def per_row_disagreements(sample, v, dissimilar):
+    """The disagreement mask of each distinct (row, prediction) pair, told
+    apart by identity, whose prediction is dissimilar."""
+    distinct = {(id(row), id(y)): (row, y) for row, y in zip(sample.rows, sample.predictions)}
+    return [sum(1 << j for j, (x, w) in enumerate(zip(row, v)) if not (x is w or x == w))
+            for row, y in distinct.values() if dissimilar(y)]
+
+
+def respelled_value(x):
+    """A new object equal to x: a Fraction over a doubled denominator, a
+    label joined at run time, an int past CPython's small-int cache."""
+    if isinstance(x, str):
+        return "".join(list(x))
+    if isinstance(x, F):
+        return F(2 * x.numerator, 2 * x.denominator)
+    return int(str(x))
+
+
+def quantifier_problems(rng):
+    """Problems over hand-built samples of int, Fraction and str fields:
+    rows repeat as one object and as equal copies, some fields are equal
+    to the instance's value but other objects, and on some feature the
+    instance may hold a value no row has."""
+    for _ in range(80):
+        m = rng.randint(1, 4)
+        pools = [(0, 1, 2), (F(1, 2), F(3, 2), F(-7, 3)), ("lo", "mid", "hi"),
+                 (300, 301, -400)]
+        space = FeatureSpace(tuple(  # feature 1 takes two values or more
+            Feature(j, f"x{j}", DiscreteDomain(tuple(rng.sample(rng.choice(pools),
+                                                                rng.randint(1 + (j == 1), 3)))))
+            for j in range(1, m + 1)))
+        outputs = [1000] + [rng.choice((0, 1, F(5, 2))) for _ in range(space.size - 1)]
+        model = TabularModel(space, outputs)
+        v = tuple(rng.choice(f.domain.values) for f in space.features)
+        points = list(labelled_points(model))
+        absent = rng.randrange(m)
+        if rng.random() < 0.3:
+            points = [p for p in points if p[0][absent] != v[absent]] or points
+        rows, predictions = [], []
+        for _ in range(rng.randint(1, 40)):
+            row, y = rng.choice(points)
+            if rng.random() < 0.3:  # the same values as other objects
+                row, y = tuple(map(respelled_value, row)), respelled_value(y)
+            if rng.random() < 0.2:  # a prediction the model does not give here
+                y = rng.choice((0, 1, F(5, 2), 1000))
+            rows.append(row)
+            predictions.append(y)
+        sample = Sample(tuple(rows), tuple(predictions))
+        for similarity in (SimilarityConfig.class_equality(), SimilarityConfig.threshold(1)):
+            yield ExplanationProblem(model, make_instance(model, v), similarity, sample)
+
+
+def test_the_sample_quantifiers_agree_with_their_per_row_forms():
+    rng = random.Random(4545)
+    fixed_sizes = set()
+    for problem in quantifier_problems(rng):
+        sample, v = problem.universe, problem.instance.point
+        for s in subsets(problem.feature_ids):
+            fixed_sizes.add(min(len(s), 2))
+            for fixed in (frozenset(s), list(s)[::-1]):
+                assert list(map(id, sample.slice_outputs(v, fixed))) == \
+                    list(map(id, per_row_slice_outputs(sample, v, fixed)))
+            assert agnostic_support(problem, s) == per_row_support(problem, s)
+        dissimilar = _dissimilar(problem)
+        assert list(sample.disagreements(v, dissimilar)) == \
+            per_row_disagreements(sample, v, dissimilar)
+    assert fixed_sizes == {0, 1, 2}
+
+
+def test_a_single_field_compares_identity_first():
+    """A field that is the instance's own object matches it without an
+    ``__eq__`` call, and one that only equals it matches through one, as
+    in the per-row list comparison: a bare field compared by ``==``
+    would call ``__eq__`` on every row."""
+    class Counted(F):
+        calls = 0
+
+        def __eq__(self, other):
+            Counted.calls += 1
+            return super().__eq__(other)
+
+        __hash__ = F.__hash__
+
+    half = Counted(1, 2)
+    sample = Sample(((half,), (F(2, 4),), (half,), (0,)), (1, 2, 3, 4))
+    counts = []
+    for fixed in ([1], [1, 1]):
+        for slice_outputs in (per_row_slice_outputs, Sample.slice_outputs):
+            Counted.calls = 0
+            assert list(slice_outputs(sample, (half,), fixed)) == [1, 2, 3]
+            counts.append(Counted.calls)
+    # F(2, 4) costs a call per axis; 0 costs one, as its first axis differs
+    assert counts == [2, 2, 3, 3]
 
 
 def test_an_error_after_a_blank_line_names_its_own_line(tmp_path):
