@@ -34,11 +34,10 @@ once; from 7 to 16, where nearly every tuple is distinct,
 few ints per permutation (two steps a key in a long run at m <= 8); past
 16 each tuple is walked as drawn. The values weighting the counts are
 integer numerators over one denominator: the game's coalition table
-(``Game.table``) when the draws touched all 2^m coalitions and the game
-has a kernel, else the game's memoized values of the touched coalitions
-alone. All accumulation is exact integer arithmetic, so the returned
-estimates do not depend on where the values came from and are
-deterministic in the strongest sense.
+(``Game.table``) when the draws touched all 2^m coalitions, else the
+game's memoized values of the touched coalitions alone. All accumulation
+is exact integer arithmetic, so the returned estimates do not depend on
+where the values came from and are deterministic in the strongest sense.
 """
 
 from __future__ import annotations
@@ -441,9 +440,10 @@ def cgt_estimate(game: Game, config: CgtConfig) -> tuple[ScoreVector, CgtDiagnos
     # one) or, for the first position, the empty one. The values come as
     # integer numerators over one denominator: from the game's table when
     # the sample touched every coalition, else from the memo over the
-    # touched ones. The sums are exact, so they do not depend on the source.
+    # touched ones; a kernel-less game's table is that memo, filled under the
+    # 2^m guard charge passed above. The sums are exact, whatever the source.
     touched = {full ^ key >> m for key in counts} | {0, full}
-    if len(touched) == 1 << m <= POINT_GUARD and game.kernel is not None:
+    if len(touched) == 1 << m <= POINT_GUARD:
         values, denominator = game.table()
     else:
         numerators, denominator = _over_lcd(map(game.at, touched))

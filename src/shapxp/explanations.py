@@ -10,7 +10,7 @@ Sufficiency has one source, the problem's contrastive basis
 (:attr:`ExplanationProblem.contrastive_basis`): the minimal contrastive
 explanations, found among the disagreement masks the problem's scope
 yields, built once per problem. Enumeration, relevancy, compliance and
-the sufficiency predicate on a tree or a sample read it; the abductive
+the sufficiency predicate where the scope ``reads_basis`` read it; the abductive
 explanations are its minimal hitting sets, and the sufficiency game's
 table (:func:`sufficiency_table`) is read off its up-closure.
 """
@@ -30,7 +30,6 @@ from .models import (
     Instance,
     Model,
     Point,
-    TreeModel,
     Value,
     _Frozen,
     _set,
@@ -69,6 +68,7 @@ class Sample(_Frozen):
     an ``__eq__`` call. Samples compare by rows and predictions."""
 
     __slots__ = _fields = ("rows", "predictions")
+    reads_basis = True  # the rows give the contrastive basis in one pass
 
     def __init__(self, rows: tuple[Point, ...], predictions: tuple[Value, ...]):
         if not rows:
@@ -94,17 +94,15 @@ class Sample(_Frozen):
         return compress(self.predictions, hits)
 
     def disagreements(self, v: Point, dissimilar: Callable[[Value], bool]) -> Iterator[int]:
-        """The disagreement mask with v (bit j: row_j != v_j) of every
-        distinct row whose prediction is ``dissimilar``: rows are told apart
-        by the identity of their row and prediction, hashing no value, each
-        prediction object is tested once and fields compare identity first."""
+        """The disagreement mask with v (bit j: row_j != v_j) of each distinct
+        row with a ``dissimilar`` prediction, first appearances first: rows are
+        told apart by identity, each prediction object is tested once and
+        fields compare identity first; no value is hashed."""
         bits = [1 << j for j in range(len(v))]
         full, pinned = sum(bits), [(x,) for x in v]
-        distinct = list({(id(row), id(y)): (row, y)
-                         for row, y in zip(self.rows, self.predictions)}.values())
-        hits = verdicts(dissimilar, [y for _, y in distinct])
+        hits = list(compress(self.rows, verdicts(dissimilar, self.predictions)))
         return (full ^ sum(compress(bits, map(contains, pinned, row)))
-                for row, _ in compress(distinct, hits))
+                for row in dict(zip(map(id, hits), hits)).values())
 
     def relabel(self, mapping: Mapping) -> "Sample":
         """The same rows with each prediction y replaced by mapping[y]."""
@@ -177,12 +175,12 @@ def is_waxp(problem: ExplanationProblem, features: Iterable[int]) -> bool:
     """Does fixing ``features`` at the instance values force an output
     indistinguishable from the instance prediction, everywhere in the
     problem's universe: the model's whole space, or the sample's rows?
-    Vacuously true when no sample row matches. On a tree or a sample it
-    holds exactly when the features meet every set of the contrastive
-    basis; tabular and box models quantify over the slice."""
+    Vacuously true when no sample row matches. Where the scope
+    ``reads_basis`` (a tree, a sample) it holds exactly when the features
+    meet every set of the basis; tables and box models quantify over slices."""
     fixed = frozenset(features)
     _check_feature_ids(problem, fixed)
-    if _walks_basis(problem):
+    if problem.scope.reads_basis:
         mask = sum(1 << i - 1 for i in fixed)
         return all(b & mask for b in problem.contrastive_basis)
     return all(similar_value(problem, y)
@@ -226,13 +224,6 @@ def agnostic_support(problem: ExplanationProblem, features: Iterable[int]) -> in
 # exactly when it meets every mask of the basis.
 
 
-def _walks_basis(problem: ExplanationProblem) -> bool:
-    """Does is_waxp read the basis? A sample's rows and a tree's leaves
-    give it in one pass; a table's slice stops at its first dissimilar
-    point and a box model's costs its cells, so they quantify instead."""
-    return problem.universe is not None or isinstance(problem.model, TreeModel)
-
-
 def _dissimilar(problem: ExplanationProblem) -> Dissimilar:
     """Is an output distinguishable from the instance's?"""
     return Dissimilar(problem.instance.prediction, problem.similarity.delta)
@@ -245,7 +236,7 @@ def guard_sufficiency_sampling(problem: ExplanationProblem, coalitions: int,
     the basis, each check compares its feature ids, then every basis mask:
     BASIS_GUARD set comparisons in all. Where it quantifies over slices,
     :func:`~shapxp.models.guard_slices` charges them."""
-    if not _walks_basis(problem):
+    if not problem.scope.reads_basis:
         guard_slices(problem.model, coalitions, run)
     elif coalitions * (problem.model.space.m + len(problem.contrastive_basis)) > BASIS_GUARD:
         raise SizeLimitError(

@@ -14,9 +14,9 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
-from functools import partial, reduce
+from functools import partial
 from itertools import islice, permutations
-from math import factorial, lcm
+from math import factorial
 from operator import add, mul
 
 from .errors import NumericOutputError, PreconditionError, SizeLimitError, ValidationError
@@ -34,7 +34,6 @@ from .models import (
     _Frozen,
     _over_lcd,
     _set,
-    coalition_fold,
     conditional_expectation,
     guard_slices,
     output_range,
@@ -61,8 +60,8 @@ class Game(_Frozen):
     frozenset of players. ``value`` reads the same memo by player ids, as
     the all-permutations oracle does. The sampling estimator reads ``at``
     for the coalitions its draws touched, or ``table`` once when they
-    touched all 2^m and the game has a kernel, so the memo and the table
-    must agree. The function must be pure.
+    touched all 2^m, whatever the game, so the memo and the table must
+    agree. The function must be pure.
 
     ``table`` returns the whole coalition table, which is what exact
     Shapley values need, and refuses more than POINT_GUARD coalitions
@@ -181,13 +180,13 @@ def expected_game(problem: ExplanationProblem) -> Game:
                               "space, not over a sample")
     if problem.model.value_kind != NUMERIC:
         raise NumericOutputError("the expected-value game needs numeric model outputs")
+    table = problem.model.expected_table  # the model's table kernel, if it has one
     return Game(
         players=problem.feature_ids,
         charfn=lambda s: cf_expected(problem, s),
         tag=EXPECTED_VALUE,
         marginal_bound=partial(_output_width, problem.model),
-        kernel=(partial(_expected_table, problem) if problem.model.space.all_discrete()
-                else None),
+        kernel=None if table is None else partial(table, problem.instance.point),
         guard=partial(guard_slices, problem.model),
     )
 
@@ -200,35 +199,12 @@ def _output_width(model) -> Fraction:
 def waxp_game(problem: ExplanationProblem) -> Game:
     return Game(
         players=problem.feature_ids,
-        charfn=lambda s: Fraction(cf_waxp(problem, s)),
+        charfn=lambda s: cf_waxp(problem, s),
         tag=WAXP_BASED,
         marginal_bound=Fraction(1),
         kernel=lambda: (sufficiency_table(problem), 1),
         guard=partial(guard_sufficiency_sampling, problem),
     )
-
-
-def _expected_table(problem: ExplanationProblem) -> CoalitionTable:
-    """The expected-value game of a discrete model, for every coalition.
-
-    With L the least common denominator of the model's outputs, the sums
-    f[S] of y * L over the slice x_S = v_S satisfy
-    nu(S) = f[S] / (L * prod_{j not in S} |D_j|), which over the common
-    denominator L * |space| has the numerator f[S] * prod_{j in S} |D_j|.
-    coalition_fold sums the numerators' slot column, m whole-list passes."""
-    model, space = problem.model, problem.model.space
-    outputs = {id(y): y for y in model._values()}  # the few output objects, int or Fraction
-    scale = lcm(*{y.denominator for y in outputs.values()})
-    column = model._column()
-    if {*map(type, outputs.values())} != {int}:  # else each is its own numerator, L = 1
-        numerator = {k: y.numerator * (scale // y.denominator) for k, y in outputs.items()}
-        column = list(map(numerator.__getitem__, map(id, column)))
-    sums = coalition_fold(column, space, problem.instance.point,  # a free feature: rows summed
-                          lambda rows, k: list(reduce(partial(map, add), rows)))
-    inside = [1]  # prod_{j in S} |D_j|, one feature at a time
-    for radix in space.radices:
-        inside += [n * radix for n in inside]
-    return [f * n for f, n in zip(sums, inside)], scale * inside[-1]
 
 
 # ---------------------------------------------------------------------------

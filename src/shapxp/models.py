@@ -24,7 +24,11 @@ end of this module check their inputs and then call it:
 * ``disagreements(v, dissimilar)`` - masks of weak contrastive
   explanations, every minimal one among them: a table's from its points
   by ``coalition_fold``, a tree's from its leaves, a box model's from its
-  cells per coalition.
+  cells per coalition;
+* ``expected_table(v)`` - the expected-value game's coalition table at v
+  by ``coalition_fold``; None on a box model, which has no table kernel;
+* ``reads_basis`` - does the sufficiency predicate read the contrastive
+  basis rather than quantify over the slice?
 
 Each kind derives them from one primitive: box models each cell's integer
 form over its own denominator (``Cell._integers``), the discrete kinds a
@@ -53,11 +57,11 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter, namedtuple
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from fractions import Fraction
 from itertools import accumulate, chain, compress, product, repeat
 from math import lcm, prod
-from operator import attrgetter, getitem, itemgetter, lt, mul, or_, sub
+from operator import add, attrgetter, getitem, itemgetter, lt, mul, or_, sub
 
 from .errors import (
     DomainError,
@@ -260,7 +264,7 @@ class _EnumerableModel(_Frozen):
     """Semantics shared by the discrete kinds, all read by slot of the
     space's numbering. Subclasses define ``_read`` (slot -> output),
     ``_values`` (every output object the model can produce, repeats
-    allowed), ``_relabelled`` and ``disagreements``."""
+    allowed), ``_relabelled``, ``disagreements`` and ``reads_basis``."""
 
     __slots__ = ()
 
@@ -293,6 +297,27 @@ class _EnumerableModel(_Frozen):
         """The output at every slot, in slot order."""
         return list(map(self._read, self.space.slots()))
 
+    def expected_table(self, v: Point) -> tuple[list[int], int]:
+        """The expected-value game at v, for every coalition.
+
+        With L the least common denominator of the model's outputs, the sums
+        f[S] of y * L over the slice x_S = v_S satisfy
+        nu(S) = f[S] / (L * prod_{j not in S} |D_j|), which over the common
+        denominator L * |space| has the numerator f[S] * prod_{j in S} |D_j|.
+        coalition_fold sums the numerators' slot column, m whole-list passes."""
+        outputs = {id(y): y for y in self._values()}  # the few output objects, int or Fraction
+        scale = lcm(*{y.denominator for y in outputs.values()})
+        column = self._column()
+        if {*map(type, outputs.values())} != {int}:  # else each is its own numerator, L = 1
+            numerator = {k: y.numerator * (scale // y.denominator) for k, y in outputs.items()}
+            column = list(map(numerator.__getitem__, map(id, column)))
+        sums = coalition_fold(column, self.space, v,  # a free feature: rows summed
+                              lambda rows, k: list(reduce(partial(map, add), rows)))
+        inside = [1]  # prod_{j in S} |D_j|, one feature at a time
+        for radix in self.space.radices:
+            inside += [n * radix for n in inside]
+        return [f * n for f, n in zip(sums, inside)], scale * inside[-1]
+
     def relabel(self, mapping: Mapping):
         """The same model with each output y replaced by mapping[y]; the map
         must be injective on the model's outputs."""
@@ -314,6 +339,7 @@ class TabularModel(_EnumerableModel):
 
     __slots__ = ("space", "outputs", "value_kind", "firsts")
     _fields = ("space", "outputs", "value_kind")
+    reads_basis = False  # a slice stops at its first dissimilar point, so it is quantified
 
     def __init__(self, space: FeatureSpace, outputs: tuple, value_kind: str = NUMERIC):
         if not space.all_discrete():
@@ -404,6 +430,7 @@ class TreeModel(_EnumerableModel):
 
     __slots__ = ("space", "nodes", "root", "value_kind", "routes")
     _fields = ("space", "nodes", "root", "value_kind")
+    reads_basis = True  # the leaves give the contrastive basis in one pass
 
     def __init__(self, space: FeatureSpace, nodes: Mapping[int, TreeNode | TreeLeaf],
                  root: int, value_kind: str = NUMERIC):
@@ -544,6 +571,8 @@ class BoxPiecewiseModel(_Frozen):
 
     __slots__ = ("space", "cells", "value_kind", "cuts", "lows", "highs")
     _fields = ("space", "cells", "value_kind")
+    reads_basis = False  # the basis costs its cells per coalition, so slices are quantified
+    expected_table = None  # no table kernel: the expected-value game evaluates each coalition
 
     def __init__(self, space: FeatureSpace, cells: tuple[Cell, ...], value_kind: str = NUMERIC):
         if not space.all_interval():

@@ -69,6 +69,8 @@ def rbo(a, b, persistence=DEFAULT_PERSISTENCE, depth: int = DEFAULT_DEPTH) -> Fr
     order_b = _order_of(b)
     if set(order_a) != set(order_b) or len(order_a) != len(order_b):
         raise ValidationError("rankings compare only over the same feature universe")
+    if len(set(order_a)) != len(order_a):  # then b, of that set and length, repeats one too
+        raise ValidationError("a ranking names a feature twice")
     p = Fraction(persistence)
     if not 0 < p < 1:
         raise ValidationError("persistence must lie strictly between 0 and 1")

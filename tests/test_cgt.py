@@ -717,8 +717,8 @@ class TestEstimator:
 
 class TestValueSource:
     """The scores weight the tally by the game's table when the draws touch
-    every coalition and the game can tabulate them, and by the memo over
-    the touched coalitions otherwise; both give the same scores."""
+    every coalition, and by the memo over the touched coalitions
+    otherwise; both give the same scores."""
 
     @staticmethod
     def counted_game(game, calls):
@@ -751,6 +751,26 @@ class TestValueSource:
             vector, _ = cgt_estimate(self.counted_game(game, calls), config)
             assert calls == ["kernel"]
             assert vector.scores == naive_estimate(game, 3, 2000)
+
+    def test_a_kernel_less_game_over_every_coalition_is_read_through_its_table(
+            self, monkeypatch, pw2_problem):
+        # A kernel-less game's table fills the memo once per coalition, under
+        # the guard charge of 2^m coalitions that the estimator has passed.
+        read, table = [], Game.table
+        monkeypatch.setattr(Game, "table", lambda game: read.append(game) or table(game))
+        custom = Game((1, 2, 3, 4), lambda s: sum(F(i, 3) for i in s) + (2 in s and 3 in s),
+                        marginal_bound=F(7, 3))
+        for game in (expected_game(pw2_problem), custom):
+            calls, charges, m = [], [], game.m
+            counted = Game(game.players, lambda s: calls.append(s) or game.charfn(s), game.tag,
+                           game.marginal_bound, guard=lambda n, run: charges.append((n, run)))
+            config = CgtConfig(F(1, 20), F(1, 20), seed=3, sample_count=300)
+            read.clear()
+            vector, _ = cgt_estimate(counted, config)
+            assert game.kernel is None and read == [counted]
+            assert len(calls) == len(set(calls)) == 1 << m
+            assert charges == [(1 << m, "sampling"), (1 << m, "coalition table")]
+            assert vector.scores == naive_estimate(game, 3, 300)
 
     def test_a_sparse_sample_never_reads_the_table(self):
         # T = 20 on 12 players touches at most 20 * 12 + 1 of 4096 coalitions.

@@ -403,6 +403,14 @@ class TestContrastiveBasis:
             assert _in_order(family) == tuple(sorted(family,
                                                      key=lambda b: (b.bit_count(), _ids(b))))
 
+    def test_samples_and_trees_read_the_basis_and_the_other_scopes_quantify(self):
+        kinds = set()
+        for problem in basis_problems(random.Random(46)):
+            walks = problem.universe is not None or isinstance(problem.model, TreeModel)
+            assert problem.scope.reads_basis is walks
+            kinds.add(type(problem.scope))
+        assert kinds == {TabularModel, TreeModel, BoxPiecewiseModel, Sample}
+
     def test_a_trees_routes_give_the_edge_values_masks(self):
         rng = random.Random(1733)
         wide_edges = 0

@@ -34,8 +34,7 @@ from shapxp import (
     tabulate,
 )
 from shapxp.explanations import _ids, _minimal
-from shapxp.games import (Game, _expected_table, expected_game, shapley_exact,
-                          shapley_via_permutations)
+from shapxp.games import Game, expected_game, shapley_exact, shapley_via_permutations
 from shapxp.models import _ranked, guard_slices, labelled_points
 from shapxp.similarity import Dissimilar
 from boxmodels import (
@@ -377,8 +376,7 @@ def assert_folds_equal_the_reference(model, output, v):
     instance = make_instance(model, v)
     numeric = model.value_kind == "numeric"
     if numeric:
-        problem = ExplanationProblem(model, instance, SimilarityConfig.class_equality())
-        assert _expected_table(problem) == reference_expected_table(masked, model.space)
+        assert model.expected_table(v) == reference_expected_table(masked, model.space)
     if isinstance(model, TabularModel):
         full = (1 << model.space.m) - 1
         for delta in (None, Fraction(1, 2))[:1 + numeric]:

@@ -113,6 +113,18 @@ class TestRbo:
         with pytest.raises(ValidationError):
             rbo((1, 2, 3), (1, 2, 4))
 
+    def test_a_repeated_feature_is_rejected(self):
+        for a, b in (((1, 1, 2), (1, 2, 2)), ((1, 2, 2), (2, 1, 2)), ((2, 1), (2, 1, 1))):
+            for x, y in ((a, b), (b, a)):
+                with pytest.raises(ValidationError):
+                    rbo(x, y)
+        with pytest.raises(ValidationError, match="twice"):
+            rbo((1, 1, 2), (1, 2, 2))
+
+    def test_empty_rankings_agree_fully(self):
+        assert rbo((), ()) == 1 - F(1, 2) ** 5
+        assert rbo((), (), F(1, 3), 2) == 1 - F(1, 3) ** 2
+
     def test_parameter_validation(self):
         with pytest.raises(ValidationError):
             rbo((1, 2), (1, 2), F(0))

@@ -37,7 +37,7 @@ from shapxp import (
 from shapxp.cli import run_cli
 from shapxp.explanations import _dissimilar, _ids, agnostic_support
 from shapxp.models import labelled_points
-from shapxp.similarity import similar_value
+from shapxp.similarity import Dissimilar, similar_value
 from boxmodels import QUARTERS, random_grid_model, random_kd_model
 from conftest import FIXTURES, cpu_limit, rebuilt
 from randmodels import brute_force_cxps, random_table, random_tree_model, subsets
@@ -236,11 +236,11 @@ def per_row_support(problem, features):
 
 
 def per_row_disagreements(sample, v, dissimilar):
-    """The disagreement mask of each distinct (row, prediction) pair, told
-    apart by identity, whose prediction is dissimilar."""
-    distinct = {(id(row), id(y)): (row, y) for row, y in zip(sample.rows, sample.predictions)}
+    """The disagreement mask of each distinct row, told apart by identity,
+    that carries a dissimilar prediction, in first-appearance order."""
+    distinct = {id(row): row for row, y in zip(sample.rows, sample.predictions) if dissimilar(y)}
     return [sum(1 << j for j, (x, w) in enumerate(zip(row, v)) if not (x is w or x == w))
-            for row, y in distinct.values() if dissimilar(y)]
+            for row in distinct.values()]
 
 
 def respelled_value(x):
@@ -302,6 +302,23 @@ def test_the_sample_quantifiers_agree_with_their_per_row_forms():
         assert list(sample.disagreements(v, dissimilar)) == \
             per_row_disagreements(sample, v, dissimilar)
     assert fixed_sizes == {0, 1, 2}
+
+
+def test_a_row_yields_its_mask_once_whatever_it_carries():
+    """A row object carrying a similar and a dissimilar prediction yields
+    its mask once, in either order, and so does one carrying two
+    dissimilar ones; an equal row that is another object is another row."""
+    row, other, copy, v = (0, 1), (1, 1), tuple([0, 1]), (0, 0)
+    assert copy == row and copy is not row
+    dissimilar = Dissimilar(0)
+    cases = [(((row, row, other), (0, 1, 0)), [0b10]),
+             (((row, row, other), (1, 0, 0)), [0b10]),
+             (((row, other, row), (1, 2, 2)), [0b10, 0b11]),
+             (((row, copy, row), (1, 1, 2)), [0b10, 0b10])]
+    for (rows, predictions), masks in cases:
+        sample = Sample(rows, predictions)
+        assert list(sample.disagreements(v, dissimilar)) == masks
+        assert per_row_disagreements(sample, v, dissimilar) == masks
 
 
 def test_a_single_field_compares_identity_first():
