@@ -4,7 +4,9 @@ loader's error paths.
 
 ``generate`` writes small tables, trees and box models (m <= 6), drawn with
 tests/randmodels.py and tests/boxmodels.py, and their samples, under fixed
-relative names, and returns each input's invocations. ``report_digest``
+relative names, and returns each input's invocations; two kd layouts of
+about 200 cells (m = 3 and 4) run the box commands at instances on cut
+lines and at the domain top. ``report_digest``
 replays them from the directory that holds the files (reports and errors
 quote paths as given) and digests each input's (argv, exit code, stdout,
 stderr) records; a table report's ``time:`` line is dropped.
@@ -41,7 +43,7 @@ from shapxp import TabularModel, TreeModel, predict
 from shapxp.cli import run_cli
 from shapxp.models import labelled_points, tabulate
 
-from boxmodels import random_grid_model, random_kd_model
+from boxmodels import HI, LO, random_grid_model, random_kd_model
 from randmodels import random_instance, random_table, random_tree_model
 
 PINS = Path(__file__).with_name("report_corpus.json")
@@ -123,6 +125,35 @@ def valid_models(rng):
     yield "box_grid", random_grid_model(rng, 2)
     yield "box_kd3", random_kd_model(rng, 3, 8)
     yield "box_kd4", random_kd_model(rng, 4, 6)
+
+
+def large_boxes(rng):
+    """(name, model, instances): kd layouts of 200 cells at m = 3 and 4. The
+    first instance has its first coordinate on a cut line of the layout,
+    its last at the domain top and the others off the lattice; the second
+    is at the top on every axis but one, which lies on a cut line."""
+    for m in (3, 4):
+        model = random_kd_model(rng, m, 200)
+        cuts = [sorted({x for c in model.cells for x in c.box[j]} - {LO, HI}) for j in range(m)]
+        first = (rng.choice(cuts[0]), *(Fraction(-5, 7) + j * Fraction(1, 3)
+                                        for j in range(m - 2)), HI)
+        on = rng.randrange(m)
+        second = tuple(rng.choice(cuts[j]) if j == on else HI for j in range(m))
+        yield f"box_kd{m}_200", model, (first, second)
+
+
+def large_box_invocations(name, instances) -> list[list[str]]:
+    """validate, both shap games, relevancy, AXp enumeration and compare, each
+    instance in turn, in JSON."""
+    base = ["--model", f"{name}.json", "--output", "json"]
+    runs = [["validate", *base]]
+    for one, two in (instances, instances[::-1]):
+        args = [*base, "--instance=" + ",".join(map(str, one))]
+        banded = [*args, "--delta", "1/2"]
+        runs += [["shap", *args, "--game", "expected"], ["shap", *banded, "--game", "waxp"],
+                 ["relevancy", *banded], ["enumerate", *banded, "--kind", "axp"],
+                 ["compare", *banded, "--instance=" + ",".join(map(str, two))]]
+    return runs
 
 
 def invocations(name, model, rng) -> list[list[str]]:
@@ -327,6 +358,9 @@ def generate(directory) -> dict[str, list[list[str]]]:
             write(f"{name}.{error}.csv", "\n".join(bad) + "\n")
             corpus[f"{name}.{error}"] = [
                 ["validate", "--model", f"{name}.json", "--sample", f"{name}.{error}.csv"]]
+    for name, model, instances in large_boxes(rng):
+        write(f"{name}.json", json.dumps(document(model)))
+        corpus[name] = large_box_invocations(name, instances)
     write("not_utf8.csv", b"\xff\n")
     corpus["sample_not_utf8"] = [["validate", "--model", "tree_m5.json",
                                   "--sample", "not_utf8.csv"]]
