@@ -163,7 +163,7 @@ def _dispatch(args) -> RunReport:
         if model.space.all_discrete():
             results["points"] = model.space.size
         else:
-            results["cells"] = len(model.cells)
+            results["cells"] = len(model.affines[0])  # one intercept per cell
         if args.sample:
             results["sample_rows"] = len(load_sample(args.sample, model))
         return report

@@ -66,10 +66,12 @@ class Game(_Frozen):
     ``table`` returns the whole coalition table, which is what exact
     Shapley values need, and refuses more than POINT_GUARD coalitions
     before any work. A game with a ``kernel`` builds it at once, only
-    when asked; the sufficiency game's kernel reads the up-closure of
-    its problem's contrastive basis on each read (see
-    :func:`~shapxp.explanations.sufficiency_table`). Any other game
-    evaluates ``at`` on each of the 2^m coalitions.
+    when asked: the expected-value game's kernel is its model's
+    ``expected_table`` at the instance, on every model kind, and the
+    sufficiency game's reads the up-closure of its problem's contrastive
+    basis on each read (see :func:`~shapxp.explanations.sufficiency_table`).
+    Any other game, a custom one, evaluates ``at`` on each of the 2^m
+    coalitions.
 
     ``guard(coalitions, run)``, when given, is asked before a run that may
     evaluate ``coalitions`` distinct coalitions: by ``table`` when the game
@@ -180,13 +182,12 @@ def expected_game(problem: ExplanationProblem) -> Game:
                               "space, not over a sample")
     if problem.model.value_kind != NUMERIC:
         raise NumericOutputError("the expected-value game needs numeric model outputs")
-    table = problem.model.expected_table  # the model's table kernel, if it has one
     return Game(
         players=problem.feature_ids,
         charfn=lambda s: cf_expected(problem, s),
         tag=EXPECTED_VALUE,
         marginal_bound=partial(_output_width, problem.model),
-        kernel=None if table is None else partial(table, problem.instance.point),
+        kernel=partial(problem.model.expected_table, problem.instance.point),
         guard=partial(guard_slices, problem.model),
     )
 

@@ -423,18 +423,19 @@ def _box_from(doc, space, value_kind, where) -> BoxPiecewiseModel:
     raw_cells = doc.get("cells")
     if not isinstance(raw_cells, list):
         raise ValidationError(f"{where}: box model needs a 'cells' list")
-    cells = _box_columns(raw_cells, space.m)
-    if cells is None:
-        cells = _box_cells(raw_cells, space.m, where)
-    return BoxPiecewiseModel(space, tuple(cells), value_kind)
+    columns = _box_columns(raw_cells, space.m)
+    if columns is None:
+        return BoxPiecewiseModel.from_cells(space, _box_cells(raw_cells, space.m, where), value_kind)
+    return BoxPiecewiseModel(space, *columns, value_kind)
 
 
-def _box_columns(raw_cells, m) -> list | None:
-    """The cell loop's cells, read as whole lists: each distinct token is
-    parsed once, and bounds and coefficients are cut from one flat list. None
-    unless every cell is an object with a 'box' of m [lo, hi] lists and an
-    'affine' of m + 1 coefficients whose tokens' types are in _TOKEN_TYPES and
-    parse; the cell loop reports what is not, and is this path's reference."""
+def _box_columns(raw_cells, m) -> tuple[tuple, tuple] | None:
+    """The cell loop's cells as the model's columns (see BoxPiecewiseModel),
+    read as whole lists: each distinct token is parsed once, and the 2m
+    bound and m + 1 affine columns are cut from one flat list. None unless
+    every cell is an object with a 'box' of m [lo, hi] lists and an 'affine'
+    of m + 1 coefficients whose tokens' types are in _TOKEN_TYPES and parse;
+    the cell loop reports what is not, and is this path's reference."""
     try:
         boxes = list(map(itemgetter("box"), raw_cells))
         affines = list(map(itemgetter("affine"), raw_cells))
@@ -451,13 +452,26 @@ def _box_columns(raw_cells, m) -> list | None:
     if not {*map(type, tokens)} <= _TOKEN_TYPES:
         return None
     try:
-        values = {t: parse_rational(t, "") for t in set(tokens)}
+        values = {t: _rational(t) for t in set(tokens)}
     except ValidationError:
         return None
-    flat, n = list(map(values.__getitem__, tokens)), len(pairs) * 2
-    boxes = zip(*[zip(flat[:n:2], flat[1:n:2])] * m)  # m pairs per cell
-    rows = zip(*[iter(flat[n:])] * (m + 1))  # m + 1 coefficients per cell
-    return [Cell(box, row[0], row[1:]) for box, row in zip(boxes, rows)]
+    flat, n = tuple(map(values.__getitem__, tokens)), len(pairs) * 2
+    return (tuple(flat[i:n:2 * m] for i in range(2 * m)),
+            tuple(flat[n + i::m + 1] for i in range(m + 1)))
+
+
+def _rational(token) -> Fraction:
+    """parse_rational(token) for a token of _TOKEN_TYPES: an int, and a
+    "p" or "p/q" string of ASCII digits shorter than the digit limit, are
+    read without the literal parser."""
+    if token.__class__ is int:
+        return Fraction(token)
+    limit = sys.get_int_max_str_digits()
+    if token.__class__ is str and token.isascii() and (not limit or len(token) < limit):
+        p, slash, q = token.partition("/")
+        if p.removeprefix("-").isdigit() and (q.isdigit() and int(q) or not slash):
+            return Fraction(int(p), int(q) if slash else 1)
+    return parse_rational(token)
 
 
 def _box_cells(raw_cells, m, where) -> list:

@@ -25,14 +25,16 @@ end of this module check their inputs and then call it:
   explanations, every minimal one among them: a table's from its points
   by ``coalition_fold``, a tree's from its leaves, a box model's from its
   cells per coalition;
-* ``expected_table(v)`` - the expected-value game's coalition table at v
-  by ``coalition_fold``; None on a box model, which has no table kernel;
+* ``expected_table(v)`` - the expected-value game's coalition table at v:
+  the discrete kinds' by ``coalition_fold``, a box model's from its
+  integer rows in one pass;
 * ``reads_basis`` - does the sufficiency predicate read the contrastive
   basis rather than quantify over the slice?
 
-Each kind derives them from one primitive: box models each cell's integer
-form over its own denominator (``Cell._integers``), the discrete kinds a
-reader from slots to outputs. A discrete space
+Each kind derives them from one primitive: box models their columns of
+cell bounds and affine coefficients, read through each cell's integer form
+over its own denominator (``BoxPiecewiseModel._integers``), the discrete
+kinds a reader from slots to outputs. A discrete space
 numbers its points by mixed radix (``FeatureSpace.slot``), and every
 enumeration walks those slots lazily through the one guarded product of
 axes; a table reads its dense ``outputs`` at a slot, a tree walks the
@@ -61,7 +63,7 @@ from functools import cached_property, partial, reduce
 from fractions import Fraction
 from itertools import accumulate, chain, compress, product, repeat
 from math import lcm, prod
-from operator import add, attrgetter, getitem, itemgetter, lt, mul, or_, sub
+from operator import add, attrgetter, floordiv, getitem, itemgetter, lt, mul, or_, sub
 
 from .errors import (
     DomainError,
@@ -532,10 +534,9 @@ class TreeModel(_EnumerableModel):
 class Cell(_Frozen):
     """One box of a piecewise-affine model: per-feature [lo, hi) bounds
     (closed at the domain's upper endpoint) and affine output
-    a0 + sum_i coeffs[i] * x_i. It keeps a ``__dict__`` for its integer
-    form."""
+    a0 + sum_i coeffs[i] * x_i."""
 
-    _fields = ("box", "intercept", "coeffs")
+    __slots__ = _fields = ("box", "intercept", "coeffs")
 
     def __init__(self, box: tuple[tuple[Fraction, Fraction], ...], intercept: Fraction,
                  coeffs: tuple[Fraction, ...]):
@@ -543,68 +544,47 @@ class Cell(_Frozen):
         _set(self, "intercept", intercept)
         _set(self, "coeffs", coeffs)
 
-    @cached_property
-    def _integers(self) -> tuple:
-        """The cell over E, the lcm of the denominators of its bounds,
-        intercept and coefficients: (E, a0*E, (a_j*E), the ends
-        (min(a_j*lo_j, a_j*hi_j)*E^2) and (max(...)*E^2), the spans
-        ((hi_j - lo_j)*E), and its extremes over the whole box over E^2).
-        Built on its first read, so validation does not pay for it."""
-        m = len(self.coeffs)
-        (a0, *rest), scale = _over_lcd((self.intercept, *self.coeffs, *chain(*self.box)))
-        coeffs, lows, highs = rest[:m], rest[m::2], rest[m + 1::2]
-        at_lo, at_hi = list(map(mul, coeffs, lows)), list(map(mul, coeffs, highs))
-        low_ends, high_ends = tuple(map(min, at_lo, at_hi)), tuple(map(max, at_lo, at_hi))
-        return (scale, a0, tuple(coeffs), low_ends, high_ends, tuple(map(sub, highs, lows)),
-                a0 * scale + sum(low_ends), a0 * scale + sum(high_ends))
-
 
 class BoxPiecewiseModel(_Frozen):
     """Axis-aligned piecewise-affine regressor; cells partition the space.
+
+    The cells are held as columns, one entry per cell: ``bounds`` holds 2m
+    columns, the lower then the upper bounds on feature 1, then on feature
+    2, and so on; ``affines`` holds m + 1, the intercepts and then each
+    feature's coefficients. ``cells`` builds them as ``Cell`` records on its
+    first read, and ``from_cells`` builds the model from such records.
 
     Cell intervals are half-open [lo, hi) except that hi equal to the
     domain's upper endpoint is closed, which makes membership unambiguous
     and the partition check decidable. Both compare integers on a rank
     grid: each axis's sorted distinct ``cuts`` (cell bounds and domain
-    endpoints), and each cell's bounds as their ranks, per cell and per
-    axis in ``lows`` and ``highs``."""
+    endpoints), and each cell's bounds as their ranks, per axis and per
+    cell in ``lows`` and ``highs``."""
 
-    __slots__ = ("space", "cells", "value_kind", "cuts", "lows", "highs")
-    _fields = ("space", "cells", "value_kind")
+    __slots__ = ("space", "bounds", "affines", "value_kind", "cuts", "lows", "highs",
+                 "_cells", "_rows")
+    _fields = ("space", "bounds", "affines", "value_kind")
     reads_basis = False  # the basis costs its cells per coalition, so slices are quantified
-    expected_table = None  # no table kernel: the expected-value game evaluates each coalition
 
-    def __init__(self, space: FeatureSpace, cells: tuple[Cell, ...], value_kind: str = NUMERIC):
-        if not space.all_interval():
-            raise ValidationError("box-piecewise models need all-interval domains")
-        if value_kind != NUMERIC:
-            raise ValidationError("box-piecewise models are numeric-valued")
-        if not cells:
-            raise ValidationError("box-piecewise model has no cells")
+    def __init__(self, space: FeatureSpace, bounds: tuple[tuple, ...], affines: tuple[tuple, ...],
+                 value_kind: str = NUMERIC):
+        _check_box_kind(space, value_kind)
         m = space.m
-        # Errors come cell by cell, length first: rank the cells before a wrong length.
-        short = next((k for k, c in enumerate(cells)
-                      if len(c.box) != m or len(c.coeffs) != m), len(cells))
-        boxes = list(map(attrgetter("box"), cells[:short]))
-        cuts, ranks = zip(*(_ranked([f.domain.lo, f.domain.hi,
-                                     *chain.from_iterable(map(itemgetter(j), boxes))])
-                            for j, f in enumerate(space.features)))
+        if len(bounds) != 2 * m or len(affines) != m + 1 or len({*map(len, bounds + affines)}) > 1:
+            raise ValidationError(f"box model needs {2 * m} bound and {m + 1} affine columns "
+                                  "of one length")
+        if not affines[0]:
+            raise ValidationError("box-piecewise model has no cells")
         _set(self, "space", space)
-        _set(self, "cells", cells)
+        _set(self, "bounds", bounds)
+        _set(self, "affines", affines)
         _set(self, "value_kind", value_kind)
+        _set(self, "_cells", None)
+        _set(self, "_rows", {})  # cell -> its integer row, see _integers
+        cuts, lows, highs = _box_ranks(space, bounds)
         _set(self, "cuts", cuts)
-        _set(self, "lows", tuple(zip(*(r[2::2] for r in ranks))))
-        _set(self, "highs", tuple(zip(*(r[3::2] for r in ranks))))
-        # Each axis at once; the loop only names the first bad cell.
-        if not all(min(r) == r[0] and max(r) == r[1] and all(map(lt, r[2::2], r[3::2]))
-                   for r in ranks):
-            for k, (lo, hi) in enumerate(zip(self.lows, self.highs)):
-                for j, r in enumerate(ranks):  # r[0], r[1]: the domain's endpoints
-                    if not r[0] <= lo[j] < hi[j] <= r[1]:
-                        raise ValidationError(f"cell {k}: interval [{cells[k].box[j][0]}, "
-                                              f"{cells[k].box[j][1]}) invalid for feature {j + 1}")
-        if short < len(cells):
-            raise ValidationError(f"cell {short}: box/coeffs length must equal {m}")
+        _set(self, "lows", lows)
+        _set(self, "highs", highs)
         witness = self._partition_witness()
         if witness is not None:
             owners = self._holders(witness, range(m))
@@ -612,9 +592,35 @@ class BoxPiecewiseModel(_Frozen):
             raise ValidationError(
                 f"cells do not partition the space: point {witness} lies in {kind}")
         # Constant iff every coefficient is zero and all intercepts agree.
-        first = (cells[0].intercept, cells[0].coeffs)
-        if not any(first[1]) and all((c.intercept, c.coeffs) == first for c in cells):
+        intercepts, *coeffs = affines
+        if not any(map(any, coeffs)) and intercepts.count(intercepts[0]) == len(intercepts):
             raise ValidationError("model is constant; a non-constant prediction function is required")
+
+    @classmethod
+    def from_cells(cls, space: FeatureSpace, cells: Iterable[Cell],
+                   value_kind: str = NUMERIC) -> "BoxPiecewiseModel":
+        """The model of ``Cell`` records. Errors come cell by cell, the
+        length first: the cells before one whose box or coeffs is not m
+        long are checked against their domains before it is named."""
+        cells, m = tuple(cells), space.m
+        short = next((k for k, c in enumerate(cells)
+                      if len(c.box) != m or len(c.coeffs) != m), len(cells))
+        bounds = _columns(chain.from_iterable(chain.from_iterable(
+            map(attrgetter("box"), cells[:short]))), 2 * m)
+        affines = _columns(chain.from_iterable((c.intercept, *c.coeffs) for c in cells[:short]), m + 1)
+        if short < len(cells):
+            _check_box_kind(space, value_kind)
+            _box_ranks(space, bounds)
+            raise ValidationError(f"cell {short}: box/coeffs length must equal {m}")
+        return cls(space, bounds, affines, value_kind)
+
+    @property
+    def cells(self) -> tuple[Cell, ...]:
+        """The cells as ``Cell`` records, built on the first read."""
+        if self._cells is None:
+            boxes = zip(*map(zip, self.bounds[::2], self.bounds[1::2]))
+            _set(self, "_cells", tuple(map(Cell, boxes, self.affines[0], zip(*self.affines[1:]))))
+        return self._cells
 
     def _partition_witness(self) -> Point | None:
         """None if the cells partition the space, else a point in no cell or in
@@ -629,25 +635,31 @@ class BoxPiecewiseModel(_Frozen):
 
         pair = self._overlap()
         if pair is not None:
-            both = itemgetter(*pair)
-            return tuple(map(midpoint, range(len(cuts)), map(max, *both(los)), map(min, *both(his))))
-        if sum(map(prod, map(map, repeat(sub), his, los))) == prod(slabs):
+            a, b = pair
+            return tuple(midpoint(j, max(lo[a], lo[b]), min(hi[a], hi[b]))
+                         for j, lo, hi in zip(range(len(cuts)), los, his))
+        # Each cell's slab count on each axis, and the slabs its later axes span.
+        widths = list(map(list, map(map, repeat(sub), his, los)))
+        sections = [[1] * len(widths[0])]
+        for width in reversed(widths):
+            sections.append(list(map(mul, width, sections[-1])))
+        sections.reverse()  # sections[j][k]: the slabs cell k spans on axes j..m-1
+        if sum(sections[0]) == prod(slabs):
             return None
         # A gap: on each axis, fix the midpoint of the first slab whose cells
         # count its cross-section short. On the last axis no cell spans it.
         # Each cell adds its cross-section from its lower rank on and takes
         # it back from its upper one, so one running sum counts every slab.
-        point, live = [], range(len(los))
+        point, live = [], range(len(widths[0]))
         for j in range(len(cuts)):
             full = prod(slabs[j + 1:])
             counted = [0] * len(cuts[j])
             for k in live:
-                section = prod(map(sub, his[k][j + 1:], los[k][j + 1:]))
-                counted[los[k][j]] += section
-                counted[his[k][j]] -= section
+                counted[los[j][k]] += sections[j + 1][k]
+                counted[his[j][k]] -= sections[j + 1][k]
             t = next(t for t, total in enumerate(accumulate(counted)) if total < full)
             point.append(midpoint(j, t, t + 1))
-            live = [k for k in live if los[k][j] <= t < his[k][j]]
+            live = [k for k in live if los[j][k] <= t < his[j][k]]
         return tuple(point)
 
     def _overlap(self) -> tuple[int, int] | None:
@@ -660,26 +672,27 @@ class BoxPiecewiseModel(_Frozen):
         first after a meeting it on every axis is named. The unions, at most
         2 * cuts * k bits per other axis, are refused past 2^28 in all."""
         los, his = self.lows, self.highs
-        axis = max(range(len(los[0])), key=lambda j: len({lo[j] for lo in los}))
-        others = [j for j in range(len(los[0])) if j != axis]
-        if (bits := 2 * len(los) * sum(len(self.cuts[j]) for j in others)) > POINT_GUARD << 8:
+        axis = max(range(len(los)), key=lambda j: len(set(los[j])))
+        others = [j for j in range(len(los)) if j != axis]
+        if (bits := 2 * len(los[0]) * sum(len(self.cuts[j]) for j in others)) > POINT_GUARD << 8:
             raise SizeLimitError(f"partition check guarded at {POINT_GUARD << 8} bits, got {bits}")
-        order = sorted(range(len(los)), key=lambda k: los[k][axis])
-        firsts = [los[k][axis] for k in order]
+        order = sorted(range(len(los[0])), key=los[axis].__getitem__)
+        firsts = list(map(los[axis].__getitem__, order))
         started, ended = [], []
         for j in others:
             starts, ends = [0] * len(self.cuts[j]), [0] * len(self.cuts[j])
-            for p, k in enumerate(order):
-                starts[los[k][j]] |= 1 << p
-                ends[his[k][j]] |= 1 << p
+            for p, lo, hi in zip(range(len(order)), map(los[j].__getitem__, order),
+                                 map(his[j].__getitem__, order)):
+                starts[lo] |= 1 << p
+                ends[hi] |= 1 << p
             started.append([0, *accumulate(starts, or_)])
             ended.append(list(accumulate(ends, or_)))
         for p, a in enumerate(order):
             # The later cells starting below hi_a: positions p + 1 .. c - 1, where c
             # counts the lower ranks below hi_a, a's own and those before it among them.
-            meet = (1 << bisect_left(firsts, his[a][axis])) - (2 << p)
+            meet = (1 << bisect_left(firsts, his[axis][a])) - (2 << p)
             for j, s, e in zip(others, started, ended):
-                meet &= s[his[a][j]] ^ e[los[a][j]]  # ended[lo] lies within started[hi]
+                meet &= s[his[j][a]] ^ e[los[j][a]]  # ended[lo] lies within started[hi]
             if meet:
                 return a, order[(meet & -meet).bit_length() - 1]
         return None
@@ -694,40 +707,81 @@ class BoxPiecewiseModel(_Frozen):
     def _holders(self, v: Point, axes: Iterable[int]) -> list[int]:
         """The cells (by index) holding v on the given 0-based axes: those
         with lo_r <= t < hi_r for v_j's slab t on each, one axis at a time."""
-        held, los, his = range(len(self.cells)), self.lows, self.highs
+        held = range(len(self.affines[0]))
         for j in axes:
-            t = self._slab(j, v[j])
-            held = [k for k in held if los[k][j] <= t < his[k][j]]
+            t, lo, hi = self._slab(j, v[j]), self.lows[j], self.highs[j]
+            held = [k for k in held if lo[k] <= t < hi[k]]
         return list(held)
 
-    def cell_at(self, point: Point) -> Cell:
+    def _owner(self, point: Point) -> int:
         owners = self._holders(point, range(self.space.m))
         if len(owners) != 1:
             raise ValidationError(f"partition violated at {point}: {len(owners)} cells")
-        return self.cells[owners[0]]
+        return owners[0]
+
+    def _integers(self, cells: Iterable[int]) -> list[tuple]:
+        """The integer row of each of ``cells`` (indexes): the cell over E,
+        the lcm of the denominators of its bounds, intercept and
+        coefficients, as (E, a0*E, (a_j*E), the ends
+        (min(a_j*lo_j, a_j*hi_j)*E^2) and (max(...)*E^2), the spans
+        ((hi_j - lo_j)*E), and its extremes over the whole box over E^2).
+        The rows not read before are built together, a column at a time,
+        and kept: a run reads few of them, and validation none."""
+        rows, cells = self._rows, list(cells)
+        new = [k for k in dict.fromkeys(cells) if k not in rows]
+        if new:
+            # One flat list of the values, a column at a time: the intercepts,
+            # the coefficients, then the lower and the upper bounds, by axis.
+            m, n = self.space.m, len(new)
+            columns = self.affines + self.bounds[::2] + self.bounds[1::2]
+            if n < len(columns[0]):
+                columns = [map(column.__getitem__, new) for column in columns]
+            values = list(chain.from_iterable(columns))
+            ids = list(map(id, values))  # a few shared objects, each read once
+            ratios = {k: x.as_integer_ratio() for k, x in dict(zip(ids, values)).items()}
+            num, den = ({k: r[i] for k, r in ratios.items()} for i in (0, 1))
+            q = list(map(den.__getitem__, ids))
+            scale = list(map(lcm, *(q[i:i + n] for i in range(0, len(q), n))))
+            ints = list(map(mul, map(num.__getitem__, ids), map(floordiv, scale * (3 * m + 1), q)))
+            a0, coeffs, lows, highs = (ints[i * n:j * n] for i, j in
+                                       ((0, 1), (1, m + 1), (m + 1, 2 * m + 1), (2 * m + 1, 3 * m + 1)))
+            at_lo, at_hi = list(map(mul, coeffs, lows)), list(map(mul, coeffs, highs))
+
+            def by_cell(flat):  # m columns laid end to end, as each cell's m-tuple
+                return zip(*(flat[i:i + n] for i in range(0, m * n, n)))
+
+            low_ends = list(by_cell(list(map(min, at_lo, at_hi))))
+            high_ends = list(by_cell(list(map(max, at_lo, at_hi))))
+            centre = list(map(mul, a0, scale))
+            rows.update(zip(new, zip(scale, a0, by_cell(coeffs), low_ends, high_ends,
+                                     by_cell(list(map(sub, highs, lows))),
+                                     map(add, centre, map(sum, low_ends)),
+                                     map(add, centre, map(sum, high_ends)))))
+        return list(map(rows.__getitem__, cells))
 
     # Every quantity below is read in integers: each cell over its own
-    # denominator E (see Cell._integers), the point v over d, the lcm of its
+    # denominator E (see _integers), the point v over d, the lcm of its
     # coordinates' denominators. An affine's extremes over a cell's closure
     # are reached coordinate-wise at the interval ends (it is separable),
     # so over E^2 * d they are (a0*d + sum_fixed a_j*v_j) * E plus d times
     # the free axes' low or high ends.
 
     def output(self, point: Point) -> Fraction:
-        # The affine at the point, over E * d.
-        scale, a0, coeffs = self.cell_at(point)._integers[:3]
+        # The affine at the point, over the lcd of its terms times d.
+        k = self._owner(point)
+        (a0, *coeffs), scale = _over_lcd(column[k] for column in self.affines)
         numerators, d = _over_lcd(point)
         return Fraction(a0 * d + sum(map(mul, coeffs, numerators)), scale * d)
 
     def _extremes(self, v: Point, fixed: Iterable[int]) -> tuple[int, list]:
-        """d, and each cell meeting the slice x_S = v_S as its row of
-        ``Cell._integers`` with its closure extremes there over E^2 * d."""
+        """d, and each cell meeting the slice x_S = v_S as its integer row
+        with its closure extremes there over E^2 * d."""
         numerators, d = _over_lcd(v)
         axes = [j - 1 for j in fixed]
         free = [j for j in range(self.space.m) if j + 1 not in fixed]
         cells = []
-        for k in self._holders(v, axes):
-            row = scale, a0, coeffs, lows, highs, *_ = self.cells[k]._integers
+        for row in self._integers(self._holders(v, axes)):
+            scale, a0, coeffs, lows, highs, *_ = row
             pinned = (a0 * d + sum(coeffs[j] * numerators[j] for j in axes)) * scale
             cells.append((row, pinned + d * sum(lows[j] for j in free),
                           pinned + d * sum(highs[j] for j in free)))
@@ -741,6 +795,15 @@ class BoxPiecewiseModel(_Frozen):
         for (scale, *_), low, high in cells:
             yield Fraction(low, scale * scale * d)
             yield Fraction(high, scale * scale * d)
+
+    def _axes_holding(self, v: Point) -> dict[int, list[int]]:
+        """Each cell holding v on some axis, with those 0-based axes: the
+        slices fixing features meet only these cells."""
+        held = {}
+        for j in range(self.space.m):
+            for k in self._holders(v, [j]):
+                held.setdefault(k, []).append(j)
+        return held
 
     def disagreements(self, v: Point, dissimilar: Callable[[Value], bool]) -> Iterator[int]:
         """Every weak contrastive explanation C (bit j: feature j+1): the
@@ -766,12 +829,9 @@ class BoxPiecewiseModel(_Frozen):
                 bands[scale] = -(-below_n * s // below_d), above_n * s // above_d
             return low < bands[scale][0] or high > bands[scale][1]
 
-        held, full, found = {}, (1 << m) - 1, set()
-        for j in range(m):
-            for k in self._holders(v, [j]):
-                held.setdefault(k, []).append(j)
-        for k, axes in held.items():
-            scale, _, coeffs, lows, highs, _, bottom, top = self.cells[k]._integers
+        held, full, found = self._axes_holding(v), (1 << m) - 1, set()
+        for axes, row in zip(held.values(), self._integers(held)):
+            scale, _, coeffs, lows, highs, _, bottom, top = row
             slices = [(full, bottom * d, top * d)]  # (C, low, high) of each slice it meets
             for j in axes:
                 pinned = coeffs[j] * numerators[j] * scale
@@ -779,35 +839,107 @@ class BoxPiecewiseModel(_Frozen):
                 slices += [(free ^ 1 << j, lo + to_lo, hi + to_hi) for free, lo, hi in slices]
             found.update(free for free, lo, hi in slices if leaves(scale, lo, hi))
         if full not in found and any(leaves(scale, bottom * d, top * d) for scale, *_, bottom, top
-                                     in (cell._integers for cell in self.cells)):
+                                     in self._integers(range(len(self.affines[0])))):
             found.add(full)
         return iter(sorted(found))
 
     def slice_expectation(self, v: Point, fixed: frozenset[int]) -> Fraction:
         # An affine's mean over the free sub-box is its value at the centre,
         # the mean of its two extremes; over E^(free+2) * 2d each cell adds
-        # its free volume times their sum, and one Fraction sums each E's.
+        # its free volume times their sum.
         d, cells = self._extremes(v, fixed)
         free = [j for j in range(self.space.m) if j + 1 not in fixed]
         sums = {}
         for (scale, *_, spans, _, _), low, high in cells:
             sums[scale] = sums.get(scale, 0) + prod(spans[j] for j in free) * (low + high)
-        # Added pairwise: a running sum's denominator grows at every step.
+        return self._mean(sums, free, d)
+
+    def _mean(self, sums: dict[int, int], free: list[int], d: int) -> Fraction:
+        """The mean over the free axes of a slice whose cells added, per
+        denominator E, ``sums`` over E^(free+2) * 2d: one Fraction per E,
+        added pairwise, since a running sum's denominator grows at every
+        step, then divided by the free volume."""
         terms = [Fraction(n, scale ** (len(free) + 2) * 2 * d) for scale, n in sums.items()]
         while len(terms) > 1:
             terms = [a + b for a, b in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1:]
         return terms[0] / prod(self.space.features[j].domain.width for j in free)
 
+    def expected_table(self, v: Point) -> tuple[list[int], int]:
+        """The expected-value game at v, for every coalition, each value as
+        ``slice_expectation`` gives it. The slice fixing nothing meets every
+        cell: each adds its volume times the sum of its extremes over the
+        whole box, in one pass over the rows. The slice fixing S meets the
+        cells holding v on every axis of S, so each of those adds to the
+        coalitions within its held axes, pinned one axis at a time: pinning
+        j adds 2*a_j*v_j*E and takes its ends back, and drops its span from
+        the volume. The guard charges every cell per coalition, as the
+        slices' scan did."""
+        m = self.space.m
+        guard_slices(self, 1 << m, "coalition table")
+        numerators, d = _over_lcd(v)
+        rows, held = self._integers(range(len(self.affines[0]))), self._axes_holding(v)
+        sums = [{} for _ in range(1 << m)]  # per coalition: E -> sum over E^(free+2) * 2d
+        volumes = map(prod, map(itemgetter(5), rows))
+        extremes = map(add, map(itemgetter(6), rows), map(itemgetter(7), rows))
+        for scale, term in zip(map(itemgetter(0), rows), map(mul, volumes, extremes)):
+            sums[0][scale] = sums[0].get(scale, 0) + term * d
+        for axes, (scale, _, coeffs, lows, highs, spans, bottom, top) in zip(
+                held.values(), self._integers(held)):
+            slices = [(0, prod(spans), d * (bottom + top))]  # (S, free volume, low + high)
+            for j in axes:
+                shift = 2 * coeffs[j] * numerators[j] * scale - d * (lows[j] + highs[j])
+                slices += [(fixed | 1 << j, volume // spans[j], total + shift)
+                           for fixed, volume, total in slices]
+            for fixed, volume, total in slices[1:]:
+                sums[fixed][scale] = sums[fixed].get(scale, 0) + volume * total
+        return _over_lcd(self._mean(sums[s], [j for j in range(m) if not s >> j & 1], d)
+                         for s in range(1 << m))
+
     def output_range(self) -> tuple[Fraction, Fraction]:
         # Each cell's extremes are over its E^2: compared by cross-multiplying.
         lo = hi = None
-        for scale, *_, bottom, top in (cell._integers for cell in self.cells):
+        for scale, *_, bottom, top in self._integers(range(len(self.affines[0]))):
             s = scale * scale
             if lo is None or bottom * lo[1] < lo[0] * s:
                 lo = bottom, s
             if hi is None or top * hi[1] > hi[0] * s:
                 hi = top, s
         return Fraction(*lo), Fraction(*hi)
+
+
+def _check_box_kind(space: FeatureSpace, value_kind: str) -> None:
+    if not space.all_interval():
+        raise ValidationError("box-piecewise models need all-interval domains")
+    if value_kind != NUMERIC:
+        raise ValidationError("box-piecewise models are numeric-valued")
+
+
+def _columns(values: Iterable, width: int) -> tuple[tuple, ...]:
+    """A flat run of records ``width`` values long, as ``width`` columns."""
+    values = tuple(values)
+    return tuple(values[i::width] for i in range(width))
+
+
+def _box_ranks(space: FeatureSpace, bounds: tuple[tuple, ...]) -> tuple[tuple, tuple, tuple]:
+    """Each axis's cuts, and the ranks of the cells' lower and upper bounds
+    among them; a cell whose interval is empty or leaves its domain on
+    some axis raises, the first such cell by index."""
+    cuts, ends, lows, highs = [], [], [], []
+    for f, lo, hi in zip(space.features, bounds[::2], bounds[1::2]):
+        axis, ranks = _ranked([f.domain.lo, f.domain.hi, *lo, *hi])
+        cuts.append(axis)
+        ends.append(ranks[:2])  # the domain's endpoints
+        lows.append(ranks[2:2 + len(lo)])
+        highs.append(ranks[2 + len(lo):])
+    # Each axis at once; the loop only names the first bad cell.
+    if not all(min(lo, default=a) >= a and max(hi, default=b) <= b and all(map(lt, lo, hi))
+               for lo, hi, (a, b) in zip(lows, highs, ends)):
+        for k in range(len(lows[0])):
+            for j, (lo, hi, (a, b)) in enumerate(zip(lows, highs, ends)):
+                if not a <= lo[k] < hi[k] <= b:
+                    raise ValidationError(f"cell {k}: interval [{bounds[2 * j][k]}, "
+                                          f"{bounds[2 * j + 1][k]}) invalid for feature {j + 1}")
+    return tuple(cuts), tuple(lows), tuple(highs)
 
 
 def _ranked(bounds: list) -> tuple[tuple, list[int]]:
@@ -902,9 +1034,9 @@ def enumerate_points(model_or_space, constraint: Mapping[int, Value] | None = No
     space = model_or_space if isinstance(model_or_space, FeatureSpace) else model_or_space.space
     if not space.all_discrete():
         raise UnsupportedOperationError("point enumeration needs a discrete feature space")
-    constraint = constraint or {}
+    constraint, ids = constraint or {}, space.ids  # the ids built once per call
     for fid, value in constraint.items():
-        if fid not in space.ids:
+        if fid not in ids:
             raise DomainError(f"constraint on unknown feature {fid}")
         if value not in space.domain(fid):
             raise DomainError(f"constraint value {value!r} outside domain of feature {fid}")
@@ -935,7 +1067,7 @@ def guard_slices(model: Model, coalitions: int, run: str) -> None:
         work = min(coalitions * space.size, prod(1 + radix for radix in space.radices))
         unit = "slice points"
     else:
-        work, unit = coalitions * len(model.cells) * space.m, "affine terms"
+        work, unit = coalitions * len(model.affines[0]) * space.m, "affine terms"
     if work > POINT_GUARD:
         raise SizeLimitError(f"{run} guarded at {POINT_GUARD} {unit}, got {work}")
 
@@ -945,12 +1077,12 @@ def conditional_expectation(model: Model, instance: Instance, fixed: Iterable[in
     unconstrained features. Exact rational arithmetic throughout."""
     if model.value_kind != NUMERIC:
         raise NumericOutputError("conditional expectation needs numeric model outputs")
-    fixed = frozenset(fixed)
-    v = instance.point
+    fixed, v, space = frozenset(fixed), instance.point, model.space
+    ids = space.ids  # built once per call
     for fid in fixed:
-        if fid not in model.space.ids:
+        if fid not in ids:
             raise DomainError(f"unknown feature id {fid}")
-        if v[fid - 1] not in model.space.domain(fid):
+        if v[fid - 1] not in space.domain(fid):
             raise DomainError(f"value {v[fid - 1]!r} outside domain of feature {fid}")
     return model.slice_expectation(v, fixed)
 

@@ -81,7 +81,7 @@ def model_on(rng, boxes):
                               tuple(rng.choice(coeff_pool) for _ in range(m))))
         if len({(c.intercept, c.coeffs) for c in cells}) > 1 or any(
                 a != 0 for c in cells for a in c.coeffs):
-            return BoxPiecewiseModel(space, tuple(cells))
+            return BoxPiecewiseModel.from_cells(space, tuple(cells))
 
 
 def aligned_midpoints(domain, step=Fraction(1, 16)):

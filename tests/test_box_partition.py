@@ -236,7 +236,7 @@ def test_the_check_decides_as_the_grid_does_and_names_a_true_witness():
         space = unit_space(m)
         reference = grid_witness(space, cells)
         try:
-            BoxPiecewiseModel(space, tuple(cells))
+            BoxPiecewiseModel.from_cells(space, tuple(cells))
         except ValidationError as exc:
             assert reference is not None, (cells, str(exc))
             assert_true_witness(space, cells, str(exc))
@@ -285,15 +285,16 @@ def test_the_bitset_check_names_the_pair_that_the_pair_scan_names(monkeypatch):
     for space, cells in oracle_layouts():
         with monkeypatch.context() as patch:  # the ranks, with no partition check
             patch.setattr(BoxPiecewiseModel, "_partition_witness", lambda self: None)
-            model = BoxPiecewiseModel(space, tuple(cells))
+            model = BoxPiecewiseModel.from_cells(space, tuple(cells))
         pair = model._overlap()
-        assert pair == pair_scan(model.lows, model.highs), cells
+        lows, highs = list(zip(*model.lows)), list(zip(*model.highs))  # each cell's ranks
+        assert pair == pair_scan(lows, highs), cells
         if space.m == 2:
-            assert (pair is None) == (sweep(model.lows, model.highs) is None), cells
+            assert (pair is None) == (sweep(lows, highs) is None), cells
         if pair is not None:
             overlaps[space.m] += 1
             with pytest.raises(ValidationError) as caught:
-                BoxPiecewiseModel(space, tuple(cells))
+                BoxPiecewiseModel.from_cells(space, tuple(cells))
             assert_true_witness(space, cells, str(caught.value))
     assert min(overlaps[m] for m in (1, 2, 3, 4, 5, HOSTILE_M)) >= 1
     assert sum(overlaps.values()) >= 150
@@ -307,7 +308,7 @@ def test_an_overlap_is_named_by_its_intersection_midpoint():
         [(F(1, 2), HI), (F(0), HI)],
     ])
     with pytest.raises(ValidationError) as caught:
-        BoxPiecewiseModel(space, tuple(cells))
+        BoxPiecewiseModel.from_cells(space, tuple(cells))
     assert named_witness(str(caught.value)) == ((F(1, 4), F(-1, 2)), [0, 1])
 
 
@@ -319,7 +320,7 @@ def test_a_gap_is_named_inside_the_uncovered_region():
         [(F(1, 2), HI), (F(0), HI)],
     ])
     with pytest.raises(ValidationError) as caught:
-        BoxPiecewiseModel(space, tuple(cells))
+        BoxPiecewiseModel.from_cells(space, tuple(cells))
     assert named_witness(str(caught.value)) == ((F(1, 4), F(1, 2)), [])
 
 
@@ -337,7 +338,7 @@ def test_slab_membership_agrees_with_the_fraction_rule():
             for axes in subsets:
                 expected = [cell for cell in model.cells if holds(cell, v, axes, tops)]
                 assert slice_cells(model, v, [j + 1 for j in axes]) == expected, (model, v, axes)
-            assert [model.cell_at(v)] == expected  # the last subset fixes every axis
+            assert [model.cells[model._owner(v)]] == expected  # the last subset fixes every axis
 
 
 def test_errors_come_cell_by_cell_with_the_length_check_first():
@@ -355,9 +356,9 @@ def test_errors_come_cell_by_cell_with_the_length_check_first():
     for changes, message in cases:
         broken = tuple(changes.get(k, cell) for k, cell in enumerate(cells))
         with pytest.raises(ValidationError) as caught:
-            BoxPiecewiseModel(unit_space(2), broken)
+            BoxPiecewiseModel.from_cells(unit_space(2), broken)
         assert str(caught.value) == message
-    BoxPiecewiseModel(unit_space(2), tuple(cells))
+    BoxPiecewiseModel.from_cells(unit_space(2), tuple(cells))
 
 
 # A guillotine layout in ten dimensions whose every split uses a cut that
@@ -557,4 +558,4 @@ def test_3d_layouts_of_the_bench_sizes_validate():
     cuts = [[LO] + sorted(rng.sample(LATTICE[1:-1], 3)) + [HI] for _ in range(3)]
     for boxes in (kd_boxes(rng, 3, 64, LATTICE[::2]),
                   [list(box) for box in product(*(zip(c, c[1:]) for c in cuts))]):
-        BoxPiecewiseModel(unit_space(3), tuple(with_affines(rng, boxes)))
+        BoxPiecewiseModel.from_cells(unit_space(3), tuple(with_affines(rng, boxes)))

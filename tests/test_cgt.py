@@ -742,10 +742,10 @@ class TestValueSource:
         return expected_game(ExplanationProblem(model, make_instance(model, point),
                                                 SimilarityConfig.class_equality()))
 
-    def test_a_sample_over_every_coalition_reads_the_table_once(self, cls3_problem):
+    def test_a_sample_over_every_coalition_reads_the_table_once(self, cls3_problem, pw2_problem):
         rng = random.Random(31)
         for game in (waxp_game(cls3_problem), expected_game(cls3_problem),
-                     self.binary_table_game(rng, 5)):
+                     self.binary_table_game(rng, 5), expected_game(pw2_problem)):
             calls = []
             config = CgtConfig(F(1, 20), F(1, 20), seed=3, sample_count=2000)
             vector, _ = cgt_estimate(self.counted_game(game, calls), config)
@@ -755,7 +755,8 @@ class TestValueSource:
     def test_a_kernel_less_game_over_every_coalition_is_read_through_its_table(
             self, monkeypatch, pw2_problem):
         # A kernel-less game's table fills the memo once per coalition, under
-        # the guard charge of 2^m coalitions that the estimator has passed.
+        # the guard charge of 2^m coalitions that the estimator has passed;
+        # pw2's expected game is copied here without its kernel.
         read, table = [], Game.table
         monkeypatch.setattr(Game, "table", lambda game: read.append(game) or table(game))
         custom = Game((1, 2, 3, 4), lambda s: sum(F(i, 3) for i in s) + (2 in s and 3 in s),
@@ -767,7 +768,7 @@ class TestValueSource:
             config = CgtConfig(F(1, 20), F(1, 20), seed=3, sample_count=300)
             read.clear()
             vector, _ = cgt_estimate(counted, config)
-            assert game.kernel is None and read == [counted]
+            assert read == [counted]
             assert len(calls) == len(set(calls)) == 1 << m
             assert charges == [(1 << m, "sampling"), (1 << m, "coalition table")]
             assert vector.scores == naive_estimate(game, 3, 300)

@@ -98,7 +98,7 @@ def wide_box_model(m):
     zero = (F(0),) * m
     cells = (Cell(((F(0), F(1, 2)),) + rest, F(0), zero),
              Cell(((F(1, 2), F(1)),) + rest, F(0), (F(1),) + zero[1:]))
-    return BoxPiecewiseModel(space, cells)
+    return BoxPiecewiseModel.from_cells(space, cells)
 
 
 def parity_problem(m=3):

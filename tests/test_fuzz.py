@@ -653,8 +653,9 @@ def test_a_sample_goes_to_the_columns_exactly_when_it_is_regular(lines, regular,
 # ---------------------------------------------------------------------------
 
 def box_paths(doc):
-    """(columns, loop) for a document's cells, the loop's error in place of
-    its cells when it raises; None when the cells cannot reach them."""
+    """(columns, loop) for a document's cells, the loop's cells as the
+    column path's (bounds, affines) columns, or its error when it raises;
+    None when the cells cannot reach them."""
     try:
         m = _space_from(doc.get("features"), "model").m
     except ValidationError:
@@ -663,18 +664,21 @@ def box_paths(doc):
         return None
     columns = _box_columns(doc["cells"], m)
     try:
-        loop = _box_cells(doc["cells"], m, "model")
+        cells = _box_cells(doc["cells"], m, "model")
     except ValidationError as exc:
-        loop = exc
-    return columns, loop
+        return columns, exc
+    bounds = tuple(tuple(c.box[j][end] for c in cells) for j in range(m) for end in (0, 1))
+    affines = tuple(tuple(((c.intercept, *c.coeffs)[i] for c in cells)) for i in range(m + 1))
+    return columns, (bounds, affines)
 
 
-def cell_values(cells):
-    return typed(chain.from_iterable((*chain(*c.box), c.intercept, *c.coeffs) for c in cells))
+def column_values(columns):
+    return typed(chain.from_iterable(chain(*columns)))
 
 
 def assert_box_paths_agree(doc):
-    """As assert_table_paths_agree, for the cell loop of a box model."""
+    """As assert_table_paths_agree, for the cell loop of a box model: the
+    same columns, every value of the same type."""
     paths = box_paths(doc)
     if paths is None:
         return False
@@ -683,7 +687,7 @@ def assert_box_paths_agree(doc):
     if columns is None:
         return False
     assert columns == loop
-    assert cell_values(columns) == cell_values(loop)
+    assert column_values(columns) == column_values(loop)
     return True
 
 

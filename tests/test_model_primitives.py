@@ -51,10 +51,11 @@ from test_models import bool_space
 
 # Reference semantics: verbatim copies of BoxPiecewiseModel.output,
 # BoxPiecewiseModel.slice_expectation and TreeModel.output as they were
-# written before each kind read one primitive, with ``self`` the model and
-# its ``slice_cells`` method read from boxmodels.
+# written before each kind read one primitive, with ``self`` the model, its
+# ``slice_cells`` method read from boxmodels and its cell at a point read by
+# the owner's index.
 def reference_box_output(self, point):
-    cell = self.cell_at(point)
+    cell = self.cells[self._owner(point)]
     total = Fraction(cell.intercept)
     for a, x in zip(cell.coeffs, point):
         if a:

@@ -134,27 +134,27 @@ class TestValidation:
         cells = (Cell(((F(0), F(1)),), F(0), (F(1),)),
                  Cell(((F(3, 2), F(2)),), F(5), (F(0),)))
         with pytest.raises(ValidationError, match="partition"):
-            BoxPiecewiseModel(space, cells)
+            BoxPiecewiseModel.from_cells(space, cells)
 
     def test_box_cells_with_overlap_rejected(self):
         space = FeatureSpace((Feature(1, "x", IntervalDomain(F(0), F(2))),))
         cells = (Cell(((F(0), F(3, 2)),), F(0), (F(1),)),
                  Cell(((F(1), F(2)),), F(5), (F(0),)))
         with pytest.raises(ValidationError, match="partition"):
-            BoxPiecewiseModel(space, cells)
+            BoxPiecewiseModel.from_cells(space, cells)
 
     def test_box_cell_outside_domain_rejected(self):
         space = FeatureSpace((Feature(1, "x", IntervalDomain(F(0), F(2))),))
         cells = (Cell(((F(0), F(3)),), F(0), (F(1),)),)
         with pytest.raises(ValidationError, match="invalid"):
-            BoxPiecewiseModel(space, cells)
+            BoxPiecewiseModel.from_cells(space, cells)
 
     def test_constant_box_model_rejected(self):
         space = FeatureSpace((Feature(1, "x", IntervalDomain(F(0), F(2))),))
         cells = (Cell(((F(0), F(1)),), F(3), (F(0),)),
                  Cell(((F(1), F(2)),), F(3), (F(0),)))
         with pytest.raises(ValidationError, match="constant"):
-            BoxPiecewiseModel(space, cells)
+            BoxPiecewiseModel.from_cells(space, cells)
 
     def test_instance_shape(self, cls3_model):
         inst = make_instance(cls3_model, (1, 1, 2))
