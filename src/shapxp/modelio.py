@@ -184,7 +184,7 @@ def model_from_dict(doc: dict, where: str = "model", booleans: bool = True) -> M
     if kind == "tree":
         return _tree_from(doc, space, value_kind, where)
     if kind == "box_piecewise":
-        return _box_from(doc, space, value_kind, where)
+        return _box_from(doc, space, value_kind, where, booleans)
     raise ValidationError(f"{where}: unknown model kind {kind!r}")
 
 
@@ -417,25 +417,27 @@ def _node_id(raw, where: str):
     return raw
 
 
-def _box_from(doc, space, value_kind, where) -> BoxPiecewiseModel:
+def _box_from(doc, space, value_kind, where, booleans) -> BoxPiecewiseModel:
     """The cells read by columns when they are regular, else by the cell
     loop, which raises on what is not."""
     raw_cells = doc.get("cells")
     if not isinstance(raw_cells, list):
         raise ValidationError(f"{where}: box model needs a 'cells' list")
-    columns = _box_columns(raw_cells, space.m)
+    columns = _box_columns(raw_cells, space.m, booleans)
     if columns is None:
         return BoxPiecewiseModel.from_cells(space, _box_cells(raw_cells, space.m, where), value_kind)
     return BoxPiecewiseModel(space, *columns, value_kind)
 
 
-def _box_columns(raw_cells, m) -> tuple[tuple, tuple] | None:
+def _box_columns(raw_cells, m, booleans=True) -> tuple[tuple, tuple] | None:
     """The cell loop's cells as the model's columns (see BoxPiecewiseModel),
     read as whole lists: each distinct token is parsed once, and the 2m
     bound and m + 1 affine columns are cut from one flat list. None unless
     every cell is an object with a 'box' of m [lo, hi] lists and an 'affine'
     of m + 1 coefficients whose tokens' types are in _TOKEN_TYPES and parse;
-    the cell loop reports what is not, and is this path's reference."""
+    the cell loop reports what is not, and is this path's reference. A
+    JSON boolean equals 1 or 0, so only when ``booleans`` (the text may
+    hold one) is every token's type checked, else each distinct token's."""
     try:
         boxes = list(map(itemgetter("box"), raw_cells))
         affines = list(map(itemgetter("affine"), raw_cells))
@@ -449,10 +451,14 @@ def _box_columns(raw_cells, m) -> tuple[tuple, tuple] | None:
     if not ({*map(type, pairs)} <= {list} and {*map(len, pairs)} <= {2}):
         return None
     tokens = list(chain(chain.from_iterable(pairs), chain.from_iterable(affines)))
-    if not {*map(type, tokens)} <= _TOKEN_TYPES:
+    try:
+        distinct = set(tokens)
+    except TypeError:  # an unhashable token
+        return None
+    if not {*map(type, tokens if booleans else distinct)} <= _TOKEN_TYPES:
         return None
     try:
-        values = {t: _rational(t) for t in set(tokens)}
+        values = {t: _rational(t) for t in distinct}
     except ValidationError:
         return None
     flat, n = tuple(map(values.__getitem__, tokens)), len(pairs) * 2

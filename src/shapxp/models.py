@@ -637,7 +637,7 @@ class BoxPiecewiseModel(_Frozen):
         if pair is not None:
             a, b = pair
             return tuple(midpoint(j, max(lo[a], lo[b]), min(hi[a], hi[b]))
-                         for j, lo, hi in zip(range(len(cuts)), los, his))
+                         for j, (lo, hi) in enumerate(zip(los, his)))
         # Each cell's slab count on each axis, and the slabs its later axes span.
         widths = list(map(list, map(map, repeat(sub), his, los)))
         sections = [[1] * len(widths[0])]
@@ -681,10 +681,10 @@ class BoxPiecewiseModel(_Frozen):
         started, ended = [], []
         for j in others:
             starts, ends = [0] * len(self.cuts[j]), [0] * len(self.cuts[j])
-            for p, lo, hi in zip(range(len(order)), map(los[j].__getitem__, order),
-                                 map(his[j].__getitem__, order)):
-                starts[lo] |= 1 << p
-                ends[hi] |= 1 << p
+            lo, hi = los[j], his[j]
+            for p, k in enumerate(order):
+                starts[lo[k]] |= 1 << p
+                ends[hi[k]] |= 1 << p
             started.append([0, *accumulate(starts, or_)])
             ended.append(list(accumulate(ends, or_)))
         for p, a in enumerate(order):
@@ -743,8 +743,8 @@ class BoxPiecewiseModel(_Frozen):
             q = list(map(den.__getitem__, ids))
             scale = list(map(lcm, *(q[i:i + n] for i in range(0, len(q), n))))
             ints = list(map(mul, map(num.__getitem__, ids), map(floordiv, scale * (3 * m + 1), q)))
-            a0, coeffs, lows, highs = (ints[i * n:j * n] for i, j in
-                                       ((0, 1), (1, m + 1), (m + 1, 2 * m + 1), (2 * m + 1, 3 * m + 1)))
+            a0, coeffs = ints[:n], ints[n:(m + 1) * n]
+            lows, highs = ints[(m + 1) * n:(2 * m + 1) * n], ints[(2 * m + 1) * n:]
             at_lo, at_hi = list(map(mul, coeffs, lows)), list(map(mul, coeffs, highs))
 
             def by_cell(flat):  # m columns laid end to end, as each cell's m-tuple

@@ -13,13 +13,13 @@ from operator import mul, sub
 
 import pytest
 
-import shapxp.models
 from shapxp import (
     BoxPiecewiseModel,
     Cell,
     DomainError,
     ExplanationProblem,
     SimilarityConfig,
+    ValidationError,
     enumerate_points,
     load_model,
     make_instance,
@@ -179,7 +179,7 @@ def test_unknown_features_and_values_outside_their_domain_are_refused():
 
 def test_the_column_constructor_checks_its_shape():
     model = LAYOUTS["grid0"]
-    with pytest.raises(shapxp.models.ValidationError, match="4 bound and 3 affine columns"):
+    with pytest.raises(ValidationError, match="4 bound and 3 affine columns"):
         BoxPiecewiseModel(model.space, model.bounds[:3], model.affines)
-    with pytest.raises(shapxp.models.ValidationError, match="of one length"):
+    with pytest.raises(ValidationError, match="of one length"):
         BoxPiecewiseModel(model.space, model.bounds, (model.affines[0][1:], *model.affines[1:]))

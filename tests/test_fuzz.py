@@ -652,17 +652,18 @@ def test_a_sample_goes_to_the_columns_exactly_when_it_is_regular(lines, regular,
 # Box cells: the column path against the cell loop
 # ---------------------------------------------------------------------------
 
-def box_paths(doc):
+def box_paths(doc, booleans=True):
     """(columns, loop) for a document's cells, the loop's cells as the
     column path's (bounds, affines) columns, or its error when it raises;
-    None when the cells cannot reach them."""
+    None when the cells cannot reach them. The columns read them with the
+    loader's ``booleans`` flag."""
     try:
         m = _space_from(doc.get("features"), "model").m
     except ValidationError:
         return None
     if not isinstance(doc.get("cells"), list):
         return None
-    columns = _box_columns(doc["cells"], m)
+    columns = _box_columns(doc["cells"], m, booleans)
     try:
         cells = _box_cells(doc["cells"], m, "model")
     except ValidationError as exc:
@@ -678,8 +679,17 @@ def column_values(columns):
 
 def assert_box_paths_agree(doc):
     """As assert_table_paths_agree, for the cell loop of a box model: the
-    same columns, every value of the same type."""
-    paths = box_paths(doc)
+    same columns, every value of the same type, on the document and on it
+    as load_model reads its JSON text, with the flag load_model computes
+    from that text: False when it holds no true or false, so that only
+    the distinct tokens' types are checked."""
+    text = json.dumps(doc, default=str)  # a Fraction token as its "p/q" string
+    read = json.loads(text, parse_float=parse_value)
+    assert_box_columns_agree(box_paths(read, "true" in text or "false" in text))
+    return assert_box_columns_agree(box_paths(doc))
+
+
+def assert_box_columns_agree(paths):
     if paths is None:
         return False
     columns, loop = paths
@@ -739,5 +749,7 @@ def test_a_malformed_box_document_goes_to_the_cell_loop(files, argv):
 def test_a_box_token_that_is_no_rational_goes_to_the_cell_loop(token):
     doc = json.loads((FIXTURES / "pw2.json").read_text(), parse_float=parse_value)
     doc["cells"][1]["affine"][0] = token
-    columns, loop = box_paths(doc)
-    assert columns is None and isinstance(loop, ValidationError)
+    # A text holding a boolean sets the flag; any other is read both ways.
+    for booleans in (True,) if isinstance(token, bool) else (True, False):
+        columns, loop = box_paths(doc, booleans)
+        assert columns is None and isinstance(loop, ValidationError)
