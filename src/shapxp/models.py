@@ -728,7 +728,7 @@ class BoxPiecewiseModel(_Frozen):
         The rows not read before are built together, a column at a time,
         and kept: a run reads few of them, and validation none."""
         rows, cells = self._rows, list(cells)
-        new = [k for k in dict.fromkeys(cells) if k not in rows]
+        new = sorted(set(cells).difference(rows))  # in column order, so all of them are range(n)
         if new:
             # One flat list of the values, a column at a time: the intercepts,
             # the coefficients, then the lower and the upper bounds, by axis.

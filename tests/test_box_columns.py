@@ -95,8 +95,9 @@ def instances(model, rng):
 
 @pytest.mark.parametrize("name", LAYOUTS)
 def test_the_column_rows_equal_the_cell_integers(name):
-    """In any order of reads, one cell at a time or in batches, on a model
-    read from its document (shared values) and one built from records."""
+    """Every cell in any order, one cell, a third of them and repeats, each
+    read first and after the reads before it, on a model read from its
+    document (shared values) and one built from records."""
     model = LAYOUTS[name]
     expected = [reference_integers(cell) for cell in model.cells]
     rng = random.Random(name)
@@ -104,8 +105,11 @@ def test_the_column_rows_equal_the_cell_integers(name):
                  BoxPiecewiseModel.from_cells(model.space, model.cells)):
         order = list(range(len(expected)))
         rng.shuffle(order)
-        reads = [order[:1], order[:len(order) // 3], [order[0]] * 2, order, order[::-1]]
+        reads = [order, order[:1], order[:len(order) // 3], [order[0]] * 2, order[::-1],
+                 sorted(order)]
         for cells in reads:
+            fresh = BoxPiecewiseModel(twin.space, twin.bounds, twin.affines)
+            assert fresh._integers(cells) == [expected[k] for k in cells]
             assert twin._integers(cells) == [expected[k] for k in cells]
 
 

@@ -7,6 +7,7 @@ that are no value fail with the same message wherever they stand.
 """
 
 import json
+import sys
 from fractions import Fraction as F
 from itertools import product
 
@@ -14,7 +15,7 @@ import pytest
 
 from shapxp import ValidationError, load_model, load_sample
 from shapxp.cli import run_cli
-from shapxp.modelio import parse_value, read_point
+from shapxp.modelio import _rational, parse_rational, parse_value, read_point
 from shapxp.models import labelled_points
 from conftest import FIXTURES, cpu_limit
 
@@ -354,3 +355,28 @@ def test_a_score_past_float_range_exits_3_in_table_output_only(capsys, tmp_path)
     out, err = capsys.readouterr()
     assert out == ""
     assert "too large for a float in table output" in err
+
+
+def limit_tokens():
+    """"p/q" tokens around Python's integer digit limit, read in full."""
+    limit = sys.get_int_max_str_digits()
+    for digits in (limit // 2 - 2, limit // 2, limit - 3, limit - 1):
+        yield f"{'7' * digits}/{'3' * (limit - 1 - digits)}"
+        yield f"-{'1' * digits}/{'9' * (limit - digits)}"
+    yield "8" * limit
+
+
+@pytest.mark.parametrize("token", [
+    0, 7, -12, 10 ** 30, F(3, 4), F(-5), "0", "-0", "12", "-12", "0012", "3/16", "-3/16", "6/8",
+    "-0/5", "007/0003", "1/0", "1/", "/2", "-", "--1/2", "+1/2", " 1/2", "1/2 ", "1_0/3", "1/-2",
+    "1/2/3", "0.5", "1e3", "-1.5e-2", "x", "", "١/٢", "²/3", *limit_tokens()],
+    ids=lambda t: repr(t)[:24])
+def test_the_box_token_fast_path_reads_what_parse_rational_reads(token):
+    try:
+        expected = parse_rational(token)
+    except ValidationError:
+        with pytest.raises(ValidationError):
+            _rational(token)
+        return
+    value = _rational(token)
+    assert value == expected and type(value) is F
