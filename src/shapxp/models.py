@@ -638,25 +638,20 @@ class BoxPiecewiseModel(_Frozen):
             a, b = pair
             return tuple(midpoint(j, max(lo[a], lo[b]), min(hi[a], hi[b]))
                          for j, (lo, hi) in enumerate(zip(los, his)))
-        # Each cell's slab count on each axis, and the slabs its later axes span.
-        widths = list(map(list, map(map, repeat(sub), his, los)))
-        sections = [[1] * len(widths[0])]
-        for width in reversed(widths):
-            sections.append(list(map(mul, width, sections[-1])))
-        sections.reverse()  # sections[j][k]: the slabs cell k spans on axes j..m-1
-        if sum(sections[0]) == prod(slabs):
+        if sum(map(prod, zip(*map(map, repeat(sub), his, los)))) == prod(slabs):
             return None
         # A gap: on each axis, fix the midpoint of the first slab whose cells
         # count its cross-section short. On the last axis no cell spans it.
         # Each cell adds its cross-section from its lower rank on and takes
         # it back from its upper one, so one running sum counts every slab.
-        point, live = [], range(len(widths[0]))
+        point, live = [], range(len(los[0]))
         for j in range(len(cuts)):
             full = prod(slabs[j + 1:])
             counted = [0] * len(cuts[j])
             for k in live:
-                counted[los[j][k]] += sections[j + 1][k]
-                counted[his[j][k]] -= sections[j + 1][k]
+                section = prod(hi[k] - lo[k] for lo, hi in zip(los[j + 1:], his[j + 1:]))
+                counted[los[j][k]] += section
+                counted[his[j][k]] -= section
             t = next(t for t, total in enumerate(accumulate(counted)) if total < full)
             point.append(midpoint(j, t, t + 1))
             live = [k for k in live if los[j][k] <= t < his[j][k]]
