@@ -44,7 +44,6 @@ from .games import (
 )
 from .models import (
     BoxPiecewiseModel,
-    Cell,
     DiscreteDomain,
     Feature,
     FeatureSpace,

@@ -21,7 +21,6 @@ from .models import (
     CATEGORICAL,
     NUMERIC,
     BoxPiecewiseModel,
-    Cell,
     DiscreteDomain,
     Feature,
     FeatureSpace,
@@ -49,8 +48,14 @@ def _fraction(text: str) -> Fraction:
     """Fraction(text), refused (ValueError) before any power of ten is
     built when the literal's numerator or denominator, written out in full
     before reducing, would pass Python's integer digit limit: "1e5000"
-    could be read but never printed, and "1e9999999" takes seconds."""
+    could be read but never printed, and "1e9999999" takes seconds. A "p"
+    or "p/q" literal of ASCII digits shorter than the limit is read without
+    the literal parser, still as a Fraction: (lo + hi) / 2 of ints is a float."""
     limit = sys.get_int_max_str_digits()
+    if text.isascii() and (not limit or len(text) < limit):
+        p, slash, q = text.partition("/")
+        if p.removeprefix("-").isdigit() and (q.isdigit() and int(q) or not slash):
+            return Fraction(int(p), int(q) if slash else 1)
     # With no exponent, a literal shorter than the limit stays within it.
     if limit and (len(text) >= limit or "e" in text or "E" in text):
         mantissa, _, exponent = text.lower().partition("e")
@@ -420,16 +425,14 @@ def _node_id(raw, where: str):
 def _box_from(doc, space, value_kind, where, booleans) -> BoxPiecewiseModel:
     """The cells read by columns when they are regular, else by the cell
     loop, which raises on what is not."""
-    raw_cells = doc.get("cells")
-    if not isinstance(raw_cells, list):
+    cells = doc.get("cells")
+    if not isinstance(cells, list):
         raise ValidationError(f"{where}: box model needs a 'cells' list")
-    columns = _box_columns(raw_cells, space.m, booleans)
-    if columns is None:
-        return BoxPiecewiseModel.from_cells(space, _box_cells(raw_cells, space.m, where), value_kind)
-    return BoxPiecewiseModel(space, *columns, value_kind)
+    return BoxPiecewiseModel(space, *(_box_columns(cells, space.m, booleans)
+                                      or _box_cells(cells, space.m, where)), value_kind)
 
 
-def _box_columns(raw_cells, m, booleans=True) -> tuple[tuple, tuple] | None:
+def _box_columns(cells, m, booleans=True) -> tuple[tuple, tuple] | None:
     """The cell loop's cells as the model's columns (see BoxPiecewiseModel),
     read as whole lists: each distinct token is parsed once, and the 2m
     bound and m + 1 affine columns are cut from one flat list. None unless
@@ -439,11 +442,11 @@ def _box_columns(raw_cells, m, booleans=True) -> tuple[tuple, tuple] | None:
     JSON boolean equals 1 or 0, so only when ``booleans`` (the text may
     hold one) is every token's type checked, else each distinct token's."""
     try:
-        boxes = list(map(itemgetter("box"), raw_cells))
-        affines = list(map(itemgetter("affine"), raw_cells))
+        boxes = list(map(itemgetter("box"), cells))
+        affines = list(map(itemgetter("affine"), cells))
     except (KeyError, TypeError):  # a missing field, or a cell that is no object
         return None
-    if not ({*map(type, raw_cells)} <= {dict} and {*map(type, boxes)} <= {list}
+    if not ({*map(type, cells)} <= {dict} and {*map(type, boxes)} <= {list}
             and {*map(type, affines)} <= {list} and {*map(len, boxes)} <= {m}
             and {*map(len, affines)} <= {m + 1}):
         return None
@@ -458,7 +461,7 @@ def _box_columns(raw_cells, m, booleans=True) -> tuple[tuple, tuple] | None:
     if not {*map(type, tokens if booleans else distinct)} <= _TOKEN_TYPES:
         return None
     try:
-        values = {t: _rational(t) for t in distinct}
+        values = {t: parse_rational(t) for t in distinct}
     except ValidationError:
         return None
     flat, n = tuple(map(values.__getitem__, tokens)), len(pairs) * 2
@@ -466,25 +469,12 @@ def _box_columns(raw_cells, m, booleans=True) -> tuple[tuple, tuple] | None:
             tuple(flat[n + i::m + 1] for i in range(m + 1)))
 
 
-def _rational(token) -> Fraction:
-    """parse_rational(token) for a token of _TOKEN_TYPES: an int, and a
-    "p" or "p/q" string of ASCII digits shorter than the digit limit, are
-    read without the literal parser."""
-    if token.__class__ is int:
-        return Fraction(token)
-    limit = sys.get_int_max_str_digits()
-    if token.__class__ is str and token.isascii() and (not limit or len(token) < limit):
-        p, slash, q = token.partition("/")
-        if p.removeprefix("-").isdigit() and (q.isdigit() and int(q) or not slash):
-            return Fraction(int(p), int(q) if slash else 1)
-    return parse_rational(token)
-
-
-def _box_cells(raw_cells, m, where) -> list:
-    """The cells one by one; the first one that is wrong raises. Each
-    distinct token is parsed once per call, through ``_memo_value``."""
-    cells, memo = [], {}
-    for k, entry in enumerate(raw_cells):
+def _box_cells(cells, m, where) -> tuple[tuple, tuple]:
+    """The cells one by one, as _box_columns' columns; the first one that is
+    wrong raises. Each distinct token is parsed once per call, through
+    ``_memo_value``, each cell's bounds pair by pair and then its affine."""
+    values, memo = [], {}
+    for k, entry in enumerate(cells):
         loc = f"{where}: cell {k}"
         if not isinstance(entry, dict):
             raise ValidationError(f"{loc}: expected a JSON object")
@@ -495,11 +485,9 @@ def _box_cells(raw_cells, m, where) -> list:
             raise ValidationError(f"{loc}: 'box' must list {m} [lo, hi] pairs")
         if not isinstance(affine, list) or len(affine) != m + 1:
             raise ValidationError(f"{loc}: 'affine' must list {m + 1} coefficients")
-        bounds = tuple((_memo_value(memo, lo, parse_rational, loc),
-                        _memo_value(memo, hi, parse_rational, loc)) for lo, hi in box)
-        coeffs = [_memo_value(memo, a, parse_rational, loc) for a in affine]
-        cells.append(Cell(bounds, coeffs[0], tuple(coeffs[1:])))
-    return cells
+        values += [_memo_value(memo, t, parse_rational, loc) for t in chain(*box, affine)]
+    columns = tuple(tuple(values[i::3 * m + 1]) for i in range(3 * m + 1))
+    return columns[:2 * m], columns[2 * m:]
 
 
 # ---------------------------------------------------------------------------

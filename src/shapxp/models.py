@@ -23,11 +23,11 @@ end of this module check their inputs and then call it:
   relabeling;
 * ``disagreements(v, dissimilar)`` - masks of weak contrastive
   explanations, every minimal one among them: a table's from its points
-  by ``coalition_fold``, a tree's from its leaves, a box model's from its
-  cells per coalition;
+  by ``coalition_fold``, a tree's from its leaves, a box model's from the
+  slices each cell holding v meets (``_pinned``);
 * ``expected_table(v)`` - the expected-value game's coalition table at v:
   the discrete kinds' by ``coalition_fold``, a box model's from its
-  integer rows in one pass;
+  integer rows in one pass and the same slices;
 * ``reads_basis`` - does the sufficiency predicate read the contrastive
   basis rather than quantify over the slice?
 
@@ -63,7 +63,7 @@ from functools import cached_property, partial, reduce
 from fractions import Fraction
 from itertools import accumulate, chain, compress, product, repeat
 from math import lcm, prod
-from operator import add, attrgetter, floordiv, getitem, itemgetter, lt, mul, or_, sub
+from operator import add, floordiv, getitem, itemgetter, lt, mul, or_, sub
 
 from .errors import (
     DomainError,
@@ -531,28 +531,13 @@ class TreeModel(_EnumerableModel):
         return TreeModel(self.space, nodes, self.root, value_kind)
 
 
-class Cell(_Frozen):
-    """One box of a piecewise-affine model: per-feature [lo, hi) bounds
-    (closed at the domain's upper endpoint) and affine output
-    a0 + sum_i coeffs[i] * x_i."""
-
-    __slots__ = _fields = ("box", "intercept", "coeffs")
-
-    def __init__(self, box: tuple[tuple[Fraction, Fraction], ...], intercept: Fraction,
-                 coeffs: tuple[Fraction, ...]):
-        _set(self, "box", box)
-        _set(self, "intercept", intercept)
-        _set(self, "coeffs", coeffs)
-
-
 class BoxPiecewiseModel(_Frozen):
     """Axis-aligned piecewise-affine regressor; cells partition the space.
 
     The cells are held as columns, one entry per cell: ``bounds`` holds 2m
     columns, the lower then the upper bounds on feature 1, then on feature
-    2, and so on; ``affines`` holds m + 1, the intercepts and then each
-    feature's coefficients. ``cells`` builds them as ``Cell`` records on its
-    first read, and ``from_cells`` builds the model from such records.
+    2, and so on; ``affines`` holds m + 1, the intercepts a0 and then each
+    feature's coefficients a_j, and a cell's output is a0 + sum_j a_j * x_j.
 
     Cell intervals are half-open [lo, hi) except that hi equal to the
     domain's upper endpoint is closed, which makes membership unambiguous
@@ -561,8 +546,7 @@ class BoxPiecewiseModel(_Frozen):
     endpoints), and each cell's bounds as their ranks, per axis and per
     cell in ``lows`` and ``highs``."""
 
-    __slots__ = ("space", "bounds", "affines", "value_kind", "cuts", "lows", "highs",
-                 "_cells", "_rows")
+    __slots__ = ("space", "bounds", "affines", "value_kind", "cuts", "lows", "highs", "_rows")
     _fields = ("space", "bounds", "affines", "value_kind")
     reads_basis = False  # the basis costs its cells per coalition, so slices are quantified
 
@@ -579,7 +563,6 @@ class BoxPiecewiseModel(_Frozen):
         _set(self, "bounds", bounds)
         _set(self, "affines", affines)
         _set(self, "value_kind", value_kind)
-        _set(self, "_cells", None)
         _set(self, "_rows", {})  # cell -> its integer row, see _integers
         cuts, lows, highs = _box_ranks(space, bounds)
         _set(self, "cuts", cuts)
@@ -595,32 +578,6 @@ class BoxPiecewiseModel(_Frozen):
         intercepts, *coeffs = affines
         if not any(map(any, coeffs)) and intercepts.count(intercepts[0]) == len(intercepts):
             raise ValidationError("model is constant; a non-constant prediction function is required")
-
-    @classmethod
-    def from_cells(cls, space: FeatureSpace, cells: Iterable[Cell],
-                   value_kind: str = NUMERIC) -> "BoxPiecewiseModel":
-        """The model of ``Cell`` records. Errors come cell by cell, the
-        length first: the cells before one whose box or coeffs is not m
-        long are checked against their domains before it is named."""
-        cells, m = tuple(cells), space.m
-        short = next((k for k, c in enumerate(cells)
-                      if len(c.box) != m or len(c.coeffs) != m), len(cells))
-        bounds = _columns(chain.from_iterable(chain.from_iterable(
-            map(attrgetter("box"), cells[:short]))), 2 * m)
-        affines = _columns(chain.from_iterable((c.intercept, *c.coeffs) for c in cells[:short]), m + 1)
-        if short < len(cells):
-            _check_box_kind(space, value_kind)
-            _box_ranks(space, bounds)
-            raise ValidationError(f"cell {short}: box/coeffs length must equal {m}")
-        return cls(space, bounds, affines, value_kind)
-
-    @property
-    def cells(self) -> tuple[Cell, ...]:
-        """The cells as ``Cell`` records, built on the first read."""
-        if self._cells is None:
-            boxes = zip(*map(zip, self.bounds[::2], self.bounds[1::2]))
-            _set(self, "_cells", tuple(map(Cell, boxes, self.affines[0], zip(*self.affines[1:]))))
-        return self._cells
 
     def _partition_witness(self) -> Point | None:
         """None if the cells partition the space, else a point in no cell or in
@@ -791,14 +748,27 @@ class BoxPiecewiseModel(_Frozen):
             yield Fraction(low, scale * scale * d)
             yield Fraction(high, scale * scale * d)
 
-    def _axes_holding(self, v: Point) -> dict[int, list[int]]:
-        """Each cell holding v on some axis, with those 0-based axes: the
-        slices fixing features meet only these cells."""
-        held = {}
+    def _pinned(self, v: Point) -> Iterator[tuple[int, list]]:
+        """Each cell holding v on some axis, as its denominator E and the
+        slices x_S = v_S it meets, S within those axes: (S, free volume
+        over E^free, low, high), the closure extremes over E^2 * d. The
+        slices fixing features meet only these cells. Pinning axis j, one
+        at a time, adds a_j*v_j*E^2*d to both extremes, takes its ends back
+        and drops its span from the volume."""
+        numerators, d = _over_lcd(v)
+        held = {}  # cell -> the 0-based axes on which it holds v
         for j in range(self.space.m):
             for k in self._holders(v, [j]):
                 held.setdefault(k, []).append(j)
-        return held
+        for axes, (scale, _, coeffs, lows, highs, spans, bottom, top) in zip(
+                held.values(), self._integers(held)):
+            slices = [(0, prod(spans), bottom * d, top * d)]
+            for j in axes:
+                pinned, bit, span = coeffs[j] * numerators[j] * scale, 1 << j, spans[j]
+                to_lo, to_hi = pinned - d * lows[j], pinned - d * highs[j]
+                slices += [(fixed | bit, volume // span, low + to_lo, high + to_hi)
+                           for fixed, volume, low, high in slices]
+            yield scale, slices
 
     def disagreements(self, v: Point, dissimilar: Callable[[Value], bool]) -> Iterator[int]:
         """Every weak contrastive explanation C (bit j: feature j+1): the
@@ -812,7 +782,7 @@ class BoxPiecewiseModel(_Frozen):
         per C (see :func:`guard_slices`)."""
         m = self.space.m
         guard_slices(self, 1 << m, "coalition table")
-        numerators, d = _over_lcd(v)
+        d = _over_lcd(v)[1]
         y0, delta = Fraction(dissimilar.prediction), dissimilar.delta or 0
         below_n, below_d = (y0 - delta).as_integer_ratio()
         above_n, above_d = (y0 + delta).as_integer_ratio()
@@ -824,15 +794,9 @@ class BoxPiecewiseModel(_Frozen):
                 bands[scale] = -(-below_n * s // below_d), above_n * s // above_d
             return low < bands[scale][0] or high > bands[scale][1]
 
-        held, full, found = self._axes_holding(v), (1 << m) - 1, set()
-        for axes, row in zip(held.values(), self._integers(held)):
-            scale, _, coeffs, lows, highs, _, bottom, top = row
-            slices = [(full, bottom * d, top * d)]  # (C, low, high) of each slice it meets
-            for j in axes:
-                pinned = coeffs[j] * numerators[j] * scale
-                to_lo, to_hi = pinned - d * lows[j], pinned - d * highs[j]
-                slices += [(free ^ 1 << j, lo + to_lo, hi + to_hi) for free, lo, hi in slices]
-            found.update(free for free, lo, hi in slices if leaves(scale, lo, hi))
+        full, found = (1 << m) - 1, set()
+        for scale, slices in self._pinned(v):
+            found.update(full ^ fixed for fixed, _, low, high in slices if leaves(scale, low, high))
         if full not in found and any(leaves(scale, bottom * d, top * d) for scale, *_, bottom, top
                                      in self._integers(range(len(self.affines[0])))):
             found.add(full)
@@ -863,30 +827,22 @@ class BoxPiecewiseModel(_Frozen):
         """The expected-value game at v, for every coalition, each value as
         ``slice_expectation`` gives it. The slice fixing nothing meets every
         cell: each adds its volume times the sum of its extremes over the
-        whole box, in one pass over the rows. The slice fixing S meets the
-        cells holding v on every axis of S, so each of those adds to the
-        coalitions within its held axes, pinned one axis at a time: pinning
-        j adds 2*a_j*v_j*E and takes its ends back, and drops its span from
-        the volume. The guard charges every cell per coalition, as the
-        slices' scan did."""
+        whole box, in one pass over the rows. Every other slice meets only
+        the cells of ``_pinned``, each adding its free volume times the sum
+        of its extremes there. The guard charges every cell per coalition,
+        as the slices' scan did."""
         m = self.space.m
         guard_slices(self, 1 << m, "coalition table")
-        numerators, d = _over_lcd(v)
-        rows, held = self._integers(range(len(self.affines[0]))), self._axes_holding(v)
+        d = _over_lcd(v)[1]
+        rows = self._integers(range(len(self.affines[0])))
         sums = [{} for _ in range(1 << m)]  # per coalition: E -> sum over E^(free+2) * 2d
         volumes = map(prod, map(itemgetter(5), rows))
         extremes = map(add, map(itemgetter(6), rows), map(itemgetter(7), rows))
         for scale, term in zip(map(itemgetter(0), rows), map(mul, volumes, extremes)):
             sums[0][scale] = sums[0].get(scale, 0) + term * d
-        for axes, (scale, _, coeffs, lows, highs, spans, bottom, top) in zip(
-                held.values(), self._integers(held)):
-            slices = [(0, prod(spans), d * (bottom + top))]  # (S, free volume, low + high)
-            for j in axes:
-                shift = 2 * coeffs[j] * numerators[j] * scale - d * (lows[j] + highs[j])
-                slices += [(fixed | 1 << j, volume // spans[j], total + shift)
-                           for fixed, volume, total in slices]
-            for fixed, volume, total in slices[1:]:
-                sums[fixed][scale] = sums[fixed].get(scale, 0) + volume * total
+        for scale, slices in self._pinned(v):
+            for fixed, volume, low, high in slices[1:]:
+                sums[fixed][scale] = sums[fixed].get(scale, 0) + volume * (low + high)
         return _over_lcd(self._mean(sums[s], [j for j in range(m) if not s >> j & 1], d)
                          for s in range(1 << m))
 
@@ -907,12 +863,6 @@ def _check_box_kind(space: FeatureSpace, value_kind: str) -> None:
         raise ValidationError("box-piecewise models need all-interval domains")
     if value_kind != NUMERIC:
         raise ValidationError("box-piecewise models are numeric-valued")
-
-
-def _columns(values: Iterable, width: int) -> tuple[tuple, ...]:
-    """A flat run of records ``width`` values long, as ``width`` columns."""
-    values = tuple(values)
-    return tuple(values[i::width] for i in range(width))
 
 
 def _box_ranks(space: FeatureSpace, bounds: tuple[tuple, ...]) -> tuple[tuple, tuple, tuple]:

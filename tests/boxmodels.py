@@ -8,10 +8,29 @@ the corner value, which a 1/4096 coordinate inset guarantees (absolute
 slope sum is at most 8).
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 
-from shapxp import BoxPiecewiseModel, Cell, Feature, FeatureSpace, IntervalDomain, predict
+from shapxp import BoxPiecewiseModel, Feature, FeatureSpace, IntervalDomain, predict
+
+Cell = namedtuple("Cell", "box intercept coeffs")
+Cell.__doc__ = """One cell of a box model as the tests write and read it: per-feature
+(lo, hi) bounds and the affine intercept + sum_i coeffs[i] * x_i."""
+
+
+def box_model(space, cells):
+    """The model whose columns hold ``cells`` in order."""
+    m = space.m
+    bounds = tuple(tuple(c.box[j][end] for c in cells) for j in range(m) for end in (0, 1))
+    affines = tuple(tuple((c.intercept, *c.coeffs)[i] for c in cells) for i in range(m + 1))
+    return BoxPiecewiseModel(space, bounds, affines)
+
+
+def cells_of(model):
+    """A box model's cells, read from its columns, in order."""
+    boxes = zip(*map(zip, model.bounds[::2], model.bounds[1::2]))
+    return tuple(map(Cell, boxes, model.affines[0], zip(*model.affines[1:])))
 
 INSET = Fraction(1, 4096)
 LO, HI = Fraction(-1), Fraction(1)
@@ -81,7 +100,7 @@ def model_on(rng, boxes):
                               tuple(rng.choice(coeff_pool) for _ in range(m))))
         if len({(c.intercept, c.coeffs) for c in cells}) > 1 or any(
                 a != 0 for c in cells for a in c.coeffs):
-            return BoxPiecewiseModel.from_cells(space, tuple(cells))
+            return box_model(space, cells)
 
 
 def aligned_midpoints(domain, step=Fraction(1, 16)):
@@ -114,7 +133,8 @@ def slice_cells(model, v, fixed):
     """The cells of a box model meeting the slice x_S = v_S, by the model's
     own slab rule. Only the fixed axes are tested: cell boxes are
     non-degenerate, so free axes always meet."""
-    return [model.cells[k] for k in model._holders(v, [fid - 1 for fid in fixed])]
+    cells = cells_of(model)
+    return [cells[k] for k in model._holders(v, [fid - 1 for fid in fixed])]
 
 
 def inset_corner_points(model, cell, v, fixed):

@@ -43,7 +43,7 @@ from shapxp import TabularModel, TreeModel, predict
 from shapxp.cli import run_cli
 from shapxp.models import labelled_points, tabulate
 
-from boxmodels import HI, LO, random_grid_model, random_kd_model
+from boxmodels import HI, LO, cells_of, random_grid_model, random_kd_model
 from randmodels import random_instance, random_table, random_tree_model
 
 PINS = Path(__file__).with_name("report_corpus.json")
@@ -82,7 +82,7 @@ def document(model) -> dict:
     else:
         doc.update(kind="box_piecewise", cells=[
             {"box": [[token(lo), token(hi)] for lo, hi in c.box],
-             "affine": [token(c.intercept), *map(token, c.coeffs)]} for c in model.cells])
+             "affine": [token(c.intercept), *map(token, c.coeffs)]} for c in cells_of(model)])
     return doc
 
 
@@ -134,7 +134,7 @@ def large_boxes(rng):
     is at the top on every axis but one, which lies on a cut line."""
     for m in (3, 4):
         model = random_kd_model(rng, m, 200)
-        cuts = [sorted({x for c in model.cells for x in c.box[j]} - {LO, HI}) for j in range(m)]
+        cuts = [sorted({x for c in cells_of(model) for x in c.box[j]} - {LO, HI}) for j in range(m)]
         first = (rng.choice(cuts[0]), *(Fraction(-5, 7) + j * Fraction(1, 3)
                                         for j in range(m - 2)), HI)
         on = rng.randrange(m)

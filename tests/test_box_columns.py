@@ -1,9 +1,9 @@
-"""Box models held as columns. The loader builds no ``Cell`` records,
-each cell's integer row is built from the columns for the cells a call
-reads, and the expected-value game's table comes from the model in one
-pass. The code these replaced is kept here as the oracle: each cell's
-integer form as ``Cell._integers`` computed it, and the table filled one
-coalition at a time as ``Game.table()`` filled it for a box model."""
+"""Box models held as columns. Each cell's integer row is built from the
+columns for the cells a call reads, and the expected-value game's table
+comes from the model in one pass. The code these replaced is kept here as
+the oracle: each cell's integer form as a per-cell record once computed
+it, and the table filled one coalition at a time as ``Game.table()``
+filled it for a box model."""
 
 import json
 import random
@@ -15,7 +15,6 @@ import pytest
 
 from shapxp import (
     BoxPiecewiseModel,
-    Cell,
     DomainError,
     ExplanationProblem,
     SimilarityConfig,
@@ -28,7 +27,8 @@ from shapxp.cli import run_cli
 from shapxp.games import expected_game, shapley_exact, shapley_via_permutations
 from shapxp.models import _over_lcd, conditional_expectation, guard_slices
 from shapxp.modelio import model_from_dict
-from boxmodels import HI, LO, model_on, prime_stacked_model, random_grid_model, random_kd_model
+from boxmodels import (HI, LO, box_model, cells_of, model_on, prime_stacked_model,
+                       random_grid_model, random_kd_model)
 from conftest import FIXTURES
 from report_corpus import document
 from test_box_partition import staircase_boxes
@@ -39,7 +39,7 @@ def reference_integers(cell):
     """The cell over E, the lcm of the denominators of its bounds, intercept
     and coefficients: (E, a0*E, (a_j*E), the ends (min(a_j*lo_j,
     a_j*hi_j)*E^2) and (max(...)*E^2), the spans ((hi_j - lo_j)*E), and
-    its extremes over the whole box over E^2). Cell._integers, verbatim."""
+    its extremes over the whole box over E^2), as the cell record computed it."""
     m = len(cell.coeffs)
     (a0, *rest), scale = _over_lcd((cell.intercept, *cell.coeffs, *chain(*cell.box)))
     coeffs, lows, highs = rest[:m], rest[m::2], rest[m + 1::2]
@@ -86,7 +86,7 @@ LAYOUTS = dict(layouts())
 def instances(model, rng):
     """Points of the model's space: off the lattice, on cut lines of its
     cells, at the domain top and at its bottom, and mixtures of these."""
-    cuts = [sorted({x for c in model.cells for x in c.box[j]}) for j in range(model.space.m)]
+    cuts = [sorted({x for c in cells_of(model) for x in c.box[j]}) for j in range(model.space.m)]
     off = [F(1, 3), F(-5, 7), F(2, 9)]
     for pools in ([off], [None], [[HI]], [[LO]], [off, None, [HI]], [off, None, [HI]]):
         yield tuple(rng.choice(rng.choice([axis if pool is None else pool for pool in pools]))
@@ -99,10 +99,10 @@ def test_the_column_rows_equal_the_cell_integers(name):
     read first and after the reads before it, on a model read from its
     document (shared values) and one built from records."""
     model = LAYOUTS[name]
-    expected = [reference_integers(cell) for cell in model.cells]
+    expected = [reference_integers(cell) for cell in cells_of(model)]
     rng = random.Random(name)
     for twin in (model_from_dict(json.loads(json.dumps(document(model)))),
-                 BoxPiecewiseModel.from_cells(model.space, model.cells)):
+                 box_model(model.space, cells_of(model))):
         order = list(range(len(expected)))
         rng.shuffle(order)
         reads = [order, order[:1], order[:len(order) // 3], [order[0]] * 2, order[::-1],
@@ -135,32 +135,22 @@ def test_expected_scores_equal_the_permutation_oracle(name):
             shapley_via_permutations(game).scores
 
 
-def test_validate_builds_no_cell_and_no_integer_row(monkeypatch, capsys, tmp_path):
+def test_validate_builds_no_integer_row(monkeypatch, capsys, tmp_path):
     """Nor do loading, comparing, hashing, printing or the work guard."""
     kd = tmp_path / "kd.json"
     kd.write_text(json.dumps(document(LAYOUTS["kd2"])))
 
     def refused(*args):
-        raise AssertionError("built a cell or an integer row")
+        raise AssertionError("built an integer row")
 
-    monkeypatch.setattr(Cell, "__init__", refused)
     monkeypatch.setattr(BoxPiecewiseModel, "_integers", refused)
-    for path, cells in ((FIXTURES / "pw2.json", 3), (kd, len(LAYOUTS["kd2"].cells))):
+    for path, cells in ((FIXTURES / "pw2.json", 3), (kd, len(LAYOUTS["kd2"].affines[0]))):
         assert run_cli(["validate", "--model", str(path), "--output", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["results"] == {"ok": True, "cells": cells}
         model, twin = load_model(path), load_model(path)
         assert model == twin and hash(model) == hash(twin) and "bounds=" in repr(model)
         guard_slices(model, 4, "coalition table")
-        assert model._cells is None and model._rows == {}
-
-
-def test_cells_are_built_once_from_the_columns():
-    model = LAYOUTS["kd1"]
-    loaded = model_from_dict(json.loads(json.dumps(document(model))))
-    assert loaded._cells is None
-    cells = loaded.cells
-    assert loaded.cells is cells and cells == model.cells
-    assert BoxPiecewiseModel.from_cells(model.space, cells) == loaded
+        assert model._rows == {}
 
 
 def test_unknown_features_and_values_outside_their_domain_are_refused():
@@ -187,3 +177,29 @@ def test_the_column_constructor_checks_its_shape():
         BoxPiecewiseModel(model.space, model.bounds[:3], model.affines)
     with pytest.raises(ValidationError, match="of one length"):
         BoxPiecewiseModel(model.space, model.bounds, (model.affines[0][1:], *model.affines[1:]))
+
+
+def short_box(doc):
+    doc["cells"][2]["box"] = doc["cells"][2]["box"][:1]
+
+
+def bad_token(doc):
+    doc["cells"][1]["affine"][0] = "x"
+
+
+@pytest.mark.parametrize("edits,message", [
+    ((short_box,), "model: cell 2: 'box' must list 2 [lo, hi] pairs"),
+    ((bad_token,), "model: cell 1: 'x' is not a rational literal"),
+    ((), "cell 0: interval [-5, 0) invalid for feature 1"),
+], ids=["short box", "bad token", "interval"])
+def test_the_loader_names_the_first_wrong_cell_before_any_interval(edits, message):
+    """Each edited pw2.json also has cell 0's interval on feature 1 out of
+    its domain: the cell loop reads every cell before the model checks the
+    intervals, so a malformed later cell is named first."""
+    doc = json.loads((FIXTURES / "pw2.json").read_text())
+    doc["cells"][0]["box"][0] = [-5, 0]
+    for edit in edits:
+        edit(doc)
+    with pytest.raises(ValidationError) as caught:
+        model_from_dict(doc)
+    assert str(caught.value) == message

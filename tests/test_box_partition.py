@@ -23,10 +23,11 @@ from operator import le
 
 import pytest
 
-from shapxp import BoxPiecewiseModel, Cell, Feature, FeatureSpace, IntervalDomain, ValidationError
+from shapxp import BoxPiecewiseModel, Feature, FeatureSpace, IntervalDomain, ValidationError
 from shapxp.cli import run_cli
-from boxmodels import QUARTERS, kd_boxes, random_grid_model, random_kd_model, slice_cells
-from conftest import cpu_limit, rebuilt
+from boxmodels import (QUARTERS, Cell, box_model, cells_of, kd_boxes, random_grid_model,
+                       random_kd_model, slice_cells)
+from conftest import cpu_limit
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +237,7 @@ def test_the_check_decides_as_the_grid_does_and_names_a_true_witness():
         space = unit_space(m)
         reference = grid_witness(space, cells)
         try:
-            BoxPiecewiseModel.from_cells(space, tuple(cells))
+            box_model(space, cells)
         except ValidationError as exc:
             assert reference is not None, (cells, str(exc))
             assert_true_witness(space, cells, str(exc))
@@ -285,7 +286,7 @@ def test_the_bitset_check_names_the_pair_that_the_pair_scan_names(monkeypatch):
     for space, cells in oracle_layouts():
         with monkeypatch.context() as patch:  # the ranks, with no partition check
             patch.setattr(BoxPiecewiseModel, "_partition_witness", lambda self: None)
-            model = BoxPiecewiseModel.from_cells(space, tuple(cells))
+            model = box_model(space, cells)
         pair = model._overlap()
         lows, highs = list(zip(*model.lows)), list(zip(*model.highs))  # each cell's ranks
         assert pair == pair_scan(lows, highs), cells
@@ -294,7 +295,7 @@ def test_the_bitset_check_names_the_pair_that_the_pair_scan_names(monkeypatch):
         if pair is not None:
             overlaps[space.m] += 1
             with pytest.raises(ValidationError) as caught:
-                BoxPiecewiseModel.from_cells(space, tuple(cells))
+                box_model(space, cells)
             assert_true_witness(space, cells, str(caught.value))
     assert min(overlaps[m] for m in (1, 2, 3, 4, 5, HOSTILE_M)) >= 1
     assert sum(overlaps.values()) >= 150
@@ -308,7 +309,7 @@ def test_an_overlap_is_named_by_its_intersection_midpoint():
         [(F(1, 2), HI), (F(0), HI)],
     ])
     with pytest.raises(ValidationError) as caught:
-        BoxPiecewiseModel.from_cells(space, tuple(cells))
+        box_model(space, cells)
     assert named_witness(str(caught.value)) == ((F(1, 4), F(-1, 2)), [0, 1])
 
 
@@ -320,7 +321,7 @@ def test_a_gap_is_named_inside_the_uncovered_region():
         [(F(1, 2), HI), (F(0), HI)],
     ])
     with pytest.raises(ValidationError) as caught:
-        BoxPiecewiseModel.from_cells(space, tuple(cells))
+        box_model(space, cells)
     assert named_witness(str(caught.value)) == ((F(1, 4), F(1, 2)), [])
 
 
@@ -333,32 +334,13 @@ def test_slab_membership_agrees_with_the_fraction_rule():
         m = 1 + n % 3
         model = random_kd_model(rng, m, rng.randint(1, 8)) if n % 2 else random_grid_model(rng, m)
         tops = tuple(f.domain.hi for f in model.space.features)
+        cells = cells_of(model)
         subsets = [[j for j in range(m) if mask >> j & 1] for mask in range(1 << m)]
         for v in product(QUARTERS, repeat=m):
             for axes in subsets:
-                expected = [cell for cell in model.cells if holds(cell, v, axes, tops)]
+                expected = [cell for cell in cells if holds(cell, v, axes, tops)]
                 assert slice_cells(model, v, [j + 1 for j in axes]) == expected, (model, v, axes)
-            assert [model.cells[model._owner(v)]] == expected  # the last subset fixes every axis
-
-
-def test_errors_come_cell_by_cell_with_the_length_check_first():
-    xs = [LO, F(-3, 4), F(-1, 2), F(-1, 4), F(0), F(1, 2), HI]
-    cells = with_affines(random.Random(3), [[(a, b), (LO, HI)] for a, b in zip(xs, xs[1:])])
-    outside = rebuilt(cells[2], box=((F(-2), F(-1, 4)), (LO, HI)))
-    short = rebuilt(cells[5], box=((F(1, 2), HI),))
-    cases = [
-        ({2: outside, 5: short}, "cell 2: interval [-2, -1/4) invalid for feature 1"),
-        ({2: rebuilt(outside, box=outside.box[:1]), 5: short},
-         "cell 2: box/coeffs length must equal 2"),
-        ({5: short}, "cell 5: box/coeffs length must equal 2"),
-        ({5: rebuilt(cells[5], coeffs=(F(1),))}, "cell 5: box/coeffs length must equal 2"),
-    ]
-    for changes, message in cases:
-        broken = tuple(changes.get(k, cell) for k, cell in enumerate(cells))
-        with pytest.raises(ValidationError) as caught:
-            BoxPiecewiseModel.from_cells(unit_space(2), broken)
-        assert str(caught.value) == message
-    BoxPiecewiseModel.from_cells(unit_space(2), tuple(cells))
+            assert [cells[model._owner(v)]] == expected  # the last subset fixes every axis
 
 
 # A guillotine layout in ten dimensions whose every split uses a cut that
@@ -558,4 +540,4 @@ def test_3d_layouts_of_the_bench_sizes_validate():
     cuts = [[LO] + sorted(rng.sample(LATTICE[1:-1], 3)) + [HI] for _ in range(3)]
     for boxes in (kd_boxes(rng, 3, 64, LATTICE[::2]),
                   [list(box) for box in product(*(zip(c, c[1:]) for c in cuts))]):
-        BoxPiecewiseModel.from_cells(unit_space(3), tuple(with_affines(rng, boxes)))
+        box_model(unit_space(3), with_affines(rng, boxes))

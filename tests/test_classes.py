@@ -13,7 +13,6 @@ import pytest
 
 from shapxp import (
     BoxPiecewiseModel,
-    Cell,
     CgtConfig,
     CgtDiagnostics,
     ComplianceReport,
@@ -41,7 +40,7 @@ from conftest import rebuilt
 BITS = DiscreteDomain((0, 1))
 SPACE = FeatureSpace((Feature(1, "a", BITS), Feature(2, "b", DiscreteDomain(("x", "y")))))
 LINE = FeatureSpace((Feature(1, "u", IntervalDomain(F(0), F(1))),))
-CELLS = (Cell(((F(0), F(1, 2)),), F(0), (F(1),)), Cell(((F(1, 2), F(1)),), F(1), (F(0),)))
+STEP = BoxPiecewiseModel(LINE, ((F(0), F(1, 2)), (F(1, 2), F(1))), ((F(0), F(1)), (F(1), F(0))))
 NODES = {1: TreeNode(1, (((0,), 2), ((1,), 3))), 2: TreeLeaf(F(0)), 3: TreeLeaf(F(1))}
 TABLE = TabularModel(SPACE, (0, 1, 1, 0))
 AT = Instance((0, "y"), 1)
@@ -57,7 +56,6 @@ CALLS = [
     (TreeLeaf, {"value": F(1)}),
     (TreeNode, {"feature": 1, "edges": (((0,), 2), ((1,), 3))}),
     (TreeModel, {"space": SPACE, "nodes": NODES, "root": 1, "value_kind": "numeric"}),
-    (Cell, {"box": ((F(0), F(1, 2)),), "intercept": F(0), "coeffs": (F(1),)}),
     (BoxPiecewiseModel, {"space": LINE, "bounds": ((F(0), F(1, 2)), (F(1, 2), F(1))),
                          "affines": ((F(0), F(1)), (F(1), F(0))), "value_kind": "numeric"}),
     (Instance, {"point": (0, "y"), "prediction": 1}),
@@ -138,9 +136,9 @@ DERIVED = [
     (DiscreteDomain((0, 1)), "index"),
     (TabularModel(SPACE, (0, 1, 1, 0)), "firsts"),
     (TreeModel(SPACE, NODES, 1), "routes"),
-    (BoxPiecewiseModel.from_cells(LINE, CELLS), "cuts"),
-    (BoxPiecewiseModel.from_cells(LINE, CELLS), "lows"),
-    (BoxPiecewiseModel.from_cells(LINE, CELLS), "highs"),
+    (STEP, "cuts"),
+    (STEP, "lows"),
+    (STEP, "highs"),
 ]
 
 

@@ -11,7 +11,6 @@ import pytest
 import shapxp
 from shapxp import (
     BoxPiecewiseModel,
-    Cell,
     ConstantOnUniverseWarning,
     DiscreteDomain,
     ExplanationProblem,
@@ -51,7 +50,7 @@ from shapxp.explanations import (
 )
 from shapxp.modelio import model_from_dict
 from shapxp.models import Instance, labelled_points
-from boxmodels import random_grid_model, random_kd_model
+from boxmodels import Cell, box_model, random_grid_model, random_kd_model
 from conftest import cpu_limit, rebuilt
 from test_io_cli import chain_tree_doc
 from test_samples import per_row_slice_outputs
@@ -98,7 +97,7 @@ def wide_box_model(m):
     zero = (F(0),) * m
     cells = (Cell(((F(0), F(1, 2)),) + rest, F(0), zero),
              Cell(((F(1, 2), F(1)),) + rest, F(0), (F(1),) + zero[1:]))
-    return BoxPiecewiseModel.from_cells(space, cells)
+    return box_model(space, cells)
 
 
 def parity_problem(m=3):

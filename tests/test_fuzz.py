@@ -25,7 +25,7 @@ from shapxp.modelio import (_box_cells, _box_columns, _sample_columns, _sample_l
                             _space_from, _split_header, _table_columns, _table_entries,
                             model_from_dict, parse_value, read_point)
 from shapxp.models import CATEGORICAL, NUMERIC, dense_slots
-from boxmodels import random_grid_model, random_kd_model
+from boxmodels import cells_of, random_grid_model, random_kd_model
 from conftest import FIXTURES, cpu_limit
 from test_io_cli import HOSTILE_INPUTS
 
@@ -653,10 +653,10 @@ def test_a_sample_goes_to_the_columns_exactly_when_it_is_regular(lines, regular,
 # ---------------------------------------------------------------------------
 
 def box_paths(doc, booleans=True):
-    """(columns, loop) for a document's cells, the loop's cells as the
-    column path's (bounds, affines) columns, or its error when it raises;
-    None when the cells cannot reach them. The columns read them with the
-    loader's ``booleans`` flag."""
+    """(columns, loop) for a document's cells: the two loaders' (bounds,
+    affines) columns, or the loop's error when it raises; None when the
+    cells cannot reach them. The columns read them with the loader's
+    ``booleans`` flag."""
     try:
         m = _space_from(doc.get("features"), "model").m
     except ValidationError:
@@ -665,12 +665,9 @@ def box_paths(doc, booleans=True):
         return None
     columns = _box_columns(doc["cells"], m, booleans)
     try:
-        cells = _box_cells(doc["cells"], m, "model")
+        return columns, _box_cells(doc["cells"], m, "model")
     except ValidationError as exc:
         return columns, exc
-    bounds = tuple(tuple(c.box[j][end] for c in cells) for j in range(m) for end in (0, 1))
-    affines = tuple(tuple(((c.intercept, *c.coeffs)[i] for c in cells)) for i in range(m + 1))
-    return columns, (bounds, affines)
 
 
 def column_values(columns):
@@ -726,10 +723,10 @@ def test_random_box_documents_read_by_columns_give_the_loop_cells():
                             for j in range(m)],
                "cells": [{"box": [[spelled(rng, lo), spelled(rng, hi)] for lo, hi in cell.box],
                           "affine": [spelled(rng, a) for a in (cell.intercept, *cell.coeffs)]}
-                         for cell in model.cells]}
+                         for cell in cells_of(model)]}
         doc = json.loads(json.dumps(doc), parse_float=parse_value)
         assert assert_box_paths_agree(doc)
-        assert model_from_dict(doc).cells == model.cells
+        assert model_from_dict(doc) == model
 
 
 MALFORMED_BOXES = [param for param in HOSTILE_INPUTS

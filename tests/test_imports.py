@@ -11,8 +11,9 @@ An UPPER_CASE name assigned at module level that no module of the package
 reads, by name or as an attribute, fails too: a guard or tag left behind.
 So does a module-level function or class whose name starts with ``_``: a
 private helper that only tests call. So does a method or property (dunders
-aside) that no module reads as an attribute or names in a string: a
-mechanism that no run needs.
+aside) that no module reads as an attribute, names to ``getattr`` and its
+kin or names in a dotted-path string: a mechanism that no run needs. A
+local variable or a dict key that shares its name does not keep it.
 The package declares no dependencies, so an absolute import whose top-level
 name is not in ``sys.stdlib_module_names`` fails as well. Nor does it import
 ``dataclasses``, ``inspect`` or ``typing``, which would cost every process
@@ -171,21 +172,33 @@ def test_every_private_definition_is_read():
     assert unread_private_definitions(sources) == []
 
 
+# The callables that read an attribute named by a string argument.
+BY_NAME = {"getattr", "hasattr", "setattr", "attrgetter", "methodcaller"}
+
+
 def unread_methods(sources: dict[str, str]) -> list[tuple[str, int, str]]:
     """(module, line, "Class.name") of each method or property, dunders
-    aside, that no source reads by name or as an attribute, nor names in a
-    string that spells a dotted path such as "shapxp.games:Game.value"."""
+    aside, that no source reads as an attribute, names in a string argument
+    of getattr, hasattr, setattr, attrgetter or methodcaller, or names in a
+    string that spells a dotted path such as "shapxp.games:Game.value". A
+    local variable or a dict key of the same name is no read."""
     defined = [(module, node.lineno, f"{cls.name}.{node.name}")
                for module, source in sources.items() for cls in ast.walk(ast.parse(source))
                if isinstance(cls, ast.ClassDef) for node in cls.body
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                and not re.fullmatch(r"__\w+__", node.name)]
-    read = names_read(sources)
+    read = set()
     for source in sources.values():
-        read.update(part for node in ast.walk(ast.parse(source))
-                    if isinstance(node, ast.Constant) and isinstance(node.value, str)
-                    and re.fullmatch(r"[\w.:]+", node.value)
-                    for part in re.split(r"[.:]", node.value))
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Call) and getattr(
+                    node.func, "id", getattr(node.func, "attr", None)) in BY_NAME:
+                read.update(part for arg in node.args if isinstance(arg, ast.Constant)
+                            and isinstance(arg.value, str) for part in arg.value.split("."))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and re.fullmatch(r"\w+(?:[.:]\w+)+", node.value):
+                read.update(re.split(r"[.:]", node.value))
     return [entry for entry in defined if entry[2].partition(".")[2] not in read]
 
 
@@ -196,12 +209,17 @@ def test_the_checker_finds_an_unread_method():
                         "    def corners(self):\n        return []\n"
                         "    def cells(self):\n        return []\n"
                         "    def traced(self):\n        return []\n"
-                        "    def unused(self):\n        '''Unlike Box.size and corners.'''\n"),
-               "b.py": ("from .a import Box\n"
+                        "    def unused(self):\n        '''Unlike Box.size and corners.'''\n"
+                        "    def faces(self):\n        return []\n"
+                        "    def edges(self):\n        return []\n"),
+               "b.py": ("from operator import attrgetter\n"
+                        "from .a import Box\n"
                         "SITE = 'shapxp.a:Box.traced'\n"
-                        "print(Box().size, getattr(Box(), 'corners'))\n"
-                        "class Grid:\n    def cells(self):\n        return Box().cells()\n")}
-    assert unread_methods(sources) == [("a.py", 13, "Box.unused")]
+                        "print(Box().size, getattr(Box(), 'corners'), attrgetter('edges'))\n"
+                        "class Grid:\n    def cells(self):\n        return Box().cells()\n"
+                        "faces = len(Box())\n"
+                        "print({'faces': faces})\n")}
+    assert unread_methods(sources) == [("a.py", 13, "Box.unused"), ("a.py", 15, "Box.faces")]
 
 
 def test_every_method_is_read():

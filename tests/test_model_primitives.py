@@ -39,6 +39,7 @@ from shapxp.models import _ranked, guard_slices, labelled_points
 from shapxp.similarity import Dissimilar
 from boxmodels import (
     QUARTERS,
+    cells_of,
     prime_stacked_model,
     random_grid_model,
     random_kd_model,
@@ -53,9 +54,9 @@ from test_models import bool_space
 # BoxPiecewiseModel.slice_expectation and TreeModel.output as they were
 # written before each kind read one primitive, with ``self`` the model, its
 # ``slice_cells`` method read from boxmodels and its cell at a point read by
-# the owner's index.
+# the owner's index from ``cells_of``.
 def reference_box_output(self, point):
-    cell = self.cells[self._owner(point)]
+    cell = cells_of(self)[self._owner(point)]
     total = Fraction(cell.intercept)
     for a, x in zip(cell.coeffs, point):
         if a:
@@ -125,7 +126,7 @@ def reference_box_disagreements(self, v, dissimilar, slice_outputs=reference_box
 
 
 def reference_box_output_range(self):
-    lows, highs = zip(*(_affine_extremes(cell, (), ()) for cell in self.cells))
+    lows, highs = zip(*(_affine_extremes(cell, (), ()) for cell in cells_of(self)))
     return min(lows), max(highs)
 
 

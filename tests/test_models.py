@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from shapxp import (
-    BoxPiecewiseModel,
-    Cell,
     DiscreteDomain,
     DomainError,
     Feature,
@@ -28,6 +26,7 @@ from shapxp import (
     tabulate,
 )
 from shapxp.models import labelled_points
+from boxmodels import Cell, box_model, cells_of
 from randmodels import random_instance, random_tabular_problem, random_tree_model, subsets
 
 
@@ -134,27 +133,27 @@ class TestValidation:
         cells = (Cell(((F(0), F(1)),), F(0), (F(1),)),
                  Cell(((F(3, 2), F(2)),), F(5), (F(0),)))
         with pytest.raises(ValidationError, match="partition"):
-            BoxPiecewiseModel.from_cells(space, cells)
+            box_model(space, cells)
 
     def test_box_cells_with_overlap_rejected(self):
         space = FeatureSpace((Feature(1, "x", IntervalDomain(F(0), F(2))),))
         cells = (Cell(((F(0), F(3, 2)),), F(0), (F(1),)),
                  Cell(((F(1), F(2)),), F(5), (F(0),)))
         with pytest.raises(ValidationError, match="partition"):
-            BoxPiecewiseModel.from_cells(space, cells)
+            box_model(space, cells)
 
     def test_box_cell_outside_domain_rejected(self):
         space = FeatureSpace((Feature(1, "x", IntervalDomain(F(0), F(2))),))
         cells = (Cell(((F(0), F(3)),), F(0), (F(1),)),)
         with pytest.raises(ValidationError, match="invalid"):
-            BoxPiecewiseModel.from_cells(space, cells)
+            box_model(space, cells)
 
     def test_constant_box_model_rejected(self):
         space = FeatureSpace((Feature(1, "x", IntervalDomain(F(0), F(2))),))
         cells = (Cell(((F(0), F(1)),), F(3), (F(0),)),
                  Cell(((F(1), F(2)),), F(3), (F(0),)))
         with pytest.raises(ValidationError, match="constant"):
-            BoxPiecewiseModel.from_cells(space, cells)
+            box_model(space, cells)
 
     def test_instance_shape(self, cls3_model):
         inst = make_instance(cls3_model, (1, 1, 2))
@@ -277,7 +276,7 @@ class TestConditionalExpectation:
         values = np.empty(n)
         owned = np.zeros(n, dtype=bool)
         top = [float(f.domain.hi) for f in pw2_model.space.features]
-        for cell in pw2_model.cells:
+        for cell in cells_of(pw2_model):
             mask = np.ones(n, dtype=bool)
             for j, (lo, hi) in enumerate(cell.box):
                 lo_f, hi_f = float(lo), float(hi)

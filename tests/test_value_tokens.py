@@ -15,7 +15,7 @@ import pytest
 
 from shapxp import ValidationError, load_model, load_sample
 from shapxp.cli import run_cli
-from shapxp.modelio import _rational, parse_rational, parse_value, read_point
+from shapxp.modelio import parse_rational, parse_value, read_point
 from shapxp.models import labelled_points
 from conftest import FIXTURES, cpu_limit
 
@@ -371,12 +371,17 @@ def limit_tokens():
     "-0/5", "007/0003", "1/0", "1/", "/2", "-", "--1/2", "+1/2", " 1/2", "1/2 ", "1_0/3", "1/-2",
     "1/2/3", "0.5", "1e3", "-1.5e-2", "x", "", "١/٢", "²/3", *limit_tokens()],
     ids=lambda t: repr(t)[:24])
-def test_the_box_token_fast_path_reads_what_parse_rational_reads(token):
+def test_the_literal_fast_path_reads_what_fraction_reads(token):
+    """Fraction(token) is the oracle: parse_rational and parse_value give
+    its value as a Fraction, never an int, and where it raises the one
+    refuses the token and the other keeps it as a label."""
     try:
-        expected = parse_rational(token)
-    except ValidationError:
+        expected = F(token)
+    except (ValueError, ZeroDivisionError):
         with pytest.raises(ValidationError):
-            _rational(token)
+            parse_rational(token)
+        assert parse_value(token) is token
         return
-    value = _rational(token)
-    assert value == expected and type(value) is F
+    for read in (parse_rational, parse_value):
+        value = read(token)
+        assert value == expected and type(value) is F
