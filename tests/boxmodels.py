@@ -19,12 +19,16 @@ Cell.__doc__ = """One cell of a box model as the tests write and read it: per-fe
 (lo, hi) bounds and the affine intercept + sum_i coeffs[i] * x_i."""
 
 
-def box_model(space, cells):
-    """The model whose columns hold ``cells`` in order."""
-    m = space.m
+def box_columns(cells, m):
+    """The bound and affine columns that hold ``cells`` in order."""
     bounds = tuple(tuple(c.box[j][end] for c in cells) for j in range(m) for end in (0, 1))
     affines = tuple(tuple((c.intercept, *c.coeffs)[i] for c in cells) for i in range(m + 1))
-    return BoxPiecewiseModel(space, bounds, affines)
+    return bounds, affines
+
+
+def box_model(space, cells):
+    """The model whose columns hold ``cells`` in order."""
+    return BoxPiecewiseModel(space, *box_columns(cells, space.m))
 
 
 def cells_of(model):

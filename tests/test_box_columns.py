@@ -153,6 +153,16 @@ def test_validate_builds_no_integer_row(monkeypatch, capsys, tmp_path):
         assert model._rows == {}
 
 
+def test_a_loaded_model_equals_the_one_built_from_its_columns():
+    """Read from its document, each layout equals the model built from its
+    cells in order, hashes as it does, and gives those cells back."""
+    for name, model in LAYOUTS.items():
+        loaded = model_from_dict(json.loads(json.dumps(document(model))))
+        built = box_model(model.space, cells_of(model))
+        assert loaded == built == model and hash(loaded) == hash(built), name
+        assert cells_of(loaded) == cells_of(built) == cells_of(model), name
+
+
 def test_unknown_features_and_values_outside_their_domain_are_refused():
     space = bool_space(2)
     assert list(enumerate_points(space, {1: 1})) == [(1, 0), (1, 1)]

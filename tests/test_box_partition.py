@@ -25,8 +25,8 @@ import pytest
 
 from shapxp import BoxPiecewiseModel, Feature, FeatureSpace, IntervalDomain, ValidationError
 from shapxp.cli import run_cli
-from boxmodels import (QUARTERS, Cell, box_model, cells_of, kd_boxes, random_grid_model,
-                       random_kd_model, slice_cells)
+from boxmodels import (QUARTERS, Cell, box_columns, box_model, cells_of, kd_boxes,
+                       random_grid_model, random_kd_model, slice_cells)
 from conftest import cpu_limit
 
 
@@ -341,6 +341,33 @@ def test_slab_membership_agrees_with_the_fraction_rule():
                 expected = [cell for cell in cells if holds(cell, v, axes, tops)]
                 assert slice_cells(model, v, [j + 1 for j in axes]) == expected, (model, v, axes)
             assert [cells[model._owner(v)]] == expected  # the last subset fixes every axis
+
+
+def test_errors_come_cell_by_cell_with_the_length_check_first():
+    """The column constructor checks the columns' lengths before any interval,
+    then the intervals cell by cell, and feature by feature in a cell."""
+    xs = [LO, F(-3, 4), F(-1, 2), F(-1, 4), F(0), F(1, 2), HI]
+    cells = with_affines(random.Random(3), [[(a, b), (LO, HI)] for a, b in zip(xs, xs[1:])])
+    outside = cells[2]._replace(box=((F(-1, 2), F(-1, 4)), (LO, F(2))))
+    above = cells[5]._replace(box=((F(1, 2), F(2)), (LO, HI)))
+    length = "box model needs 4 bound and 3 affine columns of one length"
+    cases = [  # (changed cells, the column that loses its last entry, message)
+        ({2: outside, 5: above}, None, "cell 2: interval [-1, 2) invalid for feature 2"),
+        ({5: above}, None, "cell 5: interval [1/2, 2) invalid for feature 1"),
+        ({4: cells[4]._replace(box=((F(1, 2), F(0)), (LO, F(3))))}, None,
+         "cell 4: interval [1/2, 0) invalid for feature 1"),
+        ({2: outside, 5: above}, 3, length),
+        ({2: outside}, 6, length),
+    ]
+    for changes, short, message in cases:
+        bounds, affines = box_columns([changes.get(k, cell) for k, cell in enumerate(cells)], 2)
+        columns = [*bounds, *affines]
+        if short is not None:
+            columns[short] = columns[short][:-1]
+        with pytest.raises(ValidationError) as caught:
+            BoxPiecewiseModel(unit_space(2), tuple(columns[:4]), tuple(columns[4:]))
+        assert str(caught.value) == message
+    box_model(unit_space(2), cells)
 
 
 # A guillotine layout in ten dimensions whose every split uses a cut that
