@@ -81,12 +81,12 @@ class Sample(_Frozen):
     def __len__(self) -> int:
         return len(self.rows)
 
-    def slice_outputs(self, v: Point, fixed: Iterable[int]) -> Iterator[Value]:
+    def slice_outputs(self, v: Point, S: int) -> Iterator[Value]:
         """The prediction of every row with x_S = v_S: one ``itemgetter``
         takes x_S from every row, and ``contains`` compares it with v_S's
         inside a 1-tuple, identity first, as ``==`` on the bare field that
         a single axis gives has no identity shortcut."""
-        axes = [i - 1 for i in fixed]
+        axes = [j for j in range(len(v)) if S >> j & 1]
         if not axes:
             return iter(self.predictions)
         get = itemgetter(*axes)
@@ -175,32 +175,32 @@ def is_waxp(problem: ExplanationProblem, features: Iterable[int]) -> bool:
     """Does fixing ``features`` at the instance values force an output
     indistinguishable from the instance prediction, everywhere in the
     problem's universe: the model's whole space, or the sample's rows?
-    Vacuously true when no sample row matches. Where the scope
-    ``reads_basis`` (a tree, a sample) it holds exactly when the features
-    meet every set of the basis; tables and box models quantify over slices."""
-    fixed = frozenset(features)
-    _check_feature_ids(problem, fixed)
-    if problem.scope.reads_basis:
-        mask = sum(1 << i - 1 for i in fixed)
-        return all(b & mask for b in problem.contrastive_basis)
-    return all(similar_value(problem, y)
-               for y in problem.scope.slice_outputs(problem.instance.point, fixed))
+    Vacuously true when no sample row matches."""
+    return _sufficient(problem, _coalition(problem, features))
 
 
 def is_wcxp(problem: ExplanationProblem, features: Iterable[int]) -> bool:
     """Can the output be made distinguishable by changing only
     ``features``? Exactly the complement of is_waxp on the remaining
     (fixed) features."""
-    freed = frozenset(features)
-    _check_feature_ids(problem, freed)
-    rest = frozenset(problem.feature_ids) - freed
-    return not is_waxp(problem, rest)
+    full = (1 << problem.model.space.m) - 1
+    return not _sufficient(problem, full ^ _coalition(problem, features))
 
 
-def _check_feature_ids(problem: ExplanationProblem, features: frozenset[int]) -> None:
-    unknown = features - set(problem.feature_ids)
-    if unknown:
+def _sufficient(problem: ExplanationProblem, S: int) -> bool:
+    """is_waxp on the mask S: by the basis where the scope ``reads_basis``, else by the slice."""
+    if problem.scope.reads_basis:
+        return all(b & S for b in problem.contrastive_basis)
+    return all(similar_value(problem, y)
+               for y in problem.scope.slice_outputs(problem.instance.point, S))
+
+
+def _coalition(problem: ExplanationProblem, features: Iterable[int]) -> int:
+    """The coalition mask of ``features`` (bit j: feature j + 1); unknown ids are refused."""
+    ids = frozenset(features)
+    if unknown := ids - set(problem.feature_ids):
         raise ValidationError(f"unknown feature ids {sorted(unknown)}")
+    return sum(1 << i - 1 for i in ids)
 
 
 def agnostic_support(problem: ExplanationProblem, features: Iterable[int]) -> int:
@@ -208,7 +208,8 @@ def agnostic_support(problem: ExplanationProblem, features: Iterable[int]) -> in
     check. The matches are counted as the length of one list of them."""
     if problem.universe is None:
         raise PreconditionError("sample support needs a model-agnostic problem")
-    return len([*problem.universe.slice_outputs(problem.instance.point, features)])
+    S = _coalition(problem, features)
+    return len([*problem.universe.slice_outputs(problem.instance.point, S)])
 
 
 # ---------------------------------------------------------------------------

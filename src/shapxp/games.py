@@ -303,6 +303,9 @@ def check_compliance(problem: ExplanationProblem, scores: ScoreVector) -> Compli
 
     A fully compliant vector is zero exactly on the features that occur in
     no abductive explanation."""
+    m = problem.model.space.m
+    if scores.m != m:
+        raise ValidationError(f"score vector has {scores.m} scores for {m} features")
     relevant = set(relevant_features(problem))
     entries = tuple(
         FeatureCompliance(i, i in relevant, scores.score(i))

@@ -11,11 +11,11 @@ Each kind owns its semantics through one method set; the operations at the
 end of this module check their inputs and then call it:
 
 * ``output(point)`` - the prediction at an in-domain point, unchecked;
-* ``slice_outputs(v, fixed)`` - outputs that decide a universal quantifier
-  over the slice {x | x_S = v_S}: the output at every point of the slice
-  for the discrete kinds, the closure extremes of the affine on each cell
-  the slice meets for box models;
-* ``slice_expectation(v, fixed)`` - the mean output over the slice under
+* ``slice_outputs(v, S)`` - outputs that decide a universal quantifier over
+  the slice {x | x_S = v_S}, bit j of the mask S fixing feature j + 1: the
+  output at every point of the slice for the discrete kinds, the closure
+  extremes of the affine on each cell the slice meets for box models;
+* ``slice_expectation(v, S)`` - the mean output over the slice under
   the uniform, feature-independent product distribution;
 * ``output_range()`` - the exact (min, max) output over the whole space;
 * ``labelled_points()`` and ``relabel(mapping)`` - the discrete kinds
@@ -246,14 +246,14 @@ class FeatureSpace(_Frozen):
         """The slot of an in-domain point."""
         return sum(map(mul, map(getitem, self.indexes, point), self.strides))
 
-    def slots(self, fixed: Mapping[int, Value] = {}) -> Iterator[int]:
-        """The slots of ``points(fixed)``, in the same order: the fixed
-        features' offsets plus every combination of the free ones'."""
-        if not fixed:  # the whole space: a range, cheaper than a product of sums
+    def slots(self, v: Point = (), S: int = 0) -> Iterator[int]:
+        """The slots of the points with x_S = v_S, in lexicographic order:
+        the fixed features' offsets plus every combination of the free ones'."""
+        if not S:  # the whole space: a range, cheaper than a product of sums
             _guard(self.size)
             return iter(range(self.size))
         return map(sum, _product([
-            (self.indexes[j][fixed[j + 1]] * stride,) if j + 1 in fixed
+            (self.indexes[j][v[j]] * stride,) if S >> j & 1
             else range(0, radix * stride, stride)
             for j, (radix, stride) in enumerate(zip(self.radices, self.strides))]))
 
@@ -273,14 +273,14 @@ class _EnumerableModel(_Frozen):
     def output(self, point: Point) -> Value:
         return self._read(self.space.slot(point))
 
-    def slice_outputs(self, v: Point, fixed: frozenset[int]) -> Iterator[Value]:
+    def slice_outputs(self, v: Point, S: int) -> Iterator[Value]:
         """The output at every point x of the slice x_S = v_S, lazily."""
-        return map(self._read, self.space.slots({j: v[j - 1] for j in fixed}))
+        return map(self._read, self.space.slots(v, S))
 
-    def slice_expectation(self, v: Point, fixed: frozenset[int]) -> Fraction:
+    def slice_expectation(self, v: Point, S: int) -> Fraction:
         # The outputs repeat a few shared objects, so each distinct object
         # is weighted by its count, told apart by identity, not by hash.
-        outputs = list(self.slice_outputs(v, fixed))
+        outputs = list(self.slice_outputs(v, S))
         firsts = {id(y): y for y in outputs}
         total = sum(firsts[k] * n for k, n in Counter(map(id, outputs)).items())
         return Fraction(total, len(outputs))
@@ -725,25 +725,25 @@ class BoxPiecewiseModel(_Frozen):
         numerators, d = _over_lcd(point)
         return Fraction(a0 * d + sum(map(mul, coeffs, numerators)), scale * d)
 
-    def _extremes(self, v: Point, fixed: Iterable[int]) -> tuple[int, list]:
-        """d, and each cell meeting the slice x_S = v_S as its integer row
-        with its closure extremes there over E^2 * d."""
+    def _extremes(self, v: Point, S: int) -> tuple[int, list[int], list]:
+        """d, the free axes, and each cell meeting the slice x_S = v_S as
+        its integer row with its closure extremes there over E^2 * d."""
         numerators, d = _over_lcd(v)
-        axes = [j - 1 for j in fixed]
-        free = [j for j in range(self.space.m) if j + 1 not in fixed]
+        axes = [j for j in range(self.space.m) if S >> j & 1]
+        free = [j for j in range(self.space.m) if not S >> j & 1]
         cells = []
         for row in self._integers(self._holders(v, axes)):
             scale, a0, coeffs, lows, highs, *_ = row
             pinned = (a0 * d + sum(coeffs[j] * numerators[j] for j in axes)) * scale
             cells.append((row, pinned + d * sum(lows[j] for j in free),
                           pinned + d * sum(highs[j] for j in free)))
-        return d, cells
+        return d, free, cells
 
-    def slice_outputs(self, v: Point, fixed: frozenset[int]) -> Iterator[Fraction]:
+    def slice_outputs(self, v: Point, S: int) -> Iterator[Fraction]:
         """The closure extremes of the affine on each cell pinned to
         x_S = v_S. Values on open faces are approached by interior points,
         so both quantifiers over the slice are decided by the extremes."""
-        d, cells = self._extremes(v, fixed)
+        d, _, cells = self._extremes(v, S)
         for (scale, *_), low, high in cells:
             yield Fraction(low, scale * scale * d)
             yield Fraction(high, scale * scale * d)
@@ -802,12 +802,11 @@ class BoxPiecewiseModel(_Frozen):
             found.add(full)
         return iter(sorted(found))
 
-    def slice_expectation(self, v: Point, fixed: frozenset[int]) -> Fraction:
+    def slice_expectation(self, v: Point, S: int) -> Fraction:
         # An affine's mean over the free sub-box is its value at the centre,
         # the mean of its two extremes; over E^(free+2) * 2d each cell adds
         # its free volume times their sum.
-        d, cells = self._extremes(v, fixed)
-        free = [j for j in range(self.space.m) if j + 1 not in fixed]
+        d, free, cells = self._extremes(v, S)
         sums = {}
         for (scale, *_, spans, _, _), low, high in cells:
             sums[scale] = sums.get(scale, 0) + prod(spans[j] for j in free) * (low + high)
@@ -1029,7 +1028,7 @@ def conditional_expectation(model: Model, instance: Instance, fixed: Iterable[in
             raise DomainError(f"unknown feature id {fid}")
         if v[fid - 1] not in space.domain(fid):
             raise DomainError(f"value {v[fid - 1]!r} outside domain of feature {fid}")
-    return model.slice_expectation(v, fixed)
+    return model.slice_expectation(v, sum(1 << fid - 1 for fid in fixed))
 
 
 def output_range(model: Model) -> tuple[Fraction, Fraction]:

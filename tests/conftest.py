@@ -8,6 +8,7 @@ from shapxp import (
     ExplanationProblem,
     SimilarityConfig,
     load_model,
+    load_sample,
     make_instance,
 )
 
@@ -70,6 +71,13 @@ def cls3_problem(cls3_model):
 def reg2_problem(reg2_model):
     return ExplanationProblem(reg2_model, make_instance(reg2_model, (1, 1)),
                               SimilarityConfig.class_equality())
+
+
+@pytest.fixture(scope="session")
+def reg2_sample_problem(reg2_model):
+    return ExplanationProblem(reg2_model, make_instance(reg2_model, (1, 1)),
+                              SimilarityConfig.class_equality(),
+                              load_sample(FIXTURES / "reg2_sample.csv", reg2_model))
 
 
 @pytest.fixture(scope="session")

@@ -128,6 +128,12 @@ def subsets(ids):
     return chain.from_iterable(combinations(ids, k) for k in range(len(ids) + 1))
 
 
+def mask_of(ids):
+    """The coalition mask of 1-based feature ids (bit j: feature j + 1),
+    the form the scopes' slice methods read."""
+    return sum(1 << i - 1 for i in set(ids))
+
+
 def brute_force_axps(problem):
     """All subset-minimal sufficient sets over the problem's universe, by
     scanning the whole lattice."""

@@ -20,9 +20,11 @@ Re-pin after a change that alters reports::
 
 rewrites tests/report_corpus.json and prints each digest that changed.
 The module needs no pytest, so any installed Python that the package
-supports can check the pins, for example::
+supports can check the pins: tests/test_report_corpus.py replays them
+under a 3.10 through ``pins`` alone, and another version re-pins and
+compares, for example::
 
-    PYENV_VERSION=3.10.13 PYTHONPATH=src python tests/report_corpus.py
+    PYENV_VERSION=3.12.1 PYTHONPATH=src python tests/report_corpus.py
     git diff --exit-code tests/report_corpus.json
 """
 

@@ -30,6 +30,7 @@ from shapxp.modelio import model_from_dict
 from boxmodels import (HI, LO, box_model, cells_of, model_on, prime_stacked_model,
                        random_grid_model, random_kd_model)
 from conftest import FIXTURES
+from randmodels import mask_of
 from report_corpus import document
 from test_box_partition import staircase_boxes
 from test_models import bool_space
@@ -173,7 +174,7 @@ def test_unknown_features_and_values_outside_their_domain_are_refused():
     model = LAYOUTS["grid0"]
     instance = make_instance(model, (F(1, 3), HI))
     assert conditional_expectation(model, instance, [2]) == model.slice_expectation(
-        instance.point, frozenset({2}))
+        instance.point, mask_of([2]))
     with pytest.raises(DomainError, match=r"^unknown feature id 0$"):
         conditional_expectation(model, instance, [0])
     outside = instance._replace(point=(F(1, 3), F(2)))

@@ -12,7 +12,7 @@ import pytest
 
 from shapxp import DomainError, TabularModel, ValidationError, predict
 from shapxp.models import labelled_points, tabulate
-from randmodels import random_table, random_tree_model, subsets
+from randmodels import mask_of, random_table, random_tree_model, subsets
 
 
 def fresh(point):
@@ -35,7 +35,7 @@ def test_dense_reads_agree_with_the_dict(seed):
     assert space.size == len(model.outputs) == len(reference)
     v = fresh(rng.choice(list(reference)))
     for fixed in subsets(space.ids):
-        assert list(model.slice_outputs(v, frozenset(fixed))) == [
+        assert list(model.slice_outputs(v, mask_of(fixed))) == [
             y for point, y in reference.items() if all(point[j - 1] == v[j - 1] for j in fixed)]
     images = {y: f"c{k}" for k, y in enumerate(sorted(set(outputs), key=repr))}
     assert dict(labelled_points(model.relabel(images))) == {
@@ -51,8 +51,8 @@ def test_a_tabulated_tree_is_its_twin(seed):
     assert tabulate(tree) == twin
     v = next(tree.space.points())
     for fixed in subsets(tree.space.ids):
-        assert list(twin.slice_outputs(v, frozenset(fixed))) == \
-            list(tree.slice_outputs(v, frozenset(fixed)))
+        assert list(twin.slice_outputs(v, mask_of(fixed))) == \
+            list(tree.slice_outputs(v, mask_of(fixed)))
 
 
 def test_a_table_must_be_total():

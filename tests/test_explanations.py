@@ -13,6 +13,7 @@ from shapxp import (
     BoxPiecewiseModel,
     ConstantOnUniverseWarning,
     DiscreteDomain,
+    DomainError,
     ExplanationProblem,
     Feature,
     FeatureSpace,
@@ -25,6 +26,7 @@ from shapxp import (
     TreeLeaf,
     TreeModel,
     TreeNode,
+    ValidationError,
     axps_from_cxps,
     enumerate_axps,
     enumerate_cxps,
@@ -49,7 +51,7 @@ from shapxp.explanations import (
     sufficiency_table,
 )
 from shapxp.modelio import model_from_dict
-from shapxp.models import Instance, labelled_points
+from shapxp.models import Instance, conditional_expectation, labelled_points
 from boxmodels import Cell, box_model, random_grid_model, random_kd_model
 from conftest import cpu_limit, rebuilt
 from test_io_cli import chain_tree_doc
@@ -58,6 +60,7 @@ from randmodels import (
     brute_force_axps,
     brute_force_cxps,
     brute_force_hitting_sets,
+    mask_of,
     random_instance,
     random_sample,
     random_table,
@@ -149,6 +152,38 @@ class TestWeakPredicates:
                                      SimilarityConfig.threshold(F(3, 2)))
         assert is_waxp(problem, (2,))  # fixing x2=1 rules out the x2-2 branch
         assert not is_waxp(problem, ())
+
+    @pytest.mark.parametrize("kind", ["table", "tree", "box", "sample"])
+    def test_the_public_predicates_read_feature_ids_in_any_form(self, kind, request,
+                                                                 reg2_tree_model):
+        """is_waxp, is_wcxp, agnostic_support (on a sample) and
+        conditional_expectation (on the model's space) give one answer for
+        the ids of each coalition as a list, a tuple, a set, a frozenset, a
+        generator or a list that names each twice, and refuse id 0 in every
+        form with one error text."""
+        if kind == "tree":
+            problem = ExplanationProblem(reg2_tree_model, make_instance(reg2_tree_model, (1, 1)),
+                                         SimilarityConfig.class_equality())
+        else:
+            problem = request.getfixturevalue(
+                {"table": "cls3_problem", "box": "pw2_problem", "sample": "reg2_sample_problem"}[kind])
+        unknown = ValidationError, r"unknown feature ids \[0\]"
+        checks = [(is_waxp, unknown), (is_wcxp, unknown)]
+        if problem.universe is None:
+            checks.append((lambda p, ids: conditional_expectation(p.model, p.instance, ids),
+                           (DomainError, "unknown feature id 0")))
+        else:
+            checks.append((agnostic_support, unknown))
+
+        def forms(ids):
+            return [list(ids), tuple(ids), set(ids), frozenset(ids), (i for i in ids), [*ids, *ids]]
+
+        for check, (error, text) in checks:
+            for s in subsets(problem.feature_ids):
+                assert [check(problem, ids) for ids in forms(s)] == [check(problem, s)] * 6
+            for ids in forms((0,)):
+                with pytest.raises(error, match=rf"^{text}$"):
+                    check(problem, ids)
 
     def test_monotone_in_the_feature_set(self):
         rng = random.Random(99)
@@ -294,7 +329,7 @@ def slice_quantifier(problem, features):
     the problem's universe is similar. A sample's slice is read by its
     per-row form, which does not change with ``Sample.slice_outputs``."""
     v, fixed = problem.instance.point, frozenset(features)
-    outputs = (problem.model.slice_outputs(v, fixed) if problem.universe is None
+    outputs = (problem.model.slice_outputs(v, mask_of(fixed)) if problem.universe is None
                else per_row_slice_outputs(problem.universe, v, fixed))
     return all(similar_value(problem, y) for y in outputs)
 

@@ -19,6 +19,7 @@ from shapxp import (
     Game,
     NumericOutputError,
     PreconditionError,
+    ScoreVector,
     SimilarityConfig,
     SizeLimitError,
     TabularModel,
@@ -260,6 +261,15 @@ class TestCompliance:
         for problem in (cls3_problem, reg2_problem, pw2_problem):
             report = check_compliance(problem, shapley_exact(waxp_game(problem)))
             assert report.compliant
+
+    @pytest.mark.parametrize("scores", [(1,), (1, 0, 0, 5)])
+    def test_a_score_vector_of_another_length_is_refused(self, cls3_problem, scores):
+        """Too few scores or too many for cls3's three features are refused
+        before any is compared, naming both lengths."""
+        vector = ScoreVector(tuple(map(F, scores)), "expected", "exact")
+        with pytest.raises(ValidationError,
+                           match=rf"^score vector has {len(scores)} scores for 3 features$"):
+            check_compliance(cls3_problem, vector)
 
     def test_compliance_zero_iff_irrelevant_on_randoms(self):
         rng = random.Random(5150)

@@ -46,7 +46,7 @@ from boxmodels import (
     slice_cells,
 )
 from conftest import cpu_limit
-from randmodels import VALUE_POOL, random_table, random_tree_model
+from randmodels import VALUE_POOL, mask_of, random_table, random_tree_model
 from test_models import bool_space
 
 
@@ -164,7 +164,7 @@ def test_box_output_and_expectation_equal_the_reference(seed):
         v = tuple(rng.choice(COORDINATES) for _ in model.space.ids)
         assert predict(model, v) == reference_box_output(model, v)
         for fixed in map(frozenset, subsets(model.space.ids)):
-            assert model.slice_expectation(v, fixed) == \
+            assert model.slice_expectation(v, mask_of(fixed)) == \
                 reference_box_slice_expectation(model, v, fixed)
 
 
@@ -189,8 +189,8 @@ def test_box_extremes_and_disagreements_equal_the_fraction_reference(seed):
         extremes = {}  # the reference's, per coalition, read by every delta
         for fixed in map(frozenset, subsets(model.space.ids)):
             extremes[fixed] = list(reference_box_slice_outputs(model, v, fixed))
-            assert list(model.slice_outputs(v, fixed)) == extremes[fixed]
-            assert model.slice_expectation(v, fixed) == \
+            assert list(model.slice_outputs(v, mask_of(fixed))) == extremes[fixed]
+            assert model.slice_expectation(v, mask_of(fixed)) == \
                 reference_box_slice_expectation(model, v, fixed)
         for delta in DELTAS:
             dissimilar = Dissimilar(model.output(v), delta)
@@ -228,7 +228,7 @@ def test_stacked_slice_expectations_equal_the_left_to_right_sum(n_cells):
     model = prime_stacked_model(random.Random(11), n_cells)
     v = (Fraction(1, 3), Fraction(-2, 7))
     for fixed in (frozenset(), frozenset({1}), frozenset({2})):
-        assert model.slice_expectation(v, fixed) == \
+        assert model.slice_expectation(v, mask_of(fixed)) == \
             reference_box_slice_expectation(model, v, fixed)
 
 
@@ -405,9 +405,10 @@ def assert_enumerations_equal_the_reference(model, rng):
         assert_folds_equal_the_reference(model, output, v)
         for fixed in map(frozenset, subsets(model.space.ids)):
             outputs = list(reference_slice_outputs(model, output, v, fixed))
-            assert list(model.slice_outputs(v, fixed)) == outputs
+            assert list(model.slice_outputs(v, mask_of(fixed))) == outputs
             if model.value_kind == "numeric":
-                assert model.slice_expectation(v, fixed) == sum(outputs, Fraction(0)) / len(outputs)
+                assert model.slice_expectation(v, mask_of(fixed)) == \
+                    sum(outputs, Fraction(0)) / len(outputs)
 
 
 @pytest.mark.parametrize("seed", range(40))

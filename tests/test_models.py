@@ -27,7 +27,8 @@ from shapxp import (
 )
 from shapxp.models import labelled_points
 from boxmodels import Cell, box_model, cells_of
-from randmodels import random_instance, random_tabular_problem, random_tree_model, subsets
+from randmodels import (mask_of, random_instance, random_tabular_problem, random_tree_model,
+                        subsets)
 
 
 def bool_space(m):
@@ -326,8 +327,8 @@ class TestConditionalExpectation:
                 for twin in (model, table):
                     v = random_instance(rng, twin).point
                     for fixed in subsets(twin.space.ids):
-                        outputs = list(twin.slice_outputs(v, frozenset(fixed)))
-                        mean = twin.slice_expectation(v, frozenset(fixed))
+                        outputs = list(twin.slice_outputs(v, mask_of(fixed)))
+                        mean = twin.slice_expectation(v, mask_of(fixed))
                         assert type(mean) is F
                         assert mean == sum(outputs, F(0)) / len(outputs)
 

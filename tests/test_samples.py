@@ -40,7 +40,7 @@ from shapxp.models import labelled_points
 from shapxp.similarity import Dissimilar, similar_value
 from boxmodels import QUARTERS, random_grid_model, random_kd_model
 from conftest import FIXTURES, cpu_limit, rebuilt
-from randmodels import brute_force_cxps, random_table, random_tree_model, subsets
+from randmodels import brute_force_cxps, mask_of, random_table, random_tree_model, subsets
 
 REG2_TREE = FIXTURES / "reg2_tree.json"
 
@@ -295,13 +295,21 @@ def test_the_sample_quantifiers_agree_with_their_per_row_forms():
         for s in subsets(problem.feature_ids):
             fixed_sizes.add(min(len(s), 2))
             for fixed in (frozenset(s), list(s)[::-1]):
-                assert list(map(id, sample.slice_outputs(v, fixed))) == \
+                assert list(map(id, sample.slice_outputs(v, mask_of(fixed)))) == \
                     list(map(id, per_row_slice_outputs(sample, v, fixed)))
             assert agnostic_support(problem, s) == per_row_support(problem, s)
         dissimilar = _dissimilar(problem)
         assert list(sample.disagreements(v, dissimilar)) == \
             per_row_disagreements(sample, v, dissimilar)
     assert fixed_sizes == {0, 1, 2}
+
+
+@pytest.mark.parametrize("ids", [(0,), (-1,), (7,)])
+def test_agnostic_support_refuses_ids_that_name_no_feature(reg2_sample_problem, ids):
+    """As is_waxp does: 0 and -1 name no feature, nor does 7 on reg2's two,
+    so none is read as an axis of the rows."""
+    with pytest.raises(ValidationError, match=rf"^unknown feature ids \[{ids[0]}\]$"):
+        agnostic_support(reg2_sample_problem, ids)
 
 
 def test_a_row_yields_its_mask_once_whatever_it_carries():
@@ -336,12 +344,14 @@ def test_a_single_field_compares_identity_first():
         __hash__ = F.__hash__
 
     half = Counted(1, 2)
-    sample = Sample(((half,), (F(2, 4),), (half,), (0,)), (1, 2, 3, 4))
+    rows = ((half,), (F(2, 4),), (half,), (0,))
     counts = []
-    for fixed in ([1], [1, 1]):
-        for slice_outputs in (per_row_slice_outputs, Sample.slice_outputs):
+    for width in (1, 2):  # one field, then a tuple of two fields on two axes
+        sample, v = Sample(tuple(row * width for row in rows), (1, 2, 3, 4)), (half,) * width
+        for outputs in (lambda: per_row_slice_outputs(sample, v, range(1, width + 1)),
+                        lambda: sample.slice_outputs(v, (1 << width) - 1)):
             Counted.calls = 0
-            assert list(slice_outputs(sample, (half,), fixed)) == [1, 2, 3]
+            assert list(outputs()) == [1, 2, 3]
             counts.append(Counted.calls)
     # F(2, 4) costs a call per axis; 0 costs one, as its first axis differs
     assert counts == [2, 2, 3, 3]
