@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from itertools import compress, repeat
 from operator import and_, contains, itemgetter, ne, or_
 
@@ -233,9 +233,9 @@ def _dissimilar(problem: ExplanationProblem) -> Dissimilar:
 def guard_sufficiency_sampling(problem: ExplanationProblem, coalitions: int,
                                run: str) -> None:
     """Refuse, before its first check, a ``run`` of sufficiency checks on
-    ``coalitions`` distinct coalitions past its bound. Where is_waxp reads
-    the basis, each check compares its feature ids, then every basis mask:
-    BASIS_GUARD set comparisons in all. Where it quantifies over slices,
+    ``coalitions`` distinct coalitions past its bound. Where a check reads
+    the basis, it is charged m + |basis| set comparisons, BASIS_GUARD in
+    all. Where it quantifies over slices,
     :func:`~shapxp.models.guard_slices` charges them."""
     if not problem.scope.reads_basis:
         guard_slices(problem.model, coalitions, run)
@@ -349,26 +349,26 @@ def sufficiency_table(problem: ExplanationProblem) -> list[int]:
 def extract_axp(problem: ExplanationProblem, seed: Iterable[int] | None = None) -> FeatureSet:
     """Shrink a sufficient feature set to a subset-minimal one by deletion,
     attempting removals in ascending feature id order."""
-    return _shrink(problem, seed, is_waxp, "abductive")
+    return _shrink(problem, seed, partial(_sufficient, problem), "abductive")
 
 
 def extract_cxp(problem: ExplanationProblem, seed: Iterable[int] | None = None) -> FeatureSet:
     """Dual of extract_axp: shrink a set whose freeing changes the output."""
-    return _shrink(problem, seed, is_wcxp, "contrastive")
+    full = (1 << problem.model.space.m) - 1
+    return _shrink(problem, seed, lambda S: not _sufficient(problem, full ^ S), "contrastive")
 
 
 def _shrink(problem: ExplanationProblem, seed: Iterable[int] | None,
-            holds: Callable, kind: str) -> FeatureSet:
-    """Deletion loop of both extractions: drop each seed feature in
-    ascending id order while ``holds`` stays true of the rest."""
-    seed_set = canonical(problem.feature_ids if seed is None else seed)
-    if not holds(problem, seed_set):
-        raise PreconditionError(f"seed {seed_set} is not a weak {kind} explanation")
-    current = set(seed_set)
-    for i in seed_set:
-        if holds(problem, current - {i}):
-            current.remove(i)
-    return canonical(current)
+            holds: Callable[[int], bool], kind: str) -> FeatureSet:
+    """Deletion loop of both extractions: clear each seed feature's bit in
+    ascending id order while ``holds`` stays true of the mask left."""
+    S = _coalition(problem, problem.feature_ids if seed is None else seed)
+    if not holds(S):
+        raise PreconditionError(f"seed {_ids(S)} is not a weak {kind} explanation")
+    for bit in [1 << k for k in range(S.bit_length()) if S >> k & 1]:
+        if holds(S ^ bit):
+            S ^= bit
+    return _ids(S)
 
 
 def enumerate_cxps(problem: ExplanationProblem) -> tuple[FeatureSet, ...]:

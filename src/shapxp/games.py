@@ -22,6 +22,7 @@ from operator import add, mul
 from .errors import NumericOutputError, PreconditionError, SizeLimitError, ValidationError
 from .explanations import (
     ExplanationProblem,
+    _sufficient,
     guard_sufficiency_sampling,
     is_waxp,
     relevant_features,
@@ -54,14 +55,14 @@ CoalitionTable = tuple[list[int], int]
 class Game(_Frozen):
     """A set of players and a characteristic function on coalitions.
 
-    ``at(mask)`` evaluates one coalition, given by its player bitmask (bit
-    k stands for ``players[k]``, as in the coalition table), and memoizes
-    it per game instance under that mask; ``charfn`` still receives a
-    frozenset of players. ``value`` reads the same memo by player ids, as
-    the all-permutations oracle does. The sampling estimator reads ``at``
-    for the coalitions its draws touched, or ``table`` once when they
-    touched all 2^m, whatever the game, so the memo and the table must
-    agree. The function must be pure.
+    ``charfn`` takes a coalition as its player bitmask: bit k stands for
+    ``players[k]``, as in the coalition table. ``at(mask)`` evaluates it
+    and memoizes the value per game instance under that mask; ``value``
+    reads the same memo by player ids. Player ids must be distinct. The
+    sampling estimator and the all-permutations oracle read ``at`` for
+    the coalitions they touch, or the estimator reads ``table`` once when
+    its draws touched all 2^m, whatever the game, so the memo and the
+    table must agree. The function must be pure.
 
     ``table`` returns the whole coalition table, which is what exact
     Shapley values need, and refuses more than POINT_GUARD coalitions
@@ -94,11 +95,13 @@ class Game(_Frozen):
     __reduce__ = object.__reduce__
     __hash__ = None
 
-    def __init__(self, players: tuple[int, ...], charfn: Callable[[frozenset[int]], Fraction],
+    def __init__(self, players: tuple[int, ...], charfn: Callable[[int], Fraction],
                  tag: str = CUSTOM,
                  marginal_bound: Fraction | Callable[[], Fraction] | None = None,
                  kernel: Callable[[], CoalitionTable] | None = None,
                  guard: Callable[[int, str], None] | None = None):
+        if len(set(players)) != len(players):
+            raise ValidationError(f"repeated player ids in {players}")
         self.players, self.charfn, self.tag = players, charfn, tag
         self.marginal_bound, self.kernel, self.guard = marginal_bound, kernel, guard
         self._cache = {}  # mask -> value
@@ -107,8 +110,7 @@ class Game(_Frozen):
         """nu of the coalition {players[k] : bit k of mask is set}."""
         cached = self._cache.get(mask)
         if cached is None:
-            coalition = frozenset(p for k, p in enumerate(self.players) if mask >> k & 1)
-            cached = self._cache[mask] = Fraction(self.charfn(coalition))
+            cached = self._cache[mask] = Fraction(self.charfn(mask))
         return cached
 
     def value(self, coalition: Iterable[int]) -> Fraction:
@@ -184,7 +186,7 @@ def expected_game(problem: ExplanationProblem) -> Game:
         raise NumericOutputError("the expected-value game needs numeric model outputs")
     return Game(
         players=problem.feature_ids,
-        charfn=lambda s: cf_expected(problem, s),
+        charfn=partial(problem.model.slice_expectation, problem.instance.point),
         tag=EXPECTED_VALUE,
         marginal_bound=partial(_output_width, problem.model),
         kernel=partial(problem.model.expected_table, problem.instance.point),
@@ -200,7 +202,7 @@ def _output_width(model) -> Fraction:
 def waxp_game(problem: ExplanationProblem) -> Game:
     return Game(
         players=problem.feature_ids,
-        charfn=lambda s: cf_waxp(problem, s),
+        charfn=partial(_sufficient, problem),
         tag=WAXP_BASED,
         marginal_bound=Fraction(1),
         kernel=lambda: (sufficiency_table(problem), 1),
@@ -258,18 +260,16 @@ def shapley_via_permutations(game: Game) -> ScoreVector:
     if m > PERMUTATION_GUARD:
         raise SizeLimitError(
             f"permutation enumeration guarded at m <= {PERMUTATION_GUARD}, got {m}")
-    acc = {i: Fraction(0) for i in game.players}
-    for order in permutations(game.players):
-        coalition: frozenset[int] = frozenset()
-        prev = game.value(coalition)
-        for player in order:
-            coalition = coalition | {player}
-            cur = game.value(coalition)
-            acc[player] += cur - prev
+    acc = [Fraction(0)] * m  # by position in game.players
+    for order in permutations(range(m)):
+        mask, prev = 0, game.at(0)
+        for k in order:
+            mask |= 1 << k
+            cur = game.at(mask)
+            acc[k] += cur - prev
             prev = cur
     n_orders = factorial(m)
-    scores = tuple(acc[i] / n_orders for i in game.players)
-    return ScoreVector(scores, game.tag, "exact")
+    return ScoreVector(tuple(total / n_orders for total in acc), game.tag, "exact")
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from shapxp import (
     ExplanationProblem,
     Feature,
     FeatureSpace,
+    Game,
     Sample,
     SimilarityConfig,
     TabularModel,
@@ -132,6 +133,15 @@ def mask_of(ids):
     """The coalition mask of 1-based feature ids (bit j: feature j + 1),
     the form the scopes' slice methods read."""
     return sum(1 << i - 1 for i in set(ids))
+
+
+def id_game(players, f, **kw):
+    """A game whose function ``f`` reads each coalition as the frozenset
+    of the player ids its mask holds (bit k: ``players[k]``); ``kw`` goes
+    to ``Game``."""
+    players = tuple(players)
+    return Game(players, lambda S: f(frozenset(p for k, p in enumerate(players) if S >> k & 1)),
+                **kw)
 
 
 def brute_force_axps(problem):

@@ -35,7 +35,7 @@ from shapxp.cgt import (
     permutation_at, sample_count)
 from shapxp.cli import run_cli
 from conftest import FIXTURES
-from randmodels import random_instance, random_tabular_problem, random_tree_model
+from randmodels import id_game, random_instance, random_tabular_problem, random_tree_model
 
 # Reference stream: a verbatim copy of permutation_at as it was written
 # before the draw loop was inlined, one call per SplitMix step and per
@@ -573,8 +573,8 @@ class TestEstimator:
     def test_players_other_than_one_to_m(self):
         config = CgtConfig(F(1, 10), F(1, 10), seed=4, sample_count=50)
         for weights in ({3: 1, 7: 1}, {3: 2, 7: 5}):
-            game = Game((3, 7), lambda s, w=weights: F(sum(w[i] for i in s)),
-                        marginal_bound=F(5))
+            game = id_game((3, 7), lambda s, w=weights: F(sum(w[i] for i in s)),
+                           marginal_bound=F(5))
             vector, _ = cgt_estimate(game, config)
             # additive game: exact from any order
             assert vector.scores == shapley_exact(game).scores == (weights[3], weights[7])
@@ -589,8 +589,8 @@ class TestEstimator:
         games.append(Game((6,), lambda s: F(5) if s else F(-2, 3), marginal_bound=F(6)))
         # Players other than 1..m, in no sorted order, with interactions.
         weights = {9: F(3), 2: F(-1), 5: F(1, 2), 4: F(2)}
-        games.append(Game((9, 2, 5, 4), lambda s: sum(weights[i] for i in s) ** 2
-                          + (F(7) if {2, 9} <= s else F(0)), marginal_bound=F(200)))
+        games.append(id_game((9, 2, 5, 4), lambda s: sum(weights[i] for i in s) ** 2
+                             + (F(7) if {2, 9} <= s else F(0)), marginal_bound=F(200)))
         # m! above CHUNK: lanes, and 2 * CHUNK + 7 draws touch every
         # coalition, so the scores come from the game's table.
         for m in (7, 8, 9):
@@ -606,9 +606,9 @@ class TestEstimator:
                     for p in rng.sample(range(1, 60), m)}
             pair = set(rng.sample(sorted(wide), 2))
             sixths = {p: int(6 * w) for p, w in wide.items()}  # the same sums, in ints
-            games.append(Game(tuple(wide), lambda s, w=sixths, pair=pair:
-                              F(sum(w[i] for i in s), 6) ** 2 + (7 if pair <= s else 0),
-                              marginal_bound=F(2000)))
+            games.append(id_game(tuple(wide), lambda s, w=sixths, pair=pair:
+                                 F(sum(w[i] for i in s), 6) ** 2 + (7 if pair <= s else 0),
+                                 marginal_bound=F(2000)))
         for game in games:
             for seed, n in ((3, 1), (3, 40), (17, 250), (5, 2 * CHUNK + 7)):
                 want = naive_estimate(game, seed, n)
@@ -631,11 +631,11 @@ class TestEstimator:
             # m = 8 runs lanes of one shuffle at CHUNK = 1, and partial last
             # chunks at 7 and 1024.
             games = [waxp_game(cls3_problem), expected_game(pw2_problem),
-                     Game((9, 2, 5, 4), lambda s: sum(weights[i] for i in s) ** 2,
-                          marginal_bound=F(100)),
-                     Game((9, 2, 5, 4, 11, 1, 8, 3),
-                          lambda s: sum(weights.get(i, F(i, 3)) for i in s) ** 2
-                          + (F(5) if {1, 9} <= s else F(0)), marginal_bound=F(400))]
+                     id_game((9, 2, 5, 4), lambda s: sum(weights[i] for i in s) ** 2,
+                             marginal_bound=F(100)),
+                     id_game((9, 2, 5, 4, 11, 1, 8, 3),
+                             lambda s: sum(weights.get(i, F(i, 3)) for i in s) ** 2
+                             + (F(5) if {1, 9} <= s else F(0)), marginal_bound=F(400))]
             results.append([cgt_estimate(game, config)[0].scores for game in games])
         assert results[0] == results[1] == results[2]
 
@@ -643,7 +643,7 @@ class TestEstimator:
         # 40 players: any table indexed by coalition mask would need 2^40
         # entries; the tally holds at most 50 * 40.
         players = tuple(range(1, 41))
-        game = Game(players, lambda s: F(sum(s), 7), marginal_bound=F(40, 7))
+        game = id_game(players, lambda s: F(sum(s), 7), marginal_bound=F(40, 7))
         started = time.perf_counter()
         vector, _ = cgt_estimate(
             game, CgtConfig(F(1, 20), F(1, 20), seed=8, sample_count=50))
@@ -674,7 +674,7 @@ class TestEstimator:
 
         monkeypatch.setattr(cgt_module, "_step_counts", no_draws)
         for players in ((1, 2, 3), (1, 2)):
-            game = Game(players, lambda s: F(len(s)), marginal_bound=F(1))
+            game = id_game(players, lambda s: F(len(s)), marginal_bound=F(1))
             for config in (CgtConfig(F(1, 10 ** 400), F(1, 20)),
                            CgtConfig(F(1, 100000), F(1, 20)),
                            CgtConfig(F(1, 20), F(1, 20), sample_count=cgt_module.DRAW_GUARD)):
@@ -682,7 +682,7 @@ class TestEstimator:
                     cgt_estimate(game, config)
 
     def test_unbounded_game_needs_override(self):
-        game = Game((1, 2), lambda s: F(len(s)))
+        game = id_game((1, 2), lambda s: F(len(s)))
         with pytest.raises(PreconditionError):
             cgt_estimate(game, CgtConfig(F(1, 20), F(1, 20)))
         vector, diag = cgt_estimate(
@@ -759,8 +759,8 @@ class TestValueSource:
         # pw2's expected game is copied here without its kernel.
         read, table = [], Game.table
         monkeypatch.setattr(Game, "table", lambda game: read.append(game) or table(game))
-        custom = Game((1, 2, 3, 4), lambda s: sum(F(i, 3) for i in s) + (2 in s and 3 in s),
-                        marginal_bound=F(7, 3))
+        custom = id_game((1, 2, 3, 4), lambda s: sum(F(i, 3) for i in s) + (2 in s and 3 in s),
+                           marginal_bound=F(7, 3))
         for game in (expected_game(pw2_problem), custom):
             calls, charges, m = [], [], game.m
             counted = Game(game.players, lambda s: calls.append(s) or game.charfn(s), game.tag,

@@ -212,7 +212,57 @@ class TestWeakPredicates:
 # Minimal explanations
 # ---------------------------------------------------------------------------
 
+def shrink_by_ids(problem, seed, holds, kind):
+    """The extractions' deletion loop over id sets, one public predicate
+    call a step: the reference for their walk over one mask."""
+    seed_set = tuple(sorted(set(problem.feature_ids if seed is None else seed)))
+    if not holds(problem, seed_set):
+        raise PreconditionError(f"seed {seed_set} is not a weak {kind} explanation")
+    current = set(seed_set)
+    for i in seed_set:
+        if holds(problem, current - {i}):
+            current.remove(i)
+    return tuple(sorted(current))
+
+
 class TestExtraction:
+    def test_extraction_equals_the_deletion_loop_over_id_sets(self, cls3_problem, pw2_problem,
+                                                             reg2_sample_problem):
+        rng = random.Random(50)
+        tree = random_tree_model(rng, 4)
+        box = random_grid_model(rng)
+        problems = [cls3_problem, random_tabular_problem(rng, max_m=4), pw2_problem,
+                    ExplanationProblem(tree, random_instance(rng, tree),
+                                       SimilarityConfig.class_equality()),
+                    ExplanationProblem(box, make_instance(box, (F(1, 3), F(-1, 5))),
+                                       SimilarityConfig.threshold(F(1, 2))),
+                    reg2_sample_problem]
+        for problem in problems:
+            # Each seed form, made afresh for each run: a generator is read once.
+            seeds = [lambda: None]
+            for s in subsets(problem.feature_ids):
+                seeds += [lambda s=s: list(s), lambda s=s: tuple(reversed(s)),
+                          lambda s=s: (i for i in s), lambda s=s: s + s[:1] + s]
+            for extract, holds, kind in ((extract_axp, is_waxp, "abductive"),
+                                         (extract_cxp, is_wcxp, "contrastive")):
+                for seed in seeds:
+                    outcomes = []
+                    for run in (extract, lambda p, seed: shrink_by_ids(p, seed, holds, kind)):
+                        try:
+                            outcomes.append(run(problem, seed()))
+                        except PreconditionError as error:
+                            outcomes.append(str(error))
+                    assert outcomes[0] == outcomes[1], (problem, seed())
+
+    def test_unknown_ids_are_refused_before_the_seed_is_checked(self, cls3_problem):
+        with pytest.raises(PreconditionError,
+                           match=r"^seed \(2, 3\) is not a weak abductive explanation$"):
+            extract_axp(cls3_problem, (3, 2, 3))
+        for extract in (extract_axp, extract_cxp):
+            for seed in ((0,), (0, 2, 3), [2, 0]):
+                with pytest.raises(ValidationError, match=r"^unknown feature ids \[0\]$"):
+                    extract(cls3_problem, seed)
+
     def test_axp_from_full_seed(self, cls3_problem):
         assert extract_axp(cls3_problem) == (1,)
 

@@ -33,6 +33,7 @@ from shapxp import (
     check_value_independence,
     expected_game,
     full_space_sample,
+    is_wcxp,
     make_instance,
     relabel_problem,
     relevant_features,
@@ -42,9 +43,17 @@ from shapxp import (
     waxp_game,
 )
 from shapxp.cli import run_cli
-from shapxp.models import output_range
+from shapxp.explanations import _ids
+from shapxp.models import conditional_expectation, output_range
+from boxmodels import random_grid_model
 from conftest import FIXTURES, cpu_limit, rebuilt
-from randmodels import random_tabular_problem, subsets
+from randmodels import (
+    id_game,
+    random_instance,
+    random_tabular_problem,
+    random_tree_model,
+    subsets,
+)
 from test_io_cli import chain_tree_doc
 
 ROOT = FIXTURES.parent.parent
@@ -59,9 +68,9 @@ def table_problem(rows, v, m=2):
 
 
 def dictator_game(m, player=1):
-    return Game(tuple(range(1, m + 1)),
-                lambda s: F(1 if player in s else 0),
-                tag="waxp", marginal_bound=F(1))
+    return id_game(range(1, m + 1),
+                   lambda s: F(1 if player in s else 0),
+                   tag="waxp", marginal_bound=F(1))
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +95,35 @@ class TestCharacteristicFunctions:
         assert cf_waxp(cls3_problem, (1,)) == 1
         assert cf_waxp(cls3_problem, ()) == 0
         assert cf_waxp(cls3_problem, cls3_problem.feature_ids) == 1
+
+    def test_the_games_agree_with_the_id_forms_on_every_coalition(self, pw2_problem,
+                                                                  reg2_sample_problem):
+        # The games read the mask straight through the model and the
+        # sufficiency check; cf_*, is_wcxp and conditional_expectation turn
+        # feature ids into it, so each route checks the other.
+        rng = random.Random(50)
+        problems = [pw2_problem, reg2_sample_problem]
+        for _ in range(6):
+            problems.append(random_tabular_problem(rng, max_m=5))
+            tree = random_tree_model(rng, rng.randint(1, 5))
+            similarity = rng.choice((SimilarityConfig.class_equality(),
+                                     SimilarityConfig.threshold(F(1, 2))))
+            problems.append(ExplanationProblem(tree, random_instance(rng, tree), similarity))
+        box = random_grid_model(rng)
+        problems.append(ExplanationProblem(box, make_instance(box, (F(1, 3), F(-1, 5))),
+                                           SimilarityConfig.threshold(F(1, 2))))
+        for problem in problems:
+            m = problem.model.space.m
+            full = (1 << m) - 1
+            waxp = waxp_game(problem)
+            expected = expected_game(problem) if problem.universe is None else None
+            for S in range(1 << m):
+                ids = _ids(S)
+                if expected is not None:
+                    assert expected.at(S) == cf_expected(problem, ids) == \
+                        conditional_expectation(problem.model, problem.instance, ids)
+                assert waxp.at(S) == cf_waxp(problem, ids)
+                assert is_wcxp(problem, ids) == (waxp.at(full ^ S) == 0)
 
     def test_waxp_game_is_simple(self):
         # 0/1-valued and monotone over the whole lattice
@@ -120,7 +158,7 @@ class TestShapleyExact:
         assert shapley_exact(dictator_game(3)).scores == (F(1), F(0), F(0))
 
     def test_size_guard(self):
-        game = Game(tuple(range(1, 26)), lambda s: F(len(s)))
+        game = id_game(range(1, 26), lambda s: F(len(s)))
         with pytest.raises(SizeLimitError):
             shapley_exact(game)
 
@@ -148,8 +186,7 @@ def table_game(rng, m):
     denominator of 1..9; its function reads the same table."""
     numerators = [rng.randint(-10 ** 30, 10 ** 30) for _ in range(1 << m)]
     denominator = rng.randint(1, 9)
-    return Game(tuple(range(1, m + 1)),
-                lambda s: F(numerators[sum(1 << p - 1 for p in s)], denominator),
+    return Game(tuple(range(1, m + 1)), lambda S: F(numerators[S], denominator),
                 kernel=lambda: (numerators, denominator))
 
 
@@ -203,7 +240,7 @@ class TestShapleyPermutations:
                     shapley_exact(game).scores
 
     def test_size_guard(self):
-        game = Game(tuple(range(1, 12)), lambda s: F(len(s)))
+        game = id_game(range(1, 12), lambda s: F(len(s)))
         with pytest.raises(SizeLimitError):
             shapley_via_permutations(game)
 
@@ -374,20 +411,25 @@ class TestMemoization:
     def test_charfn_evaluated_once_per_coalition(self, players):
         calls = []
 
-        def charfn(s):
-            calls.append(s)
-            return F(len(s))
+        def charfn(S):
+            calls.append(S)
+            return F(S.bit_count())
 
         game = Game(players, charfn)
         shapley_exact(game)
         shapley_via_permutations(game)
         cgt_estimate(game, CgtConfig(F(1, 10), F(1, 10), seed=3, sample_count=50))
-        assert len(calls) == len(set(calls)) == 8
-        assert all(isinstance(s, frozenset) and s <= set(players) for s in calls)
+        assert sorted(calls) == list(range(8))
+
+    def test_repeated_player_ids_are_refused(self):
+        # With players[0] == players[1], value({1}) would read mask 0b011
+        # and the two routes to the scores would part.
+        with pytest.raises(ValidationError, match=r"^repeated player ids in \(1, 1, 2\)$"):
+            id_game((1, 1, 2), lambda s: F(len(s) + 5 * (2 in s)))
 
     def test_coalitions_name_only_players(self):
         calls = []
-        game = Game((1, 2), lambda s: calls.append(s) or F(len(s)))
+        game = id_game((1, 2), lambda s: calls.append(s) or F(len(s)))
         with pytest.raises(ValidationError, match="7"):
             game.value({7})
         with pytest.raises(ValidationError, match="7"):

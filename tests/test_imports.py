@@ -10,10 +10,13 @@ each such import must name a lookup site of ``bench/tracing.py``.
 An UPPER_CASE name assigned at module level that no module of the package
 reads, by name or as an attribute, fails too: a guard or tag left behind.
 So does a module-level function or class whose name starts with ``_``: a
-private helper that only tests call. So does a method or property (dunders
-aside) that no module reads as an attribute, names to ``getattr`` and its
-kin or names in a dotted-path string: a mechanism that no run needs. A
-local variable or a dict key that shares its name does not keep it.
+private helper that only tests call. So does a public one that no module
+reads, ``__init__.py`` does not export and no lookup site of
+``bench/tracing.py`` names: a function that no run and no user reaches.
+So does a method or property (dunders aside) that no module reads as an
+attribute, names to ``getattr`` and its kin or names in a dotted-path
+string: a mechanism that no run needs. A local variable or a dict key
+that shares its name does not keep it.
 The package declares no dependencies, so an absolute import whose top-level
 name is not in ``sys.stdlib_module_names`` fails as well. Nor does it import
 ``dataclasses``, ``inspect`` or ``typing``, which would cost every process
@@ -170,6 +173,50 @@ def test_the_checker_finds_an_unread_private_definition():
 def test_every_private_definition_is_read():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unread_private_definitions(sources) == []
+
+
+def exported_names(source: str) -> set[str]:
+    """Every name an ``__init__`` source imports, which the package exports."""
+    return {alias.asname or alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def orphaned_public_definitions(sources: dict[str, str], exported: set[str],
+                                sites: set[str]) -> list[tuple[str, int, str]]:
+    """(module, line, name) of each module-level function or class whose
+    name is public and that no source reads, the package does not export
+    and no tracer site "shapxp.<module>:<name>[.<attr>]" looks up."""
+    kept = names_read(sources) | exported
+    traced = {(f"{module.rpartition('.')[2]}.py", path.partition(".")[0])
+              for module, _, path in (site.partition(":") for site in sites)}
+    return [(module, node.lineno, node.name)
+            for module, source in sources.items() for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_"
+            and node.name not in kept and (module, node.name) not in traced]
+
+
+def test_the_checker_finds_an_orphaned_public_definition():
+    sources = {"__init__.py": "from .a import exported\n",
+               "a.py": ("def exported():\n    pass\n"
+                        "def orphan():\n    pass\n"
+                        "def used():\n    pass\n"
+                        "def traced():\n    pass\n"
+                        "class Box:\n    def value(self):\n        return 0\n"
+                        "class Orphan:\n    pass\n"
+                        "def _private():\n    pass\n"),
+               "b.py": ("from .a import orphan, used\n"
+                        "def traced():\n    return used()\n")}
+    exported = exported_names(sources["__init__.py"])
+    sites = {"shapxp.a:traced", "shapxp.a:Box.value"}
+    assert exported == {"exported"}
+    assert orphaned_public_definitions(sources, exported, sites) == [
+        ("a.py", 3, "orphan"), ("a.py", 12, "Orphan"), ("b.py", 2, "traced")]
+
+
+def test_every_public_definition_is_read_exported_or_traced():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert orphaned_public_definitions(sources, exported_names(sources["__init__.py"]),
+                                       tracer_sites(TRACING.read_text())) == []
 
 
 # The callables that read an attribute named by a string argument.

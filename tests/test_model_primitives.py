@@ -34,7 +34,7 @@ from shapxp import (
     tabulate,
 )
 from shapxp.explanations import _ids, _minimal
-from shapxp.games import Game, expected_game, shapley_exact, shapley_via_permutations
+from shapxp.games import expected_game, shapley_exact, shapley_via_permutations
 from shapxp.models import _ranked, guard_slices, labelled_points
 from shapxp.similarity import Dissimilar
 from boxmodels import (
@@ -46,7 +46,7 @@ from boxmodels import (
     slice_cells,
 )
 from conftest import cpu_limit
-from randmodels import VALUE_POOL, mask_of, random_table, random_tree_model
+from randmodels import VALUE_POOL, id_game, mask_of, random_table, random_tree_model
 from test_models import bool_space
 
 
@@ -211,7 +211,7 @@ def test_the_prime_layout_answers_as_the_fraction_reference_within_a_second():
     with cpu_limit(1):
         scores = shapley_exact(expected_game(exact)).scores
         relevant = relevant_features(banded)
-    reference = Game(model.space.ids, lambda s: reference_box_slice_expectation(model, v, s))
+    reference = id_game(model.space.ids, lambda s: reference_box_slice_expectation(model, v, s))
     assert scores == shapley_exact(reference).scores
     masks = reference_box_disagreements(model, v, Dissimilar(instance.prediction, Fraction(1, 2)))
     basis = _minimal(masks, 2)

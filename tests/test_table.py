@@ -2,8 +2,9 @@
 
 ``shapley_exact`` reads a game's whole coalition table, built in one pass
 over the labelled points; ``shapley_via_permutations`` and ``Game.value``
-still evaluate one coalition at a time through ``conditional_expectation``
-and ``is_waxp``. Every case asserts that the two agree exactly.
+still evaluate one coalition at a time through ``Game.at``, that is through
+the model's slice expectation or the sufficiency check on the mask. Every
+case asserts that the two agree exactly.
 """
 
 import random
@@ -154,9 +155,8 @@ class TestBoxKernel:
     def test_box_model(self, monkeypatch):
         rng = random.Random(5)
         expectations = []
-        cf_expected = shapxp.games.cf_expected
-        monkeypatch.setattr(shapxp.games, "cf_expected",
-                            lambda *args: expectations.append(args) or cf_expected(*args))
+        at = Game.at
+        monkeypatch.setattr(Game, "at", lambda *args: expectations.append(args) or at(*args))
         for _ in range(3):
             model = random_grid_model(rng)
             problem = ExplanationProblem(model, make_instance(model, (F(1, 3), F(-1, 5))),
@@ -192,8 +192,8 @@ class TestNoPerCoalitionFallback:
         def forbidden(*args, **kwargs):
             raise AssertionError("per-coalition evaluation on a discrete model")
 
-        monkeypatch.setattr(shapxp.games, "conditional_expectation", forbidden)
-        monkeypatch.setattr(shapxp.games, "is_waxp", forbidden)
+        monkeypatch.setattr(Game, "at", forbidden)
+        monkeypatch.setattr(shapxp.explanations, "_sufficient", forbidden)
         monkeypatch.setattr(shapxp.explanations, "is_waxp", forbidden)
         monkeypatch.setattr(shapxp.explanations, "is_wcxp", forbidden)
 
