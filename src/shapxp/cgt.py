@@ -35,9 +35,10 @@ few ints per permutation (two steps a key in a long run at m <= 8); past
 16 each tuple is walked as drawn. The values weighting the counts are
 integer numerators over one denominator: the game's coalition table
 (``Game.table``) when the draws touched all 2^m coalitions, else the
-game's memoized values of the touched coalitions alone. All accumulation
-is exact integer arithmetic, so the returned estimates do not depend on
-where the values came from and are deterministic in the strongest sense.
+game's memoized values of the touched coalitions alone, in the form its
+function returns (bools on the sufficiency game). All accumulation is
+exact integer arithmetic and only the scores become Fractions, so they
+do not depend on where the values came from and are deterministic.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # guard stops sampling runs of more than about a minute (a run at the
 # guard counts for 37 s at m = 20, 42-44 s at m = 33..200). It bounds
 # draws, not weighting: at m = 20 and 40 nearly every tally key needs its
-# own game evaluation, about 7 and 11 us per step on an additive custom
-# game, with a memo of 6.3 and 9.2 MiB (T = 4,000 and 2,000).
+# own game evaluation, 1.2 and 1.7 us per step on an additive game of int
+# values, with a memo of 4.1 and 4.8 MiB (T = 4,000 and 2,000).
 DRAW_GUARD = 10 ** 8
 # Permutations whose stream outputs and draws are held at once (the m <= 6
 # code Counter spans the whole run, at most 720 entries, and the m <= 8
@@ -424,7 +425,7 @@ def cgt_estimate(game: Game, config: CgtConfig) -> tuple[ScoreVector, CgtDiagnos
         # A permutation's prefixes share only the empty and the full coalition.
         game.guard(min(total * m + 1, 1 << m), "sampling")
     if m < 2:  # no draw: no player, or one whose only marginal is nu({p}) - nu({})
-        scores = (game.at(1) - game.at(0),) if m else ()
+        scores = (Fraction(game.at(1)) - Fraction(game.at(0)),) if m else ()
         return ScoreVector(scores, game.tag, "cgt"), CgtDiagnostics(total, bound)
 
     # Fisher-Yates fixes positions from the back: when a step puts player

@@ -421,8 +421,10 @@ def minimal_hitting_sets(family: Iterable[frozenset]) -> set[frozenset]:
 
 def enumerate_axps(problem: ExplanationProblem) -> tuple[FeatureSet, ...]:
     """All abductive explanations, obtained by dualizing the contrastive
-    family."""
-    return axps_from_cxps(enumerate_cxps(problem))
+    family; with no CXp every set is sufficient, so the empty one is the
+    one minimal AXp."""
+    cxps = enumerate_cxps(problem)
+    return axps_from_cxps(cxps) if cxps else ((),)
 
 
 def relevant_features(problem: ExplanationProblem) -> FeatureSet:

@@ -55,14 +55,15 @@ CoalitionTable = tuple[list[int], int]
 class Game(_Frozen):
     """A set of players and a characteristic function on coalitions.
 
-    ``charfn`` takes a coalition as its player bitmask: bit k stands for
-    ``players[k]``, as in the coalition table. ``at(mask)`` evaluates it
-    and memoizes the value per game instance under that mask; ``value``
-    reads the same memo by player ids. Player ids must be distinct. The
-    sampling estimator and the all-permutations oracle read ``at`` for
-    the coalitions they touch, or the estimator reads ``table`` once when
-    its draws touched all 2^m, whatever the game, so the memo and the
-    table must agree. The function must be pure.
+    ``charfn`` takes a coalition as its player bitmask (bit k stands for
+    ``players[k]``, as in the coalition table) and returns a number, an
+    int, bool or Fraction or any number with ``as_integer_ratio``, which
+    ``at(mask)`` memoizes as returned per game instance under that mask;
+    ``value`` reads the same memo by player ids, as a Fraction. Player ids
+    must be distinct. The sampling estimator and the all-permutations
+    oracle read ``at`` for the coalitions they touch, or the estimator
+    reads ``table`` once when its draws touched all 2^m, whatever the
+    game, so the memo and the table must agree. The function must be pure.
 
     ``table`` returns the whole coalition table, which is what exact
     Shapley values need, and refuses more than POINT_GUARD coalitions
@@ -106,11 +107,11 @@ class Game(_Frozen):
         self.marginal_bound, self.kernel, self.guard = marginal_bound, kernel, guard
         self._cache = {}  # mask -> value
 
-    def at(self, mask: int) -> Fraction:
-        """nu of the coalition {players[k] : bit k of mask is set}."""
+    def at(self, mask: int):
+        """nu of the coalition {players[k] : bit k of mask is set}, as charfn returns it."""
         cached = self._cache.get(mask)
         if cached is None:
-            cached = self._cache[mask] = Fraction(self.charfn(mask))
+            cached = self._cache[mask] = self.charfn(mask)
         return cached
 
     def value(self, coalition: Iterable[int]) -> Fraction:
@@ -119,7 +120,7 @@ class Game(_Frozen):
         unknown = ids.difference(self.players)
         if unknown:
             raise ValidationError(f"unknown player ids {sorted(unknown)}")
-        return self.at(sum(1 << k for k, p in enumerate(self.players) if p in ids))
+        return Fraction(self.at(sum(1 << k for k, p in enumerate(self.players) if p in ids)))
 
     def table(self) -> CoalitionTable:
         """nu(S) for every coalition mask S, as (numerators, denominator);
@@ -260,14 +261,13 @@ def shapley_via_permutations(game: Game) -> ScoreVector:
     if m > PERMUTATION_GUARD:
         raise SizeLimitError(
             f"permutation enumeration guarded at m <= {PERMUTATION_GUARD}, got {m}")
+    values = [Fraction(game.at(mask)) for mask in range(1 << m)]
     acc = [Fraction(0)] * m  # by position in game.players
     for order in permutations(range(m)):
-        mask, prev = 0, game.at(0)
+        mask = 0
         for k in order:
+            acc[k] += values[mask | 1 << k] - values[mask]
             mask |= 1 << k
-            cur = game.at(mask)
-            acc[k] += cur - prev
-            prev = cur
     n_orders = factorial(m)
     return ScoreVector(tuple(total / n_orders for total in acc), game.tag, "exact")
 

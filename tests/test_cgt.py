@@ -34,7 +34,8 @@ from shapxp.cgt import (
     CHUNK, _draw, _draw_columns, _lanes, _order, _outputs, _packed, _step_counts,
     permutation_at, sample_count)
 from shapxp.cli import run_cli
-from conftest import FIXTURES
+from shapxp.modelio import model_from_dict
+from conftest import FIXTURES, cpu_limit
 from randmodels import id_game, random_instance, random_tabular_problem, random_tree_model
 
 # Reference stream: a verbatim copy of permutation_at as it was written
@@ -820,6 +821,26 @@ def seeded_tree_doc(seed, m, depth):
             "features": features, "root": 0, "nodes": nodes}
 
 
+def test_a_wide_memo_route_run_keeps_its_cpu_budget(tmp_path, monkeypatch, capsys):
+    """CGT waxp at epsilon 1/20 on a 40-feature tree weighs 1,476
+    permutations over about 53,000 memoized coalitions, in about 0.13 s of
+    CPU on a 2-core x86-64 host, so the 2 s budget holds on a host 10x
+    slower. The scores must add up to nu(N) - nu({}), which two
+    sufficiency checks give without enumerating."""
+    doc = seeded_tree_doc(40, 40, 8)
+    (tmp_path / "tree_m40.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    with cpu_limit(2):
+        assert run_cli(["shap", "--model", "tree_m40.json", "--instance", ",".join("0" * 40),
+                        "--game", "waxp", "--method", "cgt", "--epsilon", "1/20",
+                        "--output", "json"]) == 0
+    scores = json.loads(capsys.readouterr().out)["results"]["scores"]
+    model = model_from_dict(doc)
+    game = waxp_game(ExplanationProblem(model, make_instance(model, (0,) * 40),
+                                        SimilarityConfig.class_equality()))
+    assert sum(F(row["score"]) for row in scores) == game.value(game.players) - game.value(())
+
+
 class TestPinnedReports:
     """`shap --method cgt` JSON reports, byte for byte, on models whose
     runs take each route: one Counter for the whole run (m <= 6), 2-byte
@@ -831,7 +852,8 @@ class TestPinnedReports:
     last one, and waxp at 1/50 draws 7,043 (m = 7) and 7,211 (m = 8),
     enough to count two steps a key. From m = 16 on epsilon 1 draws 4,
     and only the waxp game runs there, since the expected game's slices
-    pass the point guard."""
+    pass the point guard; waxp at 1/20 on the m = 32 tree draws 1,431,
+    weighted from the memo over about 40,000 touched coalitions."""
 
     # name: (instance, seeded tree or None for a fixture, extra arguments)
     MODELS = {"cls3_tree": ("1,1,2", None, ()), "reg2_tree": ("1,1", None, ()),
@@ -896,6 +918,8 @@ class TestPinnedReports:
             "c645b5bc4cb8f905e2a7df607442ac33ba8f853ba08405753056ee558df35fc3",
         ("tree_m32", "waxp", "1"):
             "17028feeab2f5ba38f302c2aa0c25f0bf75638110a00e14db5dba8a8d681cab0",
+        ("tree_m32", "waxp", "1/20"):
+            "8e45af3811a1aabb337bec59ef54f4f27d95d0b5a7584b130f3f98ca5593d022",
         ("tree_m33", "waxp", "1"):
             "d7ac23ce0215ac881cc8d9f6b7d260290648db1e0e65ad20ada193db86b5446b",
         ("tree_m12", "waxp", "1"):

@@ -313,6 +313,16 @@ class TestEnumeration:
         with pytest.warns(ConstantOnUniverseWarning):
             assert enumerate_cxps(problem) == ()
 
+    def test_with_no_cxp_the_empty_set_is_the_one_axp(self, pw2_problem, cls3_problem):
+        # Nothing lies 100 away from pw2's output, and every sample row predicts 1:
+        # every set is sufficient, as extraction finds, and duality has no family.
+        problems = [rebuilt(pw2_problem, similarity=SimilarityConfig.threshold(F(100))),
+                    rebuilt(cls3_problem, universe=Sample(((1, 0, 0), (1, 1, 2)), (F(1), F(1))))]
+        for problem in problems:
+            with pytest.warns(ConstantOnUniverseWarning):
+                assert enumerate_axps(problem) == ((),)
+            assert extract_axp(problem) == ()
+
     def test_matches_brute_force(self):
         rng = random.Random(962)
         for _ in range(25):

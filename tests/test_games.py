@@ -3,6 +3,7 @@ import json
 import random
 import runpy
 from concurrent.futures import ThreadPoolExecutor
+from decimal import Decimal
 from fractions import Fraction as F
 from itertools import combinations
 from math import factorial
@@ -444,6 +445,67 @@ class TestMemoization:
             results = list(pool.map(game.value, coalitions))
         reference = {s: game.value(s) for s in set(coalitions)}
         assert all(results[i] == reference[coalitions[i]] for i in range(len(coalitions)))
+
+
+# A custom function of each number form a coalition value may take, none
+# of them symmetric in the players.
+NUMBER_FORMS = {
+    "int": lambda S: S.bit_count() + 3 * (S & 1) * (S >> 1 & 1),
+    "bool": lambda S: (S & 3) == 3 or bool(S & 4),
+    "Fraction": lambda S: F(S.bit_count(), 3) + F(S & 1, 7),
+    "float": lambda S: 0.5 * S.bit_count() + 0.1 * (S & 1),
+    "Decimal": lambda S: Decimal("0.3") * S.bit_count() - Decimal(S & 2) / 8,
+}
+
+
+class TestNumberForms:
+    """The memo holds what a game's function returns; the public API
+    returns Fractions: ``Game.value`` and every score. Each custom game
+    scores as its twin whose function returns the Fraction of each value."""
+
+    def test_builtin_games_memoize_their_own_forms(self, cls3_problem, reg2_problem, pw2_problem):
+        for problem in (cls3_problem, reg2_problem, pw2_problem):
+            games = [waxp_game(problem)]
+            if problem.model.value_kind == "numeric":
+                games.append(expected_game(problem))
+            for game in games:
+                form = bool if game.tag == "waxp" else F
+                for S in range(1 << game.m):
+                    assert type(game.at(S)) is form
+                for s in subsets(problem.feature_ids):
+                    assert type(game.value(s)) is F
+
+    @pytest.mark.parametrize("form", sorted(NUMBER_FORMS))
+    def test_custom_values_are_fractions(self, form):
+        f = NUMBER_FORMS[form]
+        game = Game((4, 2, 7), f)
+        for s in subsets((4, 2, 7)):
+            value = game.value(s)
+            assert type(value) is F
+            assert value == F(f(sum(1 << k for k, p in enumerate((4, 2, 7)) if p in s)))
+
+    @pytest.mark.parametrize("form", sorted(NUMBER_FORMS))
+    @pytest.mark.parametrize("m", range(4))
+    def test_scores_are_the_fraction_twins(self, form, m):
+        f = NUMBER_FORMS[form]
+        players = tuple(range(1, m + 1))
+        config = CgtConfig(F(1, 10), F(1, 10), seed=5, sample_count=40)
+        for score in (shapley_exact, shapley_via_permutations,
+                      lambda game: cgt_estimate(game, config)[0]):
+            got = score(Game(players, f)).scores
+            assert all(type(x) is F for x in got)
+            assert got == score(Game(players, lambda S: F(f(S)))).scores
+
+    @pytest.mark.parametrize("form", sorted(NUMBER_FORMS))
+    def test_memo_route_scores_are_the_fraction_twins(self, form):
+        # 3 draws at m = 9 touch at most 26 of the 512 coalitions.
+        f, calls = NUMBER_FORMS[form], set()
+        game = Game(tuple(range(1, 10)), lambda S: calls.add(S) or f(S))
+        config = CgtConfig(F(1, 10), F(1, 10), seed=5, sample_count=3)
+        got = cgt_estimate(game, config)[0].scores
+        assert len(calls) < 1 << 9
+        assert all(type(x) is F for x in got)
+        assert got == cgt_estimate(Game(game.players, lambda S: F(f(S))), config)[0].scores
 
 
 class TestLazyMarginalBound:

@@ -866,6 +866,25 @@ def test_a_constant_universe_warns_once_on_stderr(capsys, tmp_path):
     assert "abductive explanation: {}\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (["--model", "pw2.json", "--instance", "1,1", "--delta", "100"],
+     "b3ae21ae2c17315e499e6033248e9fc0bf78a0541109189feff778f4b1b63621"),
+    (["--model", "reg2.json", "--instance", "1,1", "--agnostic", "--sample", "ones.csv"],
+     "83fb30a547585a9d1f6d4513c5f233ad47d8c0505227b7b7da0a1fdcd5b96101"),
+], ids=["pw2-delta-100", "constant-sample"])
+def test_with_no_cxp_enumerate_reports_the_empty_axp(capsys, tmp_path, monkeypatch, argv, digest):
+    for name in ("pw2.json", "reg2.json"):
+        (tmp_path / name).write_bytes((FIXTURES / name).read_bytes())
+    write(tmp_path, "ones.csv", "x1,x2\n1,1\n")
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["enumerate", "--kind", "axp", "--output", "json"] + argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ("warning: model output is constant on the universe: no contrastive "
+                   "explanations exist\n")
+    assert json.loads(out)["results"] == {"kind": "axp", "sets": [[]]}
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestEntryPoint:
     """``python -m shapxp.cli`` in a fresh interpreter."""
 
