@@ -11,10 +11,10 @@ Each kind owns its semantics through one method set; the operations at the
 end of this module check their inputs and then call it:
 
 * ``output(point)`` - the prediction at an in-domain point, unchecked;
-* ``slice_outputs(v, S)`` - outputs that decide a universal quantifier over
-  the slice {x | x_S = v_S}, bit j of the mask S fixing feature j + 1: the
-  output at every point of the slice for the discrete kinds, the closure
-  extremes of the affine on each cell the slice meets for box models;
+* ``slice_holds(v, S, dissimilar)`` - does the slice {x | x_S = v_S}, bit j
+  of the mask S fixing feature j + 1, hold a ``dissimilar`` output: the
+  discrete kinds test the output at each point (``slice_outputs``, theirs
+  only), box models each cell's closure extremes with ``Dissimilar.band``;
 * ``slice_expectation(v, S)`` - the mean output over the slice under
   the uniform, feature-independent product distribution;
 * ``output_range()`` - the exact (min, max) output over the whole space;
@@ -276,6 +276,10 @@ class _EnumerableModel(_Frozen):
     def slice_outputs(self, v: Point, S: int) -> Iterator[Value]:
         """The output at every point x of the slice x_S = v_S, lazily."""
         return map(self._read, self.space.slots(v, S))
+
+    def slice_holds(self, v: Point, S: int, dissimilar: Callable[[Value], bool]) -> bool:
+        """Does a point of the slice x_S = v_S have a ``dissimilar`` output? Stops at the first."""
+        return any(map(dissimilar, self.slice_outputs(v, S)))
 
     def slice_expectation(self, v: Point, S: int) -> Fraction:
         # The outputs repeat a few shared objects, so each distinct object
@@ -739,14 +743,14 @@ class BoxPiecewiseModel(_Frozen):
                           pinned + d * sum(highs[j] for j in free)))
         return d, free, cells
 
-    def slice_outputs(self, v: Point, S: int) -> Iterator[Fraction]:
-        """The closure extremes of the affine on each cell pinned to
-        x_S = v_S. Values on open faces are approached by interior points,
-        so both quantifiers over the slice are decided by the extremes."""
+    def slice_holds(self, v: Point, S: int, dissimilar) -> bool:
+        """Does a cell pinned to x_S = v_S have a closure extreme of its affine
+        outside ``dissimilar.band``, a :class:`~shapxp.similarity.Dissimilar`'s,
+        read once per denominator E over E^2 * d? Values on open faces are
+        approached by interior points, so the extremes decide the slice."""
         d, _, cells = self._extremes(v, S)
-        for (scale, *_), low, high in cells:
-            yield Fraction(low, scale * scale * d)
-            yield Fraction(high, scale * scale * d)
+        bands = {E: dissimilar.band(E * E * d) for E in {row[0] for row, _, _ in cells}}
+        return any(low < bands[E][0] or high > bands[E][1] for (E, *_), low, high in cells)
 
     def _pinned(self, v: Point) -> Iterator[tuple[int, list]]:
         """Each cell holding v on some axis, as its denominator E and the
@@ -773,25 +777,20 @@ class BoxPiecewiseModel(_Frozen):
     def disagreements(self, v: Point, dissimilar: Callable[[Value], bool]) -> Iterator[int]:
         """Every weak contrastive explanation C (bit j: feature j+1): the
         slice fixing the other features holds a closure extreme outside the
-        band y0 +- delta of ``dissimilar``, a
-        :class:`~shapxp.similarity.Dissimilar` (delta None reads as 0),
-        scaled once per cell denominator E to E^2 * d. A slice that fixes
-        features meets only the cells holding v on their axes, and every
-        cell meets the one that fixes none, which is a disagreement as soon
-        as one cell's range leaves the band. The guard charges every cell
-        per C (see :func:`guard_slices`)."""
+        band of ``dissimilar``, a :class:`~shapxp.similarity.Dissimilar`,
+        read by ``dissimilar.band`` once per cell denominator E over
+        E^2 * d. A slice that fixes features meets only the cells holding v
+        on their axes, and every cell meets the one that fixes none, which
+        is a disagreement as soon as one cell's range leaves the band. The
+        guard charges every cell per C (see :func:`guard_slices`)."""
         m = self.space.m
         guard_slices(self, 1 << m, "coalition table")
         d = _over_lcd(v)[1]
-        y0, delta = Fraction(dissimilar.prediction), dissimilar.delta or 0
-        below_n, below_d = (y0 - delta).as_integer_ratio()
-        above_n, above_d = (y0 + delta).as_integer_ratio()
         bands = {}
 
         def leaves(scale, low, high):  # low and high over E^2 * d
             if scale not in bands:
-                s = scale * scale * d
-                bands[scale] = -(-below_n * s // below_d), above_n * s // above_d
+                bands[scale] = dissimilar.band(scale * scale * d)
             return low < bands[scale][0] or high > bands[scale][1]
 
         full, found = (1 << m) - 1, set()

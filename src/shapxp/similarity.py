@@ -48,24 +48,25 @@ class Dissimilar(namedtuple("Dissimilar", "prediction delta", defaults=(None,)))
     """The test that an output is distinguishable from ``prediction``:
     unequal to it when ``delta`` is None, else more than ``delta`` away.
     The discrete scopes call it once per distinct output object; a box
-    model reads the band prediction +- delta itself (see
-    :meth:`~shapxp.models.BoxPiecewiseModel.disagreements`)."""
+    model compares its integer extremes with :meth:`band` instead."""
 
     __slots__ = ()
 
     def __call__(self, value: Value) -> bool:
-        return not _within(value, self.prediction, self.delta)
+        if self.delta is None:
+            return value != self.prediction
+        return abs(Fraction(value) - Fraction(self.prediction)) > self.delta
 
-
-def _within(value: Value, p: Value, delta: Fraction | None) -> bool:
-    if delta is None:
-        return value == p
-    return abs(Fraction(value) - Fraction(p)) <= delta
+    def band(self, scale: int) -> tuple[int, int]:
+        """The ints lo = ceil((prediction - delta) * scale), hi = floor((prediction
+        + delta) * scale), delta None as 0: x / scale is dissimilar iff x < lo or x > hi."""
+        (p, q), (r, s) = self.prediction.as_integer_ratio(), (self.delta or 0).as_integer_ratio()
+        return -((r * q - p * s) * scale // (q * s)), (p * s + r * q) * scale // (q * s)
 
 
 def similar_value(problem: ExplanationProblem, value: Value) -> bool:
     """Is ``value`` indistinguishable from the instance's prediction?"""
-    return _within(value, problem.instance.prediction, problem.similarity.delta)
+    return not problem.dissimilar(value)
 
 
 def similar(problem: ExplanationProblem, x: Point) -> bool:

@@ -176,3 +176,24 @@ def test_repr_lists_the_constructor_fields():
     assert repr(Sample(((0,),), (1,))) == "Sample(rows=((0,),), predictions=(1,))"
     assert repr(ScoreVector((F(1),), "waxp", "exact")) == \
         "ScoreVector(scores=(Fraction(1, 1),), game='waxp', method='exact')"
+
+
+SCOPES = [TabularModel, TreeModel, BoxPiecewiseModel, Sample]
+
+
+@pytest.mark.parametrize("scope", SCOPES, ids=lambda cls: cls.__name__)
+def test_every_scope_answers_the_sufficiency_protocol(scope):
+    """Each scope says whether the sufficiency predicate reads its
+    contrastive basis and yields its disagreements; one whose basis is not
+    read judges each slice itself."""
+    assert type(scope.reads_basis) is bool
+    assert callable(getattr(scope, "disagreements", None))
+    if not scope.reads_basis:
+        assert callable(getattr(scope, "slice_holds", None))
+
+
+def test_a_problem_builds_its_dissimilar_once():
+    problem = ExplanationProblem(TABLE, AT, SimilarityConfig(F(1, 2)))
+    dissimilar = problem.dissimilar
+    assert dissimilar == Dissimilar(1, F(1, 2)) and vars(problem)["dissimilar"] is dissimilar
+    assert problem.dissimilar is dissimilar

@@ -43,7 +43,6 @@ from shapxp import (
     tabulate,
 )
 from shapxp.explanations import (
-    _dissimilar,
     _ids,
     _in_order,
     _minimal,
@@ -52,9 +51,11 @@ from shapxp.explanations import (
 )
 from shapxp.modelio import model_from_dict
 from shapxp.models import Instance, conditional_expectation, labelled_points
+from shapxp.similarity import Dissimilar
 from boxmodels import Cell, box_model, random_grid_model, random_kd_model
 from conftest import cpu_limit, rebuilt
 from test_io_cli import chain_tree_doc
+from test_model_primitives import DELTAS, pinned_extremes, reference_box_slice_outputs
 from test_samples import per_row_slice_outputs
 from randmodels import (
     brute_force_axps,
@@ -387,10 +388,15 @@ class TestEnumeration:
 def slice_quantifier(problem, features):
     """is_waxp by its definition: every output of the slice x_S = v_S over
     the problem's universe is similar. A sample's slice is read by its
-    per-row form, which does not change with ``Sample.slice_outputs``."""
+    per-row form, which does not change with ``Sample.slice_outputs``, and
+    a box model's by the Fraction reference of its closure extremes."""
     v, fixed = problem.instance.point, frozenset(features)
-    outputs = (problem.model.slice_outputs(v, mask_of(fixed)) if problem.universe is None
-               else per_row_slice_outputs(problem.universe, v, fixed))
+    if problem.universe is not None:
+        outputs = per_row_slice_outputs(problem.universe, v, fixed)
+    elif isinstance(problem.model, BoxPiecewiseModel):
+        outputs = reference_box_slice_outputs(problem.model, v, fixed)
+    else:
+        outputs = problem.model.slice_outputs(v, mask_of(fixed))
     return all(similar_value(problem, y) for y in outputs)
 
 
@@ -517,7 +523,7 @@ class TestContrastiveBasis:
                 instance = random_instance(rng, tree)
                 for similarity in (SimilarityConfig.class_equality(),
                                    SimilarityConfig.threshold(1)):
-                    dissimilar = _dissimilar(ExplanationProblem(tree, instance, similarity))
+                    dissimilar = ExplanationProblem(tree, instance, similarity).dissimilar
                     assert sorted(tree.disagreements(instance.point, dissimilar)) == \
                         sorted(edge_value_disagreements(tree, instance.point, dissimilar))
         assert wide_edges > 20
@@ -528,13 +534,22 @@ class TestContrastiveBasis:
             basis = problem.contrastive_basis
             assert set(map(frozenset, map(_ids, basis))) == brute_force_cxps(problem)
             assert basis == tuple(sorted(basis, key=lambda b: (b.bit_count(), _ids(b))))
-            masks = problem.scope.disagreements(problem.instance.point, _dissimilar(problem))
+            masks = problem.scope.disagreements(problem.instance.point, problem.dissimilar)
             assert pairwise_minimal(masks) == basis
             if problem.model.space.m <= 6:
                 table = sufficiency_table(problem)
                 for s in subsets(problem.feature_ids):
                     mask = sum(1 << i - 1 for i in s)
                     assert is_waxp(problem, s) == slice_quantifier(problem, s) == table[mask]
+            if problem.universe is None and isinstance(problem.model, BoxPiecewiseModel):
+                model, v = problem.model, problem.instance.point
+                for s in map(frozenset, subsets(problem.feature_ids)):
+                    extremes = list(reference_box_slice_outputs(model, v, s))
+                    assert pinned_extremes(model, v, s) == extremes
+                    for delta in DELTAS:
+                        dissimilar = Dissimilar(problem.instance.prediction, delta)
+                        assert model.slice_holds(v, mask_of(s), dissimilar) == \
+                            any(map(dissimilar, extremes)), (s, delta)
 
     def test_a_dense_antichain_stays_bounded(self):
         # "At least 8 of 16 ones" at the all-zero point: the basis is every

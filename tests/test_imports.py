@@ -17,6 +17,8 @@ So does a method or property (dunders aside) that no module reads as an
 attribute, names to ``getattr`` and its kin or names in a dotted-path
 string: a mechanism that no run needs. A local variable or a dict key
 that shares its name does not keep it.
+No module but ``similarity.py`` reads ``prediction`` or ``delta`` off a
+``dissimilar``: the band those give belongs to ``Dissimilar.band``.
 The package declares no dependencies, so an absolute import whose top-level
 name is not in ``sys.stdlib_module_names`` fails as well. Nor does it import
 ``dataclasses``, ``inspect`` or ``typing``, which would cost every process
@@ -272,6 +274,35 @@ def test_the_checker_finds_an_unread_method():
 def test_every_method_is_read():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unread_methods(sources) == []
+
+
+def band_reads(sources: dict[str, str]) -> list[tuple[str, int, str]]:
+    """(module, line, attribute) of each read of ``prediction`` or ``delta``
+    off a name or attribute ``dissimilar`` outside ``similarity.py``: the
+    band prediction +- delta belongs to ``Dissimilar``, which gives it."""
+    return [(module, node.lineno, node.attr)
+            for module, source in sources.items() if module != "similarity.py"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr in ("prediction", "delta")
+            and "dissimilar" in (getattr(node.value, "id", None),
+                                 getattr(node.value, "attr", None))]
+
+
+def test_the_checker_finds_a_band_read_outside_its_owner():
+    sources = {"models.py": ("def leaves(dissimilar, problem):\n"
+                             "    y0 = dissimilar.prediction\n"
+                             "    return problem.dissimilar.delta, problem.similarity.delta\n"
+                             "def other(instance, dissimilar):\n"
+                             "    return instance.prediction, dissimilar.band(2), dissimilar(0)\n"),
+               "similarity.py": ("class Dissimilar:\n"
+                                 "    def band(self, dissimilar):\n"
+                                 "        return dissimilar.delta, self.prediction\n")}
+    assert band_reads(sources) == [("models.py", 2, "prediction"), ("models.py", 3, "delta")]
+
+
+def test_only_similarity_reads_the_band():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert band_reads(sources) == []
 
 
 def absolute_imports(source: str) -> list[tuple[int, str]]:

@@ -87,7 +87,7 @@ def reference_box_slice_expectation(self, v, fixed):
 
 # The Fraction reference of every box method that reads extremes: the
 # primitive they all derived from before the cells were read as integers,
-# verbatim, and BoxPiecewiseModel's slice_outputs, disagreements and
+# verbatim, and BoxPiecewiseModel's slice extremes, disagreements and
 # output_range as they were written on it.
 def _affine_extremes(cell, v, fixed):
     """Min/max of the cell's affine over the closure of its box, with the
@@ -115,6 +115,14 @@ def _affine_extremes(cell, v, fixed):
 def reference_box_slice_outputs(self, v, fixed):
     for cell in slice_cells(self, v, fixed):
         yield from _affine_extremes(cell, v, fixed)
+
+
+def pinned_extremes(model, v, fixed):
+    """The closure extremes that ``BoxPiecewiseModel._extremes`` reads over
+    E^2 * d on each cell pinned to x_S = v_S, as Fractions, in its order."""
+    d, _, cells = model._extremes(v, mask_of(fixed))
+    return [Fraction(x, scale * scale * d) for (scale, *_), low, high in cells
+            for x in (low, high)]
 
 
 def reference_box_disagreements(self, v, dissimilar, slice_outputs=reference_box_slice_outputs):
@@ -189,11 +197,14 @@ def test_box_extremes_and_disagreements_equal_the_fraction_reference(seed):
         extremes = {}  # the reference's, per coalition, read by every delta
         for fixed in map(frozenset, subsets(model.space.ids)):
             extremes[fixed] = list(reference_box_slice_outputs(model, v, fixed))
-            assert list(model.slice_outputs(v, mask_of(fixed))) == extremes[fixed]
+            assert pinned_extremes(model, v, fixed) == extremes[fixed]
             assert model.slice_expectation(v, mask_of(fixed)) == \
                 reference_box_slice_expectation(model, v, fixed)
         for delta in DELTAS:
             dissimilar = Dissimilar(model.output(v), delta)
+            for fixed, outputs in extremes.items():
+                assert model.slice_holds(v, mask_of(fixed), dissimilar) == \
+                    any(map(dissimilar, outputs)), (v, delta, fixed)
             expected = reference_box_disagreements(model, v, dissimilar,
                                                    lambda _, __, fixed: extremes[fixed])
             assert list(model.disagreements(v, dissimilar)) == list(expected), (v, delta)

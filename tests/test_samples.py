@@ -35,7 +35,7 @@ from shapxp import (
     relabel_problem,
 )
 from shapxp.cli import run_cli
-from shapxp.explanations import _dissimilar, _ids, agnostic_support
+from shapxp.explanations import _ids, agnostic_support
 from shapxp.models import labelled_points
 from shapxp.similarity import Dissimilar, similar_value
 from boxmodels import QUARTERS, random_grid_model, random_kd_model
@@ -97,7 +97,7 @@ def assert_twins_agree(problem):
     other = rebuilt(problem, universe=twin(problem.universe))
     assert problem.universe == other.universe
     v = problem.instance.point
-    masks = [set(p.universe.disagreements(v, _dissimilar(p))) for p in (problem, other)]
+    masks = [set(p.universe.disagreements(v, p.dissimilar)) for p in (problem, other)]
     assert masks[0] == masks[1]
     basis = problem.contrastive_basis
     assert basis == other.contrastive_basis
@@ -298,7 +298,7 @@ def test_the_sample_quantifiers_agree_with_their_per_row_forms():
                 assert list(map(id, sample.slice_outputs(v, mask_of(fixed)))) == \
                     list(map(id, per_row_slice_outputs(sample, v, fixed)))
             assert agnostic_support(problem, s) == per_row_support(problem, s)
-        dissimilar = _dissimilar(problem)
+        dissimilar = problem.dissimilar
         assert list(sample.disagreements(v, dissimilar)) == \
             per_row_disagreements(sample, v, dissimilar)
     assert fixed_sizes == {0, 1, 2}

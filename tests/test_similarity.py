@@ -18,6 +18,7 @@ from shapxp import (
     similar_value,
 )
 from shapxp.models import Instance
+from shapxp.similarity import Dissimilar
 
 
 class TestConfig:
@@ -100,3 +101,28 @@ class TestSimilar:
     def test_similar_value_direct(self, reg2_problem):
         assert similar_value(reg2_problem, F(1))
         assert not similar_value(reg2_problem, F(3, 2))
+
+
+class TestBand:
+    def test_the_band_is_exact_at_its_edges(self):
+        """x / scale is distinguishable exactly when x < lo or x > hi, at
+        each edge of the band, next to it and at random, for integer and
+        fractional predictions of either sign, delta None, 0 or p/q, and
+        scales from 1 to products of large primes."""
+        rng = random.Random(52)
+        primes = (1_000_003, 998_244_353, 2_147_483_647)
+        scales = (1, 2, 3, 7, 12, primes[0] * primes[1], primes[1] * primes[2] * 7)
+        checked = 0
+        for _ in range(60):
+            y0 = rng.choice((rng.randint(-40, 40), F(rng.randint(-400, 400), rng.randint(2, 90))))
+            for delta in (None, F(0), F(rng.randint(1, 200), rng.randint(1, 90))):
+                dissimilar = Dissimilar(y0, delta)
+                for scale in scales:
+                    lo, hi = dissimilar.band(scale)
+                    assert type(lo) is int and type(hi) is int
+                    edges = {lo - 1, lo, lo + 1, hi - 1, hi, hi + 1}
+                    edges.update(rng.randint(lo - 3 * scale, hi + 3 * scale) for _ in range(4))
+                    for x in edges:
+                        assert (x < lo or x > hi) == dissimilar(F(x, scale)), (y0, delta, scale, x)
+                        checked += 1
+        assert checked > 6000
