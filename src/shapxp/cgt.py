@@ -11,34 +11,37 @@ epsilon of the exact Shapley value with probability at least 1 - alpha
 
 Permutations come from a counter-based generator: permutation k depends
 only on (seed, k), so any single draw can be reproduced on its own
-(``permutation_at``). Every SplitMix64 output, the seed's mixing
-included, comes from one function, ``_packed``, which computes a range
-of counters together, each state in its own 128-bit lane of one int, so
-that a SplitMix64 step is a few big-int operations over the range rather
-than a Python loop step per output; ``_outputs`` unpacks the lanes into a
-list. Permutation k is a Fisher-Yates shuffle of 1..m whose draws read
-the outputs from counter k + 2 on (``_draw``). ``_draw_columns`` reads
-the draws of k = 0..T-1 a chunk at a time, computing each output once
-and building the lane constants once a run (``_chunks``); up to m = 32
-it reads each column of residues with ``bytes.translate`` from those of
-the outputs' byte planes that carry one, and it falls back on ``_draw``
-for a chunk where an output may be rejected. ``_step_counts`` tallies
-how often each (coalition, player) step of shuffle steps m - 1 .. 1
-occurs, at most T*(m - 1) counts, and the estimator credits the first
-position from step 1, whose coalition before is that player alone. At
-m = 2 a popcount of the packed lanes counts the draws; up to m = 6 each
-permutation's mixed-radix code is computed in byte lanes and counted (up
-to m = 4 by one ``bytes.count`` a code), and each distinct one is walked
-once; from 7 to 16, where nearly every tuple is distinct,
-``_lane_tally`` walks all the shuffles of a chunk at once, a lane of a
-few ints per permutation (two steps a key in a long run at m <= 8); past
-16 each tuple is walked as drawn. The values weighting the counts are
-integer numerators over one denominator: the game's coalition table
-(``Game.table``) when the draws touched all 2^m coalitions, else the
-game's memoized values of the touched coalitions alone, in the form its
-function returns (bools on the sufficiency game). All accumulation is
-exact integer arithmetic and only the scores become Fractions, so they
-do not depend on where the values came from and are deterministic.
+(``permutation_at``). The generator's states are computed many at a
+time, each in its own 128-bit lane of one int, and every SplitMix64
+output, the seed's mixing included, comes from one function, ``_mix``,
+which mixes all the lanes of such an int in a few big-int operations
+rather than a Python loop step per output; ``_outputs`` builds the
+states of a range of counters and unpacks their outputs into a list.
+Permutation k is a Fisher-Yates shuffle of 1..m whose draws read the
+outputs from counter k + 2 on (``_draw``). ``_draw_columns`` reads the
+draws of k = 0..T-1 a chunk at a time (``_chunks``), computing each
+output once; it builds the lane constants and the first chunk's states
+once a run, and each later chunk's states are the previous ones advanced
+by CHUNK counters, one big-int add and mask. Up to m = 32 it reads each
+column of residues with ``bytes.translate`` from those of the outputs'
+byte planes that carry one, and it falls back on ``_draw`` for a chunk
+where an output may be rejected. ``_step_counts`` tallies how often each
+(coalition, player) step of shuffle steps m - 1 .. 1 occurs, at most
+T*(m - 1) counts, and the estimator credits the first position from step
+1, whose coalition before is that player alone. At m = 2 the packed
+lanes' low bits, added over the chunks and summed once a run, count the
+draws; up to m = 6 each permutation's mixed-radix code is computed in
+byte lanes and counted (up to m = 4 by one ``bytes.count`` a code), and
+each distinct one is walked once; from 7 to 16, where nearly every tuple
+is distinct, ``_lane_tally`` walks all the shuffles of a chunk at once,
+a lane of a few ints per permutation (two steps a key in a long run at
+m <= 8); past 16 each tuple is walked as drawn. The values weighting the
+counts are integer numerators over one denominator: the game's coalition
+table (``Game.table``) when the draws touched all 2^m coalitions, else
+the game's memoized values of the touched coalitions alone, in the form
+its function returns (bools on the sufficiency game). All accumulation
+is exact integer arithmetic and only the scores become Fractions, so
+they do not depend on where the values came from and are deterministic.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 # Permutation draws times players. Counting a permutation's steps costs
 # (_step_counts, Python 3.11, 2-core x86-64 host, thread CPU, lowest of
-# 12 runs) 0.06 us at m = 2 (popcount, T = 2 * 10^5), 0.13 at m = 3 and
+# 12 runs) 0.06 us at m = 2 (low bits, T = 2 * 10^5), 0.13 at m = 3 and
 # 0.15 at 4 (codes), in lanes 0.67 at m = 8 (pair keys), 1.7 at 12 and
 # 3.0 at 16, 7.5 at m = 20 and past 32 about 0.43 us a player, so the
 # guard stops sampling runs of more than about a minute (a run at the
@@ -134,43 +137,54 @@ def _lanes(n: int) -> tuple[int, int, int]:
     return int.from_bytes(index, sys.byteorder) * _GOLDEN, ones, (ones << 64) - ones
 
 
-def _chunks(start: int, stop: int, extra: int) -> Iterator[tuple[int, int, tuple]]:
-    """Each chunk k0, size of at most CHUNK permutations of start..stop-1
-    with the :func:`_lanes` of its size + extra outputs, built once a run:
-    a shorter last chunk's are the full chunk's cut to its lanes."""
-    lanes = _lanes(min(CHUNK, stop - start) + extra)
-    for k0 in range(start, stop, CHUNK):
-        size = min(CHUNK, stop - k0)
-        if size < CHUNK < stop - start:
-            mask = (1 << 128 * (size + extra)) - 1
-            lanes = tuple(constant & mask for constant in lanes)
-        yield k0, size, lanes
+def _mix(z: int, low: int) -> int:
+    """SplitMix64's output mix of each state held in the low 64 bits of a
+    128-bit lane of z, ``low`` masking those bits of every lane.
 
-
-def _packed(mixed: int, start: int, stop: int, lanes=None) -> tuple[int, int]:
-    """The SplitMix64 outputs at counters start..stop-1, output i in the
-    low 64 bits of bits 128i..128i+127 of one int, and the lanes' ones
-    (bit 128i for each i); counter c reads the state mixed + c * golden.
-
-    Each mix step is a few big-int operations over the whole range. A
-    state fills the low 64 bits of its lane; masking it there before each
-    multiply drops the bits a right shift carried in from the next lane,
-    and its product with a 64-bit constant fits in the lane's 128. The
-    last shift carries bits into the high half of each lane, which callers
-    ignore. ``lanes`` is ``_lanes(stop - start)``, built here when not
-    given."""
-    steps, ones, low = _lanes(stop - start) if lanes is None else lanes
-    z = (((mixed + start * _GOLDEN) & _MASK64) * ones + steps) & low
+    Each mix step is a few big-int operations over all the lanes. Masking
+    a lane before each multiply drops the bits a right shift carried in
+    from the next lane, and its product with a 64-bit constant fits in the
+    lane's 128. The last shift carries bits into the high half of each
+    lane, which readers ignore; a lane whose state is 0 outputs 0."""
     z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
     z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low
-    return z ^ z >> 31, ones
+    return z ^ z >> 31
 
 
-def _outputs(mixed: int, start: int, stop: int, lanes=None) -> list[int]:
-    """The SplitMix64 outputs at counters start..stop-1, as a list
-    (see :func:`_packed`)."""
-    z, _ = _packed(mixed, start, stop, lanes)
-    return array("Q", z.to_bytes(16 * (stop - start), sys.byteorder))[_LOW_HALVES].tolist()
+def _unpacked(z: int, n: int) -> list[int]:
+    """The low 64 bits of lanes 0..n-1 of z, as a list."""
+    return array("Q", z.to_bytes(16 * n, sys.byteorder))[_LOW_HALVES].tolist()
+
+
+def _outputs(mixed: int, start: int, stop: int) -> list[int]:
+    """The SplitMix64 outputs at counters start..stop-1; counter c reads
+    the state mixed + c * golden, each in its own lane (see :func:`_mix`)."""
+    steps, ones, low = _lanes(stop - start)
+    return _unpacked(_mix((((mixed + start * _GOLDEN) & _MASK64) * ones + steps) & low, low),
+                     stop - start)
+
+
+def _chunks(mixed: int, start: int, stop: int, extra: int) -> Iterator[tuple[int, int, int, int]]:
+    """Each chunk k0, size of at most CHUNK permutations of start..stop-1
+    with its size + extra SplitMix64 outputs at counters k0 + 2 on, output
+    i in the low 64 bits of bits 128i..128i+127 of one int (see
+    :func:`_mix`), and the lanes' ones (bit 128i for each i).
+
+    The states are carried from chunk to chunk: the first chunk's are built
+    from the :func:`_lanes` of its outputs, and each later chunk's are the
+    previous ones plus CHUNK * golden in every lane, reduced mod 2^64 by
+    the lanes' mask. A shorter last chunk cuts the mask to its own lanes,
+    so the lanes past them hold state 0 and output 0."""
+    steps, ones, low = _lanes(min(CHUNK, stop - start) + extra)
+    states = (((mixed + (start + 2) * _GOLDEN) & _MASK64) * ones + steps) & low
+    carry = (CHUNK * _GOLDEN & _MASK64) * ones
+    for k0 in range(start, stop, CHUNK):
+        size = min(CHUNK, stop - k0)
+        if k0 > start:
+            if size < CHUNK:
+                low &= (1 << 128 * (size + extra)) - 1
+            states = (states + carry) & low
+        yield k0, size, _mix(states, low), ones
 
 
 def _draw(mixed: int, m: int, k: int) -> tuple[int, ...]:
@@ -230,21 +244,20 @@ def _draw_columns(mixed: int, m: int, start: int, stop: int) -> Iterator[list]:
         mods = {n: (bytes(range(n)) * (256 // n + 1))[:256] for n in sizes}
         shares = {n: [(j, (bytes(b * pow(256, j, n) % n for b in range(n)) * (256 // n + 1))[:256])
                       for j in range(8) if pow(256, j, n)] for n in sizes}
-    for k0, size, lanes in _chunks(start, stop, m - 2):
+    for k0, size, z, _ in _chunks(mixed, start, stop, m - 2):
+        count = size + m - 2
         if m > 32:  # a threshold may pass 255: the unpacked outputs
-            zs = _outputs(mixed, k0 + 2, k0 + size + m, lanes)
+            zs = _unpacked(z, count)
             if min(zs) >= top:
                 yield [map(mod, islice(zs, t, t + size), repeat(n)) for t, n in enumerate(sizes)]
                 continue
         else:
-            count = size + m - 2
-            data = _packed(mixed, k0 + 2, k0 + size + m, lanes)[0].to_bytes(16 * count, "little")
+            data = z.to_bytes(16 * count, "little")
             planes = [data[j::16] for j in range(8)]
             high = 0
             for plane in planes[1:]:
                 high |= int.from_bytes(plane, "little")
-            if 0 not in high.to_bytes(count, "little") or \
-                    min(_outputs(mixed, k0 + 2, k0 + size + m, lanes)) >= top:
+            if 0 not in high.to_bytes(count, "little") or min(_unpacked(z, count)) >= top:
                 yield [sum(int.from_bytes(planes[j].translate(share), "little")
                            for j, share in shares[n]).to_bytes(count, "little")
                        .translate(mods[n])[t:t + size] for t, n in enumerate(sizes)]
@@ -260,8 +273,11 @@ def _step_counts(seed: int, m: int, start: int, stop: int) -> Counter:
 
     At m = 2 the one draw is z mod 2, the low bit of the output, and its
     rejection threshold 2^64 mod 2 is 0, so no output is ever rejected:
-    a popcount of the lanes' low bits, before any unpacking, counts the
-    draws of 1 (key 0b1010) and so those of 0 (key 0b0101). Up to m = 6,
+    the lanes' low bits, before any unpacking, count the draws of 1 (key
+    0b1010) and so those of 0 (key 0b0101). They are added lane by lane
+    over the run's chunks, a lane holding at most the chunk count, and the
+    lanes summed once: the int mod 2^128 - 1, exact since the total is at
+    most stop - start < 2^128 - 1. Up to m = 6,
     where all m! draw tuples fit in CHUNK entries, each permutation is
     counted by its mixed-radix code, the sum of draw t * (m - t - 1)!,
     which a chunk computes in lanes of one int, a byte each up to m = 5
@@ -276,9 +292,9 @@ def _step_counts(seed: int, m: int, start: int, stop: int) -> Counter:
     mixed = _outputs(seed & _MASK64, 1, 2)[0]
     if m == 2:
         odd = 0
-        for k0, size, lanes in _chunks(start, stop, 0):
-            z, ones = _packed(mixed, k0 + 2, k0 + size + 2, lanes)
-            odd += (z & ones).bit_count()
+        for _, _, z, ones in _chunks(mixed, start, stop, 0):
+            odd += z & ones
+        odd %= (1 << 128) - 1  # the sum of the lanes, each at most the chunk count
         return +Counter({0b0101: stop - start - odd, 0b1010: odd})
     if 6 < m <= 16:
         return _lane_tally(mixed, m, start, stop)

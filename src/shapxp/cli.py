@@ -10,6 +10,7 @@ requirements, failed preconditions).
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import sys
 import time
@@ -112,32 +113,48 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_cli(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ConstantOnUniverseWarning)
-        try:
-            started = time.perf_counter()
-            report = _dispatch(args)
-            elapsed_ms = round((time.perf_counter() - started) * 1000.0, 3)
-            # Rendered before anything is written, so a value that cannot
-            # be shown exits 3 with no partial report.
-            if args.output == "json":
-                outcome = report.to_json(elapsed_ms if args.with_timing else None)
-            else:
-                outcome = _table(report, elapsed_ms)
-            code = 0
-        except (ValidationError, DomainError, OSError) as exc:
-            outcome, code = exc, 2
-        except ShapxpError as exc:
-            outcome, code = exc, 3
-    for message in dict.fromkeys(str(w.message) for w in caught):  # each one once
-        print(f"warning: {message}", file=sys.stderr)
-    if code:
-        print(f"error: {outcome}", file=sys.stderr)
-    else:
-        sys.stdout.write(outcome)
-    return code
+    """Run one command line and return its exit code: 0 on success, 2 on
+    a validation error, 3 on a computation error; argparse raises
+    SystemExit for a rejected command line or ``--help``. The report goes
+    to stdout, warnings and errors to stderr.
+
+    The cyclic garbage collector is paused for the run: loading and
+    explaining allocate many containers, each of which counts towards its
+    next pass, but leave little cyclic garbage for a pass to free. The
+    caller's collector state is restored however the run ends, and a
+    disabled collector is never enabled; what cyclic garbage a run leaves,
+    the caller's next collection frees."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        args = build_parser().parse_args(argv)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ConstantOnUniverseWarning)
+            try:
+                started = time.perf_counter()
+                report = _dispatch(args)
+                elapsed_ms = round((time.perf_counter() - started) * 1000.0, 3)
+                # Rendered before anything is written, so a value that cannot
+                # be shown exits 3 with no partial report.
+                if args.output == "json":
+                    outcome = report.to_json(elapsed_ms if args.with_timing else None)
+                else:
+                    outcome = _table(report, elapsed_ms)
+                code = 0
+            except (ValidationError, DomainError, OSError) as exc:
+                outcome, code = exc, 2
+            except ShapxpError as exc:
+                outcome, code = exc, 3
+        for message in dict.fromkeys(str(w.message) for w in caught):  # each one once
+            print(f"warning: {message}", file=sys.stderr)
+        if code:
+            print(f"error: {outcome}", file=sys.stderr)
+        else:
+            sys.stdout.write(outcome)
+        return code
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def main() -> None:

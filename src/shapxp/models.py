@@ -729,28 +729,32 @@ class BoxPiecewiseModel(_Frozen):
         numerators, d = _over_lcd(point)
         return Fraction(a0 * d + sum(map(mul, coeffs, numerators)), scale * d)
 
-    def _extremes(self, v: Point, S: int) -> tuple[int, list[int], list]:
+    def _extremes(self, v: Point, S: int) -> tuple[int, list[int], Iterator[tuple]]:
         """d, the free axes, and each cell meeting the slice x_S = v_S as
-        its integer row with its closure extremes there over E^2 * d."""
+        its integer row with its closure extremes there over E^2 * d. The
+        rows are built together; each cell's extremes, as it is read."""
         numerators, d = _over_lcd(v)
         axes = [j for j in range(self.space.m) if S >> j & 1]
         free = [j for j in range(self.space.m) if not S >> j & 1]
-        cells = []
-        for row in self._integers(self._holders(v, axes)):
-            scale, a0, coeffs, lows, highs, *_ = row
-            pinned = (a0 * d + sum(coeffs[j] * numerators[j] for j in axes)) * scale
-            cells.append((row, pinned + d * sum(lows[j] for j in free),
-                          pinned + d * sum(highs[j] for j in free)))
-        return d, free, cells
+
+        def cells(rows):
+            for row in rows:
+                scale, a0, coeffs, lows, highs, *_ = row
+                pinned = (a0 * d + sum(coeffs[j] * numerators[j] for j in axes)) * scale
+                yield (row, pinned + d * sum(lows[j] for j in free),
+                       pinned + d * sum(highs[j] for j in free))
+
+        return d, free, cells(self._integers(self._holders(v, axes)))
 
     def slice_holds(self, v: Point, S: int, dissimilar) -> bool:
         """Does a cell pinned to x_S = v_S have a closure extreme of its affine
         outside ``dissimilar.band``, a :class:`~shapxp.similarity.Dissimilar`'s,
         read once per denominator E over E^2 * d? Values on open faces are
-        approached by interior points, so the extremes decide the slice."""
+        approached by interior points, so the extremes decide the slice; the
+        scan stops at the first cell that leaves the band."""
         d, _, cells = self._extremes(v, S)
-        bands = {E: dissimilar.band(E * E * d) for E in {row[0] for row, _, _ in cells}}
-        return any(low < bands[E][0] or high > bands[E][1] for (E, *_), low, high in cells)
+        leaves = _leaves(dissimilar, d)
+        return any(leaves(row[0], low, high) for row, low, high in cells)
 
     def _pinned(self, v: Point) -> Iterator[tuple[int, list]]:
         """Each cell holding v on some axis, as its denominator E and the
@@ -786,13 +790,7 @@ class BoxPiecewiseModel(_Frozen):
         m = self.space.m
         guard_slices(self, 1 << m, "coalition table")
         d = _over_lcd(v)[1]
-        bands = {}
-
-        def leaves(scale, low, high):  # low and high over E^2 * d
-            if scale not in bands:
-                bands[scale] = dissimilar.band(scale * scale * d)
-            return low < bands[scale][0] or high > bands[scale][1]
-
+        leaves = _leaves(dissimilar, d)
         full, found = (1 << m) - 1, set()
         for scale, slices in self._pinned(v):
             found.update(full ^ fixed for fixed, _, low, high in slices if leaves(scale, low, high))
@@ -854,6 +852,21 @@ class BoxPiecewiseModel(_Frozen):
             if hi is None or top * hi[1] > hi[0] * s:
                 hi = top, s
         return Fraction(*lo), Fraction(*hi)
+
+
+def _leaves(dissimilar, d: int) -> Callable[[int, int, int], bool]:
+    """The test of whether a cell's closure extremes low and high, over
+    E^2 * d for its denominator E, leave the band of ``dissimilar``, a
+    :class:`~shapxp.similarity.Dissimilar`: each E's band is read on its
+    first use and kept."""
+    bands = {}
+
+    def leaves(scale, low, high):
+        if scale not in bands:
+            bands[scale] = dissimilar.band(scale * scale * d)
+        return low < bands[scale][0] or high > bands[scale][1]
+
+    return leaves
 
 
 def _check_box_kind(space: FeatureSpace, value_kind: str) -> None:

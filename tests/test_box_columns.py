@@ -27,12 +27,14 @@ from shapxp.cli import run_cli
 from shapxp.games import expected_game, shapley_exact, shapley_via_permutations
 from shapxp.models import _over_lcd, conditional_expectation, guard_slices
 from shapxp.modelio import model_from_dict
+from shapxp.similarity import Dissimilar
 from boxmodels import (HI, LO, box_model, cells_of, model_on, prime_stacked_model,
                        random_grid_model, random_kd_model)
 from conftest import FIXTURES
-from randmodels import mask_of
+from randmodels import mask_of, subsets
 from report_corpus import document
 from test_box_partition import staircase_boxes
+from test_model_primitives import reference_box_slice_outputs
 from test_models import bool_space
 
 
@@ -112,6 +114,25 @@ def test_the_column_rows_equal_the_cell_integers(name):
             fresh = BoxPiecewiseModel(twin.space, twin.bounds, twin.affines)
             assert fresh._integers(cells) == [expected[k] for k in cells]
             assert twin._integers(cells) == [expected[k] for k in cells]
+
+
+@pytest.mark.parametrize("name", LAYOUTS)
+def test_the_slice_check_equals_the_eager_scan(name):
+    """slice_holds stops at the first pinned cell whose closure extremes
+    leave the band; its verdict is that of a scan over every cell's
+    Fraction extremes, at every mask, at points on and off the cuts, under
+    class equality, a band of width 0 and wider ones."""
+    model = LAYOUTS[name]
+    rng = random.Random(name)
+    for v in instances(model, rng):
+        y0 = model.output(v)
+        deltas = [None, F(0), F(1, 4), F(rng.randrange(1, 12), rng.randrange(1, 12))]
+        for fixed in map(frozenset, subsets(model.space.ids)):
+            outputs = list(reference_box_slice_outputs(model, v, fixed))
+            for delta in deltas:
+                dissimilar = Dissimilar(y0, delta)
+                assert model.slice_holds(v, mask_of(fixed), dissimilar) == \
+                    any(map(dissimilar, outputs)), (v, delta, fixed)
 
 
 @pytest.mark.parametrize("name", LAYOUTS)

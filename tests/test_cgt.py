@@ -31,7 +31,7 @@ from shapxp import (
 from shapxp import cgt as cgt_module
 from shapxp import games as games_module
 from shapxp.cgt import (
-    CHUNK, _draw, _draw_columns, _lanes, _order, _outputs, _packed, _step_counts,
+    CHUNK, _chunks, _draw, _draw_columns, _lanes, _order, _outputs, _step_counts, _unpacked,
     permutation_at, sample_count)
 from shapxp.cli import run_cli
 from shapxp.modelio import model_from_dict
@@ -274,19 +274,19 @@ class TestByteColumns:
     def test_an_output_below_256_that_no_draw_rejects(self, m, draw, output, monkeypatch):
         # Permutation k's draw ``draw`` reads the output, and the draws of
         # its neighbours read it below other moduli; it reaches 2^64 mod n
-        # for every n <= m, so the chunk's exact check reads the outputs
+        # for every n <= m, so the chunk's exact check unpacks its outputs
         # and clears it, and no permutation is read alone.
         assert max((1 << 64) % n for n in range(2, m + 1)) <= output < 256
         checked = []
 
-        def counted_outputs(mixed, start, stop, lanes=None):
-            checked.append(start)
-            return _outputs(mixed, start, stop, lanes)
+        def counted_unpacked(z, n):
+            checked.append(n)
+            return _unpacked(z, n)
 
         def no_draw(*args):
             raise AssertionError("read a permutation one at a time")
 
-        monkeypatch.setattr(cgt_module, "_outputs", counted_outputs)
+        monkeypatch.setattr(cgt_module, "_unpacked", counted_unpacked)
         monkeypatch.setattr(cgt_module, "_draw", no_draw)
         seed = 5
         _, mixed = _splitmix_next(seed & _MASK64)
@@ -296,7 +296,7 @@ class TestByteColumns:
             zs = reference_outputs(mixed, start + 2, stop + m)
             checked.clear()
             columns = next(_draw_columns(mixed, m, start, stop))
-            assert checked == [start + 2]
+            assert checked == [CHUNK + m - 2]
             assert [list(column) for column in columns] == \
                 [[z % n for z in zs[t:t + CHUNK]] for t, n in enumerate(range(m, 1, -1))]
 
@@ -337,9 +337,9 @@ class TestByteColumns:
 
 
 class TestStepCounts:
-    """_step_counts takes its route from m: a popcount at m = 2, a count of
-    mixed-radix codes up to m = 6, byte lanes from 7 to 16 and a walk over
-    each tuple as drawn past 16. On every route its keys are those of a
+    """_step_counts takes its route from m: a sum of the lanes' low bits at
+    m = 2, a count of mixed-radix codes up to m = 6, byte lanes from 7 to
+    16 and a walk over each tuple as drawn past 16. On every route its keys are those of a
     walk over each reference permutation."""
 
     @pytest.mark.parametrize("seed", [0, 7, 2024])
@@ -396,9 +396,39 @@ class TestStepCounts:
                 assert _step_counts(seed, m, start, stop) == reference_steps(seed, m, start, stop)
 
 
+class TestCarriedStream:
+    """_chunks builds the first chunk's states and advances them by CHUNK
+    counters for each later one, cutting a shorter last chunk to its
+    lanes; every route reads the outputs of those states."""
+
+    @pytest.mark.parametrize("m", [2, 3, 7, 17, 33])
+    def test_routes_match_the_reference_over_carried_chunks(self, m):
+        # Four chunks, the last one shorter, from a start past 0 whose
+        # counters pass 2^64 in the second.
+        seed = 53
+        _, mixed = _splitmix_next(seed)
+        start = 2 ** 64 - CHUNK - 9
+        stop = start + 3 * CHUNK + 17
+        zs = reference_outputs(mixed, start + 2, stop + m)
+        chunks = list(_draw_columns(mixed, m, start, stop))
+        assert len(chunks) == 4
+        for k0, columns in zip(range(0, stop - start, CHUNK), chunks):
+            size = min(CHUNK, stop - start - k0)
+            assert [list(column) for column in columns] == \
+                [[z % n for z in zs[k0 + t:k0 + t + size]] for t, n in enumerate(range(m, 1, -1))]
+        assert _step_counts(seed, m, start, stop) == reference_steps(seed, m, start, stop)
+
+    def test_two_player_counts_over_fifty_chunks(self):
+        # Each lane of the parity sum holds up to 51 draws of 1 before the
+        # lanes are summed.
+        seed, start = 61, 12_345
+        stop = start + 50 * CHUNK + 11
+        assert _step_counts(seed, 2, start, stop) == reference_steps(seed, 2, start, stop)
+
+
 class TestTwoPlayers:
     """At m = 2 the one draw is the low bit of an output, never rejected;
-    _step_counts counts the set bits of the packed lanes."""
+    _step_counts adds up the low bits of the packed lanes."""
 
     @pytest.mark.parametrize("seed", [0, 7, 2024])
     def test_output_0_is_draw_0_not_a_rejection(self, seed, monkeypatch):
@@ -424,9 +454,9 @@ class TestTwoPlayers:
 
 
 class TestOutputs:
-    """_packed computes a range of the stream in 128-bit lanes of one int,
-    which _outputs unpacks; each lane must read as one step of the scalar
-    generator."""
+    """_outputs and _chunks compute ranges of the stream in 128-bit lanes
+    of one int, _chunks carrying the states from chunk to chunk; each lane
+    must read as one step of the scalar generator."""
 
     @pytest.mark.parametrize("seed", [0, 11, 2024])
     def test_chunk_lengths(self, seed):
@@ -449,16 +479,20 @@ class TestOutputs:
 
     @pytest.mark.parametrize("mixed", [0, 1, _MASK64, _GOLDEN, -_GOLDEN & _MASK64,
                                        1 << 63, (1 << 63) - 1])
-    def test_packed_low_bits_count_the_odd_outputs(self, mixed):
-        # The m = 2 draw count, on the ranges of the wrapping test above
-        # and around the counter that reads state 0.
+    def test_lane_low_bits_count_the_odd_outputs(self, mixed):
+        # The m = 2 draw count of the seed that mixes to ``mixed``, on the
+        # ranges of the wrapping test above and around the counter that
+        # reads state 0, over one, two and three chunks.
+        seed = state_of(mixed) - _GOLDEN & _MASK64
+        assert _splitmix_next(seed)[1] == mixed
         counter = -mixed * pow(_GOLDEN, -1, 2 ** 64) % 2 ** 64
         for start in (0, 1, 2 ** 64 - 40, 2 ** 64 - 1, 2 ** 64 + 3, -7,
                       counter - CHUNK, counter - 1, counter):
-            for length in (1, 80, CHUNK + 3):
-                z, ones = _packed(mixed, start, start + length)
+            for length in (1, 80, CHUNK + 3, 2 * CHUNK + 5):
                 want = reference_outputs(mixed, start, start + length)
-                assert (z & ones).bit_count() == sum(x & 1 for x in want)
+                steps = _step_counts(seed, 2, start - 2, start - 2 + length)
+                assert steps[0b1010] == sum(x & 1 for x in want)
+                assert steps[0b0101] == length - steps[0b1010]
 
     @pytest.mark.parametrize("seed", [0, 7, 2024])
     def test_counters_that_read_state_0(self, seed):
@@ -473,15 +507,21 @@ class TestOutputs:
             assert zs[counter - start] == 0
 
     @pytest.mark.parametrize("mixed", [0, _MASK64, _GOLDEN, -_GOLDEN & _MASK64, 1 << 63])
-    def test_prebuilt_lane_constants(self, mixed):
-        # The constants depend only on the length, so one set serves every
-        # range of that length, wrapping states and counters included.
-        for length in (1, 7, CHUNK + 6):
-            lanes = _lanes(length)
+    def test_carried_states_wrap_past_2_to_the_64(self, mixed):
+        # Each chunk's lanes hold its outputs, however its states were
+        # reached: built for the first chunk, carried for the rest, wrapping
+        # states and counters included; a shorter last chunk's lanes end
+        # with its outputs.
+        for extra in (0, 6):
             for start in (0, 2, 2 ** 64 - 40, 2 ** 64 - 1, 2 ** 64 + 3, -7):
-                stop = start + length
-                assert _outputs(mixed, start, stop, lanes) == _outputs(mixed, start, stop) \
-                    == reference_outputs(mixed, start, stop)
+                for stop in (start + 1, start + 2 * CHUNK + 7):
+                    chunks = list(_chunks(mixed, start, stop, extra))
+                    assert [k0 for k0, *_ in chunks] == list(range(start, stop, CHUNK))
+                    for k0, size, z, _ in chunks:
+                        count = size + extra
+                        assert z >> 128 * count == 0
+                        assert _unpacked(z, count) == \
+                            reference_outputs(mixed, k0 + 2, k0 + count + 2)
 
     @pytest.mark.parametrize("size", [CHUNK, CHUNK + 1, 5 * CHUNK, 5 * CHUNK + 3, 3])
     def test_lane_constants_are_built_once_per_run(self, monkeypatch, size):
@@ -599,9 +639,9 @@ class TestEstimator:
             games.append(expected_game(ExplanationProblem(
                 model, random_instance(rng, model), SimilarityConfig.class_equality())))
         # 4-byte lanes at m = 12 and 16, m = 17 past them on the tuple walk,
-        # two players counted by popcount and m = 33 (keys wider than 64
-        # bits): the weights game widened, with an interaction between two
-        # players.
+        # two players counted from the lanes' low bits and m = 33 (keys
+        # wider than 64 bits): the weights game widened, with an
+        # interaction between two players.
         for m in (12, 16, 17, 2, 33):
             wide = {p: F(rng.randrange(-4, 5), rng.randrange(1, 4))
                     for p in rng.sample(range(1, 60), m)}
@@ -617,7 +657,7 @@ class TestEstimator:
                 with monkeypatch.context() as patch:
                     if game.m == 1:
                         patch.setattr(cgt_module, "_draw_columns", no_draws)
-                        patch.setattr(cgt_module, "_packed", no_draws)
+                        patch.setattr(cgt_module, "_chunks", no_draws)
                     vector, diag = cgt_estimate(game, config)
                 assert diag.permutations == n
                 assert vector.scores == want
@@ -846,9 +886,9 @@ class TestPinnedReports:
     runs take each route: one Counter for the whole run (m <= 6), 2-byte
     lanes with every coalition touched (the m = 8 tree), and 4-byte lanes
     over a sample that leaves most coalitions untouched (the m = 12 tree at
-    epsilon 1). The reg2 tree and the box model pw2 have m = 2, counted by
-    popcount; both pw2 runs draw 21,911 permutations. The seeded trees at
-    m = 4..9 draw 1,382-1,840 permutations, a full chunk and a shorter
+    epsilon 1). The reg2 tree and the box model pw2 have m = 2, counted
+    from the lanes' low bits; both pw2 runs draw 21,911 permutations. The
+    seeded trees at m = 4..9 draw 1,382-1,840 permutations, a full chunk and a shorter
     last one, and waxp at 1/50 draws 7,043 (m = 7) and 7,211 (m = 8),
     enough to count two steps a key. From m = 16 on epsilon 1 draws 4,
     and only the waxp game runs there, since the expected game's slices

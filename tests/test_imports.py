@@ -19,6 +19,8 @@ string: a mechanism that no run needs. A local variable or a dict key
 that shares its name does not keep it.
 No module but ``similarity.py`` reads ``prediction`` or ``delta`` off a
 ``dissimilar``: the band those give belongs to ``Dissimilar.band``.
+No module but ``cli.py`` imports ``gc`` or calls it: pausing the cyclic
+collector for a run is ``run_cli``'s policy alone.
 The package declares no dependencies, so an absolute import whose top-level
 name is not in ``sys.stdlib_module_names`` fails as well. Nor does it import
 ``dataclasses``, ``inspect`` or ``typing``, which would cost every process
@@ -303,6 +305,43 @@ def test_the_checker_finds_a_band_read_outside_its_owner():
 def test_only_similarity_reads_the_band():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert band_reads(sources) == []
+
+
+def collector_uses(sources: dict[str, str]) -> list[tuple[str, int, str]]:
+    """(module, line, what) of each import of ``gc`` and each call of a
+    ``gc`` function outside ``cli.py``: the collector policy of a run
+    belongs to ``run_cli``."""
+    found = []
+    for module, source in sources.items():
+        if module == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                found += [(module, node.lineno, alias.name) for alias in node.names
+                          if alias.name == "gc"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+                found.append((module, node.lineno, "gc"))
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) \
+                    and getattr(node.func.value, "id", None) == "gc":
+                found.append((module, node.lineno, f"gc.{node.func.attr}"))
+    return sorted(found)
+
+
+def test_the_checker_finds_a_collector_use_outside_the_cli():
+    sources = {"cli.py": "import gc\ngc.disable()\n",
+               "models.py": ("import gc, json\n"
+                             "def load(text):\n"
+                             "    gc.disable()\n"
+                             "    return json.loads(text)\n"),
+               "games.py": "from gc import freeze\nfreeze()\n",
+               "cgt.py": "import gcd\nfrom .models import gc_free\ngc_free.collect()\n"}
+    assert collector_uses(sources) == [("games.py", 1, "gc"), ("models.py", 1, "gc"),
+                                       ("models.py", 3, "gc.disable")]
+
+
+def test_only_the_cli_touches_the_collector():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert collector_uses(sources) == []
 
 
 def absolute_imports(source: str) -> list[tuple[int, str]]:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import json
@@ -905,6 +906,62 @@ class TestEntryPoint:
         assert done.returncode == 2
         assert done.stderr.startswith("error:")
         assert "Traceback" not in done.stderr
+
+
+class TestCollectorPause:
+    """run_cli pauses the cyclic garbage collector for the run and leaves
+    the caller's collector as it found it, however the run ends."""
+
+    @pytest.mark.parametrize("argv,code", [
+        (["validate", "--model", CLS3], 0),
+        (["validate", "--model", "no/such/file.json"], 2),
+        (["shap", "--model", CLS3, "--instance", "1,1,2", "--game", "waxp",
+          "--method", "cgt", "--epsilon", "1/100000"], 3),
+        (["shap", "--model", CLS3, "--frobnicate"], "exit 2"),
+        (["--help"], "exit 0"),
+    ], ids=["exit 0", "exit 2", "exit 3", "rejected", "help"])
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_the_callers_state_is_restored(self, capsys, argv, code, enabled):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if isinstance(code, str):  # argparse exits
+                with pytest.raises(SystemExit) as exc:
+                    run_cli(argv)
+                assert exc.value.code == int(code[-1])
+            else:
+                assert run_cli(argv) == code
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        capsys.readouterr()
+
+    def test_no_collection_runs_while_a_table_loads(self, capsys, tmp_path):
+        # 4,096 entries, each a dict and a list, allocate enough containers
+        # to start several young collections with the collector on.
+        features = [{"id": i, "name": f"x{i}", "domain": {"type": "discrete",
+                                                          "values": [0, 1]}}
+                    for i in range(1, 13)]
+        table = [{"point": list(point), "value": sum(point) % 4}
+                 for point in itertools.product((0, 1), repeat=12)]
+        path = write(tmp_path, "table.json", json.dumps(
+            {"version": 1, "kind": "tabular", "features": features, "table": table}))
+        started = []
+
+        def hook(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        was = gc.isenabled()
+        gc.enable()
+        gc.callbacks.append(hook)
+        try:
+            assert run_cli(["validate", "--model", path]) == 0
+        finally:
+            gc.callbacks.remove(hook)
+            (gc.enable if was else gc.disable)()
+        assert started == []
+        assert "(4096 points)" in capsys.readouterr().out
 
 
 ROOT = FIXTURES.parent.parent
